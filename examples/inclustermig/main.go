@@ -53,7 +53,7 @@ func main() {
 	w.Tick = func(self *proc.Process) {
 		tcp, _ := self.Sockets()
 		for _, sk := range tcp {
-			sk.Recv()
+			sk.Discard()
 			seq++
 			_ = sk.Send([]byte(fmt.Sprintf("SET heartbeat %d;", seq)))
 		}

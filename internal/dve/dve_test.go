@@ -1,7 +1,9 @@
 package dve
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -122,6 +124,50 @@ func TestDBServerProtocol(t *testing.T) {
 	}
 	if db.Get("hp") != "100" || db.Queries != 3 || db.Sessions != 1 {
 		t.Fatalf("db state: %q %d %d", db.Get("hp"), db.Queries, db.Sessions)
+	}
+}
+
+// TestDBServerUnterminatedInputIsLinear feeds one session 1 MiB without a
+// single ';' in 256-byte writes — what the freeze harness's zone process
+// does to its DB session — and bounds the bytes the whole simulation
+// allocates meanwhile: re-copying the backlog per segment costs ~2 GiB
+// here, a buffer scanned once costs a few MiB. A fresh session must
+// still be served afterwards.
+func TestDBServerUnterminatedInputIsLinear(t *testing.T) {
+	c := proc.NewCluster(simtime.NewScheduler(), 2)
+	db, err := StartDBServer(c.Nodes[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	flood := newDBClient(t, c, 0)
+	chunk := bytes.Repeat([]byte{'x'}, 256)
+	const total = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for sent := 0; sent < total; sent += len(chunk) {
+		if err := flood.Send(chunk); err != nil {
+			t.Fatal(err)
+		}
+		c.Sched.RunFor(time.Millisecond)
+	}
+	runtime.ReadMemStats(&after)
+	if flood.SndUna != flood.SndNxt {
+		t.Fatal("the flood was not fully delivered")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*total {
+		t.Fatalf("buffering %d unterminated bytes allocated %d bytes", total, grew)
+	}
+	if db.Queries != 0 {
+		t.Fatalf("unterminated input ran %d commands", db.Queries)
+	}
+
+	sk := newDBClient(t, c, 0)
+	var got []byte
+	sk.OnReadable = func() { got = sk.RecvAppend(got) }
+	sk.Send([]byte("SET motd a b c;GET motd;"))
+	c.Sched.RunFor(time.Second)
+	if string(got) != "OK;VAL a b c;" || db.Get("motd") != "a b c" {
+		t.Fatalf("fresh session after the flood: replies %q, stored %q", got, db.Get("motd"))
 	}
 }
 

@@ -96,7 +96,7 @@ func SpawnZoneServer(n *proc.Node, z ZoneID, clusterIP, dbIP netsim.Addr,
 			if sk.State != netstack.TCPEstablished {
 				continue
 			}
-			sk.Recv() // consume replies / client traffic / neighbor sync
+			sk.Discard() // consume replies / client traffic / neighbor sync
 			if sk.RemotePort == DBPort {
 				dbSock = sk
 			} else {

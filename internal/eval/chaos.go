@@ -360,7 +360,7 @@ func RunChaosScenario(cfg ChaosConfig, sc ChaosScenario, seed uint64) (*ChaosRes
 	var dbPeer *netstack.TCPSocket
 	dbl.OnAccept = func(ch *netstack.TCPSocket) {
 		dbPeer = ch
-		ch.OnReadable = func() { ch.Recv() }
+		ch.OnReadable = func() { ch.Discard() }
 	}
 
 	// The zone process and its client listener.
@@ -423,11 +423,11 @@ func RunChaosScenario(cfg ChaosConfig, sc ChaosScenario, seed uint64) (*ChaosRes
 				continue
 			}
 			if sk.RemoteIP == dbAddr {
-				sk.Recv()
+				sk.Discard()
 				_ = sk.Send([]byte("ping;"))
 				continue
 			}
-			sk.Recv() // client input is drained, not audited here
+			sk.Discard() // client input is drained, not audited here
 			if !sending {
 				continue
 			}

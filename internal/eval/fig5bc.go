@@ -284,7 +284,7 @@ func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, simtim
 		if err := cli.Connect(cluster.ClusterIP, 7000); err != nil {
 			return nil, 0, 0, nil, err
 		}
-		cli.OnReadable = func() { cli.Recv() } // consume updates
+		cli.OnReadable = func() { cli.Discard() } // consume updates
 		clients = append(clients, cli)
 	}
 	sched.RunFor(2e9)
@@ -337,7 +337,7 @@ func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, simtim
 		hi := ((batch % nb) + 1) * len(tcp) / nb
 		for _, sk := range tcp[lo:hi] {
 			if sk.State == netstack.TCPEstablished {
-				sk.Recv()
+				sk.Discard()
 				_ = sk.Send(msg)
 			}
 		}

@@ -122,9 +122,8 @@ func (c *Conn) Send2(t MsgType, head, tail []byte) error {
 }
 
 func (c *Conn) onReadable() {
-	if data := c.sk.Recv(); len(data) > 0 {
-		c.feed(data)
-	}
+	c.buf = c.sk.RecvAppend(c.buf)
+	c.drain()
 	if c.sk.EOF() && c.OnClose != nil {
 		cb := c.OnClose
 		c.OnClose = nil
@@ -136,6 +135,11 @@ func (c *Conn) onReadable() {
 // the transport-independent half of the parser (also the fuzz surface).
 func (c *Conn) feed(data []byte) {
 	c.buf = append(c.buf, data...)
+	c.drain()
+}
+
+// drain dispatches every complete frame at the head of the buffer.
+func (c *Conn) drain() {
 	for {
 		if len(c.buf) < 5 {
 			break

@@ -339,16 +339,26 @@ func (r *BroadcastRouter) AttachExternal(name string, addr Addr, params LinkPara
 
 func (r *BroadcastRouter) route(from *NIC, p *Packet) {
 	if p.DstIP == r.ClusterIP {
-		// Broadcast to every server node; each gets its own clone so
-		// netfilter hooks can mangle independently.
+		// Broadcast to every server node. Each node owns the packet it is
+		// handed — its netfilter hooks rewrite the header in place — so
+		// every node but the last gets a clone (private header, shared
+		// payload) and the last takes over the original.
 		r.Broadcasts++
+		var last *NIC
 		for _, srv := range r.servers {
 			if srv == from {
 				continue
 			}
-			srv.deliver(p.Clone())
+			if last != nil {
+				last.deliver(p.Clone())
+			}
+			last = srv
 		}
-		p.Release() // the original dies after the fan-out
+		if last == nil {
+			p.Release() // nobody to hand it to
+			return
+		}
+		last.deliver(p)
 		return
 	}
 	if dst, ok := r.external[p.DstIP]; ok {

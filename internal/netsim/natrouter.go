@@ -87,9 +87,10 @@ func (r *NATRouter) route(from *NIC, p *Packet) {
 		dst, ok := r.table[dispatchKey{p.Proto, p.DstPort}]
 		if !ok {
 			r.DroppedUnmapped++
+			p.Release()
 			return
 		}
-		dst.deliver(p.Clone())
+		dst.deliver(p) // one recipient: it takes over the packet
 		return
 	}
 	if dst, ok := r.external[p.DstIP]; ok {
@@ -97,4 +98,5 @@ func (r *NATRouter) route(from *NIC, p *Packet) {
 		return
 	}
 	r.Dropped++
+	p.Release()
 }

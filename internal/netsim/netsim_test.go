@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -65,12 +66,27 @@ func TestChecksumDetectsMutation(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	p := &Packet{Payload: []byte{1, 2, 3}, Dst: &DstEntry{NextHop: 9}}
+// TestCloneSharesPayloadNotHeader pins what Clone means: the header is the
+// clone's own, the payload buffer is shared and counted, and the last
+// Release — in any order — is the one that recycles it.
+func TestCloneSharesPayloadNotHeader(t *testing.T) {
+	p := NewPacket()
+	p.SrcIP, p.DstIP, p.Proto, p.Seq = 1, 2, ProtoTCP, 100
+	p.Dst = &DstEntry{NextHop: 9}
+	p.Payload = GetPayload(3)
+	copy(p.Payload, []byte{1, 2, 3})
+	p.FixChecksum()
 	q := p.Clone()
-	q.Payload[0] = 99
-	if p.Payload[0] != 1 {
-		t.Fatal("clone shares payload with original")
+	if &q.Payload[0] != &p.Payload[0] {
+		t.Fatal("clone copied the payload instead of sharing it")
+	}
+	if n := PayloadHolders(p.Payload); n != 2 {
+		t.Fatalf("holders after Clone = %d, want 2", n)
+	}
+	q.DstIP, q.Seq = 7, 200
+	q.FixChecksum()
+	if p.DstIP != 2 || p.Seq != 100 || !p.ChecksumOK() || !q.ChecksumOK() {
+		t.Fatal("rewriting the clone's header disturbed the original")
 	}
 	// DstEntry values are immutable once published: filters replace the
 	// pointer, never the fields, so the clone shares the entry.
@@ -78,30 +94,97 @@ func TestCloneIsDeep(t *testing.T) {
 	if p.Dst.NextHop != 9 {
 		t.Fatal("replacing the clone's Dst pointer must not touch the original")
 	}
+	body := q.Payload
+	p.Release() // the original goes first; the clone keeps the bytes alive
+	if n := PayloadHolders(body); n != 1 {
+		t.Fatalf("holders after first Release = %d, want 1", n)
+	}
+	if body[0] != 1 || body[2] != 3 || !q.ChecksumOK() {
+		t.Fatal("payload changed while a clone still held it")
+	}
+	q.Release()
+	if n := PayloadHolders(body); n != 0 {
+		t.Fatalf("holders after last Release = %d, want 0", n)
+	}
+
+	// Only GetPayload mints pooled buffers. A foreign one is shared
+	// uncounted and left to the garbage collector whatever its capacity —
+	// including the size-class capacity append gives a full-MSS copy, and
+	// an oversized GetPayload of exactly the pooled array's length.
+	for i, b := range [][]byte{
+		{1, 2, 3},
+		make([]byte, 3, payloadBufCap),
+		append([]byte(nil), make([]byte, 1460)...),
+		GetPayload(payloadArrayLen),
+	} {
+		f := &Packet{Payload: b}
+		g := f.Clone()
+		if PayloadHolders(b) != 0 || &g.Payload[0] != &b[0] {
+			t.Fatalf("foreign buffer %d (cap %d) entered the holder scheme", i, cap(b))
+		}
+		g.Release()
+		f.Release()
+	}
 }
 
-// TestChecksumMatchesReference pins the split header/payload checksum to
-// the original single-buffer RFC 1071 implementation over a spread of
-// payload lengths (odd and even) and field patterns.
+// internetChecksum is the reference single-buffer RFC 1071 checksum the
+// word-at-a-time ComputeChecksum must agree with.
+func internetChecksum(b []byte) uint16 {
+	var sum uint32
+	for i := 0; i+1 < len(b); i += 2 {
+		sum += uint32(binary.BigEndian.Uint16(b[i:]))
+	}
+	if len(b)%2 == 1 {
+		sum += uint32(b[len(b)-1]) << 8
+	}
+	for sum>>16 != 0 {
+		sum = (sum & 0xFFFF) + (sum >> 16)
+	}
+	return ^uint16(sum)
+}
+
+// TestChecksumMatchesReference pins ComputeChecksum to the reference over
+// every payload length 0–1500 (so every tail of the 8/4/2/1-byte ladder)
+// with random headers and random, all-zero and all-0xFF payloads: 20k
+// packets in all.
 func TestChecksumMatchesReference(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 15, 16, 1447, 1448} {
-		payload := make([]byte, n)
-		for i := range payload {
-			payload[i] = byte(i*7 + n)
-		}
-		p := &Packet{
-			SrcIP: MakeAddr(203, 0, 113, 9), DstIP: MakeAddr(10, 0, 0, 3),
-			Proto: ProtoTCP, TTL: 63, SrcPort: 5123, DstPort: 80,
-			Seq: 0xDEADBEEF, Ack: 0x01020304, Flags: FlagACK | FlagPSH,
-			Window: 65535, TSVal: 123456, TSEcr: 654321,
-			Payload: payload,
-		}
-		saved := p.Checksum
-		p.Checksum = 0
-		want := internetChecksum(p.Marshal())
-		p.Checksum = saved
-		if got := p.ComputeChecksum(); got != want {
-			t.Fatalf("len=%d: ComputeChecksum=%#x, reference=%#x", n, got, want)
+	rng := simtime.NewRand(12)
+	u32 := func() uint32 { return uint32(rng.Uint64()) }
+	checked := 0
+	for round := 0; checked < 20_000; round++ {
+		for n := 0; n <= 1500; n++ {
+			payload := make([]byte, n)
+			switch round % 14 {
+			case 12: // all zero
+			case 13:
+				for i := range payload {
+					payload[i] = 0xFF
+				}
+			default:
+				for i := range payload {
+					payload[i] = byte(rng.Uint64())
+				}
+			}
+			p := &Packet{
+				SrcIP: Addr(u32()), DstIP: Addr(u32()),
+				Proto: byte(u32()), TTL: byte(u32()), SrcPort: uint16(u32()), DstPort: uint16(u32()),
+				Seq: u32(), Ack: u32(), Flags: byte(u32()),
+				Window: uint16(u32()), TSVal: u32(), TSEcr: u32(),
+				Checksum: uint16(u32()), // ignored: computed as if zero
+				Payload:  payload,
+			}
+			if round%14 == 13 { // saturate the header too
+				p.SrcIP, p.DstIP, p.Seq, p.Ack, p.TSVal, p.TSEcr = ^Addr(0), ^Addr(0), ^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0)
+				p.Proto, p.TTL, p.Flags, p.SrcPort, p.DstPort, p.Window = 0xFF, 0xFF, 0xFF, 0xFFFF, 0xFFFF, 0xFFFF
+			}
+			saved := p.Checksum
+			p.Checksum = 0
+			want := internetChecksum(p.Marshal())
+			p.Checksum = saved
+			if got := p.ComputeChecksum(); got != want {
+				t.Fatalf("round %d len=%d: ComputeChecksum=%#x, reference=%#x", round, n, got, want)
+			}
+			checked++
 		}
 	}
 }
@@ -215,9 +298,17 @@ func TestBroadcastRouterClonesPerServer(t *testing.T) {
 	if len(seen) != 2 {
 		t.Fatalf("copies = %d", len(seen))
 	}
-	seen[0].Payload[0] = 42
-	if seen[1].Payload[0] != 7 {
-		t.Fatal("server copies alias the same payload")
+	if seen[0] == seen[1] {
+		t.Fatal("two servers were handed the same packet struct")
+	}
+	// Each node may mangle its packet's header (netfilter hooks do)...
+	seen[0].DstIP, seen[0].DstPort = MakeAddr(10, 0, 0, 9), 99
+	if seen[1].DstIP != cluster || seen[1].DstPort != 0 {
+		t.Fatal("server packets alias the same header")
+	}
+	// ...while the immutable payload is one buffer, not one per node.
+	if &seen[0].Payload[0] != &seen[1].Payload[0] || seen[1].Payload[0] != 7 {
+		t.Fatal("fan-out copied the payload")
 	}
 }
 

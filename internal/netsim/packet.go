@@ -20,33 +20,75 @@ import (
 // goroutine-safe) and buffer identity never influences simulation
 // results, so determinism is unaffected.
 var payloadPool = sync.Pool{
-	New: func() any { return new([payloadBufCap]byte) },
+	New: func() any { return new([payloadArrayLen]byte) },
 }
 
-// payloadBufCap is the capacity of pooled payload buffers: one Ethernet
-// MTU plus slack for jumbo checkpoint chunks staying under 1536.
-const payloadBufCap = 1536
+const (
+	// payloadBufCap is the largest payload a pooled buffer carries: one
+	// Ethernet MTU plus slack for jumbo checkpoint chunks staying under
+	// 1536.
+	payloadBufCap = 1536
+	// payloadArrayLen is the size of the pooled array: the payload bytes
+	// followed by the buffer's holder count. The count lives in the array
+	// itself, past the largest payload, so it is reachable from any
+	// []byte that GetPayload returned (b[:cap(b)]) and packets can share
+	// a buffer without a side table. 1540 is not a Go allocation size
+	// class, so no append-grown foreign slice ever has this capacity.
+	payloadArrayLen = payloadBufCap + 4
+)
 
-// GetPayload returns a length-n byte slice, recycled from the payload
-// pool when n fits a pooled buffer. Callers hand the buffer back via
-// PutPayload (usually through Packet.Release) when the payload's life
-// ends. The pool holds *[payloadBufCap]byte array pointers rather than
-// *[]byte slice headers: a pointer round-trips through the pool's `any`
-// without boxing, so neither Get nor Put allocates.
+// holders returns the holder-count cell of a pooled payload buffer, nil
+// for a foreign one (a literal, an oversized GetPayload, or a re-sliced
+// buffer whose capacity no longer reaches the cell). Foreign buffers are
+// never recycled — the garbage collector owns them — so sharing them
+// needs no count.
+func holders(b []byte) []byte {
+	if cap(b) != payloadArrayLen || len(b) > payloadBufCap {
+		return nil
+	}
+	return b[payloadBufCap:payloadArrayLen]
+}
+
+// GetPayload returns a length-n byte slice with one holder, recycled from
+// the payload pool when n fits a pooled buffer. The caller fills it once,
+// before the packet carrying it is first transmitted; from then on the
+// bytes are immutable, because Clone shares the buffer between packets.
+// Callers must not append to the slice (the spare capacity holds the
+// holder count). The holder hands the buffer back via PutPayload (usually
+// through Packet.Release) when its use of the payload ends. The pool
+// holds array pointers rather than *[]byte slice headers: a pointer
+// round-trips through the pool's `any` without boxing, so neither Get nor
+// Put allocates.
 func GetPayload(n int) []byte {
 	if n > payloadBufCap {
 		return make([]byte, n)
 	}
-	return payloadPool.Get().(*[payloadBufCap]byte)[:n]
+	b := payloadPool.Get().(*[payloadArrayLen]byte)[:n]
+	binary.LittleEndian.PutUint32(holders(b), 1)
+	return b
 }
 
-// PutPayload recycles a payload buffer obtained from GetPayload.
-// Oversized or foreign buffers are simply dropped.
+// sharePayload adds a holder to a pooled buffer; a no-op on foreign ones.
+func sharePayload(b []byte) {
+	if h := holders(b); h != nil {
+		binary.LittleEndian.PutUint32(h, binary.LittleEndian.Uint32(h)+1)
+	}
+}
+
+// PutPayload drops one holder of a buffer obtained from GetPayload; the
+// last holder's call recycles it. Oversized or foreign buffers are simply
+// dropped. The count is not atomic: a buffer only ever circulates inside
+// one simulation, which runs on one goroutine.
 func PutPayload(b []byte) {
-	if cap(b) != payloadBufCap {
+	h := holders(b)
+	if h == nil {
 		return
 	}
-	payloadPool.Put((*[payloadBufCap]byte)(b[:payloadBufCap]))
+	n := binary.LittleEndian.Uint32(h) - 1
+	binary.LittleEndian.PutUint32(h, n)
+	if n == 0 {
+		payloadPool.Put((*[payloadArrayLen]byte)(b[:payloadArrayLen]))
+	}
 }
 
 // packetPool recycles Packet structs themselves: the fabric and the TCP
@@ -60,27 +102,43 @@ var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 // that construct literal &Packet{} values remain correct (Release accepts
 // any packet), they just bypass the recycling.
 func NewPacket() *Packet {
-	p := packetPool.Get().(*Packet)
+	p := getPacket()
 	*p = Packet{}
 	return p
 }
 
-// Release returns the packet's payload buffer and struct to their pools.
-// It must only be called at points where the packet provably has no
-// other referents: drop paths in the fabric, after the receiving socket
-// copied the bytes out, or after an acknowledged segment leaves the
-// write queue. Releasing twice before the struct is reused is harmless
-// (the second call sees the released flag); fields must not be read
-// after Release — the struct may be serving another packet, possibly in
-// a concurrently running simulation.
+// getPacket draws a struct (with stale contents) from the pool.
+func getPacket() *Packet {
+	if poolAudit != nil {
+		poolAudit.obtained++
+	}
+	return packetPool.Get().(*Packet)
+}
+
+// poolAudit, while a test has one installed (export_test.go), counts the
+// packets drawn from and returned to the struct pool, so an ownership
+// test can assert that every packet a run obtained reached a sink. Nil —
+// one predictable branch per packet — everywhere else.
+var poolAudit *struct{ obtained, released uint64 }
+
+// Release ends this packet's life: it drops the packet's hold on the
+// payload buffer (the last holder recycles it) and returns the struct to
+// its pool. A packet struct has exactly one owner at every hop, and every
+// sink calls Release: drop paths in the fabric and the stack, the router
+// after its fan-out, the receiving socket once the bytes are copied out,
+// the write queue when a segment is acknowledged. Releasing twice before
+// the struct is reused is harmless (the second call sees the released
+// flag); fields must not be read after Release — the struct may be
+// serving another packet, possibly in a concurrently running simulation.
 func (p *Packet) Release() {
 	if p.released {
 		return
 	}
 	p.released = true
-	if p.Payload != nil {
-		PutPayload(p.Payload)
-		p.Payload = nil
+	PutPayload(p.Payload)
+	p.Payload = nil
+	if poolAudit != nil {
+		poolAudit.released++
 	}
 	packetPool.Put(p)
 }
@@ -206,22 +264,21 @@ const headerBytes = 52
 // the link-level transfer-time model.
 func (p *Packet) Len() int { return headerBytes + len(p.Payload) }
 
-// Clone returns a copy with a private payload buffer (drawn from the
-// payload pool). The broadcast router clones packets so each node can
-// mangle its copy independently (netfilter hooks rewrite headers in
-// place). The destination cache entry is shared: DstEntry values are
-// immutable once published — translation filters replace the pointer,
-// never the fields.
+// Clone returns a packet with a private header and a shared payload: the
+// struct is copied, the payload buffer gains a holder. Every hop that
+// needs its own packet clones — the write queue keeps the original while
+// the clone travels, the broadcast router hands one to each node, the
+// fault plane duplicates — and each may rewrite its header fields in
+// place (netfilter hooks do) and FixChecksum without the siblings
+// noticing. Payload bytes are immutable from the first transmit, so no
+// clone needs its own. The destination cache entry is shared too:
+// DstEntry values are immutable once published — translation filters
+// replace the pointer, never the fields.
 func (p *Packet) Clone() *Packet {
-	q := packetPool.Get().(*Packet)
+	q := getPacket()
 	*q = *p
 	q.released = false
-	if len(p.Payload) == 0 {
-		q.Payload = nil
-	} else {
-		q.Payload = GetPayload(len(p.Payload))
-		copy(q.Payload, p.Payload)
-	}
+	sharePayload(q.Payload)
 	return q
 }
 
@@ -253,12 +310,15 @@ func (p *Packet) Marshal() []byte {
 	return buf
 }
 
-// Unmarshal decodes a packet from the canonical wire format.
+// Unmarshal decodes a packet from the canonical wire format. The packet
+// and its payload come from the pools, so a restored socket queue owns
+// buffers that Clone may share and Release recycles like any other.
 func Unmarshal(buf []byte) (*Packet, error) {
 	if len(buf) < headerBytes {
 		return nil, fmt.Errorf("netsim: short packet: %d bytes", len(buf))
 	}
-	p := &Packet{
+	p := getPacket()
+	*p = Packet{
 		SrcIP:    Addr(binary.BigEndian.Uint32(buf[0:])),
 		DstIP:    Addr(binary.BigEndian.Uint32(buf[4:])),
 		Proto:    buf[8],
@@ -272,7 +332,10 @@ func Unmarshal(buf []byte) (*Packet, error) {
 		TSVal:    binary.BigEndian.Uint32(buf[25:]),
 		TSEcr:    binary.BigEndian.Uint32(buf[29:]),
 		Checksum: binary.BigEndian.Uint16(buf[33:]),
-		Payload:  append([]byte(nil), buf[headerBytes:]...),
+	}
+	if body := buf[headerBytes:]; len(body) > 0 {
+		p.Payload = GetPayload(len(body))
+		copy(p.Payload, body)
 	}
 	return p, nil
 }
@@ -283,29 +346,44 @@ func Unmarshal(buf []byte) (*Packet, error) {
 // addresses (paper §V-D). The sum is computed without materializing the
 // wire encoding: the header goes through a stack buffer and the payload
 // is summed in place (the header length is even, so the two partial sums
-// compose exactly as in the single-buffer form).
+// compose exactly as in the single-buffer form). Ones-complement addition
+// is associative, so the 16-bit words are added eight bytes at a time
+// into a wide accumulator and folded once at the end.
 func (p *Packet) ComputeChecksum() uint16 {
 	var hdr [headerBytes]byte
 	saved := p.Checksum
 	p.Checksum = 0
 	p.marshalHeader(hdr[:])
 	p.Checksum = saved
-	var sum uint32
-	for i := 0; i < headerBytes; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(hdr[i:]))
-	}
-	b := p.Payload
-	n := len(b) &^ 1
-	for i := 0; i < n; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i:]))
-	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
-	}
+	sum := sumWords(hdr[:]) + sumWords(p.Payload)
 	for sum>>16 != 0 {
 		sum = (sum & 0xFFFF) + (sum >> 16)
 	}
 	return ^uint16(sum)
+}
+
+// sumWords adds b's big-endian 16-bit words (an odd trailing byte padded
+// with zero) without folding. Each 8-byte load contributes two 32-bit
+// halves, so even a 64 KiB buffer stays far below overflow.
+func sumWords(b []byte) uint64 {
+	var sum uint64
+	for len(b) >= 8 {
+		v := binary.BigEndian.Uint64(b)
+		sum += v>>32 + v&0xFFFFFFFF
+		b = b[8:]
+	}
+	if len(b) >= 4 {
+		sum += uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		sum += uint64(binary.BigEndian.Uint16(b))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		sum += uint64(b[0]) << 8
+	}
+	return sum
 }
 
 // FixChecksum recomputes and stores the checksum.
@@ -313,20 +391,6 @@ func (p *Packet) FixChecksum() { p.Checksum = p.ComputeChecksum() }
 
 // ChecksumOK reports whether the stored checksum matches the content.
 func (p *Packet) ChecksumOK() bool { return p.Checksum == p.ComputeChecksum() }
-
-func internetChecksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i:]))
-	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xFFFF) + (sum >> 16)
-	}
-	return ^uint16(sum)
-}
 
 // FlagString renders TCP flags, e.g. "SYN|ACK".
 func FlagString(f byte) string {

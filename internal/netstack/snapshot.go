@@ -108,7 +108,7 @@ func SnapshotTCP(sk *TCPSocket) *TCPSnapshot {
 		// once carries an offset, and chaining migrations must compose.
 		SrcJiffies: sk.tsNow(),
 		MSS:        int32(sk.MSS),
-		SndBuf:     append([]byte(nil), sk.sndBuf...),
+		SndBuf:     append([]byte(nil), sk.unsent()...),
 		BytesIn:    sk.BytesIn, BytesOut: sk.BytesOut,
 	}
 	s.WriteQueue = marshalQueue(sk.writeQueue)

@@ -3,7 +3,6 @@ package netstack
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"dvemig/internal/netsim"
 	"dvemig/internal/simtime"
@@ -152,8 +151,12 @@ type TCPSocket struct {
 	// the application has not read; oooQueue holds out-of-window-order
 	// segments; backlog holds packets that arrived while the socket was
 	// locked by a system call; prequeue feeds the fast-path receive.
+	// sndBuf[sndOff:] is the unsegmented part: segmenting advances sndOff
+	// instead of re-slicing, so the buffer keeps its capacity and a
+	// steady-state Send appends without allocating.
 	writeQueue   []*netsim.Packet
 	sndBuf       []byte
+	sndOff       int
 	receiveQueue []*netsim.Packet
 	oooQueue     []*netsim.Packet
 	backlog      []*netsim.Packet
@@ -262,8 +265,10 @@ func (sk *TCPSocket) Connect(addr netsim.Addr, port uint16) error {
 
 // listenInput handles a segment addressed to a listening port: a SYN
 // spawns a half-open child socket that is immediately inserted into the
-// ehash table (so retransmitted handshake segments find it).
+// ehash table (so retransmitted handshake segments find it). The listener
+// is a sink: it reads the header and never retains the segment.
 func (sk *TCPSocket) listenInput(p *netsim.Packet) {
+	defer p.Release()
 	if p.Flags&netsim.FlagSYN == 0 || p.Flags&netsim.FlagACK != 0 {
 		return
 	}
@@ -307,25 +312,56 @@ func (sk *TCPSocket) Send(data []byte) error {
 	default:
 		return ErrNotConnected
 	}
+	if sk.sndOff > 0 && len(sk.sndBuf)+len(data) > cap(sk.sndBuf) {
+		// Reclaim the segmented prefix before growing.
+		sk.sndBuf = sk.sndBuf[:copy(sk.sndBuf, sk.sndBuf[sk.sndOff:])]
+		sk.sndOff = 0
+	}
 	sk.sndBuf = append(sk.sndBuf, data...)
 	sk.BytesOut += uint64(len(data))
 	sk.pushNew()
 	return nil
 }
 
-// Recv drains the in-order receive queue and returns its payload bytes.
-// It never blocks; it returns nil when nothing is buffered.
-func (sk *TCPSocket) Recv() []byte {
-	var out []byte
+// unsent returns the application bytes not yet segmented.
+func (sk *TCPSocket) unsent() []byte { return sk.sndBuf[sk.sndOff:] }
+
+// segmented marks the first n unsent bytes as handed to the write queue.
+func (sk *TCPSocket) segmented(n int) {
+	sk.sndOff += n
+	if sk.sndOff == len(sk.sndBuf) {
+		sk.sndBuf, sk.sndOff = sk.sndBuf[:0], 0
+	}
+}
+
+// Recv drains the in-order receive queue and returns its payload bytes in
+// a fresh slice. It never blocks; it returns nil when nothing is buffered.
+func (sk *TCPSocket) Recv() []byte { return sk.RecvAppend(nil) }
+
+// RecvAppend drains the in-order receive queue, appending its payload
+// bytes to dst, and returns the extended slice. A reader that keeps its
+// buffer across calls reads without allocating.
+func (sk *TCPSocket) RecvAppend(dst []byte) []byte {
+	for _, p := range sk.receiveQueue {
+		dst = append(dst, p.Payload...)
+	}
+	sk.Discard() // bytes copied out
+	return dst
+}
+
+// Discard drains the in-order receive queue without copying the bytes
+// out, for readers that consume and drop. It returns the byte count.
+func (sk *TCPSocket) Discard() int {
+	n := 0
 	for i, p := range sk.receiveQueue {
-		out = append(out, p.Payload...)
-		p.Release() // bytes copied out; the buffer goes back to the pool
+		n += len(p.Payload)
+		p.Release()
 		sk.receiveQueue[i] = nil
 	}
 	sk.receiveQueue = sk.receiveQueue[:0]
-	if len(out) > 0 {
+	if n > 0 {
 		wasFull := sk.rcvBufUsed >= sk.RcvBufMax-sk.MSS
-		sk.rcvBufUsed -= len(out)
+		sk.rcvBufUsed -= n
 		if sk.rcvBufUsed < 0 {
 			sk.rcvBufUsed = 0
 		}
@@ -335,7 +371,7 @@ func (sk *TCPSocket) Recv() []byte {
 			sk.sendAck()
 		}
 	}
-	return out
+	return n
 }
 
 // EOF reports whether the peer closed its direction.
@@ -436,7 +472,7 @@ func (sk *TCPSocket) ReceiveQueue() []*netsim.Packet { return sk.receiveQueue }
 func (sk *TCPSocket) OOOQueue() []*netsim.Packet { return sk.oooQueue }
 
 // SendBufLen reports unsegmented application bytes waiting for cwnd.
-func (sk *TCPSocket) SendBufLen() int { return len(sk.sndBuf) }
+func (sk *TCPSocket) SendBufLen() int { return len(sk.unsent()) }
 
 // input is the softirq receive path for a hashed socket.
 func (sk *TCPSocket) input(p *netsim.Packet) {
@@ -483,7 +519,11 @@ func (sk *TCPSocket) segArrived(p *netsim.Packet) {
 			sk.IRS = p.Seq
 			sk.RcvNxt = p.Seq + 1
 			sk.SndUna = p.Ack
-			sk.writeQueue = sk.writeQueue[:0] // SYN acknowledged
+			for i, seg := range sk.writeQueue { // SYN acknowledged
+				seg.Release()
+				sk.writeQueue[i] = nil
+			}
+			sk.writeQueue = sk.writeQueue[:0]
 			sk.State = TCPEstablished
 			sk.stopRetransTimer()
 			sk.sendAck()
@@ -513,12 +553,17 @@ func (sk *TCPSocket) segArrived(p *netsim.Packet) {
 	if p.Flags&netsim.FlagACK != 0 {
 		sk.processAck(p)
 	}
+	// A retained packet belongs to its queue from here on, and the
+	// application may drain that queue (releasing the packet) from the
+	// OnReadable callback inside processData: read what the FIN check
+	// needs first.
+	fin, finSeq := p.Flags&netsim.FlagFIN != 0, p.Seq+uint32(len(p.Payload))
 	retained := false
 	if len(p.Payload) > 0 {
 		retained = sk.processData(p)
 	}
-	if p.Flags&netsim.FlagFIN != 0 {
-		sk.processFIN(p)
+	if fin {
+		sk.processFIN(finSeq)
 	}
 	if !retained {
 		p.Release()
@@ -602,7 +647,7 @@ func (sk *TCPSocket) processAck(p *netsim.Packet) {
 
 // processData reports whether the socket retained the packet (on the
 // receive or out-of-order queue); unretained packets are released by the
-// caller after the FIN check, which still reads the payload length.
+// caller.
 func (sk *TCPSocket) processData(p *netsim.Packet) bool {
 	switch {
 	case p.Seq == sk.RcvNxt:
@@ -635,13 +680,17 @@ func (sk *TCPSocket) enqueueInOrder(p *netsim.Packet) {
 // insertOOO queues an out-of-order segment, reporting whether it was
 // retained (duplicates are not).
 func (sk *TCPSocket) insertOOO(p *netsim.Packet) bool {
-	for _, q := range sk.oooQueue {
-		if q.Seq == p.Seq {
+	// The queue is kept sorted, and a late segment usually belongs near
+	// the tail: scan backwards for its slot.
+	i := len(sk.oooQueue)
+	for ; i > 0 && !seqLT(sk.oooQueue[i-1].Seq, p.Seq); i-- {
+		if sk.oooQueue[i-1].Seq == p.Seq {
 			return false // duplicate
 		}
 	}
-	sk.oooQueue = append(sk.oooQueue, p)
-	sort.Slice(sk.oooQueue, func(i, j int) bool { return seqLT(sk.oooQueue[i].Seq, sk.oooQueue[j].Seq) })
+	sk.oooQueue = append(sk.oooQueue, nil)
+	copy(sk.oooQueue[i+1:], sk.oooQueue[i:])
+	sk.oooQueue[i] = p
 	return true
 }
 
@@ -663,8 +712,7 @@ func (sk *TCPSocket) drainOOO() {
 	sk.oooQueue = keep
 }
 
-func (sk *TCPSocket) processFIN(p *netsim.Packet) {
-	finSeq := p.Seq + uint32(len(p.Payload))
+func (sk *TCPSocket) processFIN(finSeq uint32) {
 	if finSeq != sk.RcvNxt {
 		return // FIN out of order; wait for retransmission
 	}
@@ -709,7 +757,7 @@ func (sk *TCPSocket) becomeClosed() {
 // transmission when it reopens.
 func (sk *TCPSocket) updateSndWnd(p *netsim.Packet) {
 	sk.SndWnd = uint32(p.Window)
-	if sk.SndWnd > 0 && len(sk.sndBuf) > 0 {
+	if sk.SndWnd > 0 && len(sk.unsent()) > 0 {
 		sk.pushNew()
 	}
 }
@@ -717,9 +765,9 @@ func (sk *TCPSocket) updateSndWnd(p *netsim.Packet) {
 // pushNew segments and transmits buffered data while both the congestion
 // window and the peer's receive window allow.
 func (sk *TCPSocket) pushNew() {
-	for len(sk.sndBuf) > 0 && uint32(len(sk.writeQueue)) < sk.Cwnd {
+	for len(sk.unsent()) > 0 && uint32(len(sk.writeQueue)) < sk.Cwnd {
 		inflight := sk.SndNxt - sk.SndUna
-		n := len(sk.sndBuf)
+		n := len(sk.unsent())
 		if n > sk.MSS {
 			n = sk.MSS
 		}
@@ -730,8 +778,8 @@ func (sk *TCPSocket) pushNew() {
 			break
 		}
 		payload := netsim.GetPayload(n)
-		copy(payload, sk.sndBuf[:n])
-		sk.sndBuf = sk.sndBuf[n:]
+		copy(payload, sk.unsent())
+		sk.segmented(n)
 		seg := sk.makePacket(netsim.FlagACK|netsim.FlagPSH, sk.SndNxt, sk.RcvNxt, payload)
 		sk.SndNxt += uint32(n)
 		sk.writeQueue = append(sk.writeQueue, seg)
@@ -752,17 +800,17 @@ func (sk *TCPSocket) ensurePersistTimer() {
 		if sk.unhashed || sk.State != TCPEstablished {
 			return
 		}
-		next := len(sk.sndBuf)
+		next := len(sk.unsent())
 		if next > sk.MSS {
 			next = sk.MSS
 		}
-		if len(sk.sndBuf) > 0 && sk.SndNxt-sk.SndUna+uint32(next) > sk.SndWnd {
+		if next > 0 && sk.SndNxt-sk.SndUna+uint32(next) > sk.SndWnd {
 			// Window probe: push a single byte past the window. The
 			// receiver acknowledges it with its current window, which
 			// either reopens transmission or re-arms the probe.
 			payload := netsim.GetPayload(1)
-			payload[0] = sk.sndBuf[0]
-			sk.sndBuf = sk.sndBuf[1:]
+			payload[0] = sk.unsent()[0]
+			sk.segmented(1)
 			seg := sk.makePacket(netsim.FlagACK|netsim.FlagPSH, sk.SndNxt, sk.RcvNxt, payload)
 			sk.SndNxt++
 			sk.writeQueue = append(sk.writeQueue, seg)
@@ -959,7 +1007,7 @@ func (sk *TCPSocket) abortConn() {
 		q.Release()
 	}
 	sk.oooQueue = nil
-	sk.sndBuf = nil
+	sk.sndBuf, sk.sndOff = nil, 0
 	if sk.persistTimer != nil {
 		sk.stack.sched.Cancel(sk.persistTimer)
 		sk.persistTimer = nil

@@ -93,15 +93,15 @@ func (us *UDPSocket) input(p *netsim.Packet) {
 		p.Release()
 		return
 	}
+	// The payload buffer may be shared with sibling clones (every node of
+	// the broadcast cluster sees the datagram), so the socket copies the
+	// bytes out and releases its packet like any other sink.
 	us.receiveQueue = append(us.receiveQueue, Datagram{
 		SrcIP: p.SrcIP, SrcPort: p.SrcPort, TSVal: p.TSVal,
-		Payload: p.Payload,
+		Payload: append([]byte(nil), p.Payload...),
 	})
 	us.PacketsIn++
 	us.BytesIn += uint64(len(p.Payload))
-	// The datagram stole the payload buffer; detach it so Release only
-	// recycles the struct.
-	p.Payload = nil
 	p.Release()
 	if us.OnReadable != nil {
 		us.OnReadable()

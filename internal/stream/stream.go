@@ -88,7 +88,7 @@ func Start(n *proc.Node, cfg ServerConfig) (*Server, error) {
 			if sk.State != netstack.TCPEstablished {
 				continue
 			}
-			sk.Recv() // subscriber keepalives
+			sk.Discard() // subscriber keepalives
 			seq := seqs[sk.RemotePort]
 			seqs[sk.RemotePort] = seq + 1
 			binary.BigEndian.PutUint64(chunk, seq)
