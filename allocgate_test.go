@@ -11,10 +11,12 @@ import (
 	"testing"
 	"time"
 
+	"dvemig/internal/ckpt"
 	"dvemig/internal/eval"
 	"dvemig/internal/netsim"
 	"dvemig/internal/netstack"
 	"dvemig/internal/obs"
+	"dvemig/internal/proc"
 	"dvemig/internal/simprof"
 	"dvemig/internal/simtime"
 	"dvemig/internal/sockmig"
@@ -159,6 +161,59 @@ func TestAllocGatePacketPath(t *testing.T) {
 	if socks[0].BytesIn == 0 || nodes[1].Stats.NoSocketDrops == before {
 		t.Fatal("the measured rounds moved no traffic through the fan-out")
 	}
+}
+
+// TestAllocGateCheckpointRound fences the checkpoint page path's
+// ownership rule (DESIGN.md §10 "Page bytes"): page content is read once
+// from the live page and written once into the destination page, and
+// nothing in between allocates a copy of it. So with warm scratch
+// buffers a source round (dirty scan, lend, encode) allocates the same
+// few objects whether 256 or 4096 pages are dirty, and a destination
+// round that only rewrites resident pages allocates no page buffers.
+func TestAllocGateCheckpointRound(t *testing.T) {
+	const pages = 4096
+	src := proc.NewAddressSpace()
+	heap := src.Mmap(pages*proc.PageSize, "rw-")
+	dirty := func(n uint64) {
+		for i := uint64(0); i < n; i++ {
+			if err := src.Touch(heap.Start + i*proc.PageSize); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dirty(pages)
+	tr := ckpt.NewTracker()
+	enc := tr.Delta(src).EncodeInto(nil) // first round: everything, warming both scratches
+	dst := proc.NewAddressSpace()
+	if err := ckpt.ApplyEncodedDelta(dst, enc); err != nil {
+		t.Fatal(err)
+	}
+	round := func(n uint64) (source, dest float64) {
+		source = testing.AllocsPerRun(5, func() {
+			dirty(n)
+			enc = tr.Delta(src).EncodeInto(enc)
+		})
+		dest = testing.AllocsPerRun(5, func() {
+			if err := ckpt.ApplyEncodedDelta(dst, enc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return source, dest
+	}
+	srcSmall, dstSmall := round(256)
+	srcLarge, dstLarge := round(pages)
+	if srcSmall != srcLarge || srcLarge > 4 {
+		t.Fatalf("source round allocates %.0f objects at 256 dirty pages and %.0f at %d: want the same handful (the delta and its page list)",
+			srcSmall, srcLarge, pages)
+	}
+	if dstSmall != dstLarge || dstLarge > 4 {
+		t.Fatalf("destination round rewriting resident pages allocates %.0f objects at 256 pages and %.0f at %d: want none per page",
+			dstSmall, dstLarge, pages)
+	}
+	if got, want := dst.ResidentBytes(), uint64(pages*proc.PageSize); got != want {
+		t.Fatalf("destination holds %d resident bytes, want %d", got, want)
+	}
+	t.Logf("allocs per round, whatever the dirty count: source %.0f, destination %.0f", srcLarge, dstLarge)
 }
 
 // poolIsLossy reports whether sync.Pool discards a share of what it is

@@ -1,0 +1,404 @@
+package ckpt
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"dvemig/internal/proc"
+)
+
+// The in-place apply is tested against the materialising pair it
+// replaced on the engine's hot path: ApplyEncodedDelta(as, payload) must
+// leave exactly the address space ApplyDelta(as, DecodeMemDelta(payload))
+// leaves, and fail exactly when the pair fails.
+
+// refApply is the reference: decode everything, then apply.
+func refApply(as *proc.AddressSpace, payload []byte) error {
+	d, err := DecodeMemDelta(payload)
+	if err != nil {
+		return err
+	}
+	return ApplyDelta(as, d)
+}
+
+// cloneSpace deep-copies geometry, page content and page flags.
+func cloneSpace(t testing.TB, as *proc.AddressSpace) *proc.AddressSpace {
+	t.Helper()
+	out := proc.NewAddressSpace()
+	for _, v := range as.VMAs() {
+		nv, err := out.MmapFixed(v.Start, v.End, v.Perms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for idx, p := range v.Pages {
+			nv.Pages[idx] = &proc.Page{Data: append([]byte(nil), p.Data...), Dirty: p.Dirty, Absent: p.Absent}
+		}
+	}
+	return out
+}
+
+// requireSameSpace compares two spaces region by region and page by
+// page — geometry, the resident set, content, dirty and absent bits —
+// and by ResidentBytes.
+func requireSameSpace(t testing.TB, what string, got, want *proc.AddressSpace) {
+	t.Helper()
+	if got.ResidentBytes() != want.ResidentBytes() {
+		t.Fatalf("%s: %d resident bytes, want %d", what, got.ResidentBytes(), want.ResidentBytes())
+	}
+	gv, wv := got.VMAs(), want.VMAs()
+	if len(gv) != len(wv) {
+		t.Fatalf("%s: %d regions, want %d", what, len(gv), len(wv))
+	}
+	for i, w := range wv {
+		g := gv[i]
+		if g.Start != w.Start || g.End != w.End || g.Perms != w.Perms {
+			t.Fatalf("%s: region %d is [%#x,%#x) %q, want [%#x,%#x) %q", what, i, g.Start, g.End, g.Perms, w.Start, w.End, w.Perms)
+		}
+		if len(g.Pages) != len(w.Pages) {
+			t.Fatalf("%s: region %#x has %d resident pages, want %d", what, w.Start, len(g.Pages), len(w.Pages))
+		}
+		for idx, wp := range w.Pages {
+			gp := g.Pages[idx]
+			if gp == nil {
+				t.Fatalf("%s: page %#x+%d not resident", what, w.Start, idx)
+			}
+			if !bytes.Equal(gp.Data, wp.Data) || gp.Dirty != wp.Dirty || gp.Absent != wp.Absent {
+				t.Fatalf("%s: page %#x+%d differs (dirty %v/%v, absent %v/%v)", what, w.Start, idx, gp.Dirty, wp.Dirty, gp.Absent, wp.Absent)
+			}
+			if len(gp.Data) != cap(gp.Data) {
+				t.Fatalf("%s: page %#x+%d has spare capacity (%d of %d): an append could reach its neighbour",
+					what, w.Start, idx, len(gp.Data), cap(gp.Data))
+			}
+		}
+	}
+}
+
+// randomPage draws page content of one of the shapes the codec tags
+// differently: zero, sparse, dense (raw), or an odd length.
+func randomPage(rnd *rand.Rand) []byte {
+	switch rnd.Intn(6) {
+	case 0:
+		return make([]byte, proc.PageSize)
+	case 1, 2:
+		b := make([]byte, proc.PageSize)
+		for i := rnd.Intn(6); i >= 0; i-- {
+			b[rnd.Intn(len(b))] = byte(1 + rnd.Intn(255))
+		}
+		return b
+	case 3, 4:
+		b := make([]byte, proc.PageSize)
+		for i := range b {
+			b[i] = byte(1 + rnd.Intn(255))
+		}
+		return b
+	default:
+		// Not a page image: short, empty, or spilling into the next page.
+		b := make([]byte, []int{0, 1, 100, proc.PageSize - 1, proc.PageSize + 1, 2 * proc.PageSize}[rnd.Intn(6)])
+		for i := range b {
+			b[i] = byte(rnd.Intn(3)) // zeros included, so sparse odd-length records occur
+		}
+		return b
+	}
+}
+
+// TestApplyEncodedMatchesDecodeThenApply drives both paths through
+// randomised rounds: regions appear, resize and vanish; pages arrive
+// fresh, are rewritten (a zero record over a page that held data must
+// read back zero), arrive twice in one delta, and arrive with odd
+// lengths at odd addresses.
+func TestApplyEncodedMatchesDecodeThenApply(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		got, want := proc.NewAddressSpace(), proc.NewAddressSpace()
+		type region struct{ start, pages uint64 }
+		var regions []region
+		next := uint64(0x10000)
+		for round := 1; round <= 8; round++ {
+			d := &MemDelta{Round: round}
+			if len(regions) > 1 && rnd.Intn(3) == 0 {
+				i := rnd.Intn(len(regions))
+				d.Removed = append(d.Removed, regions[i].start)
+				regions = append(regions[:i], regions[i+1:]...)
+			}
+			for i := rnd.Intn(3); i > 0 || len(regions) == 0; i-- {
+				r := region{start: next, pages: uint64(2 + rnd.Intn(6))}
+				next += (r.pages + 8) * proc.PageSize // room to grow
+				d.NewVMAs = append(d.NewVMAs, VMARange{Start: r.start, End: r.start + r.pages*proc.PageSize, Perms: "rw-"})
+				regions = append(regions, r)
+			}
+			if rnd.Intn(2) == 0 {
+				r := &regions[rnd.Intn(len(regions))]
+				r.pages = uint64(1 + rnd.Intn(9))
+				end := r.start + r.pages*proc.PageSize
+				if len(d.NewVMAs) == 0 || d.NewVMAs[len(d.NewVMAs)-1].Start != r.start {
+					d.Resized = append(d.Resized, VMARange{Start: r.start, End: end, Perms: "rw-"})
+				} else {
+					d.NewVMAs[len(d.NewVMAs)-1].End = end
+				}
+			}
+			for i := rnd.Intn(12); i > 0; i-- {
+				r := regions[rnd.Intn(len(regions))]
+				pg := PageImage{VMAStart: r.start, Index: uint64(rnd.Intn(int(r.pages))), Data: randomPage(rnd)}
+				if rnd.Intn(16) == 0 {
+					pg.VMAStart += 8 // an unaligned address straddles two pages
+				}
+				d.Pages = append(d.Pages, pg)
+				if rnd.Intn(4) == 0 { // the same page again, with other content
+					d.Pages = append(d.Pages, PageImage{VMAStart: pg.VMAStart, Index: pg.Index, Data: randomPage(rnd)})
+				}
+			}
+			payload := d.Encode()
+			errWant := refApply(want, payload)
+			errGot := ApplyEncodedDelta(got, payload)
+			if (errGot == nil) != (errWant == nil) {
+				t.Fatalf("seed %d round %d: in-place error %v, reference error %v", seed, round, errGot, errWant)
+			}
+			if errWant != nil {
+				break // a write past a shrunken region: both refused, the spaces are now undefined
+			}
+			requireSameSpace(t, "in-place vs reference", got, want)
+		}
+	}
+}
+
+// TestApplyEncodedZeroOverDirtyPage pins the one case a decoder that
+// trusted "fresh pages are zero" would get wrong: a zero record and a
+// sparse record landing on pages that already hold other data.
+func TestApplyEncodedZeroOverDirtyPage(t *testing.T) {
+	as := proc.NewAddressSpace()
+	const base = 0x20000
+	full := bytes.Repeat([]byte{0xCC}, proc.PageSize)
+	first := &MemDelta{Round: 1,
+		NewVMAs: []VMARange{{Start: base, End: base + 2*proc.PageSize, Perms: "rw-"}},
+		Pages:   []PageImage{{VMAStart: base, Index: 0, Data: full}, {VMAStart: base, Index: 1, Data: full}}}
+	if err := ApplyEncodedDelta(as, first.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	sparse := make([]byte, proc.PageSize)
+	sparse[77] = 9
+	second := &MemDelta{Round: 2, Pages: []PageImage{
+		{VMAStart: base, Index: 0, Data: make([]byte, proc.PageSize)},
+		{VMAStart: base, Index: 1, Data: sparse}}}
+	if err := ApplyEncodedDelta(as, second.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	for idx, want := range [][]byte{make([]byte, proc.PageSize), sparse} {
+		if got, _ := as.Read(base+uint64(idx)*proc.PageSize, proc.PageSize); !bytes.Equal(got, want) {
+			t.Fatalf("page %d kept bytes of its previous content", idx)
+		}
+	}
+}
+
+// hostileFixture returns an address space and a small valid delta over
+// it that exercises every record kind: geometry of all three sorts, and zero, sparse, raw
+// and odd-length pages landing on resident and on fresh pages.
+func hostileFixture(t testing.TB) (base *proc.AddressSpace, payload []byte) {
+	t.Helper()
+	base = proc.NewAddressSpace()
+	for _, r := range []VMARange{{Start: 0x10000, End: 0x14000, Perms: "rw-"}, {Start: 0x20000, End: 0x22000, Perms: "r-x"}, {Start: 0x30000, End: 0x31000, Perms: "rw-"}} {
+		if _, err := base.MmapFixed(r.Start, r.End, r.Perms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, addr := range []uint64{0x10000, 0x11000, 0x20000} {
+		if err := base.Write(addr, bytes.Repeat([]byte{0x11}, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sparse := make([]byte, proc.PageSize)
+	sparse[5], sparse[3000] = 1, 2
+	dense := bytes.Repeat([]byte{0xD7}, 48) // kept short so the byte-by-byte sweeps stay cheap
+	d := &MemDelta{Round: 3,
+		NewVMAs: []VMARange{{Start: 0x40000, End: 0x42000, Perms: "rw-"}},
+		Removed: []uint64{0x30000},
+		Resized: []VMARange{{Start: 0x20000, End: 0x23000, Perms: "r-x"}},
+		Pages: []PageImage{
+			{VMAStart: 0x10000, Index: 0, Data: make([]byte, proc.PageSize)}, // zero over resident
+			{VMAStart: 0x10000, Index: 1, Data: sparse},                      // sparse over resident
+			{VMAStart: 0x10000, Index: 2, Data: sparse},                      // sparse, fresh
+			{VMAStart: 0x40000, Index: 1, Data: make([]byte, proc.PageSize)}, // zero, fresh, new region
+			{VMAStart: 0x20000, Index: 2, Data: dense},                       // short raw record, grown region
+		}}
+	return base, d.Encode()
+}
+
+// TestApplyEncodedRejectsDamagedPayloads: every truncation of a valid
+// payload is an error that leaves the space exactly as it was; every
+// single-byte corruption behaves exactly like the reference pair (same
+// verdict, same resulting space) and, when the damage makes the payload
+// unparseable, likewise leaves the space untouched. Nothing panics.
+func TestApplyEncodedRejectsDamagedPayloads(t *testing.T) {
+	base, payload := hostileFixture(t)
+	if err := ApplyEncodedDelta(cloneSpace(t, base), payload); err != nil {
+		t.Fatalf("the undamaged payload must apply: %v", err)
+	}
+	for n := 0; n < len(payload); n++ {
+		as := cloneSpace(t, base)
+		if err := ApplyEncodedDelta(as, payload[:n]); err == nil {
+			t.Fatalf("payload truncated to %d of %d bytes was accepted", n, len(payload))
+		}
+		requireSameSpace(t, "after a truncated payload", as, base)
+	}
+	for i := range payload {
+		for _, flip := range []byte{0x01, 0x80, 0xFF} {
+			bad := append([]byte(nil), payload...)
+			bad[i] ^= flip
+			got, want := cloneSpace(t, base), cloneSpace(t, base)
+			errGot, errWant := ApplyEncodedDelta(got, bad), refApply(want, bad)
+			if (errGot == nil) != (errWant == nil) {
+				t.Fatalf("byte %d ^ %#x: in-place error %v, reference error %v", i, flip, errGot, errWant)
+			}
+			if _, derr := DecodeMemDelta(bad); derr != nil {
+				requireSameSpace(t, "after an unparseable payload", got, base)
+			} else if errWant == nil {
+				requireSameSpace(t, "after a damaged but well-formed payload", got, want)
+			}
+		}
+	}
+}
+
+// TestApplyEncodedBoundsHostileClaims: length and count fields that
+// promise far more than the payload holds are refused before anything
+// is allocated on their say-so.
+func TestApplyEncodedBoundsHostileClaims(t *testing.T) {
+	var w wbuf
+	hdr := func(npages uint32) {
+		w.b = w.b[:0]
+		w.u32(1) // round
+		w.u32(1) // one new region
+		w.u64(0x10000)
+		w.u64(0x10000 + 4*proc.PageSize)
+		w.str("rw-")
+		w.u32(0)
+		w.u32(0)
+		w.u32(npages)
+	}
+	cases := map[string]func(){
+		"page count beyond the payload": func() { hdr(1 << 30) },
+		"zero page of 2 GiB":            func() { hdr(1); w.u64(0x10000); w.u64(0); w.u8(pageEncZero); w.u32(1 << 31) },
+		"sparse page of 2 MiB": func() {
+			hdr(1)
+			w.u64(0x10000)
+			w.u64(0)
+			w.u8(pageEncSparse)
+			w.u32(2 << 20)
+			w.u16(0)
+		},
+		"raw length beyond the payload": func() {
+			hdr(1)
+			w.u64(0x10000)
+			w.u64(0)
+			w.u8(pageEncRaw)
+			w.u32(proc.PageSize)
+			w.u8(1)
+		},
+		"segment beyond the page": func() {
+			hdr(1)
+			w.u64(0x10000)
+			w.u64(0)
+			w.u8(pageEncSparse)
+			w.u32(proc.PageSize)
+			w.u16(1)
+			w.u16(proc.PageSize - 1)
+			w.u16(2)
+			w.b = append(w.b, 1, 2)
+		},
+		"segment bytes beyond the payload": func() {
+			hdr(1)
+			w.u64(0x10000)
+			w.u64(0)
+			w.u8(pageEncSparse)
+			w.u32(proc.PageSize)
+			w.u16(1)
+			w.u16(0)
+			w.u16(100)
+			w.b = append(w.b, 1)
+		},
+		"unknown tag": func() { hdr(1); w.u64(0x10000); w.u64(0); w.u8(9); w.u32(0) },
+	}
+	for name, build := range cases {
+		build()
+		as := proc.NewAddressSpace()
+		if err := ApplyEncodedDelta(as, w.b); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if len(as.VMAs()) != 0 {
+			t.Errorf("%s: the space was touched before the payload was validated", name)
+		}
+	}
+}
+
+// TestLentPagesAndEncodedBytesLifetimes pins both ends of the page-byte
+// contract. Source: Delta lends live pages, so the bytes are those of
+// the page until it is next written — and what EncodeInto produced from
+// them is a copy that later writes cannot reach. Destination: applied
+// pages own their bytes, so the payload buffer (the engine's chunk
+// scratch, reused for the next stream) can be overwritten at once.
+func TestLentPagesAndEncodedBytesLifetimes(t *testing.T) {
+	src := proc.NewAddressSpace()
+	heap := src.Mmap(4*proc.PageSize, "rw-")
+	dense := bytes.Repeat([]byte{0xAB}, proc.PageSize)
+	if err := src.Write(heap.Start, dense); err != nil { // ships raw: the record is the page's bytes verbatim
+		t.Fatal(err)
+	}
+	if err := src.Write(heap.Start+proc.PageSize, []byte{1, 2, 3}); err != nil { // ships sparse
+		t.Fatal(err)
+	}
+	d := NewTracker().Delta(src)
+	if len(d.Pages) != 2 || &d.Pages[0].Data[0] != &heap.Pages[0].Data[0] {
+		t.Fatal("Delta is documented to lend the live page, not copy it")
+	}
+	enc := d.EncodeInto(nil)
+	snapshot := append([]byte(nil), enc...)
+	if err := src.Write(heap.Start, bytes.Repeat([]byte{0x77}, 2*proc.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, snapshot) {
+		t.Fatal("encoded bytes changed when the source pages were written afterwards")
+	}
+
+	dst := proc.NewAddressSpace()
+	if err := ApplyEncodedDelta(dst, enc); err != nil {
+		t.Fatal(err)
+	}
+	// A second round rewrites the now-resident dense page in place.
+	rewrite := &MemDelta{Round: 2, Pages: []PageImage{{VMAStart: heap.Start, Index: 0, Data: bytes.Repeat([]byte{0xEF}, proc.PageSize)}}}
+	enc2 := rewrite.Encode()
+	if err := ApplyEncodedDelta(dst, enc2); err != nil {
+		t.Fatal(err)
+	}
+	want := cloneSpace(t, dst)
+	for _, buf := range [][]byte{enc, enc2} {
+		for i := range buf {
+			buf[i] = 0x5C
+		}
+	}
+	requireSameSpace(t, "after the payload buffers were overwritten", dst, want)
+	if got, _ := dst.Read(heap.Start, 1); got[0] != 0xEF {
+		t.Fatalf("rewritten page reads %#x", got[0])
+	}
+}
+
+// FuzzApplyEncodedDelta: on arbitrary bytes the in-place apply never
+// panics, agrees with the reference pair on the verdict and on the
+// resulting space, and touches nothing when the payload does not parse.
+func FuzzApplyEncodedDelta(f *testing.F) {
+	_, valid := hostileFixture(f)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add((&MemDelta{Round: 1}).Encode())
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		base, _ := hostileFixture(t)
+		got, want := cloneSpace(t, base), cloneSpace(t, base)
+		errGot, errWant := ApplyEncodedDelta(got, payload), refApply(want, payload)
+		if (errGot == nil) != (errWant == nil) {
+			t.Fatalf("in-place error %v, reference error %v", errGot, errWant)
+		}
+		if _, derr := DecodeMemDelta(payload); derr != nil {
+			requireSameSpace(t, "after an unparseable payload", got, base)
+		} else if errWant == nil {
+			requireSameSpace(t, "in-place vs reference", got, want)
+		}
+	})
+}

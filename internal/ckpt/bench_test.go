@@ -1,0 +1,115 @@
+package ckpt
+
+import (
+	"testing"
+
+	"dvemig/internal/proc"
+)
+
+// The ckpt layer's micro-benchmarks: the page encoder by page shape, a
+// source round (dirty scan + lend + encode) and a destination round on
+// both apply paths. Sizes follow the repo benchmark's mem128m workload:
+// 8192 resident pages, one byte each.
+
+const benchPages = 8192
+
+// benchSpace maps 4x benchPages and faults every fourth page in with
+// one byte, the mem128m shape.
+func benchSpace(b *testing.B) (*proc.AddressSpace, *proc.VMA) {
+	b.Helper()
+	as := proc.NewAddressSpace()
+	heap := as.Mmap(4*benchPages*proc.PageSize, "rw-")
+	for i := uint64(0); i < 4*benchPages; i += 4 {
+		if err := as.Write(heap.Start+i*proc.PageSize, []byte{byte(i) | 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return as, heap
+}
+
+func BenchmarkEncodePage(b *testing.B) {
+	shapes := []struct {
+		name string
+		fill func(p []byte)
+	}{
+		{"zero", func(p []byte) {}},
+		{"one-byte", func(p []byte) { p[0] = 7 }},
+		{"half-sparse", func(p []byte) {
+			for i := 0; i < len(p); i += 64 {
+				for j := i; j < i+32; j++ {
+					p[j] = 0xEE
+				}
+			}
+		}},
+		{"dense", func(p []byte) {
+			for i := range p {
+				p[i] = byte(i%255) + 1
+			}
+		}},
+	}
+	for _, s := range shapes {
+		b.Run(s.name, func(b *testing.B) {
+			page := make([]byte, proc.PageSize)
+			s.fill(page)
+			w := wbuf{b: make([]byte, 0, 2*proc.PageSize)}
+			b.SetBytes(proc.PageSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.b = w.b[:0]
+				encodePage(&w, page)
+			}
+		})
+	}
+}
+
+// BenchmarkDeltaRound times one source round into a warm scratch: the
+// first round (every resident page) and a steady-state round with one
+// page in 64 dirtied since the last.
+func BenchmarkDeltaRound(b *testing.B) {
+	b.Run("first", func(b *testing.B) {
+		as, _ := benchSpace(b)
+		var enc []byte
+		b.SetBytes(benchPages * proc.PageSize)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			enc = NewTracker().Delta(as).EncodeInto(enc)
+		}
+	})
+	b.Run("dirty-1-in-64", func(b *testing.B) {
+		as, heap := benchSpace(b)
+		tr := NewTracker()
+		enc := tr.Delta(as).EncodeInto(nil)
+		b.SetBytes(benchPages / 64 * proc.PageSize)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for pg := uint64(0); pg < 4*benchPages; pg += 4 * 64 {
+				if err := as.Touch(heap.Start + pg*proc.PageSize); err != nil {
+					b.Fatal(err)
+				}
+			}
+			enc = tr.Delta(as).EncodeInto(enc)
+		}
+	})
+}
+
+// benchApply times a destination's first round (every page fresh) into
+// a new address space per iteration.
+func benchApply(b *testing.B, apply func(as *proc.AddressSpace, payload []byte) error) {
+	src, _ := benchSpace(b)
+	payload := NewTracker().Delta(src).Encode()
+	b.SetBytes(benchPages * proc.PageSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := apply(proc.NewAddressSpace(), payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkApplyInPlace(b *testing.B) { benchApply(b, ApplyEncodedDelta) }
+
+func BenchmarkDecodeThenApply(b *testing.B) { benchApply(b, refApply) }

@@ -1,5 +1,10 @@
 package ckpt
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // Page-content codec: the per-page encoding the checkpoint pipeline
 // ships. A page is encoded as a one-byte tag plus a tag-specific body:
 //
@@ -31,69 +36,113 @@ const segHdrBytes = 4
 // offsets are u16, so anything larger goes raw.
 const maxSparseLen = 1 << 16
 
-// nextSparseRun returns the next non-zero run at or after i, with zero
-// gaps shorter than a segment header merged in. Returns (-1, -1) when
-// only zeros remain.
-func nextSparseRun(data []byte, i int) (start, end int) {
+// Word-at-a-time byte classification over little-endian 64-bit loads
+// (byte k of the slice is bits 8k..8k+7 of the word, so the lowest set
+// marker bit names the first matching byte).
+const (
+	loBytes = 0x0101010101010101
+	hiBytes = 0x8080808080808080
+)
+
+// zeroByteMarks sets the high bit of every byte lane of w that is zero.
+// Lanes above the first zero lane may be marked falsely (the borrow of
+// the subtraction); the lowest mark is always exact, and no mark at all
+// means no zero byte.
+func zeroByteMarks(w uint64) uint64 { return (w - loBytes) &^ w & hiBytes }
+
+// skipZeros returns the index of the first non-zero byte at or after i,
+// or len(data).
+func skipZeros(data []byte, i int) int {
+	for ; i+8 <= len(data); i += 8 {
+		if w := binary.LittleEndian.Uint64(data[i:]); w != 0 {
+			return i + bits.TrailingZeros64(w)/8
+		}
+	}
 	for i < len(data) && data[i] == 0 {
 		i++
 	}
-	if i >= len(data) {
-		return -1, -1
-	}
-	start = i
-	end = i
-	for i < len(data) {
-		if data[i] != 0 {
-			i++
-			end = i
-			continue
-		}
-		j := i
-		for j < len(data) && data[j] == 0 {
-			j++
-		}
-		if j < len(data) && j-i < segHdrBytes {
-			i = j
-			continue
-		}
-		break
-	}
-	return start, end
+	return i
 }
 
-// encodePage appends one page's content in the cheapest representation.
-// It allocates nothing: segment runs are discovered by scanning twice
-// (size pass, emit pass) instead of collecting them.
+// skipNonZeros returns the index of the first zero byte at or after i,
+// or len(data).
+func skipNonZeros(data []byte, i int) int {
+	for ; i+8 <= len(data); i += 8 {
+		if m := zeroByteMarks(binary.LittleEndian.Uint64(data[i:])); m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	for i < len(data) && data[i] != 0 {
+		i++
+	}
+	return i
+}
+
+// nextSparseRun returns the next non-zero run at or after i, with zero
+// gaps shorter than a segment header merged in. Returns (-1, -1) when
+// only zeros remain. Every byte is classified once: zeros and non-zeros
+// are skipped a word at a time, and the gap probe after a run looks at
+// no more than segHdrBytes bytes (a longer gap ends the run whatever
+// follows it; the next call skips it wholesale).
+func nextSparseRun(data []byte, i int) (start, end int) {
+	start = skipZeros(data, i)
+	if start >= len(data) {
+		return -1, -1
+	}
+	i = start
+	for {
+		end = skipNonZeros(data, i)
+		// data[end] is zero or past the end. The run continues only if a
+		// non-zero byte follows fewer than segHdrBytes zeros.
+		lim := min(end+segHdrBytes, len(data))
+		for i = end + 1; i < lim && data[i] == 0; i++ {
+		}
+		if i >= lim {
+			return start, end
+		}
+	}
+}
+
+// encodePage appends one page's content in the cheapest representation,
+// reading the page once and allocating nothing: the sparse record is
+// written optimistically (its segment count patched at the end) and the
+// buffer is truncated back to emit zero or raw when that turns out
+// cheaper. Sparse wins only when strictly smaller than raw; a sparse
+// body under maxSparseLen bytes cannot hold 1<<16 segments, so the u16
+// count never overflows.
 func encodePage(w *wbuf, data []byte) {
+	mark := len(w.b)
+	raw := func() {
+		w.b = w.b[:mark]
+		w.u8(pageEncRaw)
+		w.bytes(data)
+	}
 	if len(data) >= maxSparseLen {
-		w.u8(pageEncRaw)
-		w.bytes(data)
-		return
-	}
-	nseg, sparseSize := 0, 2
-	for s, e := nextSparseRun(data, 0); s >= 0; s, e = nextSparseRun(data, e) {
-		nseg++
-		sparseSize += segHdrBytes + (e - s)
-	}
-	if nseg == 0 {
-		w.u8(pageEncZero)
-		w.u32(uint32(len(data)))
-		return
-	}
-	if nseg >= 1<<16 || sparseSize >= len(data) {
-		w.u8(pageEncRaw)
-		w.bytes(data)
+		raw()
 		return
 	}
 	w.u8(pageEncSparse)
 	w.u32(uint32(len(data)))
-	w.u16(uint16(nseg))
+	body := len(w.b) // the sparse size the raw rule compares starts here
+	w.u16(0)
+	nseg := 0
 	for s, e := nextSparseRun(data, 0); s >= 0; s, e = nextSparseRun(data, e) {
+		if len(w.b)-body+segHdrBytes+(e-s) >= len(data) {
+			raw()
+			return
+		}
+		nseg++
 		w.u16(uint16(s))
 		w.u16(uint16(e - s))
 		w.b = append(w.b, data[s:e]...)
 	}
+	if nseg == 0 {
+		w.b = w.b[:mark]
+		w.u8(pageEncZero)
+		w.u32(uint32(len(data)))
+		return
+	}
+	binary.BigEndian.PutUint16(w.b[body:], uint16(nseg))
 }
 
 // maxDecodedPage bounds a decoded page's claimed raw length; real pages
@@ -101,46 +150,91 @@ func encodePage(w *wbuf, data []byte) {
 // talked into huge allocations.
 const maxDecodedPage = 1 << 20
 
-// decodePageData parses one encodePage record, returning the full raw
-// page content (freshly allocated — it never aliases the input).
-func decodePageData(r *rbuf) []byte {
-	switch r.u8() {
+// pageRec is one page record parsed and bounds-checked but not yet
+// expanded: a view into the payload it was read from.
+type pageRec struct {
+	tag  byte
+	n    int    // length of the page content the record expands to
+	body []byte // raw: the n content bytes; sparse: the segment list
+}
+
+// readPageRec parses one encodePage record and checks every bound the
+// expansion relies on — claimed length, segment extents, body within
+// the payload — so expand cannot fail and a caller can validate a whole
+// payload before writing anything.
+func readPageRec(r *rbuf) pageRec {
+	rec := pageRec{tag: r.u8()}
+	rec.n = int(r.u32())
+	if r.err != nil || rec.n < 0 {
+		r.fail()
+		return rec
+	}
+	switch rec.tag {
 	case pageEncRaw:
-		return r.bytes()
+		if r.off+rec.n > len(r.b) {
+			r.fail()
+			return rec
+		}
+		rec.body = r.b[r.off : r.off+rec.n]
+		r.off += rec.n
 	case pageEncZero:
-		n := int(r.u32())
-		if r.err != nil || n < 0 || n > maxDecodedPage {
+		if rec.n > maxDecodedPage {
 			r.fail()
-			return nil
 		}
-		return make([]byte, n)
 	case pageEncSparse:
-		n := int(r.u32())
 		nseg := int(r.u16())
-		if r.err != nil || n < 0 || n > maxDecodedPage {
+		if r.err != nil || rec.n > maxDecodedPage {
 			r.fail()
-			return nil
+			return rec
 		}
-		out := make([]byte, n)
+		start := r.off
 		for i := 0; i < nseg; i++ {
 			off := int(r.u16())
 			l := int(r.u16())
 			if r.err != nil {
-				return nil
+				return rec
 			}
-			if off+l > n || r.off+l > len(r.b) {
+			if off+l > rec.n || r.off+l > len(r.b) {
 				r.fail()
-				return nil
+				return rec
 			}
-			copy(out[off:off+l], r.b[r.off:r.off+l])
 			r.off += l
 		}
-		if r.err != nil {
-			return nil
-		}
-		return out
+		rec.body = r.b[start:r.off]
 	default:
 		r.fail()
+	}
+	return rec
+}
+
+// expand writes the record's content into dst, which must be rec.n
+// bytes long. zeroed says dst is known to be all zeros already (a fresh
+// allocation); otherwise a zero or sparse record clears it first. The
+// bytes are copied: dst never aliases the payload.
+func (rec pageRec) expand(dst []byte, zeroed bool) {
+	if rec.tag == pageEncRaw {
+		copy(dst, rec.body)
+		return
+	}
+	if !zeroed {
+		clear(dst)
+	}
+	for b := rec.body; len(b) > 0; { // a zero record has no body
+		off := int(binary.BigEndian.Uint16(b))
+		l := int(binary.BigEndian.Uint16(b[2:]))
+		copy(dst[off:off+l], b[segHdrBytes:segHdrBytes+l])
+		b = b[segHdrBytes+l:]
+	}
+}
+
+// decodePageData parses one encodePage record, returning the full raw
+// page content (freshly allocated — it never aliases the input).
+func decodePageData(r *rbuf) []byte {
+	rec := readPageRec(r)
+	if r.err != nil {
 		return nil
 	}
+	out := make([]byte, rec.n)
+	rec.expand(out, true)
+	return out
 }

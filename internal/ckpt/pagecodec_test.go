@@ -126,7 +126,9 @@ func TestPageCodecRandomized(t *testing.T) {
 }
 
 // FuzzPageCodec: arbitrary bytes through the decoder must never panic,
-// and whatever decodes must re-encode/decode to the same content.
+// whatever decodes must re-encode/decode to the same content, and the
+// same bytes taken as page content must scan and encode exactly as the
+// reference codec does.
 func FuzzPageCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{pageEncZero, 0, 0, 16, 0})
@@ -134,6 +136,7 @@ func FuzzPageCodec(f *testing.F) {
 	f.Add([]byte{pageEncRaw, 0, 0, 0, 2, 7, 7})
 	f.Add([]byte{pageEncSparse, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, b []byte) {
+		sameCodec(t, "fuzz", b)
 		r := &rbuf{b: b}
 		out := decodePageData(r)
 		if r.err != nil {
@@ -151,4 +154,194 @@ func FuzzPageCodec(f *testing.F) {
 			t.Fatal("canonical round trip changed content")
 		}
 	})
+}
+
+// --- reference codec ------------------------------------------------------
+//
+// refNextSparseRun and refEncodePage are the byte-at-a-time scanner and
+// the two-pass encoder the package shipped before the word-at-a-time,
+// one-pass versions, moved here verbatim. Encoded size sets simulated
+// transfer time, so the fast codec must reproduce them byte for byte.
+
+func refNextSparseRun(data []byte, i int) (start, end int) {
+	for i < len(data) && data[i] == 0 {
+		i++
+	}
+	if i >= len(data) {
+		return -1, -1
+	}
+	start = i
+	end = i
+	for i < len(data) {
+		if data[i] != 0 {
+			i++
+			end = i
+			continue
+		}
+		j := i
+		for j < len(data) && data[j] == 0 {
+			j++
+		}
+		if j < len(data) && j-i < segHdrBytes {
+			i = j
+			continue
+		}
+		break
+	}
+	return start, end
+}
+
+func refEncodePage(w *wbuf, data []byte) {
+	if len(data) >= maxSparseLen {
+		w.u8(pageEncRaw)
+		w.bytes(data)
+		return
+	}
+	nseg, sparseSize := 0, 2
+	for s, e := refNextSparseRun(data, 0); s >= 0; s, e = refNextSparseRun(data, e) {
+		nseg++
+		sparseSize += segHdrBytes + (e - s)
+	}
+	if nseg == 0 {
+		w.u8(pageEncZero)
+		w.u32(uint32(len(data)))
+		return
+	}
+	if nseg >= 1<<16 || sparseSize >= len(data) {
+		w.u8(pageEncRaw)
+		w.bytes(data)
+		return
+	}
+	w.u8(pageEncSparse)
+	w.u32(uint32(len(data)))
+	w.u16(uint16(nseg))
+	for s, e := refNextSparseRun(data, 0); s >= 0; s, e = refNextSparseRun(data, e) {
+		w.u16(uint16(s))
+		w.u16(uint16(e - s))
+		w.b = append(w.b, data[s:e]...)
+	}
+}
+
+// sameFirstRun compares the scanner with the reference for one call.
+func sameFirstRun(t *testing.T, what string, data []byte, from int) {
+	t.Helper()
+	ws, we := refNextSparseRun(data, from)
+	gs, ge := nextSparseRun(data, from)
+	if gs != ws || ge != we {
+		t.Fatalf("%s: len %d from %d: run [%d,%d), reference [%d,%d)", what, len(data), from, gs, ge, ws, we)
+	}
+}
+
+// sameCodec compares, against the reference, the whole run sequence
+// (every later call starts where a run ended), the first run from each
+// start offset 1-16, and the encoding.
+func sameCodec(t *testing.T, what string, data []byte) {
+	t.Helper()
+	for i := 0; i >= 0; _, i = refNextSparseRun(data, i) {
+		sameFirstRun(t, what, data, i)
+	}
+	for from := 1; from <= 16 && from <= len(data); from++ {
+		sameFirstRun(t, what, data, from)
+	}
+	var got, want wbuf
+	got.b = append(got.b, "prefix"...) // the encoder appends; it must not disturb what is there
+	want.b = append(want.b, "prefix"...)
+	encodePage(&got, data)
+	refEncodePage(&want, data)
+	if !bytes.Equal(got.b, want.b) {
+		t.Fatalf("%s: len %d: encoding differs from the reference (%d bytes, tag %d; reference %d bytes, tag %d)",
+			what, len(data), len(got.b), got.b[6], len(want.b), want.b[6])
+	}
+}
+
+// TestScannerMatchesReference sweeps the inputs where a word-at-a-time
+// scanner can go wrong: every buffer length across the word tail, every
+// start offset across a word, runs and gaps at every alignment.
+func TestScannerMatchesReference(t *testing.T) {
+	const maxLen = 4104
+	zero := make([]byte, maxLen)
+	ones := bytes.Repeat([]byte{0xFF}, maxLen)
+	random := make([]byte, maxLen)
+	x := uint64(0x9E3779B97F4A7C15)
+	for i := range random {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		if x%3 != 0 { // about a third zeros, so runs and gaps of every small size occur
+			random[i] = byte(x >> 32)
+		}
+	}
+	for n := 0; n <= maxLen; n++ {
+		for from := 0; from <= 16 && from <= n; from++ {
+			sameFirstRun(t, "all-zero", zero[:n], from)
+			sameFirstRun(t, "all-0xFF", ones[:n], from)
+		}
+		sameCodec(t, "random", random[:n])
+		sameCodec(t, "random-suffix", random[maxLen-n:])
+	}
+
+	// One non-zero byte at every position: of a full page (plus a word),
+	// and of every short buffer, where the tail loop does all the work.
+	one := make([]byte, maxLen)
+	for p := range one {
+		one[p] = 0x5A
+		sameCodec(t, "one-byte", one)
+		one[p] = 0
+	}
+	for n := 1; n <= 40; n++ {
+		for p := 0; p < n; p++ {
+			one[p] = 1
+			sameCodec(t, "one-byte-short", one[:n])
+			one[p] = 0
+		}
+	}
+
+	// A zero gap of 1-9 bytes at every alignment mod 8, in a non-zero
+	// buffer and at the edge of a zero one: the merge rule (gaps shorter
+	// than a segment header ride inline) decides every one of these.
+	for gap := 1; gap <= 9; gap++ {
+		for at := 8; at < 16; at++ {
+			for _, n := range []int{at + gap, at + gap + 1, at + gap + 7, 64, 67} {
+				b := bytes.Repeat([]byte{0xEE}, n)
+				clear(b[at : at+gap])
+				sameCodec(t, "gap", b)
+				z := make([]byte, n)
+				z[at-1] = 1
+				if at+gap < n {
+					z[at+gap] = 2
+				}
+				sameCodec(t, "gap-in-zeros", z)
+			}
+		}
+	}
+}
+
+// TestEncoderMatchesReferenceOnPageMix covers the page shapes the
+// benchmark's workloads ship (mem128m: one byte at offset 0, zero when
+// that byte wraps; zone servers: a few short records per page) and the
+// raw/sparse break-even, where the early exit to raw must agree with the
+// reference's size pass.
+func TestEncoderMatchesReferenceOnPageMix(t *testing.T) {
+	page := make([]byte, 4096)
+	for i := 0; i < 1024; i += 4 {
+		page[0] = byte(i)
+		sameCodec(t, "mem128m", page)
+	}
+	for i := 0; i < 64; i++ {
+		page[i*64], page[i*64+1] = byte(i), 1
+		sameCodec(t, "records", page)
+	}
+	// Dense prefix of growing length: sparse until the prefix (plus its
+	// headers) reaches the page size, raw from there on.
+	for n := 4000; n <= 4096; n++ {
+		b := make([]byte, 4096)
+		for i := 0; i < n; i++ {
+			b[i] = 0xA5
+		}
+		sameCodec(t, "break-even", b)
+		b[n/2] = 0 // and split in two segments
+		sameCodec(t, "break-even-split", b)
+	}
+	sameCodec(t, "big-raw", bytes.Repeat([]byte{3}, maxSparseLen))
+	sameCodec(t, "largest-sparse", append(make([]byte, maxSparseLen-2), 7))
 }

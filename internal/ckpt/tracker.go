@@ -1,7 +1,7 @@
 package ckpt
 
 import (
-	"sort"
+	"slices"
 
 	"dvemig/internal/proc"
 )
@@ -70,10 +70,12 @@ func (d *MemDelta) EncodeInto(buf []byte) []byte {
 	return w.b
 }
 
-// DecodeMemDelta parses an encoded delta.
-func DecodeMemDelta(data []byte) (*MemDelta, error) {
-	r := &rbuf{b: data}
-	d := &MemDelta{Round: int(r.u32())}
+// decodeDeltaHeader parses everything in an encoded delta ahead of the
+// page records — round, geometry lists, page count — leaving r at the
+// first record. Both the materialising decoder and the in-place apply
+// start here, so the delta grammar is written once.
+func decodeDeltaHeader(r *rbuf) (d *MemDelta, npages int) {
+	d = &MemDelta{Round: int(r.u32())}
 	n := int(r.u32())
 	for i := 0; i < n && r.err == nil; i++ {
 		d.NewVMAs = append(d.NewVMAs, VMARange{Start: r.u64(), End: r.u64(), Perms: r.str()})
@@ -86,7 +88,14 @@ func DecodeMemDelta(data []byte) (*MemDelta, error) {
 	for i := 0; i < n && r.err == nil; i++ {
 		d.Resized = append(d.Resized, VMARange{Start: r.u64(), End: r.u64(), Perms: r.str()})
 	}
-	n = int(r.u32())
+	return d, int(r.u32())
+}
+
+// DecodeMemDelta parses an encoded delta, materialising every page's
+// full content in freshly allocated buffers.
+func DecodeMemDelta(data []byte) (*MemDelta, error) {
+	r := &rbuf{b: data}
+	d, n := decodeDeltaHeader(r)
 	for i := 0; i < n && r.err == nil; i++ {
 		d.Pages = append(d.Pages, PageImage{VMAStart: r.u64(), Index: r.u64(), Data: decodePageData(r)})
 	}
@@ -108,6 +117,7 @@ type trackEntry struct {
 type Tracker struct {
 	prev  []trackEntry
 	round int
+	idxs  []uint64 // page-index sort scratch, reused across rounds
 }
 
 // NewTracker returns an empty tracker; the first Delta call transfers
@@ -119,59 +129,54 @@ func NewTracker() *Tracker { return &Tracker{} }
 func (t *Tracker) Round() int { return t.round }
 
 // Delta computes one incremental round against the address space.
+//
+// Page content is lent, not copied: every Pages[i].Data aliases the live
+// page it was read from and is valid until the address space is next
+// written. A caller must finish with the bytes (encode them, apply
+// them, or copy them) before the process can run again; the migration
+// engine encodes in the same event that computed the delta.
 func (t *Tracker) Delta(as *proc.AddressSpace) *MemDelta {
 	t.round++
 	d := &MemDelta{Round: t.round}
 	live := as.VMAs()
 
-	// Diff the live VMA list against the tracking list. Both are sorted
-	// by start address.
-	prevByStart := make(map[uint64]trackEntry, len(t.prev))
-	for _, e := range t.prev {
-		prevByStart[e.start] = e
-	}
-	liveByStart := make(map[uint64]bool, len(live))
-	firstRound := t.round == 1
+	// Diff the live VMA list against the tracking list with one merge
+	// walk: both are sorted by start address.
+	prev := t.prev
 	for _, v := range live {
-		liveByStart[v.Start] = true
-		e, known := prevByStart[v.Start]
-		switch {
-		case !known:
-			d.NewVMAs = append(d.NewVMAs, VMARange{Start: v.Start, End: v.End, Perms: v.Perms})
-		case e.end != v.End || e.perms != v.Perms:
-			d.Resized = append(d.Resized, VMARange{Start: v.Start, End: v.End, Perms: v.Perms})
+		for len(prev) > 0 && prev[0].start < v.Start {
+			d.Removed = append(d.Removed, prev[0].start)
+			prev = prev[1:]
 		}
-	}
-	for _, e := range t.prev {
-		if !liveByStart[e.start] {
-			d.Removed = append(d.Removed, e.start)
+		r := VMARange{Start: v.Start, End: v.End, Perms: v.Perms}
+		if len(prev) == 0 || prev[0].start != v.Start {
+			d.NewVMAs = append(d.NewVMAs, r)
+			continue
 		}
+		if prev[0].end != v.End || prev[0].perms != v.Perms {
+			d.Resized = append(d.Resized, r)
+		}
+		prev = prev[1:]
 	}
-	sort.Slice(d.Removed, func(i, j int) bool { return d.Removed[i] < d.Removed[j] })
+	for _, e := range prev {
+		d.Removed = append(d.Removed, e.start)
+	}
 
 	// Page content: on the first round everything resident, afterwards
-	// only pages with the dirty bit set.
-	if firstRound {
-		for _, v := range live {
-			idxs := make([]uint64, 0, len(v.Pages))
-			for idx := range v.Pages {
+	// only pages with the dirty bit set, in (VMA, index) order.
+	first := t.round == 1
+	for _, v := range live {
+		idxs := t.idxs[:0]
+		for idx, p := range v.Pages {
+			if first || p.Dirty {
 				idxs = append(idxs, idx)
 			}
-			sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-			for _, idx := range idxs {
-				d.Pages = append(d.Pages, PageImage{
-					VMAStart: v.Start, Index: idx,
-					Data: append([]byte(nil), v.Pages[idx].Data...),
-				})
-			}
 		}
-	} else {
-		for _, ref := range as.DirtyPages() {
-			pg := ref.VMA.Pages[ref.PageIndex]
-			d.Pages = append(d.Pages, PageImage{
-				VMAStart: ref.VMA.Start, Index: ref.PageIndex,
-				Data: append([]byte(nil), pg.Data...),
-			})
+		t.idxs = idxs
+		slices.Sort(idxs)
+		d.Pages = slices.Grow(d.Pages, len(idxs))
+		for _, idx := range idxs {
+			d.Pages = append(d.Pages, PageImage{VMAStart: v.Start, Index: idx, Data: v.Pages[idx].Data})
 		}
 	}
 	as.ClearDirty()
@@ -187,6 +192,19 @@ func (t *Tracker) Delta(as *proc.AddressSpace) *MemDelta {
 // ApplyDelta replays one round onto the destination's shadow address
 // space: geometry first, then page content.
 func ApplyDelta(as *proc.AddressSpace, d *MemDelta) error {
+	if err := applyGeometry(as, d); err != nil {
+		return err
+	}
+	for _, p := range d.Pages {
+		if err := as.Write(p.VMAStart+p.Index*proc.PageSize, p.Data); err != nil {
+			return err
+		}
+	}
+	as.ClearDirty()
+	return nil
+}
+
+func applyGeometry(as *proc.AddressSpace, d *MemDelta) error {
 	for _, s := range d.Removed {
 		if err := as.Munmap(s); err != nil {
 			return err
@@ -202,11 +220,97 @@ func ApplyDelta(as *proc.AddressSpace, d *MemDelta) error {
 			return err
 		}
 	}
-	for _, p := range d.Pages {
-		if err := as.Write(p.VMAStart+p.Index*proc.PageSize, p.Data); err != nil {
+	return nil
+}
+
+// ApplyEncodedDelta replays one encoded round onto the destination's
+// address space without materialising it: the result is the one
+// ApplyDelta(DecodeMemDelta(payload)) leaves, but each page record is
+// expanded straight into the page that will own it, and the pages the
+// round brings into existence are backed by one allocation sized to
+// exactly their number. Nothing it installs aliases payload, so the
+// caller may reuse the buffer as soon as it returns.
+//
+// The whole payload is validated before as is touched: a truncated or
+// malformed payload is an error that leaves as exactly as it was. A
+// well-formed payload whose geometry or page addresses do not fit as
+// fails part-way like ApplyDelta does; the migration engine discards
+// the shadow space on any error.
+func ApplyEncodedDelta(as *proc.AddressSpace, payload []byte) error {
+	r := &rbuf{b: payload}
+	d, n := decodeDeltaHeader(r)
+	first := r.off
+	for i := 0; i < n && r.err == nil; i++ {
+		nextPageRec(r)
+	}
+	if r.err != nil {
+		return r.err
+	}
+	if err := applyGeometry(as, d); err != nil {
+		return err
+	}
+
+	// Count the records that land on a page not yet resident. Records
+	// only add pages from here on, so the count can exceed the need (a
+	// duplicate record, an odd-sized one faulting its neighbour in) but
+	// never fall short of it.
+	fresh := 0
+	r.off = first
+	for i := 0; i < n; i++ {
+		addr, rec := nextPageRec(r)
+		if !rec.wholePage(addr) {
+			continue
+		}
+		_, _, p, err := as.PageAt(addr)
+		if err != nil {
 			return err
 		}
+		if p == nil {
+			fresh++
+		}
+	}
+	pages := make([]proc.Page, fresh)
+	slab := make([]byte, fresh*proc.PageSize)
+
+	r.off = first
+	for i := 0; i < n; i++ {
+		addr, rec := nextPageRec(r)
+		if !rec.wholePage(addr) {
+			// Not a page image: the general write path, as ApplyDelta.
+			data := make([]byte, rec.n)
+			rec.expand(data, true)
+			if err := as.Write(addr, data); err != nil {
+				return err
+			}
+			continue
+		}
+		v, idx, p, err := as.PageAt(addr)
+		if err != nil {
+			return err
+		}
+		if p != nil {
+			rec.expand(p.Data, false)
+			continue
+		}
+		p, pages = &pages[0], pages[1:]
+		p.Data, slab = slab[:proc.PageSize:proc.PageSize], slab[proc.PageSize:]
+		rec.expand(p.Data, true)
+		v.Pages[idx] = p
 	}
 	as.ClearDirty()
 	return nil
+}
+
+// nextPageRec parses one page entry of a delta: the address it names
+// and its bounds-checked, unexpanded content record.
+func nextPageRec(r *rbuf) (addr uint64, rec pageRec) {
+	addr = r.u64()
+	addr += r.u64() * proc.PageSize
+	return addr, readPageRec(r)
+}
+
+// wholePage reports whether the record is the image of exactly the page
+// at addr, which ApplyEncodedDelta can expand in place.
+func (rec pageRec) wholePage(addr uint64) bool {
+	return rec.n == proc.PageSize && addr%proc.PageSize == 0
 }

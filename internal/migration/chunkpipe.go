@@ -171,8 +171,9 @@ func (ib *inbound) onChunkEnd(payload []byte) {
 	ib.chunkOpen = false
 	switch kind {
 	case chunkKindMemDelta:
-		// DecodeMemDelta copies every page and string out of the buffer,
-		// so the stream scratch is free for the next round's stream.
+		// The delta is expanded into page-owned memory (every page and
+		// string is copied out of the buffer, never subsliced), so the
+		// stream scratch is free for the next round's stream.
 		ib.applyMemDelta(buf)
 	case chunkKindFreeze:
 		// Freeze/post-image decoding hands out subslices of the payload
@@ -195,12 +196,7 @@ func (ib *inbound) applyMemDelta(payload []byte) {
 		ib.abort(errors.New("migration: MEM_DELTA before MIGRATE_REQ"))
 		return
 	}
-	d, err := ckpt.DecodeMemDelta(payload)
-	if err != nil {
-		ib.abort(err)
-		return
-	}
-	if err := ckpt.ApplyDelta(ib.shadowAS, d); err != nil {
+	if err := ckpt.ApplyEncodedDelta(ib.shadowAS, payload); err != nil {
 		ib.abort(err)
 	}
 }

@@ -1063,14 +1063,17 @@ func (ob *outbound) sendFreeze(sd *sockmig.SockDelta) {
 	} else if sd == nil {
 		sd = &sockmig.SockDelta{}
 	}
+	// The rounds' encode scratch is idle by now (each round's stream is
+	// pumped out at the round's own instant), and fm.encode copies it
+	// into the freeze payload below.
 	memDelta := ob.memTracker.Delta(ob.p.AS)
-	memEnc := memDelta.Encode()
-	ob.metrics.FreezeMemBytes += uint64(len(memEnc))
+	ob.encBuf = memDelta.EncodeInto(ob.encBuf)
+	ob.metrics.FreezeMemBytes += uint64(len(ob.encBuf))
 	ob.metrics.MemPageBytes += memDelta.PageDataBytes()
 	fm := freezeMsg{
 		FreezeStart: ob.metrics.FreezeStart,
 		Image:       ob.buildImage().Encode(),
-		MemDelta:    memEnc,
+		MemDelta:    ob.encBuf,
 	}
 	if sd != nil {
 		fm.SockDelta = sd.Encode()
@@ -1377,12 +1380,7 @@ func (ib *inbound) restore(fm freezeMsg) {
 		ib.abort(err)
 		return
 	}
-	memDelta, err := ckpt.DecodeMemDelta(fm.MemDelta)
-	if err != nil {
-		ib.abort(err)
-		return
-	}
-	if err := ckpt.ApplyDelta(ib.shadowAS, memDelta); err != nil {
+	if err := ckpt.ApplyEncodedDelta(ib.shadowAS, fm.MemDelta); err != nil {
 		ib.abort(err)
 		return
 	}

@@ -6,6 +6,7 @@ package proc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -140,6 +141,25 @@ func (as *AddressSpace) findVMA(addr uint64) *VMA {
 	return nil
 }
 
+// PageAt resolves addr to its region and page index, and to the page
+// resident there (nil when the page was never touched). It fails the
+// way an access would: a segmentation fault outside every mapping, the
+// post-copy fault (OnMissing fired) on an absent placeholder. The
+// checkpoint restore path uses it to write arriving page content
+// straight into place.
+func (as *AddressSpace) PageAt(addr uint64) (v *VMA, idx uint64, p *Page, err error) {
+	v = as.findVMA(addr)
+	if v == nil {
+		return nil, 0, nil, fmt.Errorf("proc: segmentation fault writing %#x", addr)
+	}
+	idx = (addr - v.Start) / PageSize
+	p = v.Pages[idx]
+	if p != nil && p.Absent {
+		return v, idx, p, as.missing(v, idx)
+	}
+	return v, idx, p, nil
+}
+
 func (v *VMA) page(addr uint64) *Page {
 	idx := (addr - v.Start) / PageSize
 	p := v.Pages[idx]
@@ -167,15 +187,14 @@ func (as *AddressSpace) missing(v *VMA, idx uint64) error {
 // ErrPageAbsent) without storing anything.
 func (as *AddressSpace) Write(addr uint64, data []byte) error {
 	for len(data) > 0 {
-		v := as.findVMA(addr)
-		if v == nil {
-			return fmt.Errorf("proc: segmentation fault writing %#x", addr)
+		v, idx, p, err := as.PageAt(addr)
+		if err != nil {
+			return err
 		}
-		idx := (addr - v.Start) / PageSize
-		if p := v.Pages[idx]; p != nil && p.Absent {
-			return as.missing(v, idx)
+		if p == nil {
+			p = &Page{Data: make([]byte, PageSize)}
+			v.Pages[idx] = p
 		}
-		p := v.page(addr)
 		off := addr % PageSize
 		n := copy(p.Data[off:], data)
 		p.Dirty = true
@@ -266,15 +285,22 @@ func (as *AddressSpace) FillPage(vmaStart, pageIndex uint64, data []byte) error 
 // AbsentPages lists the remaining placeholders in canonical (VMA,
 // index) order — the prefetch sweep's work list.
 func (as *AddressSpace) AbsentPages() []DirtyRef {
+	return as.pagesWhere(func(p *Page) bool { return p.Absent })
+}
+
+// pagesWhere lists the pages matching keep in canonical (VMA, index)
+// order.
+func (as *AddressSpace) pagesWhere(keep func(*Page) bool) []DirtyRef {
 	var out []DirtyRef
+	var idxs []uint64
 	for _, v := range as.vmas {
-		idxs := make([]uint64, 0, len(v.Pages))
+		idxs = idxs[:0]
 		for idx, p := range v.Pages {
-			if p.Absent {
+			if keep(p) {
 				idxs = append(idxs, idx)
 			}
 		}
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+		slices.Sort(idxs)
 		for _, idx := range idxs {
 			out = append(out, DirtyRef{VMA: v, PageIndex: idx})
 		}
@@ -297,20 +323,7 @@ func (as *AddressSpace) AbsentCount() int {
 
 // DirtyPages returns (vmaStart, pageIndex) pairs of every dirty page.
 func (as *AddressSpace) DirtyPages() []DirtyRef {
-	var out []DirtyRef
-	for _, v := range as.vmas {
-		idxs := make([]uint64, 0, len(v.Pages))
-		for idx, p := range v.Pages {
-			if p.Dirty {
-				idxs = append(idxs, idx)
-			}
-		}
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-		for _, idx := range idxs {
-			out = append(out, DirtyRef{VMA: v, PageIndex: idx})
-		}
-	}
-	return out
+	return as.pagesWhere(func(p *Page) bool { return p.Dirty })
 }
 
 // DirtyRef names one dirty page.

@@ -1,8 +1,9 @@
 package proc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dvemig/internal/flight"
 	"dvemig/internal/netsim"
@@ -32,21 +33,20 @@ type Node struct {
 	// into it. AttachFlight wires it (plus the stack and NIC recorders).
 	FR *flight.Recorder
 
-	processes map[int]*Process
+	processes []*Process // PID order, so every walk is deterministic
 	nextPID   int
 	tickers   map[int]*simtime.Ticker
 }
 
 func newNode(name string, sched *simtime.Scheduler, bootJiffies uint32) *Node {
 	return &Node{
-		Name:      name,
-		Sched:     sched,
-		Stack:     netstack.NewStack(sched, name, bootJiffies),
-		Cores:     2,
-		Alive:     true,
-		processes: make(map[int]*Process),
-		tickers:   make(map[int]*simtime.Ticker),
-		nextPID:   100,
+		Name:    name,
+		Sched:   sched,
+		Stack:   netstack.NewStack(sched, name, bootJiffies),
+		Cores:   2,
+		Alive:   true,
+		tickers: make(map[int]*simtime.Ticker),
+		nextPID: 100,
 	}
 }
 
@@ -94,26 +94,38 @@ func (n *Node) Spawn(name string, threads int) *Process {
 	for i := 0; i < threads; i++ {
 		p.NewThread()
 	}
-	n.processes[p.PID] = p
+	n.insertProcess(p)
 	return p
 }
 
 // Adopt re-homes a migrated process onto this node, preserving its PID
 // when free (BLCR restores the original PID).
 func (n *Node) Adopt(p *Process) {
-	if _, taken := n.processes[p.PID]; taken {
+	if _, taken := n.processIndex(p.PID); taken {
 		n.nextPID++
 		p.PID = n.nextPID
 	}
 	p.Node = n
-	n.processes[p.PID] = p
+	n.insertProcess(p)
 	if p.PID > n.nextPID {
 		n.nextPID = p.PID
 	}
 }
 
+// processIndex finds pid's slot in the PID-ordered process table.
+func (n *Node) processIndex(pid int) (int, bool) {
+	return slices.BinarySearchFunc(n.processes, pid, func(p *Process, pid int) int { return cmp.Compare(p.PID, pid) })
+}
+
+func (n *Node) insertProcess(p *Process) {
+	i, _ := n.processIndex(p.PID)
+	n.processes = slices.Insert(n.processes, i, p)
+}
+
 func (n *Node) removeProcess(p *Process) {
-	delete(n.processes, p.PID)
+	if i, ok := n.processIndex(p.PID); ok {
+		n.processes = slices.Delete(n.processes, i, i+1)
+	}
 	if tk := n.tickers[p.PID]; tk != nil {
 		tk.Stop()
 		delete(n.tickers, p.PID)
@@ -126,12 +138,7 @@ func (n *Node) Detach(p *Process) { n.removeProcess(p) }
 
 // Processes lists processes in PID order.
 func (n *Node) Processes() []*Process {
-	out := make([]*Process, 0, len(n.processes))
-	for _, p := range n.processes {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })
-	return out
+	return slices.Clone(n.processes)
 }
 
 // NumProcesses returns the process count.
@@ -164,7 +171,9 @@ func (n *Node) StopLoop(p *Process) {
 }
 
 // Utilization reports machine CPU usage in [0,1]: the summed demand of
-// runnable processes against the core count, saturating at 1.
+// runnable processes against the core count, saturating at 1. The sum
+// runs in PID order: float addition is not associative, so any other
+// order would make the last bits differ between two runs of one seed.
 func (n *Node) Utilization() float64 {
 	var demand float64
 	for _, p := range n.processes {

@@ -2,6 +2,8 @@ package proc
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -316,6 +318,39 @@ func TestUtilizationSaturates(t *testing.T) {
 	}
 	if u := n.Utilization(); u != 0.4 { // 0.8 demand / 2 cores
 		t.Fatalf("utilization = %v, want 0.4", u)
+	}
+}
+
+// TestUtilizationBitReproducible: float addition is not associative, so
+// the demand sum must not depend on the order processes were attached in
+// (nor on map iteration order, which is what it followed once): twenty
+// constructions of the same three-process node report the same bits.
+func TestUtilizationBitReproducible(t *testing.T) {
+	demands := []float64{0.1, 0.2, 0.3} // (0.1+0.2)+0.3 != 0.1+(0.2+0.3)
+	var first uint64
+	for trial := 0; trial < 20; trial++ {
+		n := NewCluster(simtime.NewScheduler(), 1).Nodes[0]
+		procs := make([]*Process, len(demands))
+		for i, d := range demands {
+			procs[i] = n.Spawn("w", 1)
+			procs[i].CPUDemand = d
+			n.Detach(procs[i])
+		}
+		rand.New(rand.NewSource(int64(trial))).Shuffle(len(procs), func(i, j int) { procs[i], procs[j] = procs[j], procs[i] })
+		for _, p := range procs {
+			n.Adopt(p)
+		}
+		for i, p := range n.Processes() {
+			if i > 0 && n.Processes()[i-1].PID >= p.PID {
+				t.Fatal("Processes() not in PID order")
+			}
+		}
+		u := math.Float64bits(n.Utilization())
+		if trial == 0 {
+			first = u
+		} else if u != first {
+			t.Fatalf("construction %d: utilization bits %#x, construction 0 had %#x", trial, u, first)
+		}
 	}
 }
 
