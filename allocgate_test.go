@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dvemig/internal/ckpt"
+	"dvemig/internal/dve"
 	"dvemig/internal/eval"
 	"dvemig/internal/netsim"
 	"dvemig/internal/netstack"
@@ -79,6 +80,9 @@ func TestAllocGateTimerChurn(t *testing.T) {
 // client command loops) at zero allocations per tick.
 func TestAllocGateTicker(t *testing.T) {
 	s := simtime.NewScheduler()
+	for i := 0; i < 1024; i++ { // the re-arm sifts through a deep queue
+		s.After(simtime.Duration(i+1)*simtime.Duration(time.Hour), "gate.backdrop", func() {})
+	}
 	var ticks int
 	tk := simtime.NewTicker(s, simtime.Duration(time.Millisecond), "gate.tick", func() { ticks++ })
 	tk.Start()
@@ -89,6 +93,55 @@ func TestAllocGateTicker(t *testing.T) {
 	})
 	if per > 0 {
 		t.Fatalf("ticker re-arm allocates %.1f per 10 ticks, want 0", per)
+	}
+}
+
+// TestAllocGateZoneTick pins the DVE's 20 Hz zone-server loop — 1.8 M
+// of the 2.5 M events of a paper-scale run — at (almost) no allocation
+// per tick: two servers linked as grid neighbors plus the database, so
+// the every-10th "SET zone… pop…;" and "SYNC z… t…;" ticks, their
+// segments, the replies and the ACKs are all inside the fence. The loop
+// formats into one buffer per server and reuses its neighbor list.
+func TestAllocGateZoneTick(t *testing.T) {
+	if poolIsLossy() {
+		t.Skip("sync.Pool drops items on Put (race detector); the packet pools cannot stay warm")
+	}
+	c := proc.NewCluster(simtime.NewScheduler(), 2)
+	if _, err := dve.StartDBServer(c.Nodes[1]); err != nil {
+		t.Fatal(err)
+	}
+	cfg := dve.DefaultZoneConfig()
+	spawn := func(n *proc.Node, z dve.ZoneID) *proc.Process {
+		p, err := dve.SpawnZoneServer(n, z, c.ClusterIP, c.Nodes[1].LocalIP, cfg, func(dve.ZoneID) int { return 100 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	a, b := spawn(c.Nodes[0], 0), spawn(c.Nodes[1], 1)
+	lst := netstack.NewTCPSocket(c.Nodes[1].Stack)
+	if err := lst.Listen(c.Nodes[1].LocalIP, cfg.NeighborBase+1); err != nil {
+		t.Fatal(err)
+	}
+	lst.OnAccept = func(ch *netstack.TCPSocket) { b.FDs.Install(&proc.TCPFile{Sock: ch}) }
+	link := netstack.NewTCPSocket(c.Nodes[0].Stack)
+	if err := link.Connect(c.Nodes[1].LocalIP, cfg.NeighborBase+1); err != nil {
+		t.Fatal(err)
+	}
+	a.FDs.Install(&proc.TCPFile{Sock: link})
+
+	const ticks = 200 // per server
+	// Warm up: handshakes, packet pools, send buffers, event free list.
+	c.Sched.RunFor(ticks * cfg.LoopPeriod)
+	synced := link.BytesOut
+	per := testing.AllocsPerRun(1, func() {
+		c.Sched.RunFor(ticks * cfg.LoopPeriod)
+	}) / (2 * ticks)
+	if link.BytesOut == synced {
+		t.Fatal("no SYNC traffic crossed the neighbor link")
+	}
+	if per > 0.05 {
+		t.Fatalf("zone-server tick allocates %.3f/tick over %d ticks, want <= 0.05", per, 2*ticks)
 	}
 }
 

@@ -2,6 +2,7 @@ package dve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -211,6 +212,24 @@ func TestZoneServerTicksAndUpdatesDB(t *testing.T) {
 	// The loop dirties memory every tick (precopy fuel).
 	if len(p.AS.DirtyPages()) == 0 {
 		t.Fatal("zone server does not touch memory")
+	}
+}
+
+// A zone config no server can run on used to panic (integer divide by
+// zero on the first tick, or inside NewTicker); New must refuse it with
+// a typed cause instead.
+func TestNewRejectsUnrunnableZoneConfig(t *testing.T) {
+	for name, mutate := range map[string]func(*ZoneServerConfig){
+		"MemPages=0":   func(z *ZoneServerConfig) { z.MemPages = 0 },
+		"LoopPeriod=0": func(z *ZoneServerConfig) { z.LoopPeriod = 0 },
+		"LoopPeriod<0": func(z *ZoneServerConfig) { z.LoopPeriod = -time.Millisecond },
+	} {
+		cfg := DefaultConfig()
+		mutate(&cfg.Zone)
+		s, err := New(cfg)
+		if !errors.Is(err, ErrZoneConfig) {
+			t.Fatalf("%s: New returned (%v, %v), want ErrZoneConfig", name, s, err)
+		}
 	}
 }
 

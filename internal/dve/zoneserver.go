@@ -1,7 +1,9 @@
 package dve
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 
 	"dvemig/internal/netsim"
 	"dvemig/internal/netstack"
@@ -47,6 +49,10 @@ func DefaultZoneConfig() ZoneServerConfig {
 	}
 }
 
+// ErrZoneConfig is the cause of every SpawnZoneServer (and so dve.New)
+// failure that comes from a ZoneServerConfig no zone server can run on.
+var ErrZoneConfig = errors.New("dve: invalid zone server config")
+
 // SpawnZoneServer creates the zone server process for zone z on node n:
 // a listening TCP socket on the cluster IP (clients of this zone connect
 // here), one MySQL session to the database node, a small working set, and
@@ -55,9 +61,19 @@ func DefaultZoneConfig() ZoneServerConfig {
 //
 // population is called each loop iteration to learn the current client
 // count (the aggregate stand-in for per-client packet processing).
+//
+// A config without a working set or without a positive loop period is
+// rejected with ErrZoneConfig: the loop walks MemPages and re-arms every
+// LoopPeriod.
 func SpawnZoneServer(n *proc.Node, z ZoneID, clusterIP, dbIP netsim.Addr,
 	cfg ZoneServerConfig, population func(ZoneID) int) (*proc.Process, error) {
 
+	if cfg.MemPages == 0 {
+		return nil, fmt.Errorf("%w: MemPages is 0", ErrZoneConfig)
+	}
+	if cfg.LoopPeriod <= 0 {
+		return nil, fmt.Errorf("%w: LoopPeriod %v is not positive", ErrZoneConfig, cfg.LoopPeriod)
+	}
 	p := n.Spawn(fmt.Sprintf("zone_serv%d", int(z)), 2)
 	v := p.AS.Mmap(cfg.MemPages*proc.PageSize, "rw-")
 	for i := uint64(0); i < cfg.MemPages; i += 8 {
@@ -82,6 +98,11 @@ func SpawnZoneServer(n *proc.Node, z ZoneID, clusterIP, dbIP netsim.Addr,
 	zone := z
 	ticks := 0
 	heapStart := v.Start
+	// The loop runs 20 times a second per zone for the whole simulation,
+	// so it keeps its scratch across ticks: the neighbor list and one
+	// message buffer (TCPSocket.Send copies what it queues).
+	var neighbors []*netstack.TCPSocket
+	var msg []byte
 	p.Tick = func(self *proc.Process) {
 		ticks++
 		pop := population(zone)
@@ -91,7 +112,7 @@ func SpawnZoneServer(n *proc.Node, z ZoneID, clusterIP, dbIP netsim.Addr,
 		// ...drains whatever arrived, sorting sessions by role...
 		tcp, _ := self.Sockets()
 		var dbSock *netstack.TCPSocket
-		var neighbors []*netstack.TCPSocket
+		neighbors = neighbors[:0]
 		for _, sk := range tcp {
 			if sk.State != netstack.TCPEstablished {
 				continue
@@ -105,11 +126,12 @@ func SpawnZoneServer(n *proc.Node, z ZoneID, clusterIP, dbIP netsim.Addr,
 		}
 		// ...repeatedly updates the virtual world in the database...
 		if dbSock != nil && cfg.DBEveryTicks > 0 && ticks%cfg.DBEveryTicks == 0 {
-			_ = dbSock.Send([]byte(fmt.Sprintf("SET zone%d pop%d;", int(zone), pop)))
+			msg = appendCommand(msg[:0], "SET zone", int(zone), " pop", pop)
+			_ = dbSock.Send(msg)
 		}
 		// ...and exchanges boundary state with neighboring zone servers.
-		if cfg.SyncEveryTicks > 0 && ticks%cfg.SyncEveryTicks == 0 {
-			msg := []byte(fmt.Sprintf("SYNC z%d t%d;", int(zone), ticks))
+		if cfg.SyncEveryTicks > 0 && ticks%cfg.SyncEveryTicks == 0 && len(neighbors) > 0 {
+			msg = appendCommand(msg[:0], "SYNC z", int(zone), " t", ticks)
 			for _, nb := range neighbors {
 				_ = nb.Send(msg)
 			}
@@ -118,4 +140,14 @@ func SpawnZoneServer(n *proc.Node, z ZoneID, clusterIP, dbIP netsim.Addr,
 	p.CPUDemand = cfg.BaseCPU + cfg.PerClientCPU*float64(population(zone))
 	n.StartLoop(p, cfg.LoopPeriod)
 	return p, nil
+}
+
+// appendCommand appends "<verb><a><sep><b>;" to buf — the shape of both
+// wire messages the loop sends — without allocating once buf has grown.
+func appendCommand(buf []byte, verb string, a int, sep string, b int) []byte {
+	buf = append(buf, verb...)
+	buf = strconv.AppendInt(buf, int64(a), 10)
+	buf = append(buf, sep...)
+	buf = strconv.AppendInt(buf, int64(b), 10)
+	return append(buf, ';')
 }

@@ -160,16 +160,6 @@ func (as *AddressSpace) PageAt(addr uint64) (v *VMA, idx uint64, p *Page, err er
 	return v, idx, p, nil
 }
 
-func (v *VMA) page(addr uint64) *Page {
-	idx := (addr - v.Start) / PageSize
-	p := v.Pages[idx]
-	if p == nil {
-		p = &Page{Data: make([]byte, PageSize)}
-		v.Pages[idx] = p
-	}
-	return p
-}
-
 // ErrPageAbsent is the fault an access to a post-copy placeholder page
 // raises: the content has not arrived from the migration source yet.
 var ErrPageAbsent = fmt.Errorf("proc: page not resident (post-copy fault)")
@@ -240,10 +230,13 @@ func (as *AddressSpace) Touch(addr uint64) error {
 		return fmt.Errorf("proc: segmentation fault touching %#x", addr)
 	}
 	idx := (addr - v.Start) / PageSize
-	if p := v.Pages[idx]; p != nil && p.Absent {
+	p := v.Pages[idx]
+	if p == nil {
+		p = &Page{Data: make([]byte, PageSize)}
+		v.Pages[idx] = p
+	} else if p.Absent {
 		return as.missing(v, idx)
 	}
-	p := v.page(addr)
 	p.Dirty = true
 	p.Data[addr%PageSize]++
 	return nil

@@ -2,6 +2,7 @@ package proc
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -57,6 +58,39 @@ func TestSegfaultOutsideMapping(t *testing.T) {
 	}
 	if err := as.Touch(0x1000); err == nil {
 		t.Fatal("touch outside mapping succeeded")
+	}
+}
+
+// Touch resolves its page with one lookup; both outcomes of that lookup
+// keep their contract: a first touch materialises exactly the touched
+// page, and a post-copy placeholder faults through OnMissing and stays a
+// placeholder (no buffer, not dirty).
+func TestTouchMaterialisesOneAndFaultsOnAbsent(t *testing.T) {
+	as := NewAddressSpace()
+	v := as.Mmap(8*PageSize, "rw-")
+	if err := as.Touch(v.Start + 2*PageSize + 7); err != nil {
+		t.Fatal(err)
+	}
+	if p := v.Pages[2]; len(v.Pages) != 1 || p == nil || !p.Dirty || p.Data[7] != 1 {
+		t.Fatalf("first touch left %d pages, page 2 = %+v", len(v.Pages), p)
+	}
+	if err := as.Touch(v.Start + 2*PageSize + 7); err != nil || v.Pages[2].Data[7] != 2 || len(v.Pages) != 1 {
+		t.Fatalf("second touch: err %v, byte %d, %d pages", err, v.Pages[2].Data[7], len(v.Pages))
+	}
+
+	if err := as.MarkAbsent(v.Start, 5); err != nil {
+		t.Fatal(err)
+	}
+	var faults [][2]uint64
+	as.OnMissing = func(vmaStart, idx uint64) { faults = append(faults, [2]uint64{vmaStart, idx}) }
+	if err := as.Touch(v.Start + 5*PageSize); !errors.Is(err, ErrPageAbsent) {
+		t.Fatalf("touch of an absent page returned %v", err)
+	}
+	if len(faults) != 1 || faults[0] != [2]uint64{v.Start, 5} {
+		t.Fatalf("OnMissing calls: %v", faults)
+	}
+	if p := v.Pages[5]; !p.Absent || p.Dirty || p.Data != nil || len(v.Pages) != 2 {
+		t.Fatalf("absent page was materialised: %+v (%d pages)", p, len(v.Pages))
 	}
 }
 

@@ -9,9 +9,9 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"dvemig/internal/flight"
@@ -31,7 +31,7 @@ type Time = time.Duration
 // paper assumes for TCP timestamps.
 const JiffyPeriod = 10 * time.Millisecond
 
-// Event lifecycle states. An event is pending while it sits in the heap,
+// Event lifecycle states. An event is pending while it sits in the queue,
 // firing while its callback runs, and dead once it has fired or been
 // canceled. Dead events may be recycled by the scheduler's free list, so a
 // retained *Event pointer must be dropped (niled) as soon as the holder
@@ -58,7 +58,7 @@ type Event struct {
 	arg1     any
 	canceled bool
 	state    uint8
-	index    int // heap index, -1 when not in the heap
+	index    int // slot in Scheduler.queue while pending (Cancel's way in), else -1
 	name     string
 }
 
@@ -69,33 +69,83 @@ func (e *Event) Canceled() bool { return e.canceled }
 // fired if canceled).
 func (e *Event) When() Time { return e.when }
 
-type eventQueue []*Event
+// slot is one queue entry. The ordering key is stored inline so sifting
+// compares and moves 24-byte values without dereferencing the event; when
+// is held unsigned (virtual time starts at zero and never rewinds, so the
+// conversion preserves order) to make (when, seq) one 128-bit integer.
+type slot struct {
+	when uint64
+	seq  uint64
+	ev   *Event
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
+// before reports a < b in (when, seq) order as 0 or 1: the borrow out of
+// the 128-bit subtraction a-b. seq is unique per event, so the order is
+// strict and total — two distinct slots never compare equal.
+func before(a, b *slot) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(a.when, b.when, borrow)
+	return borrow
+}
+
+// siftUp places x at or above slot i of the binary min-heap, moving
+// later parents down into the hole rather than swapping.
+func (s *Scheduler) siftUp(i int, x slot) {
+	q := s.queue
+	for i > 0 {
+		parent := (i - 1) / 2
+		if before(&x, &q[parent]) == 0 {
+			break
+		}
+		q[i] = q[parent]
+		q[i].ev.index = i
+		i = parent
 	}
-	return q[i].seq < q[j].seq
+	q[i] = x
+	x.ev.index = i
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+
+// siftDown places x at or below slot i, moving the earlier child up into
+// the hole. The child is picked by adding the compare bit to its index,
+// so the only data-dependent branch per level is the exit test.
+func (s *Scheduler) siftDown(i int, x slot) {
+	q := s.queue
+	n := len(q)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if right := child + 1; right < n {
+			child += int(before(&q[right], &q[child]))
+		}
+		if before(&q[child], &x) == 0 {
+			break
+		}
+		q[i] = q[child]
+		q[i].ev.index = i
+		i = child
+	}
+	q[i] = x
+	x.ev.index = i
 }
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+
+// removeAt takes the event in slot i out of the queue: the last slot
+// fills the hole and sifts whichever way restores the heap (up when it
+// came from another subtree and is earlier than the hole's parent).
+func (s *Scheduler) removeAt(i int) {
+	last := len(s.queue) - 1
+	x := s.queue[last]
+	s.queue[last] = slot{}
+	s.queue = s.queue[:last]
+	if i == last {
+		return
+	}
+	if i > 0 && before(&x, &s.queue[(i-1)/2]) != 0 {
+		s.siftUp(i, x)
+	} else {
+		s.siftDown(i, x)
+	}
 }
 
 // maxFreeEvents bounds the scheduler's event free list so that a burst of
@@ -104,14 +154,16 @@ const maxFreeEvents = 4096
 
 // Scheduler is a discrete-event simulator: a priority queue of events
 // ordered by virtual time, with FIFO ordering among events scheduled for
-// the same instant. Canceling an event removes it from the heap eagerly
-// (O(log n)) and recycles the struct through a free list, so heavy
-// timer churn (arm/cancel per TCP ACK) neither grows the heap nor
-// allocates per timer.
+// the same instant — the strict total order (when, seq), which alone
+// fixes the run (DESIGN.md "Event queue"). The queue is a binary min-heap
+// of value slots; canceling an event removes its slot eagerly (O(log n),
+// found through Event.index) and recycles the struct through a free list,
+// so heavy timer churn (arm/cancel per TCP ACK) neither grows the queue
+// nor allocates per timer.
 type Scheduler struct {
 	now      Time
 	seq      uint64
-	queue    eventQueue
+	queue    []slot
 	nsteps   uint64
 	ncancels uint64
 	free     []*Event
@@ -147,7 +199,7 @@ func (s *Scheduler) Steps() uint64 { return s.nsteps }
 func (s *Scheduler) Cancels() uint64 { return s.ncancels }
 
 // Pending returns the exact number of live events currently queued.
-// Canceled events are removed from the heap eagerly, so after a
+// Canceled events are removed from the queue eagerly, so after a
 // simulation drains Pending()==0 iff no timer leaked.
 func (s *Scheduler) Pending() int { return len(s.queue) }
 
@@ -157,15 +209,15 @@ func (s *Scheduler) Pending() int { return len(s.queue) }
 // were never fired or canceled.
 func (s *Scheduler) PendingNames() []string {
 	out := make([]string, len(s.queue))
-	for i, e := range s.queue {
-		out[i] = e.name
+	for i := range s.queue {
+		out[i] = s.queue[i].ev.name
 	}
 	return out
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// is a programming error and panics: the event loop cannot rewind.
-func (s *Scheduler) At(t Time, name string, fn func()) *Event {
+// arm queues a pooled event named name at absolute virtual time t; the
+// caller fills in the callback (a recycled event's is already cleared).
+func (s *Scheduler) arm(t Time, name string) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("simtime: scheduling %q at %v before now %v", name, t, s.now))
 	}
@@ -178,10 +230,19 @@ func (s *Scheduler) At(t Time, name string, fn func()) *Event {
 	} else {
 		e = &Event{}
 	}
-	e.when, e.seq, e.fn, e.name = t, s.seq, fn, name
+	e.when, e.seq, e.name = t, s.seq, name
 	e.canceled = false
 	e.state = statePending
-	heap.Push(&s.queue, e)
+	s.queue = append(s.queue, slot{})
+	s.siftUp(len(s.queue)-1, slot{when: uint64(t), seq: s.seq, ev: e})
+	return e
+}
+
+// At schedules fn to run at absolute virtual time t. Scheduling in the past
+// is a programming error and panics: the event loop cannot rewind.
+func (s *Scheduler) At(t Time, name string, fn func()) *Event {
+	e := s.arm(t, name)
+	e.fn = fn
 	return e
 }
 
@@ -199,24 +260,8 @@ func (s *Scheduler) After(d Duration, name string, fn func()) *Event {
 // timers) schedule without allocating a closure. Pointer-shaped arguments
 // convert to `any` without boxing, keeping the call alloc-free.
 func (s *Scheduler) AtCall(t Time, name string, fn func(a0, a1 any), a0, a1 any) *Event {
-	if t < s.now {
-		panic(fmt.Sprintf("simtime: scheduling %q at %v before now %v", name, t, s.now))
-	}
-	s.seq++
-	var e *Event
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		e = &Event{}
-	}
-	e.when, e.seq, e.name = t, s.seq, name
-	e.fn = nil
+	e := s.arm(t, name)
 	e.fn2, e.arg0, e.arg1 = fn, a0, a1
-	e.canceled = false
-	e.state = statePending
-	heap.Push(&s.queue, e)
 	return e
 }
 
@@ -241,7 +286,7 @@ func (s *Scheduler) Cancel(e *Event) {
 	}
 	e.canceled = true
 	s.ncancels++
-	heap.Remove(&s.queue, e.index)
+	s.removeAt(e.index)
 	s.release(e)
 }
 
@@ -263,7 +308,8 @@ func (s *Scheduler) step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.queue).(*Event)
+	e := s.queue[0].ev
+	s.removeAt(0)
 	if e.when < s.now {
 		panic("simtime: event queue went backwards")
 	}
@@ -300,11 +346,7 @@ func (s *Scheduler) Run() {
 // RunUntil executes events with time ≤ deadline, then advances the clock to
 // the deadline. Events scheduled beyond the deadline remain queued.
 func (s *Scheduler) RunUntil(deadline Time) {
-	for {
-		e := s.peek()
-		if e == nil || e.when > deadline {
-			break
-		}
+	for len(s.queue) > 0 && Time(s.queue[0].when) <= deadline {
 		s.step()
 	}
 	if s.now < deadline {
@@ -315,21 +357,13 @@ func (s *Scheduler) RunUntil(deadline Time) {
 // RunFor is RunUntil(Now()+d).
 func (s *Scheduler) RunFor(d Duration) { s.RunUntil(s.now + d) }
 
-func (s *Scheduler) peek() *Event {
-	if len(s.queue) == 0 {
-		return nil
-	}
-	return s.queue[0]
-}
-
 // NextEventTime returns the virtual time of the next pending event and
 // whether one exists.
 func (s *Scheduler) NextEventTime() (Time, bool) {
-	e := s.peek()
-	if e == nil {
+	if len(s.queue) == 0 {
 		return 0, false
 	}
-	return e.when, true
+	return Time(s.queue[0].when), true
 }
 
 // Jiffies converts an absolute virtual time into a jiffies counter value
