@@ -7,6 +7,7 @@ package dvemig
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -325,6 +326,63 @@ func TestAllocGateMigrationEngine(t *testing.T) {
 			measured, recorded, ceiling)
 	}
 	t.Logf("migration engine allocs/op = %.0f (recorded %.0f, ceiling %.0f)", measured, recorded, ceiling)
+}
+
+// soakCellCeilings bound what one declarative migration request may
+// cost end to end through the control plane — submit, dispatch, the
+// migd connection, the transfer itself, replication, park — measured on
+// a healthy 200-request mixed-strategy cell and set 10% above it
+// (measured: 232 allocs and 24.9 KB per request; before the live-set /
+// lent-frame / recycled-buffer work the same cell cost 287 allocs and
+// 42.6 KB).
+const (
+	soakCellAllocsPerRequest = 255
+	soakCellBytesPerRequest  = 27400
+)
+
+// TestAllocGateSoakCell keeps a soak request costing what it moves: a
+// copy or a per-frame allocation creeping back into the request path
+// shows here before it shows in the benchmark.
+func TestAllocGateSoakCell(t *testing.T) {
+	if poolIsLossy() {
+		t.Skip("sync.Pool drops items on Put (race detector); the ceilings assume warm pools")
+	}
+	cfg := eval.DefaultSoakConfig()
+	var healthy []eval.SoakScenario
+	for _, sc := range cfg.Scenarios {
+		if sc.Name == "healthy" {
+			healthy = append(healthy, sc)
+		}
+	}
+	cfg.Scenarios = healthy
+	cfg.Seeds = []uint64{1}
+	cfg.Requests = 200
+	cfg.Strategy = "mixed"
+	cfg.Workers = 1
+	run := func() {
+		rep, err := eval.RunSoak(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Results) != 1 || len(rep.Results[0].Violations) != 0 {
+			t.Fatalf("soak cell did not run clean: %+v", rep.Results)
+		}
+	}
+	run() // warm the packet and event pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(cfg.Requests)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(cfg.Requests)
+	t.Logf("soak cell: %.0f allocs, %.0f B per request (ceilings %d, %d)",
+		allocs, bytes, soakCellAllocsPerRequest, soakCellBytesPerRequest)
+	if allocs > soakCellAllocsPerRequest {
+		t.Errorf("soak request allocates %.0f objects, ceiling %d", allocs, soakCellAllocsPerRequest)
+	}
+	if bytes > soakCellBytesPerRequest {
+		t.Errorf("soak request allocates %.0f bytes, ceiling %d", bytes, soakCellBytesPerRequest)
+	}
 }
 
 // TestAllocGateSamplerDisabled pins the streaming-observability plane's

@@ -167,8 +167,10 @@ func findRegion(as *proc.AddressSpace, start uint64) *proc.VMA {
 	return nil
 }
 
-// ExtractPage copies one page's content out of a (frozen) address
-// space — the pull server's read primitive. The bool is false when the
+// ExtractPage lends one page's content out of a frozen address space —
+// the pull server's read primitive. The slice is the page itself: the
+// caller must not write to it or keep it past the freeze (the pull
+// server encodes it into its reply at once). The bool is false when the
 // coordinate names no resident page.
 func ExtractPage(as *proc.AddressSpace, c PageCoord) ([]byte, bool) {
 	v := findRegion(as, c.VMAStart)
@@ -179,5 +181,5 @@ func ExtractPage(as *proc.AddressSpace, c PageCoord) ([]byte, bool) {
 	if pg == nil || pg.Absent {
 		return nil, false
 	}
-	return append([]byte(nil), pg.Data...), true
+	return pg.Data, true
 }

@@ -2,6 +2,7 @@ package ctlplane
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"dvemig/internal/epoch"
@@ -91,8 +92,14 @@ type Controller struct {
 	seenEpoch uint64 // highest epoch observed from the peer
 	nextID    uint64
 
-	objects  map[uint64]*Object
-	order    []uint64          // deterministic reconcile order
+	objects map[uint64]*Object
+	order   []uint64 // every object ever stored, in submission order
+	// live holds the non-terminal objects, sorted by their position in
+	// order (Object.ord). It is what tick, takeover and demoteTo walk, so
+	// a reconcile pass costs the objects in flight, not every object ever
+	// submitted. Invariant: live == [o ∈ order : !o.Terminal()], in order
+	// order — park removes, Submit and applyReplica insert.
+	live     []*Object
 	inflight map[string]uint64 // service name → non-terminal object ID
 	homes    map[string]netsim.Addr
 	epochs   *epoch.Table // observed ownership epochs (admission fence)
@@ -178,10 +185,11 @@ func (c *Controller) Submit(spec Spec) (*Object, error) {
 	// split-brain window.
 	spec.ID = c.epoch<<32 | (c.nextID & 0xFFFFFFFF)
 	c.nextID++
-	o := &Object{Spec: spec}
+	o := &Object{Spec: spec, ord: len(c.order)}
 	o.Status.SubmitAt = c.Node.Sched.Now()
 	c.objects[spec.ID] = o
 	c.order = append(c.order, spec.ID)
+	c.live = append(c.live, o) // the newest ord sorts last
 	c.replicate(o)
 	return o, nil
 }
@@ -232,10 +240,34 @@ func (c *Controller) tick() {
 		_ = c.sock.SendTo(c.peer, CtlPort, helloMsg{CtlEpoch: c.epoch, Seq: c.helloSeq}.encode())
 		c.lastSent = now
 	}
-	for _, id := range c.order {
-		if o := c.objects[id]; !o.Terminal() {
-			c.reconcile(o, now)
+	// reconcile may park o — and only o — which removes it from c.live
+	// and slides its successor into slot i.
+	for i := 0; i < len(c.live); {
+		o := c.live[i]
+		c.reconcile(o, now)
+		if !o.Terminal() {
+			i++
 		}
+	}
+}
+
+// setLive brings c.live in line with o's state: a non-terminal o is
+// inserted at its order position (or replaces the stale pointer a
+// replica superseded), a terminal one is removed.
+func (c *Controller) setLive(o *Object) {
+	i := sort.Search(len(c.live), func(i int) bool { return c.live[i].ord >= o.ord })
+	present := i < len(c.live) && c.live[i].ord == o.ord
+	switch {
+	case o.Terminal():
+		if present {
+			c.live = append(c.live[:i], c.live[i+1:]...)
+		}
+	case present:
+		c.live[i] = o
+	default:
+		c.live = append(c.live, nil)
+		copy(c.live[i+1:], c.live[i:])
+		c.live[i] = o
 	}
 }
 
@@ -250,11 +282,7 @@ func (c *Controller) takeover(now simtime.Time) {
 	}
 	c.epoch++
 	c.Takeovers++
-	for _, id := range c.order {
-		o := c.objects[id]
-		if o.Terminal() {
-			continue
-		}
+	for _, o := range c.live {
 		// Force an immediate (re-)dispatch; the runtime fields were not
 		// replicated, so rebuild them conservatively.
 		o.nextAt = now
@@ -370,8 +398,9 @@ func (c *Controller) sendCancel(o *Object, reason string) {
 	_ = c.sock.SendTo(o.Spec.Source, AgentPort, m.encode())
 }
 
-// park moves an object to a terminal state and releases its inflight
-// slot. The cause chain explains how it got there.
+// park moves an object to a terminal state, which drops it from the
+// live set, and releases its inflight slot. The cause chain explains how
+// it got there.
 func (c *Controller) park(o *Object, st State) {
 	o.Status.DoneAt = c.Node.Sched.Now()
 	if c.inflight[o.Spec.Name] == o.Spec.ID {
@@ -383,6 +412,9 @@ func (c *Controller) park(o *Object, st State) {
 func (c *Controller) transition(o *Object, to State) {
 	from := o.Status.State
 	o.Status.State = to
+	if to.Terminal() {
+		c.setLive(o)
+	}
 	if c.OnTransition != nil {
 		c.OnTransition(o, from, to)
 	}
@@ -448,11 +480,8 @@ func (c *Controller) demoteTo(ep uint64) {
 	}
 	c.Primary = false
 	c.Demotions++
-	for _, id := range c.order {
-		o := c.objects[id]
-		if o.Terminal() {
-			continue
-		}
+	for len(c.live) > 0 {
+		o := c.live[0] // park removes it
 		o.addCause("controller fenced by epoch %d", ep)
 		c.park(o, Failed)
 	}
@@ -472,10 +501,17 @@ func (c *Controller) applyReplica(ep uint64, o *Object) {
 	}
 	c.lastHello = c.Node.Sched.Now()
 	id := o.Spec.ID
-	if _, known := c.objects[id]; !known {
+	if old, known := c.objects[id]; known {
+		o.ord = old.ord
+	} else {
+		o.ord = len(c.order)
 		c.order = append(c.order, id)
 	}
 	c.objects[id] = o
+	// Not just an append: a demoted ex-primary parked its in-flight
+	// objects as Failed "controller fenced", and the new primary's
+	// replicas bring them back to life in the middle of the order.
+	c.setLive(o)
 	if seq := id & 0xFFFFFFFF; seq >= c.nextID {
 		c.nextID = seq + 1
 	}

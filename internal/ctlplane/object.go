@@ -117,6 +117,7 @@ type Object struct {
 
 	// Controller-runtime fields (not replicated; the standby rebuilds
 	// them on takeover).
+	ord        int          // index of Spec.ID in Controller.order; sorts Controller.live
 	nextAt     simtime.Time // no dispatch before this instant (backoff gate)
 	lastSent   simtime.Time // last opRun send, for the level-triggered probe
 	dispatched int          // opRun datagrams sent for the current attempt

@@ -288,11 +288,28 @@ type fnvSniffer struct{ h uint64 }
 
 func newFnvSniffer() *fnvSniffer { return &fnvSniffer{h: 14695981039346656037} }
 
-func (s *fnvSniffer) word(v uint64) {
-	for i := 0; i < 8; i++ {
-		s.h = (s.h ^ (v & 0xff)) * 1099511628211
-		v >>= 8
+const fnvPrime = 1099511628211
+
+// fnvPrimePow[k] is fnvPrime^k: the whole FNV-1a step for k zero bytes,
+// since folding a zero byte in is a bare multiply.
+var fnvPrimePow = func() (t [9]uint64) {
+	t[0] = 1
+	for k := 1; k < len(t); k++ {
+		t[k] = t[k-1] * fnvPrime
 	}
+	return t
+}()
+
+// word folds v's eight bytes in, little-endian — byte for byte the
+// FNV-1a of them, but the zero bytes above v's last non-zero one (most
+// of a port, flag or length word) cost one multiply between them.
+func (s *fnvSniffer) word(v uint64) {
+	h, left := s.h, 8
+	for ; v != 0; v >>= 8 {
+		h = (h ^ (v & 0xff)) * fnvPrime
+		left--
+	}
+	s.h = h * fnvPrimePow[left]
 }
 
 func (s *fnvSniffer) Capture(at simtime.Time, dir string, p *netsim.Packet) {

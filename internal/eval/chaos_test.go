@@ -1,7 +1,11 @@
 package eval
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
+
+	"dvemig/internal/simtime"
 )
 
 // TestChaosSweep runs the full default scenario battery at one seed and
@@ -88,5 +92,27 @@ func TestChaosScenarioDeterminism(t *testing.T) {
 	if a.Completed != b.Completed || a.Aborted != b.Aborted ||
 		a.ClientRetransmits != b.ClientRetransmits || len(a.Violations) != len(b.Violations) {
 		t.Fatalf("outcome differs across identical runs: %+v vs %+v", a, b)
+	}
+}
+
+// TestFnvSnifferWordMatchesHashFnv pins the trace-hash fold to the
+// standard FNV-1a of the word's eight little-endian bytes: the
+// zero-byte shortcut must not move a single bit of any recorded hash.
+func TestFnvSnifferWordMatchesHashFnv(t *testing.T) {
+	words := []uint64{0, 1, 2, 1 << 56, ^uint64(0)}
+	rng := simtime.NewRand(0x666e76)
+	for i := 0; i < 10000; i++ {
+		// Random words of every byte length, as the sniffer sees them.
+		words = append(words, rng.Uint64()>>(8*uint(rng.Intn(8))))
+	}
+	s, ref := newFnvSniffer(), fnv.New64a()
+	for _, w := range words {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], w)
+		ref.Write(b[:])
+		s.word(w)
+		if s.h != ref.Sum64() {
+			t.Fatalf("after word %#x: sniffer %#x, hash/fnv %#x", w, s.h, ref.Sum64())
+		}
 	}
 }

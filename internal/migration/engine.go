@@ -238,6 +238,15 @@ type Migrator struct {
 
 	listener *netstack.TCPSocket
 
+	// recvBufs recycles the receive buffers of this node's migd
+	// connections: a soak cell opens thousands of short ones in a row.
+	recvBufs bufList
+
+	// pageBuf is the pull server's reply scratch. A reply is encoded and
+	// handed to the transport (which copies it) in one synchronous step,
+	// so every outbound migration of the node shares the one buffer.
+	pageBuf []byte
+
 	// OnArrived fires when a migrated process resumes on this node.
 	OnArrived func(p *proc.Process, m *Metrics)
 
@@ -290,7 +299,7 @@ func NewMigrator(n *proc.Node, cfg Config) (*Migrator, error) {
 		return nil, err
 	}
 	m.listener.OnAccept = func(ch *netstack.TCPSocket) {
-		ib := &inbound{m: m, conn: NewConn(ch)}
+		ib := &inbound{m: m, conn: m.newConn(ch)}
 		ib.conn.OnMsg = ib.onMsg
 		ib.conn.OnClose = ib.cleanup
 	}
@@ -429,7 +438,7 @@ func (ob *outbound) dial() {
 	// The outbound leg carries checkpoint transfer until (for post-copy)
 	// handover restamps it to the pull class.
 	sk.Class = netsim.ClassCheckpoint
-	ob.conn = NewConn(sk)
+	ob.conn = ob.m.newConn(sk)
 	ob.conn.OnMsg = ob.onMsg
 	sk.OnReadable = func() {
 		if gen != ob.dialGen {
@@ -1234,7 +1243,8 @@ type inbound struct {
 	pt phaseTrack
 }
 
-// renewLease (re)arms the source-silence timer.
+// renewLease (re)arms the source-silence timer. It runs on every migd
+// message, so the timer is armed through AfterCall: no closure per frame.
 func (ib *inbound) renewLease() {
 	d := ib.m.Config.InboundLease
 	if d <= 0 || ib.restoring {
@@ -1243,15 +1253,19 @@ func (ib *inbound) renewLease() {
 	if ib.lease != nil {
 		ib.m.sched().Cancel(ib.lease)
 	}
-	ib.lease = ib.m.sched().After(d, "migd.lease", func() {
-		ib.lease = nil // fired; the event pointer is dead
-		if !ib.active || ib.restoring {
-			return
-		}
-		ib.m.LeaseExpired++
-		ib.cleanup()
-		ib.conn.Close()
-	})
+	ib.lease = ib.m.sched().AfterCall(d, "migd.lease", inboundLeaseCall, ib, nil)
+}
+
+func inboundLeaseCall(a0, _ any) { a0.(*inbound).leaseExpired() }
+
+func (ib *inbound) leaseExpired() {
+	ib.lease = nil // fired; the event pointer is dead
+	if !ib.active || ib.restoring {
+		return
+	}
+	ib.m.LeaseExpired++
+	ib.cleanup()
+	ib.conn.Close()
 }
 
 func (ib *inbound) onMsg(t MsgType, payload []byte) {

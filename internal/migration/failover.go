@@ -121,7 +121,8 @@ func (s *Standby) offer(name string, token, seq, ep uint64, tctx obs.TraceContex
 	if cur == nil {
 		s.evictFor(name)
 	}
-	s.images[name] = &standbyImage{data: img, token: token, seq: seq,
+	// img is lent by the connection (Conn.OnMsg); the store outlives it.
+	s.images[name] = &standbyImage{data: append([]byte(nil), img...), token: token, seq: seq,
 		epoch: ep, from: from, at: s.Node.Sched.Now(), tctx: tctx}
 	s.Stored++
 }

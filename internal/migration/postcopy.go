@@ -141,13 +141,17 @@ func (ob *outbound) renewPullWatch() {
 	if ob.pullWatch != nil {
 		ob.m.sched().Cancel(ob.pullWatch)
 	}
-	ob.pullWatch = ob.m.sched().After(d, "migd.pull-watch", func() {
-		ob.pullWatch = nil
-		if ob.finished || ob.failed {
-			return
-		}
-		ob.fail(errors.New("migration: destination went silent after handover"))
-	})
+	ob.pullWatch = ob.m.sched().AfterCall(d, "migd.pull-watch", pullWatchCall, ob, nil)
+}
+
+func pullWatchCall(a0, _ any) { a0.(*outbound).pullWatchExpired() }
+
+func (ob *outbound) pullWatchExpired() {
+	ob.pullWatch = nil
+	if ob.finished || ob.failed {
+		return
+	}
+	ob.fail(errors.New("migration: destination went silent after handover"))
 }
 
 // prefetchPump is the background sweep: every PrefetchInterval it
@@ -225,7 +229,10 @@ func (ob *outbound) shipPages(id uint32, coords []ckpt.PageCoord) {
 		}
 		resp.Pages = append(resp.Pages, respPage{Coord: c, Data: data})
 	}
-	ob.send(MsgPageResp, resp.encode())
+	// The pages are lent by the frozen address space; encodeInto copies
+	// them into the scratch and Send copies the scratch into the socket.
+	ob.m.pageBuf = resp.encodeInto(ob.m.pageBuf)
+	ob.send(MsgPageResp, ob.m.pageBuf)
 }
 
 // servePull answers one demand pull. Stale-epoch requests are fenced:
@@ -487,16 +494,20 @@ func (pl *puller) renewLease() {
 	if pl.lease != nil {
 		pl.ib.m.sched().Cancel(pl.lease)
 	}
-	pl.lease = pl.ib.m.sched().After(d, "migd.pull-lease", func() {
-		pl.lease = nil
-		if pl.done {
-			return
-		}
-		pl.ib.m.LeaseExpired++
-		pl.destroy()
-		pl.ib.cleanup()
-		pl.ib.conn.Close()
-	})
+	pl.lease = pl.ib.m.sched().AfterCall(d, "migd.pull-lease", pullLeaseCall, pl, nil)
+}
+
+func pullLeaseCall(a0, _ any) { a0.(*puller).leaseExpired() }
+
+func (pl *puller) leaseExpired() {
+	pl.lease = nil
+	if pl.done {
+		return
+	}
+	pl.ib.m.LeaseExpired++
+	pl.destroy()
+	pl.ib.cleanup()
+	pl.ib.conn.Close()
 }
 
 // destroy dismantles a hole-y process whose source is gone: it can

@@ -129,12 +129,18 @@ type respPage struct {
 	Data  []byte
 }
 
-func (m pageResp) encode() []byte {
+// encodeInto serializes into buf (reusing its capacity, overwriting its
+// content). Page data is copied here, so the pages may be lent ones.
+func (m pageResp) encodeInto(buf []byte) []byte {
 	sz := 8
 	for _, p := range m.Pages {
 		sz += 20 + len(p.Data)
 	}
-	b := make([]byte, 8, sz)
+	b := buf[:0]
+	if cap(b) < sz {
+		b = make([]byte, 0, sz)
+	}
+	b = b[:8]
 	binary.BigEndian.PutUint32(b[0:], m.ID)
 	binary.BigEndian.PutUint32(b[4:], uint32(len(m.Pages)))
 	for _, p := range m.Pages {

@@ -67,10 +67,22 @@ func (t MsgType) String() string {
 }
 
 // Conn frames migd messages over a simulated TCP connection.
+//
+// Frame bytes are lent, not handed over: the connection owns one receive
+// buffer, OnMsg's payload aliases it and is valid only until the handler
+// returns. A handler that keeps any of it must copy (DESIGN.md §11,
+// "Frame bytes").
 type Conn struct {
-	sk  *netstack.TCPSocket
+	sk *netstack.TCPSocket
+	// buf holds the received stream bytes not yet dispatched. nil while
+	// the connection holds no buffer (before the first byte, and after
+	// the buffer went back to bufs).
 	buf []byte
-	// OnMsg receives each complete message.
+	// bufs is the free list buf is drawn from and returned to (the
+	// Migrator's; nil for a connection outside one, whose buffer is left
+	// to the collector).
+	bufs *bufList
+	// OnMsg receives each complete message. payload is lent: see above.
 	OnMsg func(t MsgType, payload []byte)
 	// OnClose fires when the peer closes or the connection dies.
 	OnClose func()
@@ -78,15 +90,61 @@ type Conn struct {
 	// BytesSent counts framed payload bytes, for metrics.
 	BytesSent uint64
 
+	// closed: Close was called. draining: drain is dispatching, so buf
+	// must stay put until it is done.
+	closed   bool
+	draining bool
+
 	// hdr is the frame-header scratch; the transport copies what Send
 	// hands it synchronously, so one buffer per connection suffices.
 	hdr [5]byte
 }
 
+// bufList is a free list of receive buffers. A simulation cell is
+// single-threaded and a Migrator belongs to one cell, so a plain stack
+// does what a sync.Pool would, without its per-P machinery.
+type bufList struct{ free [][]byte }
+
+// maxKeptBuf bounds what put keeps: a buffer that grew to hold one
+// monolithic multi-megabyte image is not worth pinning for the
+// Migrator's lifetime.
+const maxKeptBuf = 1 << 20
+
+func (l *bufList) get() []byte {
+	if l == nil || len(l.free) == 0 {
+		return nil
+	}
+	n := len(l.free) - 1
+	b := l.free[n]
+	l.free[n] = nil
+	l.free = l.free[:n]
+	return b
+}
+
+func (l *bufList) put(b []byte) {
+	if l != nil && cap(b) > 0 && cap(b) <= maxKeptBuf {
+		l.free = append(l.free, b[:0])
+	}
+}
+
+// poisonLent is the lend-contract tripwire: when set, every lent payload
+// is overwritten the moment its handler returns, so a handler that kept
+// a reference reads garbage at once instead of whenever the buffer is
+// next reused. Only tests set it (export_test.go).
+var poisonLent bool
+
 // NewConn wraps an (established or establishing) TCP socket.
 func NewConn(sk *netstack.TCPSocket) *Conn {
 	c := &Conn{sk: sk}
 	sk.OnReadable = c.onReadable
+	return c
+}
+
+// newConn is NewConn drawing its receive buffer from the migrator's
+// free list.
+func (m *Migrator) newConn(sk *netstack.TCPSocket) *Conn {
+	c := NewConn(sk)
+	c.bufs = &m.recvBufs
 	return c
 }
 
@@ -122,7 +180,9 @@ func (c *Conn) Send2(t MsgType, head, tail []byte) error {
 }
 
 func (c *Conn) onReadable() {
-	c.buf = c.sk.RecvAppend(c.buf)
+	if len(c.sk.ReceiveQueue()) > 0 {
+		c.buf = c.sk.RecvAppend(c.recvBuf())
+	}
 	c.drain()
 	if c.sk.EOF() && c.OnClose != nil {
 		cb := c.OnClose
@@ -134,31 +194,71 @@ func (c *Conn) onReadable() {
 // feed appends raw stream bytes and drains every complete frame. It is
 // the transport-independent half of the parser (also the fuzz surface).
 func (c *Conn) feed(data []byte) {
-	c.buf = append(c.buf, data...)
+	c.buf = append(c.recvBuf(), data...)
 	c.drain()
 }
 
-// drain dispatches every complete frame at the head of the buffer.
+// recvBuf is the buffer to append received bytes to, drawn from the
+// free list when the connection holds none.
+func (c *Conn) recvBuf() []byte {
+	if c.buf == nil {
+		return c.bufs.get()
+	}
+	return c.buf
+}
+
+// drain dispatches every complete frame at the head of the buffer,
+// lending each payload to OnMsg in place, then moves what is left (a
+// partial frame, usually nothing) to the front so the buffer never
+// creeps. A handler that closes the connection does not stop the
+// dispatch: frames already received behind it are still delivered.
 func (c *Conn) drain() {
-	for {
-		if len(c.buf) < 5 {
+	c.draining = true
+	off := 0
+	for len(c.buf)-off >= 5 {
+		n := int(binary.BigEndian.Uint32(c.buf[off+1 : off+5]))
+		if len(c.buf)-off < 5+n {
 			break
 		}
-		n := int(binary.BigEndian.Uint32(c.buf[1:5]))
-		if len(c.buf) < 5+n {
-			break
-		}
-		t := MsgType(c.buf[0])
-		payload := append([]byte(nil), c.buf[5:5+n]...)
-		c.buf = c.buf[5+n:]
+		t := MsgType(c.buf[off])
+		// Capacity-clipped: an append by the handler reallocates instead
+		// of running into the next frame.
+		payload := c.buf[off+5 : off+5+n : off+5+n]
+		off += 5 + n
 		if c.OnMsg != nil {
 			c.OnMsg(t, payload)
 		}
+		if poisonLent {
+			for i := range payload {
+				payload[i] = 0xDB
+			}
+		}
+	}
+	c.draining = false
+	if off > 0 {
+		c.buf = c.buf[:copy(c.buf, c.buf[off:])]
+	}
+	c.recycle()
+}
+
+// recycle hands the receive buffer back once nothing more will be
+// parsed out of it: it is empty, and either this side closed or the
+// peer's EOF arrived. The second case is the common one on the
+// destination, which never calls Close on the success path. Should
+// bytes turn up after all, onReadable simply draws a buffer again.
+func (c *Conn) recycle() {
+	if c.buf != nil && len(c.buf) == 0 && !c.draining && (c.closed || c.sk.EOF()) {
+		c.bufs.put(c.buf)
+		c.buf = nil
 	}
 }
 
 // Close shuts the transport down.
-func (c *Conn) Close() { c.sk.Close() }
+func (c *Conn) Close() {
+	c.closed = true
+	c.sk.Close()
+	c.recycle()
+}
 
 // errAborted signals a migration aborted by the peer.
 var errAborted = errors.New("migration: aborted by peer")

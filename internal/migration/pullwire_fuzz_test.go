@@ -255,7 +255,7 @@ func FuzzPullWire(f *testing.F) {
 // decoders: no panic, and everything accepted must roundtrip.
 func FuzzPullDecoders(f *testing.F) {
 	f.Add(pageReq{ID: 1, Epoch: 2, Coords: []ckpt.PageCoord{{VMAStart: 0x1000, Index: 3}}}.encode())
-	f.Add(pageResp{ID: 4, Pages: []respPage{{Coord: ckpt.PageCoord{VMAStart: 0x2000, Index: 1}, Data: []byte{9}}}}.encode())
+	f.Add(pageResp{ID: 4, Pages: []respPage{{Coord: ckpt.PageCoord{VMAStart: 0x2000, Index: 1}, Data: []byte{9}}}}.encodeInto(nil))
 	f.Add(pullsDone{LastFillAt: 5, Demand: 6, Prefetched: 7, StallNs: 8}.encode())
 	f.Add(postImage{FreezeStart: 1, Image: []byte{2}, Dir: []byte{3, 4}}.encode())
 	f.Add([]byte{})
@@ -267,7 +267,7 @@ func FuzzPullDecoders(f *testing.F) {
 			}
 		}
 		if resp, err := decodePageResp(data); err == nil {
-			back, err := decodePageResp(resp.encode())
+			back, err := decodePageResp(resp.encodeInto(nil))
 			if err != nil || back.ID != resp.ID || len(back.Pages) != len(resp.Pages) {
 				t.Fatalf("pageResp roundtrip broken: %v", err)
 			}

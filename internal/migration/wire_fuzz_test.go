@@ -1,9 +1,13 @@
 package migration
 
 import (
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"dvemig/internal/netsim"
+	"dvemig/internal/netstack"
+	"dvemig/internal/simtime"
 	"dvemig/internal/sockmig"
 )
 
@@ -44,34 +48,116 @@ func FuzzWireDecoders(f *testing.F) {
 	})
 }
 
+// frame is one dispatched migd message, payload copied out of the lent
+// buffer.
+type frame struct {
+	t       MsgType
+	payload string
+}
+
+// idleStack hosts sockets that never connect.
+var idleStack = netstack.NewStack(simtime.NewScheduler(), "idle", 0)
+
+// idleConn is a Conn over a never-connected socket: feed drives the
+// parser, Close and EOF work, nothing touches a network.
+func idleConn(bufs *bufList) *Conn {
+	c := NewConn(netstack.NewTCPSocket(idleStack))
+	c.bufs = bufs
+	return c
+}
+
+// dispatched feeds stream to a fresh Conn in the given pieces and
+// returns what OnMsg saw. The handler of frame closeAt (none if < 0)
+// calls Close mid-dispatch.
+func dispatched(t *testing.T, pieces [][]byte, closeAt int) []frame {
+	t.Helper()
+	var got []frame
+	c := idleConn(&bufList{})
+	c.OnMsg = func(mt MsgType, payload []byte) {
+		if cap(payload) != len(payload) {
+			t.Fatalf("frame %d: lent payload has spare capacity %d over length %d",
+				len(got), cap(payload), len(payload))
+		}
+		if len(got) == closeAt {
+			c.Close()
+		}
+		got = append(got, frame{mt, string(payload)})
+	}
+	for _, p := range pieces {
+		c.feed(p)
+	}
+	return got
+}
+
+// splitEvery cuts stream into pieces of n bytes.
+func splitEvery(stream []byte, n int) [][]byte {
+	var pieces [][]byte
+	for off := 0; off < len(stream); off += n {
+		end := off + n
+		if end > len(stream) {
+			end = len(stream)
+		}
+		pieces = append(pieces, stream[off:end])
+	}
+	return pieces
+}
+
 // FuzzConnFraming drives the stream reassembler with arbitrary chunk
-// boundaries: whatever the split, the parser must not panic, must never
-// deliver a frame whose length disagrees with its header, and must
-// consume complete frames exactly once.
+// boundaries. Whatever the split, the parser must not panic and must
+// dispatch exactly the complete frames of the stream, once each, in
+// order, with the bytes the stream holds: the (type, payload) sequence
+// is the same fed whole, byte by byte, in chunk-byte pieces, or cut in
+// two at any offset (every cut inside a later frame compacts the buffer
+// under the partial frame), and the same again when a handler closes
+// the connection mid-dispatch.
 func FuzzConnFraming(f *testing.F) {
-	f.Add([]byte{byte(MsgFreeze), 0, 0, 0, 2, 9, 9}, 3)
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, 1)
-	f.Add([]byte{}, 1)
-	f.Fuzz(func(t *testing.T, stream []byte, chunk int) {
+	three := append(append(
+		[]byte{byte(MsgFreeze), 0, 0, 0, 2, 9, 9},
+		byte(MsgAbort), 0, 0, 0, 0),
+		byte(MsgChunk), 0, 0, 0, 3, 1, 2, 3, byte(MsgMemDelta), 0, 0)
+	f.Add([]byte{byte(MsgFreeze), 0, 0, 0, 2, 9, 9}, 3, -1)
+	f.Add(three, 4, 0)
+	f.Add(three, 1, 1)
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, 1, 0)
+	f.Add([]byte{}, 1, -1)
+	f.Fuzz(func(t *testing.T, stream []byte, chunk, closeAt int) {
 		if chunk <= 0 {
 			chunk = 1
 		}
-		c := &Conn{}
-		frames := 0
-		var total int
-		c.OnMsg = func(mt MsgType, payload []byte) {
-			frames++
-			total += 5 + len(payload)
-		}
-		for off := 0; off < len(stream); off += chunk {
-			end := off + chunk
-			if end > len(stream) {
-				end = len(stream)
+		// The oracle: walk the headers of the whole stream.
+		var want []frame
+		for off := 0; len(stream)-off >= 5; {
+			n := int(binary.BigEndian.Uint32(stream[off+1:]))
+			if len(stream)-off-5 < n {
+				break
 			}
-			c.feed(stream[off:end])
+			want = append(want, frame{MsgType(stream[off]), string(stream[off+5 : off+5+n])})
+			off += 5 + n
 		}
-		if total > len(stream) {
-			t.Fatalf("parser consumed %d bytes of a %d-byte stream", total, len(stream))
+		check := func(how string, pieces [][]byte, closeAt int) {
+			got := dispatched(t, pieces, closeAt)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d frames dispatched, stream holds %d", how, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: frame %d = (%v, %x), want (%v, %x)", how, i,
+						got[i].t, got[i].payload, want[i].t, want[i].payload)
+				}
+			}
+		}
+		if len(want) > 0 {
+			closeAt %= len(want)
+		}
+		for _, at := range []int{-1, closeAt} {
+			check("whole", [][]byte{stream}, at)
+			check("byte by byte", splitEvery(stream, 1), at)
+			check("chunked", splitEvery(stream, chunk), at)
+			if len(stream) <= 256 { // quadratic
+				for cut := 0; cut <= len(stream); cut++ {
+					check(fmt.Sprintf("cut at %d", cut), [][]byte{stream[:cut], stream[cut:]}, at)
+				}
+			}
 		}
 	})
 }

@@ -480,8 +480,9 @@ type UDPSnapshot struct {
 
 // SnapshotUDP extracts the socket state.
 func SnapshotUDP(us *UDPSocket) *UDPSnapshot {
-	q := make([]Datagram, len(us.receiveQueue))
-	for i, d := range us.receiveQueue {
+	queued := us.ReceiveQueue()
+	q := make([]Datagram, len(queued))
+	for i, d := range queued {
 		q[i] = Datagram{SrcIP: d.SrcIP, SrcPort: d.SrcPort, TSVal: d.TSVal,
 			Payload: append([]byte(nil), d.Payload...)}
 	}

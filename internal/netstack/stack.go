@@ -9,10 +9,12 @@ import (
 )
 
 // FourTuple identifies an established TCP connection in the ehash table.
+// Addresses first, ports last: 12 bytes with no padding hole, so the
+// runtime hashes the key with one memhash instead of field by field.
 type FourTuple struct {
 	LocalIP    netsim.Addr
-	LocalPort  uint16
 	RemoteIP   netsim.Addr
+	LocalPort  uint16
 	RemotePort uint16
 }
 
@@ -247,7 +249,7 @@ func (s *Stack) Reinject(p *netsim.Packet) {
 func (s *Stack) demux(p *netsim.Packet) {
 	switch p.Proto {
 	case netsim.ProtoTCP:
-		if sk := s.ehash[FourTuple{p.DstIP, p.DstPort, p.SrcIP, p.SrcPort}]; sk != nil {
+		if sk := s.ehash[FourTuple{LocalIP: p.DstIP, LocalPort: p.DstPort, RemoteIP: p.SrcIP, RemotePort: p.SrcPort}]; sk != nil {
 			s.Stats.Delivered++
 			sk.input(p)
 			return

@@ -219,7 +219,7 @@ func (sk *TCPSocket) Stack() *Stack { return sk.stack }
 
 // Tuple returns the connection four-tuple.
 func (sk *TCPSocket) Tuple() FourTuple {
-	return FourTuple{sk.LocalIP, sk.LocalPort, sk.RemoteIP, sk.RemotePort}
+	return FourTuple{LocalIP: sk.LocalIP, LocalPort: sk.LocalPort, RemoteIP: sk.RemoteIP, RemotePort: sk.RemotePort}
 }
 
 // Listen binds the socket to port on addr and enters LISTEN state,

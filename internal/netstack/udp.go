@@ -23,7 +23,12 @@ type UDPSocket struct {
 	LocalIP   netsim.Addr
 	LocalPort uint16
 
+	// receiveQueue[rcvHead:] are the queued datagrams. Recv advances
+	// rcvHead and rewinds both to the base once the queue is empty, so
+	// input reuses the backing array instead of re-growing it (the way
+	// TCPSocket.segmented does for sndBuf).
 	receiveQueue []Datagram
+	rcvHead      int
 	unhashed     bool
 
 	// OnReadable fires when a datagram is queued.
@@ -110,19 +115,23 @@ func (us *UDPSocket) input(p *netsim.Packet) {
 
 // Recv pops the oldest queued datagram; ok is false when empty.
 func (us *UDPSocket) Recv() (Datagram, bool) {
-	if len(us.receiveQueue) == 0 {
+	if us.rcvHead == len(us.receiveQueue) {
 		return Datagram{}, false
 	}
-	d := us.receiveQueue[0]
-	us.receiveQueue = us.receiveQueue[1:]
+	d := us.receiveQueue[us.rcvHead]
+	us.receiveQueue[us.rcvHead] = Datagram{} // drop the payload reference
+	us.rcvHead++
+	if us.rcvHead == len(us.receiveQueue) {
+		us.receiveQueue, us.rcvHead = us.receiveQueue[:0], 0
+	}
 	return d, true
 }
 
 // QueueLen reports buffered datagrams (dumped at migration time).
-func (us *UDPSocket) QueueLen() int { return len(us.receiveQueue) }
+func (us *UDPSocket) QueueLen() int { return len(us.receiveQueue) - us.rcvHead }
 
 // ReceiveQueue exposes the buffered datagrams for checkpointing.
-func (us *UDPSocket) ReceiveQueue() []Datagram { return us.receiveQueue }
+func (us *UDPSocket) ReceiveQueue() []Datagram { return us.receiveQueue[us.rcvHead:] }
 
 // Close unbinds the socket.
 func (us *UDPSocket) Close() {
