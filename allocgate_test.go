@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"os"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -104,9 +103,6 @@ func TestAllocGateTicker(t *testing.T) {
 // segments, the replies and the ACKs are all inside the fence. The loop
 // formats into one buffer per server and reuses its neighbor list.
 func TestAllocGateZoneTick(t *testing.T) {
-	if poolIsLossy() {
-		t.Skip("sync.Pool drops items on Put (race detector); the packet pools cannot stay warm")
-	}
 	c := proc.NewCluster(simtime.NewScheduler(), 2)
 	if _, err := dve.StartDBServer(c.Nodes[1]); err != nil {
 		t.Fatal(err)
@@ -154,9 +150,6 @@ func TestAllocGateZoneTick(t *testing.T) {
 // segment and payload, header-only clones on the wire and in the router
 // fan-out, the non-owner nodes' drops, ACKs, Discard.
 func TestAllocGatePacketPath(t *testing.T) {
-	if poolIsLossy() {
-		t.Skip("sync.Pool drops items on Put (race detector); the packet pools cannot stay warm")
-	}
 	const flows = 64
 	s := simtime.NewScheduler()
 	clusterIP := netsim.MakeAddr(203, 0, 113, 10)
@@ -270,19 +263,41 @@ func TestAllocGateCheckpointRound(t *testing.T) {
 	t.Logf("allocs per round, whatever the dirty count: source %.0f, destination %.0f", srcLarge, dstLarge)
 }
 
-// poolIsLossy reports whether sync.Pool discards a share of what it is
-// handed, as it deliberately does under the race detector. Without that,
-// a Put followed by a Get on the same goroutine returns the same item.
-func poolIsLossy() bool {
-	var p sync.Pool
-	for i := 0; i < 64; i++ {
-		x := new(int)
-		p.Put(x)
-		if p.Get() != any(x) {
-			return true
+// TestAllocGateSockScan fences the precopy socket scan: the tracker
+// encodes every section of every socket each round only to hash it, so it
+// does that in one scratch buffer with one reused snapshot, and a round
+// over 64 quiescent connections (plus a listener) allocates the delta it
+// returns and nothing per socket or per section.
+func TestAllocGateSockScan(t *testing.T) {
+	const conns = 64
+	c := proc.NewCluster(simtime.NewScheduler(), 1)
+	n := c.Nodes[0]
+	p := n.Spawn("zone", 1)
+	lst := netstack.NewTCPSocket(n.Stack)
+	if err := lst.Listen(c.ClusterIP, 7000); err != nil {
+		t.Fatal(err)
+	}
+	lst.OnAccept = func(ch *netstack.TCPSocket) { p.FDs.Install(&proc.TCPFile{Sock: ch}) }
+	p.FDs.Install(&proc.TCPFile{Sock: lst})
+	host := c.NewExternalHost("players")
+	for i := 0; i < conns; i++ {
+		if err := netstack.NewTCPSocket(host).Connect(c.ClusterIP, 7000); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return false
+	c.Sched.RunFor(simtime.Duration(time.Second))
+	tr := sockmig.NewTracker()
+	if first := tr.Delta(p, false); len(first.Socks) != conns+1 {
+		t.Fatalf("first round shipped %d sockets, want %d", len(first.Socks), conns+1)
+	}
+	per := testing.AllocsPerRun(10, func() {
+		if d := tr.Delta(p, false); !d.Empty() {
+			t.Fatalf("quiescent round shipped %d sockets", len(d.Socks))
+		}
+	})
+	if per > 1 {
+		t.Fatalf("quiescent scan of %d sockets allocates %.0f objects per round, want 1 (the delta)", conns+1, per)
+	}
 }
 
 // TestAllocGateMigrationEngine is the bench-smoke regression fence: a
@@ -309,9 +324,6 @@ func TestAllocGateMigrationEngine(t *testing.T) {
 	if recorded <= 0 {
 		t.Skip("BENCH_simperf.json has no MigrationEngine.current record")
 	}
-	if poolIsLossy() {
-		t.Skip("sync.Pool drops items on Put (race detector); the record was taken with warm pools")
-	}
 	fc := eval.DefaultFreezeConfig(sockmig.IncrementalCollective, 8)
 	fc.Repeats = 1
 	measured := testing.AllocsPerRun(3, func() {
@@ -331,10 +343,10 @@ func TestAllocGateMigrationEngine(t *testing.T) {
 // soakCellCeilings bound what one declarative migration request may
 // cost end to end through the control plane — submit, dispatch, the
 // migd connection, the transfer itself, replication, park — measured on
-// a healthy 200-request mixed-strategy cell and set 10% above it
-// (measured: 232 allocs and 24.9 KB per request; before the live-set /
-// lent-frame / recycled-buffer work the same cell cost 287 allocs and
-// 42.6 KB).
+// a healthy 200-request mixed-strategy cell and set 10% above what it
+// measured when the live-set / lent-frame / recycled-buffer work landed
+// (232 allocs and 24.9 KB per request, from 287 and 42.6 KB; with
+// per-stack packet lists and the scratch socket scan: 226 and 25.3 KB).
 const (
 	soakCellAllocsPerRequest = 255
 	soakCellBytesPerRequest  = 27400
@@ -344,9 +356,6 @@ const (
 // copy or a per-frame allocation creeping back into the request path
 // shows here before it shows in the benchmark.
 func TestAllocGateSoakCell(t *testing.T) {
-	if poolIsLossy() {
-		t.Skip("sync.Pool drops items on Put (race detector); the ceilings assume warm pools")
-	}
 	cfg := eval.DefaultSoakConfig()
 	var healthy []eval.SoakScenario
 	for _, sc := range cfg.Scenarios {

@@ -2,8 +2,9 @@ package netsim
 
 import "encoding/binary"
 
-// AuditPools runs f with the struct-pool audit installed and returns how
-// many packets f's simulation obtained (NewPacket, Clone) and released.
+// AuditPools runs f with the packet audit installed and returns how many
+// packets f's simulation obtained (NewPacket, Clone, Unmarshal — from any
+// Pool or none) and released.
 // The audit is process-global and unsynchronised: the caller must not run
 // simulations on other goroutines meanwhile.
 func AuditPools(f func()) (obtained, released uint64) {
@@ -20,4 +21,29 @@ func PayloadHolders(b []byte) int {
 		return int(binary.LittleEndian.Uint32(h))
 	}
 	return 0
+}
+
+// HomeOf returns the Pool that minted p, nil for a handle-less or literal
+// packet.
+func HomeOf(p *Packet) *Pool { return p.home }
+
+// ReferenceChecksum is the oracle for ComputeChecksum: marshal the whole
+// packet with the checksum field zeroed and sum the buffer's 16-bit words
+// one at a time, RFC 1071 as written.
+func ReferenceChecksum(p *Packet) uint16 {
+	saved := p.Checksum
+	p.Checksum = 0
+	b := p.Marshal()
+	p.Checksum = saved
+	var sum uint32
+	for i := 0; i+1 < len(b); i += 2 {
+		sum += uint32(binary.BigEndian.Uint16(b[i:]))
+	}
+	if len(b)%2 == 1 {
+		sum += uint32(b[len(b)-1]) << 8
+	}
+	for sum>>16 != 0 {
+		sum = (sum & 0xFFFF) + (sum >> 16)
+	}
+	return ^uint16(sum)
 }

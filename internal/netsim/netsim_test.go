@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"encoding/binary"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -127,32 +126,21 @@ func TestCloneSharesPayloadNotHeader(t *testing.T) {
 	}
 }
 
-// internetChecksum is the reference single-buffer RFC 1071 checksum the
-// word-at-a-time ComputeChecksum must agree with.
-func internetChecksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i:]))
-	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xFFFF) + (sum >> 16)
-	}
-	return ^uint16(sum)
-}
-
-// TestChecksumMatchesReference pins ComputeChecksum to the reference over
-// every payload length 0–1500 (so every tail of the 8/4/2/1-byte ladder)
-// with random headers and random, all-zero and all-0xFF payloads: 20k
-// packets in all.
+// TestChecksumMatchesReference pins the field-direct, unrolled
+// ComputeChecksum to the marshal-based oracle over every payload length
+// 0–1536 (so every tail of the 32/8/4/2/1-byte ladder, odd lengths
+// included) with random headers and random, all-zero and all-0xFF
+// payloads — 20k packets in all — and on the all-zero packet, the one
+// input whose sum folds to 0.
 func TestChecksumMatchesReference(t *testing.T) {
+	if got, want := (&Packet{}).ComputeChecksum(), ReferenceChecksum(&Packet{}); got != want {
+		t.Fatalf("all-zero packet: ComputeChecksum=%#x, reference=%#x", got, want)
+	}
 	rng := simtime.NewRand(12)
 	u32 := func() uint32 { return uint32(rng.Uint64()) }
 	checked := 0
 	for round := 0; checked < 20_000; round++ {
-		for n := 0; n <= 1500; n++ {
+		for n := 0; n <= payloadBufCap; n++ {
 			payload := make([]byte, n)
 			switch round % 14 {
 			case 12: // all zero
@@ -177,11 +165,7 @@ func TestChecksumMatchesReference(t *testing.T) {
 				p.SrcIP, p.DstIP, p.Seq, p.Ack, p.TSVal, p.TSEcr = ^Addr(0), ^Addr(0), ^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0)
 				p.Proto, p.TTL, p.Flags, p.SrcPort, p.DstPort, p.Window = 0xFF, 0xFF, 0xFF, 0xFFFF, 0xFFFF, 0xFFFF
 			}
-			saved := p.Checksum
-			p.Checksum = 0
-			want := internetChecksum(p.Marshal())
-			p.Checksum = saved
-			if got := p.ComputeChecksum(); got != want {
+			if got, want := p.ComputeChecksum(), ReferenceChecksum(p); got != want {
 				t.Fatalf("round %d len=%d: ComputeChecksum=%#x, reference=%#x", round, n, got, want)
 			}
 			checked++

@@ -1,14 +1,19 @@
 package netsim_test
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
+	"dvemig/internal/capture"
 	"dvemig/internal/dve"
+	"dvemig/internal/eval"
 	"dvemig/internal/migration"
 	"dvemig/internal/netsim"
 	"dvemig/internal/netstack"
 	"dvemig/internal/proc"
 	"dvemig/internal/simtime"
+	"dvemig/internal/sockmig"
 	"dvemig/internal/xlat"
 )
 
@@ -20,6 +25,11 @@ import (
 // socket queue. After the migration the source node keeps the :7000
 // listener, so every broadcast client segment demuxes to it; a sink that
 // forgets to release (the listener did) shows up as a gap here.
+//
+// The same drained state is then read stack by stack: every packet and
+// payload went back to the free list of the stack that minted it, so each
+// stack's list holds exactly what it minted minus what — of its own — sits
+// in a socket queue somewhere in the cell.
 func TestPoolBalanceAcrossLiveMigration(t *testing.T) {
 	const conns = 8
 	var parked int
@@ -116,12 +126,269 @@ func TestPoolBalanceAcrossLiveMigration(t *testing.T) {
 		for _, n := range cluster.Nodes {
 			socks = append(socks, n.Stack.EstablishedSockets()...)
 		}
+		type census struct {
+			packets  int
+			payloads map[*byte]bool // distinct pooled buffers: clones share one
+		}
+		byHome := map[*netsim.Pool]*census{}
 		for _, sk := range socks {
-			parked += len(sk.WriteQueue()) + len(sk.ReceiveQueue()) + len(sk.OOOQueue()) + sk.BacklogLen()
+			parked += sk.BacklogLen() // empty once drained; its packets are not exposed
+			for _, q := range [][]*netsim.Packet{sk.WriteQueue(), sk.ReceiveQueue(), sk.OOOQueue()} {
+				parked += len(q)
+				for _, pk := range q {
+					c := byHome[netsim.HomeOf(pk)]
+					if c == nil {
+						c = &census{payloads: map[*byte]bool{}}
+						byHome[netsim.HomeOf(pk)] = c
+					}
+					c.packets++
+					if netsim.PayloadHolders(pk.Payload) > 0 {
+						c.payloads[&pk.Payload[0]] = true
+					}
+				}
+			}
+		}
+		if c := byHome[nil]; c != nil {
+			t.Errorf("%d parked packets have no home: a socket minted them without its stack's pool", c.packets)
+		}
+		delete(byHome, nil)
+		for home, c := range byHome {
+			st := home.Stats()
+			if out := st.PacketsMinted - st.PacketsIdle; out != c.packets {
+				t.Errorf("a pool has %d packets out (%+v), %d of its packets are parked", out, st, c.packets)
+			}
+			if out := st.PayloadsMinted - st.PayloadsIdle; out != len(c.payloads) {
+				t.Errorf("a pool has %d payloads out (%+v), %d of its buffers are parked", out, st, len(c.payloads))
+			}
+		}
+		// The pools above are some of the stacks'; the rest must have
+		// everything back, which the totals show.
+		var outPackets, outPayloads, wantPackets, wantPayloads int
+		for _, st := range append([]*netstack.Stack{host}, src.Stack, dst.Stack, dbNode.Stack) {
+			ps := st.PoolStats()
+			if ps.PacketsMinted == 0 {
+				t.Errorf("stack %s minted no packet", st.Name)
+			}
+			outPackets += ps.PacketsMinted - ps.PacketsIdle
+			outPayloads += ps.PayloadsMinted - ps.PayloadsIdle
+		}
+		for _, c := range byHome {
+			wantPackets += c.packets
+			wantPayloads += len(c.payloads)
+		}
+		if outPackets != wantPackets || outPayloads != wantPayloads {
+			t.Errorf("stacks have %d packets / %d payloads out, %d / %d are parked in socket queues",
+				outPackets, outPayloads, wantPackets, wantPayloads)
 		}
 	})
 	if obtained == 0 || obtained-released != uint64(parked) {
 		t.Fatalf("obtained %d packets, released %d: %d unaccounted for, %d parked in socket queues",
 			obtained, released, int64(obtained-released)-int64(parked), parked)
+	}
+}
+
+// collector is a NIC handler that keeps what it is handed.
+type collector struct{ got []*netsim.Packet }
+
+func (c *collector) DeliverPacket(p *netsim.Packet) { c.got = append(c.got, p) }
+
+// dropAll is a fault program that drops every packet.
+type dropAll struct{}
+
+func (dropAll) Apply(simtime.Time, string, *netsim.Packet) netsim.FaultAction {
+	return netsim.FaultAction{Drop: true}
+}
+
+// TestReleaseLandsInHomePool: a packet goes back to the Pool that minted
+// it whichever sink in the cell ends its life — none of them holds a
+// handle to that Pool — and exactly once.
+func TestReleaseLandsInHomePool(t *testing.T) {
+	clusterIP := netsim.MakeAddr(203, 0, 113, 10)
+	extAddr := netsim.MakeAddr(198, 51, 100, 1)
+	sinks := []struct {
+		name string
+		kill func(t *testing.T, home *netsim.Pool, p *netsim.Packet)
+	}{
+		{"double Release", func(t *testing.T, home *netsim.Pool, p *netsim.Packet) {
+			p.Release()
+			p.Release()
+		}},
+		{"router with no recipient", func(t *testing.T, home *netsim.Pool, p *netsim.Packet) {
+			sched := simtime.NewScheduler()
+			r := netsim.NewBroadcastRouter(sched, clusterIP)
+			ext := r.AttachExternal("ext", extAddr, netsim.GigabitEthernet)
+			p.DstIP = clusterIP // broadcast with no server attached
+			ext.Send(p)
+			sched.Run()
+		}},
+		{"switch with no such port", func(t *testing.T, home *netsim.Pool, p *netsim.Packet) {
+			sched := simtime.NewScheduler()
+			sw := netsim.NewSwitch(sched)
+			nic := sw.Attach("a", 1, netsim.GigabitEthernet)
+			p.DstIP = 2
+			nic.Send(p)
+			sched.Run()
+			if sw.Dropped != 1 {
+				t.Fatalf("switch dropped %d", sw.Dropped)
+			}
+		}},
+		{"fault drop on transmit", func(t *testing.T, home *netsim.Pool, p *netsim.Packet) {
+			sched := simtime.NewScheduler()
+			sw := netsim.NewSwitch(sched)
+			nic := sw.Attach("a", 1, netsim.GigabitEthernet)
+			nic.SetFault(dropAll{})
+			nic.Send(p)
+			sched.Run()
+			if nic.FaultDropped != 1 {
+				t.Fatalf("fault plane dropped %d", nic.FaultDropped)
+			}
+		}},
+		{"fault drop on receive", func(t *testing.T, home *netsim.Pool, p *netsim.Packet) {
+			sched := simtime.NewScheduler()
+			sw := netsim.NewSwitch(sched)
+			a := sw.Attach("a", 1, netsim.GigabitEthernet)
+			b := sw.Attach("b", 2, netsim.GigabitEthernet)
+			b.SetFault(dropAll{})
+			p.DstIP = 2
+			a.Send(p)
+			sched.Run()
+			if b.FaultDropped != 1 {
+				t.Fatalf("fault plane dropped %d", b.FaultDropped)
+			}
+		}},
+		{"another stack finds no socket", func(t *testing.T, home *netsim.Pool, p *netsim.Packet) {
+			sched := simtime.NewScheduler()
+			st := netstack.NewStack(sched, "b", 5)
+			st.AttachNIC(netsim.NewSwitch(sched).Attach("b", 2, netsim.GigabitEthernet), 2)
+			p.DstIP, p.Proto, p.DstPort = 2, netsim.ProtoUDP, 9
+			st.DeliverPacket(p)
+			if st.Stats.NoSocketDrops != 1 {
+				t.Fatalf("stack dropped %d", st.Stats.NoSocketDrops)
+			}
+			if ps := st.PoolStats(); ps != (netsim.PoolStats{}) {
+				t.Fatalf("the dropping stack's own pool moved: %+v", ps)
+			}
+		}},
+		{"capture filter dropped", func(t *testing.T, home *netsim.Pool, p *netsim.Packet) {
+			sched := simtime.NewScheduler()
+			st := netstack.NewStack(sched, "b", 5)
+			st.AttachNIC(netsim.NewSwitch(sched).Attach("b", 2, netsim.GigabitEthernet), 2)
+			svc := capture.NewService(st)
+			f := svc.Enable(netsim.FlowKey{LocalPort: 9, Proto: netsim.ProtoUDP})
+			p.DstIP, p.Proto, p.DstPort = 2, netsim.ProtoUDP, 9
+			st.DeliverPacket(p)
+			if f.QueueLen() != 1 {
+				t.Fatalf("filter captured %d", f.QueueLen())
+			}
+			if ps := home.Stats(); ps.PacketsIdle != 0 {
+				t.Fatalf("a captured packet is already back: %+v", ps)
+			}
+			svc.Drop(f)
+		}},
+	}
+	for _, sink := range sinks {
+		t.Run(sink.name, func(t *testing.T) {
+			var home netsim.Pool
+			p := home.NewPacket()
+			p.Payload = home.GetPayload(100)
+			p.FixChecksum()
+			sink.kill(t, &home, p)
+			want := netsim.PoolStats{PacketsMinted: 1, PacketsIdle: 1, PayloadsMinted: 1, PayloadsIdle: 1}
+			if got := home.Stats(); got != want {
+				t.Fatalf("home pool after the sink: %+v, want %+v", got, want)
+			}
+			if q := home.NewPacket(); q != p {
+				t.Fatal("the free list did not hand the released struct out again")
+			}
+		})
+	}
+}
+
+// TestSharedPayloadReturnsOnceToItsHome: a write-queue original and the
+// three packets a three-node broadcast makes of its wire clone all hold
+// one payload buffer. All four structs and the buffer are the minting
+// stack's; the buffer returns once, after the last of the four, whatever
+// the order. A handle-less packet through the same router stays
+// handle-less: its clones go back to the shared pools, not to a stack.
+func TestSharedPayloadReturnsOnceToItsHome(t *testing.T) {
+	sched := simtime.NewScheduler()
+	clusterIP := netsim.MakeAddr(203, 0, 113, 10)
+	r := netsim.NewBroadcastRouter(sched, clusterIP)
+	var nodes [3]collector
+	for i := range nodes {
+		r.AttachServer("pub", netsim.GigabitEthernet).SetHandler(&nodes[i])
+	}
+	ext := r.AttachExternal("ext", netsim.MakeAddr(198, 51, 100, 1), netsim.GigabitEthernet)
+
+	var home netsim.Pool
+	orig := home.NewPacket()
+	orig.DstIP = clusterIP
+	orig.Payload = home.GetPayload(256)
+	ext.Send(orig.Clone())
+	sched.Run()
+	four := []*netsim.Packet{nodes[1].got[0], orig, nodes[2].got[0], nodes[0].got[0]}
+	body := orig.Payload
+	for i, p := range four {
+		if netsim.HomeOf(p) != &home || &p.Payload[0] != &body[0] {
+			t.Fatalf("packet %d: not the sender's, or its payload not shared", i)
+		}
+		if got := netsim.PayloadHolders(body); got != len(four)-i {
+			t.Fatalf("before release %d: %d holders, want %d", i, got, len(four)-i)
+		}
+		p.Release()
+		want := netsim.PoolStats{PacketsMinted: 4, PacketsIdle: i + 1, PayloadsMinted: 1}
+		if i == len(four)-1 {
+			want.PayloadsIdle = 1
+		}
+		if got := home.Stats(); got != want {
+			t.Fatalf("after release %d: %+v, want %+v", i, got, want)
+		}
+	}
+
+	for i := range nodes {
+		nodes[i].got = nil
+	}
+	bare := netsim.NewPacket()
+	bare.DstIP = clusterIP
+	bare.Payload = netsim.GetPayload(64)
+	ext.Send(bare)
+	sched.Run()
+	for i := range nodes {
+		p := nodes[i].got[0]
+		if netsim.HomeOf(p) != nil {
+			t.Fatalf("node %d: the router gave a handle-less packet's clone a home", i)
+		}
+		p.Release()
+	}
+	if got := home.Stats(); got.PacketsIdle != 4 || got.PayloadsIdle != 1 {
+		t.Fatalf("handle-less packets landed in a stack's pool: %+v", got)
+	}
+}
+
+// TestConcurrentCellsShareNoList runs two freeze points on two goroutines.
+// Under -race this is the proof that free lists are per cell: a list two
+// cells could both reach would be a reported race. The results are the
+// seed's, whatever ran beside them.
+func TestConcurrentCellsShareNoList(t *testing.T) {
+	fc := eval.DefaultFreezeConfig(sockmig.IncrementalCollective, 8)
+	fc.Repeats = 1
+	fc.Workers = 1
+	var pts [2]*eval.FreezePoint
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range pts {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pts[i], errs[i] = eval.RunFreezePoint(fc)
+		}()
+	}
+	wg.Wait()
+	if errs[0] != nil || errs[1] != nil {
+		t.Fatalf("freeze points failed: %v, %v", errs[0], errs[1])
+	}
+	if !reflect.DeepEqual(pts[0].Runs, pts[1].Runs) {
+		t.Fatal("two concurrent runs of one seed differ")
 	}
 }

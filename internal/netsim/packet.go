@@ -13,15 +13,48 @@ import (
 	"dvemig/internal/simtime"
 )
 
-// payloadPool recycles packet payload buffers. Payloads on the simulated
-// wire are at most one MTU (1500 bytes); pooling them removes the
-// dominant per-packet allocation from the TCP hot path. The pool is
-// shared across concurrently running simulations (sync.Pool is
-// goroutine-safe) and buffer identity never influences simulation
-// results, so determinism is unaffected.
-var payloadPool = sync.Pool{
-	New: func() any { return new([payloadArrayLen]byte) },
+// Pool is one stack's packet free list: two plain stacks, one of packet
+// structs and one of payload arrays. A simulation cell runs on one
+// goroutine and a stack belongs to one cell, so the list needs no lock
+// and none of a sync.Pool's per-P machinery. Everything a Pool hands out
+// remembers it (Packet.home): Clone draws the sibling from the same Pool
+// and Release returns struct and payload there, wherever in the cell the
+// packet dies — a router, a fault drop, another node's socket. A list
+// therefore never holds more than its own stack's peak of outstanding
+// packets, which is why it has no cap, and it dies with the cell. The
+// zero value is ready to use; a Pool must not be copied once used.
+//
+// The nil *Pool is the handle-less form behind the package-level
+// NewPacket / GetPayload / Unmarshal / PutPayload: it falls back to two
+// process-wide sync.Pools, for callers that mint packets with no stack in
+// hand (tests, the layer benchmarks' raw-NIC drivers).
+type Pool struct {
+	packets  []*Packet
+	payloads []*[payloadArrayLen]byte
+	minted   PoolStats // the Minted fields only
 }
+
+// PoolStats is a Pool's census. Minted counts what the Pool allocated
+// because its list was empty — its stack's peak of outstanding packets,
+// since the list is always drawn from first. Idle counts what sits in
+// the list now; Minted − Idle is out in the cell.
+type PoolStats struct {
+	PacketsMinted, PacketsIdle   int
+	PayloadsMinted, PayloadsIdle int
+}
+
+// Stats reports the Pool's census, for tests and diagnostics.
+func (pl *Pool) Stats() PoolStats {
+	s := pl.minted
+	s.PacketsIdle, s.PayloadsIdle = len(pl.packets), len(pl.payloads)
+	return s
+}
+
+// sharedPayloads and sharedPackets serve nil-home packets only.
+var (
+	sharedPayloads = sync.Pool{New: func() any { return new([payloadArrayLen]byte) }}
+	sharedPackets  = sync.Pool{New: func() any { return new(Packet) }}
+)
 
 const (
 	// payloadBufCap is the largest payload a pooled buffer carries: one
@@ -50,23 +83,35 @@ func holders(b []byte) []byte {
 }
 
 // GetPayload returns a length-n byte slice with one holder, recycled from
-// the payload pool when n fits a pooled buffer. The caller fills it once,
+// the free list when n fits a pooled buffer. The caller fills it once,
 // before the packet carrying it is first transmitted; from then on the
 // bytes are immutable, because Clone shares the buffer between packets.
 // Callers must not append to the slice (the spare capacity holds the
-// holder count). The holder hands the buffer back via PutPayload (usually
-// through Packet.Release) when its use of the payload ends. The pool
-// holds array pointers rather than *[]byte slice headers: a pointer
-// round-trips through the pool's `any` without boxing, so neither Get nor
-// Put allocates.
-func GetPayload(n int) []byte {
+// holder count). It belongs on a packet minted by the same Pool: the last
+// holder's Release returns the buffer to that packet's home.
+func (pl *Pool) GetPayload(n int) []byte {
 	if n > payloadBufCap {
 		return make([]byte, n)
 	}
-	b := payloadPool.Get().(*[payloadArrayLen]byte)[:n]
+	var a *[payloadArrayLen]byte
+	if pl == nil {
+		// The shared pool holds array pointers, not *[]byte headers: a
+		// pointer round-trips through `any` without boxing.
+		a = sharedPayloads.Get().(*[payloadArrayLen]byte)
+	} else if last := len(pl.payloads) - 1; last >= 0 {
+		a = pl.payloads[last]
+		pl.payloads = pl.payloads[:last]
+	} else {
+		a = new([payloadArrayLen]byte)
+		pl.minted.PayloadsMinted++
+	}
+	b := a[:n]
 	binary.LittleEndian.PutUint32(holders(b), 1)
 	return b
 }
+
+// GetPayload is the handle-less Pool.GetPayload.
+func GetPayload(n int) []byte { return (*Pool)(nil).GetPayload(n) }
 
 // sharePayload adds a holder to a pooled buffer; a no-op on foreign ones.
 func sharePayload(b []byte) {
@@ -75,72 +120,93 @@ func sharePayload(b []byte) {
 	}
 }
 
-// PutPayload drops one holder of a buffer obtained from GetPayload; the
-// last holder's call recycles it. Oversized or foreign buffers are simply
-// dropped. The count is not atomic: a buffer only ever circulates inside
-// one simulation, which runs on one goroutine.
-func PutPayload(b []byte) {
+// putPayload drops one holder of a pooled buffer; the last holder's call
+// recycles it into pl. Oversized or foreign buffers are simply dropped.
+// The count is not atomic: a buffer only ever circulates inside one
+// simulation, which runs on one goroutine.
+func (pl *Pool) putPayload(b []byte) {
 	h := holders(b)
 	if h == nil {
 		return
 	}
 	n := binary.LittleEndian.Uint32(h) - 1
 	binary.LittleEndian.PutUint32(h, n)
-	if n == 0 {
-		payloadPool.Put((*[payloadArrayLen]byte)(b[:payloadArrayLen]))
+	if n != 0 {
+		return
 	}
+	a := (*[payloadArrayLen]byte)(b[:payloadArrayLen])
+	if pl == nil {
+		sharedPayloads.Put(a)
+		return
+	}
+	pl.payloads = append(pl.payloads, a)
 }
 
-// packetPool recycles Packet structs themselves: the fabric and the TCP
-// send path mint one struct per segment plus one per hop clone, which
-// dominates the event loop's allocation profile once payloads are pooled.
-// Like payloadPool it is shared across concurrently running simulations;
-// struct identity never influences results.
-var packetPool = sync.Pool{New: func() any { return new(Packet) }}
+// PutPayload drops one holder of a buffer obtained from the handle-less
+// GetPayload that never rode on a packet (Packet.Release does this for
+// one that did).
+func PutPayload(b []byte) { (*Pool)(nil).putPayload(b) }
 
-// NewPacket returns a zeroed Packet drawn from the struct pool. Callers
-// that construct literal &Packet{} values remain correct (Release accepts
-// any packet), they just bypass the recycling.
-func NewPacket() *Packet {
-	p := getPacket()
-	*p = Packet{}
+// NewPacket returns a zeroed Packet homed in pl. Callers that construct
+// literal &Packet{} values remain correct (Release accepts any packet),
+// they just bypass the free lists.
+func (pl *Pool) NewPacket() *Packet {
+	p := pl.getPacket()
+	*p = Packet{home: pl}
 	return p
 }
 
-// getPacket draws a struct (with stale contents) from the pool.
-func getPacket() *Packet {
+// NewPacket is the handle-less Pool.NewPacket.
+func NewPacket() *Packet { return (*Pool)(nil).NewPacket() }
+
+// getPacket draws a struct (with stale contents) from the free list.
+func (pl *Pool) getPacket() *Packet {
 	if poolAudit != nil {
 		poolAudit.obtained++
 	}
-	return packetPool.Get().(*Packet)
+	if pl == nil {
+		return sharedPackets.Get().(*Packet)
+	}
+	if last := len(pl.packets) - 1; last >= 0 {
+		p := pl.packets[last]
+		pl.packets = pl.packets[:last]
+		return p
+	}
+	pl.minted.PacketsMinted++
+	return new(Packet)
 }
 
 // poolAudit, while a test has one installed (export_test.go), counts the
-// packets drawn from and returned to the struct pool, so an ownership
+// packets drawn from and returned to the free lists, so an ownership
 // test can assert that every packet a run obtained reached a sink. Nil —
 // one predictable branch per packet — everywhere else.
 var poolAudit *struct{ obtained, released uint64 }
 
 // Release ends this packet's life: it drops the packet's hold on the
 // payload buffer (the last holder recycles it) and returns the struct to
-// its pool. A packet struct has exactly one owner at every hop, and every
+// its home. A packet struct has exactly one owner at every hop, and every
 // sink calls Release: drop paths in the fabric and the stack, the router
 // after its fan-out, the receiving socket once the bytes are copied out,
 // the write queue when a segment is acknowledged. Releasing twice before
 // the struct is reused is harmless (the second call sees the released
 // flag); fields must not be read after Release — the struct may be
-// serving another packet, possibly in a concurrently running simulation.
+// serving another packet.
 func (p *Packet) Release() {
 	if p.released {
 		return
 	}
 	p.released = true
-	PutPayload(p.Payload)
+	home := p.home
+	home.putPayload(p.Payload)
 	p.Payload = nil
 	if poolAudit != nil {
 		poolAudit.released++
 	}
-	packetPool.Put(p)
+	if home == nil {
+		sharedPackets.Put(p)
+		return
+	}
+	home.packets = append(home.packets, p)
 }
 
 // Addr is an IPv4 address.
@@ -219,9 +285,14 @@ type Packet struct {
 	// shared the wire with the application.
 	Class byte
 
-	// released guards the struct pool against double-Release (see
+	// released guards the free list against double-Release (see
 	// Release). Out-of-band; never marshalled.
 	released bool
+
+	// home is the Pool that minted the packet and takes it back on
+	// Release; nil for handle-less and literal packets. Clone copies it,
+	// so a payload's holders all share one home.
+	home *Pool
 }
 
 // Traffic classes (Packet.Class).
@@ -275,7 +346,7 @@ func (p *Packet) Len() int { return headerBytes + len(p.Payload) }
 // DstEntry values are immutable once published — translation filters
 // replace the pointer, never the fields.
 func (p *Packet) Clone() *Packet {
-	q := getPacket()
+	q := p.home.getPacket()
 	*q = *p
 	q.released = false
 	sharePayload(q.Payload)
@@ -311,14 +382,15 @@ func (p *Packet) Marshal() []byte {
 }
 
 // Unmarshal decodes a packet from the canonical wire format. The packet
-// and its payload come from the pools, so a restored socket queue owns
-// buffers that Clone may share and Release recycles like any other.
-func Unmarshal(buf []byte) (*Packet, error) {
+// and its payload come from pl, so a restored socket queue owns buffers
+// that Clone may share and Release recycles like any other.
+func (pl *Pool) Unmarshal(buf []byte) (*Packet, error) {
 	if len(buf) < headerBytes {
 		return nil, fmt.Errorf("netsim: short packet: %d bytes", len(buf))
 	}
-	p := getPacket()
+	p := pl.getPacket()
 	*p = Packet{
+		home:     pl,
 		SrcIP:    Addr(binary.BigEndian.Uint32(buf[0:])),
 		DstIP:    Addr(binary.BigEndian.Uint32(buf[4:])),
 		Proto:    buf[8],
@@ -334,28 +406,35 @@ func Unmarshal(buf []byte) (*Packet, error) {
 		Checksum: binary.BigEndian.Uint16(buf[33:]),
 	}
 	if body := buf[headerBytes:]; len(body) > 0 {
-		p.Payload = GetPayload(len(body))
+		p.Payload = pl.GetPayload(len(body))
 		copy(p.Payload, body)
 	}
 	return p, nil
 }
 
+// Unmarshal is the handle-less Pool.Unmarshal.
+func Unmarshal(buf []byte) (*Packet, error) { return (*Pool)(nil).Unmarshal(buf) }
+
 // ComputeChecksum returns the Internet checksum over the packet's
 // pseudo-header and payload with the checksum field zeroed, following RFC
 // 1071 folding. Translation filters must recompute it after rewriting
-// addresses (paper §V-D). The sum is computed without materializing the
-// wire encoding: the header goes through a stack buffer and the payload
-// is summed in place (the header length is even, so the two partial sums
-// compose exactly as in the single-buffer form). Ones-complement addition
-// is associative, so the 16-bit words are added eight bytes at a time
-// into a wide accumulator and folded once at the end.
+// addresses (paper §V-D). Nothing is marshalled: the header's 16-bit words
+// are summed straight from the fields and the payload in place (the
+// header length is even, so the two partial sums compose exactly as in
+// the single-buffer form).
+//
+// The sum is kept unfolded in a wide accumulator and folded once, which
+// reduces it modulo 0xFFFF (to 0 only if every byte was 0). Under that
+// reduction a 32-bit field at an even offset counts as itself
+// (2^16 ≡ 1), and a field at an odd offset — the run Window, TSVal,
+// TSEcr behind the one-byte Flags at offset 22 — counts as itself times
+// 2^8, as do Flags and Proto, the high bytes of their words. Bytes 33–51
+// (the zeroed checksum and the option padding) add nothing.
 func (p *Packet) ComputeChecksum() uint16 {
-	var hdr [headerBytes]byte
-	saved := p.Checksum
-	p.Checksum = 0
-	p.marshalHeader(hdr[:])
-	p.Checksum = saved
-	sum := sumWords(hdr[:]) + sumWords(p.Payload)
+	sum := uint64(p.SrcIP) + uint64(p.DstIP) + uint64(p.TTL) +
+		uint64(p.SrcPort) + uint64(p.DstPort) + uint64(p.Seq) + uint64(p.Ack) +
+		(uint64(p.Proto)+uint64(p.Flags)+uint64(p.Window)+uint64(p.TSVal)+uint64(p.TSEcr))<<8 +
+		sumWords(p.Payload)
 	for sum>>16 != 0 {
 		sum = (sum & 0xFFFF) + (sum >> 16)
 	}
@@ -363,10 +442,20 @@ func (p *Packet) ComputeChecksum() uint16 {
 }
 
 // sumWords adds b's big-endian 16-bit words (an odd trailing byte padded
-// with zero) without folding. Each 8-byte load contributes two 32-bit
-// halves, so even a 64 KiB buffer stays far below overflow.
+// with zero) without folding, 32 bytes per step into two accumulators so
+// the adds of one load do not wait on the last. Each 8-byte load
+// contributes two 32-bit halves, so even a 64 KiB buffer stays far below
+// overflow.
 func sumWords(b []byte) uint64 {
-	var sum uint64
+	var s0, s1 uint64
+	for len(b) >= 32 {
+		v0, v1 := binary.BigEndian.Uint64(b), binary.BigEndian.Uint64(b[8:])
+		v2, v3 := binary.BigEndian.Uint64(b[16:]), binary.BigEndian.Uint64(b[24:])
+		s0 += v0>>32 + v0&0xFFFFFFFF + v2>>32 + v2&0xFFFFFFFF
+		s1 += v1>>32 + v1&0xFFFFFFFF + v3>>32 + v3&0xFFFFFFFF
+		b = b[32:]
+	}
+	sum := s0 + s1
 	for len(b) >= 8 {
 		v := binary.BigEndian.Uint64(b)
 		sum += v>>32 + v&0xFFFFFFFF

@@ -118,7 +118,7 @@ func BenchmarkEhashDemux(b *testing.B) {
 		sk.State = TCPEstablished
 		sk.LocalIP, sk.LocalPort = addrA, 80
 		sk.RemoteIP, sk.RemotePort = netsim.Addr(i+1), uint16(30000+i)
-		st.ehash[sk.Tuple()] = sk
+		st.ehash.put(sk)
 	}
 	p := &netsim.Packet{Proto: netsim.ProtoTCP, DstIP: addrA, DstPort: 80,
 		SrcIP: 512, SrcPort: 30511, Flags: netsim.FlagACK}

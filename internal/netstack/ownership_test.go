@@ -105,6 +105,8 @@ func TestBroadcastCloneIndependence(t *testing.T) {
 // die before the queue's originals. The queue's bytes must stay intact —
 // a restored payload that entered the holder scheme without a count of
 // its own would be recycled under the queue by the first clone's Release.
+// The restored queue is the destination stack's: minted by its pool and,
+// once the peer has acknowledged everything, back in it.
 func TestRestoredWriteQueueSurvivesCloneRelease(t *testing.T) {
 	p := newPair(t)
 	cli, srv := p.connect(t, 4102)
@@ -147,12 +149,19 @@ func TestRestoredWriteQueueSurvivesCloneRelease(t *testing.T) {
 		}
 		return VerdictAccept
 	})
+	srcBefore := p.a.PoolStats()
 	restored, err := RestoreTCP(c, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := len(restored.WriteQueue()); n != 3 {
 		t.Fatalf("restored write queue holds %d segments, want 3", n)
+	}
+	if got, want := c.PoolStats(), (netsim.PoolStats{PacketsMinted: 3, PayloadsMinted: 3}); got != want {
+		t.Fatalf("destination pool after restore: %+v, want %+v", got, want)
+	}
+	if got := p.a.PoolStats(); got != srcBefore {
+		t.Fatalf("restore drew on the source stack's pool: %+v -> %+v", srcBefore, got)
 	}
 	for i := 0; i < 10 && len(lost) < 2; i++ {
 		p.sched.RunFor(time.Second) // two RTOs, the second backed off
@@ -170,7 +179,7 @@ func TestRestoredWriteQueueSurvivesCloneRelease(t *testing.T) {
 	// Anything recycled by those releases would be handed out and
 	// overwritten here.
 	for i := 0; i < 64; i++ {
-		scribble := netsim.GetPayload(DefaultMSS)
+		scribble := c.pool.GetPayload(DefaultMSS)
 		for j := range scribble {
 			scribble[j] = 0xEE
 		}
@@ -185,6 +194,45 @@ func TestRestoredWriteQueueSurvivesCloneRelease(t *testing.T) {
 	p.sched.RunFor(30 * time.Second)
 	if !bytes.Equal(rcvd, data) {
 		t.Fatalf("peer received %d bytes, want the %d sent intact", len(rcvd), len(data))
+	}
+	// 64 scribble buffers were taken and never returned; everything else
+	// the destination minted is home again.
+	if ps := c.PoolStats(); len(restored.WriteQueue()) != 0 || ps.PacketsIdle != ps.PacketsMinted || ps.PayloadsMinted-ps.PayloadsIdle != 64 {
+		t.Fatalf("after the peer acknowledged everything: %d segments queued, pool %+v", len(restored.WriteQueue()), ps)
+	}
+}
+
+// TestPacketReturnsToMintingStack: the segment a client sends sits, as a
+// clone minted by the client's stack, in the server's receive queue; when
+// the server's application reads it, the packet and its payload go back
+// to the client stack's list — the server's stack never sees them — and
+// the server's ACKs go home the same way.
+func TestPacketReturnsToMintingStack(t *testing.T) {
+	p := newPair(t)
+	cli, srv := p.connect(t, 4104)
+	if err := cli.Send(bytes.Repeat([]byte("x"), 300)); err != nil {
+		t.Fatal(err)
+	}
+	p.sched.RunFor(10 * time.Millisecond)
+	if len(srv.ReceiveQueue()) != 1 || len(cli.WriteQueue()) != 0 {
+		t.Fatalf("receive queue %d, write queue %d: want the acked segment parked at the server",
+			len(srv.ReceiveQueue()), len(cli.WriteQueue()))
+	}
+	a, b := p.a.PoolStats(), p.b.PoolStats()
+	if a.PacketsMinted-a.PacketsIdle != 1 || a.PayloadsMinted-a.PayloadsIdle != 1 {
+		t.Fatalf("client stack should have exactly the parked clone and its payload out: %+v", a)
+	}
+	if b.PacketsMinted == 0 || b.PacketsIdle != b.PacketsMinted || b.PayloadsMinted != 0 {
+		t.Fatalf("server stack minted only ACKs and should have them all back: %+v", b)
+	}
+	srv.Discard()
+	a.PacketsIdle++
+	a.PayloadsIdle++
+	if got := p.a.PoolStats(); got != a {
+		t.Fatalf("client pool after the server read: %+v, want %+v", got, a)
+	}
+	if got := p.b.PoolStats(); got != b {
+		t.Fatalf("server pool moved when it released a client packet: %+v -> %+v", b, got)
 	}
 }
 
@@ -201,7 +249,7 @@ func TestDrainInOnReadableEndsPacketUse(t *testing.T) {
 		if srv.Discard() == 0 {
 			return
 		}
-		q := netsim.NewPacket() // most likely the struct just released
+		q := p.a.pool.NewPacket() // the struct just released: the client's stack minted it
 		q.Flags, q.Seq = netsim.FlagFIN|netsim.FlagACK, srv.RcvNxt
 		reissued = append(reissued, q)
 	}

@@ -25,7 +25,7 @@ func TestReassemblyUnderRandomSegmentOrder(t *testing.T) {
 		sk.LocalPort, sk.RemotePort = 80, 40000
 		sk.IRS = 1000
 		sk.RcvNxt = 1001
-		st.ehash[sk.Tuple()] = sk
+		st.ehash.put(sk)
 
 		msg := make([]byte, 1+rnd.Intn(20000))
 		rnd.Read(msg)

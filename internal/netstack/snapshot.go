@@ -93,7 +93,17 @@ type TCPSnapshot struct {
 // empty) — the snapshot does not include backlog or prequeue because the
 // signal-based freeze guarantees both are empty (§V-C1).
 func SnapshotTCP(sk *TCPSocket) *TCPSnapshot {
-	s := &TCPSnapshot{
+	s := &TCPSnapshot{}
+	SnapshotTCPInto(s, sk)
+	return s
+}
+
+// SnapshotTCPInto overwrites s with sk's state, under SnapshotTCP's
+// quiescence rule. It is the form for a scan that looks at many sockets
+// and keeps none of the snapshots: one TCPSnapshot serves them all, and
+// SndBuf reuses its capacity.
+func SnapshotTCPInto(s *TCPSnapshot, sk *TCPSocket) {
+	*s = TCPSnapshot{
 		LocalIP: sk.LocalIP, RemoteIP: sk.RemoteIP, OrigLocalIP: sk.OrigLocalIP,
 		LocalPort: sk.LocalPort, RemotePort: sk.RemotePort,
 		State: sk.State, Listening: sk.State == TCPListen,
@@ -108,13 +118,12 @@ func SnapshotTCP(sk *TCPSocket) *TCPSnapshot {
 		// once carries an offset, and chaining migrations must compose.
 		SrcJiffies: sk.tsNow(),
 		MSS:        int32(sk.MSS),
-		SndBuf:     append([]byte(nil), sk.unsent()...),
+		SndBuf:     append(s.SndBuf[:0], sk.unsent()...),
 		BytesIn:    sk.BytesIn, BytesOut: sk.BytesOut,
 	}
 	s.WriteQueue = marshalQueue(sk.writeQueue)
 	s.ReceiveQueue = marshalQueue(sk.receiveQueue)
 	s.OOOQueue = marshalQueue(sk.oooQueue)
-	return s
 }
 
 func marshalQueue(q []*netsim.Packet) [][]byte {
@@ -125,10 +134,12 @@ func marshalQueue(q []*netsim.Packet) [][]byte {
 	return out
 }
 
-func unmarshalQueue(q [][]byte) ([]*netsim.Packet, error) {
+// unmarshalQueue rebuilds a socket queue out of pool, the restoring
+// stack's free list.
+func unmarshalQueue(pool *netsim.Pool, q [][]byte) ([]*netsim.Packet, error) {
 	out := make([]*netsim.Packet, len(q))
 	for i, b := range q {
-		p, err := netsim.Unmarshal(b)
+		p, err := pool.Unmarshal(b)
 		if err != nil {
 			return nil, err
 		}
@@ -149,9 +160,17 @@ func (w *wbuf) bytes(v []byte) {
 	w.u32(uint32(len(v)))
 	w.b = append(w.b, v...)
 }
+
+// zeros is what pad appends from, as long as the longest padding.
+// Copying out of it, rather than append(b, make([]byte, n)...), does not
+// depend on the compiler eliding the temporary, which it stops doing
+// under the race detector.
+var zeros [KernelSockImageBytes]byte
+
+// pad appends zeros until the buffer is total bytes long.
 func (w *wbuf) pad(total int) {
-	for len(w.b) < total {
-		w.b = append(w.b, 0)
+	if n := total - len(w.b); n > 0 {
+		w.b = append(w.b, zeros[:n]...)
 	}
 }
 
@@ -214,8 +233,12 @@ func (r *rbuf) bytes() []byte {
 }
 
 // EncodeSection serializes one section of the snapshot.
-func (s *TCPSnapshot) EncodeSection(id SectionID) []byte {
-	var w wbuf
+func (s *TCPSnapshot) EncodeSection(id SectionID) []byte { return s.AppendSection(nil, id) }
+
+// AppendSection appends the encoding of one section to dst and returns
+// the extended slice.
+func (s *TCPSnapshot) AppendSection(dst []byte, id SectionID) []byte {
+	w := wbuf{b: dst}
 	switch id {
 	case SecIdentity:
 		w.u32(uint32(s.LocalIP))
@@ -233,7 +256,7 @@ func (s *TCPSnapshot) EncodeSection(id SectionID) []byte {
 		// inet_sock, protocol options, sk_buff_head headers, timers, ...)
 		// is configuration fixed at connection setup: it rides with the
 		// identity section, which never changes after the first transfer.
-		w.pad(KernelSockImageBytes)
+		w.pad(len(dst) + KernelSockImageBytes)
 	case SecCore:
 		w.u32(s.ISS)
 		w.u32(s.SndUna)
@@ -264,19 +287,20 @@ func (s *TCPSnapshot) EncodeSection(id SectionID) []byte {
 	return w.b
 }
 
-// SectionHashBytes returns the section encoding with the capture-time
-// clock (SrcJiffies) masked out. Change trackers must hash this form:
-// SrcJiffies is stamped at every snapshot and would otherwise make an
-// idle socket's core section look modified every precopy round.
-func (s *TCPSnapshot) SectionHashBytes(id SectionID) []byte {
+// AppendSectionHashBytes appends the section encoding with the
+// capture-time clock (SrcJiffies) masked out. Change trackers must hash
+// this form: SrcJiffies is stamped at every snapshot and would otherwise
+// make an idle socket's core section look modified every precopy round.
+// Only the core section differs from AppendSection's bytes.
+func (s *TCPSnapshot) AppendSectionHashBytes(dst []byte, id SectionID) []byte {
 	if id != SecCore {
-		return s.EncodeSection(id)
+		return s.AppendSection(dst, id)
 	}
 	saved := s.SrcJiffies
 	s.SrcJiffies = 0
-	b := s.EncodeSection(id)
+	dst = s.AppendSection(dst, id)
 	s.SrcJiffies = saved
-	return b
+	return dst
 }
 
 func encodeQueue(w *wbuf, q [][]byte) {
@@ -364,9 +388,11 @@ func (s *TCPSnapshot) ApplySection(id SectionID, data []byte) error {
 func (s *TCPSnapshot) Encode() []byte {
 	var w wbuf
 	for id := SectionID(0); id < numSections; id++ {
-		sec := s.EncodeSection(id)
 		w.u8(byte(id))
-		w.bytes(sec)
+		w.u32(0) // section length, known once it is appended
+		at := len(w.b)
+		w.b = s.AppendSection(w.b, id)
+		binary.BigEndian.PutUint32(w.b[at-4:], uint32(len(w.b)-at))
 	}
 	return w.b
 }
@@ -438,16 +464,16 @@ func RestoreTCP(st *Stack, snap *TCPSnapshot) (*TCPSocket, error) {
 	sk.LastTxJiffies = snap.LastTxJiffies
 
 	var err error
-	if sk.writeQueue, err = unmarshalQueue(snap.WriteQueue); err != nil {
+	if sk.writeQueue, err = unmarshalQueue(&st.pool, snap.WriteQueue); err != nil {
 		return nil, err
 	}
-	if sk.receiveQueue, err = unmarshalQueue(snap.ReceiveQueue); err != nil {
+	if sk.receiveQueue, err = unmarshalQueue(&st.pool, snap.ReceiveQueue); err != nil {
 		return nil, err
 	}
 	for _, p := range sk.receiveQueue {
 		sk.rcvBufUsed += len(p.Payload)
 	}
-	if sk.oooQueue, err = unmarshalQueue(snap.OOOQueue); err != nil {
+	if sk.oooQueue, err = unmarshalQueue(&st.pool, snap.OOOQueue); err != nil {
 		return nil, err
 	}
 	if !snap.Listening {
@@ -495,8 +521,12 @@ func SnapshotUDP(us *UDPSocket) *UDPSnapshot {
 }
 
 // Encode serializes the UDP snapshot.
-func (s *UDPSnapshot) Encode() []byte {
-	var w wbuf
+func (s *UDPSnapshot) Encode() []byte { return s.AppendEncode(nil) }
+
+// AppendEncode appends the encoding of the UDP snapshot to dst and
+// returns the extended slice.
+func (s *UDPSnapshot) AppendEncode(dst []byte) []byte {
+	w := wbuf{b: dst}
 	w.u32(uint32(s.LocalIP))
 	w.u16(s.LocalPort)
 	w.u32(s.SrcJiffies)
@@ -516,14 +546,14 @@ func (s *UDPSnapshot) Encode() []byte {
 	return w.b
 }
 
-// HashBytes returns the encoding with SrcJiffies masked, for change
-// tracking (see TCPSnapshot.SectionHashBytes).
-func (s *UDPSnapshot) HashBytes() []byte {
+// AppendHashBytes appends the encoding with SrcJiffies masked, for change
+// tracking (see TCPSnapshot.AppendSectionHashBytes).
+func (s *UDPSnapshot) AppendHashBytes(dst []byte) []byte {
 	saved := s.SrcJiffies
 	s.SrcJiffies = 0
-	b := s.Encode()
+	dst = s.AppendEncode(dst)
 	s.SrcJiffies = saved
-	return b
+	return dst
 }
 
 // DecodeUDPSnapshot parses an encoded UDP snapshot.

@@ -58,6 +58,67 @@ func TestIdentitySectionHasKernelImageSize(t *testing.T) {
 	}
 }
 
+// TestAppendFormsStartWhereTheBufferEnds: every append form writes the
+// same bytes behind a non-empty prefix as into an empty buffer and leaves
+// the prefix alone — padding in particular is counted from the section's
+// start, not the buffer's — and the hash forms differ from the shipped
+// ones in the capture clock only.
+func TestAppendFormsStartWhereTheBufferEnds(t *testing.T) {
+	pkt := &netsim.Packet{SrcIP: addrB, DstIP: addrA, Proto: netsim.ProtoTCP, Seq: 7, Payload: []byte("queued")}
+	snap := &TCPSnapshot{
+		LocalIP: addrB, RemoteIP: addrA, LocalPort: 80, RemotePort: 40000, State: TCPEstablished,
+		ISS: 1, SndUna: 2, SndNxt: 3, IRS: 4, RcvNxt: 5, SrcJiffies: 0xA1B2C3D4, MSS: DefaultMSS,
+		SndBuf:     []byte("unsent bytes"),
+		WriteQueue: [][]byte{pkt.Marshal(), pkt.Marshal()}, ReceiveQueue: [][]byte{pkt.Marshal()},
+	}
+	prefix := []byte("what the buffer already holds")
+	behindPrefix := func(name string, appendTo func(dst []byte) []byte) []byte {
+		t.Helper()
+		want := appendTo(nil)
+		got := appendTo(append([]byte(nil), prefix...))
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("%s: %d bytes behind a %d-byte prefix, %d into an empty buffer, or the prefix changed",
+				name, len(got)-len(prefix), len(prefix), len(want))
+		}
+		return want
+	}
+	clockOnly := func(name string, shipped, hashed []byte, clockOff int) {
+		t.Helper()
+		masked := append([]byte(nil), shipped...)
+		copy(masked[clockOff:], []byte{0, 0, 0, 0})
+		if bytes.Equal(shipped, hashed) || !bytes.Equal(masked, hashed) {
+			t.Fatalf("%s: the hash form is not the shipped form with the clock at %d zeroed", name, clockOff)
+		}
+	}
+	for id := SectionID(0); id < numSections; id++ {
+		shipped := behindPrefix(id.String(), func(dst []byte) []byte { return snap.AppendSection(dst, id) })
+		hashed := behindPrefix(id.String()+" hash form", func(dst []byte) []byte { return snap.AppendSectionHashBytes(dst, id) })
+		if !bytes.Equal(shipped, snap.EncodeSection(id)) {
+			t.Fatalf("%s: EncodeSection differs from AppendSection(nil)", id)
+		}
+		if id == SecCore {
+			clockOnly("core", shipped, hashed, 14*4)
+		} else if !bytes.Equal(shipped, hashed) {
+			t.Fatalf("%s: hash form differs from the shipped form", id)
+		}
+	}
+	if len(snap.EncodeSection(SecIdentity)) != KernelSockImageBytes {
+		t.Fatal("identity section lost its size")
+	}
+	if snap.SrcJiffies != 0xA1B2C3D4 {
+		t.Fatal("a hash form left the capture clock masked")
+	}
+
+	udp := &UDPSnapshot{LocalIP: addrB, LocalPort: 27960, SrcJiffies: 0xA1B2C3D4, PacketsIn: 2,
+		Queue: []Datagram{{SrcIP: addrA, SrcPort: 9, Payload: []byte("dgram")}}}
+	shipped := behindPrefix("udp", udp.AppendEncode)
+	hashed := behindPrefix("udp hash form", udp.AppendHashBytes)
+	clockOnly("udp", shipped, hashed, 6)
+	if !bytes.Equal(shipped, udp.Encode()) || udp.SrcJiffies != 0xA1B2C3D4 {
+		t.Fatal("udp: Encode differs from AppendEncode(nil), or the clock stayed masked")
+	}
+}
+
 func TestQueueSectionSizeCountsSkbOverhead(t *testing.T) {
 	snap := &TCPSnapshot{}
 	empty := snap.EncodeSection(SecWriteQueue)

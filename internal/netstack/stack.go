@@ -9,8 +9,6 @@ import (
 )
 
 // FourTuple identifies an established TCP connection in the ehash table.
-// Addresses first, ports last: 12 bytes with no padding hole, so the
-// runtime hashes the key with one memhash instead of field by field.
 type FourTuple struct {
 	LocalIP    netsim.Addr
 	RemoteIP   netsim.Addr
@@ -48,16 +46,21 @@ type Stack struct {
 
 	nics       []*netsim.NIC
 	routes     []route
-	localAddrs map[netsim.Addr]bool
+	localAddrs []netsim.Addr // one per NIC: two on a server node
 
 	hooks    hookTable
 	dstCache map[netsim.Addr]*netsim.DstEntry
 
 	// The kernel lookup tables the paper names: ehash for established
-	// connections, bhash for bound/listening ports, and the UDP hash.
-	ehash map[FourTuple]*TCPSocket
-	bhash map[uint16]*TCPSocket
-	udph  map[uint16]*UDPSocket
+	// connections, bhash for bound/listening ports, and the UDP hash
+	// (table.go).
+	ehash ehashTable
+	bhash portTable[TCPSocket]
+	udph  portTable[UDPSocket]
+
+	// pool mints every packet this stack's sockets send or restore, and
+	// takes each back when it is released anywhere in the cell.
+	pool netsim.Pool
 
 	nextEphemeral uint16
 	isnCounter    uint32
@@ -90,11 +93,7 @@ func NewStack(sched *simtime.Scheduler, name string, bootJiffies uint32) *Stack 
 		Name:        name,
 		sched:       sched,
 		BootJiffies: bootJiffies,
-		localAddrs:  make(map[netsim.Addr]bool),
 		dstCache:    make(map[netsim.Addr]*netsim.DstEntry),
-		ehash:       make(map[FourTuple]*TCPSocket),
-		bhash:       make(map[uint16]*TCPSocket),
-		udph:        make(map[uint16]*UDPSocket),
 		// The ephemeral-port cursor starts at a node-specific point, as
 		// it would on machines with distinct histories; without this,
 		// identical allocation sequences on every node would make a
@@ -104,6 +103,10 @@ func NewStack(sched *simtime.Scheduler, name string, bootJiffies uint32) *Stack 
 		isnCounter:    uint32(bootJiffies)*2654435761 + 7,
 	}
 }
+
+// PoolStats reports the census of the stack's packet free list, for tests
+// and diagnostics.
+func (s *Stack) PoolStats() netsim.PoolStats { return s.pool.Stats() }
 
 // Scheduler exposes the virtual clock the stack runs on.
 func (s *Stack) Scheduler() *simtime.Scheduler { return s.sched }
@@ -123,8 +126,19 @@ func (s *Stack) Jiffies() uint32 { return simtime.Jiffies(s.sched.Now(), s.BootJ
 // the stack as the NIC's ingress handler.
 func (s *Stack) AttachNIC(nic *netsim.NIC, addr netsim.Addr) {
 	s.nics = append(s.nics, nic)
-	s.localAddrs[addr] = true
-	nic.SetHandler(netsim.HandlerFunc(func(p *netsim.Packet) { s.input(p) }))
+	if !s.isLocal(addr) {
+		s.localAddrs = append(s.localAddrs, addr)
+	}
+	nic.SetHandler(s)
+}
+
+func (s *Stack) isLocal(addr netsim.Addr) bool {
+	for _, a := range s.localAddrs {
+		if a == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // AddRoute installs a prefix route: packets to addresses matching the
@@ -191,9 +205,10 @@ func (s *Stack) MakeDst(addr netsim.Addr) (*netsim.DstEntry, error) {
 	return &netsim.DstEntry{NextHop: addr, Iface: r.nic.Name}, nil
 }
 
-// input is the ip_rcv path: PRE_ROUTING hooks, local-address check,
-// LOCAL_IN hooks, then transport demux.
-func (s *Stack) input(p *netsim.Packet) {
+// DeliverPacket is the ip_rcv path — the stack is its NICs' ingress
+// handler: PRE_ROUTING hooks, local-address check, LOCAL_IN hooks, then
+// transport demux.
+func (s *Stack) DeliverPacket(p *netsim.Packet) {
 	if s.down {
 		p.Release()
 		return
@@ -205,7 +220,7 @@ func (s *Stack) input(p *netsim.Packet) {
 		}
 		return
 	}
-	if !s.localAddrs[p.DstIP] {
+	if !s.isLocal(p.DstIP) {
 		// Not ours and we do not forward; broadcast copies for other
 		// nodes' flows die here too when the address differs.
 		s.Stats.NoSocketDrops++
@@ -249,12 +264,12 @@ func (s *Stack) Reinject(p *netsim.Packet) {
 func (s *Stack) demux(p *netsim.Packet) {
 	switch p.Proto {
 	case netsim.ProtoTCP:
-		if sk := s.ehash[FourTuple{LocalIP: p.DstIP, LocalPort: p.DstPort, RemoteIP: p.SrcIP, RemotePort: p.SrcPort}]; sk != nil {
+		if sk := s.ehash.get(makeEhashKey(p.DstIP, p.SrcIP, p.DstPort, p.SrcPort)); sk != nil {
 			s.Stats.Delivered++
 			sk.input(p)
 			return
 		}
-		if lk := s.bhash[p.DstPort]; lk != nil && lk.State == TCPListen {
+		if lk := s.bhash.get(p.DstPort); lk != nil && lk.State == TCPListen {
 			s.Stats.Delivered++
 			lk.listenInput(p)
 			return
@@ -264,7 +279,7 @@ func (s *Stack) demux(p *netsim.Packet) {
 		s.Stats.NoSocketDrops++
 		p.Release()
 	case netsim.ProtoUDP:
-		if us := s.udph[p.DstPort]; us != nil {
+		if us := s.udph.get(p.DstPort); us != nil {
 			s.Stats.Delivered++
 			us.input(p)
 			return
@@ -336,7 +351,7 @@ func (s *Stack) allocEphemeral() uint16 {
 		if s.nextEphemeral < 32768 {
 			s.nextEphemeral = 32768
 		}
-		if s.bhash[p] == nil && s.udph[p] == nil {
+		if s.bhash.get(p) == nil && s.udph.get(p) == nil {
 			return p
 		}
 	}
@@ -352,18 +367,14 @@ func (s *Stack) nextISN() uint32 {
 // particular order; the migration engine iterates the FD table instead,
 // this accessor exists for tests and monitoring.
 func (s *Stack) EstablishedSockets() []*TCPSocket {
-	out := make([]*TCPSocket, 0, len(s.ehash))
-	for _, sk := range s.ehash {
-		out = append(out, sk)
-	}
-	return out
+	return s.ehash.appendAll(make([]*TCPSocket, 0, s.ehash.len()))
 }
 
 // LookupEstablished finds a socket in the ehash table.
-func (s *Stack) LookupEstablished(t FourTuple) *TCPSocket { return s.ehash[t] }
+func (s *Stack) LookupEstablished(t FourTuple) *TCPSocket { return s.ehash.get(t.key()) }
 
 // LookupBound finds a listening socket in the bhash table.
-func (s *Stack) LookupBound(port uint16) *TCPSocket { return s.bhash[port] }
+func (s *Stack) LookupBound(port uint16) *TCPSocket { return s.bhash.get(port) }
 
 // LookupUDP finds a bound UDP socket.
-func (s *Stack) LookupUDP(port uint16) *UDPSocket { return s.udph[port] }
+func (s *Stack) LookupUDP(port uint16) *UDPSocket { return s.udph.get(port) }

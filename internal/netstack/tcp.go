@@ -179,6 +179,9 @@ type TCPSocket struct {
 	// forever and the event queue would never drain.
 	TimedOut bool
 
+	// ehashNext chains the sockets of one ehash bucket (table.go).
+	ehashNext *TCPSocket
+
 	locked        bool
 	readerWaiting bool
 	unhashed      bool
@@ -225,14 +228,14 @@ func (sk *TCPSocket) Tuple() FourTuple {
 // Listen binds the socket to port on addr and enters LISTEN state,
 // inserting it into the bhash table.
 func (sk *TCPSocket) Listen(addr netsim.Addr, port uint16) error {
-	if sk.stack.bhash[port] != nil {
+	if sk.stack.bhash.get(port) != nil {
 		return fmt.Errorf("netstack %s: port %d already bound", sk.stack.Name, port)
 	}
 	sk.LocalIP = addr
 	sk.LocalPort = port
 	sk.State = TCPListen
 	sk.ownsBind = true
-	sk.stack.bhash[port] = sk
+	sk.stack.bhash.set(port, sk)
 	return nil
 }
 
@@ -247,12 +250,12 @@ func (sk *TCPSocket) Connect(addr netsim.Addr, port uint16) error {
 	sk.RemoteIP = addr
 	sk.RemotePort = port
 	sk.ownsBind = true
-	sk.stack.bhash[sk.LocalPort] = sk
+	sk.stack.bhash.set(sk.LocalPort, sk)
 	sk.ISS = sk.stack.nextISN()
 	sk.SndUna = sk.ISS
 	sk.SndNxt = sk.ISS + 1
 	sk.State = TCPSynSent
-	sk.stack.ehash[sk.Tuple()] = sk
+	sk.stack.ehash.put(sk)
 	if sk.dst, err = sk.stack.DstFor(addr); err != nil {
 		return err
 	}
@@ -277,7 +280,7 @@ func (sk *TCPSocket) listenInput(p *netsim.Packet) {
 	child.LocalPort = p.DstPort
 	child.RemoteIP = p.SrcIP
 	child.RemotePort = p.SrcPort
-	if sk.stack.ehash[child.Tuple()] != nil {
+	if sk.stack.ehash.get(child.ekey()) != nil {
 		return // duplicate SYN for an in-progress connection
 	}
 	child.IRS = p.Seq
@@ -287,10 +290,10 @@ func (sk *TCPSocket) listenInput(p *netsim.Packet) {
 	child.SndNxt = child.ISS + 1
 	child.TSRecent = p.TSVal
 	child.State = TCPSynRcvd
-	sk.stack.ehash[child.Tuple()] = child
+	sk.stack.ehash.put(child)
 	d, err := sk.stack.DstFor(p.SrcIP)
 	if err != nil {
-		delete(sk.stack.ehash, child.Tuple())
+		sk.stack.ehash.del(child.ekey())
 		return
 	}
 	child.dst = d
@@ -398,7 +401,7 @@ func (sk *TCPSocket) Close() {
 	}
 	switch sk.State {
 	case TCPListen:
-		delete(sk.stack.bhash, sk.LocalPort)
+		sk.stack.bhash.set(sk.LocalPort, nil)
 		sk.State = TCPClosed
 	case TCPEstablished:
 		sk.State = TCPFinWait1
@@ -537,7 +540,7 @@ func (sk *TCPSocket) segArrived(p *netsim.Packet) {
 		if p.Flags&netsim.FlagACK != 0 && p.Ack == sk.SndNxt {
 			sk.State = TCPEstablished
 			sk.stopRetransTimer()
-			if parent := sk.stack.bhash[sk.LocalPort]; parent != nil && parent.State == TCPListen {
+			if parent := sk.stack.bhash.get(sk.LocalPort); parent != nil && parent.State == TCPListen {
 				parent.acceptQueue = append(parent.acceptQueue, sk)
 				if parent.OnAccept != nil {
 					parent.OnAccept(sk)
@@ -746,9 +749,9 @@ func (sk *TCPSocket) becomeClosed() {
 	sk.State = TCPClosed
 	sk.stopRetransTimer()
 	if !sk.unhashed {
-		delete(sk.stack.ehash, sk.Tuple())
-		if sk.ownsBind && sk.stack.bhash[sk.LocalPort] == sk {
-			delete(sk.stack.bhash, sk.LocalPort)
+		sk.stack.ehash.del(sk.ekey())
+		if sk.ownsBind && sk.stack.bhash.get(sk.LocalPort) == sk {
+			sk.stack.bhash.set(sk.LocalPort, nil)
 		}
 	}
 }
@@ -777,7 +780,7 @@ func (sk *TCPSocket) pushNew() {
 			sk.ensurePersistTimer()
 			break
 		}
-		payload := netsim.GetPayload(n)
+		payload := sk.stack.pool.GetPayload(n)
 		copy(payload, sk.unsent())
 		sk.segmented(n)
 		seg := sk.makePacket(netsim.FlagACK|netsim.FlagPSH, sk.SndNxt, sk.RcvNxt, payload)
@@ -808,7 +811,7 @@ func (sk *TCPSocket) ensurePersistTimer() {
 			// Window probe: push a single byte past the window. The
 			// receiver acknowledges it with its current window, which
 			// either reopens transmission or re-arms the probe.
-			payload := netsim.GetPayload(1)
+			payload := sk.stack.pool.GetPayload(1)
 			payload[0] = sk.unsent()[0]
 			sk.segmented(1)
 			seg := sk.makePacket(netsim.FlagACK|netsim.FlagPSH, sk.SndNxt, sk.RcvNxt, payload)
@@ -849,7 +852,7 @@ func (sk *TCPSocket) tsNow() uint32 { return sk.stack.Jiffies() + sk.TSOffset }
 // destination cache entry onto a new segment.
 func (sk *TCPSocket) makePacket(flags byte, seq, ack uint32, payload []byte) *netsim.Packet {
 	sk.LastTxJiffies = sk.tsNow()
-	p := netsim.NewPacket()
+	p := sk.stack.pool.NewPacket()
 	p.SrcIP, p.DstIP, p.Proto, p.TTL = sk.LocalIP, sk.RemoteIP, netsim.ProtoTCP, 64
 	p.SrcPort, p.DstPort = sk.LocalPort, sk.RemotePort
 	p.Seq, p.Ack, p.Flags, p.Window = seq, ack, flags, sk.advertisedWindow()
@@ -1028,9 +1031,9 @@ func (sk *TCPSocket) Unhash() {
 	if sk.unhashed {
 		return
 	}
-	delete(sk.stack.ehash, sk.Tuple())
-	if sk.ownsBind && sk.stack.bhash[sk.LocalPort] == sk {
-		delete(sk.stack.bhash, sk.LocalPort)
+	sk.stack.ehash.del(sk.ekey())
+	if sk.ownsBind && sk.stack.bhash.get(sk.LocalPort) == sk {
+		sk.stack.bhash.set(sk.LocalPort, nil)
 	}
 	sk.stopRetransTimer()
 	if sk.persistTimer != nil {
@@ -1048,20 +1051,20 @@ func (sk *TCPSocket) Rehash() error {
 	}
 	st := sk.stack
 	if sk.State == TCPListen {
-		if st.bhash[sk.LocalPort] != nil {
+		if st.bhash.get(sk.LocalPort) != nil {
 			return fmt.Errorf("netstack %s: port %d already bound", st.Name, sk.LocalPort)
 		}
-		st.bhash[sk.LocalPort] = sk
+		st.bhash.set(sk.LocalPort, sk)
 		sk.ownsBind = true
 		sk.unhashed = false
 		return nil
 	}
-	if st.ehash[sk.Tuple()] != nil {
+	if st.ehash.get(sk.ekey()) != nil {
 		return fmt.Errorf("netstack %s: tuple %v already hashed", st.Name, sk.Tuple())
 	}
-	st.ehash[sk.Tuple()] = sk
-	if st.bhash[sk.LocalPort] == nil {
-		st.bhash[sk.LocalPort] = sk
+	st.ehash.put(sk)
+	if st.bhash.get(sk.LocalPort) == nil {
+		st.bhash.set(sk.LocalPort, sk)
 		sk.ownsBind = true
 	} else {
 		sk.ownsBind = false

@@ -50,12 +50,12 @@ func (us *UDPSocket) Stack() *Stack { return us.stack }
 
 // Bind hashes the socket under the local port.
 func (us *UDPSocket) Bind(addr netsim.Addr, port uint16) error {
-	if us.stack.udph[port] != nil {
+	if us.stack.udph.get(port) != nil {
 		return fmt.Errorf("netstack %s: UDP port %d already bound", us.stack.Name, port)
 	}
 	us.LocalIP = addr
 	us.LocalPort = port
-	us.stack.udph[port] = us
+	us.stack.udph.set(port, us)
 	return nil
 }
 
@@ -63,7 +63,7 @@ func (us *UDPSocket) Bind(addr netsim.Addr, port uint16) error {
 func (us *UDPSocket) BindEphemeral(addr netsim.Addr) {
 	us.LocalIP = addr
 	us.LocalPort = us.stack.allocEphemeral()
-	us.stack.udph[us.LocalPort] = us
+	us.stack.udph.set(us.LocalPort, us)
 }
 
 // SendTo transmits one datagram.
@@ -79,11 +79,11 @@ func (us *UDPSocket) SendTo(dst netsim.Addr, port uint16, payload []byte) error 
 		}
 		us.dstCacheByPeer[dst] = d
 	}
-	p := netsim.NewPacket()
+	p := us.stack.pool.NewPacket()
 	p.SrcIP, p.DstIP, p.Proto, p.TTL = us.LocalIP, dst, netsim.ProtoUDP, 64
 	p.SrcPort, p.DstPort = us.LocalPort, port
 	p.TSVal = us.stack.Jiffies()
-	p.Payload = netsim.GetPayload(len(payload))
+	p.Payload = us.stack.pool.GetPayload(len(payload))
 	copy(p.Payload, payload)
 	p.Dst = d
 	p.FixChecksum()
@@ -135,8 +135,8 @@ func (us *UDPSocket) ReceiveQueue() []Datagram { return us.receiveQueue[us.rcvHe
 
 // Close unbinds the socket.
 func (us *UDPSocket) Close() {
-	if !us.unhashed && us.stack.udph[us.LocalPort] == us {
-		delete(us.stack.udph, us.LocalPort)
+	if !us.unhashed && us.stack.udph.get(us.LocalPort) == us {
+		us.stack.udph.set(us.LocalPort, nil)
 	}
 	us.unhashed = true
 }
@@ -147,8 +147,8 @@ func (us *UDPSocket) Unhash() {
 	if us.unhashed {
 		return
 	}
-	if us.stack.udph[us.LocalPort] == us {
-		delete(us.stack.udph, us.LocalPort)
+	if us.stack.udph.get(us.LocalPort) == us {
+		us.stack.udph.set(us.LocalPort, nil)
 	}
 	us.unhashed = true
 }
@@ -158,10 +158,10 @@ func (us *UDPSocket) Rehash() error {
 	if !us.unhashed {
 		return fmt.Errorf("netstack: rehash of a hashed UDP socket")
 	}
-	if us.stack.udph[us.LocalPort] != nil {
+	if us.stack.udph.get(us.LocalPort) != nil {
 		return fmt.Errorf("netstack %s: UDP port %d already bound", us.stack.Name, us.LocalPort)
 	}
-	us.stack.udph[us.LocalPort] = us
+	us.stack.udph.set(us.LocalPort, us)
 	us.unhashed = false
 	return nil
 }

@@ -202,17 +202,27 @@ func hashBytes(b []byte) uint64 {
 // rounds — "we maintain tracking structures for connections and transfer
 // only the changes in each subsequent loop" (§III-C).
 type Tracker struct {
-	prevTCP map[int][]uint64 // fd -> section hashes
-	prevUDP map[int]uint64   // fd -> snapshot hash
+	prevTCP map[int]*[numSections]uint64 // fd -> section hashes
+	prevUDP map[int]uint64               // fd -> snapshot hash
 	// SkippedLocked counts sockets left for a later round because they
 	// were locked or mid fast-path receive (§V-C1).
 	SkippedLocked uint64
 	round         int
+
+	// One snapshot and one encode buffer serve every socket of every
+	// round: a section is encoded into scratch to be hashed, and only a
+	// changed one is copied out, so a round over quiescent sockets
+	// allocates nothing per socket.
+	snap    netstack.TCPSnapshot
+	scratch []byte
 }
+
+// numSections is the number of TCP snapshot sections a delta can carry.
+const numSections = int(netstack.SecOOOQueue) + 1
 
 // NewTracker creates an empty tracker.
 func NewTracker() *Tracker {
-	return &Tracker{prevTCP: make(map[int][]uint64), prevUDP: make(map[int]uint64)}
+	return &Tracker{prevTCP: make(map[int]*[numSections]uint64), prevUDP: make(map[int]uint64)}
 }
 
 // CaptureKeys returns the capture-filter keys for every socket of the
@@ -245,60 +255,88 @@ func CaptureKeys(p *proc.Process) []netsim.FlowKey {
 func (t *Tracker) Delta(p *proc.Process, freeze bool) *SockDelta {
 	t.round++
 	d := &SockDelta{Round: t.round}
-	tcpFDs, udpFDs := socketsByFD(p)
-	for _, fd := range sortedKeysT(tcpFDs) {
-		sk := tcpFDs[fd]
+	fds := p.FDs.FDs()
+	for _, fd := range fds {
+		f, ok := p.FDs.Get(fd).(*proc.TCPFile)
+		if !ok {
+			continue
+		}
+		sk := f.Sock
 		if !freeze && (sk.Locked() || sk.PrequeueBusy()) {
 			t.SkippedLocked++
 			continue
 		}
-		snap := netstack.SnapshotTCP(sk)
+		netstack.SnapshotTCPInto(&t.snap, sk)
 		prev := t.prevTCP[fd]
 		if prev == nil {
-			prev = make([]uint64, 5)
+			prev = new([numSections]uint64)
 			t.prevTCP[fd] = prev
 		}
-		var su SockUpdate
-		su.FD = fd
-		su.Kind = 'T'
-		for id := netstack.SectionID(0); id < 5; id++ {
-			h := hashBytes(snap.SectionHashBytes(id))
-			if h != prev[id] {
-				prev[id] = h
-				su.Sections = append(su.Sections, SectionUpdate{ID: id, Data: snap.EncodeSection(id)})
+		su := SockUpdate{FD: fd, Kind: 'T'}
+		for id := netstack.SectionID(0); int(id) < numSections; id++ {
+			t.scratch = t.snap.AppendSectionHashBytes(t.scratch[:0], id)
+			h := hashBytes(t.scratch)
+			if h == prev[id] {
+				continue
 			}
+			prev[id] = h
+			data := make([]byte, len(t.scratch))
+			if id == netstack.SecCore {
+				// The hashed form has the capture clock masked; ship the
+				// real one (same length, a few dozen bytes).
+				data = t.snap.AppendSection(data[:0], id)
+			} else {
+				copy(data, t.scratch)
+			}
+			su.Sections = append(su.Sections, SectionUpdate{ID: id, Data: data})
 		}
 		if len(su.Sections) > 0 {
 			d.Socks = append(d.Socks, su)
 		}
 	}
-	for _, fd := range sortedKeysU(udpFDs) {
-		snap := netstack.SnapshotUDP(udpFDs[fd])
-		h := hashBytes(snap.HashBytes())
+	for _, fd := range fds {
+		f, ok := p.FDs.Get(fd).(*proc.UDPFile)
+		if !ok {
+			continue
+		}
+		snap := netstack.SnapshotUDP(f.Sock)
+		t.scratch = snap.AppendHashBytes(t.scratch[:0])
+		h := hashBytes(t.scratch)
 		if h != t.prevUDP[fd] {
 			t.prevUDP[fd] = h
-			d.Socks = append(d.Socks, SockUpdate{FD: fd, Kind: 'U', UDPData: snap.Encode()})
+			d.Socks = append(d.Socks, SockUpdate{FD: fd, Kind: 'U',
+				UDPData: snap.AppendEncode(make([]byte, 0, len(t.scratch)))})
 		}
 	}
 	return d
+}
+
+// fullTCP is the all-sections update of one TCP socket.
+func fullTCP(fd int, sk *netstack.TCPSocket) SockUpdate {
+	snap := netstack.SnapshotTCP(sk)
+	su := SockUpdate{FD: fd, Kind: 'T', Sections: make([]SectionUpdate, numSections)}
+	for i := range su.Sections {
+		id := netstack.SectionID(i)
+		su.Sections[i] = SectionUpdate{ID: id, Data: snap.EncodeSection(id)}
+	}
+	return su
 }
 
 // FullDelta snapshots every socket completely, ignoring history — what
 // the iterative and plain collective strategies ship in the freeze phase.
 func FullDelta(p *proc.Process) *SockDelta {
 	d := &SockDelta{Round: 0}
-	tcpFDs, udpFDs := socketsByFD(p)
-	for _, fd := range sortedKeysT(tcpFDs) {
-		snap := netstack.SnapshotTCP(tcpFDs[fd])
-		su := SockUpdate{FD: fd, Kind: 'T'}
-		for id := netstack.SectionID(0); id < 5; id++ {
-			su.Sections = append(su.Sections, SectionUpdate{ID: id, Data: snap.EncodeSection(id)})
+	fds := p.FDs.FDs()
+	for _, fd := range fds {
+		if f, ok := p.FDs.Get(fd).(*proc.TCPFile); ok {
+			d.Socks = append(d.Socks, fullTCP(fd, f.Sock))
 		}
-		d.Socks = append(d.Socks, su)
 	}
-	for _, fd := range sortedKeysU(udpFDs) {
-		d.Socks = append(d.Socks, SockUpdate{FD: fd, Kind: 'U',
-			UDPData: netstack.SnapshotUDP(udpFDs[fd]).Encode()})
+	for _, fd := range fds {
+		if f, ok := p.FDs.Get(fd).(*proc.UDPFile); ok {
+			d.Socks = append(d.Socks, SockUpdate{FD: fd, Kind: 'U',
+				UDPData: netstack.SnapshotUDP(f.Sock).Encode()})
+		}
 	}
 	return d
 }
@@ -332,50 +370,13 @@ func FDOfUDP(p *proc.Process, us *netstack.UDPSocket) int {
 // SingleTCP builds a full-state delta for one TCP socket (the iterative
 // strategy's per-connection transfer unit).
 func SingleTCP(fd int, sk *netstack.TCPSocket) *SockDelta {
-	snap := netstack.SnapshotTCP(sk)
-	su := SockUpdate{FD: fd, Kind: 'T'}
-	for id := netstack.SectionID(0); id < 5; id++ {
-		su.Sections = append(su.Sections, SectionUpdate{ID: id, Data: snap.EncodeSection(id)})
-	}
-	return &SockDelta{Socks: []SockUpdate{su}}
+	return &SockDelta{Socks: []SockUpdate{fullTCP(fd, sk)}}
 }
 
 // SingleUDP builds a full-state delta for one UDP socket.
 func SingleUDP(fd int, us *netstack.UDPSocket) *SockDelta {
 	return &SockDelta{Socks: []SockUpdate{{FD: fd, Kind: 'U',
 		UDPData: netstack.SnapshotUDP(us).Encode()}}}
-}
-
-func socketsByFD(p *proc.Process) (map[int]*netstack.TCPSocket, map[int]*netstack.UDPSocket) {
-	tcp := make(map[int]*netstack.TCPSocket)
-	udp := make(map[int]*netstack.UDPSocket)
-	for _, fd := range p.FDs.FDs() {
-		switch f := p.FDs.Get(fd).(type) {
-		case *proc.TCPFile:
-			tcp[fd] = f.Sock
-		case *proc.UDPFile:
-			udp[fd] = f.Sock
-		}
-	}
-	return tcp, udp
-}
-
-func sortedKeysT(m map[int]*netstack.TCPSocket) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sortInts(out)
-	return out
-}
-
-func sortedKeysU(m map[int]*netstack.UDPSocket) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sortInts(out)
-	return out
 }
 
 func sortInts(a []int) {
