@@ -263,6 +263,74 @@ func TestAllocGateCheckpointRound(t *testing.T) {
 	t.Logf("allocs per round, whatever the dirty count: source %.0f, destination %.0f", srcLarge, dstLarge)
 }
 
+// TestAllocGatePageFaults fences the page table's cost rule (DESIGN.md
+// §10 "Page table and frames"): a resident page costs its frame, one
+// table slot and three bits. So stores to resident pages, clearing the
+// dirty bits and counting them allocate nothing; faulting a large region
+// in costs one allocation per eight frames plus the leaves and the ramp
+// up to 8-frame chunks, and at most 2 % over the frames in bytes; and a
+// small region pays for the pages it touched, not for a full leaf or a
+// full chunk — the shape soak3's 1 500 eight-page service heaps bound.
+func TestAllocGatePageFaults(t *testing.T) {
+	const pages = 4096
+	var as *proc.AddressSpace
+	var heap *proc.VMA
+	faultIn := func() {
+		as = proc.NewAddressSpace()
+		heap = as.Mmap(pages*proc.PageSize, "rw-")
+		for i := uint64(0); i < pages; i++ {
+			if err := as.Touch(heap.Start + i*proc.PageSize); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocs, bytes := testing.AllocsPerRun(3, faultIn), allocated(faultIn)
+	t.Logf("faulting %d pages in: %.0f allocations, %d bytes (%.4f of the frames)", pages, allocs, bytes, float64(bytes)/(pages*proc.PageSize))
+	if allocs > pages/8+64 {
+		t.Errorf("faulting %d pages in took %.0f allocations, want at most %d (a chunk per 8 frames, the leaves, the ramp)", pages, allocs, pages/8+64)
+	}
+	if limit := uint64(pages * proc.PageSize * 102 / 100); bytes > limit {
+		t.Errorf("faulting %d pages in allocated %d bytes, want at most %d (the frames + 2%%)", pages, bytes, limit)
+	}
+
+	one := []byte{1}
+	as.ClearDirty()
+	if n := testing.AllocsPerRun(10, func() {
+		for i := uint64(0); i < pages; i += 7 {
+			if as.Touch(heap.Start+i*proc.PageSize) != nil || as.Write(heap.Start+i*proc.PageSize+9, one) != nil {
+				t.Fatal("store to a resident page failed")
+			}
+		}
+		if heap.DirtyCount() != (pages+6)/7 {
+			t.Fatalf("%d dirty pages, want %d", heap.DirtyCount(), (pages+6)/7)
+		}
+		as.ClearDirty()
+	}); n != 0 {
+		t.Errorf("stores to resident pages, a dirty count and ClearDirty allocate %.0f objects, want 0", n)
+	}
+
+	// An 8-page region with two pages touched: the map-backed space of
+	// commit 8a35711 allocated 8 576 bytes for this.
+	const smallRegionBytes = 8576
+	bytes = allocated(func() {
+		small := proc.NewAddressSpace()
+		v := small.Mmap(8*proc.PageSize, "rw-")
+		if small.Touch(v.Start+proc.PageSize) != nil || small.Touch(v.Start+5*proc.PageSize) != nil {
+			t.Fatal("touch failed")
+		}
+	})
+	if bytes > smallRegionBytes {
+		t.Errorf("an 8-page region with two pages touched allocated %d bytes, want at most %d", bytes, smallRegionBytes)
+	}
+}
+
 // TestAllocGateSockScan fences the precopy socket scan: the tracker
 // encodes every section of every socket each round only to hash it, so it
 // does that in one scratch buffer with one reused snapshot, and a round

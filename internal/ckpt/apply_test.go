@@ -2,7 +2,9 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dvemig/internal/proc"
@@ -22,18 +24,36 @@ func refApply(as *proc.AddressSpace, payload []byte) error {
 	return ApplyDelta(as, d)
 }
 
-// cloneSpace deep-copies geometry, page content and page flags.
+// cloneSpace deep-copies geometry, page content and page flags: the
+// clean pages are written first and their dirty bits cleared, then the
+// dirty pages, then the placeholders.
 func cloneSpace(t testing.TB, as *proc.AddressSpace) *proc.AddressSpace {
 	t.Helper()
 	out := proc.NewAddressSpace()
-	for _, v := range as.VMAs() {
-		nv, err := out.MmapFixed(v.Start, v.End, v.Perms)
+	must := func(err error) {
+		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for idx, p := range v.Pages {
-			nv.Pages[idx] = &proc.Page{Data: append([]byte(nil), p.Data...), Dirty: p.Dirty, Absent: p.Absent}
+	}
+	for _, v := range as.VMAs() {
+		_, err := out.MmapFixed(v.Start, v.End, v.Perms)
+		must(err)
+	}
+	for _, dirty := range []bool{false, true} {
+		for _, v := range as.VMAs() {
+			v.Entries(func(e proc.PTE) {
+				if !e.Absent && e.Dirty == dirty {
+					must(out.Write(v.Start+e.Index*proc.PageSize, e.Frame))
+				}
+			})
 		}
+		if !dirty {
+			out.ClearDirty()
+		}
+	}
+	for _, r := range as.AbsentPages() {
+		must(out.MarkAbsent(r.VMA.Start, r.PageIndex))
 	}
 	return out
 }
@@ -55,22 +75,23 @@ func requireSameSpace(t testing.TB, what string, got, want *proc.AddressSpace) {
 		if g.Start != w.Start || g.End != w.End || g.Perms != w.Perms {
 			t.Fatalf("%s: region %d is [%#x,%#x) %q, want [%#x,%#x) %q", what, i, g.Start, g.End, g.Perms, w.Start, w.End, w.Perms)
 		}
-		if len(g.Pages) != len(w.Pages) {
-			t.Fatalf("%s: region %#x has %d resident pages, want %d", what, w.Start, len(g.Pages), len(w.Pages))
+		if g.Resident() != w.Resident() {
+			t.Fatalf("%s: region %#x has %d resident pages, want %d", what, w.Start, g.Resident(), w.Resident())
 		}
-		for idx, wp := range w.Pages {
-			gp := g.Pages[idx]
-			if gp == nil {
+		w.Entries(func(wp proc.PTE) {
+			idx := wp.Index
+			gp, ok := g.Entry(idx)
+			if !ok {
 				t.Fatalf("%s: page %#x+%d not resident", what, w.Start, idx)
 			}
-			if !bytes.Equal(gp.Data, wp.Data) || gp.Dirty != wp.Dirty || gp.Absent != wp.Absent {
+			if !bytes.Equal(gp.Frame, wp.Frame) || gp.Dirty != wp.Dirty || gp.Absent != wp.Absent {
 				t.Fatalf("%s: page %#x+%d differs (dirty %v/%v, absent %v/%v)", what, w.Start, idx, gp.Dirty, wp.Dirty, gp.Absent, wp.Absent)
 			}
-			if len(gp.Data) != cap(gp.Data) {
+			if len(gp.Frame) != cap(gp.Frame) {
 				t.Fatalf("%s: page %#x+%d has spare capacity (%d of %d): an append could reach its neighbour",
-					what, w.Start, idx, len(gp.Data), cap(gp.Data))
+					what, w.Start, idx, len(gp.Frame), cap(gp.Frame))
 			}
-		}
+		})
 	}
 }
 
@@ -346,7 +367,7 @@ func TestLentPagesAndEncodedBytesLifetimes(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewTracker().Delta(src)
-	if len(d.Pages) != 2 || &d.Pages[0].Data[0] != &heap.Pages[0].Data[0] {
+	if live, _ := heap.Entry(0); len(d.Pages) != 2 || &d.Pages[0].Data[0] != &live.Frame[0] {
 		t.Fatal("Delta is documented to lend the live page, not copy it")
 	}
 	enc := d.EncodeInto(nil)
@@ -388,6 +409,9 @@ func FuzzApplyEncodedDelta(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add((&MemDelta{Round: 1}).Encode())
+	for _, payload := range hostileResizes() {
+		f.Add(payload)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		base, _ := hostileFixture(t)
 		got, want := cloneSpace(t, base), cloneSpace(t, base)
@@ -399,6 +423,125 @@ func FuzzApplyEncodedDelta(f *testing.F) {
 			requireSameSpace(t, "after an unparseable payload", got, base)
 		} else if errWant == nil {
 			requireSameSpace(t, "in-place vs reference", got, want)
+		}
+	})
+}
+
+// hostileResizes are deltas whose Resized record ends at or below its
+// start. applyGeometry hands Resize End-Start, which wraps: before the
+// check in proc.Resize the first left [0x10000,0x8000) — an inverted,
+// still "resident" region of 2⁶⁴-0x8000 bytes — and the second an empty
+// one.
+func hostileResizes() [][]byte {
+	return [][]byte{
+		(&MemDelta{Round: 2, Resized: []VMARange{{Start: 0x10000, End: 0x8000, Perms: "rw-"}}}).Encode(),
+		(&MemDelta{Round: 2, Resized: []VMARange{{Start: 0x10000, End: 0x10000, Perms: "rw-"}}}).Encode(),
+	}
+}
+
+func TestApplyRejectsInvertedAndEmptyResize(t *testing.T) {
+	base, _ := hostileFixture(t)
+	for i, payload := range hostileResizes() {
+		for what, apply := range map[string]func(*proc.AddressSpace, []byte) error{"in place": ApplyEncodedDelta, "reference": refApply} {
+			as := cloneSpace(t, base)
+			if err := apply(as, payload); err == nil {
+				v := as.VMAs()[0]
+				t.Errorf("payload %d, %s: accepted, region is now [%#x,%#x)", i, what, v.Start, v.End)
+			}
+			requireSameSpace(t, "after a refused resize", as, base)
+		}
+	}
+}
+
+// TestPageDirRejectsIndexPastRegion: a directory entry naming a page at
+// or past its region's end is refused, whichever list it is on, and
+// ExtractPage answers "not resident" for such a coordinate. Before the
+// bounds check MarkAbsent planted a placeholder no access could fault
+// in, and the prefetch sweep waited on it forever.
+func TestPageDirRejectsIndexPastRegion(t *testing.T) {
+	base, _ := hostileFixture(t) // [0x10000,0x14000) is 4 pages, 0 and 1 resident
+	geometry := BuildPageDir(base, nil).VMAs
+	for _, idx := range []uint64{4, 5, 512, 1 << 40, ^uint64(0)} {
+		c := PageCoord{VMAStart: 0x10000, Index: idx}
+		if data, ok := ExtractPage(base, c); ok {
+			t.Errorf("ExtractPage(%d) of a 4-page region lent %d bytes", idx, len(data))
+		}
+		for what, dir := range map[string]*PageDir{
+			"absent":  {VMAs: geometry, Absent: []PageCoord{c}},
+			"present": {VMAs: geometry, Present: []PageCoord{c}},
+		} {
+			as := cloneSpace(t, base)
+			if err := ApplyPageDir(as, dir); err == nil {
+				t.Errorf("directory with %s page %d of a 4-page region accepted (%d placeholders)", what, idx, as.AbsentCount())
+			}
+			requireSameSpace(t, "after a refused directory", as, base)
+		}
+	}
+	// A count that promises more coordinates than the payload could hold
+	// is refused without allocating on its say-so.
+	var w wbuf
+	w.u32(0)
+	w.u32(1 << 24)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := DecodePageDir(w.b); err == nil {
+		t.Fatal("a directory of 2^24 coordinates in 8 bytes decoded")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<16 {
+		t.Errorf("refusing it allocated %d bytes", got)
+	}
+}
+
+// FuzzApplyPageDir: whatever decodes is applied onto a small space, and
+// error or not, the space stays sound — regions ordered and non-empty,
+// every entry inside its region, every placeholder counted and
+// reachable by the access that would fault it in.
+func FuzzApplyPageDir(f *testing.F) {
+	base, _ := hostileFixture(f)
+	valid := BuildPageDir(base, func(_ *proc.VMA, e proc.PTE) bool { return e.Index == 0 })
+	f.Add(valid.Encode())
+	f.Add(valid.Encode()[:20])
+	f.Add((&PageDir{VMAs: valid.VMAs, Absent: []PageCoord{{VMAStart: 0x10000, Index: 1 << 40}}}).Encode())
+	f.Add((&PageDir{VMAs: []VMARange{{Start: 0x10000, End: 0x8000, Perms: "rw-"}}}).Encode())
+	f.Add((&PageDir{VMAs: []VMARange{{Start: 0x1000, End: 1 << 46, Perms: "rw-"}}, Absent: []PageCoord{{VMAStart: 0x1000, Index: 1<<34 - 2}}}).Encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir, err := DecodePageDir(data)
+		if err != nil {
+			return
+		}
+		as := cloneSpace(t, base)
+		applyErr := ApplyPageDir(as, dir)
+		placeholders, end := 0, uint64(0)
+		for _, v := range as.VMAs() {
+			if v.Start < end || v.End <= v.Start {
+				t.Fatalf("region [%#x,%#x) after one ending at %#x", v.Start, v.End, end)
+			}
+			end = v.End
+			v.Entries(func(e proc.PTE) {
+				if e.Index >= v.Len()/proc.PageSize {
+					t.Fatalf("region [%#x,%#x) holds an entry for page %d", v.Start, v.End, e.Index)
+				}
+				if e.Absent {
+					placeholders++
+				}
+			})
+		}
+		if as.AbsentCount() != placeholders || len(as.AbsentPages()) != placeholders {
+			t.Fatalf("%d placeholders in the tables, AbsentCount %d, AbsentPages %d", placeholders, as.AbsentCount(), len(as.AbsentPages()))
+		}
+		for _, r := range as.AbsentPages() {
+			if err := as.Touch(r.Addr()); !errors.Is(err, proc.ErrPageAbsent) {
+				t.Fatalf("placeholder %#x+%d cannot be faulted in: touching it returned %v", r.VMA.Start, r.PageIndex, err)
+			}
+		}
+		if applyErr != nil {
+			return
+		}
+		for _, c := range dir.Absent {
+			if _, ok := ExtractPage(as, c); ok {
+				t.Fatalf("page %#x+%d is listed absent and still extractable", c.VMAStart, c.Index)
+			}
 		}
 	})
 }

@@ -113,3 +113,24 @@ func benchApply(b *testing.B, apply func(as *proc.AddressSpace, payload []byte) 
 func BenchmarkApplyInPlace(b *testing.B) { benchApply(b, ApplyEncodedDelta) }
 
 func BenchmarkDecodeThenApply(b *testing.B) { benchApply(b, refApply) }
+
+// BenchmarkZeroScan times the zero scan where mem128m runs it: over
+// benchPages separately allocated pages with one byte set each, 32 MiB
+// that no cache holds, so the scan is timed against memory the way the
+// first precopy round meets it — not against one warm page.
+func BenchmarkZeroScan(b *testing.B) {
+	pages := make([][]byte, benchPages)
+	for i := range pages {
+		pages[i] = make([]byte, proc.PageSize)
+		pages[i][0] = byte(i) | 1
+	}
+	b.SetBytes(benchPages * proc.PageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range pages {
+			if skipZeros(p, 1) != len(p) {
+				b.Fatal("a page with one byte set has a second non-zero byte")
+			}
+		}
+	}
+}

@@ -35,17 +35,12 @@ func Checkpoint(p *proc.Process) *Image {
 	}
 	for _, v := range p.AS.VMAs() {
 		img.VMAs = append(img.VMAs, VMARange{Start: v.Start, End: v.End, Perms: v.Perms})
-		idxs := make([]uint64, 0, len(v.Pages))
-		for idx := range v.Pages {
-			idxs = append(idxs, idx)
-		}
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-		for _, idx := range idxs {
+		v.Entries(func(e proc.PTE) {
 			img.Pages = append(img.Pages, PageImage{
-				VMAStart: v.Start, Index: idx,
-				Data: append([]byte(nil), v.Pages[idx].Data...),
+				VMAStart: v.Start, Index: e.Index,
+				Data: append([]byte(nil), e.Frame...),
 			})
-		}
+		})
 	}
 	img.FDs = checkpointFDs(p)
 	return img

@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"fmt"
-	"sort"
 
 	"dvemig/internal/proc"
 )
@@ -34,23 +33,18 @@ type PageDir struct {
 // BuildPageDir walks the address space in canonical (VMA, index) order
 // and classifies every resident page with the present predicate. A nil
 // predicate marks everything absent (pure post-copy).
-func BuildPageDir(as *proc.AddressSpace, present func(v *proc.VMA, idx uint64, pg *proc.Page) bool) *PageDir {
+func BuildPageDir(as *proc.AddressSpace, present func(v *proc.VMA, e proc.PTE) bool) *PageDir {
 	dir := &PageDir{}
 	for _, v := range as.VMAs() {
 		dir.VMAs = append(dir.VMAs, VMARange{Start: v.Start, End: v.End, Perms: v.Perms})
-		idxs := make([]uint64, 0, len(v.Pages))
-		for idx := range v.Pages {
-			idxs = append(idxs, idx)
-		}
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-		for _, idx := range idxs {
-			c := PageCoord{VMAStart: v.Start, Index: idx}
-			if present != nil && present(v, idx, v.Pages[idx]) {
+		v.Entries(func(e proc.PTE) {
+			c := PageCoord{VMAStart: v.Start, Index: e.Index}
+			if present != nil && present(v, e) {
 				dir.Present = append(dir.Present, c)
 			} else {
 				dir.Absent = append(dir.Absent, c)
 			}
-		}
+		})
 	}
 	return dir
 }
@@ -93,7 +87,7 @@ func DecodePageDir(data []byte) (*PageDir, error) {
 		if r.err != nil || n > 1<<24 {
 			return nil, fmt.Errorf("ckpt: corrupt page-dir coord count")
 		}
-		coords := make([]PageCoord, 0, n)
+		coords := make([]PageCoord, 0, min(n, (len(data)-r.off)/16)) // no more than the payload can hold
 		for i := 0; i < n && r.err == nil; i++ {
 			coords = append(coords, PageCoord{VMAStart: r.u64(), Index: r.u64()})
 		}
@@ -144,8 +138,7 @@ func ApplyPageDir(as *proc.AddressSpace, dir *PageDir) error {
 		}
 	}
 	for _, c := range dir.Present {
-		v := findRegion(as, c.VMAStart)
-		if v == nil || v.Pages[c.Index] == nil || v.Pages[c.Index].Absent {
+		if _, ok := ExtractPage(as, c); !ok {
 			return fmt.Errorf("ckpt: directory says page %#x+%d is present but it is not",
 				c.VMAStart, c.Index)
 		}
@@ -171,15 +164,16 @@ func findRegion(as *proc.AddressSpace, start uint64) *proc.VMA {
 // the pull server's read primitive. The slice is the page itself: the
 // caller must not write to it or keep it past the freeze (the pull
 // server encodes it into its reply at once). The bool is false when the
-// coordinate names no resident page.
+// coordinate names no resident page: an unknown region, an index past
+// the region's end, a page never touched, a placeholder.
 func ExtractPage(as *proc.AddressSpace, c PageCoord) ([]byte, bool) {
 	v := findRegion(as, c.VMAStart)
 	if v == nil {
 		return nil, false
 	}
-	pg := v.Pages[c.Index]
-	if pg == nil || pg.Absent {
+	e, ok := v.Entry(c.Index)
+	if !ok || e.Absent {
 		return nil, false
 	}
-	return pg.Data, true
+	return e.Frame, true
 }

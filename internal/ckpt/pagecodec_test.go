@@ -296,6 +296,51 @@ func TestScannerMatchesReference(t *testing.T) {
 		}
 	}
 
+	// The 32-byte zero scan. Every start offset across a block and a word
+	// × the first non-zero byte at every position of the first three
+	// blocks, at the last byte of a page and one past it (and nowhere),
+	// over lengths that end inside, on and just past a block edge: the
+	// scan must stop in the right block, hand the word loop the right
+	// word, and leave the right tail to the byte loop.
+	positions := []int{4095, 4096, -1}
+	for p := 0; p <= 100; p++ {
+		positions = append(positions, p)
+	}
+	for _, n := range []int{31, 32, 33, 39, 40, 41, 63, 64, 65, 95, 96, 97, 100, 101, 4095, 4096, 4097} {
+		buf := make([]byte, n)
+		for _, p := range positions {
+			if p >= n {
+				continue
+			}
+			if p >= 0 {
+				buf[p] = 0x80
+			}
+			for from := 0; from <= 40 && from <= n; from++ {
+				want := from
+				for want < n && buf[want] == 0 {
+					want++
+				}
+				if got := skipZeros(buf, from); got != want {
+					t.Fatalf("skipZeros(len %d, from %d) with the first non-zero byte at %d = %d, want %d", n, from, p, got, want)
+				}
+				sameFirstRun(t, "zero-scan", buf, from)
+			}
+			if p >= 0 {
+				buf[p] = 0
+			}
+		}
+	}
+	// A non-zero byte in each of the four words of a block, at each byte
+	// of the word, in the first, a middle and the last block of a page.
+	block := make([]byte, 4096)
+	for _, at := range []int{0, 2048, 4064} {
+		for b := 0; b < 32; b++ {
+			block[at+b] = 1
+			sameCodec(t, "word-of-block", block)
+			block[at+b] = 0
+		}
+	}
+
 	// A zero gap of 1-9 bytes at every alignment mod 8, in a non-zero
 	// buffer and at the edge of a zero one: the merge rule (gaps shorter
 	// than a segment header ride inline) decides every one of these.

@@ -1,10 +1,6 @@
 package ckpt
 
-import (
-	"slices"
-
-	"dvemig/internal/proc"
-)
+import "dvemig/internal/proc"
 
 // MemDelta is one round of incremental address-space updates: geometry
 // changes against the tracking list plus the content of pages dirtied
@@ -117,7 +113,6 @@ type trackEntry struct {
 type Tracker struct {
 	prev  []trackEntry
 	round int
-	idxs  []uint64 // page-index sort scratch, reused across rounds
 }
 
 // NewTracker returns an empty tracker; the first Delta call transfers
@@ -163,20 +158,26 @@ func (t *Tracker) Delta(as *proc.AddressSpace) *MemDelta {
 	}
 
 	// Page content: on the first round everything resident, afterwards
-	// only pages with the dirty bit set, in (VMA, index) order.
+	// only pages with the dirty bit set, in (VMA, index) order — one walk
+	// of the page table, into a list sized by counting first.
 	first := t.round == 1
+	n := 0
 	for _, v := range live {
-		idxs := t.idxs[:0]
-		for idx, p := range v.Pages {
-			if first || p.Dirty {
-				idxs = append(idxs, idx)
-			}
+		if first {
+			n += v.Resident()
+		} else {
+			n += v.DirtyCount()
 		}
-		t.idxs = idxs
-		slices.Sort(idxs)
-		d.Pages = slices.Grow(d.Pages, len(idxs))
-		for _, idx := range idxs {
-			d.Pages = append(d.Pages, PageImage{VMAStart: v.Start, Index: idx, Data: v.Pages[idx].Data})
+	}
+	d.Pages = make([]PageImage, 0, n)
+	for _, v := range live {
+		lend := func(e proc.PTE) {
+			d.Pages = append(d.Pages, PageImage{VMAStart: v.Start, Index: e.Index, Data: e.Frame})
+		}
+		if first {
+			v.Entries(lend)
+		} else {
+			v.DirtyEntries(lend)
 		}
 	}
 	as.ClearDirty()
@@ -261,15 +262,14 @@ func ApplyEncodedDelta(as *proc.AddressSpace, payload []byte) error {
 		if !rec.wholePage(addr) {
 			continue
 		}
-		_, _, p, err := as.PageAt(addr)
+		_, _, page, err := as.PageAt(addr)
 		if err != nil {
 			return err
 		}
-		if p == nil {
+		if page == nil {
 			fresh++
 		}
 	}
-	pages := make([]proc.Page, fresh)
 	slab := make([]byte, fresh*proc.PageSize)
 
 	r.off = first
@@ -284,18 +284,17 @@ func ApplyEncodedDelta(as *proc.AddressSpace, payload []byte) error {
 			}
 			continue
 		}
-		v, idx, p, err := as.PageAt(addr)
+		v, idx, page, err := as.PageAt(addr)
 		if err != nil {
 			return err
 		}
-		if p != nil {
-			rec.expand(p.Data, false)
+		if page != nil {
+			rec.expand(page, false)
 			continue
 		}
-		p, pages = &pages[0], pages[1:]
-		p.Data, slab = slab[:proc.PageSize:proc.PageSize], slab[proc.PageSize:]
-		rec.expand(p.Data, true)
-		v.Pages[idx] = p
+		page, slab = slab[:proc.PageSize], slab[proc.PageSize:]
+		rec.expand(page, true)
+		v.Install(idx, page)
 	}
 	as.ClearDirty()
 	return nil

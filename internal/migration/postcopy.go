@@ -42,9 +42,9 @@ func (ob *outbound) sendPostImage(sd *sockmig.SockDelta, hybrid bool) {
 	if ob.m.Config.Strategy != sockmig.Iterative && sd == nil {
 		sd = &sockmig.SockDelta{}
 	}
-	var present func(v *proc.VMA, idx uint64, pg *proc.Page) bool
+	var present func(v *proc.VMA, e proc.PTE) bool
 	if hybrid {
-		present = func(_ *proc.VMA, _ uint64, pg *proc.Page) bool { return !pg.Dirty }
+		present = func(_ *proc.VMA, e proc.PTE) bool { return !e.Dirty }
 	}
 	dir := ckpt.BuildPageDir(ob.p.AS, present)
 	ob.pullDir = dir

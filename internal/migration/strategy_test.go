@@ -166,9 +166,9 @@ func TestPostcopyShipsEveryPageExactlyOnce(t *testing.T) {
 			// Synchronous with the freeze point: no tick can interleave, so
 			// this is exactly the resident set the directory will describe.
 			for _, v := range e.p.AS.VMAs() {
-				for idx := range v.Pages {
-					frozen[ckpt.PageCoord{VMAStart: v.Start, Index: idx}] = true
-				}
+				v.Entries(func(pe proc.PTE) {
+					frozen[ckpt.PageCoord{VMAStart: v.Start, Index: pe.Index}] = true
+				})
 			}
 		}
 	}

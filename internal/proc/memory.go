@@ -6,6 +6,7 @@ package proc
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -13,38 +14,259 @@ import (
 // PageSize is the virtual memory page size.
 const PageSize = 4096
 
-// Page is one resident page: its data and the page-table dirty bit. The
-// paper's implementation tracks dirtiness via the PTE dirty bit with the
-// swap facility relaxed (§V-A); our pages are never swapped either.
-// Absent marks a post-copy placeholder: the page's content still lives
-// on the migration source, and any access faults (ErrPageAbsent) until
-// FillPage delivers the data.
-type Page struct {
-	Data   []byte
+// leafPages is the span of one page-table leaf: 512 entries, 2 MiB of
+// address space (the reach of one x86-64 page-table page).
+const leafPages = 512
+
+// maxChunkFrames caps the chunk a page fault allocates frames from at
+// eight frames, 32 KiB, so a space never holds more than 28 KiB in frames
+// it has not touched.
+const maxChunkFrames = 8
+
+// frame is one page frame: the 4 KiB that hold a resident page's
+// content. Sliced, it has no capacity past the page, so an append to a
+// lent page can never reach its neighbour in a chunk or slab.
+type frame = [PageSize]byte
+
+// PTE is one page-table entry as the visitors hand it out. The paper's
+// implementation tracks dirtiness via the PTE dirty bit with the swap
+// facility relaxed (§V-A); our pages are never swapped either. Absent
+// marks a post-copy placeholder: the page's content still lives on the
+// migration source, Frame is nil, and any access faults (ErrPageAbsent)
+// until FillPage delivers the data. Otherwise Frame is the page itself,
+// PageSize long with no spare capacity — lent, not copied.
+type PTE struct {
+	Index  uint64
+	Frame  []byte
 	Dirty  bool
 	Absent bool
 }
 
+// leaf is one radix leaf of a region's page table: a frame slot and
+// three bits for each page of a leafPages-aligned extent. It is sized to
+// what the region can hold there — a full 512 slots in the middle of a
+// large region, 8 slots and one bitmap word for an 8-page region — and
+// re-sized when Resize moves the region's end through it.
+type leaf struct {
+	base    uint64   // index of the first page covered, a multiple of leafPages
+	frames  []*frame // nil where no frame is installed
+	present []uint64 // bit i: slot i holds a frame
+	dirty   []uint64 // bit i: written since the last ClearDirty (a subset of present)
+	absent  []uint64 // bit i: post-copy placeholder (disjoint from present)
+}
+
+// newLeaf allocates a leaf of n slots: the slot array, and one array the
+// three bitmaps share.
+func newLeaf(base uint64, n int) leaf {
+	w := (n + 63) / 64
+	bm := make([]uint64, 3*w)
+	return leaf{base: base, frames: make([]*frame, n),
+		present: bm[:w:w], dirty: bm[w : 2*w : 2*w], absent: bm[2*w:]}
+}
+
+// resize re-sizes the leaf to n slots. Entries past n are dropped; the
+// counts of dropped frames and placeholders are returned.
+func (l *leaf) resize(n int) (present, absent int) {
+	nl := newLeaf(l.base, n)
+	copy(nl.frames, l.frames)
+	copy(nl.present, l.present)
+	copy(nl.dirty, l.dirty)
+	copy(nl.absent, l.absent)
+	if tail := uint(n) % 64; tail != 0 {
+		keep, w := uint64(1)<<tail-1, len(nl.present)-1
+		nl.present[w] &= keep
+		nl.dirty[w] &= keep
+		nl.absent[w] &= keep
+	}
+	present = popcount(l.present) - popcount(nl.present)
+	absent = popcount(l.absent) - popcount(nl.absent)
+	*l = nl
+	return present, absent
+}
+
+// bit locates slot i in a leaf's bitmaps: the word and the mask.
+func bit(i uint64) (w, b uint64) { return i / 64, 1 << (i % 64) }
+
+// pte reads slot i.
+func (l *leaf) pte(i uint64) PTE {
+	w, b := bit(i)
+	e := PTE{Index: l.base + i, Dirty: l.dirty[w]&b != 0, Absent: l.absent[w]&b != 0}
+	if f := l.frames[i]; f != nil {
+		e.Frame = f[:]
+	}
+	return e
+}
+
+func popcount(words []uint64) int {
+	n := 0
+	for _, w := range words {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // VMA is a continuous mapped memory area, the analogue of Linux
-// vm_area_struct. Pages are materialized on first touch.
+// vm_area_struct. Pages are materialized on first touch, and so is the
+// page table under them: leaves holds only the 2 MiB extents that were
+// ever touched, sorted by base, so a region costs by what it uses and
+// never by its mapped length or its highest touched index.
 type VMA struct {
 	Start uint64 // inclusive, page aligned
 	End   uint64 // exclusive, page aligned
 	Perms string // e.g. "rw-", informational
-	Pages map[uint64]*Page
+
+	leaves  []leaf
+	last    int // the leaf the previous lookup hit
+	present int // entries holding a frame
+	absent  int // placeholder entries
 }
 
 // Len returns the region size in bytes.
 func (v *VMA) Len() uint64 { return v.End - v.Start }
 
-// Resident returns the number of materialized pages.
-func (v *VMA) Resident() int { return len(v.Pages) }
+func (v *VMA) pages() uint64 { return v.Len() / PageSize }
+
+// Resident returns the number of materialized pages, placeholders
+// included.
+func (v *VMA) Resident() int { return v.present + v.absent }
+
+// DirtyCount returns the number of pages with the dirty bit set.
+func (v *VMA) DirtyCount() int {
+	n := 0
+	for i := range v.leaves {
+		n += popcount(v.leaves[i].dirty)
+	}
+	return n
+}
+
+// search returns the position of the leaf with the given base, or where
+// it would be inserted.
+func (v *VMA) search(base uint64) (int, bool) {
+	lo, hi := 0, len(v.leaves)
+	for lo < hi {
+		if m := int(uint(lo+hi) / 2); v.leaves[m].base < base {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(v.leaves) && v.leaves[lo].base == base
+}
+
+// leafAt returns the leaf holding a slot for page idx, or nil: the
+// extent was never touched, or idx lies past the region's end.
+func (v *VMA) leafAt(idx uint64) *leaf {
+	base := idx &^ (leafPages - 1)
+	i := v.last
+	if i >= len(v.leaves) || v.leaves[i].base != base {
+		var ok bool
+		if i, ok = v.search(base); !ok {
+			return nil
+		}
+		v.last = i
+	}
+	if l := &v.leaves[i]; idx-base < uint64(len(l.frames)) {
+		return l
+	}
+	return nil
+}
+
+// leafFor is leafAt for a store: the leaf is created if the extent was
+// never touched. idx must lie inside the region. The pointer is good
+// until the next leafFor.
+func (v *VMA) leafFor(idx uint64) *leaf {
+	if l := v.leafAt(idx); l != nil {
+		return l
+	}
+	base := idx &^ (leafPages - 1)
+	i, _ := v.search(base)
+	v.leaves = slices.Insert(v.leaves, i, newLeaf(base, int(min(leafPages, v.pages()-base))))
+	v.last = i
+	return &v.leaves[i]
+}
+
+// fit brings the table to a region of n pages: leaves wholly past the
+// end are dropped, and the leaf the end falls in is re-sized to hold
+// exactly what is left of the region (every other leaf is full-sized).
+func (v *VMA) fit(n uint64) {
+	i, _ := v.search(n)
+	for j := i; j < len(v.leaves); j++ {
+		v.present -= popcount(v.leaves[j].present)
+		v.absent -= popcount(v.leaves[j].absent)
+	}
+	clear(v.leaves[i:])
+	v.leaves = v.leaves[:i]
+	if i == 0 {
+		return
+	}
+	l := &v.leaves[i-1]
+	if want := int(min(leafPages, n-l.base)); want != len(l.frames) {
+		present, absent := l.resize(want)
+		v.present -= present
+		v.absent -= absent
+	}
+}
+
+// Entry returns the entry of page idx; false when the page was never
+// touched or idx lies past the region's end.
+func (v *VMA) Entry(idx uint64) (PTE, bool) {
+	l := v.leafAt(idx)
+	if l == nil {
+		return PTE{}, false
+	}
+	e := l.pte(idx - l.base)
+	return e, e.Frame != nil || e.Absent
+}
+
+// Entries calls fn for every entry of the region, resident pages and
+// placeholders alike, in index order. fn must not change the address
+// space.
+func (v *VMA) Entries(fn func(PTE)) {
+	v.walk(func(l *leaf, w int) uint64 { return l.present[w] | l.absent[w] }, fn)
+}
+
+// DirtyEntries calls fn for every entry with the dirty bit set, in index
+// order. fn must not change the address space.
+func (v *VMA) DirtyEntries(fn func(PTE)) {
+	v.walk(func(l *leaf, w int) uint64 { return l.dirty[w] }, fn)
+}
+
+// walk visits, leaf by leaf and word by word, the entries whose bit is
+// set in the word pick selects.
+func (v *VMA) walk(pick func(l *leaf, w int) uint64, fn func(PTE)) {
+	for i := range v.leaves {
+		l := &v.leaves[i]
+		for w := range l.present {
+			for set := pick(l, w); set != 0; set &= set - 1 {
+				fn(l.pte(uint64(w*64 + bits.TrailingZeros64(set))))
+			}
+		}
+	}
+}
+
+// Install makes page the frame of page idx, clean: the restore path cuts
+// the frames of the pages a round brings into existence from one slab
+// and hands each to the table. idx must lie inside the region and name a
+// page with no entry yet; page must be at least PageSize long, and the
+// table keeps exactly its first PageSize bytes.
+func (v *VMA) Install(idx uint64, page []byte) {
+	l := v.leafFor(idx)
+	i := idx - l.base
+	w, b := bit(i)
+	l.frames[i] = (*frame)(page)
+	l.present[w] |= b
+	v.present++
+}
 
 // AddressSpace is an ordered set of non-overlapping VMAs, the analogue of
 // the mm_struct VMA list the tracking mechanism of §V-A diffs against.
 type AddressSpace struct {
 	vmas    []*VMA // sorted by Start
 	nextMap uint64 // bump allocator for anonymous mappings
+
+	// chunk is what is left of the allocation page faults cut their
+	// frames from (newFrame).
+	chunk []byte
 
 	// OnMissing observes every access that lands on an absent page (a
 	// post-copy placeholder whose content is still on the migration
@@ -70,7 +292,7 @@ func (as *AddressSpace) Mmap(length uint64, perms string) *VMA {
 		length = PageSize
 	}
 	length = (length + PageSize - 1) / PageSize * PageSize
-	v := &VMA{Start: as.nextMap, End: as.nextMap + length, Perms: perms, Pages: make(map[uint64]*Page)}
+	v := &VMA{Start: as.nextMap, End: as.nextMap + length, Perms: perms}
 	as.nextMap += length + PageSize // guard page gap
 	as.vmas = append(as.vmas, v)
 	sort.Slice(as.vmas, func(i, j int) bool { return as.vmas[i].Start < as.vmas[j].Start })
@@ -87,7 +309,7 @@ func (as *AddressSpace) MmapFixed(start, end uint64, perms string) (*VMA, error)
 			return nil, fmt.Errorf("proc: mapping [%#x,%#x) overlaps [%#x,%#x)", start, end, v.Start, v.End)
 		}
 	}
-	v := &VMA{Start: start, End: end, Perms: perms, Pages: make(map[uint64]*Page)}
+	v := &VMA{Start: start, End: end, Perms: perms}
 	as.vmas = append(as.vmas, v)
 	sort.Slice(as.vmas, func(i, j int) bool { return as.vmas[i].Start < as.vmas[j].Start })
 	if end+PageSize > as.nextMap {
@@ -109,25 +331,26 @@ func (as *AddressSpace) Munmap(start uint64) error {
 
 // Resize grows or shrinks a region in place (mremap-style modification;
 // one of the three kinds of address-space change the tracking list must
-// reflect).
+// reflect). Like MmapFixed it refuses a region that would be empty or
+// end below its start: newLen arrives in decoded deltas and directories.
 func (as *AddressSpace) Resize(start, newLen uint64) error {
 	newLen = (newLen + PageSize - 1) / PageSize * PageSize
+	newEnd := start + newLen
+	if newLen == 0 || newEnd <= start {
+		return fmt.Errorf("proc: bad resize of %#x to %#x bytes", start, newLen)
+	}
 	for i, v := range as.vmas {
 		if v.Start != start {
 			continue
 		}
-		newEnd := start + newLen
 		if i+1 < len(as.vmas) && newEnd > as.vmas[i+1].Start {
 			return fmt.Errorf("proc: resize collides with next mapping")
 		}
-		if newEnd < v.End {
-			for idx := range v.Pages {
-				if idx*PageSize >= newEnd-v.Start {
-					delete(v.Pages, idx)
-				}
-			}
-		}
 		v.End = newEnd
+		v.fit(v.pages())
+		if newEnd+PageSize > as.nextMap {
+			as.nextMap = newEnd + PageSize // or the next Mmap lands inside the grown region
+		}
 		return nil
 	}
 	return fmt.Errorf("proc: resize of unmapped address %#x", start)
@@ -141,23 +364,37 @@ func (as *AddressSpace) findVMA(addr uint64) *VMA {
 	return nil
 }
 
-// PageAt resolves addr to its region and page index, and to the page
+// region resolves a (region start, page index) pair that names a page
+// from outside — a directory entry, a pulled page — and rejects a start
+// that is no region's and an index at or past the region's end.
+func (as *AddressSpace) region(what string, vmaStart, pageIndex uint64) (*VMA, error) {
+	v := as.findVMA(vmaStart)
+	if v == nil || v.Start != vmaStart {
+		return nil, fmt.Errorf("proc: %s on unmapped region %#x", what, vmaStart)
+	}
+	if pageIndex >= v.pages() {
+		return nil, fmt.Errorf("proc: %s of page %d in the %d-page region %#x", what, pageIndex, v.pages(), vmaStart)
+	}
+	return v, nil
+}
+
+// PageAt resolves addr to its region and page index, and to the frame
 // resident there (nil when the page was never touched). It fails the
 // way an access would: a segmentation fault outside every mapping, the
 // post-copy fault (OnMissing fired) on an absent placeholder. The
 // checkpoint restore path uses it to write arriving page content
 // straight into place.
-func (as *AddressSpace) PageAt(addr uint64) (v *VMA, idx uint64, p *Page, err error) {
+func (as *AddressSpace) PageAt(addr uint64) (v *VMA, idx uint64, page []byte, err error) {
 	v = as.findVMA(addr)
 	if v == nil {
 		return nil, 0, nil, fmt.Errorf("proc: segmentation fault writing %#x", addr)
 	}
 	idx = (addr - v.Start) / PageSize
-	p = v.Pages[idx]
-	if p != nil && p.Absent {
-		return v, idx, p, as.missing(v, idx)
+	e, _ := v.Entry(idx)
+	if e.Absent {
+		return v, idx, nil, as.missing(v, idx)
 	}
-	return v, idx, p, nil
+	return v, idx, e.Frame, nil
 }
 
 // ErrPageAbsent is the fault an access to a post-copy placeholder page
@@ -172,22 +409,56 @@ func (as *AddressSpace) missing(v *VMA, idx uint64) error {
 	return ErrPageAbsent
 }
 
+// newFrame cuts one zeroed frame from the space's chunk. A new chunk is
+// sized from what the space already holds — one frame for every eight
+// resident, at least one and at most maxChunkFrames — so a small space
+// allocates page by page and no space ever holds more than an eighth of
+// its resident set, or 28 KiB, in frames it has not touched.
+func (as *AddressSpace) newFrame() *frame {
+	if len(as.chunk) == 0 {
+		held := 0
+		for _, v := range as.vmas {
+			held += v.present
+		}
+		as.chunk = make([]byte, min(max(held/8, 1), maxChunkFrames)*PageSize)
+	}
+	f := (*frame)(as.chunk)
+	as.chunk = as.chunk[PageSize:]
+	return f
+}
+
+// writable resolves page idx of v for a store: its frame, faulted in on
+// first touch, with the dirty bit set. A placeholder faults instead.
+func (as *AddressSpace) writable(v *VMA, idx uint64) (*frame, error) {
+	l := v.leafFor(idx)
+	i := idx - l.base
+	w, b := bit(i)
+	if l.absent[w]&b != 0 {
+		return nil, as.missing(v, idx)
+	}
+	if l.present[w]&b == 0 {
+		l.frames[i] = as.newFrame()
+		l.present[w] |= b
+		v.present++
+	}
+	l.dirty[w] |= b
+	return l.frames[i], nil
+}
+
 // Write stores data at addr, faulting pages in and setting dirty bits.
 // Writes that land on an absent page fault (fire OnMissing, return
 // ErrPageAbsent) without storing anything.
 func (as *AddressSpace) Write(addr uint64, data []byte) error {
 	for len(data) > 0 {
-		v, idx, p, err := as.PageAt(addr)
+		v := as.findVMA(addr)
+		if v == nil {
+			return fmt.Errorf("proc: segmentation fault writing %#x", addr)
+		}
+		f, err := as.writable(v, (addr-v.Start)/PageSize)
 		if err != nil {
 			return err
 		}
-		if p == nil {
-			p = &Page{Data: make([]byte, PageSize)}
-			v.Pages[idx] = p
-		}
-		off := addr % PageSize
-		n := copy(p.Data[off:], data)
-		p.Dirty = true
+		n := copy(f[addr%PageSize:], data)
 		data = data[n:]
 		addr += uint64(n)
 	}
@@ -209,11 +480,11 @@ func (as *AddressSpace) Read(addr uint64, length int) ([]byte, error) {
 			n = length
 		}
 		idx := (addr - v.Start) / PageSize
-		if p := v.Pages[idx]; p != nil {
-			if p.Absent {
+		if e, ok := v.Entry(idx); ok {
+			if e.Absent {
 				return nil, as.missing(v, idx)
 			}
-			out = append(out, p.Data[off:int(off)+n]...)
+			out = append(out, e.Frame[off:int(off)+n]...)
 		} else {
 			out = append(out, make([]byte, n)...) // unfaulted zero page
 		}
@@ -229,28 +500,36 @@ func (as *AddressSpace) Touch(addr uint64) error {
 	if v == nil {
 		return fmt.Errorf("proc: segmentation fault touching %#x", addr)
 	}
-	idx := (addr - v.Start) / PageSize
-	p := v.Pages[idx]
-	if p == nil {
-		p = &Page{Data: make([]byte, PageSize)}
-		v.Pages[idx] = p
-	} else if p.Absent {
-		return as.missing(v, idx)
+	f, err := as.writable(v, (addr-v.Start)/PageSize)
+	if err != nil {
+		return err
 	}
-	p.Dirty = true
-	p.Data[addr%PageSize]++
+	f[addr%PageSize]++
 	return nil
 }
 
 // MarkAbsent installs a post-copy placeholder: the page is known to
 // exist (it was resident on the source at freeze time) but its content
-// has not been shipped. Any access faults until FillPage arrives.
+// has not been shipped. Any access faults until FillPage arrives. A
+// frame the page held (hybrid's stale first-round copy) is dropped.
 func (as *AddressSpace) MarkAbsent(vmaStart, pageIndex uint64) error {
-	v := as.findVMA(vmaStart)
-	if v == nil || v.Start != vmaStart {
-		return fmt.Errorf("proc: mark-absent on unmapped region %#x", vmaStart)
+	v, err := as.region("mark-absent", vmaStart, pageIndex)
+	if err != nil {
+		return err
 	}
-	v.Pages[pageIndex] = &Page{Absent: true}
+	l := v.leafFor(pageIndex)
+	i := pageIndex - l.base
+	w, b := bit(i)
+	if l.present[w]&b != 0 {
+		l.frames[i] = nil
+		l.present[w] &^= b
+		l.dirty[w] &^= b
+		v.present--
+	}
+	if l.absent[w]&b == 0 {
+		l.absent[w] |= b
+		v.absent++
+	}
 	return nil
 }
 
@@ -260,43 +539,38 @@ func (as *AddressSpace) MarkAbsent(vmaStart, pageIndex uint64) error {
 // a page that is not absent is rejected so the exactly-once shipping
 // property is checkable at the memory layer.
 func (as *AddressSpace) FillPage(vmaStart, pageIndex uint64, data []byte) error {
-	v := as.findVMA(vmaStart)
-	if v == nil || v.Start != vmaStart {
-		return fmt.Errorf("proc: fill of unmapped region %#x", vmaStart)
+	v, err := as.region("fill", vmaStart, pageIndex)
+	if err != nil {
+		return err
 	}
-	p := v.Pages[pageIndex]
-	if p == nil || !p.Absent {
+	l := v.leafAt(pageIndex)
+	i := pageIndex % leafPages
+	w, b := bit(i)
+	if l == nil || l.absent[w]&b == 0 {
 		return fmt.Errorf("proc: duplicate fill of resident page %#x+%d", vmaStart, pageIndex)
 	}
-	p.Data = make([]byte, PageSize)
-	copy(p.Data, data)
-	p.Absent = false
-	p.Dirty = false
+	f := as.newFrame()
+	copy(f[:], data)
+	l.frames[i] = f
+	l.absent[w] &^= b
+	l.present[w] |= b
+	v.absent--
+	v.present++
 	return nil
 }
 
 // AbsentPages lists the remaining placeholders in canonical (VMA,
 // index) order — the prefetch sweep's work list.
 func (as *AddressSpace) AbsentPages() []DirtyRef {
-	return as.pagesWhere(func(p *Page) bool { return p.Absent })
+	return as.refs(as.AbsentCount(), func(l *leaf, w int) uint64 { return l.absent[w] })
 }
 
-// pagesWhere lists the pages matching keep in canonical (VMA, index)
-// order.
-func (as *AddressSpace) pagesWhere(keep func(*Page) bool) []DirtyRef {
-	var out []DirtyRef
-	var idxs []uint64
+// refs lists the n pages whose bit is set in the word pick selects, in
+// canonical (VMA, index) order.
+func (as *AddressSpace) refs(n int, pick func(l *leaf, w int) uint64) []DirtyRef {
+	out := make([]DirtyRef, 0, n)
 	for _, v := range as.vmas {
-		idxs = idxs[:0]
-		for idx, p := range v.Pages {
-			if keep(p) {
-				idxs = append(idxs, idx)
-			}
-		}
-		slices.Sort(idxs)
-		for _, idx := range idxs {
-			out = append(out, DirtyRef{VMA: v, PageIndex: idx})
-		}
+		v.walk(pick, func(e PTE) { out = append(out, DirtyRef{VMA: v, PageIndex: e.Index}) })
 	}
 	return out
 }
@@ -305,18 +579,18 @@ func (as *AddressSpace) pagesWhere(keep func(*Page) bool) []DirtyRef {
 func (as *AddressSpace) AbsentCount() int {
 	n := 0
 	for _, v := range as.vmas {
-		for _, p := range v.Pages {
-			if p.Absent {
-				n++
-			}
-		}
+		n += v.absent
 	}
 	return n
 }
 
 // DirtyPages returns (vmaStart, pageIndex) pairs of every dirty page.
 func (as *AddressSpace) DirtyPages() []DirtyRef {
-	return as.pagesWhere(func(p *Page) bool { return p.Dirty })
+	n := 0
+	for _, v := range as.vmas {
+		n += v.DirtyCount()
+	}
+	return as.refs(n, func(l *leaf, w int) uint64 { return l.dirty[w] })
 }
 
 // DirtyRef names one dirty page.
@@ -332,8 +606,8 @@ func (d DirtyRef) Addr() uint64 { return d.VMA.Start + d.PageIndex*PageSize }
 // round, like clearing PTE dirty bits).
 func (as *AddressSpace) ClearDirty() {
 	for _, v := range as.vmas {
-		for _, p := range v.Pages {
-			p.Dirty = false
+		for i := range v.leaves {
+			clear(v.leaves[i].dirty)
 		}
 	}
 }
@@ -342,7 +616,7 @@ func (as *AddressSpace) ClearDirty() {
 func (as *AddressSpace) ResidentBytes() uint64 {
 	var n uint64
 	for _, v := range as.vmas {
-		n += uint64(len(v.Pages)) * PageSize
+		n += uint64(v.Resident()) * PageSize
 	}
 	return n
 }

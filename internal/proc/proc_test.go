@@ -71,11 +71,11 @@ func TestTouchMaterialisesOneAndFaultsOnAbsent(t *testing.T) {
 	if err := as.Touch(v.Start + 2*PageSize + 7); err != nil {
 		t.Fatal(err)
 	}
-	if p := v.Pages[2]; len(v.Pages) != 1 || p == nil || !p.Dirty || p.Data[7] != 1 {
-		t.Fatalf("first touch left %d pages, page 2 = %+v", len(v.Pages), p)
+	if p, ok := v.Entry(2); v.Resident() != 1 || !ok || !p.Dirty || p.Frame[7] != 1 {
+		t.Fatalf("first touch left %d pages, page 2 = %+v", v.Resident(), p)
 	}
-	if err := as.Touch(v.Start + 2*PageSize + 7); err != nil || v.Pages[2].Data[7] != 2 || len(v.Pages) != 1 {
-		t.Fatalf("second touch: err %v, byte %d, %d pages", err, v.Pages[2].Data[7], len(v.Pages))
+	if p, _ := v.Entry(2); as.Touch(v.Start+2*PageSize+7) != nil || p.Frame[7] != 2 || v.Resident() != 1 {
+		t.Fatalf("second touch: byte %d, %d pages", p.Frame[7], v.Resident())
 	}
 
 	if err := as.MarkAbsent(v.Start, 5); err != nil {
@@ -89,8 +89,8 @@ func TestTouchMaterialisesOneAndFaultsOnAbsent(t *testing.T) {
 	if len(faults) != 1 || faults[0] != [2]uint64{v.Start, 5} {
 		t.Fatalf("OnMissing calls: %v", faults)
 	}
-	if p := v.Pages[5]; !p.Absent || p.Dirty || p.Data != nil || len(v.Pages) != 2 {
-		t.Fatalf("absent page was materialised: %+v (%d pages)", p, len(v.Pages))
+	if p, ok := v.Entry(5); !ok || !p.Absent || p.Dirty || p.Frame != nil || v.Resident() != 2 {
+		t.Fatalf("absent page was materialised: %+v (%d pages)", p, v.Resident())
 	}
 }
 
@@ -177,6 +177,78 @@ func TestResizeCollision(t *testing.T) {
 	as.Mmap(PageSize, "rw-")
 	if err := as.Resize(a.Start, 64*PageSize); err == nil {
 		t.Fatal("resize into next mapping accepted")
+	}
+}
+
+// Resize takes its length from decoded deltas and directories
+// (applyGeometry passes End-Start of a wire record), so a record whose
+// end lies at or below its start must be refused like MmapFixed refuses
+// it — not wrapped into an inverted or empty region.
+func TestResizeRejectsEmptyAndInverted(t *testing.T) {
+	as := NewAddressSpace()
+	v, err := as.MmapFixed(0x10000, 0x20000, "rw-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Touch(0x1f000); err != nil {
+		t.Fatal(err)
+	}
+	start, below := v.Start, uint64(0x8000)
+	for what, newLen := range map[string]uint64{
+		"to 0 bytes":                     0,
+		"to an end below the start":      below - start, // End - Start of the record, as applyGeometry computes it
+		"to a length that rounds to 2⁶⁴": ^uint64(0) - 100,
+		"to an end that wraps to 0":      0 - start,
+	} {
+		if err := as.Resize(v.Start, newLen); err == nil {
+			t.Errorf("resize %s accepted: region is now [%#x,%#x)", what, v.Start, v.End)
+		}
+		if v.Start != 0x10000 || v.End != 0x20000 || v.Resident() != 1 {
+			t.Fatalf("refused resize %s changed the region: [%#x,%#x), %d resident", what, v.Start, v.End, v.Resident())
+		}
+	}
+}
+
+// A grown region moves the anonymous-mapping cursor with it, or the next
+// Mmap would be placed inside it.
+func TestMmapAfterGrowDoesNotOverlap(t *testing.T) {
+	as := NewAddressSpace()
+	a := as.Mmap(PageSize, "rw-")
+	if err := as.Resize(a.Start, 64*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if b := as.Mmap(PageSize, "rw-"); b.Start < a.End {
+		t.Fatalf("mapping [%#x,%#x) placed inside the grown [%#x,%#x)", b.Start, b.End, a.Start, a.End)
+	}
+}
+
+// Page indices arrive on the wire too (ApplyPageDir passes a decoded
+// PageCoord.Index, the puller a reply's): an index at or past the
+// region's end names no page. A placeholder planted there could never be
+// faulted in, and AbsentCount and the prefetch sweep would wait on it
+// forever.
+func TestPageIndexPastTheRegionIsRejected(t *testing.T) {
+	as := NewAddressSpace()
+	v := as.Mmap(16*PageSize, "rw-")
+	for _, idx := range []uint64{16, 17, leafPages, 1 << 40, ^uint64(0)} {
+		if err := as.MarkAbsent(v.Start, idx); err == nil {
+			t.Errorf("MarkAbsent(%d) on a 16-page region accepted", idx)
+		}
+		if err := as.FillPage(v.Start, idx, []byte{1}); err == nil {
+			t.Errorf("FillPage(%d) on a 16-page region accepted", idx)
+		}
+		if _, ok := v.Entry(idx); ok {
+			t.Errorf("Entry(%d) on a 16-page region exists", idx)
+		}
+	}
+	if as.AbsentCount() != 0 || v.Resident() != 0 {
+		t.Fatalf("rejected calls left %d placeholders, %d entries", as.AbsentCount(), v.Resident())
+	}
+	if err := as.MarkAbsent(v.Start, 15); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.FillPage(v.Start, 15, []byte{1}); err != nil {
+		t.Fatal(err)
 	}
 }
 
