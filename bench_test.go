@@ -10,6 +10,7 @@ package dvemig
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"dvemig/internal/dve"
 	"dvemig/internal/eval"
@@ -280,8 +281,7 @@ func BenchmarkBaselineNATDispatch(b *testing.B) {
 // BenchmarkMigrationEngine is a plain throughput benchmark of one full
 // live migration (8 connections), for profiling the engine itself. It
 // runs with the observability plane detached — the nil-check fast path
-// whose cost BENCH_simperf.json pins (≤2% ns/op, +0 allocs/op vs the
-// pre-obs baseline).
+// whose cost TestAllocGateMigrationEngine fences.
 func BenchmarkMigrationEngine(b *testing.B) {
 	fc := eval.DefaultFreezeConfig(sockmig.IncrementalCollective, 8)
 	fc.Repeats = 1
@@ -294,9 +294,8 @@ func BenchmarkMigrationEngine(b *testing.B) {
 
 // BenchmarkMigrationEngineStrategy runs the same full migration under
 // each memory-movement strategy — the per-strategy engine cost
-// BENCH_simperf.json records (post-copy trades pre-copy's round loop
-// for the demand-pull/prefetch machinery; hybrid pays one round plus a
-// smaller pull phase).
+// (post-copy trades pre-copy's round loop for the demand-pull/prefetch
+// machinery; hybrid pays one round plus a smaller pull phase).
 func BenchmarkMigrationEngineStrategy(b *testing.B) {
 	for _, name := range migration.StrategyNames() {
 		name := name
@@ -333,6 +332,31 @@ func BenchmarkMigrationEngineObserved(b *testing.B) {
 }
 
 var _ = migration.DefaultConfig // keep import stable for doc reference
+
+// BenchmarkSimCoreChaosSweep measures the chaos battery (8 scenarios ×
+// 1 seed) at increasing worker counts: the parallel runner's scaling,
+// in wall-clock sims/s — the across-cell number ROADMAP 2(c) decides
+// the PDES question with. Every worker count produces bit-identical
+// results (pinned in internal/eval's parallel tests).
+func BenchmarkSimCoreChaosSweep(b *testing.B) {
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			cfg := eval.DefaultChaosConfig()
+			cfg.Seeds = []uint64{1}
+			cfg.Workers = workers
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				if _, err := eval.RunChaosSweep(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			elapsed := time.Since(start)
+			b.ReportMetric(float64(b.N*len(cfg.Scenarios))/elapsed.Seconds(), "sims/s")
+		})
+	}
+}
 
 // BenchmarkExtensionStreaming measures the streaming future-work case:
 // viewer stalls under live migration vs stop-and-copy.

@@ -39,8 +39,6 @@ func main() {
 	sample := flag.Duration("sample", time.Second, "sim-time sampling cadence for the observability time series (0 disables)")
 	seriesOut := flag.String("series-out", "", "write the sampled time series to this file (.csv for CSV, else JSON)")
 	strategy := flag.String("strategy", "precopy", "memory-movement strategy for every LB migration: precopy|postcopy|hybrid")
-	soak := flag.Bool("soak", false, "run the control-plane soak battery instead of the DVE simulation")
-	soakRequests := flag.Int("soak-requests", 200, "with -soak: migration objects per (scenario, seed) cell")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this file at exit")
 	simprofOut := flag.String("simprof-out", "", "self-profile the simulator's hot paths and write the simprof JSON report to this file")
@@ -61,12 +59,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dvesim: writing profiles: %v\n", err)
 			os.Exit(1)
 		}
-	}
-
-	if *soak {
-		runSoak(*soakRequests, *strategy, *traceOut, *metricsOut, *seriesOut, sess.Prof)
-		closeSession()
-		return
 	}
 
 	observe := *traceOut != "" || *metricsOut != "" || *seriesOut != ""
@@ -184,49 +176,10 @@ func attachSampler(sim *dve.Simulation, period time.Duration) {
 	s.Start()
 }
 
-// runSoak is the -soak mode: a reduced control-plane soak battery (the
-// full-size one lives in cmd/soak) sharing dvesim's artifact flags.
-func runSoak(requests int, strategy, tracePath, metricsPath, seriesPath string, prof *simprof.Profiler) {
-	cfg := eval.DefaultSoakConfig()
-	cfg.Requests = requests
-	cfg.Strategy = strategy
-	cfg.Observe = tracePath != "" || metricsPath != "" || seriesPath != ""
-	cfg.Prof = prof
-	fmt.Fprintf(os.Stderr, "soaking %d cells × %d requests (strategy %s)...\n",
-		len(cfg.Scenarios)*len(cfg.Seeds), cfg.Requests, cfg.Strategy)
-	rep, err := eval.RunSoak(cfg)
-	if err != nil {
+// writeObs writes the artifacts whose flags were given.
+func writeObs(tracePath, metricsPath, seriesPath string, caps ...*obs.Capture) {
+	if err := obs.WriteArtifacts(os.Stderr, tracePath, metricsPath, seriesPath, caps...); err != nil {
 		fmt.Fprintf(os.Stderr, "dvesim: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Print(rep.Table())
-	if t := rep.SLOTable(); t != "" {
-		fmt.Print(t)
-	}
-	writeObs(tracePath, metricsPath, seriesPath, rep.Captures()...)
-	for _, res := range rep.Results {
-		if len(res.Violations) > 0 {
-			fmt.Fprintf(os.Stderr, "dvesim: soak violations in %s/seed%d: %v\n",
-				res.Scenario, res.Seed, res.Violations)
-			os.Exit(1)
-		}
-	}
-}
-
-// writeObs writes the trace, metrics and/or series artifacts when
-// their flags were given; any path may be empty.
-func writeObs(tracePath, metricsPath, seriesPath string, caps ...*obs.Capture) {
-	write := func(path, what string, fn func(string, ...*obs.Capture) error) {
-		if path == "" {
-			return
-		}
-		if err := fn(path, caps...); err != nil {
-			fmt.Fprintf(os.Stderr, "dvesim: writing %s: %v\n", what, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	}
-	write(tracePath, "trace", obs.WriteChromeTraceFile)
-	write(metricsPath, "metrics", obs.WriteMetricsFile)
-	write(seriesPath, "series", obs.WriteSeriesFile)
 }

@@ -85,8 +85,13 @@ func main() {
 		conns = append(conns, n)
 	}
 
-	observe := *traceOut != "" || *metricsOut != "" || *phaseTable || *attrTable
-	points, err := eval.RunFreezeSweepProf(conns, eval.SweepStrategies, *repeats, *parallel, *seed, observe, mig, sess.Prof)
+	// Conns and Strategy are the sweep's axes; the rest is the template.
+	tmpl := eval.DefaultFreezeConfig(0, 0)
+	tmpl.Repeats, tmpl.Workers, tmpl.Seed = *repeats, *parallel, *seed
+	tmpl.Observe = *traceOut != "" || *metricsOut != "" || *phaseTable || *attrTable
+	tmpl.MigCfg.Mig = mig
+	tmpl.Prof = sess.Prof
+	points, err := eval.RunFreezeSweep(conns, eval.SweepStrategies, tmpl)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "migbench: %v\n", err)
 		os.Exit(1)
@@ -112,28 +117,16 @@ func main() {
 		fmt.Println("=== freeze-time attribution ===")
 		fmt.Println(eval.FreezeAttrTable(points))
 	}
-	if *traceOut != "" || *metricsOut != "" {
-		// Point order is conns-major, strategy-minor (the canonical sweep
-		// order), and repeats within a point merged in repeat order, so
-		// the artifacts are byte-identical at any -parallel setting.
-		var caps []*obs.Capture
-		for _, pt := range points {
-			caps = append(caps, pt.Caps...)
-		}
-		if *traceOut != "" {
-			if err := obs.WriteChromeTraceFile(*traceOut, caps...); err != nil {
-				fmt.Fprintf(os.Stderr, "migbench: writing trace: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *traceOut)
-		}
-		if *metricsOut != "" {
-			if err := obs.WriteMetricsFile(*metricsOut, caps...); err != nil {
-				fmt.Fprintf(os.Stderr, "migbench: writing metrics: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *metricsOut)
-		}
+	// Point order is conns-major, strategy-minor (the canonical sweep
+	// order), and repeats within a point merged in repeat order, so the
+	// artifacts are byte-identical at any -parallel setting.
+	var caps []*obs.Capture
+	for _, pt := range points {
+		caps = append(caps, pt.Caps...)
+	}
+	if err := obs.WriteArtifacts(os.Stderr, *traceOut, *metricsOut, "", caps...); err != nil {
+		fmt.Fprintf(os.Stderr, "migbench: %v\n", err)
+		os.Exit(1)
 	}
 	closeSession()
 }

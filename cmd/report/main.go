@@ -63,8 +63,11 @@ func main() {
 		conns = eval.SweepConns
 		repeats = 3
 	}
-	observe := *phaseTable || *traceOut != "" || *metricsOut != ""
-	points, err := eval.RunFreezeSweepProf(conns, eval.SweepStrategies, repeats, *parallel, 0, observe, nil, sess.Prof)
+	tmpl := eval.DefaultFreezeConfig(0, 0)
+	tmpl.Repeats, tmpl.Workers = repeats, *parallel
+	tmpl.Observe = *phaseTable || *traceOut != "" || *metricsOut != ""
+	tmpl.Prof = sess.Prof
+	points, err := eval.RunFreezeSweep(conns, eval.SweepStrategies, tmpl)
 	if err != nil {
 		fail(err)
 	}
@@ -74,23 +77,12 @@ func main() {
 		fmt.Println("Per-phase breakdown — " + eval.PhaseTable(points))
 		fmt.Println("Freeze attribution — " + eval.FreezeAttrTable(points))
 	}
-	if *traceOut != "" || *metricsOut != "" {
-		var caps []*obs.Capture
-		for _, pt := range points {
-			caps = append(caps, pt.Caps...)
-		}
-		if *traceOut != "" {
-			if err := obs.WriteChromeTraceFile(*traceOut, caps...); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *traceOut)
-		}
-		if *metricsOut != "" {
-			if err := obs.WriteMetricsFile(*metricsOut, caps...); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *metricsOut)
-		}
+	var caps []*obs.Capture
+	for _, pt := range points {
+		caps = append(caps, pt.Caps...)
+	}
+	if err := obs.WriteArtifacts(os.Stderr, *traceOut, *metricsOut, "", caps...); err != nil {
+		fail(err)
 	}
 
 	// Fig 5d/e/f: the LB-off and LB-on runs are independent simulations,

@@ -125,7 +125,10 @@ func main() {
 			}
 		}
 	}
-	writeArtifacts(*traceOut, *metricsOut, *seriesOut, rep)
+	if err := obs.WriteArtifacts(os.Stderr, *traceOut, *metricsOut, *seriesOut, rep.Captures()...); err != nil {
+		fmt.Fprintf(os.Stderr, "soak: %v\n", err)
+		os.Exit(1)
+	}
 	if err := sess.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "soak: writing profiles: %v\n", err)
 		os.Exit(1)
@@ -146,33 +149,5 @@ func main() {
 	}
 	if bad {
 		os.Exit(1)
-	}
-}
-
-func writeArtifacts(tracePath, metricsPath, seriesPath string, rep *eval.SoakReport) {
-	if tracePath == "" && metricsPath == "" && seriesPath == "" {
-		return
-	}
-	caps := rep.Captures()
-	if tracePath != "" {
-		if err := obs.WriteChromeTraceFile(tracePath, caps...); err != nil {
-			fmt.Fprintf(os.Stderr, "soak: writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", tracePath)
-	}
-	if metricsPath != "" {
-		if err := obs.WriteMetricsFile(metricsPath, caps...); err != nil {
-			fmt.Fprintf(os.Stderr, "soak: writing metrics: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", metricsPath)
-	}
-	if seriesPath != "" {
-		if err := obs.WriteSeriesFile(seriesPath, caps...); err != nil {
-			fmt.Fprintf(os.Stderr, "soak: writing series: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", seriesPath)
 	}
 }

@@ -283,7 +283,10 @@ func RunChaosSweep(cfg ChaosConfig) (*ChaosReport, error) {
 	return &ChaosReport{Results: results}, nil
 }
 
-// fnvSniffer folds every packet event on a link into an FNV-1a hash.
+// fnvSniffer is the trace-hash tap: it folds every packet a link
+// transmits or receives into an FNV-1a hash. What the fault plane drops
+// or duplicates is not folded in — the hash is of the traffic, and a
+// duplicate's second arrival is an rx of its own.
 type fnvSniffer struct{ h uint64 }
 
 func newFnvSniffer() *fnvSniffer { return &fnvSniffer{h: 14695981039346656037} }
@@ -312,13 +315,12 @@ func (s *fnvSniffer) word(v uint64) {
 	s.h = h * fnvPrimePow[left]
 }
 
-func (s *fnvSniffer) Capture(at simtime.Time, dir string, p *netsim.Packet) {
-	s.word(uint64(at))
-	if dir == "tx" {
-		s.word(1)
-	} else {
-		s.word(2)
+func (s *fnvSniffer) PacketEvent(at simtime.Time, ev netsim.TapEvent, p *netsim.Packet) {
+	if ev != netsim.TapTx && ev != netsim.TapRx {
+		return
 	}
+	s.word(uint64(at))
+	s.word(uint64(ev)) // 1 for tx, 2 for rx
 	s.word(uint64(p.SrcIP)<<32 | uint64(p.DstIP))
 	s.word(uint64(p.SrcPort)<<48 | uint64(p.DstPort)<<32 | uint64(p.Flags)<<16 | uint64(p.Proto))
 	s.word(uint64(p.Seq)<<32 | uint64(p.Ack))
@@ -394,7 +396,7 @@ func RunChaosScenario(cfg ChaosConfig, sc ChaosScenario, seed uint64) (*ChaosRes
 	host := cluster.NewExternalHost("players")
 	clientNIC := cluster.LastExternalNIC()
 	sniff := newFnvSniffer()
-	clientNIC.AttachSniffer(sniff)
+	clientNIC.AttachTap(sniff)
 
 	recv := make(map[uint16][]byte) // client local port -> bytes observed
 	clients := make([]*netstack.TCPSocket, 0, nClients)

@@ -159,9 +159,9 @@ type serveSniffer struct {
 	serves     int
 }
 
-func (s *serveSniffer) Capture(at simtime.Time, dir string, p *netsim.Packet) {
-	s.fnv.Capture(at, dir, p)
-	if dir == "tx" && p.Proto == netsim.ProtoUDP && p.SrcPort == scorePort {
+func (s *serveSniffer) PacketEvent(at simtime.Time, ev netsim.TapEvent, p *netsim.Packet) {
+	s.fnv.PacketEvent(at, ev, p)
+	if ev == netsim.TapTx && p.Proto == netsim.ProtoUDP && p.SrcPort == scorePort {
 		if s.serves == 0 {
 			s.firstServe = at
 		}
@@ -204,12 +204,12 @@ func RunFailoverScenario(sc FailoverScenario, seed uint64) (*FailoverResult, err
 	nodeSniff := make([]*serveSniffer, 3)
 	for i, n := range cluster.Nodes {
 		nodeSniff[i] = &serveSniffer{fnv: newFnvSniffer()}
-		n.PublicNIC.AttachSniffer(nodeSniff[i])
+		n.PublicNIC.AttachTap(nodeSniff[i])
 	}
 	host := cluster.NewExternalHost("players")
 	clientNIC := cluster.LastExternalNIC()
 	clientSniff := newFnvSniffer()
-	clientNIC.AttachSniffer(clientSniff)
+	clientNIC.AttachTap(clientSniff)
 
 	// The scoreboard service on node 1: echoes every ping, keeps a
 	// counter in page 0 so checkpoint images have changing content.

@@ -156,60 +156,28 @@ func RunFreezePoint(fc FreezeConfig) (*FreezePoint, error) {
 	return pt, nil
 }
 
-// RunFreezeSweep measures the full Fig 5b/5c grid — every (conns,
-// strategy) point at the given repeat count — fanning the points over
-// up to workers goroutines. Points come back in conns-major,
-// strategy-minor order (the order the tables expect); each point's
-// repeats run serially inside its cell so parallelism never nests.
-func RunFreezeSweep(conns []int, strategies []sockmig.Strategy, repeats, workers int) ([]*FreezePoint, error) {
-	return RunFreezeSweepSeeded(conns, strategies, repeats, workers, 0, false)
-}
-
-// RunFreezeSweepObserved is RunFreezeSweep with the observability plane
-// enabled on every cell: each point comes back with per-run Captures
-// and a merged Snap, which the phase table and the trace exporters
-// consume. The sweep's measured numbers are identical to the unobserved
-// sweep — the plane never schedules events.
-func RunFreezeSweepObserved(conns []int, strategies []sockmig.Strategy, repeats, workers int) ([]*FreezePoint, error) {
-	return RunFreezeSweepSeeded(conns, strategies, repeats, workers, 0, true)
-}
-
-// RunFreezeSweepSeeded is the fully parameterized sweep: seed shifts
-// every cell's traffic alignment (FreezeConfig.Seed) and observe
-// attaches the observability plane. Exports of two equal-seed runs are
-// byte-identical at any worker count; unequal seeds diverge — the CI
-// obs job asserts both directions with obsdiff.
-func RunFreezeSweepSeeded(conns []int, strategies []sockmig.Strategy, repeats, workers int, seed uint64, observe bool) ([]*FreezePoint, error) {
-	return RunFreezeSweepMig(conns, strategies, repeats, workers, seed, observe, nil)
-}
-
-// RunFreezeSweepMig additionally pins the memory-movement strategy
-// (migration.Precopy/Postcopy/Hybrid) for every cell — the second,
-// orthogonal axis the strategy race compares. nil keeps the default
-// (pre-copy), making this a strict generalization of the seeded sweep.
-func RunFreezeSweepMig(conns []int, strategies []sockmig.Strategy, repeats, workers int, seed uint64, observe bool, mig migration.Strategy) ([]*FreezePoint, error) {
-	return RunFreezeSweepProf(conns, strategies, repeats, workers, seed, observe, mig, nil)
-}
-
-// RunFreezeSweepProf is the fully instrumented sweep: prof additionally
-// attaches the wall-clock self-profiling plane to every cell and
-// records the sweep's worker occupancy. The measured figures are
-// identical with a nil prof — the plane never touches virtual time.
-func RunFreezeSweepProf(conns []int, strategies []sockmig.Strategy, repeats, workers int, seed uint64, observe bool, mig migration.Strategy, prof *simprof.Profiler) ([]*FreezePoint, error) {
+// RunFreezeSweep measures the full Fig 5b/5c grid: every (conns,
+// strategy) point is a copy of the cell template with those two axes
+// filled in — Repeats, Seed, Observe, MigCfg.Mig and Prof are whatever
+// the template says (DefaultFreezeConfig for the paper's). The points
+// fan out over up to tmpl.Workers goroutines and come back in
+// conns-major, strategy-minor order (the order the tables expect); each
+// point's repeats run serially inside its cell so parallelism never
+// nests. Exports of two equal-seed sweeps are byte-identical at any
+// worker count, unequal seeds diverge (the CI obs job asserts both with
+// obsdiff), and neither Observe nor Prof moves a measured number: the
+// planes never schedule events.
+func RunFreezeSweep(conns []int, strategies []sockmig.Strategy, tmpl FreezeConfig) ([]*FreezePoint, error) {
 	cells := make([]FreezeConfig, 0, len(conns)*len(strategies))
 	for _, n := range conns {
 		for _, s := range strategies {
-			fc := DefaultFreezeConfig(s, n)
-			fc.Repeats = repeats
+			fc := tmpl
+			fc.Conns, fc.Strategy, fc.MigCfg.Strategy = n, s, s
 			fc.Workers = 1
-			fc.Observe = observe
-			fc.Seed = seed
-			fc.MigCfg.Mig = mig
-			fc.Prof = prof
 			cells = append(cells, fc)
 		}
 	}
-	return RunParallelProf(cells, workers, prof.Sweep("freeze-sweep", workers), RunFreezePoint)
+	return RunParallelProf(cells, tmpl.Workers, tmpl.Prof.Sweep("freeze-sweep", tmpl.Workers), RunFreezePoint)
 }
 
 func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, simtime.Duration, *obs.Capture, error) {

@@ -24,7 +24,9 @@ func TestObsParallelMatchesSerial(t *testing.T) {
 		repeats = 1
 	}
 	render := func(workers int) (trace, metrics []byte) {
-		points, err := RunFreezeSweepObserved(conns, SweepStrategies, repeats, workers)
+		tmpl := DefaultFreezeConfig(0, 0)
+		tmpl.Repeats, tmpl.Workers, tmpl.Observe = repeats, workers, true
+		points, err := RunFreezeSweep(conns, SweepStrategies, tmpl)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

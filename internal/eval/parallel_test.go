@@ -137,11 +137,14 @@ func TestFailoverSweepParallelMatchesSerial(t *testing.T) {
 // 5b/5c grid (a smaller-than-default grid keeps the test quick).
 func TestFreezeSweepParallelMatchesSerial(t *testing.T) {
 	conns := []int{16, 32}
-	serial, err := RunFreezeSweep(conns, SweepStrategies, 2, 1)
+	tmpl := DefaultFreezeConfig(0, 0)
+	tmpl.Repeats, tmpl.Workers = 2, 1
+	serial, err := RunFreezeSweep(conns, SweepStrategies, tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunFreezeSweep(conns, SweepStrategies, 2, 4)
+	tmpl.Workers = 4
+	parallel, err := RunFreezeSweep(conns, SweepStrategies, tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}

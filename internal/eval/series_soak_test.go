@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"time"
@@ -58,6 +59,14 @@ func TestSoakIncrementalAuditCanary(t *testing.T) {
 	}
 	if !strings.Contains(res.FlightDump, "flight dump @ sample window 8 [8.000000s, 9.000000s)") {
 		t.Fatalf("flight dump not scoped to the violating window:\n%.200s", res.FlightDump)
+	}
+	// The dump, byte for byte, as recorded at e5dadc0: the NIC tracks in it
+	// are written by the flight adapter on the packet tap, and nothing
+	// else pins their records (88 807 bytes, most of them "pkt" lines).
+	h := fnv.New64a()
+	h.Write([]byte(res.FlightDump))
+	if h.Sum64() != 0x2c7a749f94a39bf9 {
+		t.Errorf("flight dump FNV-64a = %#x over %d bytes, want 0x2c7a749f94a39bf9", h.Sum64(), len(res.FlightDump))
 	}
 }
 

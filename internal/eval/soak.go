@@ -134,7 +134,7 @@ type SoakConfig struct {
 const soakAuditSlack = 5 * time.Second
 
 // DefaultSoakSLOs are the soak battery's per-cell objectives, the
-// thresholds EXPERIMENTS.md and BENCH_simperf.json track PR-over-PR:
+// thresholds EXPERIMENTS.md tracks PR-over-PR:
 // p99 migration downtime under a quarter simulated second, at most 5%
 // of terminal objects aborted, and a retry budget of two per submitted
 // request.
@@ -399,7 +399,7 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 	sniffs := make([]*fnvSniffer, len(cluster.Nodes))
 	for i, n := range cluster.Nodes {
 		sniffs[i] = newFnvSniffer()
-		n.LocalNIC.AttachSniffer(sniffs[i])
+		n.LocalNIC.AttachTap(sniffs[i])
 	}
 
 	var skew *simprof.SkewProf

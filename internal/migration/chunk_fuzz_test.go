@@ -19,6 +19,7 @@ import (
 type fakeSrc struct {
 	c    *proc.Cluster
 	conn *Conn
+	dst  *Migrator // the real daemon under test (set by chunkEnv)
 
 	acked    bool
 	restored bool
@@ -105,7 +106,31 @@ func validFreezePayload(pid int) []byte {
 	}
 	img := &ckpt.Image{PID: pid, Name: "chunk_target",
 		Threads: []ckpt.ThreadImage{{TID: 1}}}
-	return freezeMsg{Image: img.Encode(), MemDelta: md.Encode()}.encode()
+	return finalImage{Image: img.Encode(), Mem: md.Encode()}.encode(chunkKindFreeze)
+}
+
+// chunkSink is the receiving half of the chunk transport for the wire
+// impersonators: it reassembles MsgChunk frames and hands back the
+// payload when the trailer closes the stream. It trusts its peer.
+type chunkSink struct{ buf []byte }
+
+func (cs *chunkSink) feed(t *testing.T, mt MsgType, payload []byte) (kind byte, stream []byte, done bool) {
+	switch mt {
+	case MsgChunk:
+		ch, err := decodeChunk(payload)
+		if err != nil {
+			t.Fatalf("chunkSink: %v", err)
+		}
+		cs.buf = append(cs.buf, ch.Data...)
+	case MsgChunkEnd:
+		ce, err := decodeChunkEnd(payload)
+		if err != nil || ce.Total != uint64(len(cs.buf)) {
+			t.Fatalf("chunkSink: trailer %+v over %d reassembled bytes: %v", ce, len(cs.buf), err)
+		}
+		stream, cs.buf = cs.buf, nil
+		return ce.Kind, stream, true
+	}
+	return 0, nil, false
 }
 
 func chunkEnv(t *testing.T) (*fakeSrc, *proc.Cluster) {
@@ -114,10 +139,13 @@ func chunkEnv(t *testing.T) (*fakeSrc, *proc.Cluster) {
 	cfg := DefaultConfig()
 	cfg.EnableCapture = false
 	cfg.InboundLease = 3 * 1e9
-	if _, err := NewMigrator(c.Nodes[1], cfg); err != nil {
+	dst, err := NewMigrator(c.Nodes[1], cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return newFakeSrc(t, c, c.Nodes[0], c.Nodes[1]), c
+	fs := newFakeSrc(t, c, c.Nodes[0], c.Nodes[1])
+	fs.dst = dst
+	return fs, c
 }
 
 // TestChunkStreamRestoresProcess: a hand-fed chunked freeze stream must
@@ -260,6 +288,10 @@ func FuzzChunkStream(f *testing.F) {
 	f.Add([]byte{1, 2, 0})
 	f.Add([]byte{3, 4, 5, 6})
 	f.Add([]byte{7, 8, 2, 9, 0})
+	f.Add([]byte{8, 10, 0}) // unknown type byte mid-transfer
+	f.Add([]byte{11, 0})    // retired FREEZE slot carrying a valid image
+	f.Add([]byte{8, 12})    // second MIGRATE_REQ on an open migration
+	f.Add([]byte{13, 0})    // a frame the transfer state has no place for
 	f.Fuzz(func(t *testing.T, script []byte) {
 		fs, c := chunkEnv(t)
 		fs.handshake(t, 903)
@@ -270,7 +302,7 @@ func FuzzChunkStream(f *testing.F) {
 			c.Sched.RunFor(50 * time.Millisecond)
 		}
 		for i := 0; i < len(script) && i < 12; i++ {
-			op := script[i] % 10
+			op := script[i] % 14
 			arg := 1 + int(script[i]/10)*16 // chunk size 1..401
 			switch op {
 			case 0: // complete valid stream
@@ -310,7 +342,17 @@ func FuzzChunkStream(f *testing.F) {
 				fs.conn.Send(MsgChunkEnd, chunkEnd{Kind: chunkKindFreeze,
 					Stream: uint32(i + 1), Chunks: 1, Total: 0}.encode())
 				poisoned = true
+			case 10: // a type byte nobody assigned
+				fs.conn.Send(MsgType(0x40+script[i]), script)
+			case 11: // the retired monolithic FREEZE slot, valid image inside
+				fs.conn.Send(MsgType(7), payload)
+			case 12: // a second MIGRATE_REQ on the open migration
+				fs.conn.Send(MsgMigrateReq, migrateReq{PID: 903, Mode: modePrecopy, Name: "chunk_target"}.encode())
+			case 13: // known types the transfer state has no place for
+				fs.conn.Send(MsgPageResp, pageResp{}.encodeInto(nil))
+				fs.conn.Send(MsgRestoreDone, restoreDone{}.encode())
 			}
+			poisoned = poisoned || op >= 10
 			step()
 			if poisoned {
 				restoredAtPoison = fs.restored

@@ -2,6 +2,7 @@ package migration
 
 import (
 	"bytes"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -9,55 +10,45 @@ import (
 	"dvemig/internal/simtime"
 )
 
-// TestChunkedMatchesMonolithic pins the pipelined/monolithic boundary:
-// the same migration run monolithically (ChunkBytes 0), at a
-// pathological 512-byte chunk size, and at the default 64 KiB must ship
-// the same rounds, the same payload bytes, and restore a byte-identical
-// heap. Chunking is a transport concern — it must never change what is
-// shipped.
-func TestChunkedMatchesMonolithic(t *testing.T) {
-	type run struct {
-		m    *Metrics
-		heap []byte
+// TestChunkStreamCarriesThePayload pins that chunking is a transport
+// concern: for every stream of a real migration the bytes the
+// destination reassembles are the bytes the source encoded, under the
+// kind it sent them as. What is shipped — rounds, payload bytes, the
+// restored heap — is pinned to what this scenario read at e5dadc0, in
+// the monolithic, the 512-byte and the 64 KiB run alike.
+func TestChunkStreamCarriesThePayload(t *testing.T) {
+	sent, got := watchStreams(t)
+	e := newEnv(t, 2, 4, DefaultConfig())
+	heapStart := e.p.AS.VMAs()[0].Start
+	m := e.migrate(t, 1)
+
+	if len(*sent) < 2 || len(*got) != len(*sent) {
+		t.Fatalf("%d streams sent, %d reassembled; want at least a round and the final image, all delivered", len(*sent), len(*got))
 	}
-	runs := map[int]run{}
-	for _, chunk := range []int{0, 512, 64 << 10} {
-		cfg := DefaultConfig()
-		cfg.ChunkBytes = chunk
-		e := newEnv(t, 2, 4, cfg)
-		heapStart := e.p.AS.VMAs()[0].Start
-		m := e.migrate(t, 1)
-		p := findProcess(e.c.Nodes[1], "zone_serv1")
-		if p == nil {
-			t.Fatalf("chunk=%d: process not on destination", chunk)
+	for i, s := range *sent {
+		if !bytes.Equal(s, (*got)[i]) {
+			t.Errorf("stream %d (kind %d, %d bytes): reassembled bytes differ from the encoded ones", i, s[0], len(s)-1)
 		}
-		heap, err := p.AS.Read(heapStart, int(256*proc.PageSize))
-		if err != nil {
-			t.Fatalf("chunk=%d: %v", chunk, err)
-		}
-		runs[chunk] = run{m: m, heap: heap}
 	}
-	base := runs[0]
-	for _, chunk := range []int{512, 64 << 10} {
-		r := runs[chunk]
-		if r.m.Rounds != base.m.Rounds {
-			t.Errorf("chunk=%d: Rounds=%d, monolithic=%d", chunk, r.m.Rounds, base.m.Rounds)
-		}
-		if r.m.PrecopyMemBytes != base.m.PrecopyMemBytes {
-			t.Errorf("chunk=%d: PrecopyMemBytes=%d, monolithic=%d",
-				chunk, r.m.PrecopyMemBytes, base.m.PrecopyMemBytes)
-		}
-		if r.m.FreezeMemBytes != base.m.FreezeMemBytes {
-			t.Errorf("chunk=%d: FreezeMemBytes=%d, monolithic=%d",
-				chunk, r.m.FreezeMemBytes, base.m.FreezeMemBytes)
-		}
-		if r.m.MemPageBytes != base.m.MemPageBytes {
-			t.Errorf("chunk=%d: MemPageBytes=%d, monolithic=%d",
-				chunk, r.m.MemPageBytes, base.m.MemPageBytes)
-		}
-		if !bytes.Equal(r.heap, base.heap) {
-			t.Errorf("chunk=%d: restored heap differs from monolithic restore", chunk)
-		}
+	if last := (*sent)[len(*sent)-1]; last[0] != chunkKindFreeze {
+		t.Errorf("last stream has kind %d, want the freeze image", last[0])
+	}
+	if m.Rounds != 5 || m.PrecopyMemBytes != 2570 || m.FreezeMemBytes != 48 || m.MemPageBytes != 352256 {
+		t.Errorf("shipped Rounds=%d PrecopyMemBytes=%d FreezeMemBytes=%d MemPageBytes=%d, want 5 / 2570 / 48 / 352256",
+			m.Rounds, m.PrecopyMemBytes, m.FreezeMemBytes, m.MemPageBytes)
+	}
+	p := findProcess(e.c.Nodes[1], "zone_serv1")
+	if p == nil {
+		t.Fatal("process not on destination")
+	}
+	heap, err := p.AS.Read(heapStart, int(256*proc.PageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(heap)
+	if h.Sum64() != 0xc67677fa2cf42838 {
+		t.Errorf("restored heap FNV-64a = %#x, want 0xc67677fa2cf42838", h.Sum64())
 	}
 }
 
@@ -130,7 +121,9 @@ func TestQuiescentRoundShipsNothing(t *testing.T) {
 }
 
 // TestPipelineShipsEveryDirtyPageOnce runs the chunked pipeline against
-// a shadow ledger: at each precopy round the test notes what the
+// a shadow ledger, on a heap whose first 96 pages are incompressible so
+// that round 1 is a real multi-frame stream (384 KiB: six frames, the
+// window yields once): at each precopy round the test notes what the
 // tracker is about to ship (all resident pages in round 1, the dirty
 // set afterwards), and at freeze it notes the final dirty set plus a
 // snapshot of the source heap. The engine's MemPageBytes must equal the
@@ -138,10 +131,19 @@ func TestQuiescentRoundShipsNothing(t *testing.T) {
 // was dirty in, nothing skipped, nothing shipped twice — and the
 // destination heap must equal the freeze-time snapshot.
 func TestPipelineShipsEveryDirtyPageOnce(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ChunkBytes = 4 << 10 // force real multi-chunk streams
-	e := newEnv(t, 2, 4, cfg)
+	sent, _ := watchStreams(t)
+	e := newEnv(t, 2, 4, DefaultConfig())
 	heapStart := e.p.AS.VMAs()[0].Start
+	rng := simtime.NewRand(96)
+	noise := make([]byte, proc.PageSize)
+	for pg := uint64(0); pg < 96; pg++ {
+		for i := range noise {
+			noise[i] = byte(rng.Uint64())
+		}
+		if err := e.p.AS.Write(heapStart+pg*proc.PageSize, noise); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	var ledger uint64
 	var frozenHeap []byte
@@ -178,6 +180,9 @@ func TestPipelineShipsEveryDirtyPageOnce(t *testing.T) {
 	m := e.migrate(t, 1)
 	if ledger == 0 || frozenHeap == nil || arrivedHeap == nil {
 		t.Fatal("phase hooks never fired")
+	}
+	if n := len((*sent)[0]) - 1; n <= chunkWindow*chunkBytes {
+		t.Fatalf("round 1 encoded to %d bytes: not enough to exceed one %d-frame window", n, chunkWindow)
 	}
 	if m.MemPageBytes != ledger {
 		t.Fatalf("MemPageBytes=%d, shadow ledger=%d — pages skipped or double-shipped",

@@ -5,49 +5,50 @@ import (
 	"fmt"
 
 	"dvemig/internal/ckpt"
-	"dvemig/internal/sockmig"
 )
 
-// Chunked checkpoint pipeline (PR 8). Historically every checkpoint
-// payload — a precopy round's memory delta, the freeze image, the
-// post-copy directory image — crossed the migd connection as one
-// monolithic message: serialize everything, then hand one giant buffer
-// to the transport. Chunking splits the payload into ChunkBytes-sized
-// MsgChunk frames pushed under a bounded window, so the link starts
-// draining the first frames while later ones are still being queued,
-// and closes the stream with a MsgChunkEnd trailer carrying the frame
-// count and total size for end-to-end verification.
+// Chunked checkpoint pipeline (PR 8). Every checkpoint payload — a
+// precopy round's memory delta, the final image of either kind —
+// crosses the migd connection as chunkBytes-sized MsgChunk frames
+// pushed under a bounded window, so the link starts draining the first
+// frames while later ones are still being queued, closed by a
+// MsgChunkEnd trailer carrying the frame count and total size for
+// end-to-end verification.
 //
 // All frames of one payload are pumped at the same simulated instant
 // (zero-delay continuations between window bursts), so the source-side
 // encode scratch (ob.encBuf) stays valid for the stream's lifetime and
 // event ordering is deterministic regardless of chunk size.
 
-// defaultChunkWindow is the fallback for Config.ChunkWindow: how many
-// chunk frames each event-loop step queues before yielding.
-const defaultChunkWindow = 4
+const (
+	// chunkBytes is the most payload one MsgChunk frame carries: 64 KiB,
+	// 44 full TCP segments, large enough that the 9-byte frame header is
+	// noise and small enough that the receiver's buffer stays a few
+	// frames deep.
+	chunkBytes = 64 << 10
+	// chunkWindow is how many frames each event-loop step queues before
+	// yielding: the window is what lets the transport drain a
+	// multi-megabyte image between bursts instead of holding all of it
+	// in the send buffer at once.
+	chunkWindow = 4
+)
 
-// sendPayload ships one checkpoint payload to the destination: as the
-// legacy monolithic message when chunking is disabled, otherwise as a
+// streamHook, when set (only tests do), sees every checkpoint stream
+// as the source hands it to sendPayload (sent true) and again as the
+// destination finishes reassembling it (sent false).
+var streamHook func(sent bool, kind byte, payload []byte)
+
+// sendPayload ships one checkpoint payload to the destination as a
 // MsgChunk stream. commit marks the payload as the migration's final
 // image; the commit fence (ob.commitSent) rises with the last frame —
 // the trailer — because the destination acts only on a complete
 // stream, so a cancellation mid-stream still rolls back safely.
-func (ob *outbound) sendPayload(kind byte, legacy MsgType, payload []byte, commit bool) {
-	size := ob.m.Config.ChunkBytes
-	if size <= 0 {
-		if commit {
-			ob.commitSent = true
-		}
-		ob.send(legacy, payload)
-		return
+func (ob *outbound) sendPayload(kind byte, payload []byte, commit bool) {
+	if streamHook != nil {
+		streamHook(true, kind, payload)
 	}
 	ob.chunkStream++
 	stream := ob.chunkStream
-	window := ob.m.Config.ChunkWindow
-	if window <= 0 {
-		window = defaultChunkWindow
-	}
 	var seq uint32
 	off := 0
 	var pump func()
@@ -55,8 +56,8 @@ func (ob *outbound) sendPayload(kind byte, legacy MsgType, payload []byte, commi
 		if ob.failed || ob.finished {
 			return
 		}
-		for i := 0; i < window; i++ {
-			end := off + size
+		for i := 0; i < chunkWindow; i++ {
+			end := off + chunkBytes
 			if end > len(payload) {
 				end = len(payload)
 			}
@@ -105,10 +106,6 @@ func (ib *inbound) onChunk(payload []byte) {
 		ib.abort(err)
 		return
 	}
-	if !ib.active {
-		ib.abort(errors.New("migration: CHUNK before MIGRATE_REQ"))
-		return
-	}
 	if !ib.chunkOpen {
 		switch ch.Kind {
 		case chunkKindMemDelta, chunkKindFreeze, chunkKindPostImage:
@@ -144,8 +141,7 @@ func (ib *inbound) onChunk(payload []byte) {
 }
 
 // onChunkEnd verifies the trailer against what was reassembled and
-// dispatches the payload into the same handlers the monolithic
-// messages use.
+// hands the payload to its handler.
 func (ib *inbound) onChunkEnd(payload []byte) {
 	ce, err := decodeChunkEnd(payload)
 	if err != nil {
@@ -169,48 +165,38 @@ func (ib *inbound) onChunkEnd(payload []byte) {
 	kind := ib.chunkKind
 	buf := ib.chunkBuf
 	ib.chunkOpen = false
-	switch kind {
-	case chunkKindMemDelta:
+	if streamHook != nil {
+		streamHook(false, kind, buf)
+	}
+	if kind == chunkKindMemDelta {
 		// The delta is expanded into page-owned memory (every page and
 		// string is copied out of the buffer, never subsliced), so the
 		// stream scratch is free for the next round's stream.
-		ib.applyMemDelta(buf)
-	case chunkKindFreeze:
-		// Freeze/post-image decoding hands out subslices of the payload
-		// (the image is consumed during restore); sever the scratch so a
-		// later append cannot scribble over it.
-		ib.chunkBuf = nil
-		ib.beginFreeze(buf)
-	case chunkKindPostImage:
-		ib.chunkBuf = nil
-		ib.beginPostImage(buf)
-	}
-}
-
-// --- payload handlers, shared by monolithic messages and chunk streams ---
-
-// applyMemDelta folds one precopy round's memory delta into the shadow
-// address space.
-func (ib *inbound) applyMemDelta(payload []byte) {
-	if !ib.active {
-		ib.abort(errors.New("migration: MEM_DELTA before MIGRATE_REQ"))
+		if err := ckpt.ApplyEncodedDelta(ib.shadowAS, buf); err != nil {
+			ib.abort(err)
+		}
 		return
 	}
-	if err := ckpt.ApplyEncodedDelta(ib.shadowAS, payload); err != nil {
-		ib.abort(err)
-	}
+	// Decoding a final image hands out subslices of the payload (the
+	// image is consumed during restore); sever the scratch so a later
+	// append cannot scribble over it.
+	ib.chunkBuf = nil
+	ib.beginFinal(kind, buf)
 }
 
-// beginFreeze handles the complete pre-copy freeze image: past the
-// point of no return, the restore proceeds even if the source dies now
-// (the source only dismantles its copy after RestoreDone, and a dead
-// source cannot serve — either way exactly one owner remains).
-func (ib *inbound) beginFreeze(payload []byte) {
-	if !ib.active {
-		ib.abort(errors.New("migration: FREEZE before MIGRATE_REQ"))
+// beginFinal handles the complete final image: past the point of no
+// return, the restore proceeds even if the source dies now (the source
+// only dismantles its copy after RestoreDone or PullsDone, and a dead
+// source cannot serve — either way exactly one owner remains). For a
+// post image the restore resumes the process with holes, and from there
+// the *pull lease* bounds source silence instead of the transfer lease.
+func (ib *inbound) beginFinal(kind byte, payload []byte) {
+	if post := kind == chunkKindPostImage; post != ib.post {
+		ib.abort(fmt.Errorf("migration: final image of kind %d does not match the requested strategy mode %d",
+			kind, ib.req.Mode))
 		return
 	}
-	fm, err := decodeFreezeMsg(payload)
+	fi, err := decodeFinalImage(kind, payload)
 	if err != nil {
 		ib.abort(err)
 		return
@@ -220,49 +206,5 @@ func (ib *inbound) beginFreeze(payload []byte) {
 		ib.m.sched().Cancel(ib.lease)
 		ib.lease = nil
 	}
-	ib.restore(fm)
-}
-
-// beginPostImage handles the complete post-copy/hybrid handover image.
-// Same point-of-no-return logic as beginFreeze: the restore (and the
-// resume with holes) proceeds; from here the *pull lease* bounds source
-// silence instead of the transfer lease.
-func (ib *inbound) beginPostImage(payload []byte) {
-	if !ib.active {
-		ib.abort(errors.New("migration: POST_IMAGE before MIGRATE_REQ"))
-		return
-	}
-	if !ib.post {
-		ib.abort(errors.New("migration: POST_IMAGE on a pre-copy migration"))
-		return
-	}
-	pm, err := decodePostImage(payload)
-	if err != nil {
-		ib.abort(err)
-		return
-	}
-	ib.restoring = true
-	if ib.lease != nil {
-		ib.m.sched().Cancel(ib.lease)
-		ib.lease = nil
-	}
-	ib.restorePost(pm)
-}
-
-// applySockDelta folds a socket delta into the staging store (sockets
-// are never chunked — their deltas are small — but the handler lives
-// here with its siblings).
-func (ib *inbound) applySockDelta(payload []byte) {
-	if !ib.active {
-		ib.abort(errors.New("migration: SOCK_DELTA before MIGRATE_REQ"))
-		return
-	}
-	sd, err := sockmig.DecodeSockDelta(payload)
-	if err != nil {
-		ib.abort(err)
-		return
-	}
-	if err := ib.store.Apply(sd); err != nil {
-		ib.abort(err)
-	}
+	ib.restore(fi)
 }

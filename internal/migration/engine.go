@@ -56,8 +56,6 @@ type Config struct {
 	// EnableCapture false disables incoming-packet-loss prevention
 	// (ablation: §VI ablation shows retransmission delays without it).
 	EnableCapture bool
-	// LocalNetBits sizes the in-cluster subnet for address rewriting.
-	LocalNetBits int
 	// Deadline aborts a migration that has not completed in this much
 	// (simulated) time; the process thaws and keeps running at the
 	// source.
@@ -101,18 +99,7 @@ type Config struct {
 	// demand paging).
 	PrefetchInterval simtime.Duration
 	PrefetchBatch    int
-	// ChunkBytes splits large checkpoint payloads (precopy deltas, the
-	// freeze image, post-copy's directory image) into MsgChunk frames of
-	// at most this many bytes, so serialization and link transfer
-	// overlap. Zero or negative disables chunking: payloads travel as
-	// the legacy monolithic messages.
-	ChunkBytes int
-	// ChunkWindow bounds how many chunk frames are queued on the
-	// transport per event-loop step; the remainder is pumped via
-	// zero-delay continuations so the socket drains between bursts.
-	// Zero or negative falls back to defaultChunkWindow.
-	ChunkWindow int
-	Costs       CostModel
+	Costs            CostModel
 }
 
 // DefaultConfig returns the paper's configuration with the incremental
@@ -124,7 +111,6 @@ func DefaultConfig() Config {
 		FreezeThreshold:  20 * 1e6,  // 20ms
 		EnablePrecopy:    true,
 		EnableCapture:    true,
-		LocalNetBits:     24,
 		Deadline:         30 * 1e9,
 		ConnTimeout:      5 * 1e9,
 		ConnRetries:      0,
@@ -133,8 +119,6 @@ func DefaultConfig() Config {
 		InboundLease:     10 * 1e9, // 10s of source silence discards the transfer
 		PrefetchInterval: 2 * 1e6,  // 2ms between prefetch batches
 		PrefetchBatch:    8,
-		ChunkBytes:       64 << 10, // 64 KiB checkpoint chunks
-		ChunkWindow:      defaultChunkWindow,
 		Costs:            DefaultCosts,
 	}
 }
@@ -541,6 +525,7 @@ type outbound struct {
 	chunkStream uint32
 
 	started  bool
+	acked    bool // MIGRATE_ACK arrived; the strategy runs
 	frozen   bool
 	failed   bool
 	finished bool
@@ -567,8 +552,8 @@ type outbound struct {
 	transferFired bool
 	onCaptureAck  func()
 
-	// commitSent marks the source-side commit fence: the final image
-	// (MsgFreeze or MsgPostImage) is on the wire. The destination
+	// commitSent marks the source-side commit fence: the final image's
+	// last frame is on the wire. The destination
 	// completes its restore unconditionally once that image arrives, so
 	// from here a voluntary rollback (Cancel, the deadline's first
 	// firing) could leave the process running on both nodes. Only
@@ -714,11 +699,17 @@ func (ob *outbound) onMsg(t MsgType, payload []byte) {
 	if ob.failed || ob.finished {
 		return
 	}
+	st := ob.state()
+	if !accepts(obAccepts[st], t) {
+		ob.fail(&protocolError{t: t, state: obStateNames[st]})
+		return
+	}
 	if ob.handedOver {
 		ob.renewPullWatch()
 	}
 	switch t {
 	case MsgMigrateAck:
+		ob.acked = true
 		ob.mig().start(ob)
 	case MsgCaptureAck:
 		if cb := ob.onCaptureAck; cb != nil {
@@ -779,7 +770,7 @@ func (ob *outbound) shipDeltaRound() simtime.Duration {
 	d := ob.memTracker.Delta(ob.p.AS)
 	if d.Empty() {
 		// Quiescent round: nothing changed since the last scan, so no
-		// MEM_DELTA crosses the wire (mirroring the socket delta's
+		// delta stream crosses the wire (mirroring the socket delta's
 		// emptiness guard below). Rounds still counts — the loop ran —
 		// but the round contributes zero delta bytes.
 		if ob.m.Obs != nil {
@@ -794,7 +785,7 @@ func (ob *outbound) shipDeltaRound() simtime.Duration {
 			ob.m.obsm.roundBytes.Observe(float64(len(ob.encBuf)))
 			ob.pt.cur.SetInt("mem_bytes", int64(len(ob.encBuf)))
 		}
-		ob.sendPayload(chunkKindMemDelta, MsgMemDelta, ob.encBuf, false)
+		ob.sendPayload(chunkKindMemDelta, ob.encBuf, false)
 	}
 	var trackCost simtime.Duration
 	if ob.m.Config.Strategy == sockmig.IncrementalCollective {
@@ -915,12 +906,8 @@ func (ob *outbound) setupTranslation(then func()) {
 }
 
 func (ob *outbound) inCluster(addr netsim.Addr) bool {
-	bits := ob.m.Config.LocalNetBits
-	if bits == 0 {
-		return false
-	}
-	mask := netsim.Addr(^uint32(0) << (32 - bits))
-	return addr&mask == proc.LocalNet&mask
+	const hostBits = 32 - proc.LocalNetBits
+	return addr>>hostBits == proc.LocalNet>>hostBits
 }
 
 // iterativeStep migrates sockets one by one: capture sync, disable,
@@ -1067,38 +1054,40 @@ func (ob *outbound) collectivePhase2() {
 // already-processed connections), plus — for collective strategies — the
 // unified socket buffer.
 func (ob *outbound) sendFreeze(sd *sockmig.SockDelta) {
-	if ob.m.Config.Strategy == sockmig.Iterative {
-		// Sockets were unhashed one by one already.
-	} else if sd == nil {
-		sd = &sockmig.SockDelta{}
-	}
 	// The rounds' encode scratch is idle by now (each round's stream is
-	// pumped out at the round's own instant), and fm.encode copies it
-	// into the freeze payload below.
+	// pumped out at the round's own instant), and the image encoder
+	// copies it into the final payload.
 	memDelta := ob.memTracker.Delta(ob.p.AS)
 	ob.encBuf = memDelta.EncodeInto(ob.encBuf)
-	ob.metrics.FreezeMemBytes += uint64(len(ob.encBuf))
 	ob.metrics.MemPageBytes += memDelta.PageDataBytes()
-	fm := freezeMsg{
+	ob.sendFinal(chunkKindFreeze, ob.encBuf, sd)
+}
+
+// sendFinal ships the final image of either kind: the minimal
+// checkpoint image, mem (the last delta or the page directory, by
+// kind), and the socket payload — sd is nil for the iterative socket
+// strategy, whose sockets were unhashed and shipped one by one already.
+func (ob *outbound) sendFinal(kind byte, mem []byte, sd *sockmig.SockDelta) {
+	if ob.m.Config.Strategy != sockmig.Iterative && sd == nil {
+		sd = &sockmig.SockDelta{}
+	}
+	fi := finalImage{
 		FreezeStart: ob.metrics.FreezeStart,
 		Image:       ob.buildImage().Encode(),
-		MemDelta:    ob.encBuf,
+		Mem:         mem,
 	}
+	ob.metrics.FreezeMemBytes += uint64(len(mem))
 	if sd != nil {
-		fm.SockDelta = sd.Encode()
-		ob.metrics.FreezeSockBytes += uint64(len(fm.SockDelta))
+		fi.SockDelta = sd.Encode()
+		ob.metrics.FreezeSockBytes += uint64(len(fi.SockDelta))
 		if ob.m.Config.Strategy != sockmig.Iterative {
-			ob.metrics.TCPMigrated, ob.metrics.UDPMigrated = countSockets(ob.p)
+			tcp, udp := ob.p.Sockets()
+			ob.metrics.TCPMigrated, ob.metrics.UDPMigrated = len(tcp), len(udp)
 		}
 	}
 	// The commit fence rises with the stream's final frame (sendPayload);
-	// the destination restores only on a complete image either way.
-	ob.sendPayload(chunkKindFreeze, MsgFreeze, fm.encode(), true)
-}
-
-func countSockets(p *proc.Process) (int, int) {
-	tcp, udp := p.Sockets()
-	return len(tcp), len(udp)
+	// the destination restores only on a complete image.
+	ob.sendPayload(kind, fi.encode(kind), true)
 }
 
 // buildImage assembles the minimal checkpoint image (threads, regular
@@ -1269,7 +1258,19 @@ func (ib *inbound) leaseExpired() {
 }
 
 func (ib *inbound) onMsg(t MsgType, payload []byte) {
-	if ib.active {
+	st := ib.state()
+	if st == ibClosed {
+		// In flight behind our close (the rest of a chunk stream, prefetch
+		// pushes): nobody left to answer to, nothing left to change.
+		return
+	}
+	if !accepts(ibAccepts[st], t) {
+		ib.abort(&protocolError{t: t, state: ibStateNames[st]})
+		return
+	}
+	// Only a frame the state accepts counts as hearing from the source:
+	// noise cannot hold half-restored state past the lease.
+	if st == ibTransfer {
 		ib.renewLease()
 	}
 	switch t {
@@ -1311,8 +1312,6 @@ func (ib *inbound) onMsg(t MsgType, payload []byte) {
 		ib.conn.Socket().Class = netsim.ClassCheckpoint
 		ib.renewLease()
 		ib.conn.Send(MsgMigrateAck, nil)
-	case MsgMemDelta:
-		ib.applyMemDelta(payload)
 	case MsgSockDelta:
 		ib.applySockDelta(payload)
 	case MsgChunk:
@@ -1325,18 +1324,13 @@ func (ib *inbound) onMsg(t MsgType, payload []byte) {
 			ib.abort(err)
 			return
 		}
-		for _, k := range keys {
-			ib.filters = append(ib.filters, ib.m.Capture.EnableEpoch(k, ib.req.Epoch))
+		if st == ibTransfer { // in idle: acknowledged, nothing to capture for (see ibAccepts)
+			for _, k := range keys {
+				ib.filters = append(ib.filters, ib.m.Capture.EnableEpoch(k, ib.req.Epoch))
+			}
 		}
 		ib.conn.Send(MsgCaptureAck, nil)
-	case MsgFreeze:
-		ib.beginFreeze(payload)
-	case MsgPostImage:
-		ib.beginPostImage(payload)
 	case MsgPageResp:
-		if ib.puller == nil {
-			return // late content after teardown; drop
-		}
 		pr, err := decodePageResp(payload)
 		if err != nil {
 			ib.abort(err)
@@ -1346,6 +1340,19 @@ func (ib *inbound) onMsg(t MsgType, payload []byte) {
 	case MsgAbort:
 		ib.cleanup()
 	}
+}
+
+// applySockDelta folds an encoded socket delta — a precopy round's, or
+// the final image's — into the staging store; false means it aborted.
+func (ib *inbound) applySockDelta(b []byte) bool {
+	sd, err := sockmig.DecodeSockDelta(b)
+	if err == nil {
+		err = ib.store.Apply(sd)
+	}
+	if err != nil {
+		ib.abort(err)
+	}
+	return err == nil
 }
 
 func (ib *inbound) abort(err error) {
@@ -1381,33 +1388,36 @@ func (ib *inbound) cleanup() {
 }
 
 // restore runs the destination freeze-phase work: fold in the final
-// deltas, rebuild the process, rehash sockets, reinject captured packets
-// and resume execution.
-func (ib *inbound) restore(fm freezeMsg) {
+// image — the last memory delta, or for a post image the page
+// directory (geometry to the frozen shape, holes marked absent) — and
+// the socket payload, then rebuild the process after the simulated
+// restore cost.
+func (ib *inbound) restore(fi finalImage) {
 	ib.m.firePhase(&ib.pt, PhaseRestore, 0, ib.req.PID)
 	if !ib.m.Node.Alive {
 		ib.cleanup()
 		return // a phase hook crashed this node
 	}
-	img, err := ckpt.DecodeImage(fm.Image)
+	img, err := ckpt.DecodeImage(fi.Image)
 	if err != nil {
 		ib.abort(err)
 		return
 	}
-	if err := ckpt.ApplyEncodedDelta(ib.shadowAS, fm.MemDelta); err != nil {
+	if ib.post {
+		var dir *ckpt.PageDir
+		if dir, err = ckpt.DecodePageDir(fi.Mem); err == nil {
+			err = ckpt.ApplyPageDir(ib.shadowAS, dir)
+			ib.holes = len(dir.Absent)
+		}
+	} else {
+		err = ckpt.ApplyEncodedDelta(ib.shadowAS, fi.Mem)
+	}
+	if err != nil {
 		ib.abort(err)
 		return
 	}
-	if len(fm.SockDelta) > 0 {
-		sd, err := sockmig.DecodeSockDelta(fm.SockDelta)
-		if err != nil {
-			ib.abort(err)
-			return
-		}
-		if err := ib.store.Apply(sd); err != nil {
-			ib.abort(err)
-			return
-		}
+	if len(fi.SockDelta) > 0 && !ib.applySockDelta(fi.SockDelta) {
+		return
 	}
 	nsock := ib.store.TCPCount() + ib.store.UDPCount()
 	cost := simtime.Duration(nsock)*ib.m.Config.Costs.SockRestore + ib.m.Config.Costs.FreezeOverhead
@@ -1442,7 +1452,7 @@ func (ib *inbound) finishRestore(img *ckpt.Image) {
 		return
 	}
 	opt := sockmig.RestoreOptions{
-		LocalNet: proc.LocalNet, LocalNetBits: ib.m.Config.LocalNetBits,
+		LocalNet: proc.LocalNet, LocalNetBits: proc.LocalNetBits,
 		NewLocalIP: n.LocalIP,
 	}
 	if _, _, err := ib.store.RestoreAll(n.Stack, p, opt); err != nil {

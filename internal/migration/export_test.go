@@ -13,3 +13,21 @@ func TestMain(m *testing.M) {
 	poisonLent = true
 	os.Exit(m.Run())
 }
+
+// watchStreams records every checkpoint stream of the test's migrations
+// at both ends: what the source handed to sendPayload and what the
+// destination reassembled, in order.
+func watchStreams(t *testing.T) (sent, got *[][]byte) {
+	t.Helper()
+	sent, got = new([][]byte), new([][]byte)
+	streamHook = func(isSent bool, kind byte, payload []byte) {
+		rec := append([]byte{kind}, payload...)
+		if isSent {
+			*sent = append(*sent, rec)
+		} else {
+			*got = append(*got, rec)
+		}
+	}
+	t.Cleanup(func() { streamHook = nil })
+	return sent, got
+}

@@ -183,6 +183,40 @@ func fenvFindProcess(n *proc.Node, name string) *proc.Process {
 	return nil
 }
 
+// TestMigrationOverLossyNetwork runs a live migration while both the
+// players' access link and the in-cluster links drop packets at random
+// for the whole run. TCP (fast retransmit + RTO) must carry both the
+// client streams and the migd transfer itself to a correct result.
+func TestMigrationOverLossyNetwork(t *testing.T) {
+	e := newFaultEnv(t, 2, 4, 1, migration.DefaultConfig())
+	// Loss goes on after setup so the environment builds deterministically.
+	e.inj.Attach(e.clientNIC, &faults.Program{BaseLoss: 0.01})
+	for _, n := range e.c.Nodes {
+		e.inj.Attach(n.LocalNIC, &faults.Program{BaseLoss: 0.005})
+	}
+	e.startStreams(60 * time.Millisecond)
+	var m *migration.Metrics
+	var mErr error
+	e.migs[0].Migrate(e.p, e.c.Nodes[1].LocalIP, func(mm *migration.Metrics, err error) {
+		m, mErr = mm, err
+	})
+	e.c.Sched.RunFor(10 * time.Second)
+	if m == nil || mErr != nil {
+		t.Fatalf("migration under loss: metrics %v, error %v", m, mErr)
+	}
+	if m.FreezeTime <= 0 {
+		t.Fatal("no freeze measured")
+	}
+	// Long drain: loss recovery may need several RTOs.
+	e.c.Sched.RunFor(10 * time.Second)
+	e.stopStreams()
+	e.c.Sched.RunFor(20 * time.Second)
+	e.audit(t, "lossy")
+	if e.clientNIC.FaultDropped == 0 {
+		t.Fatal("loss model inactive; test vacuous")
+	}
+}
+
 // TestByteStreamInvariantUnderFaultScenarios is the end-to-end property
 // of §V-C over a seed sweep: under every recoverable fault scenario —
 // loss burst around the migration window, duplication, reordering, and

@@ -363,53 +363,6 @@ func TestDestinationDiesDuringFreeze(t *testing.T) {
 	}
 }
 
-// TestMigrationOverLossyNetwork runs a live migration while both the
-// players' access link and the in-cluster links drop packets at random.
-// TCP (fast retransmit + RTO) must carry both the client streams and the
-// migd transfer itself to a correct result.
-func TestMigrationOverLossyNetwork(t *testing.T) {
-	cfg := DefaultConfig()
-	e := newEnv(t, 2, 4, cfg)
-	// Turn on loss after setup so the environment builds deterministically.
-	e.c.LastExternalNIC().Params.LossRate = 0.01
-	for _, n := range e.c.Nodes {
-		n.LocalNIC.Params.LossRate = 0.005
-	}
-	var sent [][]byte
-	var tickers []*simtime.Ticker
-	for i, cli := range e.clients {
-		i, cli := i, cli
-		sent = append(sent, nil)
-		tk := simtime.NewTicker(e.c.Sched, 60*time.Millisecond, "cli", func() {
-			msg := []byte(fmt.Sprintf("c%d.%d;", i, len(sent[i])))
-			sent[i] = append(sent[i], msg...)
-			cli.Send(msg)
-		})
-		tk.Start()
-		tickers = append(tickers, tk)
-	}
-	m := e.migrate(t, 1)
-	if m.FreezeTime <= 0 {
-		t.Fatal("no freeze measured")
-	}
-	// Long drain: loss recovery may need several RTOs.
-	e.c.Sched.RunFor(10 * time.Second)
-	for _, tk := range tickers {
-		tk.Stop()
-	}
-	e.c.Sched.RunFor(20 * time.Second)
-	all := e.received.Bytes()
-	for i := range e.clients {
-		got := extractClient(all, i)
-		if !bytes.Equal(got, sent[i]) {
-			t.Fatalf("client %d stream broken under loss: %d vs %d bytes", i, len(got), len(sent[i]))
-		}
-	}
-	if e.c.LastExternalNIC().LossDropped == 0 {
-		t.Fatal("loss model inactive; test vacuous")
-	}
-}
-
 // TestFreezeWithThreadInSyscall: a thread blocked in a socket system call
 // when the freeze signal arrives must abandon the call (emptying backlog
 // and prequeue) so the three-queue socket dump stays sufficient (§V-C1).

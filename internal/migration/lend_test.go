@@ -129,3 +129,42 @@ func TestConnReturnsBufferOnPeerEOF(t *testing.T) {
 		}
 	}
 }
+
+// TestConnHangsUpOnOverBoundHeader: a five-byte header declaring a frame
+// above maxFrameBytes is not waited for. The frame ahead of it is
+// dispatched, the connection closes and tells its owner through OnClose
+// (once), nothing the peer sends afterwards is buffered or parsed — the
+// frame boundaries are gone — and the receive buffer goes back to the
+// free list instead of growing toward the declared size.
+func TestConnHangsUpOnOverBoundHeader(t *testing.T) {
+	bufs := &bufList{}
+	c := idleConn(bufs)
+	var seen []MsgType
+	c.OnMsg = func(mt MsgType, _ []byte) { seen = append(seen, mt) }
+	hangups := 0
+	c.OnClose = func() { hangups++ }
+
+	c.feed(frameBytes(MsgMigrateAck, nil))
+	c.feed([]byte{byte(MsgChunk), 0xFF, 0xFF, 0xFF, 0xFF}) // 4 GiB - 1
+	c.feed(make([]byte, 1<<20))
+	c.feed(frameBytes(MsgAbort, nil))
+	if !c.closed || hangups != 1 {
+		t.Fatalf("closed=%v, OnClose fired %d times", c.closed, hangups)
+	}
+	if c.buf != nil || len(bufs.free) != 1 || cap(bufs.free[0]) >= maxFrameBytes {
+		t.Fatalf("receive buffer not handed back small: conn holds %v, free list %d", c.buf != nil, len(bufs.free))
+	}
+	if len(seen) != 1 || seen[0] != MsgMigrateAck {
+		t.Fatalf("dispatched %v, want only the frame ahead of the bad header", seen)
+	}
+	// Exactly at the bound is a legal header — the parser waits for the
+	// frame — and the sending half refuses what the receiving half would.
+	d := idleConn(&bufList{})
+	d.feed([]byte{byte(MsgChunk), byte(maxFrameBytes >> 24), 0, 0, 0})
+	if d.closed || len(d.buf) != 5 {
+		t.Fatalf("a header declaring exactly maxFrameBytes: closed=%v, %d bytes held", d.closed, len(d.buf))
+	}
+	if err := d.Send2(MsgChunk, make([]byte, 1), make([]byte, maxFrameBytes)); err == nil {
+		t.Fatal("Send2 accepted a frame above maxFrameBytes")
+	}
+}

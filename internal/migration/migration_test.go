@@ -480,7 +480,8 @@ func TestMetricsAccounting(t *testing.T) {
 }
 
 func TestMsgTypeString(t *testing.T) {
-	if MsgFreeze.String() != "FREEZE" || MsgType(99).String() != "MSG(99)" {
+	// 7 is a retired slot: it reads like any other unassigned byte.
+	if MsgRestoreDone.String() != "RESTORE_DONE" || MsgType(7).String() != "MSG(7)" || MsgType(99).String() != "MSG(99)" {
 		t.Fatal("names wrong")
 	}
 }
@@ -540,11 +541,11 @@ func TestWireDecodersRejectGarbage(t *testing.T) {
 	if _, err := decodeCaptureReq([]byte{0, 0, 0, 5, 1, 2}); err == nil {
 		t.Fatal("truncated CAPTURE_REQ accepted")
 	}
-	if _, err := decodeFreezeMsg([]byte{1}); err == nil {
-		t.Fatal("short FREEZE accepted")
+	if _, err := decodeFinalImage(chunkKindFreeze, []byte{1}); err == nil {
+		t.Fatal("short final image accepted")
 	}
-	if _, err := decodeFreezeMsg(make([]byte, 9)); err == nil {
-		t.Fatal("truncated FREEZE accepted")
+	if _, err := decodeFinalImage(chunkKindFreeze, make([]byte, 9)); err == nil {
+		t.Fatal("truncated final image accepted")
 	}
 	if _, err := decodeRestoreDone([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short RESTORE_DONE accepted")
@@ -559,11 +560,6 @@ func TestWireDecodersRejectGarbage(t *testing.T) {
 	kk, err := decodeCaptureReq(encodeCaptureReq(keys))
 	if err != nil || len(kk) != 1 || kk[0] != keys[0] {
 		t.Fatalf("captureReq roundtrip: %+v %v", kk, err)
-	}
-	fm := freezeMsg{FreezeStart: 123, Image: []byte{1}, MemDelta: []byte{2, 3}, SockDelta: nil}
-	gotFm, err := decodeFreezeMsg(fm.encode())
-	if err != nil || gotFm.FreezeStart != 123 || len(gotFm.Image) != 1 || len(gotFm.MemDelta) != 2 {
-		t.Fatalf("freezeMsg roundtrip: %+v %v", gotFm, err)
 	}
 	rd := restoreDone{ResumeAt: 9, Captured: 2, Reinjected: 1}
 	gotRd, err := decodeRestoreDone(rd.encode())

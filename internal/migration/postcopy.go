@@ -39,9 +39,6 @@ func (ob *outbound) hybridRound() {
 // dirty bit is clear, i.e. the bounded round's copy on the destination
 // is still authoritative.
 func (ob *outbound) sendPostImage(sd *sockmig.SockDelta, hybrid bool) {
-	if ob.m.Config.Strategy != sockmig.Iterative && sd == nil {
-		sd = &sockmig.SockDelta{}
-	}
 	var present func(v *proc.VMA, e proc.PTE) bool
 	if hybrid {
 		present = func(_ *proc.VMA, e proc.PTE) bool { return !e.Dirty }
@@ -49,22 +46,7 @@ func (ob *outbound) sendPostImage(sd *sockmig.SockDelta, hybrid bool) {
 	dir := ckpt.BuildPageDir(ob.p.AS, present)
 	ob.pullDir = dir
 	ob.shipped = make(map[ckpt.PageCoord]bool, len(dir.Absent))
-	pm := postImage{
-		FreezeStart: ob.metrics.FreezeStart,
-		Image:       ob.buildImage().Encode(),
-		Dir:         dir.Encode(),
-	}
-	ob.metrics.FreezeMemBytes += uint64(len(pm.Dir))
-	if sd != nil {
-		pm.SockDelta = sd.Encode()
-		ob.metrics.FreezeSockBytes += uint64(len(pm.SockDelta))
-		if ob.m.Config.Strategy != sockmig.Iterative {
-			ob.metrics.TCPMigrated, ob.metrics.UDPMigrated = countSockets(ob.p)
-		}
-	}
-	// The commit fence rises with the stream's final frame (sendPayload);
-	// the destination restores only on a complete image either way.
-	ob.sendPayload(chunkKindPostImage, MsgPostImage, pm.encode(), true)
+	ob.sendFinal(chunkKindPostImage, dir.Encode(), sd)
 }
 
 // postSourceMsg handles the pull-protocol messages on the source; false
@@ -104,9 +86,6 @@ func (ob *outbound) postSourceMsg(t MsgType, payload []byte) bool {
 // rollback plan) are dropped, the control connection is reclassified as
 // page-pull traffic, and the prefetch sweep starts.
 func (ob *outbound) handleResumed(rd restoreDone) {
-	if ob.handedOver {
-		return
-	}
 	ob.handedOver = true
 	ob.resumeAt = rd.ResumeAt
 	ob.metrics.ResumeAt = rd.ResumeAt
@@ -240,10 +219,6 @@ func (ob *outbound) shipPages(id uint32, coords []ckpt.PageCoord) {
 // under, the puller's ownership was superseded (a failover promoted
 // someone else) and feeding it pages would resurrect a fenced owner.
 func (ob *outbound) servePull(pr pageReq) {
-	if !ob.handedOver {
-		ob.fail(errors.New("migration: PAGE_REQ before RESUMED"))
-		return
-	}
 	if cur := ob.m.Epochs.Current(ob.p.Name); pr.Epoch != cur {
 		ob.conn.Send(MsgAbort, []byte(fmt.Sprintf("stale epoch %d pull fenced (current %d)", pr.Epoch, cur)))
 		ob.fail(fmt.Errorf("migration: fenced stale-epoch pull (epoch %d, current %d)", pr.Epoch, cur))
@@ -326,49 +301,6 @@ func (ob *outbound) orphan(err error) {
 }
 
 // --- destination side: partial restore and the demand puller ---------------
-
-// restorePost is the post-copy restore entry: apply the page directory
-// to the shadow space (geometry to the frozen shape, holes marked
-// absent), fold in the socket payload, then finish the restore after
-// the simulated restore cost.
-func (ib *inbound) restorePost(pm postImage) {
-	ib.m.firePhase(&ib.pt, PhaseRestore, 0, ib.req.PID)
-	if !ib.m.Node.Alive {
-		ib.cleanup()
-		return // a phase hook crashed this node
-	}
-	img, err := ckpt.DecodeImage(pm.Image)
-	if err != nil {
-		ib.abort(err)
-		return
-	}
-	dir, err := ckpt.DecodePageDir(pm.Dir)
-	if err != nil {
-		ib.abort(err)
-		return
-	}
-	if err := ckpt.ApplyPageDir(ib.shadowAS, dir); err != nil {
-		ib.abort(err)
-		return
-	}
-	ib.holes = len(dir.Absent)
-	if len(pm.SockDelta) > 0 {
-		sd, err := sockmig.DecodeSockDelta(pm.SockDelta)
-		if err != nil {
-			ib.abort(err)
-			return
-		}
-		if err := ib.store.Apply(sd); err != nil {
-			ib.abort(err)
-			return
-		}
-	}
-	nsock := ib.store.TCPCount() + ib.store.UDPCount()
-	cost := simtime.Duration(nsock)*ib.m.Config.Costs.SockRestore + ib.m.Config.Costs.FreezeOverhead
-	ib.m.sched().After(cost, "migd.restore", func() {
-		ib.finishRestore(img)
-	})
-}
 
 // puller is the destination's demand-paging client: it turns absent-page
 // faults into PAGE_REQ messages, stalls the process loop while a demand

@@ -15,56 +15,6 @@ const (
 	modeHybrid
 )
 
-// postImage is the post-copy freeze payload: the minimal image (threads,
-// non-socket FDs, meta), the page directory describing which pages ride
-// along as resident versus which stay behind as pull-on-demand holes,
-// and — for collective socket strategies — the socket payload. Page
-// *data* for the resident set travels in the MemDelta part (hybrid);
-// pure post-copy ships an empty delta and every page is a hole.
-type postImage struct {
-	FreezeStart simtime.Time
-	Image       []byte // encoded ckpt.Image
-	Dir         []byte // encoded ckpt.PageDir
-	MemDelta    []byte // encoded ckpt.MemDelta (resident pages; may be empty)
-	SockDelta   []byte // encoded sockmig.SockDelta (may be empty)
-}
-
-func (m postImage) encode() []byte {
-	b := make([]byte, 8, 8+16+len(m.Image)+len(m.Dir)+len(m.MemDelta)+len(m.SockDelta))
-	binary.BigEndian.PutUint64(b, uint64(m.FreezeStart))
-	for _, part := range [][]byte{m.Image, m.Dir, m.MemDelta, m.SockDelta} {
-		var l [4]byte
-		binary.BigEndian.PutUint32(l[:], uint32(len(part)))
-		b = append(b, l[:]...)
-		b = append(b, part...)
-	}
-	return b
-}
-
-func decodePostImage(b []byte) (postImage, error) {
-	var m postImage
-	if len(b) < 8 {
-		return m, errors.New("migration: short POST_IMAGE")
-	}
-	m.FreezeStart = simtime.Time(binary.BigEndian.Uint64(b))
-	off := 8
-	parts := make([][]byte, 4)
-	for i := range parts {
-		if off+4 > len(b) {
-			return m, errors.New("migration: truncated POST_IMAGE")
-		}
-		n := int(binary.BigEndian.Uint32(b[off:]))
-		off += 4
-		if n < 0 || off+n > len(b) {
-			return m, errors.New("migration: truncated POST_IMAGE part")
-		}
-		parts[i] = b[off : off+n]
-		off += n
-	}
-	m.Image, m.Dir, m.MemDelta, m.SockDelta = parts[0], parts[1], parts[2], parts[3]
-	return m, nil
-}
-
 // pageReq is a destination→source demand pull: the pages the resumed
 // process faulted on. Epoch is the destination's view of the service
 // epoch from the original MIGRATE_REQ; the source fences requests whose

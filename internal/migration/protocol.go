@@ -21,47 +21,53 @@ const MigdPort = 7801
 // MsgType identifies a migd protocol message.
 type MsgType byte
 
-// Protocol messages, in rough flow order.
+// Protocol messages, in rough flow order. The type byte travels on the
+// wire, so a slot is never reused: 3, 7 and 10 carried the monolithic
+// checkpoint messages (MEM_DELTA, FREEZE, POST_IMAGE) that chunk streams
+// replaced, and a peer that still sends one is answered like any other
+// unknown type.
 const (
 	MsgMigrateReq  MsgType = iota + 1 // S→D: open a migration
 	MsgMigrateAck                     // D→S: accepted
-	MsgMemDelta                       // S→D: one precopy round of memory
+	_                                 // 3: retired
 	MsgSockDelta                      // S→D: socket updates (precopy or freeze)
 	MsgCaptureReq                     // S→D: enable capture filters
 	MsgCaptureAck                     // D→S: filters active
-	MsgFreeze                         // S→D: final state (mem, threads, fds)
+	_                                 // 7: retired
 	MsgRestoreDone                    // D→S: process resumed
 	MsgAbort                          // either direction
 
 	// Post-copy page-pull protocol (PR 6).
-	MsgPostImage // S→D: minimal freeze image + page directory, no page data
+	_            // 10: retired
 	MsgResumed   // D→S: process resumed with holes; downtime ends here
 	MsgPageReq   // D→S: demand pull for faulted pages (epoch-fenced)
 	MsgPageResp  // S→D: page content (demand reply or prefetch push)
 	MsgPullsDone // D→S: last hole filled; the source may dismantle
 
-	// Chunked checkpoint streams (PR 8). Large checkpoint payloads —
-	// precopy memory deltas, the freeze image, post-copy's directory
-	// image — are split into bounded MsgChunk frames closed by a
-	// MsgChunkEnd trailer, so serialization and link transfer overlap
-	// instead of one monolithic message stalling the pipeline.
+	// Chunked checkpoint streams (PR 8). Every checkpoint payload — a
+	// precopy memory delta, the final image of either kind — is split
+	// into bounded MsgChunk frames closed by a MsgChunkEnd trailer, so
+	// serialization and link transfer overlap instead of one monolithic
+	// message stalling the pipeline.
 	MsgChunk    // S→D: one bounded frame of a chunked checkpoint payload
 	MsgChunkEnd // S→D: stream trailer — kind, frame count, total bytes
 )
 
+// msgNames is indexed by type byte; a retired or unassigned slot is "".
+var msgNames = [...]string{
+	MsgMigrateReq: "MIGRATE_REQ", MsgMigrateAck: "MIGRATE_ACK",
+	MsgSockDelta:  "SOCK_DELTA",
+	MsgCaptureReq: "CAPTURE_REQ", MsgCaptureAck: "CAPTURE_ACK",
+	MsgRestoreDone: "RESTORE_DONE", MsgAbort: "ABORT",
+	MsgResumed: "RESUMED",
+	MsgPageReq: "PAGE_REQ", MsgPageResp: "PAGE_RESP", MsgPullsDone: "PULLS_DONE",
+	MsgChunk: "CHUNK", MsgChunkEnd: "CHUNK_END",
+}
+
 // String names the message type.
 func (t MsgType) String() string {
-	names := map[MsgType]string{
-		MsgMigrateReq: "MIGRATE_REQ", MsgMigrateAck: "MIGRATE_ACK",
-		MsgMemDelta: "MEM_DELTA", MsgSockDelta: "SOCK_DELTA",
-		MsgCaptureReq: "CAPTURE_REQ", MsgCaptureAck: "CAPTURE_ACK",
-		MsgFreeze: "FREEZE", MsgRestoreDone: "RESTORE_DONE", MsgAbort: "ABORT",
-		MsgPostImage: "POST_IMAGE", MsgResumed: "RESUMED",
-		MsgPageReq: "PAGE_REQ", MsgPageResp: "PAGE_RESP", MsgPullsDone: "PULLS_DONE",
-		MsgChunk: "CHUNK", MsgChunkEnd: "CHUNK_END",
-	}
-	if s, ok := names[t]; ok {
-		return s
+	if int(t) < len(msgNames) && msgNames[t] != "" {
+		return msgNames[t]
 	}
 	return fmt.Sprintf("MSG(%d)", byte(t))
 }
@@ -91,9 +97,12 @@ type Conn struct {
 	BytesSent uint64
 
 	// closed: Close was called. draining: drain is dispatching, so buf
-	// must stay put until it is done.
+	// must stay put until it is done. broken: a header declared a frame
+	// above maxFrameBytes, so the frame boundaries are lost for good and
+	// whatever else arrives is discarded.
 	closed   bool
 	draining bool
+	broken   bool
 
 	// hdr is the frame-header scratch; the transport copies what Send
 	// hands it synchronously, so one buffer per connection suffices.
@@ -105,9 +114,9 @@ type Conn struct {
 // does what a sync.Pool would, without its per-P machinery.
 type bufList struct{ free [][]byte }
 
-// maxKeptBuf bounds what put keeps: a buffer that grew to hold one
-// monolithic multi-megabyte image is not worth pinning for the
-// Migrator's lifetime.
+// maxKeptBuf bounds what put keeps: a buffer that grew to hold a
+// thousand-socket delta or a backlog of queued chunk frames is not
+// worth pinning for the Migrator's lifetime.
 const maxKeptBuf = 1 << 20
 
 func (l *bufList) get() []byte {
@@ -162,6 +171,9 @@ func (c *Conn) Send(t MsgType, payload []byte) error {
 // larger encode buffer.
 func (c *Conn) Send2(t MsgType, head, tail []byte) error {
 	n := len(head) + len(tail)
+	if n > maxFrameBytes {
+		return fmt.Errorf("migration: %s frame of %d bytes exceeds the %d-byte frame bound", t, n, maxFrameBytes)
+	}
 	c.hdr[0] = byte(t)
 	binary.BigEndian.PutUint32(c.hdr[1:], uint32(n))
 	c.BytesSent += uint64(n) + 5
@@ -184,8 +196,14 @@ func (c *Conn) onReadable() {
 		c.buf = c.sk.RecvAppend(c.recvBuf())
 	}
 	c.drain()
-	if c.sk.EOF() && c.OnClose != nil {
-		cb := c.OnClose
+	if c.sk.EOF() {
+		c.hangup()
+	}
+}
+
+// hangup tells the owner, once, that nothing more will arrive.
+func (c *Conn) hangup() {
+	if cb := c.OnClose; cb != nil {
 		c.OnClose = nil
 		cb()
 	}
@@ -212,11 +230,20 @@ func (c *Conn) recvBuf() []byte {
 // partial frame, usually nothing) to the front so the buffer never
 // creeps. A handler that closes the connection does not stop the
 // dispatch: frames already received behind it are still delivered.
+//
+// A header declaring more than maxFrameBytes is not waited for — no
+// legal frame is that large, and buffering toward it is how a five-byte
+// header would pin gigabytes. The connection is closed on the spot and
+// the owner cleans up through OnClose, as if the peer had hung up.
 func (c *Conn) drain() {
 	c.draining = true
 	off := 0
-	for len(c.buf)-off >= 5 {
+	for !c.broken && len(c.buf)-off >= 5 {
 		n := int(binary.BigEndian.Uint32(c.buf[off+1 : off+5]))
+		if n > maxFrameBytes {
+			c.broken = true
+			break
+		}
 		if len(c.buf)-off < 5+n {
 			break
 		}
@@ -235,6 +262,13 @@ func (c *Conn) drain() {
 		}
 	}
 	c.draining = false
+	if c.broken {
+		// Everything buffered, now or on a later call, is discarded.
+		c.buf = c.buf[:0]
+		c.Close()
+		c.hangup()
+		return
+	}
 	if off > 0 {
 		c.buf = c.buf[:copy(c.buf, c.buf[off:])]
 	}

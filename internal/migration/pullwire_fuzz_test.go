@@ -20,7 +20,7 @@ type fakeDest struct {
 	conn *Conn
 
 	req     migrateReq
-	img     postImage
+	chunks  chunkSink
 	dir     *ckpt.PageDir
 	gotImg  bool
 	aborted []string
@@ -53,16 +53,20 @@ func (fd *fakeDest) onMsg(t *testing.T, mt MsgType, payload []byte) {
 		}
 		fd.req = req
 		fd.conn.Send(MsgMigrateAck, nil)
-	case MsgPostImage:
-		pm, err := decodePostImage(payload)
-		if err != nil {
-			t.Fatalf("fakeDest: bad post image: %v", err)
+	case MsgChunk, MsgChunkEnd:
+		kind, stream, done := fd.chunks.feed(t, mt, payload)
+		if !done {
+			return
 		}
-		dir, err := ckpt.DecodePageDir(pm.Dir)
+		pm, err := decodeFinalImage(kind, stream)
+		if err != nil || kind != chunkKindPostImage {
+			t.Fatalf("fakeDest: bad post image (kind %d): %v", kind, err)
+		}
+		dir, err := ckpt.DecodePageDir(pm.Mem)
 		if err != nil {
 			t.Fatalf("fakeDest: bad page dir: %v", err)
 		}
-		fd.img, fd.dir, fd.gotImg = pm, dir, true
+		fd.dir, fd.gotImg = dir, true
 		fd.conn.Send(MsgResumed, restoreDone{ResumeAt: fd.c.Sched.Now()}.encode())
 	case MsgPageResp:
 		resp, err := decodePageResp(payload)
@@ -93,11 +97,6 @@ func pullEnv(t *testing.T, prefetch simtime.Duration) (*fakeDest, *Migrator, fun
 	cfg.EnableCapture = false
 	cfg.PrefetchInterval = prefetch
 	cfg.InboundLease = 3 * 1e9
-	// The fake destination speaks the monolithic wire dialect (it
-	// switches on MsgPostImage directly); disabling chunking here both
-	// keeps this impersonator simple and keeps the legacy path under
-	// fuzz. The chunked dialect has its own battery in chunk_fuzz_test.go.
-	cfg.ChunkBytes = 0
 	m, err := NewMigrator(c.Nodes[0], cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -251,13 +250,13 @@ func FuzzPullWire(f *testing.F) {
 	})
 }
 
-// FuzzPullDecoders feeds arbitrary bytes to the four pull-protocol
+// FuzzPullDecoders feeds arbitrary bytes to the three pull-protocol
 // decoders: no panic, and everything accepted must roundtrip.
 func FuzzPullDecoders(f *testing.F) {
 	f.Add(pageReq{ID: 1, Epoch: 2, Coords: []ckpt.PageCoord{{VMAStart: 0x1000, Index: 3}}}.encode())
 	f.Add(pageResp{ID: 4, Pages: []respPage{{Coord: ckpt.PageCoord{VMAStart: 0x2000, Index: 1}, Data: []byte{9}}}}.encodeInto(nil))
 	f.Add(pullsDone{LastFillAt: 5, Demand: 6, Prefetched: 7, StallNs: 8}.encode())
-	f.Add(postImage{FreezeStart: 1, Image: []byte{2}, Dir: []byte{3, 4}}.encode())
+	f.Add(pageResp{}.encodeInto(nil)) // the empty reply to an all-duplicate pull
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if pr, err := decodePageReq(data); err == nil {
@@ -281,14 +280,6 @@ func FuzzPullDecoders(f *testing.F) {
 		if pd, err := decodePullsDone(data); err == nil {
 			if back, err := decodePullsDone(pd.encode()); err != nil || back != pd {
 				t.Fatalf("pullsDone roundtrip broken: %v", err)
-			}
-		}
-		if pm, err := decodePostImage(data); err == nil {
-			back, err := decodePostImage(pm.encode())
-			if err != nil || back.FreezeStart != pm.FreezeStart ||
-				len(back.Image) != len(pm.Image) || len(back.Dir) != len(pm.Dir) ||
-				len(back.MemDelta) != len(pm.MemDelta) || len(back.SockDelta) != len(pm.SockDelta) {
-				t.Fatalf("postImage roundtrip broken: %v", err)
 			}
 		}
 	})

@@ -97,60 +97,77 @@ func decodeCaptureReq(b []byte) ([]netsim.FlowKey, error) {
 	return keys, nil
 }
 
-// freezeMsg carries everything the destination still needs at freeze
-// time: the final memory delta, the execution contexts and non-socket
-// FDs (inside the ckpt image), and — for collective strategies — the
-// socket payload.
-type freezeMsg struct {
+// Chunked checkpoint stream kinds: which logical payload a MsgChunk
+// stream reassembles into.
+const (
+	chunkKindMemDelta  byte = iota + 1 // an encoded ckpt.MemDelta (precopy round)
+	chunkKindFreeze                    // a finalImage whose Mem is a ckpt.MemDelta (pre-copy)
+	chunkKindPostImage                 // a finalImage whose Mem is a ckpt.PageDir (post-copy/hybrid)
+)
+
+// finalImage is the stop-and-copy handover every strategy ends with:
+// everything the destination still needs at freeze time. The strategies
+// differ only in which pages ride along, and the chunk kind the image
+// travels under says which: for chunkKindFreeze Mem is the final memory
+// delta; for chunkKindPostImage it is the page directory — geometry plus
+// a present/absent verdict per resident page — and the absent pages
+// follow on demand.
+type finalImage struct {
 	FreezeStart simtime.Time
 	Image       []byte // encoded ckpt.Image (threads, regular fds, meta)
-	MemDelta    []byte // encoded ckpt.MemDelta
+	Mem         []byte // encoded ckpt.MemDelta or ckpt.PageDir, by kind
 	SockDelta   []byte // encoded sockmig.SockDelta (may be empty)
 }
 
-func (m freezeMsg) encode() []byte {
-	b := make([]byte, 8, 8+12+len(m.Image)+len(m.MemDelta)+len(m.SockDelta))
+// parts lists the length-prefixed parts that follow FreezeStart, in
+// wire order. A post image has one more than a freeze image, between
+// Mem and SockDelta: a resident-page delta no sender ever filled. It is
+// still written, empty, and still required to be empty, so the stream
+// is byte for byte the one deployed peers speak.
+func (m finalImage) parts(kind byte) [][]byte {
+	if kind == chunkKindPostImage {
+		return [][]byte{m.Image, m.Mem, nil, m.SockDelta}
+	}
+	return [][]byte{m.Image, m.Mem, m.SockDelta}
+}
+
+func (m finalImage) encode(kind byte) []byte {
+	parts := m.parts(kind)
+	b := make([]byte, 8, 8+4*len(parts)+len(m.Image)+len(m.Mem)+len(m.SockDelta))
 	binary.BigEndian.PutUint64(b, uint64(m.FreezeStart))
-	for _, part := range [][]byte{m.Image, m.MemDelta, m.SockDelta} {
-		var l [4]byte
-		binary.BigEndian.PutUint32(l[:], uint32(len(part)))
-		b = append(b, l[:]...)
+	for _, part := range parts {
+		b = binary.BigEndian.AppendUint32(b, uint32(len(part)))
 		b = append(b, part...)
 	}
 	return b
 }
 
-func decodeFreezeMsg(b []byte) (freezeMsg, error) {
-	var m freezeMsg
+func decodeFinalImage(kind byte, b []byte) (finalImage, error) {
+	var m finalImage
 	if len(b) < 8 {
-		return m, errors.New("migration: short FREEZE")
+		return m, errors.New("migration: short final image")
 	}
 	m.FreezeStart = simtime.Time(binary.BigEndian.Uint64(b))
 	off := 8
-	parts := make([][]byte, 3)
+	parts := m.parts(kind)
 	for i := range parts {
 		if off+4 > len(b) {
-			return m, errors.New("migration: truncated FREEZE")
+			return m, errors.New("migration: truncated final image")
 		}
 		n := int(binary.BigEndian.Uint32(b[off:]))
 		off += 4
-		if off+n > len(b) {
-			return m, errors.New("migration: truncated FREEZE part")
+		if n > len(b)-off {
+			return m, errors.New("migration: truncated final image part")
 		}
 		parts[i] = b[off : off+n]
 		off += n
 	}
-	m.Image, m.MemDelta, m.SockDelta = parts[0], parts[1], parts[2]
+	if len(parts) == 4 && len(parts[2]) != 0 {
+		return m, errors.New("migration: post image carries a resident-page delta")
+	}
+	m.Image, m.Mem, m.SockDelta = parts[0], parts[1], parts[len(parts)-1]
 	return m, nil
 }
-
-// Chunked checkpoint stream kinds: which logical payload a MsgChunk
-// stream reassembles into.
-const (
-	chunkKindMemDelta  byte = iota + 1 // an encoded ckpt.MemDelta (precopy round)
-	chunkKindFreeze                    // an encoded freezeMsg (pre-copy final image)
-	chunkKindPostImage                 // an encoded postImage (post-copy/hybrid handover)
-)
 
 // chunkHdrBytes is the fixed prefix of a MsgChunk payload: kind (u8),
 // stream id (u32), sequence number (u32).
@@ -163,6 +180,13 @@ const chunkEndBytes = 17
 // maxChunkStreamBytes bounds a reassembled stream; a peer claiming more
 // is malformed (real images are a few MB at most).
 const maxChunkStreamBytes = 1 << 30
+
+// maxFrameBytes bounds one frame on a Conn: it refuses to send more and
+// hangs up on a header that declares more. Checkpoint payloads travel
+// in chunkBytes-sized frames, so the largest migd frame is a socket
+// delta (3 206 B per socket, ≈ 3.3 MB at the sweep's 1 024 connections)
+// and the largest of all a guardian's whole-process image (failover.go).
+const maxFrameBytes = 64 << 20
 
 // chunkFrame is one decoded MsgChunk payload. Data aliases the input
 // buffer; the reassembler copies it into its stream buffer immediately.

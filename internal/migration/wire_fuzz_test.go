@@ -1,6 +1,7 @@
 package migration
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"testing"
@@ -17,7 +18,8 @@ import (
 func FuzzWireDecoders(f *testing.F) {
 	f.Add(migrateReq{PID: 42, Strategy: sockmig.Collective, Token: 7, Name: "zone"}.encode())
 	f.Add(encodeCaptureReq([]netsim.FlowKey{{RemoteIP: 1, RemotePort: 2, LocalPort: 3, Proto: 6}}))
-	f.Add(freezeMsg{FreezeStart: 123, Image: []byte{1}, MemDelta: []byte{2, 3}}.encode())
+	f.Add(finalImage{FreezeStart: 123, Image: []byte{1}, Mem: []byte{2, 3}}.encode(chunkKindFreeze))
+	f.Add(finalImage{FreezeStart: 1, Image: []byte{2}, Mem: []byte{3, 4}, SockDelta: []byte{5}}.encode(chunkKindPostImage))
 	f.Add(restoreDone{ResumeAt: 9, Captured: 2, Reinjected: 1}.encode())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -32,12 +34,11 @@ func FuzzWireDecoders(f *testing.F) {
 				t.Fatalf("captureReq roundtrip broken: %v", err)
 			}
 		}
-		if fm, err := decodeFreezeMsg(data); err == nil {
-			back, err := decodeFreezeMsg(fm.encode())
-			if err != nil || back.FreezeStart != fm.FreezeStart ||
-				len(back.Image) != len(fm.Image) || len(back.MemDelta) != len(fm.MemDelta) ||
-				len(back.SockDelta) != len(fm.SockDelta) {
-				t.Fatalf("freezeMsg roundtrip broken: %v", err)
+		for _, kind := range []byte{chunkKindFreeze, chunkKindPostImage} {
+			if fi, err := decodeFinalImage(kind, data); err == nil {
+				if back := fi.encode(kind); !bytes.Equal(back, data[:len(back)]) {
+					t.Fatalf("final image (kind %d) re-encodes to %x, decoded from %x", kind, back, data)
+				}
 			}
 		}
 		if rd, err := decodeRestoreDone(data); err == nil {
@@ -112,23 +113,26 @@ func splitEvery(stream []byte, n int) [][]byte {
 // the connection mid-dispatch.
 func FuzzConnFraming(f *testing.F) {
 	three := append(append(
-		[]byte{byte(MsgFreeze), 0, 0, 0, 2, 9, 9},
+		[]byte{byte(MsgSockDelta), 0, 0, 0, 2, 9, 9},
 		byte(MsgAbort), 0, 0, 0, 0),
-		byte(MsgChunk), 0, 0, 0, 3, 1, 2, 3, byte(MsgMemDelta), 0, 0)
-	f.Add([]byte{byte(MsgFreeze), 0, 0, 0, 2, 9, 9}, 3, -1)
+		byte(MsgChunk), 0, 0, 0, 3, 1, 2, 3, byte(MsgChunkEnd), 0, 0)
+	f.Add([]byte{byte(MsgSockDelta), 0, 0, 0, 2, 9, 9}, 3, -1)
 	f.Add(three, 4, 0)
 	f.Add(three, 1, 1)
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, 1, 0)
 	f.Add([]byte{}, 1, -1)
+	// A good frame, then a header over maxFrameBytes, then a good frame.
+	f.Add(append(append(frameBytes(MsgAbort, nil), byte(MsgChunk), 0x04, 0, 0, 1), frameBytes(MsgAbort, nil)...), 2, 0)
 	f.Fuzz(func(t *testing.T, stream []byte, chunk, closeAt int) {
 		if chunk <= 0 {
 			chunk = 1
 		}
-		// The oracle: walk the headers of the whole stream.
+		// The oracle: walk the headers of the whole stream, up to the
+		// first that declares more than a frame may hold.
 		var want []frame
 		for off := 0; len(stream)-off >= 5; {
 			n := int(binary.BigEndian.Uint32(stream[off+1:]))
-			if len(stream)-off-5 < n {
+			if n > maxFrameBytes || len(stream)-off-5 < n {
 				break
 			}
 			want = append(want, frame{MsgType(stream[off]), string(stream[off+5 : off+5+n])})

@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 
-	"dvemig/internal/flight"
 	"dvemig/internal/simtime"
 )
 
@@ -18,14 +17,13 @@ type HandlerFunc func(p *Packet)
 // DeliverPacket calls the function.
 func (f HandlerFunc) DeliverPacket(p *Packet) { f(p) }
 
-// LinkParams describe a link's performance: Bandwidth in bits per second,
-// one-way propagation Latency, and an optional random LossRate in [0,1).
-// The paper's testbed is Gigabit Ethernet on both the public and the
-// in-cluster network; loss is used by robustness experiments only.
+// LinkParams describe a link's performance: Bandwidth in bits per second
+// and one-way propagation Latency. The paper's testbed is Gigabit
+// Ethernet on both the public and the in-cluster network; what a link
+// loses, duplicates or delays is its FaultModel's business.
 type LinkParams struct {
 	Bandwidth float64 // bits per second
 	Latency   simtime.Duration
-	LossRate  float64
 }
 
 // GigabitEthernet matches the evaluation testbed (§VI-A).
@@ -45,10 +43,10 @@ type FaultAction struct {
 	DupDelay  simtime.Duration
 }
 
-// FaultModel is a per-link fault program. It generalizes the old lone
-// LossRate knob: the NIC consults it once per egress packet (dir "tx",
-// where loss/duplication/reordering/jitter apply) and once per ingress
-// packet (dir "rx", where link-down windows block delivery). netsim only
+// FaultModel is a per-link fault program, the one way a link misbehaves:
+// the NIC consults it once per egress packet (dir "tx", where
+// loss/duplication/reordering/jitter apply) and once per ingress packet
+// (dir "rx", where link-down windows block delivery). netsim only
 // defines the contract; deterministic implementations live in
 // internal/faults so links stay dependency-free.
 type FaultModel interface {
@@ -75,15 +73,12 @@ type NIC struct {
 	sched   *simtime.Scheduler
 
 	busyUntil simtime.Time // egress serialization horizon
-	sniffers  []Sniffer
-	lossRand  *simtime.Rand
+	taps      []Tap
 	fault     FaultModel
 
 	// Counters for diagnostics and tests.
 	TxPackets, RxPackets uint64
 	TxBytes, RxBytes     uint64
-	// LossDropped counts packets the link's random-loss model discarded.
-	LossDropped uint64
 	// Fault-plane counters: packets the installed FaultModel dropped,
 	// duplicated, or delayed on this NIC.
 	FaultDropped    uint64
@@ -99,28 +94,58 @@ type NIC struct {
 	// precopy/freeze transfer bytes on the migd connection, so eval can
 	// attribute migration wire pressure separately from the pull phase.
 	CkptTxBytes, CkptRxBytes uint64
-
-	// FR, when attached, records every packet verdict on this NIC into
-	// the flight recorder (tx, rx, drops, duplicates). Nil by default.
-	FR *flight.Recorder
 }
 
-// frPkt packs one endpoint of a packet into a flight-recorder payload:
-// the address in the upper 32 bits, the port in the lower 16.
-func frPkt(ip Addr, port uint16) int64 {
-	return int64(uint64(ip)<<32 | uint64(port))
-}
+// TapEvent says what happened to a packet at a NIC.
+type TapEvent uint8
 
-// frRecord records one packet verdict (no-op when fr is nil).
-func frRecord(fr *flight.Recorder, at simtime.Time, verdict string, p *Packet) {
-	fr.Record(int64(at), "pkt", verdict, frPkt(p.SrcIP, p.SrcPort), frPkt(p.DstIP, p.DstPort), int64(p.Seq))
+// The events, each emitted at exactly one point of Send or deliver.
+// TapTx and TapRx keep the values 1 and 2: the trace hashes fold the
+// event in as a number.
+const (
+	TapTx        TapEvent = iota + 1 // Send: handed to the wire, before the fault program rules
+	TapRx                            // deliver: about to reach the handler
+	TapDropFault                     // Send or deliver: the fault program discarded it
+	TapDup                           // Send: the fault program scheduled a second copy
+)
+
+var tapEventNames = [...]string{TapTx: "tx", TapRx: "rx", TapDropFault: "drop-fault", TapDup: "dup"}
+
+// String is the event's flight-recorder verdict.
+func (e TapEvent) String() string { return tapEventNames[e] }
+
+// Tap observes the packet events of the NIC it is attached to: the
+// tcpdump of the simulation (Fig 4), the trace hashes, the flight
+// recorder. The packet is lent for the call — a tap copies what it
+// keeps and changes nothing. Taps run in attach order and know nothing
+// of each other.
+type Tap interface {
+	PacketEvent(at simtime.Time, ev TapEvent, p *Packet)
 }
 
 // SetHandler installs the ingress consumer (the node's network stack).
 func (n *NIC) SetHandler(h Handler) { n.handler = h }
 
-// AttachSniffer adds a tcpdump-style tap observing both directions.
-func (n *NIC) AttachSniffer(s Sniffer) { n.sniffers = append(n.sniffers, s) }
+// AttachTap adds a tap behind the ones already attached.
+func (n *NIC) AttachTap(t Tap) { n.taps = append(n.taps, t) }
+
+// DetachTap removes a tap; the others keep their order.
+func (n *NIC) DetachTap(t Tap) {
+	for i, have := range n.taps {
+		if have == t {
+			n.taps = append(n.taps[:i], n.taps[i+1:]...)
+			return
+		}
+	}
+}
+
+// emit hands one event to every tap. With nothing attached — the
+// benchmarked configuration — it is the loop's one length check.
+func (n *NIC) emit(at simtime.Time, ev TapEvent, p *Packet) {
+	for _, t := range n.taps {
+		t.PacketEvent(at, ev, p)
+	}
+}
 
 // SetFault installs (or, with nil, removes) the link's fault program.
 func (n *NIC) SetFault(fm FaultModel) { n.fault = fm }
@@ -151,38 +176,14 @@ func (n *NIC) Send(p *Packet) {
 	case ClassCheckpoint:
 		n.CkptTxBytes += uint64(p.Len())
 	}
-	if n.FR != nil {
-		frRecord(n.FR, now, "tx", p)
-	}
-	for _, s := range n.sniffers {
-		s.Capture(now, "tx", p)
-	}
-	if n.Params.LossRate > 0 {
-		if n.lossRand == nil {
-			seed := uint64(17)
-			for _, c := range n.Name {
-				seed = seed*131 + uint64(c)
-			}
-			n.lossRand = simtime.NewRand(seed)
-		}
-		if n.lossRand.Float64() < n.Params.LossRate {
-			n.LossDropped++
-			if n.FR != nil {
-				frRecord(n.FR, now, "drop-loss", p)
-			}
-			p.Release() // swallowed by the wire
-			return
-		}
-	}
+	n.emit(now, TapTx, p)
 	extra := simtime.Duration(0)
 	if n.fault != nil {
 		act := n.fault.Apply(now, "tx", p)
 		if act.Drop {
 			n.FaultDropped++
-			if n.FR != nil {
-				frRecord(n.FR, now, "drop-fault", p)
-			}
-			p.Release()
+			n.emit(now, TapDropFault, p)
+			p.Release() // swallowed by the wire
 			return
 		}
 		if act.ExtraDelay > 0 {
@@ -191,9 +192,7 @@ func (n *NIC) Send(p *Packet) {
 		}
 		if act.Duplicate {
 			n.FaultDuplicated++
-			if n.FR != nil {
-				frRecord(n.FR, now, "dup", p)
-			}
+			n.emit(now, TapDup, p)
 			dup := p.Clone()
 			n.sched.AtCall(done+n.Params.Latency+extra+act.DupDelay, "netsim.deliver-dup", routeCall, n, dup)
 		}
@@ -212,12 +211,11 @@ func routeCall(a0, a1 any) {
 }
 
 func (n *NIC) deliver(p *Packet) {
+	now := n.sched.Now()
 	if n.fault != nil {
-		if act := n.fault.Apply(n.sched.Now(), "rx", p); act.Drop {
+		if act := n.fault.Apply(now, "rx", p); act.Drop {
 			n.FaultDropped++
-			if n.FR != nil {
-				frRecord(n.FR, n.sched.Now(), "drop-fault", p)
-			}
+			n.emit(now, TapDropFault, p)
 			p.Release()
 			return
 		}
@@ -230,12 +228,7 @@ func (n *NIC) deliver(p *Packet) {
 	case ClassCheckpoint:
 		n.CkptRxBytes += uint64(p.Len())
 	}
-	if n.FR != nil {
-		frRecord(n.FR, n.sched.Now(), "rx", p)
-	}
-	for _, s := range n.sniffers {
-		s.Capture(n.sched.Now(), "rx", p)
-	}
+	n.emit(now, TapRx, p)
 	if n.handler != nil {
 		n.handler.DeliverPacket(p)
 	}

@@ -8,6 +8,7 @@ import (
 	"dvemig/internal/capture"
 	"dvemig/internal/dve"
 	"dvemig/internal/eval"
+	"dvemig/internal/faults"
 	"dvemig/internal/migration"
 	"dvemig/internal/netsim"
 	"dvemig/internal/netstack"
@@ -390,5 +391,28 @@ func TestConcurrentCellsShareNoList(t *testing.T) {
 	}
 	if !reflect.DeepEqual(pts[0].Runs, pts[1].Runs) {
 		t.Fatal("two concurrent runs of one seed differ")
+	}
+}
+
+// TestLinkLossModel: every packet a lossy link is handed is delivered or
+// counted as dropped by its fault program, the one loss model it has.
+func TestLinkLossModel(t *testing.T) {
+	s := simtime.NewScheduler()
+	sw := netsim.NewSwitch(s)
+	a := sw.Attach("a", netsim.MakeAddr(10, 0, 0, 1), netsim.GigabitEthernet)
+	b := sw.Attach("b", netsim.MakeAddr(10, 0, 0, 2), netsim.GigabitEthernet)
+	a.SetFault(&faults.Program{Seed: 17, BaseLoss: 0.2})
+	got := 0
+	b.SetHandler(netsim.HandlerFunc(func(p *netsim.Packet) { got++ }))
+	const n = 2000
+	for i := 0; i < n; i++ {
+		a.Send(&netsim.Packet{SrcIP: a.Addr, DstIP: b.Addr})
+	}
+	s.Run()
+	if a.FaultDropped == 0 || got == 0 {
+		t.Fatalf("lossy link delivered %d and dropped %d of %d", got, a.FaultDropped, n)
+	}
+	if got+int(a.FaultDropped) != n {
+		t.Fatalf("accounting: %d delivered + %d dropped != %d", got, a.FaultDropped, n)
 	}
 }

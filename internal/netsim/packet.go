@@ -9,8 +9,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-
-	"dvemig/internal/simtime"
 )
 
 // Pool is one stack's packet free list: two plain stacks, one of packet
@@ -527,10 +525,4 @@ type FlowKey struct {
 func (k FlowKey) MatchesIncoming(p *Packet) bool {
 	return p.Proto == k.Proto && p.SrcIP == k.RemoteIP &&
 		p.SrcPort == k.RemotePort && p.DstPort == k.LocalPort
-}
-
-// Sniffer receives a copy of every packet delivered on the interface it is
-// attached to; it is the tcpdump of the simulation (used for Fig 4).
-type Sniffer interface {
-	Capture(at simtime.Time, dir string, p *Packet)
 }

@@ -589,16 +589,29 @@ func TestFastRetransmitOnTripleDupAck(t *testing.T) {
 	}
 }
 
+// lossFault drops a seeded-random fraction of a link's egress packets
+// (faults.Program{BaseLoss}, which cannot be imported from here).
+type lossFault struct {
+	rng  *simtime.Rand
+	rate float64
+}
+
+func (f *lossFault) Apply(_ simtime.Time, dir string, _ *netsim.Packet) netsim.FaultAction {
+	return netsim.FaultAction{Drop: dir == "tx" && f.rng.Float64() < f.rate}
+}
+
 func TestBulkTransferOverLossyLink(t *testing.T) {
 	// End-to-end robustness: 2% loss in both directions, a 500 KB
 	// transfer must still complete intact via RTO + fast retransmit.
 	sched := simtime.NewScheduler()
 	sw := netsim.NewSwitch(sched)
-	lossy := netsim.LinkParams{Bandwidth: 1e9, Latency: 100 * 1e3, LossRate: 0.02}
+	link := netsim.LinkParams{Bandwidth: 1e9, Latency: 100 * 1e3}
 	a := NewStack(sched, "a", 1000)
 	b := NewStack(sched, "b", 2000)
-	na := sw.Attach("a.eth0", addrA, lossy)
-	nb := sw.Attach("b.eth0", addrB, lossy)
+	na := sw.Attach("a.eth0", addrA, link)
+	nb := sw.Attach("b.eth0", addrB, link)
+	na.SetFault(&lossFault{rng: simtime.NewRand(1), rate: 0.02})
+	nb.SetFault(&lossFault{rng: simtime.NewRand(2), rate: 0.02})
 	a.AttachNIC(na, addrA)
 	b.AttachNIC(nb, addrB)
 	a.AddRoute(lan, 24, na, addrA)
@@ -628,7 +641,7 @@ func TestBulkTransferOverLossyLink(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("lossy transfer corrupted: got %d of %d bytes", len(got), len(msg))
 	}
-	if na.LossDropped == 0 && nb.LossDropped == 0 {
+	if na.FaultDropped == 0 && nb.FaultDropped == 0 {
 		t.Fatal("loss model inactive; test vacuous")
 	}
 }

@@ -380,49 +380,38 @@ func WriteSeriesCSV(w io.Writer, caps ...*Capture) error {
 	return bw.Flush()
 }
 
-// WriteSeriesFile writes the captures' series artifact at path: CSV
-// when the path ends in .csv, JSON otherwise — the -series-out
-// plumbing shared by the commands.
-func WriteSeriesFile(path string, caps ...*Capture) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// WriteArtifacts is the -trace-out / -metrics-out / -series-out plumbing
+// shared by the commands: it writes the captures' Chrome trace, metric
+// snapshots and sampled series at whichever of the three paths are
+// non-empty (the series as CSV when its path ends in .csv, JSON
+// otherwise) and names each file written on log.
+func WriteArtifacts(log io.Writer, tracePath, metricsPath, seriesPath string, caps ...*Capture) error {
+	series := WriteSeriesJSON
+	if strings.HasSuffix(seriesPath, ".csv") {
+		series = WriteSeriesCSV
 	}
-	werr := WriteSeriesJSON
-	if strings.HasSuffix(path, ".csv") {
-		werr = WriteSeriesCSV
+	for _, a := range []struct {
+		path, what string
+		write      func(io.Writer, ...*Capture) error
+	}{
+		{tracePath, "trace", WriteChromeTrace},
+		{metricsPath, "metrics", WriteMetricsText},
+		{seriesPath, "series", series},
+	} {
+		if a.path == "" {
+			continue
+		}
+		f, err := os.Create(a.path)
+		if err == nil {
+			err = a.write(f, caps...)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("writing %s: %w", a.what, err)
+		}
+		fmt.Fprintf(log, "wrote %s\n", a.path)
 	}
-	if err := werr(f, caps...); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// WriteChromeTraceFile writes the captures as one Chrome trace JSON
-// file at path — the -trace-out plumbing shared by the commands.
-func WriteChromeTraceFile(path string, caps ...*Capture) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteChromeTrace(f, caps...); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// WriteMetricsFile writes the captures' metric snapshots as plain text
-// at path — the -metrics-out plumbing shared by the commands.
-func WriteMetricsFile(path string, caps ...*Capture) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteMetricsText(f, caps...); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return nil
 }

@@ -38,7 +38,6 @@ func HarvestNIC(r *Registry, nic *netsim.NIC) {
 	r.Counter(p + "rx_packets").Store(nic.RxPackets)
 	r.Counter(p + "tx_bytes").Store(nic.TxBytes)
 	r.Counter(p + "rx_bytes").Store(nic.RxBytes)
-	r.Counter(p + "loss_dropped").Store(nic.LossDropped)
 	r.Counter(p + "fault_dropped").Store(nic.FaultDropped)
 	r.Counter(p + "fault_duplicated").Store(nic.FaultDuplicated)
 	r.Counter(p + "fault_delayed").Store(nic.FaultDelayed)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dvemig/internal/migration"
+	"dvemig/internal/netsim"
 	"dvemig/internal/proc"
 	"dvemig/internal/simtime"
 	"dvemig/internal/trace"
@@ -69,7 +70,7 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 	}
 
 	host := cluster.NewExternalHost("players")
-	tap := &trace.PacketTrace{FilterPort: GamePort, FilterDir: "rx"}
+	tap := &trace.PacketTrace{FilterPort: GamePort, FilterDir: netsim.TapRx}
 	// The external host's NIC is the players' access link; sniff it.
 	hostNICSniff(cluster, tap)
 
@@ -127,7 +128,7 @@ func hostNICSniff(c *proc.Cluster, tap *trace.PacketTrace) {
 	// creation instead — see NewExternalHostNIC below.
 	nic := c.LastExternalNIC()
 	if nic != nil {
-		nic.AttachSniffer(tap)
+		nic.AttachTap(tap)
 	}
 }
 

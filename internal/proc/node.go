@@ -31,7 +31,8 @@ type Node struct {
 	// FR, when attached, is this node's flight recorder: migration phase
 	// transitions, failure-detector flips and conductor decisions record
 	// into it. AttachFlight wires it (plus the stack and NIC recorders).
-	FR *flight.Recorder
+	FR    *flight.Recorder
+	nicFR [2]*nicFlight // the public and the local NIC's taps, to detach
 
 	processes []*Process // PID order, so every walk is deterministic
 	nextPID   int
@@ -52,27 +53,47 @@ func newNode(name string, sched *simtime.Scheduler, bootJiffies uint32) *Node {
 
 // AttachFlight wires a flight-recorder set into the node: one recorder
 // for node-level events (n.FR), one for the stack's packet verdicts, and
-// one per NIC for wire-level verdicts. Passing nil detaches them all.
+// one per NIC, attached as a packet tap, for wire-level verdicts.
+// Passing nil detaches them all.
 func (n *Node) AttachFlight(set *flight.Set) {
+	nics := [...]*netsim.NIC{n.PublicNIC, n.LocalNIC}
+	tracks := [...]string{"/nic-pub", "/nic-local"}
+	for i, nic := range nics {
+		if n.nicFR[i] != nil {
+			nic.DetachTap(n.nicFR[i])
+			n.nicFR[i] = nil
+		}
+	}
 	if set == nil {
-		n.FR = nil
-		n.Stack.FR = nil
-		if n.PublicNIC != nil {
-			n.PublicNIC.FR = nil
-		}
-		if n.LocalNIC != nil {
-			n.LocalNIC.FR = nil
-		}
+		n.FR, n.Stack.FR = nil, nil
 		return
 	}
 	n.FR = set.Track(n.Name)
 	n.Stack.FR = set.Track(n.Name + "/stack")
-	if n.PublicNIC != nil {
-		n.PublicNIC.FR = set.Track(n.Name + "/nic-pub")
+	for i, nic := range nics {
+		if nic != nil {
+			n.nicFR[i] = (*nicFlight)(set.Track(n.Name + tracks[i]))
+			nic.AttachTap(n.nicFR[i])
+		}
 	}
-	if n.LocalNIC != nil {
-		n.LocalNIC.FR = set.Track(n.Name + "/nic-local")
-	}
+}
+
+// nicFlight is a NIC's flight-recorder track seen as a packet tap: every
+// packet event becomes one "pkt" record named by the event's verdict
+// (tx, rx, drop-fault, dup), with the endpoints and the sequence number
+// as payload. It is the recorder itself under another method set, so
+// attaching one allocates nothing.
+type nicFlight flight.Recorder
+
+func (f *nicFlight) PacketEvent(at simtime.Time, ev netsim.TapEvent, p *netsim.Packet) {
+	(*flight.Recorder)(f).Record(int64(at), "pkt", ev.String(),
+		frPkt(p.SrcIP, p.SrcPort), frPkt(p.DstIP, p.DstPort), int64(p.Seq))
+}
+
+// frPkt packs one endpoint of a packet into a flight-recorder payload:
+// the address in the upper 32 bits, the port in the lower 16.
+func frPkt(ip netsim.Addr, port uint16) int64 {
+	return int64(uint64(ip)<<32 | uint64(port))
 }
 
 // Spawn creates a process with the given number of threads and a fresh
@@ -222,8 +243,12 @@ type Cluster struct {
 	lastExternalNIC *netsim.NIC
 }
 
-// LocalNet is the in-cluster subnet.
+// LocalNet is the in-cluster subnet, a /LocalNetBits: the route every
+// node installs, the migrator's "is this peer in the cluster" test and
+// the restore-time address rewrite all read the one width.
 var LocalNet = netsim.MakeAddr(192, 168, 1, 0)
+
+const LocalNetBits = 24
 
 // NewCluster builds the testbed with n server nodes (the paper uses 5
 // DVE servers plus a MySQL machine; the DB node is added separately with
@@ -255,7 +280,7 @@ func (c *Cluster) AddNode(name string) *Node {
 	n.LocalNIC = c.Switch.Attach(name+".lan", n.LocalIP, netsim.GigabitEthernet)
 	n.Stack.AttachNIC(n.PublicNIC, c.ClusterIP)
 	n.Stack.AttachNIC(n.LocalNIC, n.LocalIP)
-	n.Stack.AddRoute(LocalNet, 24, n.LocalNIC, n.LocalIP)
+	n.Stack.AddRoute(LocalNet, LocalNetBits, n.LocalNIC, n.LocalIP)
 	n.Stack.AddRoute(0, 0, n.PublicNIC, c.ClusterIP)
 	c.Nodes = append(c.Nodes, n)
 	return n

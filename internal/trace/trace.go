@@ -17,7 +17,7 @@ import (
 // Record is one captured packet.
 type Record struct {
 	At  simtime.Time
-	Dir string // "tx" or "rx"
+	Dir netsim.TapEvent // TapTx or TapRx
 	// Summary fields copied out of the packet (the packet itself may be
 	// mutated downstream by netfilter hooks).
 	Proto   byte
@@ -30,14 +30,14 @@ type Record struct {
 	Flags   byte
 }
 
-// PacketTrace is a sniffer that retains packet records, optionally
-// filtered by transport port.
+// PacketTrace is a packet tap that retains a record per transmitted or
+// received packet, optionally filtered by transport port.
 type PacketTrace struct {
 	// FilterPort, when non-zero, keeps only packets with this source or
 	// destination port.
 	FilterPort uint16
-	// FilterDir, when non-empty, keeps only "tx" or "rx" records.
-	FilterDir string
+	// FilterDir, when set, keeps only TapTx or only TapRx records.
+	FilterDir netsim.TapEvent
 
 	Records []Record
 
@@ -54,12 +54,16 @@ type PacketTrace struct {
 	LastDirFiltered simtime.Time
 }
 
-// Capture implements netsim.Sniffer.
-func (t *PacketTrace) Capture(at simtime.Time, dir string, p *netsim.Packet) {
+// PacketEvent implements netsim.Tap. Only packets that crossed the NIC
+// are traced: what the fault plane did to one is not tcpdump's to see.
+func (t *PacketTrace) PacketEvent(at simtime.Time, dir netsim.TapEvent, p *netsim.Packet) {
+	if dir != netsim.TapTx && dir != netsim.TapRx {
+		return
+	}
 	if t.FilterPort != 0 && p.SrcPort != t.FilterPort && p.DstPort != t.FilterPort {
 		return
 	}
-	if t.FilterDir != "" && dir != t.FilterDir {
+	if t.FilterDir != 0 && dir != t.FilterDir {
 		t.DirFiltered++
 		t.LastDirFiltered = at
 		return

@@ -8,16 +8,17 @@ import (
 	"dvemig/internal/netsim"
 )
 
-func rec(tr *PacketTrace, at time.Duration, dir string, sp, dp uint16) {
-	tr.Capture(at, dir, &netsim.Packet{Proto: netsim.ProtoUDP, SrcPort: sp, DstPort: dp, Payload: []byte("xy")})
+func rec(tr *PacketTrace, at time.Duration, dir netsim.TapEvent, sp, dp uint16) {
+	tr.PacketEvent(at, dir, &netsim.Packet{Proto: netsim.ProtoUDP, SrcPort: sp, DstPort: dp, Payload: []byte("xy")})
 }
 
 func TestPacketTraceFilter(t *testing.T) {
-	tr := &PacketTrace{FilterPort: 27960, FilterDir: "tx"}
-	rec(tr, 0, "tx", 27960, 5000)
-	rec(tr, time.Millisecond, "rx", 5000, 27960)  // wrong dir
-	rec(tr, 2*time.Millisecond, "tx", 1234, 5678) // wrong port
-	rec(tr, 3*time.Millisecond, "tx", 5000, 27960)
+	tr := &PacketTrace{FilterPort: 27960, FilterDir: netsim.TapTx}
+	rec(tr, 0, netsim.TapTx, 27960, 5000)
+	rec(tr, time.Millisecond, netsim.TapRx, 5000, 27960)  // wrong dir
+	rec(tr, 2*time.Millisecond, netsim.TapTx, 1234, 5678) // wrong port
+	rec(tr, 3*time.Millisecond, netsim.TapTx, 5000, 27960)
+	rec(tr, 3*time.Millisecond, netsim.TapDropFault, 5000, 27960) // never crossed the NIC
 	if len(tr.Records) != 2 {
 		t.Fatalf("records = %d, want 2", len(tr.Records))
 	}
@@ -33,18 +34,18 @@ func TestPacketTraceFilter(t *testing.T) {
 func TestGapsWithDirectionFilters(t *testing.T) {
 	type pkt struct {
 		at  time.Duration
-		dir string
+		dir netsim.TapEvent
 	}
 	flow := []pkt{
-		{0, "tx"}, {5 * time.Millisecond, "rx"}, // handshake
-		{50 * time.Millisecond, "tx"}, {60 * time.Millisecond, "rx"},
-		{100 * time.Millisecond, "tx"}, // last server packet before freeze
-		{150 * time.Millisecond, "rx"}, // client keeps sending into the freeze
-		{200 * time.Millisecond, "rx"},
-		{250 * time.Millisecond, "tx"}, // server resumes
-		{255 * time.Millisecond, "rx"},
+		{0, netsim.TapTx}, {5 * time.Millisecond, netsim.TapRx}, // handshake
+		{50 * time.Millisecond, netsim.TapTx}, {60 * time.Millisecond, netsim.TapRx},
+		{100 * time.Millisecond, netsim.TapTx}, // last server packet before freeze
+		{150 * time.Millisecond, netsim.TapRx}, // client keeps sending into the freeze
+		{200 * time.Millisecond, netsim.TapRx},
+		{250 * time.Millisecond, netsim.TapTx}, // server resumes
+		{255 * time.Millisecond, netsim.TapRx},
 	}
-	run := func(dir string) *PacketTrace {
+	run := func(dir netsim.TapEvent) *PacketTrace {
 		tr := &PacketTrace{FilterPort: 7000, FilterDir: dir}
 		for _, p := range flow {
 			rec(tr, p.at, p.dir, 7000, 5000)
@@ -52,7 +53,7 @@ func TestGapsWithDirectionFilters(t *testing.T) {
 		return tr
 	}
 
-	tx := run("tx")
+	tx := run(netsim.TapTx)
 	wantTx := []time.Duration{50 * time.Millisecond, 50 * time.Millisecond, 150 * time.Millisecond}
 	if gaps := tx.Gaps(); len(gaps) != len(wantTx) {
 		t.Fatalf("tx gaps = %v, want %v", gaps, wantTx)
@@ -73,7 +74,7 @@ func TestGapsWithDirectionFilters(t *testing.T) {
 		t.Fatalf("tx marker = %d @ %v", tx.DirFiltered, tx.LastDirFiltered)
 	}
 
-	rx := run("rx")
+	rx := run(netsim.TapRx)
 	wantRx := []time.Duration{55 * time.Millisecond, 90 * time.Millisecond, 50 * time.Millisecond, 55 * time.Millisecond}
 	if gaps := rx.Gaps(); len(gaps) != len(wantRx) {
 		t.Fatalf("rx gaps = %v, want %v", gaps, wantRx)
@@ -89,7 +90,7 @@ func TestGapsWithDirectionFilters(t *testing.T) {
 	}
 
 	// An unfiltered capture sees every packet and no marker.
-	all := run("")
+	all := run(0)
 	if len(all.Records) != len(flow) || all.DirFiltered != 0 {
 		t.Fatalf("unfiltered records = %d marker = %d", len(all.Records), all.DirFiltered)
 	}
@@ -98,7 +99,7 @@ func TestGapsWithDirectionFilters(t *testing.T) {
 func TestGapsAndMaxGap(t *testing.T) {
 	tr := &PacketTrace{}
 	for _, at := range []time.Duration{0, 50 * time.Millisecond, 100 * time.Millisecond, 175 * time.Millisecond} {
-		rec(tr, at, "tx", 1, 2)
+		rec(tr, at, netsim.TapTx, 1, 2)
 	}
 	gaps := tr.Gaps()
 	if len(gaps) != 3 || gaps[0] != 50*time.Millisecond || gaps[2] != 75*time.Millisecond {
@@ -116,7 +117,7 @@ func TestGapsAndMaxGap(t *testing.T) {
 func TestWindow(t *testing.T) {
 	tr := &PacketTrace{}
 	for i := 0; i < 10; i++ {
-		rec(tr, time.Duration(i)*time.Second, "tx", 1, 2)
+		rec(tr, time.Duration(i)*time.Second, netsim.TapTx, 1, 2)
 	}
 	w := tr.Window(3*time.Second, 6*time.Second)
 	if len(w) != 3 || w[0].At != 3*time.Second {
