@@ -185,7 +185,7 @@ func (a *Agent) handleRun(from netsim.Addr, m runMsg) {
 				m.SvcEpoch, m.Name, a.Mig.Epochs.Current(m.Name)))
 		return
 	}
-	var strat migration.Strategy
+	var strat *migration.Strategy
 	if m.Strategy != "" {
 		st, err := migration.StrategyByName(m.Strategy)
 		if err != nil {

@@ -40,7 +40,7 @@ var streamHook func(sent bool, kind byte, payload []byte)
 
 // sendPayload ships one checkpoint payload to the destination as a
 // MsgChunk stream. commit marks the payload as the migration's final
-// image; the commit fence (ob.commitSent) rises with the last frame —
+// image; the commit fence (obCommitted) rises with the last frame —
 // the trailer — because the destination acts only on a complete
 // stream, so a cancellation mid-stream still rolls back safely.
 func (ob *outbound) sendPayload(kind byte, payload []byte, commit bool) {
@@ -53,7 +53,7 @@ func (ob *outbound) sendPayload(kind byte, payload []byte, commit bool) {
 	off := 0
 	var pump func()
 	pump = func() {
-		if ob.failed || ob.finished {
+		if ob.over() {
 			return
 		}
 		for i := 0; i < chunkWindow; i++ {
@@ -62,14 +62,14 @@ func (ob *outbound) sendPayload(kind byte, payload []byte, commit bool) {
 				end = len(payload)
 			}
 			ob.sendChunkFrame(kind, stream, seq, payload[off:end])
-			if ob.failed || ob.finished {
+			if ob.over() {
 				return
 			}
 			seq++
 			off = end
 			if off >= len(payload) {
 				if commit {
-					ob.commitSent = true
+					ob.st = obCommitted
 				}
 				ob.send(MsgChunkEnd, chunkEnd{Kind: kind, Stream: stream,
 					Chunks: seq, Total: uint64(len(payload))}.encode())
@@ -89,7 +89,7 @@ func (ob *outbound) sendChunkFrame(kind byte, stream, seq uint32, data []byte) {
 	var h [chunkHdrBytes]byte
 	putChunkHdr(&h, kind, stream, seq)
 	if err := ob.conn.Send2(MsgChunk, h[:], data); err != nil {
-		ob.fail(err)
+		ob.end(err)
 	}
 }
 
@@ -191,7 +191,7 @@ func (ib *inbound) onChunkEnd(payload []byte) {
 // post image the restore resumes the process with holes, and from there
 // the *pull lease* bounds source silence instead of the transfer lease.
 func (ib *inbound) beginFinal(kind byte, payload []byte) {
-	if post := kind == chunkKindPostImage; post != ib.post {
+	if kind != ib.strat.final {
 		ib.abort(fmt.Errorf("migration: final image of kind %d does not match the requested strategy mode %d",
 			kind, ib.req.Mode))
 		return
@@ -201,10 +201,7 @@ func (ib *inbound) beginFinal(kind byte, payload []byte) {
 		ib.abort(err)
 		return
 	}
-	ib.restoring = true
-	if ib.lease != nil {
-		ib.m.sched().Cancel(ib.lease)
-		ib.lease = nil
-	}
+	ib.st = ibRestoring
+	ib.silence.stop(ib.m)
 	ib.restore(fi)
 }

@@ -31,33 +31,45 @@ func (m *Migrator) FenceService(name string, ep uint64) bool {
 			continue
 		}
 		dismantled = true
-		m.Node.StopLoop(p)
 		ports := make(map[uint16]bool)
 		tcp, udp := p.Sockets()
-		// Silent teardown: unhash first, then close. A closed-but-hashed
-		// TCP socket would emit a FIN; a fenced owner must stay mute.
 		for _, sk := range tcp {
 			ports[sk.LocalPort] = true
-			if !sk.Unhashed() {
-				sk.Unhash()
-			}
-			sk.Close()
 		}
 		for _, us := range udp {
 			ports[us.LocalPort] = true
-			if !us.Unhashed() {
-				us.Unhash()
-			}
-			us.Close()
 		}
-		p.State = proc.ProcExited
-		m.Node.Detach(p)
+		m.reapSilently(p)
 		for port := range ports {
 			m.Capture.FencePort(port, ep)
 			m.Transd.Translator().FenceRemotePort(port, ep)
 		}
 	}
 	return dismantled
+}
+
+// reapSilently dismantles a process that must not be heard from again —
+// a fenced owner, a post-copy arrival whose source is gone — without
+// emitting a single packet: unhash first, then close. A
+// closed-but-hashed TCP socket would emit a FIN; a node that is not (or
+// never was) the legitimate owner of a complete process must stay mute.
+func (m *Migrator) reapSilently(p *proc.Process) {
+	m.Node.StopLoop(p)
+	tcp, udp := p.Sockets()
+	for _, sk := range tcp {
+		if !sk.Unhashed() {
+			sk.Unhash()
+		}
+		sk.Close()
+	}
+	for _, us := range udp {
+		if !us.Unhashed() {
+			us.Unhash()
+		}
+		us.Close()
+	}
+	p.State = proc.ProcExited
+	m.Node.Detach(p)
 }
 
 // SuspendService quiesces every local running process of the named

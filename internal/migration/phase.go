@@ -127,10 +127,10 @@ type phaseTrack struct {
 	// simulator spent computing it. Unused (zero) when Prof is nil.
 	lastWall int64
 
-	// pullsAfterReinject marks a post-copy inbound: PhaseReinject is not
-	// terminal (the pull/drain phases follow) and PhaseDrained closes
-	// the trace instead.
-	pullsAfterReinject bool
+	// strat is the row whose phase order the track walks: on the
+	// destination of a row that pulls PhaseReinject is not terminal (the
+	// pull/drain phases follow) and PhaseDrained closes the trace instead.
+	strat *Strategy
 }
 
 // begin stamps the migration's start time and, when observing, opens
@@ -138,7 +138,8 @@ type phaseTrack struct {
 // coordinate carried over from another node (or a conductor's rebalance
 // decision on this one) — parents the new span into that trace instead
 // of rooting a fresh one; the zero context behaves exactly like Start.
-func (pt *phaseTrack) begin(m *Migrator, name string, pid int, ctx obs.TraceContext) {
+func (pt *phaseTrack) begin(m *Migrator, strat *Strategy, name string, pid int, ctx obs.TraceContext) {
+	pt.strat = strat
 	pt.last = m.sched().Now()
 	if m.Prof != nil {
 		pt.lastWall = m.Prof.NowNs()
@@ -185,19 +186,19 @@ func (m *Migrator) firePhase(pt *phaseTrack, ph Phase, round, pid int) {
 			pt.cur = nil
 		case PhaseReinject:
 			pt.cur = pt.root.Child(ph.String())
-			if pt.pullsAfterReinject {
-				// Post-copy: the restore is not over — the reinject child
-				// stays open until PhaseDrained closes the trace.
+			if pt.strat.pulls {
+				// The restore is not over — the reinject child stays open
+				// until PhaseDrained closes the trace.
 				break
 			}
-			// Terminal on the destination for pre-copy: the remaining
+			// Terminal on the destination otherwise: the remaining
 			// reinject work runs synchronously inside this event, at the
 			// same virtual instant.
 			pt.cur.CloseAt(now)
 			pt.root.CloseAt(now)
 		case PhaseDrained:
-			// Terminal on the destination for post-copy: the last hole
-			// filled at this instant.
+			// Terminal on the destination of a row that pulls: the last
+			// hole filled at this instant.
 			pt.cur = pt.root.Child(ph.String())
 			pt.cur.CloseAt(now)
 			pt.root.SetAttr("outcome", "drained")

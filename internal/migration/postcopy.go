@@ -1,136 +1,59 @@
 package migration
 
 import (
-	"errors"
 	"fmt"
 
 	"dvemig/internal/ckpt"
 	"dvemig/internal/netsim"
 	"dvemig/internal/proc"
 	"dvemig/internal/simtime"
-	"dvemig/internal/sockmig"
 )
 
-// --- source side: hybrid round, post-image, pull server --------------------
+// --- source side: handover and the pull server ------------------------------
 
-// hybridRound runs hybrid's single bounded pre-copy round: one full
-// dump of the resident set while the process keeps running, one wait of
-// the initial timeout, then straight to the freeze point. Pages dirtied
-// during the wait become the post-copy residual.
-func (ob *outbound) hybridRound() {
-	ob.metrics.Rounds++
-	ob.m.firePhase(&ob.pt, PhasePrecopy, ob.metrics.Rounds, ob.p.PID)
-	if ob.failed || ob.finished {
-		return
-	}
-	trackCost := ob.shipDeltaRound()
-	ob.m.sched().After(ob.timeout+trackCost, "migd.hybrid", func() {
-		if ob.failed || ob.finished {
-			return
-		}
-		ob.freeze()
-	})
-}
-
-// sendPostImage is the post-copy analogue of sendFreeze: instead of the
-// final memory delta it ships the page directory — geometry plus a
-// present/absent verdict per resident page. For pure post-copy (hybrid
-// false) everything is absent; for hybrid a page is present iff its
-// dirty bit is clear, i.e. the bounded round's copy on the destination
-// is still authoritative.
-func (ob *outbound) sendPostImage(sd *sockmig.SockDelta, hybrid bool) {
-	var present func(v *proc.VMA, e proc.PTE) bool
-	if hybrid {
-		present = func(_ *proc.VMA, e proc.PTE) bool { return !e.Dirty }
-	}
-	dir := ckpt.BuildPageDir(ob.p.AS, present)
-	ob.pullDir = dir
-	ob.shipped = make(map[ckpt.PageCoord]bool, len(dir.Absent))
-	ob.sendFinal(chunkKindPostImage, dir.Encode(), sd)
-}
-
-// postSourceMsg handles the pull-protocol messages on the source; false
-// means the message type is not part of the post-copy protocol.
-func (ob *outbound) postSourceMsg(t MsgType, payload []byte) bool {
-	switch t {
-	case MsgResumed:
-		rd, err := decodeRestoreDone(payload)
-		if err != nil {
-			ob.fail(err)
-			return true
-		}
-		ob.handleResumed(rd)
-	case MsgPageReq:
-		pr, err := decodePageReq(payload)
-		if err != nil {
-			ob.fail(err)
-			return true
-		}
-		ob.servePull(pr)
-	case MsgPullsDone:
-		pd, err := decodePullsDone(payload)
-		if err != nil {
-			ob.fail(err)
-			return true
-		}
-		ob.finishPost(pd)
-	default:
-		return false
-	}
-	return true
-}
-
-// handleResumed is the post-copy point of no return: the process runs
-// on the destination from here on, so the source can never thaw its
-// copy again. The safety nets (local capture filters, the translation
+// resumed handles the destination's report that the process runs there:
+// RESTORE_DONE (complete — the resume instant is also the moment the
+// last page arrived, so the migration is over) or RESUMED (with holes).
+// RESUMED is the point of no return: the process runs on the
+// destination from here on, so the source can never thaw its copy
+// again. The safety nets (local capture filters, the translation
 // rollback plan) are dropped, the control connection is reclassified as
 // page-pull traffic, and the prefetch sweep starts.
-func (ob *outbound) handleResumed(rd restoreDone) {
-	ob.handedOver = true
-	ob.resumeAt = rd.ResumeAt
+func (ob *outbound) resumed(rd restoreDone) {
 	ob.metrics.ResumeAt = rd.ResumeAt
 	ob.metrics.FreezeTime = rd.ResumeAt - ob.metrics.FreezeStart
 	ob.metrics.Captured = rd.Captured
 	ob.metrics.Reinjected = rd.Reinjected
-	for _, f := range ob.localFilters {
-		ob.m.Capture.Drop(f)
+	if !ob.strat.pulls {
+		ob.complete(rd.ResumeAt, 0)
+		return
 	}
-	ob.localFilters = nil
-	ob.rollback = nil
+	ob.st = obServing
+	ob.dropSafetyNets()
 	ob.conn.Socket().Class = netsim.ClassPagePull
 	ob.m.firePhase(&ob.pt, PhaseResume, 0, ob.p.PID)
-	if ob.failed || ob.finished {
+	if ob.over() {
 		return // a phase hook crashed this node or aborted
 	}
-	ob.renewPullWatch()
+	// The deadline no longer applies (the migration cannot be aborted once
+	// the destination runs the process), so a destination that dies
+	// mid-pull would otherwise leave the frozen source shell around
+	// forever: its silence is bounded instead.
+	ob.watch.renew(ob.m, "migd.pull-watch", ob)
 	ob.prefetchPump()
 }
 
-// renewPullWatch (re)arms the destination-silence watchdog that bounds
-// the pull phase after handover: the deadline no longer applies (the
-// migration cannot be aborted once the destination runs the process),
-// so a destination that dies mid-pull would otherwise leave the frozen
-// source shell around forever. Reuses the InboundLease bound — both are
-// "how long may the peer stay silent mid-protocol".
-func (ob *outbound) renewPullWatch() {
-	d := ob.m.Config.InboundLease
-	if d <= 0 {
-		return
-	}
-	if ob.pullWatch != nil {
-		ob.m.sched().Cancel(ob.pullWatch)
-	}
-	ob.pullWatch = ob.m.sched().AfterCall(d, "migd.pull-watch", pullWatchCall, ob, nil)
-}
-
-func pullWatchCall(a0, _ any) { a0.(*outbound).pullWatchExpired() }
-
-func (ob *outbound) pullWatchExpired() {
-	ob.pullWatch = nil
-	if ob.finished || ob.failed {
-		return
-	}
-	ob.fail(errors.New("migration: destination went silent after handover"))
+// complete ends a migration whose destination holds every page since
+// lastFill, having stalled on demand faults for stall. The degraded
+// window is the pre-freeze span (rounds competing with the application
+// for the link) plus the span it ran with holes.
+func (ob *outbound) complete(lastFill simtime.Time, stall simtime.Duration) {
+	ob.metrics.LastFillAt = lastFill
+	ob.metrics.StallTime = stall
+	ob.metrics.TotalTime = lastFill - ob.metrics.Start
+	ob.metrics.DegradedWindow = (ob.metrics.FreezeStart - ob.metrics.Start) +
+		(lastFill - ob.metrics.ResumeAt)
+	ob.end(nil)
 }
 
 // prefetchPump is the background sweep: every PrefetchInterval it
@@ -142,7 +65,7 @@ func (ob *outbound) prefetchPump() {
 		return // sweep disabled: pure demand paging
 	}
 	ob.m.sched().After(interval, "migd.prefetch", func() {
-		if ob.failed || ob.finished || !ob.m.Node.Alive {
+		if ob.over() || !ob.m.Node.Alive {
 			return
 		}
 		batch := ob.nextPrefetchBatch()
@@ -151,11 +74,11 @@ func (ob *outbound) prefetchPump() {
 		}
 		ob.prefetchBatches++
 		ob.shipPages(0, batch)
-		if ob.failed || ob.finished {
+		if ob.over() {
 			return
 		}
 		ob.m.firePhase(&ob.pt, PhasePrefetch, ob.prefetchBatches, ob.p.PID)
-		if ob.failed || ob.finished {
+		if ob.over() {
 			return
 		}
 		ob.prefetchPump()
@@ -192,7 +115,7 @@ func (ob *outbound) shipPages(id uint32, coords []ckpt.PageCoord) {
 		}
 		data, ok := ckpt.ExtractPage(ob.p.AS, c)
 		if !ok {
-			ob.fail(fmt.Errorf("migration: pull of non-resident page %#x+%d", c.VMAStart, c.Index))
+			ob.end(fmt.Errorf("migration: pull of non-resident page %#x+%d", c.VMAStart, c.Index))
 			return
 		}
 		ob.shipped[c] = true
@@ -221,83 +144,15 @@ func (ob *outbound) shipPages(id uint32, coords []ckpt.PageCoord) {
 func (ob *outbound) servePull(pr pageReq) {
 	if cur := ob.m.Epochs.Current(ob.p.Name); pr.Epoch != cur {
 		ob.conn.Send(MsgAbort, []byte(fmt.Sprintf("stale epoch %d pull fenced (current %d)", pr.Epoch, cur)))
-		ob.fail(fmt.Errorf("migration: fenced stale-epoch pull (epoch %d, current %d)", pr.Epoch, cur))
+		ob.end(fmt.Errorf("migration: fenced stale-epoch pull (epoch %d, current %d)", pr.Epoch, cur))
 		return
 	}
 	ob.pullsServed++
 	ob.shipPages(pr.ID, pr.Coords)
-	if ob.failed || ob.finished {
+	if ob.over() {
 		return
 	}
 	ob.m.firePhase(&ob.pt, PhasePull, ob.pullsServed, ob.p.PID)
-}
-
-// finishPost completes a post-copy migration on the source: the
-// destination filled its last hole, so the frozen shell here can go.
-func (ob *outbound) finishPost(pd pullsDone) {
-	ob.finished = true
-	delete(ob.m.active, ob.p.PID)
-	if ob.pullWatch != nil {
-		ob.m.sched().Cancel(ob.pullWatch)
-		ob.pullWatch = nil
-	}
-	ob.metrics.LastFillAt = pd.LastFillAt
-	ob.metrics.StallTime = simtime.Duration(pd.StallNs)
-	ob.metrics.TotalTime = pd.LastFillAt - ob.metrics.Start
-	ob.metrics.DegradedWindow = (ob.metrics.FreezeStart - ob.metrics.Start) +
-		(pd.LastFillAt - ob.resumeAt)
-	tcp, _ := ob.p.Sockets()
-	for _, sk := range tcp {
-		if ob.inCluster(sk.RemoteIP) {
-			ob.m.Transd.Translator().RemoveFlow(netsim.ProtoTCP, sk.RemoteIP, sk.LocalPort, sk.RemotePort)
-		}
-	}
-	ob.p.State = proc.ProcExited
-	ob.m.Node.Detach(ob.p)
-	ob.conn.Close()
-	ob.m.Completed = append(ob.m.Completed, ob.metrics)
-	if ob.m.Obs != nil {
-		ob.m.obsm.freezeUs.Observe(float64(ob.metrics.FreezeTime) / 1e3)
-		ob.m.obsm.downtimeUs.Observe(float64(ob.metrics.FreezeTime+ob.metrics.StallTime) / 1e3)
-		ob.pt.root.SetInt("freeze_us", int64(ob.metrics.FreezeTime)/1e3)
-		ob.pt.root.SetInt("degraded_us", int64(ob.metrics.DegradedWindow)/1e3)
-		ob.pt.root.SetInt("pages_demand", int64(ob.metrics.PagesDemand))
-		ob.pt.root.SetInt("pages_prefetched", int64(ob.metrics.PagesPrefetched))
-		ob.observeFreezeAttr()
-	}
-	ob.m.firePhase(&ob.pt, PhaseDone, 0, ob.p.PID)
-	if ob.done != nil {
-		ob.done(ob.metrics, nil)
-	}
-}
-
-// orphan is fail past the point of no return: the process lives (or
-// died) on the destination, so the frozen source shell must never thaw.
-// It is reaped, the behavior-registry entry dropped, and the migration
-// reported aborted — recovery of a destination that died after resume
-// is failover territory (epoch promotion), not rollback.
-func (ob *outbound) orphan(err error) {
-	ob.failed = true
-	delete(ob.m.active, ob.p.PID)
-	if ob.pullWatch != nil {
-		ob.m.sched().Cancel(ob.pullWatch)
-		ob.pullWatch = nil
-	}
-	takeBehavior(ob.token)
-	for _, f := range ob.localFilters {
-		ob.m.Capture.Drop(f)
-	}
-	ob.localFilters = nil
-	ob.conn.Close()
-	ob.p.State = proc.ProcExited
-	ob.m.Node.Detach(ob.p)
-	ob.metrics.Aborted = true
-	ob.metrics.AbortReason = err.Error()
-	ob.m.Aborted = append(ob.m.Aborted, ob.metrics)
-	ob.m.firePhase(&ob.pt, PhaseAborted, 0, ob.p.PID)
-	if ob.done != nil {
-		ob.done(ob.metrics, err)
-	}
 }
 
 // --- destination side: partial restore and the demand puller ---------------
@@ -305,9 +160,10 @@ func (ob *outbound) orphan(err error) {
 // puller is the destination's demand-paging client: it turns absent-page
 // faults into PAGE_REQ messages, stalls the process loop while a demand
 // fault is outstanding, folds arriving content back in, and declares the
-// drain once the last hole fills. While holes remain it holds a lease on
-// the source's liveness — a destination can never serve with missing
-// pages, so a silent source means the hole-y process must die.
+// drain once the last hole fills. While holes remain the inbound's
+// silence timer runs on the source's liveness — a destination can never
+// serve with missing pages, so a silent source means the hole-y process
+// must die.
 type puller struct {
 	ib      *inbound
 	p       *proc.Process
@@ -320,7 +176,6 @@ type puller struct {
 	stallStart simtime.Time
 	stallNs    uint64
 	lastFill   simtime.Time
-	lease      *simtime.Event
 	done       bool
 }
 
@@ -361,7 +216,7 @@ func (pl *puller) resume(now simtime.Time, captured, reinjected uint32) {
 		pl.drained(now)
 		return
 	}
-	pl.renewLease()
+	pl.ib.silence.renew(pl.ib.m, "migd.pull-lease", pl.ib)
 }
 
 // onResp folds arriving page content in. FillPage rejects a fill of a
@@ -394,7 +249,7 @@ func (pl *puller) onResp(resp pageResp) {
 		pl.drained(now)
 		return
 	}
-	pl.renewLease()
+	pl.ib.silence.renew(pl.ib.m, "migd.pull-lease", pl.ib)
 }
 
 // drained: the last hole filled; the degraded window ends.
@@ -405,11 +260,8 @@ func (pl *puller) drained(now simtime.Time) {
 		pl.stallNs += uint64(now - pl.stallStart)
 		pl.p.Stalled = false
 	}
-	if pl.lease != nil {
-		pl.ib.m.sched().Cancel(pl.lease)
-		pl.lease = nil
-	}
 	ib := pl.ib
+	ib.silence.stop(ib.m)
 	ib.m.firePhase(&ib.pt, PhaseDrained, 0, ib.req.PID)
 	ib.conn.Send(MsgPullsDone, pullsDone{
 		LastFillAt: pl.lastFill, Demand: pl.demand,
@@ -417,63 +269,16 @@ func (pl *puller) drained(now simtime.Time) {
 	}.encode())
 }
 
-// renewLease (re)arms the source-silence bound of the pull phase.
-func (pl *puller) renewLease() {
-	d := pl.ib.m.Config.InboundLease
-	if d <= 0 {
-		return
-	}
-	if pl.lease != nil {
-		pl.ib.m.sched().Cancel(pl.lease)
-	}
-	pl.lease = pl.ib.m.sched().AfterCall(d, "migd.pull-lease", pullLeaseCall, pl, nil)
-}
-
-func pullLeaseCall(a0, _ any) { a0.(*puller).leaseExpired() }
-
-func (pl *puller) leaseExpired() {
-	pl.lease = nil
-	if pl.done {
-		return
-	}
-	pl.ib.m.LeaseExpired++
-	pl.destroy()
-	pl.ib.cleanup()
-	pl.ib.conn.Close()
-}
-
 // destroy dismantles a hole-y process whose source is gone: it can
 // never serve again (any read may land on a page it does not have), so
-// it is torn down fence-style — sockets unhash before they close, so
-// no FIN or RST escapes a node that was never the legitimate owner of
-// a complete process image.
+// it is torn down fence-style — no FIN or RST escapes a node that was
+// never the legitimate owner of a complete process image.
 func (pl *puller) destroy() {
 	if pl.done {
 		return
 	}
 	pl.done = true
-	p := pl.p
-	p.AS.OnMissing = nil
-	p.Stalled = false
-	if pl.lease != nil {
-		pl.ib.m.sched().Cancel(pl.lease)
-		pl.lease = nil
-	}
-	n := pl.ib.m.Node
-	n.StopLoop(p)
-	tcp, udp := p.Sockets()
-	for _, sk := range tcp {
-		if !sk.Unhashed() {
-			sk.Unhash()
-		}
-		sk.Close()
-	}
-	for _, us := range udp {
-		if !us.Unhashed() {
-			us.Unhash()
-		}
-		us.Close()
-	}
-	p.State = proc.ProcExited
-	n.Detach(p)
+	pl.p.AS.OnMissing = nil
+	pl.p.Stalled = false
+	pl.ib.m.reapSilently(pl.p)
 }

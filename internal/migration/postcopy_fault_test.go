@@ -35,7 +35,7 @@ func TestPostcopyAbortMatrix(t *testing.T) {
 		{"restore", 1, migration.PhaseRestore},
 		{"reinject", 1, migration.PhaseReinject},
 	}
-	for _, strat := range []migration.Strategy{migration.Postcopy(), migration.Hybrid()} {
+	for _, strat := range []*migration.Strategy{migration.Postcopy(), migration.Hybrid()} {
 		for _, tc := range cases {
 			strat, tc := strat, tc
 			t.Run(strat.Name()+"/"+tc.name, func(t *testing.T) {

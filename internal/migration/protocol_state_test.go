@@ -10,14 +10,15 @@ import (
 )
 
 // TestProtocolStateTable is the (state × type) table of both migd state
-// machines, written out: every type byte a state does not list here —
-// unknown, retired (3, 7, 10), or simply out of place — is a protocol
-// violation there.
+// machines, written out per strategy row: every type byte a state does
+// not list here — unknown, retired (3, 7, 10), or simply out of place —
+// is a protocol violation there. The destination's table is the same
+// under every row; the source's differs in the committed column.
 func TestProtocolStateTable(t *testing.T) {
-	check := func(side string, names []string, masks []uint32, want [][]MsgType) {
+	check := func(side string, names []string, mask func(st int) uint32, want [][]MsgType) {
 		t.Helper()
-		if len(masks) != len(want) || len(names) != len(want) {
-			t.Fatalf("%s: %d states, %d names, %d rows", side, len(masks), len(names), len(want))
+		if len(names) != len(want) {
+			t.Fatalf("%s: %d names, %d rows", side, len(names), len(want))
 		}
 		for st, row := range want {
 			for b := 0; b < 256; b++ {
@@ -25,25 +26,47 @@ func TestProtocolStateTable(t *testing.T) {
 				for _, mt := range row {
 					listed = listed || mt == MsgType(b)
 				}
-				if got := accepts(masks[st], MsgType(b)); got != listed {
+				if got := accepts(mask(st), MsgType(b)); got != listed {
 					t.Errorf("%s %s: accepts(%s) = %v, want %v", side, names[st], MsgType(b), got, listed)
 				}
 			}
 		}
 	}
-	check("inbound", ibStateNames[:], ibAccepts[:], [][]MsgType{
+	if len(ibAccepts) != len(ibStateNames) || len(obAccepts) != len(obStateNames) || len(obStateNames) != int(obDone) {
+		t.Fatalf("tables out of step: %d/%d inbound, %d/%d outbound masks/names for %d live outbound states",
+			len(ibAccepts), len(ibStateNames), len(obAccepts), len(obStateNames), obDone)
+	}
+	check("inbound", ibStateNames[:], func(st int) uint32 { return ibAccepts[st] }, [][]MsgType{
 		ibIdle:      {MsgMigrateReq, MsgCaptureReq, MsgAbort}, // CAPTURE_REQ: acked, installs nothing
 		ibTransfer:  {MsgSockDelta, MsgCaptureReq, MsgChunk, MsgChunkEnd, MsgAbort},
 		ibRestoring: {MsgAbort},
 		ibPulling:   {MsgPageResp, MsgAbort},
 		ibClosed:    {}, // dropped without an answer: this side already hung up
 	})
-	check("outbound", obStateNames[:], obAccepts[:], [][]MsgType{
-		obAwaitAck:  {MsgMigrateAck, MsgAbort},
-		obTransfer:  {MsgCaptureAck, MsgAbort},
-		obCommitted: {MsgRestoreDone, MsgResumed, MsgAbort},
-		obServing:   {MsgPageReq, MsgPullsDone, MsgAbort},
-	})
+	committed := map[string][]MsgType{
+		"precopy":  {MsgRestoreDone, MsgAbort}, // RESUMED has no place: nothing is left to pull
+		"postcopy": {MsgResumed, MsgAbort},     // RESTORE_DONE has no place: the destination runs with holes
+		"hybrid":   {MsgResumed, MsgAbort},     // likewise
+	}
+	for i := range strategies {
+		row := &strategies[i]
+		want, ok := committed[row.name]
+		if !ok {
+			t.Fatalf("strategy row %q is not restated in this test", row.name)
+		}
+		check("outbound/"+row.name, obStateNames[:], func(st int) uint32 { return row.obAccepts(obState(st)) }, [][]MsgType{
+			obConnecting: {MsgAbort},
+			obAwaitAck:   {MsgMigrateAck, MsgAbort},
+			obTransfer:   {MsgCaptureAck, MsgAbort},
+			obCommitted:  want,
+			obServing:    {MsgPageReq, MsgPullsDone, MsgAbort},
+		})
+		// The columns that follow from one another do: a row whose final
+		// image is a page directory is committed on RESUMED and pulls.
+		if post := row.final == chunkKindPostImage; post != row.pulls || post != (row.committed == MsgResumed) {
+			t.Errorf("row %q: final kind %d, pulls %v, committed on %s disagree", row.name, row.final, row.pulls, row.committed)
+		}
+	}
 }
 
 // TestInboundAbortsOnFrameWithoutAPlace drives the real daemon into the
@@ -109,7 +132,7 @@ func TestLateTailReadsAsItAlwaysDid(t *testing.T) {
 }
 
 // TestDuplicateAckAborts: MIGRATE_ACK may arrive once. A second one used
-// to call Strategy.start again — a second round loop on one outbound —
+// to start the rounds again — a second round loop on one outbound —
 // and is now a protocol violation that fails the migration with the
 // typed cause.
 func TestDuplicateAckAborts(t *testing.T) {

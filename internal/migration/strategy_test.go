@@ -3,10 +3,12 @@ package migration
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 
 	"dvemig/internal/ckpt"
+	"dvemig/internal/obs"
 	"dvemig/internal/proc"
 	"dvemig/internal/simtime"
 )
@@ -20,7 +22,7 @@ func TestStrategyByName(t *testing.T) {
 		if st.Name() != name {
 			t.Fatalf("StrategyByName(%q).Name() = %q", name, st.Name())
 		}
-		rt, err := strategyByMode(st.mode())
+		rt, err := strategyByMode(st.mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +46,7 @@ func TestStrategyByName(t *testing.T) {
 // strategies: the process must arrive, resume with holes, drain, and
 // never lose or reorder a byte of any client stream.
 func TestPostcopyMigrationEndToEnd(t *testing.T) {
-	for _, mig := range []Strategy{Postcopy(), Hybrid()} {
+	for _, mig := range []*Strategy{Postcopy(), Hybrid()} {
 		t.Run(mig.Name(), func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Mig = mig
@@ -206,7 +208,7 @@ func TestPostcopyShipsEveryPageExactlyOnce(t *testing.T) {
 func TestHybridBytesNeverExceedPrecopy(t *testing.T) {
 	for _, nClients := range []int{2, 8, 16} {
 		t.Run(fmt.Sprintf("clients=%d", nClients), func(t *testing.T) {
-			run := func(mig Strategy) *Metrics {
+			run := func(mig *Strategy) *Metrics {
 				cfg := DefaultConfig()
 				cfg.Mig = mig
 				e := newEnv(t, 2, nClients, cfg)
@@ -266,5 +268,136 @@ func TestPostcopyZeroResidentDrainsImmediately(t *testing.T) {
 	q := findProcess(c.Nodes[1], "empty_proc")
 	if q == nil || q.AS.AbsentCount() != 0 {
 		t.Fatal("process missing or hole-y on destination")
+	}
+}
+
+// declaredPhases is the phase order a strategy row declares for a clean
+// migration, on the source and on the destination: the shared handover
+// (connect … freeze, transfer | restore, reinject … done) with the row's
+// rounds in front of the freeze and, if it pulls, the pull phase behind
+// the reinjection. A run of pre-copy rounds is one "precopy" entry and a
+// run of demand pulls and prefetch batches one "pull" entry.
+func declaredPhases(row *Strategy) (src, dst []string) {
+	src = []string{"connect"}
+	if row.rounds != roundsNone {
+		src = append(src, "precopy")
+	}
+	src = append(src, "freeze", "transfer")
+	dst = []string{"restore", "reinject"}
+	if row.pulls {
+		src = append(src, "resume", "pull")
+		dst = append(dst, "drained")
+	}
+	return append(src, "done"), dst
+}
+
+// TestPhaseOrderFollowsTheRow records OnPhase on both nodes for a clean
+// migration under every row of the strategy table and checks what fired,
+// in order, against what the row declares — the table is the
+// specification, not DESIGN.md's prose.
+func TestPhaseOrderFollowsTheRow(t *testing.T) {
+	for i := range strategies {
+		row := &strategies[i]
+		t.Run(row.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Mig = row
+			e := newEnv(t, 2, 4, cfg)
+			seen := map[string][]string{}
+			rounds := 0
+			for _, m := range e.migrators {
+				m.OnPhase = func(ev PhaseEvent) {
+					name := ev.Phase.String()
+					switch ev.Phase {
+					case PhasePrecopy:
+						rounds++
+					case PhasePull, PhasePrefetch:
+						name = "pull"
+					}
+					if got := seen[ev.Node]; len(got) == 0 || got[len(got)-1] != name {
+						seen[ev.Node] = append(got, name)
+					}
+				}
+			}
+			m := e.migrate(t, 1)
+			wantSrc, wantDst := declaredPhases(row)
+			if got := seen[e.c.Nodes[0].Name]; fmt.Sprint(got) != fmt.Sprint(wantSrc) {
+				t.Errorf("source fired %v, the row declares %v", got, wantSrc)
+			}
+			if got := seen[e.c.Nodes[1].Name]; fmt.Sprint(got) != fmt.Sprint(wantDst) {
+				t.Errorf("destination fired %v, the row declares %v", got, wantDst)
+			}
+			switch row.rounds {
+			case roundsNone:
+				if rounds != 0 {
+					t.Errorf("%d rounds before the freeze, the row declares none", rounds)
+				}
+			case roundsOne:
+				if rounds != 1 {
+					t.Errorf("%d rounds before the freeze, the row declares one", rounds)
+				}
+			case roundsAll:
+				if rounds < 2 {
+					t.Errorf("%d rounds before the freeze, the row declares the whole loop", rounds)
+				}
+			}
+			if m.Rounds != rounds {
+				t.Errorf("Metrics.Rounds = %d, %d precopy phases fired", m.Rounds, rounds)
+			}
+		})
+	}
+}
+
+// TestFourthStrategyIsOneTableLiteral is the table's acceptance test:
+// stop-and-copy — no rounds, the freeze delta as final image — is one
+// row literal, not code. Run through MigrateWith it must do exactly what
+// the pre-copy row does with its rounds ablated (EnablePrecopy false) on
+// the same seed: same bytes, same times, same restored heap.
+func TestFourthStrategyIsOneTableLiteral(t *testing.T) {
+	stopAndCopy := &Strategy{name: "stop-and-copy", mode: modePrecopy, rounds: roundsNone,
+		final: chunkKindFreeze, committed: MsgRestoreDone}
+
+	run := func(cfg Config, strat *Strategy) (*Metrics, uint64) {
+		e := newEnv(t, 2, 8, cfg)
+		heapStart := e.p.AS.VMAs()[0].Start
+		var got *Metrics
+		e.migrators[0].MigrateWith(e.p, e.c.Nodes[1].LocalIP, strat, obs.TraceContext{}, func(m *Metrics, err error) {
+			if err != nil {
+				t.Fatalf("%s: migration failed: %v", strat.name, err)
+			}
+			got = m
+		})
+		e.c.Sched.RunFor(10 * time.Second)
+		q := findProcess(e.c.Nodes[1], "zone_serv1")
+		if got == nil || q == nil {
+			t.Fatalf("%s: migration completed: %v, process on the destination: %v", strat.name, got != nil, q != nil)
+		}
+		heap, err := q.AS.Read(heapStart, int(256*proc.PageSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(heap)
+		return got, h.Sum64()
+	}
+	ablated := DefaultConfig()
+	ablated.EnablePrecopy = false
+	want, wantHeap := run(ablated, Precopy())
+	got, gotHeap := run(DefaultConfig(), stopAndCopy)
+
+	if got.Mig != "stop-and-copy" || got.Rounds != 0 || got.PrecopyMemBytes != 0 || got.MemPageBytes == 0 {
+		t.Fatalf("Mig %q, %d rounds, %d precopy bytes, %d page bytes; want stop-and-copy with everything in the freeze",
+			got.Mig, got.Rounds, got.PrecopyMemBytes, got.MemPageBytes)
+	}
+	if got.Captured != got.Reinjected {
+		t.Errorf("captured %d packets, reinjected %d", got.Captured, got.Reinjected)
+	}
+	// Everything but the name is the ablated pre-copy run's.
+	g, w := *got, *want
+	g.Mig = w.Mig
+	if g != w {
+		t.Errorf("metrics differ from pre-copy with EnablePrecopy=false:\n got %+v\nwant %+v", g, w)
+	}
+	if gotHeap != wantHeap {
+		t.Errorf("restored heap FNV-64a = %#x, want %#x", gotHeap, wantHeap)
 	}
 }

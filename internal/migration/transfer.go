@@ -1,0 +1,185 @@
+package migration
+
+import (
+	"dvemig/internal/ckpt"
+	"dvemig/internal/netsim"
+	"dvemig/internal/netstack"
+	"dvemig/internal/simtime"
+	"dvemig/internal/sockmig"
+)
+
+// --- source side: the freeze phase's socket transfer and the final image ----
+
+// iterativeStep migrates sockets one by one: capture sync, disable,
+// subtract, transfer — repeated per connection (§III-C's "natural way",
+// whose overhead motivated the collective design).
+func (ob *outbound) iterativeStep(tcp []*netstack.TCPSocket, udp []*netstack.UDPSocket) {
+	if ob.over() {
+		return
+	}
+	if len(tcp) == 0 && len(udp) == 0 {
+		ob.sendFinal(nil)
+		return
+	}
+	var key netsim.FlowKey
+	var fd int
+	if len(tcp) > 0 {
+		sk := tcp[0]
+		fd = sockmig.FDOf(ob.p, sk)
+		if sk.State == netstack.TCPListen {
+			key = netsim.FlowKey{LocalPort: sk.LocalPort, Proto: netsim.ProtoTCP}
+		} else {
+			key = netsim.FlowKey{RemoteIP: sk.RemoteIP, RemotePort: sk.RemotePort,
+				LocalPort: sk.LocalPort, Proto: netsim.ProtoTCP}
+		}
+	} else {
+		us := udp[0]
+		fd = sockmig.FDOfUDP(ob.p, us)
+		key = netsim.FlowKey{LocalPort: us.LocalPort, Proto: netsim.ProtoUDP}
+	}
+	transfer := func() {
+		// Subtract this one socket's state and ship it in its own
+		// message (the per-socket computation/transmission interleaving).
+		ob.m.sched().After(costSockSubtract, "migd.subtract", func() {
+			if ob.over() {
+				return
+			}
+			ob.attrSer += costSockSubtract
+			// Anything arriving for this connection while it is out of
+			// the hash tables is captured locally: reinjected on abort,
+			// discarded on success (the destination's filter has its own
+			// copy via the broadcast).
+			if ob.m.Config.EnableCapture {
+				ob.localFilters = append(ob.localFilters, ob.m.Capture.EnableEpoch(key, ob.epoch))
+			}
+			var sd *sockmig.SockDelta
+			if len(tcp) > 0 {
+				tcp[0].Unhash()
+				sd = sockmig.SingleTCP(fd, tcp[0])
+				ob.metrics.TCPMigrated++
+				tcp = tcp[1:]
+			} else {
+				udp[0].Unhash()
+				sd = sockmig.SingleUDP(fd, udp[0])
+				ob.metrics.UDPMigrated++
+				udp = udp[1:]
+			}
+			ob.sockEncBuf = sd.EncodeInto(ob.sockEncBuf)
+			ob.metrics.FreezeSockBytes += uint64(len(ob.sockEncBuf))
+			ob.send(MsgSockDelta, ob.sockEncBuf)
+			ob.iterativeStep(tcp, udp)
+		})
+	}
+	ob.captureSync(transfer, key)
+}
+
+// captureSync has the destination enable capture filters for keys — all
+// of a collective migration's connections in one message, one of an
+// iterative's — and runs then on its single acknowledgement (at once
+// when capture is ablated). The wait is coordination time.
+func (ob *outbound) captureSync(then func(), keys ...netsim.FlowKey) {
+	if !ob.m.Config.EnableCapture {
+		then()
+		return
+	}
+	capStart := ob.m.sched().Now()
+	ob.onCaptureAck = func() {
+		ob.attrCoord += ob.m.sched().Now() - capStart
+		then()
+	}
+	ob.send(MsgCaptureReq, encodeCaptureReq(keys))
+}
+
+// collectivePhase2 disables all sockets, subtracts their state into one
+// unified buffer and transfers it in one go; the incremental variant
+// subtracts only the sections changed since the last precopy round.
+func (ob *outbound) collectivePhase2() {
+	ob.m.firePhase(&ob.pt, PhaseTransfer, 0, ob.p.PID)
+	if ob.over() {
+		return
+	}
+	tcp, udp := ob.p.Sockets()
+	n := len(tcp) + len(udp)
+	var cost simtime.Duration
+	if ob.m.Config.Strategy == sockmig.IncrementalCollective {
+		cost = simtime.Duration(n) * costSockTrack
+	} else {
+		cost = simtime.Duration(n) * costSockSubtract
+	}
+	ob.m.sched().After(cost, "migd.subtract", func() {
+		if ob.over() {
+			return
+		}
+		ob.attrSer += cost
+		// Mirror the destination's capture filters locally so an abort
+		// can replay what arrived while the sockets were out of the
+		// hash tables (reinjected on rollback, discarded on success).
+		if ob.m.Config.EnableCapture {
+			for _, k := range sockmig.CaptureKeys(ob.p) {
+				ob.localFilters = append(ob.localFilters, ob.m.Capture.EnableEpoch(k, ob.epoch))
+			}
+		}
+		ob.metrics.TCPMigrated, ob.metrics.UDPMigrated = sockmig.DisableAll(ob.p)
+		var sd *sockmig.SockDelta
+		if ob.m.Config.Strategy == sockmig.IncrementalCollective {
+			sd = ob.sockTracker.Delta(ob.p, true)
+		} else {
+			sd = sockmig.FullDelta(ob.p)
+		}
+		ob.sendFinal(sd)
+	})
+}
+
+// sendFinal ships the final image: the minimal checkpoint image (phase
+// 3: BLCR's regular iteration excluding the already-processed
+// connections), the row's memory payload, and the socket payload — sd is
+// nil for the iterative socket strategy, whose sockets were unhashed and
+// shipped one by one already. The memory payload is the last delta, or —
+// chunkKindPostImage — the page directory: geometry plus a
+// present/absent verdict per resident page.
+func (ob *outbound) sendFinal(sd *sockmig.SockDelta) {
+	var mem []byte
+	if ob.strat.final == chunkKindPostImage {
+		ob.pullDir = ckpt.BuildPageDir(ob.p.AS, ob.strat.present)
+		ob.shipped = make(map[ckpt.PageCoord]bool, len(ob.pullDir.Absent))
+		mem = ob.pullDir.Encode()
+	} else {
+		// The rounds' encode scratch is idle by now (each round's stream is
+		// pumped out at the round's own instant), and the image encoder
+		// copies it into the final payload.
+		memDelta := ob.memTracker.Delta(ob.p.AS)
+		ob.encBuf = memDelta.EncodeInto(ob.encBuf)
+		ob.metrics.MemPageBytes += memDelta.PageDataBytes()
+		mem = ob.encBuf
+	}
+	fi := finalImage{
+		FreezeStart: ob.metrics.FreezeStart,
+		Image:       ob.buildImage().Encode(),
+		Mem:         mem,
+	}
+	ob.metrics.FreezeMemBytes += uint64(len(mem))
+	if sd != nil {
+		fi.SockDelta = sd.Encode()
+		ob.metrics.FreezeSockBytes += uint64(len(fi.SockDelta))
+	}
+	// The commit fence rises with the stream's final frame (sendPayload);
+	// the destination restores only on a complete image.
+	ob.sendPayload(ob.strat.final, fi.encode(ob.strat.final), true)
+}
+
+// buildImage assembles the minimal checkpoint image (threads, regular
+// FDs, meta) every strategy's freeze payload carries.
+func (ob *outbound) buildImage() *ckpt.Image {
+	img := &ckpt.Image{
+		PID: ob.p.PID, Name: ob.p.Name,
+		CPUDemand: ob.p.CPUDemand, LoopPeriod: ob.p.LoopPeriod,
+		FDs: ckpt.CheckpointFDsExcludingSockets(ob.p),
+	}
+	for sig := range ob.p.SigHandlers {
+		img.HandledSignals = append(img.HandledSignals, sig)
+	}
+	for _, th := range ob.p.Threads {
+		img.Threads = append(img.Threads, ckpt.ThreadImage{TID: th.TID, Regs: th.Regs})
+	}
+	return img
+}
