@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test bench report examples cover artifacts
+.PHONY: all build test bench report examples cover loc artifacts
 
 all: build test
 
@@ -22,6 +22,15 @@ examples:
 
 cover:
 	go test -cover ./internal/... .
+
+# loc prints non-test and test Go lines per package directory and the
+# total outside benchmark/ — the table a simplicity PR reports.
+loc:
+	@find . -name '*.go' | sed 's|^\./||' | xargs wc -l | awk '$$2 == "total" { next } \
+		{ d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; k = ($$2 ~ /_test\.go$$/); n[d, k] += $$1; dirs[d] = 1; \
+		  if (d !~ /^benchmark/) tot[k] += $$1 } \
+		END { for (d in dirs) printf "%-28s %7d %7d\n", d, n[d, 0], n[d, 1] | "sort"; close("sort"); \
+		      printf "%-28s %7d %7d\n", "total outside benchmark/", tot[0], tot[1] }'
 
 # artifacts writes every deterministic CLI artifact of the current tree
 # into OUT — stdout in <name>.out, stderr (plus a nonzero exit status)

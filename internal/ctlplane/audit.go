@@ -31,7 +31,7 @@ func AuditLive(a, b *Controller, slack simtime.Duration) []string {
 		a.Node.Alive && b.Node.Alive && a.epoch == b.epoch {
 		v = append(v, fmt.Sprintf("split-brain: both controllers primary at epoch %d", a.epoch))
 	}
-	auth := authoritative(a, b)
+	auth := Authoritative(a, b)
 	if auth == nil {
 		return v // takeover blind window: no live primary to audit against
 	}
@@ -56,10 +56,10 @@ func AuditLive(a, b *Controller, slack simtime.Duration) []string {
 	return v
 }
 
-// authoritative picks the controller whose store reflects cluster
-// truth right now: the live primary with the highest epoch. Nil during
-// a takeover blind window (primary dead, standby not yet promoted).
-func authoritative(cs ...*Controller) *Controller {
+// Authoritative picks the controller whose store reflects cluster truth
+// right now: the live primary with the highest epoch (the one fenced
+// agents obey when a partition has two). Nil in a takeover blind window.
+func Authoritative(cs ...*Controller) *Controller {
 	var pick *Controller
 	for _, c := range cs {
 		if c != nil && c.Primary && c.Node.Alive && (pick == nil || c.epoch > pick.epoch) {

@@ -171,10 +171,7 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	if cfg.FlightDepth > 0 {
 		s.Flight = flight.NewSet(cfg.FlightDepth)
-		sched.FR = s.Flight.Track("sched")
-		for _, n := range s.Cluster.Nodes { // includes the db node
-			n.AttachFlight(s.Flight)
-		}
+		s.Cluster.AttachFlight(s.Flight) // includes the db node
 	}
 	for _, n := range s.Cluster.Nodes[:cfg.Nodes] {
 		m, err := migration.NewMigrator(n, cfg.MigConfig)

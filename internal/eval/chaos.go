@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"dvemig/internal/faults"
-	"dvemig/internal/flight"
 	"dvemig/internal/migration"
 	"dvemig/internal/netsim"
 	"dvemig/internal/netstack"
@@ -14,6 +13,7 @@ import (
 	"dvemig/internal/proc"
 	"dvemig/internal/simprof"
 	"dvemig/internal/simtime"
+	"dvemig/internal/xlat"
 )
 
 // ChaosEnv is the environment a scenario's Arm hook gets to sabotage:
@@ -143,6 +143,9 @@ func DefaultChaosScenarios() []ChaosScenario {
 
 // ChaosResult is the outcome of one (scenario, seed) cell.
 type ChaosResult struct {
+	// Strategy names the memory-movement strategy the cell migrated
+	// with (the strategy race's extra axis).
+	Strategy string
 	Scenario string
 	Seed     uint64
 	// Survived: the process is running (on either node) at the end.
@@ -176,40 +179,12 @@ type ChaosResult struct {
 	FlightDump string
 }
 
-// ChaosReport aggregates a sweep.
-type ChaosReport struct {
-	Results []*ChaosResult
-}
+func (r *ChaosResult) capture() *obs.Capture { return r.Obs }
+func (r *ChaosResult) violations() []string  { return r.Violations }
 
-// Captures lists the cells' observability captures in result (scenario-
-// major, seed-minor) order, skipping unobserved cells. Feeding them to
-// obs.WriteChromeTrace in this canonical order keeps exported artifacts
-// bit-identical at any sweep worker count.
-func (r *ChaosReport) Captures() []*obs.Capture {
-	var out []*obs.Capture
-	for _, res := range r.Results {
-		if res.Obs != nil {
-			out = append(out, res.Obs)
-		}
-	}
-	return out
-}
-
-// MergedSnapshot sums every observed cell's metric snapshot in
-// canonical order (nil when the sweep ran unobserved). All cells share
-// one histogram configuration, so the bounds-mismatch error cannot
-// fire; it is surfaced anyway rather than swallowed.
-func (r *ChaosReport) MergedSnapshot() (*obs.Snapshot, error) {
-	caps := r.Captures()
-	if len(caps) == 0 {
-		return nil, nil
-	}
-	snaps := make([]*obs.Snapshot, len(caps))
-	for i, c := range caps {
-		snaps[i] = c.Snap
-	}
-	return obs.MergeSnapshots(snaps...)
-}
+// ChaosReport aggregates a chaos sweep or a strategy race (a chaos
+// sweep with the strategy as one more, outermost, axis).
+type ChaosReport struct{ Report[*ChaosResult] }
 
 // Counts returns (survived, completed, aborted, violated) cell counts.
 func (r *ChaosReport) Counts() (survived, completed, aborted, violated int) {
@@ -223,30 +198,40 @@ func (r *ChaosReport) Counts() (survived, completed, aborted, violated int) {
 		if res.Aborted {
 			aborted++
 		}
-		if len(res.Violations) > 0 {
-			violated++
-		}
 	}
-	return
+	return survived, completed, aborted, r.Violations()
 }
 
-// Table renders the sweep for console output.
+// Table renders every cell with the three per-strategy latency columns:
+// freeze time (process stopped on both nodes), total downtime (freeze
+// plus post-resume demand-fault stalls), and the degraded window (from
+// migration start until the last page fill — the span in which the
+// process runs below full speed). For pre-copy the stall share is zero
+// and the degraded window ends at resume, so the columns degenerate to
+// the classic freeze-centric view.
 func (r *ChaosReport) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "chaos sweep: survival / migration outcome / invariant violations per scenario\n")
-	fmt.Fprintf(&b, "%-18s %6s %9s %9s %8s %11s %18s\n",
-		"scenario", "seed", "survived", "migrated", "aborted", "violations", "trace-hash")
+	fmt.Fprintf(&b, "strategy race: per-cell freeze / downtime / degraded window under chaos\n")
+	fmt.Fprintf(&b, "%-9s %-18s %5s %8s %7s %10s %10s %10s %6s %18s\n",
+		"strategy", "scenario", "seed", "outcome", "viol", "freeze-ms", "down-ms", "degr-ms", "pulls", "trace-hash")
 	for _, res := range r.Results {
-		out := "-"
-		if res.Completed {
-			out = "yes"
+		outcome := "none"
+		switch {
+		case res.Completed:
+			outcome = "migrated"
+		case res.Aborted:
+			outcome = "aborted"
 		}
-		ab := "-"
-		if res.Aborted {
-			ab = "yes"
+		freeze, down, degr, pulls := "-", "-", "-", "-"
+		if m := res.Metrics; m != nil && res.Completed {
+			freeze = fmt.Sprintf("%.2f", float64(m.FreezeTime)/1e6)
+			down = fmt.Sprintf("%.2f", float64(m.FreezeTime+m.StallTime)/1e6)
+			degr = fmt.Sprintf("%.2f", float64(m.DegradedWindow)/1e6)
+			pulls = fmt.Sprintf("%d", m.PagesDemand+m.PagesPrefetched)
 		}
-		fmt.Fprintf(&b, "%-18s %6d %9v %9s %8s %11d %#18x\n",
-			res.Scenario, res.Seed, res.Survived, out, ab, len(res.Violations), res.TraceHash)
+		fmt.Fprintf(&b, "%-9s %-18s %5d %8s %7d %10s %10s %10s %6s %#18x\n",
+			res.Strategy, res.Scenario, res.Seed, outcome, len(res.Violations),
+			freeze, down, degr, pulls, res.TraceHash)
 	}
 	s, c, a, v := r.Counts()
 	fmt.Fprintf(&b, "total: %d cells, %d survived, %d migrated, %d aborted, %d with violations\n",
@@ -255,32 +240,13 @@ func (r *ChaosReport) Table() string {
 }
 
 // RunChaosSweep runs every scenario at every seed and reports
-// survival/abort/invariant-violation counts per cell. Cells run on up
-// to cfg.Workers goroutines; the report is identical at any worker
-// count (each cell owns a private scheduler and cluster, and results
-// merge in scenario-major, seed-minor order).
+// survival/abort/invariant-violation counts per cell, in
+// scenario-major, seed-minor order.
 func RunChaosSweep(cfg ChaosConfig) (*ChaosReport, error) {
-	type cell struct {
-		sc   ChaosScenario
-		seed uint64
-	}
-	cells := make([]cell, 0, len(cfg.Scenarios)*len(cfg.Seeds))
-	for _, sc := range cfg.Scenarios {
-		for _, seed := range cfg.Seeds {
-			cells = append(cells, cell{sc: sc, seed: seed})
-		}
-	}
-	results, err := RunParallelProf(cells, cfg.Workers, cfg.Prof.Sweep("chaos-sweep", cfg.Workers), func(c cell) (*ChaosResult, error) {
-		res, err := RunChaosScenario(cfg, c.sc, c.seed)
-		if err != nil {
-			return nil, fmt.Errorf("chaos %s seed %d: %w", c.sc.Name, c.seed, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ChaosReport{Results: results}, nil
+	rep, err := sweep(cfg.Scenarios, cfg.Seeds, cfg.Workers, cfg.Prof.Sweep("chaos-sweep", cfg.Workers),
+		func(sc ChaosScenario) string { return "chaos " + sc.Name },
+		func(sc ChaosScenario, seed uint64) (*ChaosResult, error) { return RunChaosScenario(cfg, sc, seed) })
+	return &ChaosReport{rep}, err
 }
 
 // fnvSniffer is the trace-hash tap: it folds every packet a link
@@ -335,39 +301,23 @@ func RunChaosScenario(cfg ChaosConfig, sc ChaosScenario, seed uint64) (*ChaosRes
 	if nClients <= 0 {
 		nClients = 8
 	}
-	sched := simtime.NewScheduler()
-	cluster := proc.NewCluster(sched, 3)
+	mig := cfg.MigCfg.Mig
+	if mig == nil {
+		mig = migration.Precopy()
+	}
+	label := fmt.Sprintf("%s/seed%d", sc.Name, seed) // the capture's; the profile's has a prefix
+	f := newFixture(3, cfg.Observe, cfg.FlightDepth, cfg.Prof, "chaos/"+label)
+	sched, cluster := f.sched, f.cluster
 	src, dst, dbNode := cluster.Nodes[0], cluster.Nodes[1], cluster.Nodes[2]
-	srcMig, err := migration.NewMigrator(src, cfg.MigCfg)
+	srcMig, err := f.migrator(src, cfg.MigCfg)
 	if err != nil {
 		return nil, err
 	}
-	dstMig, err := migration.NewMigrator(dst, cfg.MigCfg)
+	dstMig, err := f.migrator(dst, cfg.MigCfg)
 	if err != nil {
 		return nil, err
 	}
-	var o *obs.Obs
-	if cfg.Observe {
-		o = obs.New(sched)
-		srcMig.SetObs(o)
-		dstMig.SetObs(o)
-	}
-	if cfg.Prof != nil {
-		label := fmt.Sprintf("chaos/%s/seed%d", sc.Name, seed)
-		sched.Prof = cfg.Prof.Loop(label)
-		skew := cfg.Prof.Skew(label)
-		srcMig.Prof = skew
-		dstMig.Prof = skew
-	}
-	var fset *flight.Set
-	if cfg.FlightDepth > 0 {
-		fset = flight.NewSet(cfg.FlightDepth)
-		sched.FR = fset.Track("sched")
-		for _, n := range cluster.Nodes {
-			n.AttachFlight(fset)
-		}
-	}
-	if _, err := startTransdOn(dbNode); err != nil {
+	if _, err := xlat.StartTransd(dbNode.Stack, dbNode.LocalIP); err != nil {
 		return nil, err
 	}
 
@@ -469,7 +419,7 @@ func RunChaosScenario(cfg ChaosConfig, sc ChaosScenario, seed uint64) (*ChaosRes
 	cliTicker.Start()
 
 	inj := faults.NewInjector(sched, seed)
-	inj.Obs = o
+	inj.Obs = f.obs
 	env := &ChaosEnv{
 		Sched: sched, Cluster: cluster, Inj: inj,
 		Source: src, Dest: dst, DB: dbNode,
@@ -480,7 +430,7 @@ func RunChaosScenario(cfg ChaosConfig, sc ChaosScenario, seed uint64) (*ChaosRes
 		sc.Arm(env)
 	}
 
-	res := &ChaosResult{Scenario: sc.Name, Seed: seed}
+	res := &ChaosResult{Strategy: mig.Name(), Scenario: sc.Name, Seed: seed}
 	sched.At(env.MigrateAt, "chaos.migrate", func() {
 		srcMig.Migrate(p, dst.LocalIP, func(m *migration.Metrics, err error) {
 			res.Metrics = m
@@ -499,17 +449,10 @@ func RunChaosScenario(cfg ChaosConfig, sc ChaosScenario, seed uint64) (*ChaosRes
 	sched.RunFor(3 * 1e9)
 	cliTicker.Stop()
 
-	// Survival: the process runs on exactly one node.
-	var home *proc.Node
-	for _, n := range []*proc.Node{src, dst} {
-		for _, pr := range n.Processes() {
-			if pr.Name == "zone_serv" && pr.State == proc.ProcRunning {
-				if home != nil {
-					res.Violations = append(res.Violations, "process running on both nodes")
-				}
-				home = n
-			}
-		}
+	// Survival: the process runs on exactly one of the two nodes.
+	home, breach := singleOwner(cluster.Nodes[:2], "zone_serv", true)
+	if breach != "" && home != nil {
+		res.Violations = append(res.Violations, "process running on both nodes")
 	}
 	res.Survived = home != nil
 	if home == nil {
@@ -566,14 +509,8 @@ func RunChaosScenario(cfg ChaosConfig, sc ChaosScenario, seed uint64) (*ChaosRes
 	res.TraceHash = sniff.h
 
 	// Drain to quiescence: with the stream stopped, disarm the surviving
-	// process's loop and close the client sockets, then hop from event to
-	// event until the queue empties. Every timer in the system is now
-	// either canceled eagerly (tickers, migration leases, translation
-	// retries) or self-limiting (TCP retransmission gives up after
-	// MaxConsecRetrans — with full exponential backoff to MaxRTO that
-	// takes tens of simulated minutes, hence the generous horizon), so a
-	// healthy run always reaches Pending()==0 — the exact-count invariant
-	// the scheduler overhaul makes checkable.
+	// process's loop and close the client sockets; nothing periodic is
+	// left.
 	if home != nil {
 		for _, pr := range home.Processes() {
 			if pr.Name == "zone_serv" {
@@ -584,23 +521,11 @@ func RunChaosScenario(cfg ChaosConfig, sc ChaosScenario, seed uint64) (*ChaosRes
 	for _, cli := range clients {
 		cli.Close()
 	}
-	limit := sched.Now() + 3600*1e9
-	for sched.Pending() > 0 {
-		next, _ := sched.NextEventTime()
-		if next > limit {
-			break
-		}
-		sched.RunUntil(next)
-	}
+	res.Violations = append(res.Violations, f.drain()...)
 	res.PendingAfterDrain = sched.Pending()
-	if o != nil {
-		obs.HarvestCluster(o.Metrics, cluster)
-		res.Obs = o.Capture(fmt.Sprintf("%s/seed%d", sc.Name, seed))
-	}
-	if fset != nil && len(res.Violations) > 0 {
-		var b strings.Builder
-		fset.Dump(&b)
-		res.FlightDump = b.String()
+	res.Obs = f.capture(label)
+	if len(res.Violations) > 0 {
+		res.FlightDump = f.flightDump()
 	}
 	return res, nil
 }

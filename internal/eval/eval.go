@@ -5,15 +5,8 @@ import (
 	"strings"
 
 	"dvemig/internal/dve"
-	"dvemig/internal/proc"
 	"dvemig/internal/simtime"
-	"dvemig/internal/sockmig"
-	"dvemig/internal/xlat"
 )
-
-func startTransdOn(n *proc.Node) (*xlat.Transd, error) {
-	return xlat.StartTransd(n.Stack, n.LocalIP)
-}
 
 // Fig5bTable renders the freeze-time sweep like the paper's Fig 5b: one
 // row per connection count, one column per strategy, values in
@@ -99,17 +92,4 @@ func DVESummary(r *dve.Results, lbOn bool) string {
 		fmt.Fprintf(&b, "  worst migration freeze: %.1fms\n", float64(worst)/1e6)
 	}
 	return b.String()
-}
-
-// StrategyByName parses a CLI strategy flag.
-func StrategyByName(s string) (sockmig.Strategy, error) {
-	switch strings.ToLower(s) {
-	case "iterative":
-		return sockmig.Iterative, nil
-	case "collective":
-		return sockmig.Collective, nil
-	case "incremental", "incremental-collective", "incremental collective":
-		return sockmig.IncrementalCollective, nil
-	}
-	return 0, fmt.Errorf("unknown strategy %q (iterative|collective|incremental)", s)
 }

@@ -92,21 +92,6 @@ func TestFmtBytes(t *testing.T) {
 	}
 }
 
-func TestStrategyByName(t *testing.T) {
-	for name, want := range map[string]sockmig.Strategy{
-		"iterative": sockmig.Iterative, "Collective": sockmig.Collective,
-		"incremental": sockmig.IncrementalCollective,
-	} {
-		got, err := StrategyByName(name)
-		if err != nil || got != want {
-			t.Fatalf("StrategyByName(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := StrategyByName("bogus"); err == nil {
-		t.Fatal("bogus strategy accepted")
-	}
-}
-
 func TestDispatchComparisonBroadcastBeatsNAT(t *testing.T) {
 	cfg := DefaultDispatchConfig()
 	broadcast, nat, err := RunDispatchComparison(cfg)

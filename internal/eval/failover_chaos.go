@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -10,6 +11,7 @@ import (
 	"dvemig/internal/migration"
 	"dvemig/internal/netsim"
 	"dvemig/internal/netstack"
+	"dvemig/internal/obs"
 	"dvemig/internal/proc"
 	"dvemig/internal/simtime"
 )
@@ -101,12 +103,17 @@ type FailoverResult struct {
 	// all three public server links; equal hashes mean bit-identical
 	// runs.
 	TraceHash uint64
+	// PendingAfterDrain is the scheduler's pending-event count once the
+	// harness has stopped every periodic activity and drained the cell
+	// (nonzero = a leaked timer, also reported as a violation).
+	PendingAfterDrain int
 }
 
+func (r *FailoverResult) capture() *obs.Capture { return nil }
+func (r *FailoverResult) violations() []string  { return r.Violations }
+
 // FailoverReport aggregates a sweep.
-type FailoverReport struct {
-	Results []*FailoverResult
-}
+type FailoverReport struct{ Report[*FailoverResult] }
 
 // Table renders the sweep for console output.
 func (r *FailoverReport) Table() string {
@@ -124,30 +131,12 @@ func (r *FailoverReport) Table() string {
 
 // RunFailoverSweep runs every scenario at every seed, fanning the
 // (scenario, seed) cells over up to workers goroutines (<= 0 selects
-// GOMAXPROCS, 1 is the serial path). The report is bit-identical at
-// every worker count; see RunParallel.
+// GOMAXPROCS, 1 is the serial path).
 func RunFailoverSweep(scenarios []FailoverScenario, seeds []uint64, workers int) (*FailoverReport, error) {
-	type cell struct {
-		sc   FailoverScenario
-		seed uint64
-	}
-	cells := make([]cell, 0, len(scenarios)*len(seeds))
-	for _, sc := range scenarios {
-		for _, seed := range seeds {
-			cells = append(cells, cell{sc: sc, seed: seed})
-		}
-	}
-	results, err := RunParallel(cells, workers, func(c cell) (*FailoverResult, error) {
-		res, err := RunFailoverScenario(c.sc, c.seed)
-		if err != nil {
-			return nil, fmt.Errorf("failover %s seed %d: %w", c.sc.Name, c.seed, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &FailoverReport{Results: results}, nil
+	rep, err := sweep(scenarios, seeds, workers, nil,
+		func(sc FailoverScenario) string { return "failover " + sc.Name },
+		RunFailoverScenario)
+	return &FailoverReport{rep}, err
 }
 
 // serveSniffer hashes every packet event and records when scoreboard
@@ -172,18 +161,16 @@ func (s *serveSniffer) PacketEvent(at simtime.Time, ev netsim.TapEvent, p *netsi
 
 // RunFailoverScenario runs one (scenario, seed) cell.
 func RunFailoverScenario(sc FailoverScenario, seed uint64) (*FailoverResult, error) {
-	sched := simtime.NewScheduler()
-	cluster := proc.NewCluster(sched, 3)
+	f := newFixture(3, false, 0, nil, "")
+	sched, cluster := f.sched, f.cluster
 	inj := faults.NewInjector(sched, seed)
 
-	var migs []*migration.Migrator
 	var conds []*lb.Conductor
 	for _, n := range cluster.Nodes {
-		m, err := migration.NewMigrator(n, migration.DefaultConfig())
+		m, err := f.migrator(n, migration.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
-		migs = append(migs, m)
 		cd, err := lb.NewConductor(n, m, lb.DefaultConfig())
 		if err != nil {
 			return nil, err
@@ -326,16 +313,11 @@ func RunFailoverScenario(sc FailoverScenario, seed uint64) (*FailoverResult, err
 
 	// Audit 2 — single owner: exactly one node runs the service at the
 	// end, and it is the expected one.
-	for i, n := range cluster.Nodes {
-		for _, pr := range n.Processes() {
-			if pr.Name == "scoreboard" && pr.State == proc.ProcRunning {
-				if res.OwnerNode != -1 {
-					res.Violations = append(res.Violations, "service running on two nodes")
-				}
-				res.OwnerNode = i
-			}
-		}
+	home, breach := singleOwner(cluster.Nodes, "scoreboard", true)
+	if breach != "" && home != nil {
+		res.Violations = append(res.Violations, "service running on two nodes")
 	}
+	res.OwnerNode = slices.Index(cluster.Nodes, home)
 	wantOwner, wantActivations := 0, 0
 	if sc.WantFailover {
 		wantOwner, wantActivations = 1, 1 // the fresher standby
@@ -369,13 +351,24 @@ func RunFailoverScenario(sc FailoverScenario, seed uint64) (*FailoverResult, err
 		res.Violations = append(res.Violations, "node with stale image served")
 	}
 
-	// Fold the four link traces into one order-fixed hash.
-	h := newFnvSniffer()
-	h.word(clientSniff.h)
-	for _, s := range nodeSniff {
-		h.word(s.fnv.h)
+	// Fold the four link traces into one order-fixed hash — before the
+	// drain below closes sockets and puts more packets on them.
+	res.TraceHash = foldHashes(clientSniff, nodeSniff[0].fnv, nodeSniff[1].fnv, nodeSniff[2].fnv)
+
+	// Drain: conductors (and with them the failure detectors), the
+	// guardians and the process loops are everything periodic here.
+	for _, cd := range conds {
+		cd.Stop()
 	}
-	res.TraceHash = h.h
+	g1.Stop()
+	g2.Stop()
+	for _, n := range cluster.Nodes {
+		for _, pr := range n.Processes() {
+			n.StopLoop(pr)
+		}
+	}
+	res.Violations = append(res.Violations, f.drain()...)
+	res.PendingAfterDrain = sched.Pending()
 	sort.Strings(res.Violations)
 	return res, nil
 }

@@ -22,6 +22,9 @@ func TestFailoverChaosBattery(t *testing.T) {
 				for _, v := range a.Violations {
 					t.Errorf("violation: %s", v)
 				}
+				if a.PendingAfterDrain != 0 {
+					t.Errorf("%d events still pending after drain (leaked timer)", a.PendingAfterDrain)
+				}
 				if a.RepliesTotal == 0 {
 					t.Fatal("scoreboard never answered a single ping")
 				}

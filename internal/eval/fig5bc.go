@@ -16,6 +16,7 @@ import (
 	"dvemig/internal/simprof"
 	"dvemig/internal/simtime"
 	"dvemig/internal/sockmig"
+	"dvemig/internal/xlat"
 )
 
 // SweepConns is the connection-count axis of Fig 5b/5c.
@@ -93,10 +94,6 @@ type FreezePoint struct {
 	WorstSockBytes    uint64
 	ClientRetransmits uint64
 	Runs              []*migration.Metrics
-	// WorstPhaseGap is the longest interval between consecutive phase
-	// events over all runs (PhaseEvent.Time-Since): the single stall
-	// that dominates the migration, whichever phase it hides in.
-	WorstPhaseGap simtime.Duration
 	// Caps holds one observability capture per repeat (in repeat order)
 	// and Snap their merged metric snapshot; both nil unless
 	// FreezeConfig.Observe.
@@ -116,7 +113,6 @@ func RunFreezePoint(fc FreezeConfig) (*FreezePoint, error) {
 	type once struct {
 		m       *migration.Metrics
 		retrans uint64
-		gap     simtime.Duration
 		cap     *obs.Capture
 	}
 	reps := make([]int, repeats)
@@ -124,8 +120,8 @@ func RunFreezePoint(fc FreezeConfig) (*FreezePoint, error) {
 		reps[i] = i
 	}
 	runs, err := RunParallel(reps, fc.Workers, func(rep int) (once, error) {
-		m, retrans, gap, cap, err := runFreezeOnce(fc, rep)
-		return once{m: m, retrans: retrans, gap: gap, cap: cap}, err
+		m, retrans, cap, err := runFreezeOnce(fc, rep)
+		return once{m: m, retrans: retrans, cap: cap}, err
 	})
 	if err != nil {
 		return nil, err
@@ -139,9 +135,6 @@ func RunFreezePoint(fc FreezeConfig) (*FreezePoint, error) {
 		}
 		if r.m.FreezeSockBytes > pt.WorstSockBytes {
 			pt.WorstSockBytes = r.m.FreezeSockBytes
-		}
-		if r.gap > pt.WorstPhaseGap {
-			pt.WorstPhaseGap = r.gap
 		}
 		if r.cap != nil {
 			pt.Caps = append(pt.Caps, r.cap)
@@ -180,53 +173,24 @@ func RunFreezeSweep(conns []int, strategies []sockmig.Strategy, tmpl FreezeConfi
 	return RunParallelProf(cells, tmpl.Workers, tmpl.Prof.Sweep("freeze-sweep", tmpl.Workers), RunFreezePoint)
 }
 
-func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, simtime.Duration, *obs.Capture, error) {
-	sched := simtime.NewScheduler()
-	cluster := proc.NewCluster(sched, 3) // source, destination, DB
-	var o *obs.Obs
-	if fc.Observe {
-		o = obs.New(sched)
-	}
-	// Consumers get the per-phase delta handed to them on the event
-	// (PhaseEvent.Since); the worst single stall is one comparison.
-	// Only armed when observing, so the disabled benchmark path stays
-	// allocation-free.
-	var worstGap simtime.Duration
-	var onPhase func(migration.PhaseEvent)
-	if fc.Observe {
-		onPhase = func(ev migration.PhaseEvent) {
-			if d := ev.Time - ev.Since; d > worstGap {
-				worstGap = d
-			}
-		}
-	}
-	var skew *simprof.SkewProf
-	if fc.Prof != nil {
-		label := fmt.Sprintf("freeze-c%d-%s-rep%d", fc.Conns, fc.Strategy, rep)
-		sched.Prof = fc.Prof.Loop(label)
-		skew = fc.Prof.Skew(label)
-	}
+func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, *obs.Capture, error) {
+	label := fmt.Sprintf("freeze-c%d-%s-rep%d", fc.Conns, fc.Strategy, rep)
+	f := newFixture(3, fc.Observe, 0, fc.Prof, label) // source, destination, DB
+	sched, cluster := f.sched, f.cluster
 	var migs []*migration.Migrator
 	for _, n := range cluster.Nodes[:2] {
-		m, err := migration.NewMigrator(n, fc.MigCfg)
+		m, err := f.migrator(n, fc.MigCfg)
 		if err != nil {
-			return nil, 0, 0, nil, err
+			return nil, 0, nil, err
 		}
-		if fc.Observe {
-			m.SetObs(o)
-			m.OnPhase = onPhase
-		}
-		m.Prof = skew
 		migs = append(migs, m)
 	}
 	dbNode := cluster.Nodes[2]
-	db, err := dve.StartDBServer(dbNode)
-	if err != nil {
-		return nil, 0, 0, nil, err
+	if _, err := dve.StartDBServer(dbNode); err != nil {
+		return nil, 0, nil, err
 	}
-	_ = db
-	if _, err := startTransdOn(dbNode); err != nil {
-		return nil, 0, 0, nil, err
+	if _, err := xlat.StartTransd(dbNode.Stack, dbNode.LocalIP); err != nil {
+		return nil, 0, nil, err
 	}
 
 	src := cluster.Nodes[0]
@@ -234,14 +198,14 @@ func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, simtim
 	heap := p.AS.Mmap(fc.MemPages*proc.PageSize, "rw-")
 	for i := uint64(0); i < fc.MemPages; i += 4 {
 		if err := p.AS.Write(heap.Start+i*proc.PageSize, []byte{byte(i)}); err != nil {
-			return nil, 0, 0, nil, err
+			return nil, 0, nil, err
 		}
 	}
 
 	// Game clients.
 	lst := netstack.NewTCPSocket(src.Stack)
 	if err := lst.Listen(cluster.ClusterIP, 7000); err != nil {
-		return nil, 0, 0, nil, err
+		return nil, 0, nil, err
 	}
 	var serverSide []*netstack.TCPSocket
 	lst.OnAccept = func(ch *netstack.TCPSocket) { serverSide = append(serverSide, ch) }
@@ -250,14 +214,14 @@ func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, simtim
 	for i := 0; i < fc.Conns; i++ {
 		cli := netstack.NewTCPSocket(host)
 		if err := cli.Connect(cluster.ClusterIP, 7000); err != nil {
-			return nil, 0, 0, nil, err
+			return nil, 0, nil, err
 		}
 		cli.OnReadable = func() { cli.Discard() } // consume updates
 		clients = append(clients, cli)
 	}
 	sched.RunFor(2e9)
 	if len(serverSide) != fc.Conns {
-		return nil, 0, 0, nil, fmt.Errorf("eval: only %d/%d connections established", len(serverSide), fc.Conns)
+		return nil, 0, nil, fmt.Errorf("eval: only %d/%d connections established", len(serverSide), fc.Conns)
 	}
 	for _, sk := range serverSide {
 		p.FDs.Install(&proc.TCPFile{Sock: sk})
@@ -266,7 +230,7 @@ func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, simtim
 	// MySQL session").
 	dbSock := netstack.NewTCPSocket(src.Stack)
 	if err := dbSock.Connect(dbNode.LocalIP, dve.DBPort); err != nil {
-		return nil, 0, 0, nil, err
+		return nil, 0, nil, err
 	}
 	p.FDs.Install(&proc.TCPFile{Sock: dbSock})
 	sched.RunFor(1e9)
@@ -292,8 +256,6 @@ func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, simtim
 	// work spread over Batches sub-frames like a real server's send loop.
 	msg := make([]byte, fc.MsgBytes)
 	batch := 0
-	update := make([]byte, 8)
-	_ = update
 	p.Tick = func(self *proc.Process) {
 		batch++
 		tcp, _ := self.Sockets()
@@ -328,19 +290,14 @@ func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, simtim
 	})
 	sched.RunFor(30e9)
 	if gotErr != nil {
-		return nil, 0, 0, nil, gotErr
+		return nil, 0, nil, gotErr
 	}
 	if got == nil {
-		return nil, 0, 0, nil, fmt.Errorf("eval: migration did not complete")
+		return nil, 0, nil, fmt.Errorf("eval: migration did not complete")
 	}
 	var retrans uint64
 	for _, cli := range clients {
 		retrans += cli.Retransmits
 	}
-	var cap *obs.Capture
-	if o != nil {
-		obs.HarvestCluster(o.Metrics, cluster)
-		cap = o.Capture(fmt.Sprintf("freeze-c%d-%s-rep%d", fc.Conns, fc.Strategy, rep))
-	}
-	return got, retrans, worstGap, cap, nil
+	return got, retrans, f.capture(label), nil
 }

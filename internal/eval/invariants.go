@@ -1,0 +1,114 @@
+package eval
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+
+	"dvemig/internal/ctlplane"
+	"dvemig/internal/migration"
+	"dvemig/internal/proc"
+	"dvemig/internal/simtime"
+)
+
+// The invariant list. This file is the one place the harness states
+// what the paper's transparency claim means for a cell — one owner, no
+// lost or duplicated work, nothing left running behind — and every
+// battery's audit calls it. Each invariant has two forms: what holds at
+// any instant of a healthy run (checked mid-run, at every sample
+// window) and what must additionally hold at quiescence (checked once
+// the cell is drained).
+//
+//  1. Single owner (singleOwner). Any instant: a service runs on at
+//     most one node — zero is legal inside a freeze window, two is a
+//     fork. Quiescence: on exactly one.
+//  2. Exactly-once engine accounting (exactlyOnce). Any instant: the
+//     engines have settled no more migrations than the agents started.
+//     Quiescence: every started migration is settled exactly once —
+//     started = completed + aborted.
+//  3. Objects (ctlplane.AuditLive / objectsTerminal). Any instant: no
+//     split brain, no two in-flight objects for one service, none stuck
+//     past its budget. Quiescence: every submitted object is still
+//     known to a controller and terminal.
+//  4. No leaked timer (noLeakedTimers). Quiescence only: after the
+//     drain the scheduler's queue is empty; what is left is named.
+//
+// Every function returns its breaches as messages (none = it holds).
+// The messages are stable across windows — no ages, no clocks — so a
+// persisting breach can be deduplicated by text.
+
+// singleOwner is invariant 1 for one service among nodes. home is the
+// node running it (the last one, on a fork; nil if none).
+func singleOwner(nodes []*proc.Node, name string, quiescent bool) (home *proc.Node, breach string) {
+	running := 0
+	for _, n := range nodes {
+		for _, p := range n.Processes() {
+			if p.Name == name && p.State == proc.ProcRunning {
+				running++
+				home = n
+			}
+		}
+	}
+	if running > 1 || quiescent && running != 1 {
+		breach = fmt.Sprintf("single-owner broken: %s running on %d nodes", name, running)
+	}
+	return home, breach
+}
+
+// engineLedger sums invariant 2's two sides: migrations the agents
+// handed to an engine, and migrations the engines completed or rolled
+// back.
+func engineLedger(agents []*ctlplane.Agent, migs []*migration.Migrator) (started uint64, completed, aborted int) {
+	for _, a := range agents {
+		started += a.Started
+	}
+	for _, m := range migs {
+		completed += len(m.Completed)
+		aborted += len(m.Aborted)
+	}
+	return
+}
+
+// exactlyOnce is invariant 2 over an engineLedger: never duplicated by
+// a probe, a replay or a controller takeover, never lost.
+func exactlyOnce(started uint64, completed, aborted int, quiescent bool) []string {
+	settled := completed + aborted
+	switch {
+	case uint64(settled) > started && !quiescent:
+		return []string{fmt.Sprintf("exactly-once broken: engine settled %d migrations but agents only started %d", settled, started)}
+	case uint64(settled) != started && quiescent:
+		return []string{fmt.Sprintf("exactly-once broken: agents started %d migrations, engine settled %d (%d completed + %d aborted)",
+			started, settled, completed, aborted)}
+	}
+	return nil
+}
+
+// objectsTerminal is invariant 3's quiescent form over the submitted
+// IDs: get finds an object on whichever controller still has it, names
+// maps an ID to its service for the message.
+func objectsTerminal(ids []uint64, get func(uint64) *ctlplane.Object, names map[uint64]string) []string {
+	var v []string
+	for _, id := range ids {
+		switch obj := get(id); {
+		case obj == nil:
+			v = append(v, fmt.Sprintf("object #%d (%s) lost across controllers", id, names[id]))
+		case !obj.Status.State.Terminal():
+			v = append(v, fmt.Sprintf("object #%d (%s) not terminal: %s after %v",
+				id, names[id], obj.Status.State, obj.Status.Cause))
+		}
+	}
+	return v
+}
+
+// noLeakedTimers is invariant 4: an event still queued after the drain
+// is a timer nobody fired or canceled — an orphaned retransmit loop, an
+// unstopped ticker — and the message names each one.
+func noLeakedTimers(sched *simtime.Scheduler) []string {
+	if sched.Pending() == 0 {
+		return nil
+	}
+	names := sched.PendingNames()
+	sort.Strings(names)
+	return []string{fmt.Sprintf("leaked timers: %d events pending after drain: %s",
+		len(names), strings.Join(names, ", "))}
+}

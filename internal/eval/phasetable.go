@@ -17,57 +17,11 @@ var PhaseTablePhases = []string{"connect", "precopy", "freeze", "transfer", "don
 // per connection count, one column per phase, each cell the mean
 // phase-to-phase latency in ms (PhaseEvent.Time-Since as recorded by
 // the migration engine's mig/phase_<name>_us histograms). Points
-// without a snapshot (unobserved runs) render as "-" rows; this
-// replaces the hand-rolled per-phase aggregation experiments used to do
-// from raw OnPhase callbacks.
+// without a snapshot (unobserved runs) render as "-" rows.
 func PhaseTable(points []*FreezePoint) string {
-	byKey := map[[2]int]*FreezePoint{}
-	conns := map[int]bool{}
-	strategies := map[int]bool{}
-	for _, p := range points {
-		byKey[[2]int{p.Conns, int(p.Strategy)}] = p
-		conns[p.Conns] = true
-		strategies[int(p.Strategy)] = true
-	}
-	var b strings.Builder
-	b.WriteString("per-phase migration latency, mean ms (phase event minus previous phase event)\n")
-	for _, s := range SweepStrategies {
-		if !strategies[int(s)] {
-			continue
-		}
-		fmt.Fprintf(&b, "[%s]\n%8s", s, "conns")
-		for _, ph := range PhaseTablePhases {
-			fmt.Fprintf(&b, "%12s", ph)
-		}
-		fmt.Fprintf(&b, "%12s\n", "total")
-		for _, n := range SweepConns {
-			if !conns[n] {
-				continue
-			}
-			p := byKey[[2]int{n, int(s)}]
-			if p == nil {
-				continue
-			}
-			fmt.Fprintf(&b, "%8d", n)
-			total := 0.0
-			for _, ph := range PhaseTablePhases {
-				mean, ok := phaseMeanUs(p.Snap, ph)
-				if !ok {
-					fmt.Fprintf(&b, "%12s", "-")
-					continue
-				}
-				total += mean
-				fmt.Fprintf(&b, "%12.3f", mean/1e3)
-			}
-			if total > 0 {
-				fmt.Fprintf(&b, "%12.3f", total/1e3)
-			} else {
-				fmt.Fprintf(&b, "%12s", "-")
-			}
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
+	return blockTable(points, "per-phase migration latency, mean ms (phase event minus previous phase event)",
+		PhaseTablePhases, 12, "total",
+		func(_ int, phase string) string { return "mig/phase_" + phase + "_us" })
 }
 
 // FreezeAttrTable renders the per-connection freeze-time attribution
@@ -81,50 +35,53 @@ func PhaseTable(points []*FreezePoint) string {
 // sum to the freeze time, so the table says where each extra connection's
 // freeze milliseconds actually go.
 func FreezeAttrTable(points []*FreezePoint) string {
+	return blockTable(points, "freeze-time attribution by connection count, mean ms per component",
+		migration.FreezeAttrComponents[:], 17, "freeze-total", migration.FreezeAttrMetric)
+}
+
+// blockTable renders one block per strategy, one row per connection
+// count and one w-wide column per name in cols — the mean, in ms, of the
+// histogram metric(conns, col) names in the point's snapshot — plus
+// their sum; a histogram that is missing or empty renders as "-".
+func blockTable(points []*FreezePoint, title string, cols []string, w int, sum string, metric func(conns int, col string) string) string {
 	byKey := map[[2]int]*FreezePoint{}
-	conns := map[int]bool{}
 	strategies := map[int]bool{}
 	for _, p := range points {
 		byKey[[2]int{p.Conns, int(p.Strategy)}] = p
-		conns[p.Conns] = true
 		strategies[int(p.Strategy)] = true
 	}
 	var b strings.Builder
-	b.WriteString("freeze-time attribution by connection count, mean ms per component\n")
+	b.WriteString(title + "\n")
 	for _, s := range SweepStrategies {
 		if !strategies[int(s)] {
 			continue
 		}
 		fmt.Fprintf(&b, "[%s]\n%8s", s, "conns")
-		for _, comp := range migration.FreezeAttrComponents {
-			fmt.Fprintf(&b, "%17s", comp)
+		for _, col := range cols {
+			fmt.Fprintf(&b, "%*s", w, col)
 		}
-		fmt.Fprintf(&b, "%17s\n", "freeze-total")
+		fmt.Fprintf(&b, "%*s\n", w, sum)
 		for _, n := range SweepConns {
-			if !conns[n] {
-				continue
-			}
 			p := byKey[[2]int{n, int(s)}]
 			if p == nil {
 				continue
 			}
 			fmt.Fprintf(&b, "%8d", n)
-			total := 0.0
-			seen := false
-			for _, comp := range migration.FreezeAttrComponents {
-				mean, ok := histMeanUs(p.Snap, migration.FreezeAttrMetric(n, comp))
+			total, seen := 0.0, false
+			for _, col := range cols {
+				mean, ok := histMeanUs(p.Snap, metric(n, col))
 				if !ok {
-					fmt.Fprintf(&b, "%17s", "-")
+					fmt.Fprintf(&b, "%*s", w, "-")
 					continue
 				}
 				seen = true
 				total += mean
-				fmt.Fprintf(&b, "%17.3f", mean/1e3)
+				fmt.Fprintf(&b, "%*.3f", w, mean/1e3)
 			}
 			if seen {
-				fmt.Fprintf(&b, "%17.3f", total/1e3)
+				fmt.Fprintf(&b, "%*.3f", w, total/1e3)
 			} else {
-				fmt.Fprintf(&b, "%17s", "-")
+				fmt.Fprintf(&b, "%*s", w, "-")
 			}
 			b.WriteByte('\n')
 		}
@@ -138,18 +95,6 @@ func histMeanUs(s *obs.Snapshot, name string) (float64, bool) {
 		return 0, false
 	}
 	h, ok := s.Hist(name)
-	if !ok || h.N == 0 {
-		return 0, false
-	}
-	return h.Mean(), true
-}
-
-// phaseMeanUs reads one phase histogram's mean out of a snapshot.
-func phaseMeanUs(s *obs.Snapshot, phase string) (float64, bool) {
-	if s == nil {
-		return 0, false
-	}
-	h, ok := s.Hist("mig/phase_" + phase + "_us")
 	if !ok || h.N == 0 {
 		return 0, false
 	}

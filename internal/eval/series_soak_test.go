@@ -251,7 +251,7 @@ func TestSoakMergedSeriesRagged(t *testing.T) {
 // TestSoakMergedSeriesNoCaptures pins the empty edge: an unobserved
 // sweep merges to nil without error.
 func TestSoakMergedSeriesNoCaptures(t *testing.T) {
-	rep := &SoakReport{Results: []*SoakResult{{Scenario: "x", Seed: 1}}}
+	rep := &SoakReport{Report[*SoakResult]{Results: []*SoakResult{{Scenario: "x", Seed: 1}}}}
 	st, err := rep.MergedSeries()
 	if err != nil || st != nil {
 		t.Fatalf("want (nil, nil), got (%v, %v)", st, err)

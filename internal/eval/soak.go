@@ -2,12 +2,12 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"dvemig/internal/ctlplane"
 	"dvemig/internal/faults"
-	"dvemig/internal/flight"
 	"dvemig/internal/lb"
 	"dvemig/internal/migration"
 	"dvemig/internal/obs"
@@ -217,60 +217,11 @@ type SoakResult struct {
 	SLO []*obs.SLOResult
 }
 
+func (r *SoakResult) capture() *obs.Capture { return r.Obs }
+func (r *SoakResult) violations() []string  { return r.Violations }
+
 // SoakReport aggregates a sweep.
-type SoakReport struct {
-	Results []*SoakResult
-}
-
-// Captures lists cells' observability captures in canonical order.
-func (r *SoakReport) Captures() []*obs.Capture {
-	var out []*obs.Capture
-	for _, res := range r.Results {
-		if res.Obs != nil {
-			out = append(out, res.Obs)
-		}
-	}
-	return out
-}
-
-// MergedSnapshot sums every observed cell's metric snapshot.
-func (r *SoakReport) MergedSnapshot() (*obs.Snapshot, error) {
-	caps := r.Captures()
-	if len(caps) == 0 {
-		return nil, nil
-	}
-	snaps := make([]*obs.Snapshot, len(caps))
-	for i, c := range caps {
-		snaps[i] = c.Snap
-	}
-	return obs.MergeSnapshots(snaps...)
-}
-
-// Violations counts cells with a non-empty audit verdict.
-func (r *SoakReport) Violations() int {
-	n := 0
-	for _, res := range r.Results {
-		if len(res.Violations) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// MergedSeries sums every observed cell's time series element-wise by
-// sample index (nil when no cell sampled).
-func (r *SoakReport) MergedSeries() (*obs.SeriesStore, error) {
-	var stores []*obs.SeriesStore
-	for _, c := range r.Captures() {
-		if c.Series != nil {
-			stores = append(stores, c.Series)
-		}
-	}
-	if len(stores) == 0 {
-		return nil, nil
-	}
-	return obs.MergeSeriesStores(stores...)
-}
+type SoakReport struct{ Report[*SoakResult] }
 
 // DowntimeP99Us returns the 99th-percentile migration downtime (µs)
 // across every completed migration in the sweep (trace.Percentile
@@ -335,32 +286,13 @@ func (r *SoakReport) Table() string {
 }
 
 // RunSoak pumps cfg.Requests migration objects per (scenario, seed)
-// cell through the declarative control plane under the chaos battery,
-// audits exactly-once and single-owner invariants afterwards, and
-// merges results in canonical order — bit-identical at any worker
-// count.
+// cell through the declarative control plane under the chaos battery
+// and audits the invariant list mid-run and at quiescence.
 func RunSoak(cfg SoakConfig) (*SoakReport, error) {
-	type cell struct {
-		sc   SoakScenario
-		seed uint64
-	}
-	cells := make([]cell, 0, len(cfg.Scenarios)*len(cfg.Seeds))
-	for _, sc := range cfg.Scenarios {
-		for _, seed := range cfg.Seeds {
-			cells = append(cells, cell{sc: sc, seed: seed})
-		}
-	}
-	results, err := RunParallelProf(cells, cfg.Workers, cfg.Prof.Sweep("soak-sweep", cfg.Workers), func(c cell) (*SoakResult, error) {
-		res, err := runSoakCell(cfg, c.sc, c.seed)
-		if err != nil {
-			return nil, fmt.Errorf("soak %s seed %d: %w", c.sc.Name, c.seed, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &SoakReport{Results: results}, nil
+	rep, err := sweep(cfg.Scenarios, cfg.Seeds, cfg.Workers, cfg.Prof.Sweep("soak-sweep", cfg.Workers),
+		func(sc SoakScenario) string { return "soak " + sc.Name },
+		func(sc SoakScenario, seed uint64) (*SoakResult, error) { return runSoakCell(cfg, sc, seed) })
+	return &SoakReport{rep}, err
 }
 
 func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, error) {
@@ -377,23 +309,11 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 		cfg.Horizon = 30 * time.Minute
 	}
 	const nWorkers = 3
-	sched := simtime.NewScheduler()
-	cluster := proc.NewCluster(sched, nWorkers+2)
+	label := fmt.Sprintf("soak/%s/seed%d", sc.Name, seed)
+	f := newFixture(nWorkers+2, cfg.Observe, cfg.FlightDepth, cfg.Prof, label)
+	sched, cluster, o := f.sched, f.cluster, f.obs
 	workers := cluster.Nodes[:nWorkers]
 	ctlNode, sbNode := cluster.Nodes[nWorkers], cluster.Nodes[nWorkers+1]
-
-	var o *obs.Obs
-	if cfg.Observe {
-		o = obs.New(sched)
-	}
-	var fset *flight.Set
-	if cfg.FlightDepth > 0 {
-		fset = flight.NewSet(cfg.FlightDepth)
-		sched.FR = fset.Track("sched")
-		for _, n := range cluster.Nodes {
-			n.AttachFlight(fset)
-		}
-	}
 
 	// Per-node sniffers fold into one cell hash in node order.
 	sniffs := make([]*fnvSniffer, len(cluster.Nodes))
@@ -402,27 +322,16 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 		n.LocalNIC.AttachTap(sniffs[i])
 	}
 
-	var skew *simprof.SkewProf
-	if cfg.Prof != nil {
-		label := fmt.Sprintf("soak/%s/seed%d", sc.Name, seed)
-		sched.Prof = cfg.Prof.Loop(label)
-		skew = cfg.Prof.Skew(label)
-	}
-
 	lcfg := lb.DefaultConfig()
 	lcfg.ImbalanceThreshold = 10 // conductors heartbeat but never self-balance
 	var migrators []*migration.Migrator
 	var agents []*ctlplane.Agent
 	var conds []*lb.Conductor
 	for _, n := range workers {
-		m, err := migration.NewMigrator(n, cfg.MigCfg)
+		m, err := f.migrator(n, cfg.MigCfg)
 		if err != nil {
 			return nil, err
 		}
-		if o != nil {
-			m.SetObs(o)
-		}
-		m.Prof = skew
 		cd, err := lb.NewConductor(n, m, lcfg)
 		if err != nil {
 			return nil, err
@@ -492,19 +401,6 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 		}
 		return nil, nil
 	}
-	// primary picks the controller to submit to. During a partition both
-	// may claim primacy for a moment — the higher epoch is the one whose
-	// directives the fenced agents will accept.
-	primary := func() *ctlplane.Controller {
-		var pick *ctlplane.Controller
-		for _, c := range []*ctlplane.Controller{ctl, standby} {
-			if c.Primary && c.Node.Alive && (pick == nil || c.Epoch() > pick.Epoch()) {
-				pick = c
-			}
-		}
-		return pick
-	}
-
 	inj := faults.NewInjector(sched, seed)
 	inj.Obs = o
 	env := &SoakEnv{Sched: sched, Cluster: cluster, Inj: inj,
@@ -534,11 +430,28 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 		return true
 	}
 
+	// audit walks the invariant list (invariants.go) for this cell, in
+	// the form that holds at any instant or the one that holds at
+	// quiescence; the object-level quiescent form needs the surviving
+	// controller and is added at teardown.
+	audit := func(quiescent bool) []string {
+		var found []string
+		for _, name := range names {
+			if _, breach := singleOwner(workers, name, quiescent); breach != "" {
+				found = append(found, breach)
+			}
+		}
+		started, completed, aborted := engineLedger(agents, migrators)
+		found = append(found, exactlyOnce(started, completed, aborted, quiescent)...)
+		if !quiescent {
+			found = append(found, ctlplane.AuditLive(ctl, standby, soakAuditSlack)...)
+		}
+		return found
+	}
+
 	// Streaming observability: a sim-time sampler snapshots the registry
-	// into ring series every period and runs the incremental audits — the
-	// mid-run half of the teardown audit suite, restricted to invariants
-	// that hold at any instant (a service may legally run on 0 nodes
-	// inside a freeze window, never on 2).
+	// into ring series every period and runs the audit's any-instant form,
+	// so a violation surfaces in the window it happened in.
 	samplePeriod := cfg.SamplePeriod
 	if samplePeriod == 0 {
 		samplePeriod = time.Second
@@ -583,51 +496,19 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 		}
 		sampler.OnSample(func(w obs.SampleWindow) {
 			res.Windows = w.Index + 1
-			var found []string
-			// Single-owner, mid-run form: >1 running is always a fork
-			// (0 is legal inside a freeze window).
-			for _, name := range names {
-				running := 0
-				for _, n := range workers {
-					for _, p := range n.Processes() {
-						if p.Name == name && p.State == proc.ProcRunning {
-							running++
-						}
-					}
-				}
-				if running > 1 {
-					found = append(found,
-						fmt.Sprintf("single-owner broken: %s running on %d nodes", name, running))
-				}
-			}
-			// Exactly-once, mid-run form: the engine can never have settled
-			// more migrations than the agents started.
-			var started uint64
-			settled := 0
-			for _, a := range agents {
-				started += a.Started
-			}
-			for _, m := range migrators {
-				settled += len(m.Completed) + len(m.Aborted)
-			}
-			if uint64(settled) > started {
-				found = append(found,
-					fmt.Sprintf("exactly-once broken: engine settled %d migrations but agents only started %d", settled, started))
-			}
-			found = append(found, ctlplane.AuditLive(ctl, standby, soakAuditSlack)...)
 			fresh := false
-			for _, f := range found {
-				if violate(f) {
+			for _, msg := range audit(false) {
+				if violate(msg) {
 					fresh = true
 					res.Violations = append(res.Violations,
-						fmt.Sprintf("window %d [%v, %v): %s", w.Index, w.From, w.To, f))
+						fmt.Sprintf("window %d [%v, %v): %s", w.Index, w.From, w.To, msg))
 				}
 			}
 			if fresh && res.FirstViolationWindow < 0 {
 				res.FirstViolationWindow = w.Index
-				if fset != nil {
+				if f.flight != nil {
 					var b strings.Builder
-					fset.DumpWindow(&b, w.Index, int64(w.From), int64(w.To))
+					f.flight.DumpWindow(&b, w.Index, int64(w.From), int64(w.To))
 					res.FlightDump = b.String()
 				}
 			}
@@ -636,7 +517,7 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 	}
 
 	pump := simtime.NewTicker(sched, 120*time.Millisecond, "soak.pump", func() {
-		pr := primary()
+		pr := ctlplane.Authoritative(ctl, standby)
 		if pr == nil {
 			return // takeover window: no one to submit to
 		}
@@ -657,7 +538,7 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 			}
 			dest := workers[rng.Intn(nWorkers)]
 			if dest == home {
-				dest = workers[(rng.Intn(nWorkers-1)+1+indexOf(workers, home))%nWorkers]
+				dest = workers[(rng.Intn(nWorkers-1)+1+slices.Index(workers, home))%nWorkers]
 			}
 			strat := cfg.Strategy
 			if strat == "mixed" {
@@ -678,7 +559,7 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 				id := obj.Spec.ID
 				delay := simtime.Duration(rng.Intn(400)) * time.Millisecond
 				sched.After(delay, "soak.cancel", func() {
-					if pr := primary(); pr != nil {
+					if pr := ctlplane.Authoritative(ctl, standby); pr != nil {
 						if pr.Cancel(id, "soak cancel") == nil {
 							res.CancelsIssued++
 						}
@@ -715,14 +596,7 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 			n.StopLoop(p)
 		}
 	}
-	limit := sched.Now() + 3600*1e9
-	for sched.Pending() > 0 {
-		next, _ := sched.NextEventTime()
-		if next > limit {
-			break
-		}
-		sched.RunUntil(next)
-	}
+	leak := f.drain()
 	res.PendingAfterDrain = sched.Pending()
 
 	// ---- audits ----
@@ -732,19 +606,26 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 	if !auth.Primary || !auth.Node.Alive {
 		auth, other = standby, ctl
 	}
-	// Teardown audits run through the same dedup as the incremental ones:
+	lookup := func(id uint64) *ctlplane.Object {
+		if obj := auth.Get(id); obj != nil {
+			return obj
+		}
+		return other.Get(id)
+	}
+	// The quiescent forms run through the same dedup as the mid-run ones:
 	// a violation already reported in its containing sample window is not
 	// re-reported here.
+	found := append(objectsTerminal(submittedIDs, lookup, idName), audit(true)...)
+	for _, msg := range append(found, leak...) {
+		if violate(msg) {
+			res.Violations = append(res.Violations, msg)
+		}
+	}
+
 	res.Requests = submitted
 	for _, id := range submittedIDs {
-		obj := auth.Get(id)
+		obj := lookup(id)
 		if obj == nil {
-			obj = other.Get(id)
-		}
-		if obj == nil {
-			if msg := fmt.Sprintf("object #%d (%s) lost across controllers", id, idName[id]); violate(msg) {
-				res.Violations = append(res.Violations, msg)
-			}
 			continue
 		}
 		res.Retries += obj.Status.Retries
@@ -759,53 +640,17 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 			}
 		case ctlplane.Aborted:
 			res.Aborted++
-		default:
-			if msg := fmt.Sprintf("object #%d (%s) not terminal: %s after %v",
-				id, idName[id], obj.Status.State, obj.Status.Cause); violate(msg) {
-				res.Violations = append(res.Violations, msg)
-			}
 		}
 	}
-
-	// Single-owner: every service runs on exactly one worker.
-	for _, name := range names {
-		running := 0
-		for _, n := range workers {
-			for _, p := range n.Processes() {
-				if p.Name == name && p.State == proc.ProcRunning {
-					running++
-				}
-			}
-		}
-		if running != 1 {
-			if msg := fmt.Sprintf("single-owner broken: %s running on %d nodes", name, running); violate(msg) {
-				res.Violations = append(res.Violations, msg)
-			}
-		}
-	}
-
-	// Exactly-once: every migration the agents started is accounted for
-	// by the engine exactly once — completed or rolled back, never both,
-	// never duplicated by a probe, a replay or a controller takeover.
+	res.EngineStarted, res.EngineCompleted, res.EngineAborted = engineLedger(agents, migrators)
 	for _, a := range agents {
-		res.EngineStarted += a.Started
 		res.Dedups += a.Deduped
 		res.StaleCtl += a.StaleCtl
 	}
 	for _, m := range migrators {
-		res.EngineCompleted += len(m.Completed)
-		res.EngineAborted += len(m.Aborted)
 		for _, mt := range m.Completed {
 			res.DowntimesUs = append(res.DowntimesUs,
 				float64(mt.FreezeTime+mt.StallTime)/float64(time.Microsecond))
-		}
-	}
-	if int(res.EngineStarted) != res.EngineCompleted+res.EngineAborted {
-		msg := fmt.Sprintf("exactly-once broken: agents started %d migrations, engine settled %d (%d completed + %d aborted)",
-			res.EngineStarted, res.EngineCompleted+res.EngineAborted,
-			res.EngineCompleted, res.EngineAborted)
-		if violate(msg) {
-			res.Violations = append(res.Violations, msg)
 		}
 	}
 	res.Dispatches = ctl.Dispatches + standby.Dispatches
@@ -813,12 +658,7 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 	res.Takeovers = ctl.Takeovers + standby.Takeovers
 	res.Demotions = ctl.Demotions + standby.Demotions
 
-	// Fold the per-node hashes in node order.
-	master := newFnvSniffer()
-	for _, s := range sniffs {
-		master.word(s.h)
-	}
-	res.TraceHash = master.h
+	res.TraceHash = foldHashes(sniffs...) // node order
 
 	// Close the final partial window: the teardown tail gets sampled and
 	// audited like every full window, then the capture folds the series
@@ -827,25 +667,11 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 	if sloEng != nil {
 		res.SLO = sloEng.Results()
 	}
-	if o != nil {
-		obs.HarvestCluster(o.Metrics, cluster)
-		res.Obs = o.Capture(fmt.Sprintf("soak/%s/seed%d", sc.Name, seed))
-	}
-	if fset != nil && len(res.Violations) > 0 && res.FlightDump == "" {
+	res.Obs = f.capture(label)
+	if len(res.Violations) > 0 && res.FlightDump == "" {
 		// Teardown-only discovery (sampling off, or a violation only
 		// expressible at quiescence): dump without a window anchor.
-		var b strings.Builder
-		fset.Dump(&b)
-		res.FlightDump = b.String()
+		res.FlightDump = f.flightDump()
 	}
 	return res, nil
-}
-
-func indexOf(ns []*proc.Node, n *proc.Node) int {
-	for i, x := range ns {
-		if x == n {
-			return i
-		}
-	}
-	return 0
 }

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dvemig/internal/migration"
@@ -30,90 +31,10 @@ func DefaultStrategySweepConfig() StrategySweepConfig {
 	}
 }
 
-// StrategyResult is one (strategy, scenario, seed) cell.
-type StrategyResult struct {
-	Strategy string
-	*ChaosResult
-}
-
-// StrategyReport aggregates the race, strategy-major, scenario-minor,
-// seed-ordered — the canonical order every rendering walks, so the
-// artifacts are bit-identical at any worker count.
-type StrategyReport struct {
-	Results []*StrategyResult
-}
-
-// Captures lists the observed cells' captures in canonical order.
-func (r *StrategyReport) Captures() []*obs.Capture {
-	var out []*obs.Capture
-	for _, res := range r.Results {
-		if res.Obs != nil {
-			out = append(out, res.Obs)
-		}
-	}
-	return out
-}
-
-// Counts returns (survived, completed, aborted, violated) cell counts.
-func (r *StrategyReport) Counts() (survived, completed, aborted, violated int) {
-	for _, res := range r.Results {
-		if res.Survived {
-			survived++
-		}
-		if res.Completed {
-			completed++
-		}
-		if res.Aborted {
-			aborted++
-		}
-		if len(res.Violations) > 0 {
-			violated++
-		}
-	}
-	return
-}
-
-// Table renders every cell with the three per-strategy latency columns:
-// freeze time (process stopped on both nodes), total downtime (freeze
-// plus post-resume demand-fault stalls), and the degraded window (from
-// migration start until the last page fill — the span in which the
-// process runs below full speed). For pre-copy the stall share is zero
-// and the degraded window ends at resume, so the columns degenerate to
-// the classic freeze-centric view.
-func (r *StrategyReport) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "strategy race: per-cell freeze / downtime / degraded window under chaos\n")
-	fmt.Fprintf(&b, "%-9s %-18s %5s %8s %7s %10s %10s %10s %6s %18s\n",
-		"strategy", "scenario", "seed", "outcome", "viol", "freeze-ms", "down-ms", "degr-ms", "pulls", "trace-hash")
-	for _, res := range r.Results {
-		outcome := "none"
-		switch {
-		case res.Completed:
-			outcome = "migrated"
-		case res.Aborted:
-			outcome = "aborted"
-		}
-		freeze, down, degr, pulls := "-", "-", "-", "-"
-		if m := res.Metrics; m != nil && res.Completed {
-			freeze = fmt.Sprintf("%.2f", float64(m.FreezeTime)/1e6)
-			down = fmt.Sprintf("%.2f", float64(m.FreezeTime+m.StallTime)/1e6)
-			degr = fmt.Sprintf("%.2f", float64(m.DegradedWindow)/1e6)
-			pulls = fmt.Sprintf("%d", m.PagesDemand+m.PagesPrefetched)
-		}
-		fmt.Fprintf(&b, "%-9s %-18s %5d %8s %7d %10s %10s %10s %6s %#18x\n",
-			res.Strategy, res.Scenario, res.Seed, outcome, len(res.Violations),
-			freeze, down, degr, pulls, res.TraceHash)
-	}
-	s, c, a, v := r.Counts()
-	fmt.Fprintf(&b, "total: %d cells, %d survived, %d migrated, %d aborted, %d with violations\n",
-		len(r.Results), s, c, a, v)
-	return b.String()
-}
-
 // Summary renders the head-to-head comparison: per (scenario, strategy)
 // means over the seeds that completed. This is the table EXPERIMENTS.md
 // quotes.
-func (r *StrategyReport) Summary() string {
+func (r *ChaosReport) Summary() string {
 	type key struct{ scenario, strategy string }
 	type agg struct {
 		n                   int
@@ -124,15 +45,11 @@ func (r *StrategyReport) Summary() string {
 	}
 	aggs := make(map[key]*agg)
 	var scenarios, strategies []string
-	seenSc := map[string]bool{}
-	seenSt := map[string]bool{}
 	for _, res := range r.Results {
-		if !seenSt[res.Strategy] {
-			seenSt[res.Strategy] = true
+		if !slices.Contains(strategies, res.Strategy) {
 			strategies = append(strategies, res.Strategy)
 		}
-		if !seenSc[res.Scenario] {
-			seenSc[res.Scenario] = true
+		if !slices.Contains(scenarios, res.Scenario) {
 			scenarios = append(scenarios, res.Scenario)
 		}
 		k := key{res.Scenario, res.Strategy}
@@ -190,46 +107,32 @@ func (r *StrategyReport) Summary() string {
 }
 
 // RunStrategySweep races every configured migration strategy through
-// every chaos scenario at every seed. Each cell owns a private
-// scheduler and cluster; cells fan out over cfg.Chaos.Workers
-// goroutines and merge in canonical order, so the report — trace hashes
-// included — is bit-identical at any worker count.
-func RunStrategySweep(cfg StrategySweepConfig) (*StrategyReport, error) {
+// every chaos scenario at every seed: a chaos sweep with the strategy
+// as the outermost axis, so the report is strategy-major,
+// scenario-minor, seed-ordered.
+func RunStrategySweep(cfg StrategySweepConfig) (*ChaosReport, error) {
 	strategies := cfg.Strategies
 	if len(strategies) == 0 {
 		strategies = migration.StrategyNames()
 	}
-	type cell struct {
-		strategy string
-		sc       ChaosScenario
-		seed     uint64
+	type raced struct {
+		chaos ChaosConfig // cfg.Chaos with the strategy filled in
+		sc    ChaosScenario
 	}
-	var cells []cell
+	var axes []raced
 	for _, st := range strategies {
-		if _, err := migration.StrategyByName(st); err != nil {
-			return nil, err
-		}
-		for _, sc := range cfg.Chaos.Scenarios {
-			for _, seed := range cfg.Chaos.Seeds {
-				cells = append(cells, cell{strategy: st, sc: sc, seed: seed})
-			}
-		}
-	}
-	results, err := RunParallelProf(cells, cfg.Chaos.Workers, cfg.Chaos.Prof.Sweep("strategy-sweep", cfg.Chaos.Workers), func(c cell) (*StrategyResult, error) {
-		mig, err := migration.StrategyByName(c.strategy)
+		mig, err := migration.StrategyByName(st)
 		if err != nil {
 			return nil, err
 		}
-		chaos := cfg.Chaos // value copy; the cell owns its config
+		chaos := cfg.Chaos
 		chaos.MigCfg.Mig = mig
-		res, err := RunChaosScenario(chaos, c.sc, c.seed)
-		if err != nil {
-			return nil, fmt.Errorf("strategy %s chaos %s seed %d: %w", c.strategy, c.sc.Name, c.seed, err)
+		for _, sc := range chaos.Scenarios {
+			axes = append(axes, raced{chaos, sc})
 		}
-		return &StrategyResult{Strategy: c.strategy, ChaosResult: res}, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return &StrategyReport{Results: results}, nil
+	rep, err := sweep(axes, cfg.Chaos.Seeds, cfg.Chaos.Workers, cfg.Chaos.Prof.Sweep("strategy-sweep", cfg.Chaos.Workers),
+		func(a raced) string { return fmt.Sprintf("strategy %s chaos %s", a.chaos.MigCfg.Mig.Name(), a.sc.Name) },
+		func(a raced, seed uint64) (*ChaosResult, error) { return RunChaosScenario(a.chaos, a.sc, seed) })
+	return &ChaosReport{rep}, err
 }

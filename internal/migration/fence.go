@@ -130,14 +130,3 @@ func (m *Migrator) ResumeService(name string) int {
 	}
 	return n
 }
-
-// OwnsService reports whether a running process of the given name lives
-// on this node (the serving-state probe used by failover audits).
-func (m *Migrator) OwnsService(name string) bool {
-	for _, p := range m.Node.Processes() {
-		if p.Name == name && p.State == proc.ProcRunning {
-			return true
-		}
-	}
-	return false
-}

@@ -286,6 +286,16 @@ func (c *Cluster) AddNode(name string) *Node {
 	return n
 }
 
+// AttachFlight wires a flight-recorder set into the whole cluster: the
+// scheduler's track first, then every node's in c.Nodes order (tracks
+// dump in creation order, so the order is part of every flight dump).
+func (c *Cluster) AttachFlight(set *flight.Set) {
+	c.Sched.FR = set.Track("sched")
+	for _, n := range c.Nodes {
+		n.AttachFlight(set)
+	}
+}
+
 // RemoveNode detaches the node from the cluster fabric (clean leave).
 func (c *Cluster) RemoveNode(n *Node) {
 	for i, m := range c.Nodes {
