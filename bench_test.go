@@ -358,6 +358,20 @@ func BenchmarkSimCoreChaosSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkSoakCell is one healthy 100-request cell through the
+// declarative control plane: `go test -run '^$' -bench SoakCell -benchmem
+// -memprofile m.pprof .` reproduces EXPERIMENTS.md's per-site "soak3
+// allocation budget" table (soak3 itself adds a lossy and a ctl-crash
+// cell of 500 requests each).
+func BenchmarkSoakCell(b *testing.B) {
+	cfg := healthySoakConfig(100)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		runSoakClean(b, cfg)
+	}
+	b.ReportMetric(float64(cfg.Requests), "requests/op")
+}
+
 // BenchmarkExtensionStreaming measures the streaming future-work case:
 // viewer stalls under live migration vs stop-and-copy.
 func BenchmarkExtensionStreaming(b *testing.B) {

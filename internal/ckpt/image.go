@@ -220,14 +220,14 @@ func decodeFD(r *rbuf) (FDImage, error) {
 }
 
 // Encode serializes the image's transferable state.
-func (img *Image) Encode() []byte { return img.EncodeInto(nil) }
+func (img *Image) Encode() []byte { return img.AppendEncode(nil) }
 
-// EncodeInto serializes the image into buf (reusing its capacity,
-// overwriting its content); the guardian checkpoint stream calls this
-// with a per-guardian scratch buffer so the periodic full-image encodes
-// stop allocating.
-func (img *Image) EncodeInto(buf []byte) []byte {
-	w := wbuf{b: buf[:0]}
+// AppendEncode appends the image's encoding to dst and returns the
+// extended slice: the final image is built in place in the migration's
+// encode scratch, and the guardian checkpoint stream passes its own
+// scratch, emptied, so neither grows a buffer from nothing per image.
+func (img *Image) AppendEncode(dst []byte) []byte {
+	w := wbuf{b: dst}
 	w.u32(uint32(img.PID))
 	w.str(img.Name)
 	w.u64(uint64(img.CPUDemand * 1e6))

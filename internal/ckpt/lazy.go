@@ -50,11 +50,12 @@ func BuildPageDir(as *proc.AddressSpace, present func(v *proc.VMA, e proc.PTE) b
 }
 
 // Encode serializes the directory.
-func (d *PageDir) Encode() []byte { return d.EncodeInto(nil) }
+func (d *PageDir) Encode() []byte { return d.AppendEncode(nil) }
 
-// EncodeInto serializes into buf's capacity (see MemDelta.EncodeInto).
-func (d *PageDir) EncodeInto(buf []byte) []byte {
-	w := wbuf{b: buf[:0]}
+// AppendEncode appends the directory's encoding to dst (see
+// Image.AppendEncode).
+func (d *PageDir) AppendEncode(dst []byte) []byte {
+	w := wbuf{b: dst}
 	w.u32(uint32(len(d.VMAs)))
 	for _, v := range d.VMAs {
 		w.u64(v.Start)

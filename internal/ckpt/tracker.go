@@ -38,8 +38,12 @@ func (d *MemDelta) Encode() []byte { return d.EncodeInto(nil) }
 // hot path calls this with a per-connection scratch buffer so precopy
 // rounds stop allocating; the transport copies the bytes into the socket
 // send buffer, so the scratch may be reused immediately after the send.
-func (d *MemDelta) EncodeInto(buf []byte) []byte {
-	w := wbuf{b: buf[:0]}
+func (d *MemDelta) EncodeInto(buf []byte) []byte { return d.AppendEncode(buf[:0]) }
+
+// AppendEncode appends the delta's encoding to dst (see
+// Image.AppendEncode).
+func (d *MemDelta) AppendEncode(dst []byte) []byte {
+	w := wbuf{b: dst}
 	w.u32(uint32(d.Round))
 	w.u32(uint32(len(d.NewVMAs)))
 	for _, v := range d.NewVMAs {

@@ -35,6 +35,7 @@ type Agent struct {
 	Cond *lb.Conductor
 
 	sock     *netstack.UDPSocket
+	wbuf     []byte // scratch every outgoing event is appended into
 	ctlEpoch uint64
 	ctlAddr  netsim.Addr
 	runs     map[uint64]*agentRun
@@ -106,7 +107,8 @@ func (a *Agent) fence(from netsim.Addr, ctlEpoch, objID uint64, attempt uint32) 
 	if ctlEpoch < a.ctlEpoch {
 		a.StaleCtl++
 		ev := eventMsg{CtlEpoch: a.ctlEpoch, ObjID: objID, Attempt: attempt, Kind: evStaleCtl}
-		_ = a.sock.SendTo(from, CtlPort, ev.encode())
+		a.wbuf = ev.appendTo(a.wbuf[:0])
+		_ = a.sock.SendTo(from, CtlPort, a.wbuf)
 		return false
 	}
 	a.ctlEpoch = ctlEpoch
@@ -120,7 +122,8 @@ func (a *Agent) fence(from netsim.Addr, ctlEpoch, objID uint64, attempt uint32) 
 func (a *Agent) event(objID uint64, attempt uint32, kind byte, name, detail string) {
 	ev := eventMsg{CtlEpoch: a.ctlEpoch, ObjID: objID, Attempt: attempt,
 		Kind: kind, SvcEpoch: a.Mig.Epochs.Current(name), Detail: detail}
-	_ = a.sock.SendTo(a.ctlAddr, CtlPort, ev.encode())
+	a.wbuf = ev.appendTo(a.wbuf[:0])
+	_ = a.sock.SendTo(a.ctlAddr, CtlPort, a.wbuf)
 }
 
 // procByPID finds the running process, if it lives here.

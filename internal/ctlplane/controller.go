@@ -85,6 +85,7 @@ type Controller struct {
 	Primary bool
 
 	sock   *netstack.UDPSocket
+	wbuf   []byte // scratch every outgoing frame is appended into
 	ticker *simtime.Ticker
 	peer   netsim.Addr // the other controller (0 = run without standby)
 
@@ -237,7 +238,8 @@ func (c *Controller) tick() {
 	}
 	if c.peer != 0 && (c.lastSent == 0 || now-c.lastSent >= c.Config.HelloPeriod) {
 		c.helloSeq++
-		_ = c.sock.SendTo(c.peer, CtlPort, helloMsg{CtlEpoch: c.epoch, Seq: c.helloSeq}.encode())
+		c.wbuf = helloMsg{CtlEpoch: c.epoch, Seq: c.helloSeq}.appendTo(c.wbuf[:0])
+		_ = c.sock.SendTo(c.peer, CtlPort, c.wbuf)
 		c.lastSent = now
 	}
 	// reconcile may park o — and only o — which removes it from c.live
@@ -252,8 +254,8 @@ func (c *Controller) tick() {
 }
 
 // setLive brings c.live in line with o's state: a non-terminal o is
-// inserted at its order position (or replaces the stale pointer a
-// replica superseded), a terminal one is removed.
+// inserted at its order position unless it is there already, a terminal
+// one is removed.
 func (c *Controller) setLive(o *Object) {
 	i := sort.Search(len(c.live), func(i int) bool { return c.live[i].ord >= o.ord })
 	present := i < len(c.live) && c.live[i].ord == o.ord
@@ -262,9 +264,7 @@ func (c *Controller) setLive(o *Object) {
 		if present {
 			c.live = append(c.live[:i], c.live[i+1:]...)
 		}
-	case present:
-		c.live[i] = o
-	default:
+	case !present:
 		c.live = append(c.live, nil)
 		copy(c.live[i+1:], c.live[i:])
 		c.live[i] = o
@@ -381,7 +381,8 @@ func (c *Controller) dispatch(o *Object, now simtime.Time) {
 		Strategy: o.Spec.Strategy,
 		Name:     o.Spec.Name,
 	}
-	_ = c.sock.SendTo(o.Spec.Source, AgentPort, m.encode())
+	c.wbuf = m.appendTo(c.wbuf[:0])
+	_ = c.sock.SendTo(o.Spec.Source, AgentPort, c.wbuf)
 	o.dispatched++
 	o.lastSent = now
 	o.nextAt = now + c.Config.ProbeAfter
@@ -395,7 +396,8 @@ func (c *Controller) dispatch(o *Object, now simtime.Time) {
 func (c *Controller) sendCancel(o *Object, reason string) {
 	m := cancelMsg{CtlEpoch: c.epoch, ObjID: o.Spec.ID,
 		Attempt: uint32(o.Status.Attempt), Reason: reason}
-	_ = c.sock.SendTo(o.Spec.Source, AgentPort, m.encode())
+	c.wbuf = m.appendTo(c.wbuf[:0])
+	_ = c.sock.SendTo(o.Spec.Source, AgentPort, c.wbuf)
 }
 
 // park moves an object to a terminal state, which drops it from the
@@ -423,7 +425,8 @@ func (c *Controller) transition(o *Object, to State) {
 
 func (c *Controller) replicate(o *Object) {
 	if c.peer != 0 && c.Primary {
-		_ = c.sock.SendTo(c.peer, CtlPort, encodeReplicate(c.epoch, o))
+		c.wbuf = appendReplicate(c.wbuf[:0], c.epoch, o)
+		_ = c.sock.SendTo(c.peer, CtlPort, c.wbuf)
 	}
 }
 
@@ -448,8 +451,9 @@ func (c *Controller) serve() {
 				c.handleHello(m)
 			}
 		case opReplicate:
-			if ep, o, err := decodeReplicate(dg.Payload); err == nil {
-				c.applyReplica(ep, o)
+			var o Object
+			if ep, err := decodeReplicate(&o, dg.Payload, c.objects); err == nil {
+				c.applyReplica(ep, &o)
 			}
 		}
 	}
@@ -488,8 +492,10 @@ func (c *Controller) demoteTo(ep uint64) {
 }
 
 // applyReplica installs the primary's view of one object on the
-// standby. Stale-epoch replicas (from a fenced ex-primary) are dropped.
-func (c *Controller) applyReplica(ep uint64, o *Object) {
+// standby: a copy of *view, written over the version the store holds (so
+// whoever holds the *Object sees the update) or stored as a new object.
+// Stale-epoch replicas (from a fenced ex-primary) are dropped.
+func (c *Controller) applyReplica(ep uint64, view *Object) {
 	if c.Primary {
 		return // a primary never overwrites its own authoritative store
 	}
@@ -500,14 +506,16 @@ func (c *Controller) applyReplica(ep uint64, o *Object) {
 		c.seenEpoch = ep
 	}
 	c.lastHello = c.Node.Sched.Now()
-	id := o.Spec.ID
-	if old, known := c.objects[id]; known {
-		o.ord = old.ord
-	} else {
-		o.ord = len(c.order)
+	id := view.Spec.ID
+	o, known := c.objects[id]
+	if !known {
+		o = &Object{ord: len(c.order)}
 		c.order = append(c.order, id)
+		c.objects[id] = o
 	}
-	c.objects[id] = o
+	// The runtime fields are not replicated: all but the position go back
+	// to zero, for takeover to rebuild.
+	*o = Object{Spec: view.Spec, Status: view.Status, ord: o.ord}
 	// Not just an append: a demoted ex-primary parked its in-flight
 	// objects as Failed "controller fenced", and the new primary's
 	// replicas bring them back to life in the middle of the order.

@@ -1,6 +1,7 @@
 package ctlplane
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -22,8 +23,8 @@ func FuzzObjectCodec(f *testing.F) {
 			Cause:           []string{"attempt 1 aborted: x", "retries exhausted"},
 			CancelRequested: true, SubmitAt: 1e9, DoneAt: 2e9},
 	}
-	f.Add(EncodeObject(full))
-	f.Add(EncodeObject(&Object{}))
+	f.Add(AppendObject(nil, full))
+	f.Add(AppendObject(nil, &Object{}))
 	f.Add([]byte{})
 	f.Add([]byte{objCodecVersion})
 	f.Add(make([]byte, 64))
@@ -32,7 +33,7 @@ func FuzzObjectCodec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		back := EncodeObject(o)
+		back := AppendObject(nil, o)
 		o2, err := DecodeObject(back)
 		if err != nil {
 			t.Fatalf("re-decode of accepted frame failed: %v", err)
@@ -60,43 +61,46 @@ func FuzzObjectCodec(f *testing.F) {
 // roundtrip through their encoders.
 func FuzzCtlFrames(f *testing.F) {
 	f.Add(runMsg{CtlEpoch: 2, ObjID: 9, Attempt: 1, PID: 4, Dest: 0x0A000001,
-		SvcEpoch: 5, Strategy: "postcopy", Name: "zone"}.encode())
-	f.Add(cancelMsg{CtlEpoch: 2, ObjID: 9, Attempt: 1, Reason: "deadline"}.encode())
+		SvcEpoch: 5, Strategy: "postcopy", Name: "zone"}.appendTo(nil))
+	f.Add(cancelMsg{CtlEpoch: 2, ObjID: 9, Attempt: 1, Reason: "deadline"}.appendTo(nil))
 	f.Add(eventMsg{CtlEpoch: 2, ObjID: 9, Attempt: 1, Kind: evAborted,
-		SvcEpoch: 5, Detail: "connect refused"}.encode())
-	f.Add(helloMsg{CtlEpoch: 3, Seq: 11}.encode())
-	f.Add(encodeReplicate(4, &Object{Spec: Spec{ID: 1, Name: "z"}}))
+		SvcEpoch: 5, Detail: "connect refused"}.appendTo(nil))
+	f.Add(helloMsg{CtlEpoch: 3, Seq: 11}.appendTo(nil))
+	f.Add(appendReplicate(nil, 4, &Object{Spec: Spec{ID: 1, Name: "z"}}))
 	f.Add([]byte{opRun})
 	f.Add([]byte{opEvent, 0xFF})
 	f.Add([]byte{0xEE, 0xEE, 0xEE})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if m, err := decodeRunMsg(data); err == nil {
-			back, err2 := decodeRunMsg(m.encode())
+			back, err2 := decodeRunMsg(m.appendTo(nil))
 			if err2 != nil || back != m {
 				t.Fatalf("run roundtrip broken: %+v vs %+v (%v)", back, m, err2)
 			}
 		}
 		if m, err := decodeCancelMsg(data); err == nil {
-			back, err2 := decodeCancelMsg(m.encode())
+			back, err2 := decodeCancelMsg(m.appendTo(nil))
 			if err2 != nil || back != m {
 				t.Fatalf("cancel roundtrip broken: %+v vs %+v (%v)", back, m, err2)
 			}
 		}
 		if m, err := decodeEventMsg(data); err == nil {
-			back, err2 := decodeEventMsg(m.encode())
+			back, err2 := decodeEventMsg(m.appendTo(nil))
 			if err2 != nil || back != m {
 				t.Fatalf("event roundtrip broken: %+v vs %+v (%v)", back, m, err2)
 			}
 		}
 		if m, err := decodeHelloMsg(data); err == nil {
-			back, err2 := decodeHelloMsg(m.encode())
+			back, err2 := decodeHelloMsg(m.appendTo(nil))
 			if err2 != nil || back != m {
 				t.Fatalf("hello roundtrip broken: %+v vs %+v (%v)", back, m, err2)
 			}
 		}
-		if ep, o, err := decodeReplicate(data); err == nil {
-			ep2, o2, err2 := decodeReplicate(encodeReplicate(ep, o))
-			if err2 != nil || ep2 != ep || o2.Spec != o.Spec {
+		var o, o2 Object
+		if ep, err := decodeReplicate(&o, data, nil); err == nil {
+			// Decoded again against a store that holds the object already:
+			// the compare-before-copy path must read the same frame the same.
+			ep2, err2 := decodeReplicate(&o2, appendReplicate(nil, ep, &o), map[uint64]*Object{o.Spec.ID: &o})
+			if err2 != nil || ep2 != ep || o2.Spec != o.Spec || !slices.Equal(o2.Status.Cause, o.Status.Cause) {
 				t.Fatalf("replicate roundtrip broken (%v)", err2)
 			}
 		}
@@ -109,10 +113,10 @@ func FuzzCtlFrames(f *testing.F) {
 // forged event corrupt an object, and must keep reconciling: a real
 // migration submitted afterwards still completes.
 func FuzzControllerServe(f *testing.F) {
-	f.Add(eventMsg{CtlEpoch: 0, ObjID: 1, Attempt: 1, Kind: evSucceeded}.encode()) // stale epoch, forged success
-	f.Add(eventMsg{CtlEpoch: ^uint64(0), ObjID: 1, Attempt: 1, Kind: evStaleCtl}.encode())
-	f.Add(helloMsg{CtlEpoch: ^uint64(0), Seq: 1}.encode())
-	f.Add(encodeReplicate(9, &Object{Spec: Spec{ID: 1, Name: "zone"}}))
+	f.Add(eventMsg{CtlEpoch: 0, ObjID: 1, Attempt: 1, Kind: evSucceeded}.appendTo(nil)) // stale epoch, forged success
+	f.Add(eventMsg{CtlEpoch: ^uint64(0), ObjID: 1, Attempt: 1, Kind: evStaleCtl}.appendTo(nil))
+	f.Add(helloMsg{CtlEpoch: ^uint64(0), Seq: 1}.appendTo(nil))
+	f.Add(appendReplicate(nil, 9, &Object{Spec: Spec{ID: 1, Name: "zone"}}))
 	f.Add([]byte{opEvent})
 	f.Add([]byte{0xEE})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -165,8 +169,8 @@ func FuzzControllerServe(f *testing.F) {
 // migration exactly once.
 func FuzzAgentServe(f *testing.F) {
 	f.Add(runMsg{CtlEpoch: ^uint64(0), ObjID: 1, Attempt: 1, PID: 9999,
-		Dest: 0xC0A80163, Name: "ghost"}.encode()) // high epoch, bogus pid
-	f.Add(cancelMsg{CtlEpoch: 1, ObjID: 77, Attempt: 1, Reason: "x"}.encode())
+		Dest: 0xC0A80163, Name: "ghost"}.appendTo(nil)) // high epoch, bogus pid
+	f.Add(cancelMsg{CtlEpoch: 1, ObjID: 77, Attempt: 1, Reason: "x"}.appendTo(nil))
 	f.Add([]byte{opRun, 0, 1})
 	f.Add([]byte{0xEE})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -199,7 +203,7 @@ func FuzzAgentServe(f *testing.F) {
 		// admission rules — never ignored, never panicking).
 		run := runMsg{CtlEpoch: ^uint64(0), ObjID: ^uint64(0), Attempt: 1,
 			PID: uint32(p.PID), Dest: cluster.Nodes[1].LocalIP, Name: "zone"}
-		if err := atk.SendTo(cluster.Nodes[0].LocalIP, AgentPort, run.encode()); err != nil {
+		if err := atk.SendTo(cluster.Nodes[0].LocalIP, AgentPort, run.appendTo(nil)); err != nil {
 			t.Fatal(err)
 		}
 		sched.RunFor(15 * time.Second)

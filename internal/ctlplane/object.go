@@ -21,6 +21,7 @@ package ctlplane
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"dvemig/internal/netsim"
 	"dvemig/internal/simtime"
@@ -150,8 +151,8 @@ const (
 	maxWireCause = 64
 )
 
-// EncodeObject serializes spec+status (not the runtime fields).
-func EncodeObject(o *Object) []byte {
+// AppendObject appends o's spec+status (not the runtime fields) to b.
+func AppendObject(b []byte, o *Object) []byte {
 	name := o.Spec.Name
 	if len(name) > maxWireName {
 		name = name[:maxWireName]
@@ -160,7 +161,6 @@ func EncodeObject(o *Object) []byte {
 	if len(strat) > 255 {
 		strat = strat[:255]
 	}
-	b := make([]byte, 0, 96+len(name)+len(strat))
 	b = append(b, objCodecVersion)
 	b = binary.BigEndian.AppendUint64(b, o.Spec.ID)
 	b = binary.BigEndian.AppendUint32(b, uint32(o.Spec.PID))
@@ -198,14 +198,32 @@ func EncodeObject(o *Object) []byte {
 	return b
 }
 
-// DecodeObject parses an EncodeObject frame.
+// DecodeObject parses an AppendObject frame.
 func DecodeObject(b []byte) (*Object, error) {
+	o := &Object{}
+	if err := decodeObject(o, b, nil); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// decodeObject parses an AppendObject frame into o, copying nothing out
+// of b that the receiver already has: held is its store, and where the
+// frame repeats the Name, the Strategy or the leading cause entries of
+// the version held under the same ID, o takes the held strings. Nothing
+// held is written — a refused frame leaves the store as it was.
+func decodeObject(o *Object, b []byte, held map[uint64]*Object) error {
 	d := wireReader{b: b}
 	if v := d.u8(); v != objCodecVersion {
-		return nil, fmt.Errorf("ctlplane: object codec version %d", v)
+		return fmt.Errorf("ctlplane: object codec version %d", v)
 	}
-	o := &Object{}
+	*o = Object{}
 	o.Spec.ID = d.u64()
+	var none Object
+	prev := held[o.Spec.ID]
+	if prev == nil {
+		prev = &none
+	}
 	o.Spec.PID = int(d.u32())
 	o.Spec.Source = netsim.Addr(d.u32())
 	o.Spec.Dest = netsim.Addr(d.u32())
@@ -218,29 +236,42 @@ func DecodeObject(b []byte) (*Object, error) {
 	o.Status.CancelRequested = d.u8() == 1
 	o.Status.SubmitAt = simtime.Time(d.u64())
 	o.Status.DoneAt = simtime.Time(d.u64())
-	o.Spec.Strategy = d.str(int(d.u8()))
-	o.Spec.Name = d.str(int(d.u16()))
+	o.Spec.Strategy = d.str(int(d.u8()), prev.Spec.Strategy)
+	o.Spec.Name = d.str(int(d.u16()), prev.Spec.Name)
 	nCause := int(d.u16())
 	if nCause > maxWireCause {
-		return nil, fmt.Errorf("ctlplane: %d cause entries (max %d)", nCause, maxWireCause)
+		return fmt.Errorf("ctlplane: %d cause entries (max %d)", nCause, maxWireCause)
 	}
-	for i := 0; i < nCause; i++ {
-		o.Status.Cause = append(o.Status.Cause, d.str(int(d.u16())))
+	have := prev.Status.Cause
+	keep := 0
+	for keep < nCause && keep < len(have) && d.skipStr16(have[keep]) {
+		keep++
+	}
+	if nCause > 0 {
+		o.Status.Cause = have[:keep]
+		if keep < len(have) {
+			// The frame departs from the held chain: grow a new one, the
+			// held entries past keep stay as they are.
+			o.Status.Cause = slices.Clip(o.Status.Cause)
+		}
+	}
+	for i := keep; i < nCause; i++ {
+		o.Status.Cause = append(o.Status.Cause, d.str(int(d.u16()), ""))
 	}
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	if d.off != len(b) {
-		return nil, fmt.Errorf("ctlplane: %d trailing bytes", len(b)-d.off)
+		return fmt.Errorf("ctlplane: %d trailing bytes", len(b)-d.off)
 	}
 	if st < Pending || st > Aborted {
-		return nil, fmt.Errorf("ctlplane: invalid state %d", int(st))
+		return fmt.Errorf("ctlplane: invalid state %d", int(st))
 	}
 	o.Status.State = st
 	if len(o.Spec.Name) > maxWireName {
-		return nil, fmt.Errorf("ctlplane: name too long")
+		return fmt.Errorf("ctlplane: name too long")
 	}
-	return o, nil
+	return nil
 }
 
 // wireReader is a bounds-checked big-endian cursor; the first short
@@ -298,7 +329,9 @@ func (d *wireReader) u64() uint64 {
 	return v
 }
 
-func (d *wireReader) str(n int) string {
+// str reads n bytes as a string; when they spell held, the value the
+// caller already has for the field, it returns held and copies nothing.
+func (d *wireReader) str(n int, held string) string {
 	if n < 0 || n > 1<<16 {
 		if d.err == nil {
 			d.err = fmt.Errorf("ctlplane: bad string length %d", n)
@@ -308,7 +341,22 @@ func (d *wireReader) str(n int) string {
 	if !d.need(n) {
 		return ""
 	}
-	v := string(d.b[d.off : d.off+n])
+	raw := d.b[d.off : d.off+n]
 	d.off += n
-	return v
+	if string(raw) == held {
+		return held
+	}
+	return string(raw)
+}
+
+// skipStr16 steps over a u16-length-prefixed string if it spells s, and
+// reports whether it did.
+func (d *wireReader) skipStr16(s string) bool {
+	end := d.off + 2 + len(s)
+	if d.err != nil || end > len(d.b) || int(binary.BigEndian.Uint16(d.b[d.off:])) != len(s) ||
+		string(d.b[d.off+2:end]) != s {
+		return false
+	}
+	d.off = end
+	return true
 }

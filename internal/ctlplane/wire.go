@@ -18,6 +18,10 @@ const (
 // Wire opcodes. Every controller-originated message leads with the
 // controller epoch — the fence agents ratchet on, so a superseded
 // primary cannot drive anything after a takeover.
+//
+// A message's appendTo appends its frame to a buffer the sender owns and
+// reuses for every frame it sends (UDPSocket.SendTo copies it into the
+// packet); the decoders copy what they keep out of the lent datagram.
 const (
 	opRun       = 1 // ctl→agent: drive one migration attempt
 	opCancel    = 2 // ctl→agent: cancel the object's in-flight attempt
@@ -71,8 +75,7 @@ type runMsg struct {
 	Name     string
 }
 
-func (m runMsg) encode() []byte {
-	b := make([]byte, 0, 40+len(m.Strategy)+len(m.Name))
+func (m runMsg) appendTo(b []byte) []byte {
 	b = append(b, opRun)
 	b = binary.BigEndian.AppendUint64(b, m.CtlEpoch)
 	b = binary.BigEndian.AppendUint64(b, m.ObjID)
@@ -98,7 +101,7 @@ func decodeRunMsg(b []byte) (runMsg, error) {
 	m.PID = d.u32()
 	m.Dest = netsim.Addr(d.u32())
 	m.SvcEpoch = d.u64()
-	m.Strategy = d.str(int(d.u8()))
+	m.Strategy = d.str(int(d.u8()), "")
 	if d.err != nil {
 		return m, d.err
 	}
@@ -117,8 +120,7 @@ type cancelMsg struct {
 	Reason   string
 }
 
-func (m cancelMsg) encode() []byte {
-	b := make([]byte, 0, 24+len(m.Reason))
+func (m cancelMsg) appendTo(b []byte) []byte {
 	b = append(b, opCancel)
 	b = binary.BigEndian.AppendUint64(b, m.CtlEpoch)
 	b = binary.BigEndian.AppendUint64(b, m.ObjID)
@@ -156,8 +158,7 @@ type eventMsg struct {
 	Detail   string
 }
 
-func (m eventMsg) encode() []byte {
-	b := make([]byte, 0, 32+len(m.Detail))
+func (m eventMsg) appendTo(b []byte) []byte {
 	b = append(b, opEvent)
 	b = binary.BigEndian.AppendUint64(b, m.CtlEpoch)
 	b = binary.BigEndian.AppendUint64(b, m.ObjID)
@@ -195,8 +196,7 @@ type helloMsg struct {
 	Seq      uint64
 }
 
-func (m helloMsg) encode() []byte {
-	b := make([]byte, 0, 17)
+func (m helloMsg) appendTo(b []byte) []byte {
 	b = append(b, opHello)
 	b = binary.BigEndian.AppendUint64(b, m.CtlEpoch)
 	b = binary.BigEndian.AppendUint64(b, m.Seq)
@@ -220,28 +220,24 @@ func decodeHelloMsg(b []byte) (helloMsg, error) {
 	return m, nil
 }
 
-// encodeReplicate frames one object for the standby.
-func encodeReplicate(ctlEpoch uint64, o *Object) []byte {
-	obj := EncodeObject(o)
-	b := make([]byte, 0, 9+len(obj))
+// appendReplicate frames one object for the standby: op, the sender's
+// controller epoch, the object.
+func appendReplicate(b []byte, ctlEpoch uint64, o *Object) []byte {
 	b = append(b, opReplicate)
 	b = binary.BigEndian.AppendUint64(b, ctlEpoch)
-	b = append(b, obj...)
-	return b
+	return AppendObject(b, o)
 }
 
-func decodeReplicate(b []byte) (uint64, *Object, error) {
+// decodeReplicate parses a replicate frame into o against the receiver's
+// store (see decodeObject) and returns the sender's controller epoch.
+func decodeReplicate(o *Object, b []byte, held map[uint64]*Object) (uint64, error) {
 	d := wireReader{b: b}
 	if op := d.u8(); op != opReplicate {
-		return 0, nil, fmt.Errorf("ctlplane: not a replicate frame (op %d)", op)
+		return 0, fmt.Errorf("ctlplane: not a replicate frame (op %d)", op)
 	}
 	ep := d.u64()
 	if d.err != nil {
-		return 0, nil, d.err
+		return 0, d.err
 	}
-	o, err := DecodeObject(b[d.off:])
-	if err != nil {
-		return 0, nil, err
-	}
-	return ep, o, nil
+	return ep, decodeObject(o, b[d.off:], held)
 }

@@ -9,6 +9,7 @@ package lb
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"dvemig/internal/migration"
 	"dvemig/internal/netsim"
@@ -151,10 +152,17 @@ type Conductor struct {
 	Config Config
 
 	sock   *netstack.UDPSocket
+	wbuf   []byte // frame scratch for the variable-length messages (ownerMsg)
 	ticker *simtime.Ticker
 
 	peers map[netsim.Addr]*peerInfo
-	load  float64 // smoothed local load
+	// peerOrder is the keys of peers, ascending: the order every walk that
+	// sends or decides goes in. A peer noted for the first time or finally
+	// forgotten replaces the list, never edits it, so tick's walk, which
+	// forgets peers and (through onPeerDead) broadcasts to them all from
+	// inside the loop, ranges over the list it started with.
+	peerOrder []netsim.Addr
+	load      float64 // smoothed local load
 
 	state      condState
 	calmUntil  simtime.Time
@@ -269,12 +277,11 @@ func (c *Conductor) PeerState(addr netsim.Addr) PeerState {
 // deterministic iteration.
 func (c *Conductor) AlivePeers() []netsim.Addr {
 	var out []netsim.Addr
-	for addr, p := range c.peers {
-		if p.state == PeerAlive {
+	for _, addr := range c.peerOrder {
+		if c.peers[addr].state == PeerAlive {
 			out = append(out, addr)
 		}
 	}
-	sortAddrs(out)
 	return out
 }
 
@@ -379,6 +386,7 @@ func (c *Conductor) tick() {
 		switch {
 		case age > c.Config.PeerTimeout+c.deadRetention():
 			delete(c.peers, addr)
+			c.peerOrder = slices.DeleteFunc(slices.Clone(c.peerOrder), func(a netsim.Addr) bool { return a == addr })
 		case age > c.Config.PeerTimeout:
 			if p.state != PeerDead {
 				p.state = PeerDead
@@ -608,6 +616,8 @@ func (c *Conductor) notePeer(addr netsim.Addr, load float64) {
 	if p == nil {
 		p = &peerInfo{addr: addr}
 		c.peers[addr] = p
+		i, _ := slices.BinarySearch(c.peerOrder, addr)
+		c.peerOrder = slices.Insert(slices.Clone(c.peerOrder), i, addr)
 	}
 	if load >= 0 {
 		p.load = load

@@ -80,7 +80,7 @@ func (c *Conductor) AnnounceOwnership(name string, g *migration.Guardian) uint64
 		}
 	}
 	c.owned[name] = &ownership{epoch: ep, guardian: g, since: c.now()}
-	c.broadcast(encodeOwnerMsg(opOwner, name, ep, 0))
+	c.broadcast(c.ownerMsg(opOwner, name, ep, 0))
 	return ep
 }
 
@@ -108,7 +108,7 @@ func (c *Conductor) advertiseOwnership() {
 		if own.suspended {
 			continue
 		}
-		c.broadcast(encodeOwnerMsg(opOwner, name, own.epoch, 0))
+		c.broadcast(c.ownerMsg(opOwner, name, own.epoch, 0))
 	}
 }
 
@@ -138,7 +138,7 @@ func (c *Conductor) startClaim(name string) {
 	c.claims[name] = cl
 	c.Events = append(c.Events, Event{At: c.now(), Kind: "claim", Name: name})
 	c.electionStart(cl)
-	c.broadcast(encodeOwnerMsg(opClaim, name, ep, seq))
+	c.broadcast(c.ownerMsg(opClaim, name, ep, seq))
 	cl.timer = c.Node.Sched.After(c.claimWait(), "cond.claim", func() {
 		cl.timer = nil // fired; the event pointer is dead
 		if c.claims[name] != cl {
@@ -180,7 +180,7 @@ func (c *Conductor) activate(name string, cl *claim) {
 	c.Events = append(c.Events, Event{At: c.now(), Kind: "activate", Name: name, PID: p.PID})
 	c.electionEnd(cl, "won")
 	c.noteActivation(name, ep, p.PID, droppedBefore, cl)
-	c.broadcast(encodeOwnerMsg(opOwner, name, ep, 0))
+	c.broadcast(c.ownerMsg(opOwner, name, ep, 0))
 }
 
 // handleOwner processes an ownership advertisement.
@@ -197,7 +197,7 @@ func (c *Conductor) handleOwner(from netsim.Addr, name string, ep, seq uint64) {
 		} else if ep < own.epoch {
 			// Defend: the sender advertises from a stale epoch; our
 			// unicast advert makes it fence itself.
-			c.send(from, encodeOwnerMsg(opOwner, name, own.epoch, 0))
+			c.send(from, c.ownerMsg(opOwner, name, own.epoch, 0))
 		}
 		return
 	}
@@ -233,7 +233,7 @@ func (c *Conductor) handleClaim(from netsim.Addr, name string, ep, seq uint64) {
 	// quiet — it cannot prove it was not superseded.
 	if own := c.owned[name]; own != nil {
 		if !own.suspended && own.epoch >= ep {
-			c.send(from, encodeOwnerMsg(opOwner, name, own.epoch, 0))
+			c.send(from, c.ownerMsg(opOwner, name, own.epoch, 0))
 		}
 		return
 	}
@@ -244,7 +244,7 @@ func (c *Conductor) handleClaim(from netsim.Addr, name string, ep, seq uint64) {
 		} else {
 			// Ours is fresher; resend it unicast in case our original
 			// broadcast crossed theirs mid-flight.
-			c.send(from, encodeOwnerMsg(opClaim, name, cl.ep, cl.seq))
+			c.send(from, c.ownerMsg(opClaim, name, cl.ep, cl.seq))
 		}
 		return
 	}
@@ -321,7 +321,7 @@ func (c *Conductor) checkIsolation() {
 				c.Mig.ResumeService(n)
 				c.Events = append(c.Events, Event{At: c.now(), Kind: "resume", Name: n})
 				c.noteEvent("resume", n)
-				c.broadcast(encodeOwnerMsg(opOwner, n, o.epoch, 0))
+				c.broadcast(c.ownerMsg(opOwner, n, o.epoch, 0))
 			})
 		}
 	}
@@ -363,15 +363,9 @@ func (c *Conductor) broadcast(msg []byte) {
 	}
 }
 
-// peerAddrs lists every known peer address in sorted order.
-func (c *Conductor) peerAddrs() []netsim.Addr {
-	out := make([]netsim.Addr, 0, len(c.peers))
-	for addr := range c.peers {
-		out = append(out, addr)
-	}
-	sortAddrs(out)
-	return out
-}
+// peerAddrs lists every known peer address in sorted order. The list is
+// the conductor's own (peerOrder): read-only to the caller.
+func (c *Conductor) peerAddrs() []netsim.Addr { return c.peerOrder }
 
 func (c *Conductor) ownedNames() []string {
 	out := make([]string, 0, len(c.owned))
@@ -382,18 +376,20 @@ func (c *Conductor) ownedNames() []string {
 	return out
 }
 
-func sortAddrs(a []netsim.Addr) {
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+// Ownership/claim wire layout: [op][8B epoch][8B seq][name].
+func appendOwnerMsg(b []byte, op byte, name string, ep, seq uint64) []byte {
+	b = append(b, op)
+	b = binary.BigEndian.AppendUint64(b, ep)
+	b = binary.BigEndian.AppendUint64(b, seq)
+	return append(b, name...)
 }
 
-// Ownership/claim wire layout: [op][8B epoch][8B seq][name].
-func encodeOwnerMsg(op byte, name string, ep, seq uint64) []byte {
-	b := make([]byte, 17+len(name))
-	b[0] = op
-	binary.BigEndian.PutUint64(b[1:], ep)
-	binary.BigEndian.PutUint64(b[9:], seq)
-	copy(b[17:], name)
-	return b
+// ownerMsg frames an ownership or claim message in the conductor's frame
+// scratch: good until the next one is framed, which is long enough to
+// send or broadcast it (the socket copies it into each packet).
+func (c *Conductor) ownerMsg(op byte, name string, ep, seq uint64) []byte {
+	c.wbuf = appendOwnerMsg(c.wbuf[:0], op, name, ep, seq)
+	return c.wbuf
 }
 
 func decodeOwnerMsg(b []byte) (name string, ep, seq uint64, err error) {

@@ -419,7 +419,7 @@ func TestClaimOrdering(t *testing.T) {
 
 // TestOwnerMsgRoundtrip pins the advert/claim wire format.
 func TestOwnerMsgRoundtrip(t *testing.T) {
-	b := encodeOwnerMsg(opClaim, "zone_serv", 7, 41)
+	b := appendOwnerMsg(nil, opClaim, "zone_serv", 7, 41)
 	if b[0] != opClaim || len(b) != 17+len("zone_serv") {
 		t.Fatalf("frame: op=%d len=%d", b[0], len(b))
 	}

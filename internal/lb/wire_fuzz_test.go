@@ -14,8 +14,8 @@ import (
 // never panic, must reject anything shorter than the fixed header, and
 // every frame it accepts must roundtrip through the encoder.
 func FuzzOwnerMsg(f *testing.F) {
-	f.Add(encodeOwnerMsg(opOwner, "scoreboard", 3, 7))
-	f.Add(encodeOwnerMsg(opClaim, "", 0, 0))
+	f.Add(appendOwnerMsg(nil, opOwner, "scoreboard", 3, 7))
+	f.Add(appendOwnerMsg(nil, opClaim, "", 0, 0))
 	f.Add([]byte{})
 	f.Add(make([]byte, 16))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -29,7 +29,7 @@ func FuzzOwnerMsg(f *testing.F) {
 		if err != nil {
 			return
 		}
-		back := encodeOwnerMsg(data[0], name, ep, seq)
+		back := appendOwnerMsg(nil, data[0], name, ep, seq)
 		name2, ep2, seq2, err := decodeOwnerMsg(back)
 		if err != nil || name2 != name || ep2 != ep || seq2 != seq {
 			t.Fatalf("roundtrip broken: (%q,%d,%d,%v) != (%q,%d,%d)",
@@ -49,7 +49,7 @@ func FuzzOwnerMsg(f *testing.F) {
 func FuzzConductorServe(f *testing.F) {
 	f.Add([]byte{opHeartbeat, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{opOwner})
-	f.Add(encodeOwnerMsg(opClaim, "zone", ^uint64(0), ^uint64(0)))
+	f.Add(appendOwnerMsg(nil, opClaim, "zone", ^uint64(0), ^uint64(0)))
 	f.Add([]byte{opPropose, 0, 0, 0})
 	f.Add([]byte{0xEE})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -48,39 +48,60 @@ func (ob *outbound) sendPayload(kind byte, payload []byte, commit bool) {
 		streamHook(true, kind, payload)
 	}
 	ob.chunkStream++
-	stream := ob.chunkStream
-	var seq uint32
-	off := 0
-	var pump func()
-	pump = func() {
-		if ob.over() {
-			return
-		}
-		for i := 0; i < chunkWindow; i++ {
-			end := off + chunkBytes
-			if end > len(payload) {
-				end = len(payload)
-			}
-			ob.sendChunkFrame(kind, stream, seq, payload[off:end])
-			if ob.over() {
-				return
-			}
-			seq++
-			off = end
-			if off >= len(payload) {
-				if commit {
-					ob.st = obCommitted
-				}
-				ob.send(MsgChunkEnd, chunkEnd{Kind: kind, Stream: stream,
-					Chunks: seq, Total: uint64(len(payload))}.encode())
-				return
-			}
-		}
-		// Window exhausted: yield so the transport drains what is already
-		// queued before the next burst, still at the same instant.
-		ob.m.sched().After(0, "migd.chunk-pump", pump)
+	p := chunkPump{ob: ob, kind: kind, stream: ob.chunkStream, payload: payload, commit: commit}
+	if !p.window() {
+		rest := p // only a stream longer than one window outlives this call
+		ob.m.sched().AfterCall(0, "migd.chunk-pump", chunkPumpCall, &rest, nil)
 	}
-	pump()
+}
+
+// chunkPump is one stream's send cursor: what is left of the payload
+// and the next frame's sequence number.
+type chunkPump struct {
+	ob      *outbound
+	kind    byte
+	stream  uint32
+	seq     uint32
+	off     int
+	payload []byte
+	commit  bool
+}
+
+// window queues the next chunkWindow frames and reports whether the
+// stream is finished with: its trailer sent, or the migration over.
+func (p *chunkPump) window() bool {
+	ob := p.ob
+	if ob.over() {
+		return true
+	}
+	for i := 0; i < chunkWindow; i++ {
+		end := min(p.off+chunkBytes, len(p.payload))
+		ob.sendChunkFrame(p.kind, p.stream, p.seq, p.payload[p.off:end])
+		if ob.over() {
+			return true
+		}
+		p.seq++
+		p.off = end
+		if p.off >= len(p.payload) {
+			if p.commit {
+				ob.st = obCommitted
+			}
+			ob.send(MsgChunkEnd, chunkEnd{Kind: p.kind, Stream: p.stream,
+				Chunks: p.seq, Total: uint64(len(p.payload))}.encode())
+			return true
+		}
+	}
+	return false
+}
+
+// chunkPumpCall is the pump's closure-free continuation (as tickerCall
+// and routeCall are): the window is exhausted, so it yielded for the
+// transport to drain what is already queued before the next burst, still
+// at the same instant.
+func chunkPumpCall(a0, _ any) {
+	if p := a0.(*chunkPump); !p.window() {
+		p.ob.m.sched().AfterCall(0, "migd.chunk-pump", chunkPumpCall, p, nil)
+	}
 }
 
 // sendChunkFrame frames one MsgChunk without gluing header and data

@@ -34,6 +34,10 @@ func (ob *outbound) end(err error) {
 	}
 	delete(ob.m.active, ob.p.PID)
 	ob.watch.stop(ob.m)
+	// Nothing encodes or pumps once the migration is over (a stream still
+	// yielding finds over() set before it looks at its payload).
+	ob.m.encBufs.put(ob.encBuf)
+	ob.encBuf = nil
 	if !gone && ob.p.State == proc.ProcFrozen {
 		ob.thaw()
 	}

@@ -3,14 +3,19 @@ package migration
 import (
 	"os"
 	"testing"
+
+	"dvemig/internal/netsim"
 )
 
 // TestMain runs the whole package with the lend-contract tripwire on:
 // Conn overwrites every lent payload with 0xDB the moment its handler
 // returns, so any handler that kept a reference into the receive buffer
-// fails the precopy / post-copy / hybrid / guardian tests at once.
+// fails the precopy / post-copy / hybrid / guardian tests at once. The
+// packet pool does the same to every released payload, for the UDP
+// sockets' lent datagrams.
 func TestMain(m *testing.M) {
 	poisonLent = true
+	netsim.PoisonReleasedPayloads()
 	os.Exit(m.Run())
 }
 
@@ -30,4 +35,14 @@ func watchStreams(t *testing.T) (sent, got *[][]byte) {
 	}
 	t.Cleanup(func() { streamHook = nil })
 	return sent, got
+}
+
+// encode is the final image's wire form from parts already encoded (the
+// engine encodes them in place, sendFinal).
+func (m finalImage) encode(kind byte) []byte {
+	lit := func(p []byte) func([]byte) []byte {
+		return func(b []byte) []byte { return append(b, p...) }
+	}
+	b, _, _ := appendFinalImage(nil, kind, m.FreezeStart, lit(m.Image), lit(m.Mem), lit(m.SockDelta))
+	return b
 }

@@ -310,7 +310,7 @@ func (g *Guardian) checkpoint() {
 	token := registerBehavior(img.Behavior)
 	g.token = token
 	g.seq++
-	g.encBuf = img.EncodeInto(g.encBuf)
+	g.encBuf = img.AppendEncode(g.encBuf[:0])
 	g.msgBuf = encodeCkptImageInto(g.msgBuf, g.Proc.Name, token, g.seq, g.Epoch, g.Span.Context(), g.encBuf)
 	payload := g.msgBuf
 	g.LastBytes = len(payload)

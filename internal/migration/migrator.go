@@ -235,6 +235,10 @@ type Migrator struct {
 	// connections: a soak cell opens thousands of short ones in a row.
 	recvBufs bufList
 
+	// encBufs recycles the encode scratch of this node's outbound
+	// migrations the same way: drawn at the start, returned at the end.
+	encBufs bufList
+
 	// pageBuf is the pull server's reply scratch. A reply is encoded and
 	// handed to the transport (which copies it) in one synchronous step,
 	// so every outbound migration of the node shares the one buffer.
@@ -348,6 +352,7 @@ func (m *Migrator) MigrateWith(p *proc.Process, dest netsim.Addr, strat *Strateg
 		memTracker:  ckpt.NewTracker(),
 		sockTracker: sockmig.NewTracker(),
 		timeout:     m.Config.InitialTimeout,
+		encBuf:      m.encBufs.get(),
 		metrics: &Metrics{Strategy: m.Config.Strategy, Mig: strat.name,
 			Start: m.sched().Now(), PID: p.PID, ProcName: p.Name},
 	}

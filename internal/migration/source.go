@@ -52,7 +52,8 @@ type outbound struct {
 	// encBuf / sockEncBuf are per-migration scratch buffers for delta
 	// serialization: the transport copies payloads into the socket send
 	// buffer, so each precopy round may reuse the previous round's
-	// allocation instead of growing the heap.
+	// allocation instead of growing the heap. encBuf, which also carries
+	// the final image, is on loan from Migrator.encBufs.
 	encBuf     []byte
 	sockEncBuf []byte
 

@@ -138,33 +138,31 @@ func (ob *outbound) collectivePhase2() {
 // chunkKindPostImage — the page directory: geometry plus a
 // present/absent verdict per resident page.
 func (ob *outbound) sendFinal(sd *sockmig.SockDelta) {
-	var mem []byte
+	var mem func([]byte) []byte
 	if ob.strat.final == chunkKindPostImage {
 		ob.pullDir = ckpt.BuildPageDir(ob.p.AS, ob.strat.present)
 		ob.shipped = make(map[ckpt.PageCoord]bool, len(ob.pullDir.Absent))
-		mem = ob.pullDir.Encode()
+		mem = ob.pullDir.AppendEncode
 	} else {
-		// The rounds' encode scratch is idle by now (each round's stream is
-		// pumped out at the round's own instant), and the image encoder
-		// copies it into the final payload.
 		memDelta := ob.memTracker.Delta(ob.p.AS)
-		ob.encBuf = memDelta.EncodeInto(ob.encBuf)
 		ob.metrics.MemPageBytes += memDelta.PageDataBytes()
-		mem = ob.encBuf
+		mem = memDelta.AppendEncode
 	}
-	fi := finalImage{
-		FreezeStart: ob.metrics.FreezeStart,
-		Image:       ob.buildImage().Encode(),
-		Mem:         mem,
-	}
-	ob.metrics.FreezeMemBytes += uint64(len(mem))
+	var sock func([]byte) []byte
 	if sd != nil {
-		fi.SockDelta = sd.Encode()
-		ob.metrics.FreezeSockBytes += uint64(len(fi.SockDelta))
+		sock = sd.AppendEncode
 	}
+	// The rounds' encode scratch is idle by now (each round's stream is
+	// pumped out at the round's own instant): the image is built in it,
+	// every part encoded where it travels.
+	var memBytes, sockBytes int
+	ob.encBuf, memBytes, sockBytes = appendFinalImage(ob.encBuf[:0], ob.strat.final,
+		ob.metrics.FreezeStart, ob.buildImage().AppendEncode, mem, sock)
+	ob.metrics.FreezeMemBytes += uint64(memBytes)
+	ob.metrics.FreezeSockBytes += uint64(sockBytes)
 	// The commit fence rises with the stream's final frame (sendPayload);
 	// the destination restores only on a complete image.
-	ob.sendPayload(ob.strat.final, fi.encode(ob.strat.final), true)
+	ob.sendPayload(ob.strat.final, ob.encBuf, true)
 }
 
 // buildImage assembles the minimal checkpoint image (threads, regular

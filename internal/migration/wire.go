@@ -131,15 +131,30 @@ func (m finalImage) parts(kind byte) [][]byte {
 	return [][]byte{m.Image, m.Mem, m.SockDelta}
 }
 
-func (m finalImage) encode(kind byte) []byte {
-	parts := m.parts(kind)
-	b := make([]byte, 8, 8+4*len(parts)+len(m.Image)+len(m.Mem)+len(m.SockDelta))
-	binary.BigEndian.PutUint64(b, uint64(m.FreezeStart))
-	for _, part := range parts {
-		b = binary.BigEndian.AppendUint32(b, uint32(len(part)))
-		b = append(b, part...)
+// appendFinalImage appends the final image of the given kind to b, each
+// part written behind its length prefix by its own encoder (nil leaves
+// the part empty), and reports how long the Mem and SockDelta parts came
+// out.
+func appendFinalImage(b []byte, kind byte, freezeStart simtime.Time,
+	image, mem, sock func([]byte) []byte) (_ []byte, memBytes, sockBytes int) {
+	b = binary.BigEndian.AppendUint64(b, uint64(freezeStart))
+	part := func(enc func([]byte) []byte) int {
+		at := len(b)
+		b = append(b, 0, 0, 0, 0)
+		if enc != nil {
+			b = enc(b)
+		}
+		n := len(b) - at - 4
+		binary.BigEndian.PutUint32(b[at:], uint32(n))
+		return n
 	}
-	return b
+	part(image)
+	memBytes = part(mem)
+	if kind == chunkKindPostImage {
+		part(nil)
+	}
+	sockBytes = part(sock)
+	return b, memBytes, sockBytes
 }
 
 func decodeFinalImage(kind byte, b []byte) (finalImage, error) {

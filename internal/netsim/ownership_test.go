@@ -19,11 +19,13 @@ import (
 )
 
 // TestPoolBalanceAcrossLiveMigration runs the freeze harness's shape — a
-// zone server with 8 game clients and a DB session, live-migrated from
-// node 1 to node 2 while traffic flows — then stops the load, drains the
-// simulation to quiescence and audits the struct pool: every packet the
-// run obtained was released by a sink, except the ones still parked in a
-// socket queue. After the migration the source node keeps the :7000
+// zone server with 8 game clients, a DB session and a UDP status port it
+// reads only every eighth tick, so it migrates with datagrams queued,
+// live-migrated from node 1 to node 2 while traffic flows — then stops
+// the load, drains the simulation to quiescence and audits the struct
+// pool: every packet the run obtained was released by a sink, except the
+// ones still parked in a socket queue (a UDP queue holds the packets its
+// datagrams arrived in, and lends each out for one read). After the migration the source node keeps the :7000
 // listener, so every broadcast client segment demuxes to it; a sink that
 // forgets to release (the listener did) shows up as a gap here.
 //
@@ -33,7 +35,7 @@ import (
 // in a socket queue somewhere in the cell.
 func TestPoolBalanceAcrossLiveMigration(t *testing.T) {
 	const conns = 8
-	var parked int
+	var parked, pings int
 	obtained, released := netsim.AuditPools(func() {
 		sched := simtime.NewScheduler()
 		cluster := proc.NewCluster(sched, 3) // source, destination, DB
@@ -75,6 +77,17 @@ func TestPoolBalanceAcrossLiveMigration(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.FDs.Install(&proc.TCPFile{Sock: dbSock})
+		status := netstack.NewUDPSocket(src.Stack)
+		if err := status.Bind(cluster.ClusterIP, 7001); err != nil {
+			t.Fatal(err)
+		}
+		p.FDs.Install(&proc.UDPFile{Sock: status})
+		pinger := netstack.NewUDPSocket(host)
+		pingAddr, err := host.SourceAddrFor(cluster.ClusterIP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinger.BindEphemeral(pingAddr)
 		sched.RunFor(2e9)
 		if tcp, _ := p.Sockets(); len(tcp) != conns+1 {
 			t.Fatalf("%d of %d sockets established", len(tcp), conns+1)
@@ -84,6 +97,7 @@ func TestPoolBalanceAcrossLiveMigration(t *testing.T) {
 			for _, cli := range clients {
 				_ = cli.Send([]byte("ev"))
 			}
+			_ = pinger.SendTo(cluster.ClusterIP, 7001, []byte("status?"))
 		})
 		load.Start()
 		msg := make([]byte, 256)
@@ -98,6 +112,18 @@ func TestPoolBalanceAcrossLiveMigration(t *testing.T) {
 				}
 			}
 			_ = self.AS.Touch(heap.Start + uint64(tick%64)*proc.PageSize)
+			if _, udp := self.Sockets(); tick%8 == 0 {
+				for {
+					dg, ok := udp[0].Recv()
+					if !ok {
+						break
+					}
+					if string(dg.Payload) != "status?" {
+						t.Errorf("status port read %q", dg.Payload)
+					}
+					pings++
+				}
+			}
 		}
 		src.StartLoop(p, 20e6)
 		sched.RunFor(500e6)
@@ -112,6 +138,9 @@ func TestPoolBalanceAcrossLiveMigration(t *testing.T) {
 		moved := dst.Processes()
 		if len(moved) != 1 {
 			t.Fatalf("%d processes on the destination", len(moved))
+		}
+		if _, udp := p.Sockets(); udp[0].QueueLen() == 0 {
+			t.Fatal("the UDP socket migrated with an empty queue: the case under test did not occur")
 		}
 
 		// Quiesce: stop both load generators, then run the event queue dry
@@ -132,22 +161,36 @@ func TestPoolBalanceAcrossLiveMigration(t *testing.T) {
 			payloads map[*byte]bool // distinct pooled buffers: clones share one
 		}
 		byHome := map[*netsim.Pool]*census{}
-		for _, sk := range socks {
-			parked += sk.BacklogLen() // empty once drained; its packets are not exposed
-			for _, q := range [][]*netsim.Packet{sk.WriteQueue(), sk.ReceiveQueue(), sk.OOOQueue()} {
-				parked += len(q)
-				for _, pk := range q {
-					c := byHome[netsim.HomeOf(pk)]
-					if c == nil {
-						c = &census{payloads: map[*byte]bool{}}
-						byHome[netsim.HomeOf(pk)] = c
-					}
-					c.packets++
-					if netsim.PayloadHolders(pk.Payload) > 0 {
-						c.payloads[&pk.Payload[0]] = true
-					}
+		count := func(q []*netsim.Packet) {
+			parked += len(q)
+			for _, pk := range q {
+				c := byHome[netsim.HomeOf(pk)]
+				if c == nil {
+					c = &census{payloads: map[*byte]bool{}}
+					byHome[netsim.HomeOf(pk)] = c
+				}
+				c.packets++
+				if netsim.PayloadHolders(pk.Payload) > 0 {
+					c.payloads[&pk.Payload[0]] = true
 				}
 			}
+		}
+		for _, sk := range socks {
+			parked += sk.BacklogLen() // empty once drained; its packets are not exposed
+			count(sk.WriteQueue())
+			count(sk.ReceiveQueue())
+			count(sk.OOOQueue())
+		}
+		// Both ends of the UDP socket's move: the original keeps the queue
+		// it was checkpointed with, the restored one holds what arrived
+		// since its last read. Neither has a datagram out on loan — every
+		// read loop ran until Recv failed.
+		_, oldUDP := p.Sockets()
+		_, newUDP := moved[0].Sockets()
+		count(oldUDP[0].ReceiveQueue())
+		count(newUDP[0].ReceiveQueue())
+		if newUDP[0].QueueLen() == 0 || pings == 0 {
+			t.Errorf("status port: %d datagrams read, %d queued at the end: want both", pings, newUDP[0].QueueLen())
 		}
 		if c := byHome[nil]; c != nil {
 			t.Errorf("%d parked packets have no home: a socket minted them without its stack's pool", c.packets)

@@ -132,6 +132,11 @@ func (pl *Pool) putPayload(b []byte) {
 	if n != 0 {
 		return
 	}
+	if poisonReleased {
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
 	a := (*[payloadArrayLen]byte)(b[:payloadArrayLen])
 	if pl == nil {
 		sharedPayloads.Put(a)
@@ -139,6 +144,17 @@ func (pl *Pool) putPayload(b []byte) {
 	}
 	pl.payloads = append(pl.payloads, a)
 }
+
+// poisonReleased is the lending contracts' tripwire: while set, the last
+// holder's release overwrites a pooled payload before recycling it, so
+// whoever kept a lent Datagram.Payload, or a slice decoded out of one,
+// past the loan reads 0xDB at once instead of whenever the buffer next
+// carries a packet. Only test packages set it, from their export_test.go.
+var poisonReleased bool
+
+// PoisonReleasedPayloads turns the tripwire on for the rest of the
+// process. It is for a test package's init.
+func PoisonReleasedPayloads() { poisonReleased = true }
 
 // PutPayload drops one holder of a buffer obtained from the handle-less
 // GetPayload that never rode on a packet (Packet.Release does this for

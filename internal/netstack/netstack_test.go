@@ -739,3 +739,54 @@ func TestWindowRestoredAcrossMigration(t *testing.T) {
 		t.Fatal("window did not reopen after drain")
 	}
 }
+
+// TestUDPRecvLendsPayload pins the lending contract of Datagram.Payload:
+// the bytes are the arriving packet's own until the next Recv or Close on
+// the socket, a snapshot taken meanwhile owns its copy, and — this
+// package runs with released payloads poisoned (export_test.go) — a
+// payload kept past the loan reads 0xDB, which is what makes a handler
+// that keeps one fail its package's tests.
+func TestUDPRecvLendsPayload(t *testing.T) {
+	p := newPair(t)
+	srv := NewUDPSocket(p.b)
+	if err := srv.Bind(addrB, 7002); err != nil {
+		t.Fatal(err)
+	}
+	cli := NewUDPSocket(p.a)
+	cli.BindEphemeral(addrA)
+	for _, msg := range []string{"first", "second", "third"} {
+		cli.SendTo(addrB, 7002, []byte(msg))
+	}
+	p.sched.Run()
+
+	first, _ := srv.Recv()
+	snap := SnapshotUDP(srv)
+	if string(first.Payload) != "first" {
+		t.Fatalf("lent payload reads %q", first.Payload)
+	}
+	second, _ := srv.Recv() // ends the first loan
+	if string(first.Payload) == "first" || first.Payload[0] != 0xDB {
+		t.Fatalf("a payload kept past its loan still reads %q: the tripwire is off", first.Payload)
+	}
+	if string(second.Payload) != "second" {
+		t.Fatalf("second datagram reads %q", second.Payload)
+	}
+	if got := snap.Queue; len(got) != 2 || string(got[0].Payload) != "second" || string(got[1].Payload) != "third" {
+		t.Fatalf("snapshot does not own its bytes: %q", got)
+	}
+	srv.Close() // ends the second loan; "third" stays queued
+	if second.Payload[0] != 0xDB {
+		t.Fatal("Close did not end the loan")
+	}
+	if third, ok := srv.Recv(); !ok || string(third.Payload) != "third" {
+		t.Fatal("a datagram queued at Close is gone")
+	}
+	if _, ok := srv.Recv(); ok {
+		t.Fatal("queue not empty")
+	}
+	// The failing Recv ended the last loan: everything the sender's pool
+	// minted is back in it.
+	if ps := p.a.PoolStats(); ps.PacketsMinted != ps.PacketsIdle || ps.PayloadsMinted != ps.PayloadsIdle {
+		t.Fatalf("packets still out of the sender's pool: %+v", ps)
+	}
+}

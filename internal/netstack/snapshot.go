@@ -508,9 +508,10 @@ type UDPSnapshot struct {
 func SnapshotUDP(us *UDPSocket) *UDPSnapshot {
 	queued := us.ReceiveQueue()
 	q := make([]Datagram, len(queued))
-	for i, d := range queued {
-		q[i] = Datagram{SrcIP: d.SrcIP, SrcPort: d.SrcPort, TSVal: d.TSVal,
-			Payload: append([]byte(nil), d.Payload...)}
+	for i, p := range queued {
+		// The snapshot outlives the queue: its bytes are its own.
+		q[i] = Datagram{SrcIP: p.SrcIP, SrcPort: p.SrcPort, TSVal: p.TSVal,
+			Payload: append([]byte(nil), p.Payload...)}
 	}
 	return &UDPSnapshot{
 		LocalIP: us.LocalIP, LocalPort: us.LocalPort,
@@ -597,7 +598,16 @@ func RestoreUDP(st *Stack, snap *UDPSnapshot) (*UDPSocket, error) {
 	us.BytesOut = snap.BytesOut
 	us.PacketsIn = snap.PacketsIn
 	us.PacketsOut = snap.PacketsOut
-	us.receiveQueue = append(us.receiveQueue, snap.Queue...)
+	for _, d := range snap.Queue {
+		p := st.pool.NewPacket()
+		p.SrcIP, p.DstIP, p.Proto = d.SrcIP, us.LocalIP, netsim.ProtoUDP
+		p.SrcPort, p.DstPort, p.TSVal = d.SrcPort, us.LocalPort, d.TSVal
+		if len(d.Payload) > 0 {
+			p.Payload = st.pool.GetPayload(len(d.Payload))
+			copy(p.Payload, d.Payload)
+		}
+		us.receiveQueue = append(us.receiveQueue, p)
+	}
 	us.unhashed = true
 	if err := us.Rehash(); err != nil {
 		return nil, err

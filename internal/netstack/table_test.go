@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,7 +13,10 @@ import (
 // replacements, deletes and lookups runs against the ehash table and a
 // map[FourTuple]*TCPSocket side by side, and against the port table and a
 // map[uint16]*TCPSocket, and after every step the two of each pair must
-// agree on everything a caller can observe.
+// agree on everything a caller can observe. The same programs drive a
+// stack's UDP side — datagrams demuxed into a few bound sockets, reads,
+// and migrations of a socket with whatever its queue holds — against a
+// queue of strings per port.
 
 // demuxUniverse is the key set the programs draw from: the shape of a
 // zone server's table (one local endpoint, sequential client ports), the
@@ -64,11 +68,26 @@ type demuxPair struct {
 
 	ports portTable[TCPSocket]
 	pref  map[uint16]*TCPSocket
+
+	// The UDP side: st demuxes into the sockets hashed in its udph, uref
+	// holds each port's socket and the payloads it should still deliver,
+	// oldest first. lent is the last datagram a read returned, with the
+	// text it must keep showing until its socket is next read.
+	st      *Stack
+	uref    map[uint16]*udpRef
+	lent    []byte
+	lentMsg string
+}
+
+type udpRef struct {
+	us    *UDPSocket
+	queue []string
 }
 
 func newDemuxPair(t *testing.T) *demuxPair {
 	return &demuxPair{t: t, universe: demuxUniverse(),
-		ref: map[FourTuple]*TCPSocket{}, pref: map[uint16]*TCPSocket{}}
+		ref: map[FourTuple]*TCPSocket{}, pref: map[uint16]*TCPSocket{},
+		st: NewStack(simtime.NewScheduler(), "udp", 0), uref: map[uint16]*udpRef{}}
 }
 
 func sockFor(k FourTuple) *TCPSocket {
@@ -77,10 +96,57 @@ func sockFor(k FourTuple) *TCPSocket {
 
 // step applies one operation to both sides. Ops 0–2 are put (insert, or
 // replace when the key is hashed), delete and lookup on the ehash pair;
-// 3–5 the same on the port pair, with the key's remote port as the port.
+// 3–5 the same on the port pair, with the key's remote port as the port;
+// 6–8 a datagram for, a read from and a migration of the UDP socket on
+// one of four ports.
 func (d *demuxPair) step(op byte, idx int) {
 	k := d.universe[idx%len(d.universe)]
-	switch op % 6 {
+	port := 5000 + uint16(idx%4)
+	u := d.uref[port]
+	switch op % 9 {
+	case 6:
+		if u == nil {
+			u = &udpRef{us: NewUDPSocket(d.st)}
+			if err := u.us.Bind(k.LocalIP, port); err != nil {
+				d.t.Fatal(err)
+			}
+			d.uref[port] = u
+		}
+		msg := fmt.Sprintf("dgram %d for %d", idx, port)
+		p := d.st.pool.NewPacket()
+		p.Proto, p.SrcIP, p.SrcPort, p.DstIP, p.DstPort = netsim.ProtoUDP, k.RemoteIP, k.RemotePort, k.LocalIP, port
+		p.Payload = d.st.pool.GetPayload(len(msg))
+		copy(p.Payload, msg)
+		d.st.demux(p)
+		u.queue = append(u.queue, msg)
+	case 7:
+		if u == nil {
+			return
+		}
+		dg, ok := u.us.Recv()
+		if d.lent = nil; ok != (len(u.queue) > 0) {
+			d.t.Fatalf("port %d: Recv ok=%v with %d datagrams due", port, ok, len(u.queue))
+		}
+		if ok {
+			d.lent, d.lentMsg, u.queue = dg.Payload, u.queue[0], u.queue[1:]
+		}
+	case 8:
+		// Migration in place: unhash, checkpoint through the wire form,
+		// restore on the same stack. The socket left behind keeps its
+		// packets (and a loan it made stays good).
+		if u == nil {
+			return
+		}
+		u.us.Unhash()
+		snap, err := DecodeUDPSnapshot(SnapshotUDP(u.us).Encode())
+		if err != nil {
+			d.t.Fatal(err)
+		}
+		if u.us, err = RestoreUDP(d.st, snap); err != nil {
+			d.t.Fatal(err)
+		}
+	}
+	switch op % 9 {
 	case 0:
 		sk := sockFor(k)
 		d.tab.put(sk)
@@ -134,6 +200,29 @@ func (d *demuxPair) check() {
 	if n := len(d.tab.buckets); n != 0 && (n&(n-1) != 0 || d.tab.n > n/2) {
 		d.t.Fatalf("%d sockets in %d buckets: want a power of two at most half full", d.tab.n, n)
 	}
+	// Reads of other sockets, arrivals and migrations all leave a loan good
+	// (the package runs with released payloads poisoned).
+	if d.lent != nil && string(d.lent) != d.lentMsg {
+		d.t.Fatalf("lent datagram reads %q, want %q", d.lent, d.lentMsg)
+	}
+	for port := uint16(5000); port < 5004; port++ {
+		u := d.uref[port]
+		if u == nil {
+			if d.st.udph.get(port) != nil {
+				d.t.Fatalf("UDP port %d is hashed, nothing was bound", port)
+			}
+			continue
+		}
+		if d.st.udph.get(port) != u.us || u.us.QueueLen() != len(u.queue) {
+			d.t.Fatalf("UDP port %d: hashed %p want %p, %d queued want %d",
+				port, d.st.udph.get(port), u.us, u.us.QueueLen(), len(u.queue))
+		}
+		for i, p := range u.us.ReceiveQueue() {
+			if string(p.Payload) != u.queue[i] {
+				d.t.Fatalf("UDP port %d slot %d holds %q, want %q", port, i, p.Payload, u.queue[i])
+			}
+		}
+	}
 }
 
 func (d *demuxPair) run(prog []byte) {
@@ -161,8 +250,11 @@ func TestDemuxTablesMatchMaps(t *testing.T) {
 				default:
 					op = 2
 				}
-				if rnd.Intn(4) == 0 {
+				switch rnd.Intn(8) {
+				case 0, 1:
 					op += 3
+				case 2:
+					op += 6
 				}
 				d.step(op, rnd.Intn(len(d.universe)))
 				d.check()
@@ -221,6 +313,7 @@ func FuzzDemuxTable(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 1, 0, 0, 2, 0, 1})
 	f.Add([]byte{0, 2, 22, 0, 2, 23, 0, 2, 24, 1, 2, 23, 0, 2, 23, 1, 2, 24, 1, 2, 22})
 	f.Add([]byte{3, 0, 9, 5, 0, 9, 4, 0, 9, 5, 0, 9})
+	f.Add([]byte{6, 0, 1, 6, 0, 1, 7, 0, 1, 8, 0, 1, 6, 0, 5, 7, 0, 1, 7, 0, 5, 8, 0, 5, 7, 0, 1, 7, 0, 1})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 3*512 {
 			prog = prog[:3*512]

@@ -7,6 +7,10 @@ import (
 )
 
 // Datagram is one received UDP message together with its source.
+//
+// Recv lends Payload: it is the arriving packet's own buffer, valid until
+// the next Recv or Close on the socket, and read-only (sibling clones on
+// other nodes share it). A caller that keeps the bytes longer copies them.
 type Datagram struct {
 	SrcIP   netsim.Addr
 	SrcPort uint16
@@ -23,13 +27,17 @@ type UDPSocket struct {
 	LocalIP   netsim.Addr
 	LocalPort uint16
 
-	// receiveQueue[rcvHead:] are the queued datagrams. Recv advances
+	// receiveQueue[rcvHead:] are the queued datagrams, each still the
+	// packet it arrived in (as in TCPSocket.receiveQueue). Recv advances
 	// rcvHead and rewinds both to the base once the queue is empty, so
 	// input reuses the backing array instead of re-growing it (the way
 	// TCPSocket.segmented does for sndBuf).
-	receiveQueue []Datagram
+	receiveQueue []*netsim.Packet
 	rcvHead      int
-	unhashed     bool
+	// lent is the packet behind the Datagram the last Recv returned; the
+	// next Recv or Close releases it.
+	lent     *netsim.Packet
+	unhashed bool
 
 	// OnReadable fires when a datagram is queued.
 	OnReadable func()
@@ -98,43 +106,50 @@ func (us *UDPSocket) input(p *netsim.Packet) {
 		p.Release()
 		return
 	}
-	// The payload buffer may be shared with sibling clones (every node of
-	// the broadcast cluster sees the datagram), so the socket copies the
-	// bytes out and releases its packet like any other sink.
-	us.receiveQueue = append(us.receiveQueue, Datagram{
-		SrcIP: p.SrcIP, SrcPort: p.SrcPort, TSVal: p.TSVal,
-		Payload: append([]byte(nil), p.Payload...),
-	})
+	// The socket is the packet's sink and keeps it: payload bytes are
+	// immutable once transmitted, so the queue needs no copy of them.
+	us.receiveQueue = append(us.receiveQueue, p)
 	us.PacketsIn++
 	us.BytesIn += uint64(len(p.Payload))
-	p.Release()
 	if us.OnReadable != nil {
 		us.OnReadable()
 	}
 }
 
-// Recv pops the oldest queued datagram; ok is false when empty.
+// Recv pops the oldest queued datagram; ok is false when empty. Either
+// way it ends the loan of the previous one (see Datagram).
 func (us *UDPSocket) Recv() (Datagram, bool) {
+	us.releaseLent()
 	if us.rcvHead == len(us.receiveQueue) {
 		return Datagram{}, false
 	}
-	d := us.receiveQueue[us.rcvHead]
-	us.receiveQueue[us.rcvHead] = Datagram{} // drop the payload reference
+	p := us.receiveQueue[us.rcvHead]
+	us.receiveQueue[us.rcvHead] = nil
 	us.rcvHead++
 	if us.rcvHead == len(us.receiveQueue) {
 		us.receiveQueue, us.rcvHead = us.receiveQueue[:0], 0
 	}
-	return d, true
+	us.lent = p
+	return Datagram{SrcIP: p.SrcIP, SrcPort: p.SrcPort, TSVal: p.TSVal, Payload: p.Payload}, true
+}
+
+func (us *UDPSocket) releaseLent() {
+	if us.lent != nil {
+		us.lent.Release()
+		us.lent = nil
+	}
 }
 
 // QueueLen reports buffered datagrams (dumped at migration time).
 func (us *UDPSocket) QueueLen() int { return len(us.receiveQueue) - us.rcvHead }
 
-// ReceiveQueue exposes the buffered datagrams for checkpointing.
-func (us *UDPSocket) ReceiveQueue() []Datagram { return us.receiveQueue[us.rcvHead:] }
+// ReceiveQueue exposes the buffered datagrams for checkpointing; the
+// packets stay the socket's.
+func (us *UDPSocket) ReceiveQueue() []*netsim.Packet { return us.receiveQueue[us.rcvHead:] }
 
-// Close unbinds the socket.
+// Close unbinds the socket. Datagrams still queued stay readable.
 func (us *UDPSocket) Close() {
+	us.releaseLent()
 	if !us.unhashed && us.stack.udph.get(us.LocalPort) == us {
 		us.stack.udph.set(us.LocalPort, nil)
 	}

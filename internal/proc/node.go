@@ -138,14 +138,20 @@ func (n *Node) processIndex(pid int) (int, bool) {
 	return slices.BinarySearchFunc(n.processes, pid, func(p *Process, pid int) int { return cmp.Compare(p.PID, pid) })
 }
 
+// insertProcess and removeProcess are the table's only writers, and both
+// build a new table beside the old one: Processes hands the live table
+// out, so a writer that shifted it in place would move entries under a
+// caller's range (an Exit or Detach from inside the loop body).
 func (n *Node) insertProcess(p *Process) {
 	i, _ := n.processIndex(p.PID)
-	n.processes = slices.Insert(n.processes, i, p)
+	next := make([]*Process, 0, len(n.processes)+1)
+	n.processes = append(append(append(next, n.processes[:i]...), p), n.processes[i:]...)
 }
 
 func (n *Node) removeProcess(p *Process) {
 	if i, ok := n.processIndex(p.PID); ok {
-		n.processes = slices.Delete(n.processes, i, i+1)
+		next := make([]*Process, 0, len(n.processes)-1)
+		n.processes = append(append(next, n.processes[:i]...), n.processes[i+1:]...)
 	}
 	if tk := n.tickers[p.PID]; tk != nil {
 		tk.Stop()
@@ -157,10 +163,11 @@ func (n *Node) removeProcess(p *Process) {
 // side of a completed migration).
 func (n *Node) Detach(p *Process) { n.removeProcess(p) }
 
-// Processes lists processes in PID order.
-func (n *Node) Processes() []*Process {
-	return slices.Clone(n.processes)
-}
+// Processes lists processes in PID order. The slice is the node's own
+// table, lent read-only (the AddressSpace.VMAs contract): callers must
+// not modify it. It is a snapshot — a process that spawns, arrives, exits
+// or detaches afterwards changes the node's table, not this slice.
+func (n *Node) Processes() []*Process { return n.processes }
 
 // NumProcesses returns the process count.
 func (n *Node) NumProcesses() int { return len(n.processes) }

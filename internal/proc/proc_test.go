@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -456,6 +457,60 @@ func TestUtilizationBitReproducible(t *testing.T) {
 			first = u
 		} else if u != first {
 			t.Fatalf("construction %d: utilization bits %#x, construction 0 had %#x", trial, u, first)
+		}
+	}
+}
+
+// TestProcessesIsASnapshotUnderItsRange: Processes lends the node's own
+// table, so the writers must leave a lent table alone. A range whose body
+// exits, detaches, spawns and adopts — Node.Fail, the conductor's drain,
+// the fence's isolate do the first two — visits exactly the processes
+// that were there when it started, each once, in PID order.
+func TestProcessesIsASnapshotUnderItsRange(t *testing.T) {
+	c := NewCluster(simtime.NewScheduler(), 2)
+	n, other := c.Nodes[0], c.Nodes[1]
+	var want []int
+	for i := 0; i < 12; i++ {
+		want = append(want, n.Spawn("w", 1).PID)
+	}
+	guest := other.Spawn("guest", 1)
+	other.Detach(guest)
+	guest.PID = 5 // taken here: Adopt renumbers it past every PID below
+
+	lent := n.Processes()
+	var seen []int
+	for i, p := range lent {
+		seen = append(seen, p.PID)
+		switch i % 4 {
+		case 0:
+			p.Exit() // removes the entry being visited
+		case 1:
+			n.Detach(lent[len(lent)-1-i/4]) // removes one still ahead
+		case 2:
+			n.Spawn("late", 1) // appends behind the range
+		case 3:
+			if guest != nil {
+				n.Adopt(guest)
+				guest = nil
+			}
+		}
+	}
+	if !slices.Equal(seen, want) {
+		t.Fatalf("range visited PIDs %v, want the table as lent %v", seen, want)
+	}
+	for i, p := range lent {
+		if p == nil || p.PID != want[i] {
+			t.Fatalf("lent table changed under its holder at %d: %v", i, p)
+		}
+	}
+	// The node's own view moved on: 3 exited, 3 detached, 3 spawned, 1 adopted.
+	now := n.Processes()
+	if len(now) != 12-3-3+3+1 || n.NumProcesses() != len(now) {
+		t.Fatalf("%d processes after the loop", len(now))
+	}
+	for i := 1; i < len(now); i++ {
+		if now[i-1].PID >= now[i].PID {
+			t.Fatalf("table out of PID order after the loop: %d before %d", now[i-1].PID, now[i].PID)
 		}
 	}
 }

@@ -20,6 +20,7 @@ package sockmig
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"dvemig/internal/netsim"
 	"dvemig/internal/netstack"
@@ -95,10 +96,18 @@ func (d *SockDelta) Encode() []byte { return d.EncodeInto(nil) }
 // fits (content is overwritten). See ckpt.MemDelta.EncodeInto for the
 // ownership contract.
 func (d *SockDelta) EncodeInto(buf []byte) []byte {
-	w := buf[:0]
-	if need := d.EncodedSize(); cap(w) < need {
-		w = make([]byte, 0, need)
+	if need := d.EncodedSize(); cap(buf) < need {
+		buf = make([]byte, 0, need)
 	}
+	return d.AppendEncode(buf[:0])
+}
+
+// AppendEncode appends the delta's encoding to w (see
+// ckpt.Image.AppendEncode), reserving its exact size first: a thousand
+// sockets' worth appended to a small buffer would otherwise be
+// reallocated a dozen times on the way.
+func (d *SockDelta) AppendEncode(w []byte) []byte {
+	w = slices.Grow(w, d.EncodedSize())
 	put32 := func(v uint32) { w = append(w, byte(v>>24), byte(v>>16), byte(v>>8), byte(v)) }
 	put32(uint32(d.Round))
 	put32(uint32(len(d.Socks)))
