@@ -74,7 +74,9 @@ type Population [GridW * GridH]int
 // gradually move toward the up-left or down-right corner ("this sort of
 // clustering of entities in large-scale environments is very common").
 type MovementModel struct {
-	Clients []*Client
+	// Clients are held by value, in one allocation: Tick and Population
+	// walk all of them once per simulated second.
+	Clients []Client
 	// MoveProb is the per-second probability that a mobile client takes
 	// one step.
 	MoveProb float64
@@ -86,14 +88,14 @@ type MovementModel struct {
 // rows head down-right; targets spread over the corner 2×2 region so
 // several corner zone servers heat up.
 func NewMovementModel(nClients int, mobileFrac, moveProb float64, rand *simtime.Rand) *MovementModel {
-	m := &MovementModel{MoveProb: moveProb, rand: rand}
 	perZone := nClients / (GridW * GridH)
+	m := &MovementModel{Clients: make([]Client, 0, perZone*GridW*GridH), MoveProb: moveProb, rand: rand}
 	corners := [][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}}
 	k := 0
 	for y := 0; y < GridH; y++ {
 		for x := 0; x < GridW; x++ {
 			for i := 0; i < perZone; i++ {
-				c := &Client{X: x, Y: y}
+				c := Client{X: x, Y: y}
 				middle := y >= 2 && y <= 7
 				if middle && rand.Float64() < mobileFrac {
 					c.Mobile = true
@@ -114,8 +116,8 @@ func NewMovementModel(nClients int, mobileFrac, moveProb float64, rand *simtime.
 
 // Tick advances one second of movement.
 func (m *MovementModel) Tick() {
-	for _, c := range m.Clients {
-		if c.Mobile && !c.Arrived() && m.rand.Float64() < m.MoveProb {
+	for i := range m.Clients {
+		if c := &m.Clients[i]; c.Mobile && !c.Arrived() && m.rand.Float64() < m.MoveProb {
 			c.Step()
 		}
 	}
@@ -124,8 +126,8 @@ func (m *MovementModel) Tick() {
 // Population returns the current per-zone client counts.
 func (m *MovementModel) Population() Population {
 	var pop Population
-	for _, c := range m.Clients {
-		pop[c.Zone()]++
+	for i := range m.Clients {
+		pop[m.Clients[i].Zone()]++
 	}
 	return pop
 }
@@ -133,8 +135,8 @@ func (m *MovementModel) Population() Population {
 // MobileCount reports how many clients are marked mobile.
 func (m *MovementModel) MobileCount() int {
 	n := 0
-	for _, c := range m.Clients {
-		if c.Mobile {
+	for i := range m.Clients {
+		if m.Clients[i].Mobile {
 			n++
 		}
 	}
@@ -144,8 +146,8 @@ func (m *MovementModel) MobileCount() int {
 // ArrivedCount reports how many mobile clients reached their corner.
 func (m *MovementModel) ArrivedCount() int {
 	n := 0
-	for _, c := range m.Clients {
-		if c.Mobile && c.Arrived() {
+	for i := range m.Clients {
+		if c := &m.Clients[i]; c.Mobile && c.Arrived() {
 			n++
 		}
 	}

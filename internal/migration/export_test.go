@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dvemig/internal/netsim"
+	"dvemig/internal/proc"
 )
 
 // TestMain runs the whole package with the lend-contract tripwire on:
@@ -12,10 +13,13 @@ import (
 // returns, so any handler that kept a reference into the receive buffer
 // fails the precopy / post-copy / hybrid / guardian tests at once. The
 // packet pool does the same to every released payload, for the UDP
-// sockets' lent datagrams.
+// sockets' lent datagrams, and the page table to the stale frame a
+// placeholder keeps (hybrid's re-shipped pages): whoever read one instead
+// of faulting sees 0xDB too.
 func TestMain(m *testing.M) {
 	poisonLent = true
 	netsim.PoisonReleasedPayloads()
+	proc.PoisonStaleFrames()
 	os.Exit(m.Run())
 }
 

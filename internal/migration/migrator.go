@@ -224,6 +224,11 @@ type Migrator struct {
 	// exactly-once shipping guarantee holds.
 	DupFills uint64
 
+	// BadFills counts page fills rejected because the page a PAGE_RESP
+	// carried was not PageSize long — zero with an honest source, which
+	// ships whole frames.
+	BadFills uint64
+
 	// OnPageShip observes every page the post-copy pull server ships
 	// (demand true for demand pulls, false for prefetch pushes) — the
 	// property tests' shadow-model hook.

@@ -1,6 +1,7 @@
 package migration
 
 import (
+	"errors"
 	"fmt"
 
 	"dvemig/internal/ckpt"
@@ -221,7 +222,8 @@ func (pl *puller) resume(now simtime.Time, captured, reinjected uint32) {
 
 // onResp folds arriving page content in. FillPage rejects a fill of a
 // resident page, which is how a violated exactly-once guarantee
-// surfaces (counted on the migrator, asserted by the property tests).
+// surfaces, and a page that is not PageSize long, which no honest source
+// sends (both counted on the migrator, asserted by the property tests).
 func (pl *puller) onResp(resp pageResp) {
 	if pl.done {
 		return
@@ -229,7 +231,11 @@ func (pl *puller) onResp(resp pageResp) {
 	now := pl.ib.m.sched().Now()
 	for _, pg := range resp.Pages {
 		if err := pl.p.AS.FillPage(pg.Coord.VMAStart, pg.Coord.Index, pg.Data); err != nil {
-			pl.ib.m.DupFills++
+			if errors.Is(err, proc.ErrFillSize) {
+				pl.ib.m.BadFills++
+			} else {
+				pl.ib.m.DupFills++
+			}
 			continue
 		}
 		pl.holes--

@@ -200,6 +200,48 @@ func TestPostcopyShipsEveryPageExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestPullerCountsMalformedFillsApart: a PAGE_RESP page that is not one
+// page long (decodePageResp bounds its length only by the frame) is
+// refused by the memory layer and counted as a bad fill, not as a
+// duplicate; its placeholder — here one over hybrid's stale first-round
+// frame — stays, still faulting, for the honest page to fill.
+func TestPullerCountsMalformedFillsApart(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.InboundLease = 0 // no lease to renew: the puller runs without its inbound's connection
+	e := newEnv(t, 2, 0, cfg)
+	m := e.migrators[1]
+	p := e.c.Nodes[1].Spawn("holey", 1)
+	v := p.AS.Mmap(4*proc.PageSize, "rw-")
+	if err := p.AS.Write(v.Start+proc.PageSize, []byte("first round")); err != nil {
+		t.Fatal(err)
+	}
+	for idx := uint64(0); idx < 3; idx++ {
+		if err := p.AS.MarkAbsent(v.Start, idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pl := newPuller(&inbound{m: m, holes: 3}, p)
+	at := func(idx uint64) ckpt.PageCoord { return ckpt.PageCoord{VMAStart: v.Start, Index: idx} }
+	page := bytes.Repeat([]byte{0x5A}, proc.PageSize)
+	pl.onResp(pageResp{Pages: []respPage{
+		{Coord: at(0), Data: page},
+		{Coord: at(1), Data: page[:proc.PageSize-1]},
+		{Coord: at(1), Data: append(page[:proc.PageSize:proc.PageSize], 1)},
+		{Coord: at(1), Data: nil},
+		{Coord: at(0), Data: page},
+	}})
+	if m.BadFills != 3 || m.DupFills != 1 || pl.holes != 2 || p.AS.AbsentCount() != 2 {
+		t.Fatalf("BadFills %d DupFills %d, %d holes, %d absent; want 3, 1, 2, 2", m.BadFills, m.DupFills, pl.holes, p.AS.AbsentCount())
+	}
+	if e, _ := v.Entry(1); !e.Absent || e.Frame != nil {
+		t.Fatalf("the page whose fills were refused: %+v", e)
+	}
+	pl.onResp(pageResp{Pages: []respPage{{Coord: at(1), Data: page}}})
+	if got, err := p.AS.Read(v.Start+proc.PageSize, proc.PageSize); err != nil || !bytes.Equal(got, page) {
+		t.Fatalf("the honest page did not land over the stale frame: err %v", err)
+	}
+}
+
 // TestHybridBytesNeverExceedPrecopy is the transfer-volume property:
 // for the same seed-deterministic dirty-page schedule, hybrid's total
 // page bytes (one bounded round + pulls for the residual) can never

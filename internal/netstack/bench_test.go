@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -26,21 +27,26 @@ func benchPair() (*simtime.Scheduler, *Stack, *Stack) {
 	return sched, a, b
 }
 
-// BenchmarkTCPBulkTransfer measures simulated-TCP throughput in host
-// time: one 1 MB transfer per iteration.
-func BenchmarkTCPBulkTransfer(b *testing.B) {
+// benchConn is benchPair with one established connection from a to b.
+func benchConn(b *testing.B) (sched *simtime.Scheduler, cli, srv *TCPSocket) {
 	sched, sa, sb := benchPair()
 	lst := NewTCPSocket(sb)
 	if err := lst.Listen(addrB, 9000); err != nil {
 		b.Fatal(err)
 	}
-	var srv *TCPSocket
 	lst.OnAccept = func(ch *TCPSocket) { srv = ch }
-	cli := NewTCPSocket(sa)
+	cli = NewTCPSocket(sa)
 	if err := cli.Connect(addrB, 9000); err != nil {
 		b.Fatal(err)
 	}
 	sched.RunFor(time.Second)
+	return sched, cli, srv
+}
+
+// BenchmarkTCPBulkTransfer measures simulated-TCP throughput in host
+// time: one 1 MB transfer per iteration.
+func BenchmarkTCPBulkTransfer(b *testing.B) {
+	sched, cli, srv := benchConn(b)
 	srv.OnReadable = func() { srv.Recv() }
 	msg := make([]byte, 1<<20)
 	b.ResetTimer()
@@ -54,6 +60,36 @@ func BenchmarkTCPBulkTransfer(b *testing.B) {
 		}
 	}
 	b.SetBytes(1 << 20)
+}
+
+// BenchmarkTCPSendDirect is the send path's rung: 1 MiB per iteration
+// through a peer that keeps up, as Sends of eight full segments (the chunk
+// pipeline's shape) and of 256 bytes (a control message's), so that every
+// byte is segmented out of the caller's slice and none waits in the send
+// buffer.
+func BenchmarkTCPSendDirect(b *testing.B) {
+	for _, size := range []int{8 * DefaultMSS, 256} {
+		b.Run(fmt.Sprintf("send=%dB", size), func(b *testing.B) {
+			sched, cli, srv := benchConn(b)
+			srv.OnReadable = func() { srv.Discard() }
+			msg := make([]byte, size)
+			sends := (1<<20 + size - 1) / size
+			b.ReportAllocs()
+			b.SetBytes(int64(sends * size))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for n := 0; n < sends; n++ {
+					if err := cli.Send(msg); err != nil {
+						b.Fatal(err)
+					}
+					sched.RunFor(time.Millisecond)
+				}
+				if cli.SndUna != cli.SndNxt || cli.SendBufLen() != 0 {
+					b.Fatal("transfer incomplete")
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkSnapshotTCP measures socket state subtraction + encoding.

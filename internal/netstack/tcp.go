@@ -151,9 +151,10 @@ type TCPSocket struct {
 	// the application has not read; oooQueue holds out-of-window-order
 	// segments; backlog holds packets that arrived while the socket was
 	// locked by a system call; prequeue feeds the fast-path receive.
+	// sndBuf holds only what a Send could not segment at once (push);
 	// sndBuf[sndOff:] is the unsegmented part: segmenting advances sndOff
 	// instead of re-slicing, so the buffer keeps its capacity and a
-	// steady-state Send appends without allocating.
+	// throttled sender appends without allocating.
 	writeQueue   []*netsim.Packet
 	sndBuf       []byte
 	sndOff       int
@@ -303,8 +304,10 @@ func (sk *TCPSocket) listenInput(p *netsim.Packet) {
 	child.armRetransTimer()
 }
 
-// Send queues application data for transmission. Data beyond the
-// congestion window waits in the send buffer.
+// Send queues application data for transmission. With nothing waiting in
+// the send buffer the bytes are segmented straight out of data; only what
+// the congestion window or the peer's refuses is copied into the buffer.
+// data is not retained.
 func (sk *TCPSocket) Send(data []byte) error {
 	if sk.unhashed {
 		// Disabled by migration: the connection lives elsewhere now.
@@ -315,14 +318,20 @@ func (sk *TCPSocket) Send(data []byte) error {
 	default:
 		return ErrNotConnected
 	}
+	sk.BytesOut += uint64(len(data))
+	if len(sk.unsent()) == 0 {
+		sk.sndBuf = append(sk.sndBuf, sk.push(data)...)
+		return nil
+	}
+	// Bytes are already waiting: the new ones queue behind them, and
+	// segments are cut from the concatenation.
 	if sk.sndOff > 0 && len(sk.sndBuf)+len(data) > cap(sk.sndBuf) {
 		// Reclaim the segmented prefix before growing.
 		sk.sndBuf = sk.sndBuf[:copy(sk.sndBuf, sk.sndBuf[sk.sndOff:])]
 		sk.sndOff = 0
 	}
 	sk.sndBuf = append(sk.sndBuf, data...)
-	sk.BytesOut += uint64(len(data))
-	sk.pushNew()
+	sk.pushUnsent()
 	return nil
 }
 
@@ -645,7 +654,7 @@ func (sk *TCPSocket) processAck(p *netsim.Packet) {
 			sk.enterTimeWait()
 		}
 	}
-	sk.pushNew()
+	sk.pushUnsent()
 }
 
 // processData reports whether the socket retained the packet (on the
@@ -761,67 +770,79 @@ func (sk *TCPSocket) becomeClosed() {
 func (sk *TCPSocket) updateSndWnd(p *netsim.Packet) {
 	sk.SndWnd = uint32(p.Window)
 	if sk.SndWnd > 0 && len(sk.unsent()) > 0 {
-		sk.pushNew()
+		sk.pushUnsent()
 	}
 }
 
-// pushNew segments and transmits buffered data while both the congestion
-// window and the peer's receive window allow.
-func (sk *TCPSocket) pushNew() {
-	for len(sk.unsent()) > 0 && uint32(len(sk.writeQueue)) < sk.Cwnd {
-		inflight := sk.SndNxt - sk.SndUna
-		n := len(sk.unsent())
-		if n > sk.MSS {
-			n = sk.MSS
-		}
-		if inflight+uint32(n) > sk.SndWnd {
+// push is the one segmenting loop: it cuts src into segments of at most
+// MSS bytes and transmits them while both the congestion window and the
+// peer's receive window allow, and returns what they refused. src is the
+// caller's slice (Send) or the send buffer (pushUnsent); each segment's
+// bytes are copied into a pooled payload before it is transmitted, and
+// transmission ends in a scheduled NIC event, so nothing can re-enter the
+// loop while it holds src.
+func (sk *TCPSocket) push(src []byte) (rest []byte) {
+	for len(src) > 0 && uint32(len(sk.writeQueue)) < sk.Cwnd {
+		n := min(len(src), sk.MSS)
+		if sk.SndNxt-sk.SndUna+uint32(n) > sk.SndWnd {
 			// Receiver-limited: stop and arm the persist timer so a lost
 			// window update cannot deadlock the connection.
 			sk.ensurePersistTimer()
 			break
 		}
-		payload := sk.stack.pool.GetPayload(n)
-		copy(payload, sk.unsent())
-		sk.segmented(n)
-		seg := sk.makePacket(netsim.FlagACK|netsim.FlagPSH, sk.SndNxt, sk.RcvNxt, payload)
-		sk.SndNxt += uint32(n)
-		sk.writeQueue = append(sk.writeQueue, seg)
-		sk.stack.transmit(seg.Clone())
+		sk.emit(src[:n])
+		src = src[n:]
 	}
 	if len(sk.writeQueue) > 0 {
 		sk.ensureRetransTimer()
 	}
+	return src
+}
+
+// pushUnsent runs push over the send buffer (the ACK, window-update and
+// persist paths: room may have opened for bytes an earlier Send left).
+func (sk *TCPSocket) pushUnsent() {
+	u := sk.unsent()
+	sk.segmented(len(u) - len(sk.push(u)))
+}
+
+// emit builds one data segment out of b at SndNxt, queues it for
+// retransmission and puts a clone on the wire.
+func (sk *TCPSocket) emit(b []byte) {
+	payload := sk.stack.pool.GetPayload(len(b))
+	copy(payload, b)
+	seg := sk.makePacket(netsim.FlagACK|netsim.FlagPSH, sk.SndNxt, sk.RcvNxt, payload)
+	sk.SndNxt += uint32(len(b))
+	sk.writeQueue = append(sk.writeQueue, seg)
+	sk.stack.transmit(seg.Clone())
 }
 
 // ensurePersistTimer arms the zero-window probe.
 func (sk *TCPSocket) ensurePersistTimer() {
-	if sk.persistTimer != nil {
+	if sk.persistTimer == nil {
+		sk.persistTimer = sk.stack.sched.AfterCall(PersistInterval, "tcp.persist", persistCall, sk, nil)
+	}
+}
+
+// persistCall is the closure-free persist-timer trampoline (as rtoCall).
+func persistCall(a0, _ any) { a0.(*TCPSocket).onPersistTimeout() }
+
+// onPersistTimeout sends a window probe when the peer's window still
+// refuses the next segment: a single byte pushed past the window. The
+// receiver acknowledges it with its current window, which either reopens
+// transmission or re-arms the probe.
+func (sk *TCPSocket) onPersistTimeout() {
+	sk.persistTimer = nil
+	if sk.unhashed || sk.State != TCPEstablished {
 		return
 	}
-	sk.persistTimer = sk.stack.sched.After(PersistInterval, "tcp.persist", func() {
-		sk.persistTimer = nil
-		if sk.unhashed || sk.State != TCPEstablished {
-			return
-		}
-		next := len(sk.unsent())
-		if next > sk.MSS {
-			next = sk.MSS
-		}
-		if next > 0 && sk.SndNxt-sk.SndUna+uint32(next) > sk.SndWnd {
-			// Window probe: push a single byte past the window. The
-			// receiver acknowledges it with its current window, which
-			// either reopens transmission or re-arms the probe.
-			payload := sk.stack.pool.GetPayload(1)
-			payload[0] = sk.unsent()[0]
-			sk.segmented(1)
-			seg := sk.makePacket(netsim.FlagACK|netsim.FlagPSH, sk.SndNxt, sk.RcvNxt, payload)
-			sk.SndNxt++
-			sk.writeQueue = append(sk.writeQueue, seg)
-			sk.stack.transmit(seg.Clone())
-			sk.ensureRetransTimer()
-			sk.ensurePersistTimer()
-		}
-	})
+	u := sk.unsent()
+	if next := min(len(u), sk.MSS); next > 0 && sk.SndNxt-sk.SndUna+uint32(next) > sk.SndWnd {
+		sk.emit(u[:1])
+		sk.segmented(1)
+		sk.ensureRetransTimer()
+		sk.ensurePersistTimer()
+	}
 }
 
 func (sk *TCPSocket) sendAck() {

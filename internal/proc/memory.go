@@ -32,9 +32,10 @@ type frame = [PageSize]byte
 // implementation tracks dirtiness via the PTE dirty bit with the swap
 // facility relaxed (§V-A); our pages are never swapped either. Absent
 // marks a post-copy placeholder: the page's content still lives on the
-// migration source, Frame is nil, and any access faults (ErrPageAbsent)
-// until FillPage delivers the data. Otherwise Frame is the page itself,
-// PageSize long with no spare capacity — lent, not copied.
+// migration source, Frame is nil (whatever the table holds underneath),
+// and any access faults (ErrPageAbsent) until FillPage delivers the
+// data. Otherwise Frame is the page itself, PageSize long with no spare
+// capacity — lent, not copied.
 type PTE struct {
 	Index  uint64
 	Frame  []byte
@@ -50,9 +51,9 @@ type PTE struct {
 type leaf struct {
 	base    uint64   // index of the first page covered, a multiple of leafPages
 	frames  []*frame // nil where no frame is installed
-	present []uint64 // bit i: slot i holds a frame
+	present []uint64 // bit i: slot i holds a frame whose content is the page's
 	dirty   []uint64 // bit i: written since the last ClearDirty (a subset of present)
-	absent  []uint64 // bit i: post-copy placeholder (disjoint from present)
+	absent  []uint64 // bit i: post-copy placeholder (disjoint from present); a frame under it is stale
 }
 
 // newLeaf allocates a leaf of n slots: the slot array, and one array the
@@ -87,11 +88,12 @@ func (l *leaf) resize(n int) (present, absent int) {
 // bit locates slot i in a leaf's bitmaps: the word and the mask.
 func bit(i uint64) (w, b uint64) { return i / 64, 1 << (i % 64) }
 
-// pte reads slot i.
+// pte reads slot i. A placeholder's stale frame stays inside the table:
+// only FillPage, which overwrites it, may reach it.
 func (l *leaf) pte(i uint64) PTE {
 	w, b := bit(i)
 	e := PTE{Index: l.base + i, Dirty: l.dirty[w]&b != 0, Absent: l.absent[w]&b != 0}
-	if f := l.frames[i]; f != nil {
+	if f := l.frames[i]; f != nil && !e.Absent {
 		e.Frame = f[:]
 	}
 	return e
@@ -409,6 +411,16 @@ func (as *AddressSpace) missing(v *VMA, idx uint64) error {
 	return ErrPageAbsent
 }
 
+// poisonStale is the stale-frame tripwire: while set, MarkAbsent
+// overwrites the frame it keeps with 0xDB, so whoever reads a
+// placeholder's frame instead of faulting sees garbage at once. Only
+// test packages set it, from their export_test.go.
+var poisonStale bool
+
+// PoisonStaleFrames turns the tripwire on for the rest of the process.
+// It is for a test package's init.
+func PoisonStaleFrames() { poisonStale = true }
+
 // newFrame cuts one zeroed frame from the space's chunk. A new chunk is
 // sized from what the space already holds — one frame for every eight
 // resident, at least one and at most maxChunkFrames — so a small space
@@ -511,7 +523,9 @@ func (as *AddressSpace) Touch(addr uint64) error {
 // MarkAbsent installs a post-copy placeholder: the page is known to
 // exist (it was resident on the source at freeze time) but its content
 // has not been shipped. Any access faults until FillPage arrives. A
-// frame the page held (hybrid's stale first-round copy) is dropped.
+// frame the page held (hybrid's first-round copy, stale now) stays in
+// its slot, out of every reader's sight, for FillPage to write the
+// arriving content over.
 func (as *AddressSpace) MarkAbsent(vmaStart, pageIndex uint64) error {
 	v, err := as.region("mark-absent", vmaStart, pageIndex)
 	if err != nil {
@@ -521,7 +535,11 @@ func (as *AddressSpace) MarkAbsent(vmaStart, pageIndex uint64) error {
 	i := pageIndex - l.base
 	w, b := bit(i)
 	if l.present[w]&b != 0 {
-		l.frames[i] = nil
+		if poisonStale {
+			for j := range l.frames[i] {
+				l.frames[i][j] = 0xDB
+			}
+		}
 		l.present[w] &^= b
 		l.dirty[w] &^= b
 		v.present--
@@ -533,15 +551,25 @@ func (as *AddressSpace) MarkAbsent(vmaStart, pageIndex uint64) error {
 	return nil
 }
 
+// ErrFillSize rejects a fill that is not exactly one page: arriving
+// content is decoded from the wire, and a short or over-long page is a
+// malformed reply, not a page to pad or truncate.
+var ErrFillSize = fmt.Errorf("proc: fill is not one %d-byte page", PageSize)
+
 // FillPage delivers a pulled (or pushed) page's content, clearing the
-// absent mark. The fill does not set the dirty bit: arriving content is
-// clean by definition (it is the source's authoritative copy). Filling
-// a page that is not absent is rejected so the exactly-once shipping
-// property is checkable at the memory layer.
+// absent mark. data must be exactly one page; it is written over the
+// stale frame the placeholder kept, when it kept one. The fill does not
+// set the dirty bit: arriving content is clean by definition (it is the
+// source's authoritative copy). Filling a page that is not absent is
+// rejected so the exactly-once shipping property is checkable at the
+// memory layer.
 func (as *AddressSpace) FillPage(vmaStart, pageIndex uint64, data []byte) error {
 	v, err := as.region("fill", vmaStart, pageIndex)
 	if err != nil {
 		return err
+	}
+	if len(data) != PageSize {
+		return fmt.Errorf("%w: %d bytes for page %#x+%d", ErrFillSize, len(data), vmaStart, pageIndex)
 	}
 	l := v.leafAt(pageIndex)
 	i := pageIndex % leafPages
@@ -549,9 +577,10 @@ func (as *AddressSpace) FillPage(vmaStart, pageIndex uint64, data []byte) error 
 	if l == nil || l.absent[w]&b == 0 {
 		return fmt.Errorf("proc: duplicate fill of resident page %#x+%d", vmaStart, pageIndex)
 	}
-	f := as.newFrame()
-	copy(f[:], data)
-	l.frames[i] = f
+	if l.frames[i] == nil {
+		l.frames[i] = as.newFrame()
+	}
+	copy(l.frames[i][:], data)
 	l.absent[w] &^= b
 	l.present[w] |= b
 	v.absent--

@@ -235,7 +235,7 @@ func TestPageIndexPastTheRegionIsRejected(t *testing.T) {
 		if err := as.MarkAbsent(v.Start, idx); err == nil {
 			t.Errorf("MarkAbsent(%d) on a 16-page region accepted", idx)
 		}
-		if err := as.FillPage(v.Start, idx, []byte{1}); err == nil {
+		if err := as.FillPage(v.Start, idx, make([]byte, PageSize)); err == nil {
 			t.Errorf("FillPage(%d) on a 16-page region accepted", idx)
 		}
 		if _, ok := v.Entry(idx); ok {
@@ -248,8 +248,82 @@ func TestPageIndexPastTheRegionIsRejected(t *testing.T) {
 	if err := as.MarkAbsent(v.Start, 15); err != nil {
 		t.Fatal(err)
 	}
-	if err := as.FillPage(v.Start, 15, []byte{1}); err != nil {
+	if err := as.FillPage(v.Start, 15, make([]byte, PageSize)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A fill is one page, exactly: the content was decoded from a reply, and
+// a page that is short or over-long is refused whole — not zero-padded,
+// not truncated — and leaves the placeholder waiting.
+func TestFillPageAcceptsExactlyOnePage(t *testing.T) {
+	as := NewAddressSpace()
+	v := as.Mmap(4*PageSize, "rw-")
+	if err := as.MarkAbsent(v.Start, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, PageSize - 1, PageSize + 1, 2 * PageSize} {
+		if err := as.FillPage(v.Start, 1, make([]byte, n)); !errors.Is(err, ErrFillSize) {
+			t.Errorf("a %d-byte fill returned %v, want ErrFillSize", n, err)
+		}
+	}
+	if e, _ := v.Entry(1); !e.Absent || as.AbsentCount() != 1 {
+		t.Fatalf("refused fills changed the placeholder: %+v", e)
+	}
+	page := bytes.Repeat([]byte{7}, PageSize)
+	if err := as.FillPage(v.Start, 1, page); err != nil {
+		t.Fatal(err)
+	}
+	if e, _ := v.Entry(1); e.Absent || e.Dirty || !bytes.Equal(e.Frame, page) {
+		t.Fatalf("filled page: %+v", e)
+	}
+	if err := as.FillPage(v.Start, 1, page); err == nil || errors.Is(err, ErrFillSize) {
+		t.Fatalf("duplicate fill returned %v", err)
+	}
+}
+
+// TestFillPageReusesStaleFrame: a resident page turned placeholder
+// (hybrid's first-round copy, dirtied on the source since) keeps its
+// frame, hidden, and the fill writes the arriving page over it — the same
+// frame, no new one cut, nothing allocated. The package runs with stale
+// frames poisoned (export_test.go): the fill must overwrite all of it.
+func TestFillPageReusesStaleFrame(t *testing.T) {
+	as := NewAddressSpace()
+	v := as.Mmap(64*PageSize, "rw-")
+	for i := uint64(0); len(as.chunk) == 0; i++ { // until faults cut frames from a chunk with frames to spare
+		if err := as.Write(v.Start+i*PageSize, []byte{byte(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, _ := v.Entry(2)
+	frame0, chunk := &first.Frame[0], len(as.chunk) // any newFrame call shortens the chunk
+	page := make([]byte, PageSize)
+	cycle := func() {
+		page[0]++
+		if err := as.MarkAbsent(v.Start, 2); err != nil {
+			t.Fatal(err)
+		}
+		if e, ok := v.Entry(2); !ok || !e.Absent || e.Dirty || e.Frame != nil {
+			t.Fatalf("placeholder shows its stale frame: %+v", e)
+		}
+		if _, _, fr, err := as.PageAt(v.Start + 2*PageSize); fr != nil || !errors.Is(err, ErrPageAbsent) {
+			t.Fatalf("PageAt on the placeholder: frame %v, err %v", fr != nil, err)
+		}
+		if err := as.FillPage(v.Start, 2, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	e, _ := v.Entry(2)
+	if &e.Frame[0] != frame0 || len(as.chunk) != chunk {
+		t.Fatalf("the fill moved the page to another frame, or cut %d bytes of new ones", chunk-len(as.chunk))
+	}
+	if !bytes.Equal(e.Frame, page) || e.Dirty || e.Absent {
+		t.Fatalf("refilled page: dirty %v absent %v, content differs %v", e.Dirty, e.Absent, !bytes.Equal(e.Frame, page))
+	}
+	as.OnMissing = nil
+	if n := testing.AllocsPerRun(100, cycle); n != 0 || len(as.chunk) != chunk {
+		t.Fatalf("MarkAbsent then FillPage of a resident page: %.1f allocations, %d bytes of frames cut", n, chunk-len(as.chunk))
 	}
 }
 
