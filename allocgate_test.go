@@ -328,13 +328,11 @@ func TestAllocGatePageFaults(t *testing.T) {
 	}
 }
 
-// TestAllocGateSockScan fences the precopy socket scan: the tracker
-// encodes every section of every socket each round only to hash it, so it
-// does that in one scratch buffer with one reused snapshot, and a round
-// over 64 quiescent connections (plus a listener) allocates the delta it
-// returns and nothing per socket or per section.
-func TestAllocGateSockScan(t *testing.T) {
-	const conns = 64
+// sockScanFixture is a zone process holding a listener and conns
+// accepted connections from external players, whose client ends it
+// returns; the connections are established and idle.
+func sockScanFixture(t *testing.T, conns int) (*proc.Cluster, *proc.Process, []*netstack.TCPSocket) {
+	t.Helper()
 	c := proc.NewCluster(simtime.NewScheduler(), 1)
 	n := c.Nodes[0]
 	p := n.Spawn("zone", 1)
@@ -345,12 +343,52 @@ func TestAllocGateSockScan(t *testing.T) {
 	lst.OnAccept = func(ch *netstack.TCPSocket) { p.FDs.Install(&proc.TCPFile{Sock: ch}) }
 	p.FDs.Install(&proc.TCPFile{Sock: lst})
 	host := c.NewExternalHost("players")
-	for i := 0; i < conns; i++ {
-		if err := netstack.NewTCPSocket(host).Connect(c.ClusterIP, 7000); err != nil {
+	clients := make([]*netstack.TCPSocket, conns)
+	for i := range clients {
+		clients[i] = netstack.NewTCPSocket(host)
+		if err := clients[i].Connect(c.ClusterIP, 7000); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.Sched.RunFor(simtime.Duration(time.Second))
+	return c, p, clients
+}
+
+// busySockRound gives one in eight connections fresh unread data: the
+// server ends drop what the last round left, the clients send 256 bytes
+// each, and the segments land.
+func busySockRound(t *testing.T, c *proc.Cluster, p *proc.Process, clients []*netstack.TCPSocket) {
+	t.Helper()
+	tcp, _ := p.Sockets()
+	for _, sk := range tcp {
+		sk.Discard()
+	}
+	for i := 0; i < len(clients); i += 8 {
+		if err := clients[i].Send(make([]byte, 256)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Sched.RunFor(simtime.Duration(10 * time.Millisecond))
+}
+
+// mallocs is how many heap objects one call of fn allocates.
+func mallocs(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestAllocGateSockScan fences the precopy socket scan: one reused
+// snapshot and hash buffer serve every socket, and the delta is lent out
+// of the tracker's own arena and arrays, so a round over 64 quiescent
+// connections (plus a listener) allocates nothing, and neither does a
+// round in which one connection in eight received data, once the
+// tracker is warm.
+func TestAllocGateSockScan(t *testing.T) {
+	const conns = 64
+	c, p, clients := sockScanFixture(t, conns)
 	tr := sockmig.NewTracker()
 	if first := tr.Delta(p, false); len(first.Socks) != conns+1 {
 		t.Fatalf("first round shipped %d sockets, want %d", len(first.Socks), conns+1)
@@ -360,8 +398,49 @@ func TestAllocGateSockScan(t *testing.T) {
 			t.Fatalf("quiescent round shipped %d sockets", len(d.Socks))
 		}
 	})
-	if per > 1 {
-		t.Fatalf("quiescent scan of %d sockets allocates %.0f objects per round, want 1 (the delta)", conns+1, per)
+	if per != 0 {
+		t.Fatalf("quiescent scan of %d sockets allocates %.0f objects per round, want 0", conns+1, per)
+	}
+
+	for round := 0; round < 5; round++ {
+		busySockRound(t, c, p, clients)
+		var d *sockmig.SockDelta
+		n := mallocs(func() { d = tr.Delta(p, false) })
+		if len(d.Socks) != conns/8 {
+			t.Fatalf("busy round %d shipped %d sockets, want %d", round, len(d.Socks), conns/8)
+		}
+		if round >= 2 && n != 0 { // the first busy rounds grow the arrays
+			t.Fatalf("busy round %d (%d of %d sockets changed) allocated %d objects, want 0",
+				round, conns/8, conns+1, n)
+		}
+	}
+}
+
+// TestAllocGateSockApply fences the destination's half: a store folds
+// an encoded round into the snapshots it already holds, decoding into
+// its own reused delta, and copies nothing it does not keep — applying a
+// busy round to a warm store allocates nothing.
+func TestAllocGateSockApply(t *testing.T) {
+	const conns = 64
+	c, p, clients := sockScanFixture(t, conns)
+	tr := sockmig.NewTracker()
+	store := sockmig.NewStore()
+	if err := store.ApplyEncoded(tr.Delta(p, false).Encode()); err != nil {
+		t.Fatal(err)
+	}
+	busySockRound(t, c, p, clients)
+	busy := tr.Delta(p, false).Encode()
+	if err := store.ApplyEncoded(busy); err != nil {
+		t.Fatal(err)
+	}
+	per := testing.AllocsPerRun(10, func() {
+		if err := store.ApplyEncoded(busy); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per != 0 || store.TCPCount() != conns+1 {
+		t.Fatalf("applying a busy round to a warm store allocates %.0f objects (want 0); store holds %d sockets",
+			per, store.TCPCount())
 	}
 }
 
@@ -375,12 +454,14 @@ func allocatedBytes(fn func()) uint64 {
 }
 
 // migrationEngine* are what one full 8-connection live migration
-// allocated when TCP Send began segmenting out of the caller's slice
-// (1685 objects and 3345161 bytes when the page table landed); the gate
-// allows 25% over each.
+// allocated when the socket delta came to be lent out of the tracker's
+// arena and folded from the bytes it arrived in (1685 objects and
+// 3345161 bytes when the page table landed, 1623 and 3324736 when TCP
+// Send began segmenting out of the caller's slice); the gate allows 25%
+// over each.
 const (
-	migrationEngineAllocs = 1623
-	migrationEngineBytes  = 3324736
+	migrationEngineAllocs = 897
+	migrationEngineBytes  = 3224384
 )
 
 // TestAllocGateMigrationEngine is the bench-smoke regression fence: a
@@ -417,10 +498,11 @@ func TestAllocGateMigrationEngine(t *testing.T) {
 // with datagrams, frames and the process list lent, not copied: 134 and
 // 19.5 KB; with Send segmenting out of the caller's slice and hybrid's
 // re-shipped pages filling the frames they already hold: 127 and
-// 14.6 KB).
+// 14.6 KB; with socket deltas lent and idle capture filters one object:
+// 123 and 14.5 KB).
 const (
-	soakCellAllocsPerRequest = 140
-	soakCellBytesPerRequest  = 16100
+	soakCellAllocsPerRequest = 135
+	soakCellBytesPerRequest  = 16000
 )
 
 // healthySoakConfig is the soak battery's fault-free cell alone: one
@@ -470,12 +552,14 @@ func TestAllocGateSoakCell(t *testing.T) {
 }
 
 // ctlRequestAllocs is what one declarative migration costs in objects,
-// setup excluded, as recorded when the request path stopped copying what
-// it could borrow (queued datagrams, frames appended into their sender's
-// buffer, the process list lent); the gate allows 5% over it. The same
-// loop at the parent of that change measured 186.4, and 119.4 before the
-// migd connections' send buffers stopped growing from nil.
-const ctlRequestAllocs = 112.1
+// setup excluded, as recorded when socket deltas came to be lent and an
+// idle capture filter stopped making its dedup map; the gate allows 5%
+// over it. It read 112.1 when the request path stopped copying what it
+// could borrow (queued datagrams, frames appended into their sender's
+// buffer, the process list lent), 186.4 at the parent of that change,
+// and 119.4 before the migd connections' send buffers stopped growing
+// from nil.
+const ctlRequestAllocs = 108.1
 
 // TestAllocGateCtlRequest pins the marginal request: in one warm cell —
 // primary and standby controller, three workers each with a migrator, a

@@ -29,7 +29,9 @@ type Filter struct {
 	// ownership of a port must never replay packets it stole for it.
 	Epoch uint64
 
-	queue   []*netsim.Packet
+	queue []*netsim.Packet
+	// seqSeen is made on the first TCP capture: most filters of a
+	// migration never see a packet, and reading a nil map is valid.
 	seqSeen map[uint32]bool
 
 	// Captured and Deduped count packets queued and duplicates skipped.
@@ -91,7 +93,7 @@ func (s *Service) Enable(key netsim.FlowKey) *Filter {
 // filter is inert: it is not installed and will never capture — the
 // caller's migration is acting on superseded ownership.
 func (s *Service) EnableEpoch(key netsim.FlowKey, ep uint64) *Filter {
-	f := &Filter{Key: key, Epoch: ep, seqSeen: make(map[uint32]bool)}
+	f := &Filter{Key: key, Epoch: ep}
 	if min, fenced := s.fences[key.LocalPort]; fenced && ep < min {
 		s.Fenced++
 		return f // inert: below the fence, never installed
@@ -153,6 +155,9 @@ func (s *Service) hookFn(p *netsim.Packet) netstack.Verdict {
 				f.Deduped++
 				p.Release() // duplicate consumed, not requeued
 				return netstack.VerdictStolen
+			}
+			if f.seqSeen == nil {
+				f.seqSeen = make(map[uint32]bool)
 			}
 			f.seqSeen[p.Seq] = true
 		}

@@ -337,3 +337,27 @@ func TestCaptureMultisetProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIdleFilterCostsOneObject: a filter that is armed and disabled
+// without seeing a packet — most of a migration's filters — allocates
+// only itself; the TCP dedup set is made on the first capture.
+func TestIdleFilterCostsOneObject(t *testing.T) {
+	st := netstack.NewStack(simtime.NewScheduler(), "dst", 0)
+	svc := NewService(st)
+	svc.Enable(netsim.FlowKey{LocalPort: 1, Proto: netsim.ProtoTCP}) // hook installed, filter list grown
+	key := netsim.FlowKey{RemoteIP: 9, RemotePort: 9, LocalPort: 2, Proto: netsim.ProtoTCP}
+	if n := testing.AllocsPerRun(100, func() {
+		f := svc.EnableEpoch(key, 1)
+		if _, err := svc.ReinjectAndDisable(f); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("an idle filter allocates %v objects, want 1 (the Filter)", n)
+	}
+	f := svc.Enable(key)
+	svcHook(svc, &netsim.Packet{Proto: netsim.ProtoTCP, SrcIP: 9, SrcPort: 9, DstPort: 2, Seq: 5})
+	svcHook(svc, &netsim.Packet{Proto: netsim.ProtoTCP, SrcIP: 9, SrcPort: 9, DstPort: 2, Seq: 5})
+	if f.QueueLen() != 1 || f.Deduped != 1 {
+		t.Fatalf("after a duplicate: queued %d, deduped %d", f.QueueLen(), f.Deduped)
+	}
+}

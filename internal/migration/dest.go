@@ -138,10 +138,7 @@ func (ib *inbound) onMsg(t MsgType, payload []byte) {
 // applySockDelta folds an encoded socket delta — a precopy round's, or
 // the final image's — into the staging store; false means it aborted.
 func (ib *inbound) applySockDelta(b []byte) bool {
-	sd, err := sockmig.DecodeSockDelta(b)
-	if err == nil {
-		err = ib.store.Apply(sd)
-	}
+	err := ib.store.ApplyEncoded(b)
 	if err != nil {
 		ib.abort(err)
 	}

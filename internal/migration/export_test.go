@@ -6,6 +6,7 @@ import (
 
 	"dvemig/internal/netsim"
 	"dvemig/internal/proc"
+	"dvemig/internal/sockmig"
 )
 
 // TestMain runs the whole package with the lend-contract tripwire on:
@@ -15,11 +16,13 @@ import (
 // packet pool does the same to every released payload, for the UDP
 // sockets' lent datagrams, and the page table to the stale frame a
 // placeholder keeps (hybrid's re-shipped pages): whoever read one instead
-// of faulting sees 0xDB too.
+// of faulting sees 0xDB too. A socket tracker overwrites the delta it lent
+// last with 0xDB before building the next.
 func TestMain(m *testing.M) {
 	poisonLent = true
 	netsim.PoisonReleasedPayloads()
 	proc.PoisonStaleFrames()
+	sockmig.PoisonLentDeltas()
 	os.Exit(m.Run())
 }
 

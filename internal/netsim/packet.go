@@ -8,6 +8,7 @@ package netsim
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -388,11 +389,15 @@ func (p *Packet) marshalHeader(buf []byte) {
 }
 
 // Marshal encodes the packet into the canonical wire format.
-func (p *Packet) Marshal() []byte {
-	buf := make([]byte, headerBytes+len(p.Payload))
-	p.marshalHeader(buf)
-	copy(buf[headerBytes:], p.Payload)
-	return buf
+func (p *Packet) Marshal() []byte { return p.AppendMarshal(make([]byte, 0, p.Len())) }
+
+// AppendMarshal appends the packet's canonical wire format to dst and
+// returns the extended slice.
+func (p *Packet) AppendMarshal(dst []byte) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, p.Len())[:n+headerBytes]
+	p.marshalHeader(dst[n:])
+	return append(dst, p.Payload...)
 }
 
 // Unmarshal decodes a packet from the canonical wire format. The packet

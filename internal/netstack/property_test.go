@@ -96,7 +96,7 @@ func TestSnapshotSectionsComposeProperty(t *testing.T) {
 		}
 		return rebuilt.SndNxt == snap.SndNxt && rebuilt.RcvNxt == snap.RcvNxt &&
 			rebuilt.LocalPort == snap.LocalPort &&
-			len(rebuilt.WriteQueue) == len(snap.WriteQueue) &&
+			bytes.Equal(rebuilt.WriteQueue, snap.WriteQueue) &&
 			bytes.Equal(rebuilt.SndBuf, snap.SndBuf)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -80,10 +80,14 @@ type TCPSnapshot struct {
 	SrcJiffies uint32
 	MSS        int32
 
-	SndBuf       []byte
-	WriteQueue   [][]byte // marshaled packets
-	ReceiveQueue [][]byte
-	OOOQueue     [][]byte
+	SndBuf []byte
+	// The queues are held as their encoded sections — a segment count,
+	// then per segment its length, wire bytes and sk_buff shell — which
+	// is what a delta ships and what RestoreTCP rebuilds the queue from.
+	// No bytes means an empty queue.
+	WriteQueue   []byte
+	ReceiveQueue []byte
+	OOOQueue     []byte
 
 	BytesIn, BytesOut uint64
 }
@@ -101,7 +105,7 @@ func SnapshotTCP(sk *TCPSocket) *TCPSnapshot {
 // SnapshotTCPInto overwrites s with sk's state, under SnapshotTCP's
 // quiescence rule. It is the form for a scan that looks at many sockets
 // and keeps none of the snapshots: one TCPSnapshot serves them all, and
-// SndBuf reuses its capacity.
+// SndBuf and the queues reuse their capacity.
 func SnapshotTCPInto(s *TCPSnapshot, sk *TCPSocket) {
 	*s = TCPSnapshot{
 		LocalIP: sk.LocalIP, RemoteIP: sk.RemoteIP, OrigLocalIP: sk.OrigLocalIP,
@@ -116,34 +120,68 @@ func SnapshotTCPInto(s *TCPSnapshot, sk *TCPSocket) {
 		// SrcJiffies is the socket's *timestamp clock* at checkpoint,
 		// not the raw node clock: a socket that has already migrated
 		// once carries an offset, and chaining migrations must compose.
-		SrcJiffies: sk.tsNow(),
-		MSS:        int32(sk.MSS),
-		SndBuf:     append(s.SndBuf[:0], sk.unsent()...),
-		BytesIn:    sk.BytesIn, BytesOut: sk.BytesOut,
+		SrcJiffies:   sk.tsNow(),
+		MSS:          int32(sk.MSS),
+		SndBuf:       append(s.SndBuf[:0], sk.unsent()...),
+		WriteQueue:   appendQueue(s.WriteQueue[:0], sk.writeQueue),
+		ReceiveQueue: appendQueue(s.ReceiveQueue[:0], sk.receiveQueue),
+		OOOQueue:     appendQueue(s.OOOQueue[:0], sk.oooQueue),
+		BytesIn:      sk.BytesIn, BytesOut: sk.BytesOut,
 	}
-	s.WriteQueue = marshalQueue(sk.writeQueue)
-	s.ReceiveQueue = marshalQueue(sk.receiveQueue)
-	s.OOOQueue = marshalQueue(sk.oooQueue)
 }
 
-func marshalQueue(q []*netsim.Packet) [][]byte {
-	out := make([][]byte, len(q))
-	for i, p := range q {
-		out[i] = p.Marshal()
+// TCPSnapshotLen is the encoded length of all of sk's sections — what a
+// round without history ships for it — computed without building them.
+func TCPSnapshotLen(sk *TCPSocket) int {
+	n := KernelSockImageBytes + coreFieldBytes + 4 + len(sk.unsent())
+	for _, q := range [...][]*netsim.Packet{sk.writeQueue, sk.receiveQueue, sk.oooQueue} {
+		n += 4
+		for _, p := range q {
+			n += 4 + p.Len() + SkbOverheadBytes
+		}
 	}
-	return out
+	return n
 }
 
-// unmarshalQueue rebuilds a socket queue out of pool, the restoring
-// stack's free list.
-func unmarshalQueue(pool *netsim.Pool, q [][]byte) ([]*netsim.Packet, error) {
-	out := make([]*netsim.Packet, len(q))
-	for i, b := range q {
+// appendQueue appends q's held form (see TCPSnapshot.WriteQueue) to dst:
+// nothing for an empty queue.
+func appendQueue(dst []byte, q []*netsim.Packet) []byte {
+	if len(q) == 0 {
+		return dst
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(q)))
+	for _, p := range q {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(p.Len()))
+		dst = p.AppendMarshal(dst)
+		// Each buffer carries its sk_buff shell.
+		dst = append(dst, zeros[:SkbOverheadBytes]...)
+	}
+	return dst
+}
+
+// unmarshalQueue rebuilds a socket queue from its held form out of pool,
+// the restoring stack's free list.
+func unmarshalQueue(pool *netsim.Pool, held []byte) ([]*netsim.Packet, error) {
+	if len(held) == 0 {
+		return nil, nil
+	}
+	r := rbuf{b: held}
+	n := int(r.u32())
+	if r.err != nil || n > len(held)/(4+SkbOverheadBytes) {
+		return nil, errTruncated
+	}
+	out := make([]*netsim.Packet, 0, n)
+	for i := 0; i < n; i++ {
+		b := r.span()
+		r.skip(SkbOverheadBytes)
+		if r.err != nil {
+			return nil, r.err
+		}
 		p, err := pool.Unmarshal(b)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = p
+		out = append(out, p)
 	}
 	return out, nil
 }
@@ -180,10 +218,22 @@ type rbuf struct {
 	err error
 }
 
+var (
+	errTruncated  = errors.New("netstack: truncated snapshot")
+	errCorruptUDP = errors.New("netstack: corrupt UDP snapshot")
+)
+
 func (r *rbuf) fail() {
 	if r.err == nil {
-		r.err = errors.New("netstack: truncated snapshot")
+		r.err = errTruncated
 	}
+}
+func (r *rbuf) skip(n int) {
+	if r.err != nil || r.off+n > len(r.b) {
+		r.fail()
+		return
+	}
+	r.off += n
 }
 func (r *rbuf) u8() byte {
 	if r.err != nil || r.off+1 > len(r.b) {
@@ -221,13 +271,16 @@ func (r *rbuf) u64() uint64 {
 	r.off += 8
 	return v
 }
-func (r *rbuf) bytes() []byte {
+
+// span reads a length-prefixed byte string. The result aliases the
+// buffer: a caller that keeps it copies it.
+func (r *rbuf) span() []byte {
 	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
+	if r.err != nil || r.off+n > len(r.b) {
 		r.fail()
 		return nil
 	}
-	v := append([]byte(nil), r.b[r.off:r.off+n]...)
+	v := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return v
 }
@@ -241,17 +294,7 @@ func (s *TCPSnapshot) AppendSection(dst []byte, id SectionID) []byte {
 	w := wbuf{b: dst}
 	switch id {
 	case SecIdentity:
-		w.u32(uint32(s.LocalIP))
-		w.u32(uint32(s.RemoteIP))
-		w.u32(uint32(s.OrigLocalIP))
-		w.u16(s.LocalPort)
-		w.u16(s.RemotePort)
-		w.u8(byte(s.State))
-		if s.Listening {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
+		s.appendIdentityFields(&w)
 		// The bulk of the kernel socket structure complex (socket,
 		// inet_sock, protocol options, sk_buff_head headers, timers, ...)
 		// is configuration fixed at connection setup: it rides with the
@@ -278,70 +321,119 @@ func (s *TCPSnapshot) AppendSection(dst []byte, id SectionID) []byte {
 		w.u64(s.BytesOut)
 		w.bytes(s.SndBuf)
 	case SecWriteQueue:
-		encodeQueue(&w, s.WriteQueue)
+		appendHeldQueue(&w, s.WriteQueue)
 	case SecReceiveQueue:
-		encodeQueue(&w, s.ReceiveQueue)
+		appendHeldQueue(&w, s.ReceiveQueue)
 	case SecOOOQueue:
-		encodeQueue(&w, s.OOOQueue)
+		appendHeldQueue(&w, s.OOOQueue)
 	}
 	return w.b
 }
 
-// AppendSectionHashBytes appends the section encoding with the
-// capture-time clock (SrcJiffies) masked out. Change trackers must hash
-// this form: SrcJiffies is stamped at every snapshot and would otherwise
-// make an idle socket's core section look modified every precopy round.
-// Only the core section differs from AppendSection's bytes.
+// identityFieldBytes is the identity section without its padding.
+const identityFieldBytes = 18
+
+func (s *TCPSnapshot) appendIdentityFields(w *wbuf) {
+	w.u32(uint32(s.LocalIP))
+	w.u32(uint32(s.RemoteIP))
+	w.u32(uint32(s.OrigLocalIP))
+	w.u16(s.LocalPort)
+	w.u16(s.RemotePort)
+	w.u8(byte(s.State))
+	if s.Listening {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
+}
+
+func appendHeldQueue(w *wbuf, held []byte) {
+	if len(held) == 0 {
+		w.u32(0)
+		return
+	}
+	w.b = append(w.b, held...)
+}
+
+// AppendSectionHashBytes appends the form of a section a change tracker
+// hashes. It changes exactly when the shipped section does, less two
+// things: the capture-time clock (SrcJiffies) is masked, because it is
+// stamped at every snapshot and would otherwise make an idle socket's
+// core section look modified every precopy round, and the identity
+// section's constant padding is left out. The queue sections are the
+// shipped bytes.
 func (s *TCPSnapshot) AppendSectionHashBytes(dst []byte, id SectionID) []byte {
-	if id != SecCore {
-		return s.AppendSection(dst, id)
+	switch id {
+	case SecIdentity:
+		w := wbuf{b: dst}
+		s.appendIdentityFields(&w)
+		return w.b
+	case SecCore:
+		saved := s.SrcJiffies
+		s.SrcJiffies = 0
+		dst = s.AppendSection(dst, id)
+		s.SrcJiffies = saved
+		return dst
 	}
-	saved := s.SrcJiffies
-	s.SrcJiffies = 0
-	dst = s.AppendSection(dst, id)
-	s.SrcJiffies = saved
-	return dst
+	return s.AppendSection(dst, id)
 }
 
-func encodeQueue(w *wbuf, q [][]byte) {
-	w.u32(uint32(len(q)))
-	for _, pkt := range q {
-		w.bytes(pkt)
-		// Each buffer carries its sk_buff shell.
-		w.b = append(w.b, make([]byte, SkbOverheadBytes)...)
-	}
-}
+// coreFieldBytes is the core section up to the send buffer: sixteen
+// 32-bit and two 64-bit fields.
+const coreFieldBytes = 16*4 + 2*8
 
-func decodeQueue(r *rbuf) [][]byte {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || n > 1<<20 {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	q := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		q = append(q, r.bytes())
-		// Skip the sk_buff shell.
-		if r.off+SkbOverheadBytes > len(r.b) {
+// maxQueueLen bounds a queue section's segment count.
+const maxQueueLen = 1 << 20
+
+// sectionLen walks one encoded section the way ApplySection reads it,
+// allocating nothing, and returns how many leading bytes of data the
+// section occupies (ApplySection ignores what follows).
+func sectionLen(id SectionID, data []byte) (int, error) {
+	r := rbuf{b: data}
+	switch id {
+	case SecIdentity:
+		r.skip(identityFieldBytes)
+	case SecCore:
+		r.skip(coreFieldBytes)
+		r.span()
+	case SecWriteQueue, SecReceiveQueue, SecOOOQueue:
+		n := r.u32()
+		if n > maxQueueLen {
 			r.fail()
-			return nil
 		}
-		r.off += SkbOverheadBytes
+		for i := uint32(0); i < n && r.err == nil; i++ {
+			r.span()
+			r.skip(SkbOverheadBytes)
+		}
+	default:
+		return 0, fmt.Errorf("netstack: unknown section %d", id)
 	}
-	return q
+	return r.off, r.err
+}
+
+// CheckSection reports the error ApplySection would return for data,
+// without applying it and without allocating when it is well formed:
+// a receiver validates every section of a delta before folding any.
+func CheckSection(id SectionID, data []byte) error {
+	_, err := sectionLen(id, data)
+	return err
 }
 
 // ApplySection decodes one encoded section into the snapshot, overwriting
-// that section's fields. The destination node accumulates sections from
-// successive precopy rounds this way and applies the final state in the
-// freeze phase.
+// that section's fields, or returns an error and changes nothing. The
+// destination node accumulates sections from successive precopy rounds
+// this way and applies the final state in the freeze phase. Nothing of
+// data is retained: the send buffer and a queue section are copied into
+// the buffers the snapshot already holds.
 func (s *TCPSnapshot) ApplySection(id SectionID, data []byte) error {
-	r := &rbuf{b: data}
+	n, err := sectionLen(id, data)
+	if err != nil {
+		return err
+	}
+	r := &rbuf{b: data[:n]}
 	switch id {
 	case SecIdentity:
+		// The static structure image after the fields is not read.
 		s.LocalIP = netsim.Addr(r.u32())
 		s.RemoteIP = netsim.Addr(r.u32())
 		s.OrigLocalIP = netsim.Addr(r.u32())
@@ -349,9 +441,6 @@ func (s *TCPSnapshot) ApplySection(id SectionID, data []byte) error {
 		s.RemotePort = r.u16()
 		s.State = TCPState(r.u8())
 		s.Listening = r.u8() == 1
-		if len(data) >= KernelSockImageBytes {
-			r.off = KernelSockImageBytes // skip the static structure image
-		}
 	case SecCore:
 		s.ISS = r.u32()
 		s.SndUna = r.u32()
@@ -371,17 +460,32 @@ func (s *TCPSnapshot) ApplySection(id SectionID, data []byte) error {
 		s.MSS = int32(r.u32())
 		s.BytesIn = r.u64()
 		s.BytesOut = r.u64()
-		s.SndBuf = r.bytes()
+		s.SndBuf = append(s.SndBuf[:0], r.span()...)
 	case SecWriteQueue:
-		s.WriteQueue = decodeQueue(r)
+		s.WriteQueue = holdQueue(s.WriteQueue, data[:n])
 	case SecReceiveQueue:
-		s.ReceiveQueue = decodeQueue(r)
+		s.ReceiveQueue = holdQueue(s.ReceiveQueue, data[:n])
 	case SecOOOQueue:
-		s.OOOQueue = decodeQueue(r)
-	default:
-		return fmt.Errorf("netstack: unknown section %d", id)
+		s.OOOQueue = holdQueue(s.OOOQueue, data[:n])
 	}
-	return r.err
+	return nil
+}
+
+// holdQueue copies a checked queue section into held's capacity; a
+// queue of no segments is held as no bytes. The sk_buff shells are held
+// as the writer makes them, zeros, whatever the sender put in them.
+func holdQueue(held, sec []byte) []byte {
+	if binary.BigEndian.Uint32(sec) == 0 {
+		return held[:0]
+	}
+	held = append(held[:0], sec...)
+	r := rbuf{b: held}
+	for n := r.u32(); n > 0; n-- {
+		r.span()
+		clear(held[r.off : r.off+SkbOverheadBytes])
+		r.off += SkbOverheadBytes
+	}
+	return held
 }
 
 // Encode serializes the whole snapshot as a sequence of tagged sections.
@@ -403,7 +507,7 @@ func DecodeTCPSnapshot(data []byte) (*TCPSnapshot, error) {
 	r := &rbuf{b: data}
 	for r.off < len(r.b) {
 		id := SectionID(r.u8())
-		sec := r.bytes()
+		sec := r.span()
 		if r.err != nil {
 			return nil, r.err
 		}
@@ -521,6 +625,16 @@ func SnapshotUDP(us *UDPSocket) *UDPSnapshot {
 	}
 }
 
+// UDPSnapshotLen is the encoded length of us's snapshot, computed
+// without taking it.
+func UDPSnapshotLen(us *UDPSocket) int {
+	n := udpFieldBytes + 4 + UDPSockImageBytes
+	for _, p := range us.ReceiveQueue() {
+		n += udpDatagramFieldBytes + 4 + len(p.Payload) + SkbOverheadBytes
+	}
+	return n
+}
+
 // Encode serializes the UDP snapshot.
 func (s *UDPSnapshot) Encode() []byte { return s.AppendEncode(nil) }
 
@@ -541,7 +655,7 @@ func (s *UDPSnapshot) AppendEncode(dst []byte) []byte {
 		w.u16(d.SrcPort)
 		w.u32(d.TSVal)
 		w.bytes(d.Payload)
-		w.b = append(w.b, make([]byte, SkbOverheadBytes)...)
+		w.b = append(w.b, zeros[:SkbOverheadBytes]...)
 	}
 	w.pad(len(w.b) + UDPSockImageBytes) // socket structure image
 	return w.b
@@ -557,8 +671,36 @@ func (s *UDPSnapshot) AppendHashBytes(dst []byte) []byte {
 	return dst
 }
 
-// DecodeUDPSnapshot parses an encoded UDP snapshot.
+// udpFieldBytes is the UDP snapshot up to its datagram count, and
+// udpDatagramFieldBytes one datagram up to its payload.
+const (
+	udpFieldBytes         = 4 + 2 + 4 + 4*8
+	udpDatagramFieldBytes = 4 + 2 + 4
+)
+
+// CheckUDPSnapshot reports the error DecodeUDPSnapshot would return for
+// data, without allocating when it is well formed.
+func CheckUDPSnapshot(data []byte) error {
+	r := rbuf{b: data}
+	r.skip(udpFieldBytes)
+	n := r.u32()
+	if r.err != nil || n > maxQueueLen {
+		return errCorruptUDP
+	}
+	for i := uint32(0); i < n && r.err == nil; i++ {
+		r.skip(udpDatagramFieldBytes)
+		r.span()
+		r.skip(SkbOverheadBytes)
+	}
+	return r.err
+}
+
+// DecodeUDPSnapshot parses an encoded UDP snapshot. The result shares
+// no bytes with data.
 func DecodeUDPSnapshot(data []byte) (*UDPSnapshot, error) {
+	if err := CheckUDPSnapshot(data); err != nil {
+		return nil, err
+	}
 	r := &rbuf{b: data}
 	s := &UDPSnapshot{}
 	s.LocalIP = netsim.Addr(r.u32())
@@ -569,23 +711,16 @@ func DecodeUDPSnapshot(data []byte) (*UDPSnapshot, error) {
 	s.PacketsIn = r.u64()
 	s.PacketsOut = r.u64()
 	n := int(r.u32())
-	if r.err != nil || n < 0 || n > 1<<20 {
-		return nil, errors.New("netstack: corrupt UDP snapshot")
-	}
 	for i := 0; i < n; i++ {
 		d := Datagram{}
 		d.SrcIP = netsim.Addr(r.u32())
 		d.SrcPort = r.u16()
 		d.TSVal = r.u32()
-		d.Payload = r.bytes()
-		if r.off+SkbOverheadBytes > len(r.b) {
-			r.fail()
-			break
-		}
-		r.off += SkbOverheadBytes
+		d.Payload = append([]byte(nil), r.span()...)
+		r.skip(SkbOverheadBytes)
 		s.Queue = append(s.Queue, d)
 	}
-	return s, r.err
+	return s, nil
 }
 
 // RestoreUDP materializes a UDP socket on st from the snapshot and

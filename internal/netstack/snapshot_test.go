@@ -26,7 +26,7 @@ func TestTCPSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 		pkt := &netsim.Packet{SrcIP: addrB, DstIP: addrA, Proto: netsim.ProtoTCP,
 			SrcPort: 80, DstPort: 40000, Seq: nxt, Payload: payload}
 		pkt.FixChecksum()
-		snap.WriteQueue = [][]byte{pkt.Marshal()}
+		snap.WriteQueue = appendQueue(nil, []*netsim.Packet{pkt})
 		got, err := DecodeTCPSnapshot(snap.Encode())
 		if err != nil {
 			return false
@@ -62,14 +62,15 @@ func TestIdentitySectionHasKernelImageSize(t *testing.T) {
 // same bytes behind a non-empty prefix as into an empty buffer and leaves
 // the prefix alone — padding in particular is counted from the section's
 // start, not the buffer's — and the hash forms differ from the shipped
-// ones in the capture clock only.
+// ones in the capture clock and the identity padding only.
 func TestAppendFormsStartWhereTheBufferEnds(t *testing.T) {
 	pkt := &netsim.Packet{SrcIP: addrB, DstIP: addrA, Proto: netsim.ProtoTCP, Seq: 7, Payload: []byte("queued")}
 	snap := &TCPSnapshot{
 		LocalIP: addrB, RemoteIP: addrA, LocalPort: 80, RemotePort: 40000, State: TCPEstablished,
 		ISS: 1, SndUna: 2, SndNxt: 3, IRS: 4, RcvNxt: 5, SrcJiffies: 0xA1B2C3D4, MSS: DefaultMSS,
-		SndBuf:     []byte("unsent bytes"),
-		WriteQueue: [][]byte{pkt.Marshal(), pkt.Marshal()}, ReceiveQueue: [][]byte{pkt.Marshal()},
+		SndBuf:       []byte("unsent bytes"),
+		WriteQueue:   appendQueue(nil, []*netsim.Packet{pkt, pkt}),
+		ReceiveQueue: appendQueue(nil, []*netsim.Packet{pkt}),
 	}
 	prefix := []byte("what the buffer already holds")
 	behindPrefix := func(name string, appendTo func(dst []byte) []byte) []byte {
@@ -96,9 +97,15 @@ func TestAppendFormsStartWhereTheBufferEnds(t *testing.T) {
 		if !bytes.Equal(shipped, snap.EncodeSection(id)) {
 			t.Fatalf("%s: EncodeSection differs from AppendSection(nil)", id)
 		}
-		if id == SecCore {
+		switch {
+		case id == SecCore:
 			clockOnly("core", shipped, hashed, 14*4)
-		} else if !bytes.Equal(shipped, hashed) {
+		case id == SecIdentity:
+			if len(hashed) != identityFieldBytes || !bytes.Equal(shipped[:len(hashed)], hashed) ||
+				!bytes.Equal(shipped[len(hashed):], zeros[:KernelSockImageBytes-len(hashed)]) {
+				t.Fatal("identity: the hash form is not the shipped form less its zero padding")
+			}
+		case !bytes.Equal(shipped, hashed):
 			t.Fatalf("%s: hash form differs from the shipped form", id)
 		}
 	}
@@ -123,11 +130,36 @@ func TestQueueSectionSizeCountsSkbOverhead(t *testing.T) {
 	snap := &TCPSnapshot{}
 	empty := snap.EncodeSection(SecWriteQueue)
 	pkt := &netsim.Packet{Payload: make([]byte, 100)}
-	snap.WriteQueue = [][]byte{pkt.Marshal()}
+	snap.WriteQueue = appendQueue(nil, []*netsim.Packet{pkt})
 	one := snap.EncodeSection(SecWriteQueue)
 	perBuf := len(one) - len(empty)
 	if perBuf < SkbOverheadBytes+100 {
 		t.Fatalf("per-buffer cost = %d, want at least %d", perBuf, SkbOverheadBytes+100)
+	}
+}
+
+// TestApplySectionZeroesShells: a queue section whose sk_buff shells a
+// sender filled with something other than zeros is held, and shipped on,
+// as the writer would have made it — the segments kept, the shells zero,
+// the bytes after the last segment dropped.
+func TestApplySectionZeroesShells(t *testing.T) {
+	pkts := []*netsim.Packet{{Seq: 1, Payload: []byte("one")}, {Seq: 2, Payload: []byte("two")}}
+	want := appendQueue(nil, pkts)
+	sec := append(bytes.Repeat([]byte{0x6f}, len(want)), 9, 9)
+	copy(sec, want)
+	for off, i := 4, 0; i < len(pkts); i++ {
+		off += 4 + pkts[i].Len()
+		for j := off; j < off+SkbOverheadBytes; j++ {
+			sec[j] = 0x6f
+		}
+		off += SkbOverheadBytes
+	}
+	snap := &TCPSnapshot{}
+	if err := snap.ApplySection(SecReceiveQueue, sec); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap.ReceiveQueue, want) || !bytes.Equal(snap.EncodeSection(SecReceiveQueue), want) {
+		t.Fatal("the held queue kept the sender's shell bytes")
 	}
 }
 
@@ -411,3 +443,72 @@ func TestTCPStateString(t *testing.T) {
 }
 
 var _ = simtime.JiffyPeriod // keep import when tests shrink
+
+// TestSnapshotLenMatchesEncoding: TCPSnapshotLen and UDPSnapshotLen, which
+// size a tracker's arena before anything is encoded, are the lengths
+// the encodings come out at — with a write queue in flight, a send
+// backlog, unread and out-of-order segments, and queued datagrams.
+func TestSnapshotLenMatchesEncoding(t *testing.T) {
+	p := newPair(t)
+	cli, srv := p.connect(t, 4300)
+	full := func(sk *TCPSocket) int {
+		snap := SnapshotTCP(sk)
+		n := 0
+		for id := SectionID(0); id < numSections; id++ {
+			n += len(snap.EncodeSection(id))
+		}
+		return n
+	}
+	check := func(when string) {
+		t.Helper()
+		for _, sk := range []*TCPSocket{cli, srv} {
+			if got, want := TCPSnapshotLen(sk), full(sk); got != want {
+				t.Fatalf("%s: TCPSnapshotLen = %d, sections encode to %d", when, got, want)
+			}
+		}
+	}
+	check("idle")
+	var held *netsim.Packet
+	id := p.b.RegisterHook(HookLocalIn, 0, func(pk *netsim.Packet) Verdict {
+		switch {
+		case held == nil && len(pk.Payload) > 0:
+			held = pk
+			return VerdictStolen
+		case held != nil && pk.Seq == held.Seq:
+			return VerdictDrop // the retransmissions too: the hole stays open
+		}
+		return VerdictAccept
+	})
+	cli.Send(bytes.Repeat([]byte("A"), 60*DefaultMSS)) // more than the window takes
+	p.sched.RunFor(30 * time.Microsecond)
+	if len(cli.WriteQueue()) == 0 || cli.SendBufLen() == 0 {
+		t.Fatalf("nothing in flight (%d) or no backlog (%d)", len(cli.WriteQueue()), cli.SendBufLen())
+	}
+	check("in flight")
+	p.sched.RunFor(50 * time.Millisecond)
+	if len(srv.OOOQueue()) == 0 {
+		t.Fatal("no out-of-order segment")
+	}
+	check("out of order")
+	p.b.UnregisterHook(id)
+	p.b.Reinject(held)
+	p.sched.RunFor(time.Second)
+	if len(srv.ReceiveQueue()) == 0 {
+		t.Fatal("nothing unread")
+	}
+	check("unread")
+
+	us := NewUDPSocket(p.b)
+	if err := us.Bind(addrB, 7300); err != nil {
+		t.Fatal(err)
+	}
+	ua := NewUDPSocket(p.a)
+	ua.BindEphemeral(addrA)
+	for i, msg := range []string{"", "x", "a longer datagram"} {
+		if got, want := UDPSnapshotLen(us), len(SnapshotUDP(us).Encode()); got != want {
+			t.Fatalf("%d datagrams: UDPSnapshotLen = %d, encoding is %d", i, got, want)
+		}
+		ua.SendTo(addrB, 7300, []byte(msg))
+		p.sched.Run()
+	}
+}

@@ -29,7 +29,7 @@ var goldenDeltaRounds = []string{
 // out of order, send-buffer backlog, an in-cluster session, a listener
 // and a UDP socket with queued datagrams — through four precopy rounds
 // and the freeze round, and returns each round's wire bytes.
-func scriptedDeltaRounds(t *testing.T) [][]byte {
+func scriptedDeltaRounds(t testing.TB) [][]byte {
 	env := newEnv(t, 5)
 	n1 := env.c.Nodes[0]
 	lst := netstack.NewTCPSocket(n1.Stack)

@@ -126,8 +126,19 @@ func (d *SockDelta) AppendEncode(w []byte) []byte {
 	return w
 }
 
-// DecodeSockDelta parses an encoded delta.
+// DecodeSockDelta parses an encoded delta. The delta is lent from b:
+// every section's Data and every UDPData alias it, and nothing is copied.
 func DecodeSockDelta(b []byte) (*SockDelta, error) {
+	d := new(SockDelta)
+	if err := decodeInto(d, b); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// decodeInto parses b into d, reusing d's Socks and their Sections
+// backing arrays; the data fields alias b.
+func decodeInto(d *SockDelta, b []byte) error {
 	off := 0
 	get32 := func() (uint32, error) {
 		if off+4 > len(b) {
@@ -137,68 +148,76 @@ func DecodeSockDelta(b []byte) (*SockDelta, error) {
 		off += 4
 		return v, nil
 	}
+	// span returns the next n bytes of b, capacity clipped so an append
+	// by the borrower cannot reach the bytes behind them.
+	span := func(n int) []byte {
+		v := b[off : off+n : off+n]
+		off += n
+		return v
+	}
 	round, err := get32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	count, err := get32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if count > 1<<20 {
-		return nil, fmt.Errorf("sockmig: absurd socket count %d", count)
+		return fmt.Errorf("sockmig: absurd socket count %d", count)
 	}
-	d := &SockDelta{Round: int(round)}
+	// A socket takes at least 13 bytes, which bounds what a hostile
+	// count can reserve.
+	d.Round, d.Socks = int(round), slices.Grow(d.Socks[:0], min(int(count), (len(b)-off)/13))
 	for i := uint32(0); i < count; i++ {
-		var su SockUpdate
 		fd, err := get32()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		su.FD = int(fd)
 		if off >= len(b) {
-			return nil, fmt.Errorf("sockmig: truncated kind")
+			return fmt.Errorf("sockmig: truncated kind")
 		}
-		su.Kind = b[off]
+		kind := b[off]
 		off++
 		nsec, err := get32()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if nsec > 16 {
-			return nil, fmt.Errorf("sockmig: absurd section count %d", nsec)
+			return fmt.Errorf("sockmig: absurd section count %d", nsec)
 		}
+		// The next element's Sections array, if an earlier decode left
+		// one, is reused.
+		d.Socks = slices.Grow(d.Socks, 1)[:len(d.Socks)+1]
+		su := &d.Socks[len(d.Socks)-1]
+		*su = SockUpdate{FD: int(fd), Kind: kind, Sections: slices.Grow(su.Sections[:0], int(nsec))}
 		for j := uint32(0); j < nsec; j++ {
 			if off >= len(b) {
-				return nil, fmt.Errorf("sockmig: truncated section id")
+				return fmt.Errorf("sockmig: truncated section id")
 			}
 			id := netstack.SectionID(b[off])
 			off++
 			n, err := get32()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if off+int(n) > len(b) {
-				return nil, fmt.Errorf("sockmig: truncated section data")
+				return fmt.Errorf("sockmig: truncated section data")
 			}
-			su.Sections = append(su.Sections, SectionUpdate{ID: id,
-				Data: append([]byte(nil), b[off:off+int(n)]...)})
-			off += int(n)
+			su.Sections = append(su.Sections, SectionUpdate{ID: id, Data: span(int(n))})
 		}
 		n, err := get32()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if off+int(n) > len(b) {
-			return nil, fmt.Errorf("sockmig: truncated udp data")
+			return fmt.Errorf("sockmig: truncated udp data")
 		}
 		if n > 0 {
-			su.UDPData = append([]byte(nil), b[off:off+int(n)]...)
-			off += int(n)
+			su.UDPData = span(int(n))
 		}
-		d.Socks = append(d.Socks, su)
 	}
-	return d, nil
+	return nil
 }
 
 func hashBytes(b []byte) uint64 {
@@ -210,20 +229,32 @@ func hashBytes(b []byte) uint64 {
 // Tracker maintains per-socket per-section content hashes across precopy
 // rounds — "we maintain tracking structures for connections and transfer
 // only the changes in each subsequent loop" (§III-C).
+//
+// The delta a Tracker returns is lent until the tracker's next call:
+// every section's bytes live in one arena the tracker owns, and Socks
+// and Sections reuse their backing arrays round to round. A caller
+// encodes it, or copies what it keeps, before asking for the next.
 type Tracker struct {
-	prevTCP map[int]*[numSections]uint64 // fd -> section hashes
-	prevUDP map[int]uint64               // fd -> snapshot hash
+	// prevTCP and prevUDP hold the hashes shipped last, fd -> section
+	// hashes and fd -> snapshot hash. A tracker without them (FullDelta,
+	// SingleTCP, SingleUDP) ships every section of every socket.
+	prevTCP map[int]*[numSections]uint64
+	prevUDP map[int]uint64
 	// SkippedLocked counts sockets left for a later round because they
 	// were locked or mid fast-path receive (§V-C1).
 	SkippedLocked uint64
 	round         int
 
-	// One snapshot and one encode buffer serve every socket of every
-	// round: a section is encoded into scratch to be hashed, and only a
-	// changed one is copied out, so a round over quiescent sockets
-	// allocates nothing per socket.
+	// One snapshot and one hash buffer serve every socket of every
+	// round: a section's hash form is built in scratch, and only a
+	// changed section is written, once, into the arena — so a round over
+	// quiescent sockets allocates nothing, and neither does a busy one
+	// once the arrays have grown.
 	snap    netstack.TCPSnapshot
 	scratch []byte
+	d       SockDelta
+	secs    []SectionUpdate
+	arena   []byte
 }
 
 // numSections is the number of TCP snapshot sections a delta can carry.
@@ -233,6 +264,15 @@ const numSections = int(netstack.SecOOOQueue) + 1
 func NewTracker() *Tracker {
 	return &Tracker{prevTCP: make(map[int]*[numSections]uint64), prevUDP: make(map[int]uint64)}
 }
+
+// poisonLent is the lending contract's tripwire: while set, a tracker
+// overwrites the bytes of the delta it lent last with 0xDB before it
+// builds the next, so a holder that kept one reads 0xDB.
+var poisonLent bool
+
+// PoisonLentDeltas turns the tripwire on for the rest of the process.
+// Test packages call it; the simulation never does.
+func PoisonLentDeltas() { poisonLent = true }
 
 // CaptureKeys returns the capture-filter keys for every socket of the
 // process — the payload of the collective capture-setup phase. TCP
@@ -261,93 +301,155 @@ func CaptureKeys(p *proc.Process) []netsim.FlowKey {
 // the final process freeze phase". In the freeze round the signal-based
 // notification guarantees quiescence, so every socket is inspected, and
 // changed sections are emitted; unchanged sockets are omitted entirely.
+// The delta is lent (see Tracker).
 func (t *Tracker) Delta(p *proc.Process, freeze bool) *SockDelta {
 	t.round++
-	d := &SockDelta{Round: t.round}
+	return t.scan(p, freeze)
+}
+
+// FullDelta snapshots every socket completely, ignoring history — what
+// the iterative and plain collective strategies ship in the freeze phase.
+// It is a history-less tracker's round 0.
+func FullDelta(p *proc.Process) *SockDelta { return new(Tracker).scan(p, true) }
+
+// SingleTCP builds a full-state delta for one TCP socket (the iterative
+// strategy's per-connection transfer unit).
+func SingleTCP(fd int, sk *netstack.TCPSocket) *SockDelta {
+	t := &Tracker{arena: make([]byte, 0, netstack.TCPSnapshotLen(sk))}
+	t.addTCP(fd, sk)
+	return t.lend()
+}
+
+// SingleUDP builds a full-state delta for one UDP socket.
+func SingleUDP(fd int, us *netstack.UDPSocket) *SockDelta {
+	t := &Tracker{arena: make([]byte, 0, netstack.UDPSnapshotLen(us))}
+	t.addUDP(fd, us)
+	return t.lend()
+}
+
+// scan builds one round over p's sockets: TCP in descriptor order, then
+// UDP.
+func (t *Tracker) scan(p *proc.Process, freeze bool) *SockDelta {
+	if poisonLent {
+		lent := t.arena[:cap(t.arena)]
+		for i := range lent {
+			lent[i] = 0xDB
+		}
+	}
+	t.arena, t.secs, t.d.Socks = t.arena[:0], t.secs[:0], t.d.Socks[:0]
 	fds := p.FDs.FDs()
+	if cap(t.arena) == 0 {
+		t.reserve(p, fds)
+	}
 	for _, fd := range fds {
 		f, ok := p.FDs.Get(fd).(*proc.TCPFile)
 		if !ok {
 			continue
 		}
-		sk := f.Sock
-		if !freeze && (sk.Locked() || sk.PrequeueBusy()) {
+		if !freeze && (f.Sock.Locked() || f.Sock.PrequeueBusy()) {
 			t.SkippedLocked++
 			continue
 		}
-		netstack.SnapshotTCPInto(&t.snap, sk)
-		prev := t.prevTCP[fd]
-		if prev == nil {
+		t.addTCP(fd, f.Sock)
+	}
+	for _, fd := range fds {
+		if f, ok := p.FDs.Get(fd).(*proc.UDPFile); ok {
+			t.addUDP(fd, f.Sock)
+		}
+	}
+	return t.lend()
+}
+
+// reserve sizes a cold tracker's arena and arrays for every section of
+// every socket — what its first round ships — so the round that fills
+// them most does not grow them by doubling.
+func (t *Tracker) reserve(p *proc.Process, fds []int) {
+	bytes, ntcp := 0, 0
+	for _, fd := range fds {
+		switch f := p.FDs.Get(fd).(type) {
+		case *proc.TCPFile:
+			bytes += netstack.TCPSnapshotLen(f.Sock)
+			ntcp++
+		case *proc.UDPFile:
+			bytes += netstack.UDPSnapshotLen(f.Sock)
+		}
+	}
+	t.arena = make([]byte, 0, bytes)
+	t.secs = make([]SectionUpdate, 0, ntcp*numSections)
+	t.d.Socks = make([]SockUpdate, 0, len(fds))
+}
+
+// addTCP appends sk's changed sections — all of them without history —
+// to the round.
+func (t *Tracker) addTCP(fd int, sk *netstack.TCPSocket) {
+	netstack.SnapshotTCPInto(&t.snap, sk)
+	var prev *[numSections]uint64
+	if t.prevTCP != nil {
+		if prev = t.prevTCP[fd]; prev == nil {
 			prev = new([numSections]uint64)
 			t.prevTCP[fd] = prev
 		}
-		su := SockUpdate{FD: fd, Kind: 'T'}
-		for id := netstack.SectionID(0); int(id) < numSections; id++ {
+	}
+	first := len(t.secs)
+	for id := netstack.SectionID(0); int(id) < numSections; id++ {
+		if prev != nil {
 			t.scratch = t.snap.AppendSectionHashBytes(t.scratch[:0], id)
 			h := hashBytes(t.scratch)
 			if h == prev[id] {
 				continue
 			}
 			prev[id] = h
-			data := make([]byte, len(t.scratch))
-			if id == netstack.SecCore {
-				// The hashed form has the capture clock masked; ship the
-				// real one (same length, a few dozen bytes).
-				data = t.snap.AppendSection(data[:0], id)
-			} else {
-				copy(data, t.scratch)
-			}
-			su.Sections = append(su.Sections, SectionUpdate{ID: id, Data: data})
 		}
-		if len(su.Sections) > 0 {
-			d.Socks = append(d.Socks, su)
-		}
+		at := len(t.arena)
+		t.arena = t.snap.AppendSection(t.arena, id)
+		t.secs = append(t.secs, SectionUpdate{ID: id, Data: t.arena[at:]})
 	}
-	for _, fd := range fds {
-		f, ok := p.FDs.Get(fd).(*proc.UDPFile)
-		if !ok {
-			continue
-		}
-		snap := netstack.SnapshotUDP(f.Sock)
+	if len(t.secs) > first {
+		t.d.Socks = append(t.d.Socks, SockUpdate{FD: fd, Kind: 'T', Sections: t.secs[first:]})
+	}
+}
+
+// addUDP appends us's snapshot to the round if it changed.
+func (t *Tracker) addUDP(fd int, us *netstack.UDPSocket) {
+	snap := netstack.SnapshotUDP(us)
+	if t.prevUDP != nil {
 		t.scratch = snap.AppendHashBytes(t.scratch[:0])
 		h := hashBytes(t.scratch)
-		if h != t.prevUDP[fd] {
-			t.prevUDP[fd] = h
-			d.Socks = append(d.Socks, SockUpdate{FD: fd, Kind: 'U',
-				UDPData: snap.AppendEncode(make([]byte, 0, len(t.scratch)))})
+		if h == t.prevUDP[fd] {
+			return
 		}
+		t.prevUDP[fd] = h
 	}
-	return d
+	at := len(t.arena)
+	t.arena = snap.AppendEncode(t.arena)
+	t.d.Socks = append(t.d.Socks, SockUpdate{FD: fd, Kind: 'U', UDPData: t.arena[at:]})
 }
 
-// fullTCP is the all-sections update of one TCP socket.
-func fullTCP(fd int, sk *netstack.TCPSocket) SockUpdate {
-	snap := netstack.SnapshotTCP(sk)
-	su := SockUpdate{FD: fd, Kind: 'T', Sections: make([]SectionUpdate, numSections)}
-	for i := range su.Sections {
-		id := netstack.SectionID(i)
-		su.Sections[i] = SectionUpdate{ID: id, Data: snap.EncodeSection(id)}
+// lend points every update of the round at the final arena and sections
+// array — an append during the round may have moved either — with
+// capacities clipped, and returns the delta.
+func (t *Tracker) lend() *SockDelta {
+	off, next := 0, 0
+	take := func(n int) []byte {
+		v := t.arena[off : off+n : off+n]
+		off += n
+		return v
 	}
-	return su
-}
-
-// FullDelta snapshots every socket completely, ignoring history — what
-// the iterative and plain collective strategies ship in the freeze phase.
-func FullDelta(p *proc.Process) *SockDelta {
-	d := &SockDelta{Round: 0}
-	fds := p.FDs.FDs()
-	for _, fd := range fds {
-		if f, ok := p.FDs.Get(fd).(*proc.TCPFile); ok {
-			d.Socks = append(d.Socks, fullTCP(fd, f.Sock))
+	for i := range t.d.Socks {
+		su := &t.d.Socks[i]
+		if su.Kind == 'U' {
+			su.UDPData = take(len(su.UDPData))
+			continue
+		}
+		n := len(su.Sections)
+		su.Sections = t.secs[next : next+n : next+n]
+		next += n
+		for j := range su.Sections {
+			su.Sections[j].Data = take(len(su.Sections[j].Data))
 		}
 	}
-	for _, fd := range fds {
-		if f, ok := p.FDs.Get(fd).(*proc.UDPFile); ok {
-			d.Socks = append(d.Socks, SockUpdate{FD: fd, Kind: 'U',
-				UDPData: netstack.SnapshotUDP(f.Sock).Encode()})
-		}
-	}
-	return d
+	t.d.Round = t.round
+	return &t.d
 }
 
 // SocketsInFDOrder returns the process's sockets in FD-table order, the
@@ -376,18 +478,6 @@ func FDOfUDP(p *proc.Process, us *netstack.UDPSocket) int {
 	return -1
 }
 
-// SingleTCP builds a full-state delta for one TCP socket (the iterative
-// strategy's per-connection transfer unit).
-func SingleTCP(fd int, sk *netstack.TCPSocket) *SockDelta {
-	return &SockDelta{Socks: []SockUpdate{fullTCP(fd, sk)}}
-}
-
-// SingleUDP builds a full-state delta for one UDP socket.
-func SingleUDP(fd int, us *netstack.UDPSocket) *SockDelta {
-	return &SockDelta{Socks: []SockUpdate{{FD: fd, Kind: 'U',
-		UDPData: netstack.SnapshotUDP(us).Encode()}}}
-}
-
 func sortInts(a []int) {
 	for i := 1; i < len(a); i++ {
 		for j := i; j > 0 && a[j] < a[j-1]; j-- {
@@ -403,6 +493,9 @@ type Store struct {
 	udp map[int]*netstack.UDPSnapshot
 	// BytesApplied counts payload bytes folded in, per kind.
 	BytesApplied uint64
+	// decoded is ApplyEncoded's decode target: its arrays are reused
+	// delta to delta, its bytes are the caller's.
+	decoded SockDelta
 }
 
 // NewStore creates an empty accumulator.
@@ -410,31 +503,50 @@ func NewStore() *Store {
 	return &Store{tcp: make(map[int]*netstack.TCPSnapshot), udp: make(map[int]*netstack.UDPSnapshot)}
 }
 
-// Apply folds one delta into the store.
+// ApplyEncoded decodes one encoded delta and folds it in (see Apply).
+// Nothing of b is read after it returns.
+func (s *Store) ApplyEncoded(b []byte) error {
+	if err := decodeInto(&s.decoded, b); err != nil {
+		return err
+	}
+	return s.Apply(&s.decoded)
+}
+
+// Apply folds one delta into the store, or returns an error and folds
+// nothing: every section is checked before the first is applied. The
+// store copies what it keeps, so d may be lent.
 func (s *Store) Apply(d *SockDelta) error {
 	for _, su := range d.Socks {
 		switch su.Kind {
 		case 'T':
-			snap := s.tcp[su.FD]
-			if snap == nil {
-				snap = &netstack.TCPSnapshot{}
-				s.tcp[su.FD] = snap
-			}
 			for _, sec := range su.Sections {
-				if err := snap.ApplySection(sec.ID, sec.Data); err != nil {
+				if err := netstack.CheckSection(sec.ID, sec.Data); err != nil {
 					return fmt.Errorf("sockmig: fd %d section %v: %w", su.FD, sec.ID, err)
 				}
-				s.BytesApplied += uint64(len(sec.Data))
 			}
 		case 'U':
-			snap, err := netstack.DecodeUDPSnapshot(su.UDPData)
-			if err != nil {
+			if err := netstack.CheckUDPSnapshot(su.UDPData); err != nil {
 				return fmt.Errorf("sockmig: fd %d udp: %w", su.FD, err)
 			}
-			s.udp[su.FD] = snap
-			s.BytesApplied += uint64(len(su.UDPData))
 		default:
 			return fmt.Errorf("sockmig: unknown socket kind %q", su.Kind)
+		}
+	}
+	// Checked: nothing below can fail.
+	for _, su := range d.Socks {
+		if su.Kind == 'U' {
+			s.udp[su.FD], _ = netstack.DecodeUDPSnapshot(su.UDPData)
+			s.BytesApplied += uint64(len(su.UDPData))
+			continue
+		}
+		snap := s.tcp[su.FD]
+		if snap == nil {
+			snap = &netstack.TCPSnapshot{}
+			s.tcp[su.FD] = snap
+		}
+		for _, sec := range su.Sections {
+			_ = snap.ApplySection(sec.ID, sec.Data)
+			s.BytesApplied += uint64(len(sec.Data))
 		}
 	}
 	return nil

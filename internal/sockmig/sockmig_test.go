@@ -1,6 +1,7 @@
 package sockmig
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -93,7 +94,7 @@ type testEnv struct {
 	dbPeer  *netstack.TCPSocket
 }
 
-func newEnv(t *testing.T, nTCP int) *testEnv {
+func newEnv(t testing.TB, nTCP int) *testEnv {
 	t.Helper()
 	c := proc.NewCluster(simtime.NewScheduler(), 2)
 	n1, n2 := c.Nodes[0], c.Nodes[1]
@@ -385,5 +386,74 @@ func TestFullDeltaSizeScalesLinearly(t *testing.T) {
 	}
 	if perConn8 < float64(netstack.KernelSockImageBytes) {
 		t.Fatalf("per-connection bytes %v below kernel image size", perConn8)
+	}
+}
+
+// TestStoreApplyIsAllOrNothing: a delta whose third socket carries a
+// truncated queue section folds nothing — not the two sockets before it,
+// and not the sections of a socket the store already holds.
+func TestStoreApplyIsAllOrNothing(t *testing.T) {
+	env := newEnv(t, 4)
+	env.clients[1].Send([]byte("unread"))
+	env.c.Sched.RunFor(50 * time.Millisecond)
+	store := NewStore()
+	if err := store.ApplyEncoded(FullDelta(env.p).Encode()); err != nil {
+		t.Fatal(err)
+	}
+	before := map[int][]byte{}
+	for fd, snap := range store.tcp {
+		before[fd] = snap.Encode()
+	}
+	applied := store.BytesApplied
+
+	d := FullDelta(env.p)
+	for i := range d.Socks[:2] {
+		for j := range d.Socks[i].Sections {
+			d.Socks[i].Sections[j].Data = bytes.Repeat([]byte{0x5A}, len(d.Socks[i].Sections[j].Data))
+		}
+		d.Socks[i].Sections = d.Socks[i].Sections[:1] // identity only: well formed, new content
+	}
+	third := d.Socks[2].Sections
+	for j := range third {
+		if third[j].ID == netstack.SecReceiveQueue {
+			third[j].Data = third[j].Data[:len(third[j].Data)-1]
+		}
+	}
+	d.Socks = append(d.Socks, SockUpdate{FD: 99, Kind: 'T'}) // a socket the store does not hold yet
+	if err := store.ApplyEncoded(d.Encode()); err == nil {
+		t.Fatal("truncated receive queue accepted")
+	}
+	if store.BytesApplied != applied || store.TCPCount() != len(before) {
+		t.Fatalf("after a rejected delta: %d bytes applied (was %d), %d sockets (was %d)",
+			store.BytesApplied, applied, store.TCPCount(), len(before))
+	}
+	for fd, snap := range store.tcp {
+		if !bytes.Equal(snap.Encode(), before[fd]) {
+			t.Fatalf("fd %d changed by a rejected delta", fd)
+		}
+	}
+}
+
+// TestTrackerLendsUntilNextCall: a round's bytes are the tracker's, and
+// the package's tests run with the tripwire on — a section kept past
+// the next Delta reads 0xDB, while an encoded copy is the caller's.
+func TestTrackerLendsUntilNextCall(t *testing.T) {
+	env := newEnv(t, 2)
+	tr := NewTracker()
+	d := tr.Delta(env.p, false)
+	kept := d.Socks[0].Sections[0].Data
+	enc := d.Encode()
+	if bytes.Count(kept, []byte{0xDB}) == len(kept) {
+		t.Fatal("a fresh section is already poisoned")
+	}
+	if !tr.Delta(env.p, false).Empty() {
+		t.Fatal("quiescent round shipped sockets")
+	}
+	if bytes.Count(kept, []byte{0xDB}) != len(kept) {
+		t.Fatal("a section kept past the next Delta was not poisoned")
+	}
+	got, err := DecodeSockDelta(enc)
+	if err != nil || len(got.Socks) != 3 || bytes.Contains(got.Socks[0].Sections[1].Data, bytes.Repeat([]byte{0xDB}, 8)) {
+		t.Fatalf("the encoded copy did not survive the next round: %v", err)
 	}
 }
