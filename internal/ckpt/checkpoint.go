@@ -98,18 +98,12 @@ func SocketFDs(p *proc.Process) (tcp map[int]*netstack.TCPSocket, udp map[int]*n
 // (rehash + retransmission timer restart), recreate threads with their
 // registers, re-install signal handlers, and resume the real-time loop.
 func Restore(n *proc.Node, img *Image) (*proc.Process, error) {
-	p := n.Spawn(img.Name, 0)
 	// BLCR restores the original PID when possible.
-	n.Detach(p)
-	p.PID = img.PID
-	n.Adopt(p)
-
+	p := n.Arrive(img.Name, img.PID, proc.NewAddressSpace(), len(img.Threads))
 	p.CPUDemand = img.CPUDemand
-	p.Threads = p.Threads[:0] // replace the bootstrap thread
-	for _, ti := range img.Threads {
-		th := p.NewThread()
-		th.TID = ti.TID
-		th.Regs = ti.Regs
+	for i, ti := range img.Threads {
+		p.Threads[i].TID = ti.TID
+		p.Threads[i].Regs = ti.Regs
 	}
 	for _, v := range img.VMAs {
 		if _, err := p.AS.MmapFixed(v.Start, v.End, v.Perms); err != nil {

@@ -171,6 +171,58 @@ func TestTrackerDeltaOnlyDirty(t *testing.T) {
 	}
 }
 
+// TestMemTrackerLendsUntilNextCall: Delta lends the tracker's own delta,
+// its lists reusing their arrays, until the tracker's next call. The
+// package runs with the tripwire on (export_test.go), so a page list
+// kept past the next Delta reads sentinel entries — index ^0, 0xDB
+// content — while the live frames those entries pointed at stay as the
+// process wrote them.
+func TestMemTrackerLendsUntilNextCall(t *testing.T) {
+	as := proc.NewAddressSpace()
+	heap := as.Mmap(8*proc.PageSize, "rw-")
+	for i := uint64(0); i < 8; i++ {
+		if err := as.Write(heap.Start+i*proc.PageSize, []byte{byte(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tr Tracker
+	d1 := tr.Delta(as)
+	kept := d1.Pages
+	if len(kept) != 8 {
+		t.Fatalf("first round lent %d pages, want 8", len(kept))
+	}
+	as.Touch(heap.Start + 3*proc.PageSize)
+	var live [8]byte
+	for i := range live {
+		b, _ := as.Read(heap.Start+uint64(i)*proc.PageSize, 1)
+		live[i] = b[0]
+	}
+	d2 := tr.Delta(as)
+	if d2 != d1 || d2.Round != 2 || len(d2.Pages) != 1 || d2.Pages[0].Index != 3 {
+		t.Fatalf("second round: same delta %v, round %d, %d pages", d2 == d1, d2.Round, len(d2.Pages))
+	}
+	for i, pg := range kept {
+		if pg.Index != ^uint64(0) || len(pg.Data) != proc.PageSize || pg.Data[0] != 0xDB || pg.Data[proc.PageSize-1] != 0xDB {
+			t.Fatalf("entry %d kept past the next Delta is not poisoned: index %#x, data % x", i, pg.Index, pg.Data[:1])
+		}
+	}
+	for i, want := range live {
+		if b, _ := as.Read(heap.Start+uint64(i)*proc.PageSize, 1); b[0] != want {
+			t.Fatalf("the tripwire wrote into live page %d: %#x, want %#x", i, b[0], want)
+		}
+	}
+
+	// Without the tripwire the next round is built in the same arrays.
+	poisonLent = false
+	defer func() { poisonLent = true }()
+	as.Touch(heap.Start + 5*proc.PageSize)
+	before := &tr.Delta(as).Pages[0]
+	as.Touch(heap.Start + 6*proc.PageSize)
+	if d := tr.Delta(as); &d.Pages[0] != before || d.Pages[0].Index != 6 {
+		t.Fatal("an unpoisoned round did not reuse the page list")
+	}
+}
+
 func TestTrackerGeometryChanges(t *testing.T) {
 	c := newTestCluster(1)
 	p := buildProcess(c)

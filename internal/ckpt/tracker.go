@@ -1,6 +1,11 @@
 package ckpt
 
-import "dvemig/internal/proc"
+import (
+	"bytes"
+	"slices"
+
+	"dvemig/internal/proc"
+)
 
 // MemDelta is one round of incremental address-space updates: geometry
 // changes against the tracking list plus the content of pages dirtied
@@ -71,11 +76,11 @@ func (d *MemDelta) AppendEncode(dst []byte) []byte {
 }
 
 // decodeDeltaHeader parses everything in an encoded delta ahead of the
-// page records — round, geometry lists, page count — leaving r at the
-// first record. Both the materialising decoder and the in-place apply
-// start here, so the delta grammar is written once.
-func decodeDeltaHeader(r *rbuf) (d *MemDelta, npages int) {
-	d = &MemDelta{Round: int(r.u32())}
+// page records — round, geometry lists, page count — into d, leaving r
+// at the first record. Both the materialising decoder and the in-place
+// apply start here, so the delta grammar is written once.
+func decodeDeltaHeader(r *rbuf, d *MemDelta) (npages int) {
+	d.Round = int(r.u32())
 	n := int(r.u32())
 	for i := 0; i < n && r.err == nil; i++ {
 		d.NewVMAs = append(d.NewVMAs, VMARange{Start: r.u64(), End: r.u64(), Perms: r.str()})
@@ -88,14 +93,15 @@ func decodeDeltaHeader(r *rbuf) (d *MemDelta, npages int) {
 	for i := 0; i < n && r.err == nil; i++ {
 		d.Resized = append(d.Resized, VMARange{Start: r.u64(), End: r.u64(), Perms: r.str()})
 	}
-	return d, int(r.u32())
+	return int(r.u32())
 }
 
 // DecodeMemDelta parses an encoded delta, materialising every page's
 // full content in freshly allocated buffers.
 func DecodeMemDelta(data []byte) (*MemDelta, error) {
 	r := &rbuf{b: data}
-	d, n := decodeDeltaHeader(r)
+	d := new(MemDelta)
+	n := decodeDeltaHeader(r, d)
 	for i := 0; i < n && r.err == nil; i++ {
 		d.Pages = append(d.Pages, PageImage{VMAStart: r.u64(), Index: r.u64(), Data: decodePageData(r)})
 	}
@@ -114,9 +120,13 @@ type trackEntry struct {
 // store the memory area properties of the last incremental loop" (§V-A).
 // Each round it diffs the live vm_area list against the tracking list,
 // emits geometry changes, collects dirty pages and clears their bits.
+// The zero value is an empty tracker.
 type Tracker struct {
 	prev  []trackEntry
 	round int
+	// d is the delta Delta lends; its lists keep their arrays round to
+	// round.
+	d MemDelta
 }
 
 // NewTracker returns an empty tracker; the first Delta call transfers
@@ -124,19 +134,46 @@ type Tracker struct {
 // of "memory mappings" in Fig 3).
 func NewTracker() *Tracker { return &Tracker{} }
 
+// poisonLent is the lending contract's tripwire: while set, Delta
+// overwrites every page entry it lent last with poisonEntry and builds
+// the next round in a fresh list, so a holder that kept the list reads
+// index ^0 and 0xDB content. Only the entries are replaced — the frames
+// they pointed at are live pages and are never written.
+var (
+	poisonLent  bool
+	poisonEntry PageImage
+)
+
+// PoisonLentMemDeltas turns the tripwire on for the rest of the
+// process. Test packages call it; the simulation never does.
+func PoisonLentMemDeltas() {
+	poisonLent = true
+	poisonEntry = PageImage{Index: ^uint64(0), Data: bytes.Repeat([]byte{0xDB}, proc.PageSize)}
+}
+
 // Round returns how many deltas have been produced.
 func (t *Tracker) Round() int { return t.round }
 
 // Delta computes one incremental round against the address space.
 //
-// Page content is lent, not copied: every Pages[i].Data aliases the live
-// page it was read from and is valid until the address space is next
-// written. A caller must finish with the bytes (encode them, apply
-// them, or copy them) before the process can run again; the migration
-// engine encodes in the same event that computed the delta.
+// The delta is lent, not built: it is the tracker's own, and its lists
+// reuse their arrays, so it is valid until the tracker's next call. Page
+// content is lent for less: every Pages[i].Data aliases the live page it
+// was read from and is valid until the address space is next written. A
+// caller must finish with the delta (encode it, apply it, or copy what
+// it keeps) before the process can run again; the migration engine
+// encodes in the same event that computed it.
 func (t *Tracker) Delta(as *proc.AddressSpace) *MemDelta {
 	t.round++
-	d := &MemDelta{Round: t.round}
+	d := &t.d
+	if poisonLent {
+		for i := range d.Pages {
+			d.Pages[i] = poisonEntry
+		}
+		d.Pages = nil
+	}
+	d.Round = t.round
+	d.NewVMAs, d.Removed, d.Resized = d.NewVMAs[:0], d.Removed[:0], d.Resized[:0]
 	live := as.VMAs()
 
 	// Diff the live VMA list against the tracking list with one merge
@@ -173,7 +210,7 @@ func (t *Tracker) Delta(as *proc.AddressSpace) *MemDelta {
 			n += v.DirtyCount()
 		}
 	}
-	d.Pages = make([]PageImage, 0, n)
+	d.Pages = slices.Grow(d.Pages[:0], n)
 	for _, v := range live {
 		lend := func(e proc.PTE) {
 			d.Pages = append(d.Pages, PageImage{VMAStart: v.Start, Index: e.Index, Data: e.Frame})
@@ -243,7 +280,8 @@ func applyGeometry(as *proc.AddressSpace, d *MemDelta) error {
 // the shadow space on any error.
 func ApplyEncodedDelta(as *proc.AddressSpace, payload []byte) error {
 	r := &rbuf{b: payload}
-	d, n := decodeDeltaHeader(r)
+	var d MemDelta
+	n := decodeDeltaHeader(r, &d)
 	first := r.off
 	for i := 0; i < n && r.err == nil; i++ {
 		nextPageRec(r)
@@ -251,7 +289,7 @@ func ApplyEncodedDelta(as *proc.AddressSpace, payload []byte) error {
 	if r.err != nil {
 		return r.err
 	}
-	if err := applyGeometry(as, d); err != nil {
+	if err := applyGeometry(as, &d); err != nil {
 		return err
 	}
 

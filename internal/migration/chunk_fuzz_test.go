@@ -31,8 +31,8 @@ func newFakeSrc(t *testing.T, c *proc.Cluster, from, to *proc.Node) *fakeSrc {
 	t.Helper()
 	fs := &fakeSrc{c: c}
 	sk := netstack.NewTCPSocket(from.Stack)
-	fs.conn = NewConn(sk)
-	fs.conn.OnMsg = func(mt MsgType, payload []byte) {
+	fs.conn = newConn(sk, nil, nil)
+	fs.conn.funcs().onMsg = func(mt MsgType, payload []byte) {
 		switch mt {
 		case MsgMigrateAck:
 			fs.acked = true
@@ -42,7 +42,7 @@ func newFakeSrc(t *testing.T, c *proc.Cluster, from, to *proc.Node) *fakeSrc {
 			fs.aborts = append(fs.aborts, string(payload))
 		}
 	}
-	fs.conn.OnClose = func() { fs.closed = true }
+	fs.conn.funcs().onClose = func() { fs.closed = true }
 	if err := sk.Connect(to.LocalIP, MigdPort); err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,8 @@ type inbound struct {
 	shadowAS *proc.AddressSpace
 	store    *sockmig.Store
 	filters  []*capture.Filter
+	// img is the decoded final image, held across the restore window.
+	img *ckpt.Image
 
 	// st is where the inbound stands (states.go). strat is the row the
 	// request's mode names: what kind of final image to expect and
@@ -42,18 +44,20 @@ type inbound struct {
 	chunkBuf    []byte
 
 	// silence discards the half-restored state if the source goes silent
-	// (a crashed source sends no FIN, so OnClose never fires). Renewed on
-	// every message of the transfer; disarmed once the full final image
-	// has arrived — from that point the restore completes whether the
-	// source lives or not, and the source being dead just means one
-	// owner, here — and armed again while a resumed process has holes.
+	// (a crashed source sends no FIN, so the connection never hangs up).
+	// Renewed on every message of the transfer; disarmed once the full
+	// final image has arrived — from that point the restore completes
+	// whether the source lives or not, and the source being dead just
+	// means one owner, here — and armed again while a resumed process has
+	// holes.
 	silence silenceTimer
 
 	// pt is the migration's phase clock and span cursor.
 	pt phaseTrack
 }
 
-func (ib *inbound) onMsg(t MsgType, payload []byte) {
+// frame is the destination's half of the protocol (see outbound.frame).
+func (ib *inbound) frame(_ *Conn, t MsgType, payload []byte) {
 	st := ib.st
 	if st == ibClosed {
 		// In flight behind our close (the rest of a chunk stream, prefetch
@@ -179,10 +183,20 @@ func (ib *inbound) restore(fi finalImage) {
 	}
 	nsock := ib.store.TCPCount() + ib.store.UDPCount()
 	cost := simtime.Duration(nsock)*costSockRestore + costFreezeOverhead
-	ib.m.sched().After(cost, "migd.restore", func() {
-		ib.finishRestore(img)
-	})
+	ib.img = img
+	ib.m.sched().AfterCall(cost, "migd.restore", restoreCall, ib, nil)
 }
+
+// restoreCall ends the restore window.
+func restoreCall(a0, _ any) {
+	ib := a0.(*inbound)
+	img := ib.img
+	ib.img = nil
+	ib.finishRestore(img)
+}
+
+// closed is the source's hang-up: nothing half-restored survives it.
+func (ib *inbound) closed(*Conn) { ib.cleanup() }
 
 func (ib *inbound) finishRestore(img *ckpt.Image) {
 	if ib.st != ibRestoring {
@@ -193,17 +207,11 @@ func (ib *inbound) finishRestore(img *ckpt.Image) {
 		return // the node crashed during the restore window
 	}
 	n := ib.m.Node
-	p := n.Spawn(img.Name, 0)
-	n.Detach(p)
-	p.PID = ib.req.PID
-	n.Adopt(p)
-	p.Threads = p.Threads[:0]
-	for _, ti := range img.Threads {
-		th := p.NewThread()
-		th.TID = ti.TID
-		th.Regs = ti.Regs
+	p := n.Arrive(img.Name, ib.req.PID, ib.shadowAS, len(img.Threads))
+	for i, ti := range img.Threads {
+		p.Threads[i].TID = ti.TID
+		p.Threads[i].Regs = ti.Regs
 	}
-	p.AS = ib.shadowAS
 	p.CPUDemand = img.CPUDemand
 	if err := ckpt.RestoreFDs(n, p, img.FDs); err != nil {
 		ib.abort(err)

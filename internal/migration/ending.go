@@ -192,7 +192,7 @@ func (ib *inbound) hangUp() {
 }
 
 // cleanup discards every piece of inbound state: nothing half-restored
-// survives. It is what the source's ABORT and its hanging up (OnClose)
+// survives. It is what the source's ABORT and its hanging up (closed)
 // do; the connection itself stays as it is.
 func (ib *inbound) cleanup() {
 	if ib.puller != nil {
@@ -211,6 +211,7 @@ func (ib *inbound) cleanup() {
 	ib.silence.stop(ib.m)
 	ib.shadowAS = nil
 	ib.store = nil
+	ib.img = nil
 	ib.pt.abandon()
 }
 

@@ -4,6 +4,7 @@ import (
 	"os"
 	"testing"
 
+	"dvemig/internal/ckpt"
 	"dvemig/internal/netsim"
 	"dvemig/internal/proc"
 	"dvemig/internal/sockmig"
@@ -17,12 +18,14 @@ import (
 // sockets' lent datagrams, and the page table to the stale frame a
 // placeholder keeps (hybrid's re-shipped pages): whoever read one instead
 // of faulting sees 0xDB too. A socket tracker overwrites the delta it lent
-// last with 0xDB before building the next.
+// last with 0xDB before building the next, and a memory tracker the page
+// list it lent last with sentinel entries (index ^0, 0xDB content).
 func TestMain(m *testing.M) {
 	poisonLent = true
 	netsim.PoisonReleasedPayloads()
 	proc.PoisonStaleFrames()
 	sockmig.PoisonLentDeltas()
+	ckpt.PoisonLentMemDeltas()
 	os.Exit(m.Run())
 }
 
@@ -52,4 +55,34 @@ func (m finalImage) encode(kind byte) []byte {
 	}
 	b, _, _ := appendFinalImage(nil, kind, m.FreezeStart, lit(m.Image), lit(m.Mem), lit(m.SockDelta))
 	return b
+}
+
+// connFuncs is a Conn owner made of two funcs, either of which may be
+// nil: the adapter for tests that watch a connection with no outbound or
+// inbound behind it.
+type connFuncs struct {
+	onMsg   func(t MsgType, payload []byte)
+	onClose func()
+}
+
+func (f *connFuncs) frame(_ *Conn, t MsgType, payload []byte) {
+	if f.onMsg != nil {
+		f.onMsg(t, payload)
+	}
+}
+
+func (f *connFuncs) closed(*Conn) {
+	if f.onClose != nil {
+		f.onClose()
+	}
+}
+
+// funcs installs a connFuncs as c's owner, once, and returns it.
+func (c *Conn) funcs() *connFuncs {
+	f, ok := c.owner.(*connFuncs)
+	if !ok {
+		f = &connFuncs{}
+		c.owner = f
+	}
+	return f
 }

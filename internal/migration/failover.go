@@ -86,22 +86,27 @@ func NewStandby(n *proc.Node) (*Standby, error) {
 	if err := s.listener.Listen(n.LocalIP, StandbyPort); err != nil {
 		return nil, err
 	}
-	s.listener.OnAccept = func(ch *netstack.TCPSocket) {
-		conn := NewConn(ch)
-		conn.OnMsg = func(t MsgType, payload []byte) {
-			if t != msgCkptImage {
-				return
-			}
-			name, token, seq, ep, tctx, img, err := decodeCkptImage(payload)
-			if err != nil {
-				return
-			}
-			s.offer(name, token, seq, ep, tctx, ch.RemoteIP, img)
-			conn.Send(msgCkptAck, payload[:8])
-		}
-	}
+	s.listener.OnAccept = func(ch *netstack.TCPSocket) { newConn(ch, s, nil) }
 	return s, nil
 }
+
+// frame stores a guardian's image and acknowledges it; the standby is
+// the owner of every guardian connection it accepts.
+func (s *Standby) frame(c *Conn, t MsgType, payload []byte) {
+	if t != msgCkptImage {
+		return
+	}
+	name, token, seq, ep, tctx, img, err := decodeCkptImage(payload)
+	if err != nil {
+		return
+	}
+	s.offer(name, token, seq, ep, tctx, c.sk.RemoteIP, img)
+	c.Send(msgCkptAck, payload[:8])
+}
+
+// closed: a guardian that hangs up leaves its images stored; they are
+// what a failover activates.
+func (s *Standby) closed(*Conn) {}
 
 // offer folds a received image into the store under the freshness order
 // (epoch, then seq). Superseded and refused images release their
@@ -121,7 +126,7 @@ func (s *Standby) offer(name string, token, seq, ep uint64, tctx obs.TraceContex
 	if cur == nil {
 		s.evictFor(name)
 	}
-	// img is lent by the connection (Conn.OnMsg); the store outlives it.
+	// img is lent by the connection (Standby.frame); the store outlives it.
 	s.images[name] = &standbyImage{data: append([]byte(nil), img...), token: token, seq: seq,
 		epoch: ep, from: from, at: s.Node.Sched.Now(), tctx: tctx}
 	s.Stored++
@@ -280,7 +285,7 @@ func NewGuardian(p *proc.Process, buddy netsim.Addr, interval simtime.Duration) 
 	}
 	g := &Guardian{Node: p.Node, Proc: p, BuddyIP: buddy}
 	sk := netstack.NewTCPSocket(g.Node.Stack)
-	g.conn = NewConn(sk)
+	g.conn = newConn(sk, nil, nil)
 	if err := sk.Connect(buddy, StandbyPort); err != nil {
 		return nil, err
 	}

@@ -28,7 +28,7 @@ func TestStandbyCopiesLentImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	sk := netstack.NewTCPSocket(c.Nodes[0].Stack)
-	cl := NewConn(sk)
+	cl := newConn(sk, nil, nil)
 	if err := sk.Connect(c.Nodes[1].LocalIP, StandbyPort); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestConnReturnsBufferOnClose(t *testing.T) {
 
 	b := idleConn(bufs)
 	var seen []string
-	b.OnMsg = func(_ MsgType, payload []byte) {
+	b.funcs().onMsg = func(_ MsgType, payload []byte) {
 		if len(seen) == 0 {
 			b.Close()
 		}
@@ -132,7 +132,7 @@ func TestConnReturnsBufferOnPeerEOF(t *testing.T) {
 
 // TestConnHangsUpOnOverBoundHeader: a five-byte header declaring a frame
 // above maxFrameBytes is not waited for. The frame ahead of it is
-// dispatched, the connection closes and tells its owner through OnClose
+// dispatched, the connection closes and tells its owner it hung up
 // (once), nothing the peer sends afterwards is buffered or parsed — the
 // frame boundaries are gone — and the receive buffer goes back to the
 // free list instead of growing toward the declared size.
@@ -140,16 +140,16 @@ func TestConnHangsUpOnOverBoundHeader(t *testing.T) {
 	bufs := &bufList{}
 	c := idleConn(bufs)
 	var seen []MsgType
-	c.OnMsg = func(mt MsgType, _ []byte) { seen = append(seen, mt) }
+	c.funcs().onMsg = func(mt MsgType, _ []byte) { seen = append(seen, mt) }
 	hangups := 0
-	c.OnClose = func() { hangups++ }
+	c.funcs().onClose = func() { hangups++ }
 
 	c.feed(frameBytes(MsgMigrateAck, nil))
 	c.feed([]byte{byte(MsgChunk), 0xFF, 0xFF, 0xFF, 0xFF}) // 4 GiB - 1
 	c.feed(make([]byte, 1<<20))
 	c.feed(frameBytes(MsgAbort, nil))
 	if !c.closed || hangups != 1 {
-		t.Fatalf("closed=%v, OnClose fired %d times", c.closed, hangups)
+		t.Fatalf("closed=%v, owner told of %d hang-ups", c.closed, hangups)
 	}
 	if c.buf != nil || len(bufs.free) != 1 || cap(bufs.free[0]) >= maxFrameBytes {
 		t.Fatalf("receive buffer not handed back small: conn holds %v, free list %d", c.buf != nil, len(bufs.free))

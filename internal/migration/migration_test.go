@@ -497,14 +497,14 @@ func TestConnFramingAcrossSegmentBoundaries(t *testing.T) {
 	var gotTypes []MsgType
 	var gotLens []int
 	lst.OnAccept = func(ch *netstack.TCPSocket) {
-		conn := NewConn(ch)
-		conn.OnMsg = func(mt MsgType, payload []byte) {
+		conn := newConn(ch, nil, nil)
+		conn.funcs().onMsg = func(mt MsgType, payload []byte) {
 			gotTypes = append(gotTypes, mt)
 			gotLens = append(gotLens, len(payload))
 		}
 	}
 	sk := netstack.NewTCPSocket(c.Nodes[0].Stack)
-	cl := NewConn(sk)
+	cl := newConn(sk, nil, nil)
 	if err := sk.Connect(c.Nodes[1].LocalIP, 7900); err != nil {
 		t.Fatal(err)
 	}

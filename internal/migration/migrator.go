@@ -82,7 +82,7 @@ type Config struct {
 	RetryJitter float64
 	// InboundLease bounds how long the destination keeps half-restored
 	// state without hearing from the source. A crashed source sends no
-	// FIN, so the connection's OnClose never fires; the lease is the only
+	// FIN, so the connection never hangs up; the lease is the only
 	// thing standing between a source crash mid-transfer and a leaked
 	// shadow process. Renewed on every migd message; once the full freeze
 	// image has arrived the restore completes regardless. Zero disables.
@@ -301,9 +301,8 @@ func NewMigrator(n *proc.Node, cfg Config) (*Migrator, error) {
 		return nil, err
 	}
 	m.listener.OnAccept = func(ch *netstack.TCPSocket) {
-		ib := &inbound{m: m, conn: m.newConn(ch)}
-		ib.conn.OnMsg = ib.onMsg
-		ib.conn.OnClose = ib.cleanup
+		ib := &inbound{m: m}
+		ib.conn = newConn(ch, ib, &m.recvBufs)
 	}
 	return m, nil
 }
@@ -354,7 +353,6 @@ func (m *Migrator) MigrateWith(p *proc.Process, dest netsim.Addr, strat *Strateg
 	}
 	ob := &outbound{
 		m: m, p: p, dest: dest, done: done, strat: strat,
-		memTracker:  ckpt.NewTracker(),
 		sockTracker: sockmig.NewTracker(),
 		timeout:     m.Config.InitialTimeout,
 		encBuf:      m.encBufs.get(),
@@ -371,9 +369,14 @@ func (m *Migrator) MigrateWith(p *proc.Process, dest netsim.Addr, strat *Strateg
 		return
 	}
 	if m.Config.Deadline > 0 {
-		m.sched().After(m.Config.Deadline, "migd.deadline", func() { ob.deadline(false) })
+		m.sched().AfterCall(m.Config.Deadline, "migd.deadline", deadlineCall, ob, nil)
 	}
 }
+
+// deadlineCall and commitGraceCall are the deadline's first and graced
+// firings (closure-free, like every scheduled migration step).
+func deadlineCall(a0, _ any)    { a0.(*outbound).deadline(false) }
+func commitGraceCall(a0, _ any) { a0.(*outbound).deadline(true) }
 
 // deadline is the overall bound: a destination that dies mid-migration
 // must not leave the process frozen forever. Refused after the handover
@@ -390,7 +393,7 @@ func (ob *outbound) deadline(graced bool) {
 	if ob.st == obCommitted && !graced {
 		// ConnTimeout is the engine's liveness bound for the peer — the
 		// right budget for "will the restore ack ever come".
-		ob.m.sched().After(ob.m.Config.connTimeout(), "migd.commit-grace", func() { ob.deadline(true) })
+		ob.m.sched().AfterCall(ob.m.Config.connTimeout(), "migd.commit-grace", commitGraceCall, ob, nil)
 		return
 	}
 	ob.end(errors.New("migration: deadline exceeded"))

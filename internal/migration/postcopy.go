@@ -65,25 +65,29 @@ func (ob *outbound) prefetchPump() {
 	if interval <= 0 {
 		return // sweep disabled: pure demand paging
 	}
-	ob.m.sched().After(interval, "migd.prefetch", func() {
-		if ob.over() || !ob.m.Node.Alive {
-			return
-		}
-		batch := ob.nextPrefetchBatch()
-		if len(batch) == 0 {
-			return // everything shipped; awaiting PULLS_DONE
-		}
-		ob.prefetchBatches++
-		ob.shipPages(0, batch)
-		if ob.over() {
-			return
-		}
-		ob.m.firePhase(&ob.pt, PhasePrefetch, ob.prefetchBatches, ob.p.PID)
-		if ob.over() {
-			return
-		}
-		ob.prefetchPump()
-	})
+	ob.m.sched().AfterCall(interval, "migd.prefetch", prefetchCall, ob, nil)
+}
+
+// prefetchCall pushes one batch and re-arms the sweep.
+func prefetchCall(a0, _ any) {
+	ob := a0.(*outbound)
+	if ob.over() || !ob.m.Node.Alive {
+		return
+	}
+	batch := ob.nextPrefetchBatch()
+	if len(batch) == 0 {
+		return // everything shipped; awaiting PULLS_DONE
+	}
+	ob.prefetchBatches++
+	ob.shipPages(0, batch)
+	if ob.over() {
+		return
+	}
+	ob.m.firePhase(&ob.pt, PhasePrefetch, ob.prefetchBatches, ob.p.PID)
+	if ob.over() {
+		return
+	}
+	ob.prefetchPump()
 }
 
 func (ob *outbound) nextPrefetchBatch() []ckpt.PageCoord {

@@ -75,9 +75,9 @@ func (t MsgType) String() string {
 // Conn frames migd messages over a simulated TCP connection.
 //
 // Frame bytes are lent, not handed over: the connection owns one receive
-// buffer, OnMsg's payload aliases it and is valid only until the handler
-// returns. A handler that keeps any of it must copy (DESIGN.md §11,
-// "Frame bytes").
+// buffer, a frame's payload aliases it and is valid only until the
+// owner's frame method returns. An owner that keeps any of it must copy
+// (DESIGN.md §11, "Frame bytes").
 type Conn struct {
 	sk *netstack.TCPSocket
 	// buf holds the received stream bytes not yet dispatched. nil while
@@ -88,10 +88,13 @@ type Conn struct {
 	// Migrator's; nil for a connection outside one, whose buffer is left
 	// to the collector).
 	bufs *bufList
-	// OnMsg receives each complete message. payload is lent: see above.
-	OnMsg func(t MsgType, payload []byte)
-	// OnClose fires when the peer closes or the connection dies.
-	OnClose func()
+	// owner receives each complete frame and, once, the hang-up; nil
+	// discards both (a guardian never reads its acks).
+	owner connOwner
+	// gen is the dial generation of the attempt this connection is: an
+	// owner that dials more than once (the source's retries) ignores
+	// whatever a superseded attempt still delivers.
+	gen int
 
 	// BytesSent counts framed payload bytes, for metrics.
 	BytesSent uint64
@@ -99,14 +102,34 @@ type Conn struct {
 	// closed: Close was called. draining: drain is dispatching, so buf
 	// must stay put until it is done. broken: a header declared a frame
 	// above maxFrameBytes, so the frame boundaries are lost for good and
-	// whatever else arrives is discarded.
+	// whatever else arrives is discarded. hungUp: the owner has been told
+	// nothing more will arrive.
 	closed   bool
 	draining bool
 	broken   bool
+	hungUp   bool
 
 	// hdr is the frame-header scratch; the transport copies what Send
 	// hands it synchronously, so one buffer per connection suffices.
 	hdr [5]byte
+}
+
+// connOwner is the one party a Conn delivers to: every complete frame
+// (payload lent, see Conn), then once the hang-up — the peer closed, the
+// connection died, or a header broke the framing. The outbound, the
+// inbound and the standby are owners; each method gets the connection,
+// so one owner value serves every connection it holds.
+type connOwner interface {
+	frame(c *Conn, t MsgType, payload []byte)
+	closed(c *Conn)
+}
+
+// connDialer is an owner that opened the connection itself: it also
+// hears every readiness notification after the frames it carried, which
+// is how it learns the handshake completed.
+type connDialer interface {
+	connOwner
+	readable(c *Conn)
 }
 
 // bufList is a free list of receive buffers. A simulation cell is
@@ -142,18 +165,13 @@ func (l *bufList) put(b []byte) {
 // next reused. Only tests set it (export_test.go).
 var poisonLent bool
 
-// NewConn wraps an (established or establishing) TCP socket.
-func NewConn(sk *netstack.TCPSocket) *Conn {
-	c := &Conn{sk: sk}
+// newConn wraps an (established or establishing) TCP socket for owner,
+// drawing receive buffers from bufs (nil: the collector's). The socket's
+// readiness callback is the connection's, installed here and nowhere
+// else.
+func newConn(sk *netstack.TCPSocket, owner connOwner, bufs *bufList) *Conn {
+	c := &Conn{sk: sk, owner: owner, bufs: bufs}
 	sk.OnReadable = c.onReadable
-	return c
-}
-
-// newConn is NewConn drawing its receive buffer from the migrator's
-// free list.
-func (m *Migrator) newConn(sk *netstack.TCPSocket) *Conn {
-	c := NewConn(sk)
-	c.bufs = &m.recvBufs
 	return c
 }
 
@@ -199,13 +217,18 @@ func (c *Conn) onReadable() {
 	if c.sk.EOF() {
 		c.hangup()
 	}
+	if d, ok := c.owner.(connDialer); ok {
+		d.readable(c)
+	}
 }
 
 // hangup tells the owner, once, that nothing more will arrive.
 func (c *Conn) hangup() {
-	if cb := c.OnClose; cb != nil {
-		c.OnClose = nil
-		cb()
+	if !c.hungUp {
+		c.hungUp = true
+		if c.owner != nil {
+			c.owner.closed(c)
+		}
 	}
 }
 
@@ -226,7 +249,7 @@ func (c *Conn) recvBuf() []byte {
 }
 
 // drain dispatches every complete frame at the head of the buffer,
-// lending each payload to OnMsg in place, then moves what is left (a
+// lending each payload to the owner in place, then moves what is left (a
 // partial frame, usually nothing) to the front so the buffer never
 // creeps. A handler that closes the connection does not stop the
 // dispatch: frames already received behind it are still delivered.
@@ -234,7 +257,8 @@ func (c *Conn) recvBuf() []byte {
 // A header declaring more than maxFrameBytes is not waited for — no
 // legal frame is that large, and buffering toward it is how a five-byte
 // header would pin gigabytes. The connection is closed on the spot and
-// the owner cleans up through OnClose, as if the peer had hung up.
+// the owner cleans up through its closed method, as if the peer had hung
+// up.
 func (c *Conn) drain() {
 	c.draining = true
 	off := 0
@@ -252,8 +276,8 @@ func (c *Conn) drain() {
 		// of running into the next frame.
 		payload := c.buf[off+5 : off+5+n : off+5+n]
 		off += 5 + n
-		if c.OnMsg != nil {
-			c.OnMsg(t, payload)
+		if c.owner != nil {
+			c.owner.frame(c, t, payload)
 		}
 		if poisonLent {
 			for i := range payload {

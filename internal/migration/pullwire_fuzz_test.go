@@ -38,8 +38,8 @@ func newFakeDest(t *testing.T, c *proc.Cluster, node *proc.Node) *fakeDest {
 		t.Fatal(err)
 	}
 	lst.OnAccept = func(ch *netstack.TCPSocket) {
-		fd.conn = NewConn(ch)
-		fd.conn.OnMsg = func(mt MsgType, payload []byte) { fd.onMsg(t, mt, payload) }
+		fd.conn = newConn(ch, nil, nil)
+		fd.conn.funcs().onMsg = func(mt MsgType, payload []byte) { fd.onMsg(t, mt, payload) }
 	}
 	return fd
 }

@@ -58,8 +58,8 @@ func TestWrongResumeFrameIsRefused(t *testing.T) {
 			var sink chunkSink
 			answered := false
 			lst.OnAccept = func(ch *netstack.TCPSocket) {
-				conn := NewConn(ch)
-				conn.OnMsg = func(mt MsgType, payload []byte) {
+				conn := newConn(ch, nil, nil)
+				conn.funcs().onMsg = func(mt MsgType, payload []byte) {
 					switch mt {
 					case MsgMigrateReq:
 						conn.Send(MsgMigrateAck, nil)

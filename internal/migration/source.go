@@ -23,7 +23,7 @@ type outbound struct {
 	conn *Conn
 	done func(*Metrics, error)
 
-	memTracker  *ckpt.Tracker
+	memTracker  ckpt.Tracker
 	sockTracker *sockmig.Tracker
 	timeout     simtime.Duration
 	metrics     *Metrics
@@ -65,8 +65,9 @@ type outbound struct {
 	pt phaseTrack
 
 	// dialGen drives the reconnect machinery (with metrics.Retries, the
-	// attempts beyond the first); callbacks of an abandoned attempt
-	// compare their captured generation and bail out.
+	// attempts beyond the first): each attempt's Conn carries the
+	// generation it was dialed under, and whatever a superseded one still
+	// delivers — a frame, its close, its timeout — is ignored.
 	dialGen int
 
 	// rollback records the inverse of every translation request sent
@@ -80,7 +81,18 @@ type outbound struct {
 	// arrived mid-transfer is lost.
 	localFilters []*capture.Filter
 
-	onCaptureAck func()
+	// onCaptureAck is the step the capture handshake gates (captureSync),
+	// armed at capStart; subtractCost is what the collective subtraction
+	// in flight charges. iterTCP, iterUDP, iterKey and iterFD are the
+	// iterative strategy's cursor: the sockets still to move and the one
+	// being moved.
+	onCaptureAck func(*outbound)
+	capStart     simtime.Time
+	subtractCost simtime.Duration
+	iterTCP      []*netstack.TCPSocket
+	iterUDP      []*netstack.UDPSocket
+	iterKey      netsim.FlowKey
+	iterFD       int
 
 	// Pull-server state (postcopy.go), live in obServing. watch bounds the
 	// destination's silence there.
@@ -115,12 +127,9 @@ type xlatOp struct {
 	rule xlat.Rule
 }
 
-// dial opens one migd connection attempt. All attempt-scoped callbacks
-// capture the generation counter so a late failure of an abandoned
-// attempt cannot interfere with its successor.
+// dial opens one migd connection attempt, stamped with its generation.
 func (ob *outbound) dial() {
 	ob.dialGen++
-	gen := ob.dialGen
 	sk := netstack.NewTCPSocket(ob.m.Node.Stack)
 	// Stamp the migd control connection with the migration's causal
 	// coordinate: every packet it emits carries the (trace, span) pair as
@@ -132,36 +141,8 @@ func (ob *outbound) dial() {
 	// The outbound leg carries checkpoint transfer until (under a row
 	// that pulls) handover restamps it to the pull class.
 	sk.Class = netsim.ClassCheckpoint
-	ob.conn = ob.m.newConn(sk)
-	ob.conn.OnMsg = ob.onMsg
-	sk.OnReadable = func() {
-		if gen != ob.dialGen {
-			return
-		}
-		ob.conn.onReadable()
-		// "Request not sent yet" is "no token yet", not obConnecting: a
-		// migration that ended while still connecting (a cancel, the
-		// deadline) answers its SYN-ACK with PhaseConnect and a MIGRATE_REQ
-		// all the same, and those bytes are in the trace hashes (ROADMAP
-		// 1(c)(iv)). Its state stays ended.
-		if sk.State == netstack.TCPEstablished && ob.token == 0 {
-			if ob.st == obConnecting {
-				ob.st = obAwaitAck
-			}
-			ob.m.firePhase(&ob.pt, PhaseConnect, 0, ob.p.PID)
-			ob.start()
-		}
-	}
-	ob.conn.OnClose = func() {
-		if gen != ob.dialGen {
-			return
-		}
-		if ob.st == obConnecting {
-			ob.connFailed(gen, errors.New("migration: destination refused the connection"))
-			return
-		}
-		ob.end(errors.New("migration: destination closed the connection"))
-	}
+	ob.conn = newConn(sk, ob, &ob.m.recvBufs)
+	ob.conn.gen = ob.dialGen
 	if err := sk.Connect(ob.dest, MigdPort); err != nil {
 		ob.end(err)
 		return
@@ -169,15 +150,52 @@ func (ob *outbound) dial() {
 	// Guard against an unreachable destination. The timeout and the
 	// retry/backoff schedule come from the config (satellite fix: this
 	// used to be a hard-coded 5 s with no retry).
-	ob.m.sched().After(ob.m.Config.connTimeout(), "migd.conn-timeout", func() {
-		ob.connFailed(gen, errors.New("migration: destination unreachable"))
-	})
+	ob.m.sched().AfterCall(ob.m.Config.connTimeout(), "migd.conn-timeout", connTimeoutCall, ob, ob.conn)
+}
+
+// connTimeoutCall is an attempt's timeout; connFailed ignores it once the
+// attempt is superseded or connected.
+func connTimeoutCall(a0, a1 any) {
+	a0.(*outbound).connFailed(a1.(*Conn), errors.New("migration: destination unreachable"))
+}
+
+// readable watches the handshake: the first readiness of the current,
+// established attempt sends the request.
+func (ob *outbound) readable(c *Conn) {
+	if c.gen != ob.dialGen {
+		return
+	}
+	// "Request not sent yet" is "no token yet", not obConnecting: a
+	// migration that ended while still connecting (a cancel, the
+	// deadline) answers its SYN-ACK with PhaseConnect and a MIGRATE_REQ
+	// all the same, and those bytes are in the trace hashes (ROADMAP
+	// 1(c)(iv)). Its state stays ended.
+	if c.sk.State == netstack.TCPEstablished && ob.token == 0 {
+		if ob.st == obConnecting {
+			ob.st = obAwaitAck
+		}
+		ob.m.firePhase(&ob.pt, PhaseConnect, 0, ob.p.PID)
+		ob.start()
+	}
+}
+
+// closed is the current attempt's hang-up: a refusal while connecting
+// (retried), the end of the migration after.
+func (ob *outbound) closed(c *Conn) {
+	if c.gen != ob.dialGen {
+		return
+	}
+	if ob.st == obConnecting {
+		ob.connFailed(c, errors.New("migration: destination refused the connection"))
+		return
+	}
+	ob.end(errors.New("migration: destination closed the connection"))
 }
 
 // connFailed handles a failed connection attempt: retry with exponential
 // backoff while the budget lasts, then abort.
-func (ob *outbound) connFailed(gen int, err error) {
-	if gen != ob.dialGen || ob.st != obConnecting {
+func (ob *outbound) connFailed(c *Conn, err error) {
+	if c.gen != ob.dialGen || ob.st != obConnecting {
 		return
 	}
 	if ob.metrics.Retries >= ob.m.Config.ConnRetries {
@@ -185,7 +203,7 @@ func (ob *outbound) connFailed(gen int, err error) {
 		return
 	}
 	ob.metrics.Retries++
-	ob.dialGen++ // invalidate the abandoned attempt's callbacks
+	ob.dialGen++ // supersede the abandoned attempt
 	ob.conn.Close()
 	if ob.rng == nil && ob.m.Config.RetryJitter > 0 {
 		// Seeded from the migration's identity (PID, start instant):
@@ -193,11 +211,13 @@ func (ob *outbound) connFailed(gen int, err error) {
 		ob.rng = simtime.NewRand(uint64(ob.p.PID)<<32 ^ uint64(ob.metrics.Start) ^ 0x6d696764)
 	}
 	backoff := ob.m.Config.retryPolicy().Delay(ob.metrics.Retries, ob.rng)
-	ob.m.sched().After(backoff, "migd.conn-retry", func() {
-		if ob.st == obConnecting {
-			ob.dial()
-		}
-	})
+	ob.m.sched().AfterCall(backoff, "migd.conn-retry", connRetryCall, ob, nil)
+}
+
+func connRetryCall(a0, _ any) {
+	if ob := a0.(*outbound); ob.st == obConnecting {
+		ob.dial()
+	}
 }
 
 func (ob *outbound) start() {
@@ -216,10 +236,10 @@ func (ob *outbound) send(t MsgType, payload []byte) {
 	}
 }
 
-// onMsg is the source's half of the protocol: the (state × type) table
+// frame is the source's half of the protocol: the (state × type) table
 // decides whether the frame has a place, the switch what it does there.
-func (ob *outbound) onMsg(t MsgType, payload []byte) {
-	if ob.over() {
+func (ob *outbound) frame(c *Conn, t MsgType, payload []byte) {
+	if c.gen != ob.dialGen || ob.over() {
 		return
 	}
 	if !accepts(ob.strat.obAccepts(ob.st), t) {
@@ -239,9 +259,10 @@ func (ob *outbound) onMsg(t MsgType, payload []byte) {
 			ob.precopyRound()
 		}
 	case MsgCaptureAck:
-		if cb := ob.onCaptureAck; cb != nil {
+		if then := ob.onCaptureAck; then != nil {
 			ob.onCaptureAck = nil
-			cb()
+			ob.attrCoord += ob.m.sched().Now() - ob.capStart
+			then(ob)
 		}
 	case MsgRestoreDone, MsgResumed:
 		// The row's committed column let exactly one of the two through;
@@ -314,16 +335,20 @@ func (ob *outbound) precopyRound() {
 		}
 	}
 	ob.timeout /= 2
-	ob.m.sched().After(wait, ob.strat.roundLabel, func() {
-		if ob.over() {
-			return
-		}
-		if ob.strat.rounds == roundsOne || ob.timeout < freezeThreshold {
-			ob.freeze()
-		} else {
-			ob.precopyRound()
-		}
-	})
+	ob.m.sched().AfterCall(wait, ob.strat.roundLabel, roundWaitCall, ob, nil)
+}
+
+// roundWaitCall ends a round's wait: iterate, or freeze.
+func roundWaitCall(a0, _ any) {
+	ob := a0.(*outbound)
+	if ob.over() {
+		return
+	}
+	if ob.strat.rounds == roundsOne || ob.timeout < freezeThreshold {
+		ob.freeze()
+	} else {
+		ob.precopyRound()
+	}
 }
 
 // freeze enters the freeze phase: signal the application (threads abandon
@@ -340,25 +365,34 @@ func (ob *outbound) freeze() {
 	ob.p.Signal(proc.SIGCKPT)
 	ob.p.State = proc.ProcFrozen
 	ob.m.Node.StopLoop(ob.p)
-	ob.m.sched().After(costFreezeOverhead, "migd.freeze", func() {
-		ob.attrCoord += costFreezeOverhead
-		ob.setupTranslation(func() {
-			switch ob.m.Config.Strategy {
-			case sockmig.Iterative:
-				tcp, udp := sockmig.SocketsInFDOrder(ob.p)
-				ob.m.firePhase(&ob.pt, PhaseTransfer, 0, ob.p.PID)
-				ob.iterativeStep(tcp, udp)
-			default:
-				ob.captureSync(ob.collectivePhase2, sockmig.CaptureKeys(ob.p)...)
-			}
-		})
-	})
+	ob.m.sched().AfterCall(costFreezeOverhead, "migd.freeze", frozenCall, ob, nil)
+}
+
+// frozenCall runs once the freeze overhead is paid: translation first,
+// then the socket transfer (translated).
+func frozenCall(a0, _ any) {
+	ob := a0.(*outbound)
+	ob.attrCoord += costFreezeOverhead
+	ob.setupTranslation()
+}
+
+// translated starts the socket transfer the strategy names.
+func (ob *outbound) translated() {
+	switch ob.m.Config.Strategy {
+	case sockmig.Iterative:
+		ob.iterTCP, ob.iterUDP = sockmig.SocketsInFDOrder(ob.p)
+		ob.m.firePhase(&ob.pt, PhaseTransfer, 0, ob.p.PID)
+		ob.iterativeStep()
+	default:
+		ob.captureSync((*outbound).collectivePhase2, sockmig.CaptureKeys(ob.p)...)
+	}
 }
 
 // setupTranslation installs translation filters on the peers of all
 // in-cluster connections (§III-C): the peer rewrites packets addressed to
 // the connection's original identity so they reach the destination node.
-func (ob *outbound) setupTranslation(then func()) {
+// The socket transfer (translated) follows once every peer has answered.
+func (ob *outbound) setupTranslation() {
 	xlatStart := ob.m.sched().Now()
 	var rules []xlatOp
 	tcp, _ := ob.p.Sockets()
@@ -404,7 +438,7 @@ func (ob *outbound) setupTranslation(then func()) {
 		}
 	}
 	if len(rules) == 0 {
-		then()
+		ob.translated()
 		return
 	}
 	pending := len(rules)
@@ -424,7 +458,7 @@ func (ob *outbound) setupTranslation(then func()) {
 				if ob.over() {
 					return
 				}
-				then()
+				ob.translated()
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package migration
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -81,6 +82,54 @@ func TestConnRetryBackoff(t *testing.T) {
 	mm := e.migrate(t, 1)
 	if mm.FreezeTime <= 0 {
 		t.Fatal("follow-up migration broken after retries")
+	}
+}
+
+// TestAbandonedAttemptIsIgnored: once connFailed supersedes an attempt,
+// its Conn still delivers to the same owner — the outbound — and only
+// the dial generation it carries tells the owner to ignore it. At the
+// instant the retry connects (state obAwaitAck), the superseded Conn
+// delivers a MIGRATE_ACK, which would advance the migration, an ABORT
+// and a hang-up, which would end it: none of them may do either, and the
+// migration completes on the retry.
+func TestAbandonedAttemptIsIgnored(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ConnRetries = 1
+	e := newEnv(t, 2, 1, cfg)
+	src := e.migrators[0]
+	var m *Metrics
+	var gotErr error
+	done := false
+	src.Migrate(e.p, e.c.Nodes[1].LocalIP, func(mm *Metrics, err error) { m, gotErr, done = mm, err, true })
+	ob := src.active[e.p.PID]
+	stale := ob.conn
+	ob.connFailed(stale, errors.New("test: attempt timed out")) // what its conn-timeout does
+	if ob.st != obConnecting || ob.dialGen == stale.gen {
+		t.Fatalf("connFailed did not supersede the attempt: state %s, generation %d (attempt's %d)",
+			obStateNames[ob.st], ob.dialGen, stale.gen)
+	}
+	injected := false
+	src.OnPhase = func(ev PhaseEvent) {
+		if ev.Phase != PhaseConnect || injected || ob.conn == stale {
+			return
+		}
+		injected = true
+		stale.feed(frameBytes(MsgMigrateAck, nil))
+		if ob.st != obAwaitAck {
+			t.Errorf("a MIGRATE_ACK on the superseded attempt moved the migration to %s", obStateNames[ob.st])
+		}
+		stale.feed(frameBytes(MsgAbort, []byte("stale")))
+		stale.hangup()
+		if ob.over() {
+			t.Errorf("the superseded attempt ended the migration: %v", ob.metrics.AbortReason)
+		}
+	}
+	e.c.Sched.RunFor(15 * time.Second)
+	if !injected {
+		t.Fatal("the retry never connected")
+	}
+	if !done || gotErr != nil || m.Retries != 1 {
+		t.Fatalf("migration on the retry: done=%v err=%v retries=%v", done, gotErr, m)
 	}
 }
 

@@ -12,81 +12,83 @@ import (
 
 // iterativeStep migrates sockets one by one: capture sync, disable,
 // subtract, transfer — repeated per connection (§III-C's "natural way",
-// whose overhead motivated the collective design).
-func (ob *outbound) iterativeStep(tcp []*netstack.TCPSocket, udp []*netstack.UDPSocket) {
+// whose overhead motivated the collective design). The cursor is
+// ob.iterTCP/iterUDP; the socket in hand is ob.iterKey at ob.iterFD.
+func (ob *outbound) iterativeStep() {
 	if ob.over() {
 		return
 	}
+	tcp, udp := ob.iterTCP, ob.iterUDP
 	if len(tcp) == 0 && len(udp) == 0 {
 		ob.sendFinal(nil)
 		return
 	}
-	var key netsim.FlowKey
-	var fd int
 	if len(tcp) > 0 {
 		sk := tcp[0]
-		fd = sockmig.FDOf(ob.p, sk)
+		ob.iterFD = sockmig.FDOf(ob.p, sk)
 		if sk.State == netstack.TCPListen {
-			key = netsim.FlowKey{LocalPort: sk.LocalPort, Proto: netsim.ProtoTCP}
+			ob.iterKey = netsim.FlowKey{LocalPort: sk.LocalPort, Proto: netsim.ProtoTCP}
 		} else {
-			key = netsim.FlowKey{RemoteIP: sk.RemoteIP, RemotePort: sk.RemotePort,
+			ob.iterKey = netsim.FlowKey{RemoteIP: sk.RemoteIP, RemotePort: sk.RemotePort,
 				LocalPort: sk.LocalPort, Proto: netsim.ProtoTCP}
 		}
 	} else {
 		us := udp[0]
-		fd = sockmig.FDOfUDP(ob.p, us)
-		key = netsim.FlowKey{LocalPort: us.LocalPort, Proto: netsim.ProtoUDP}
+		ob.iterFD = sockmig.FDOfUDP(ob.p, us)
+		ob.iterKey = netsim.FlowKey{LocalPort: us.LocalPort, Proto: netsim.ProtoUDP}
 	}
-	transfer := func() {
-		// Subtract this one socket's state and ship it in its own
-		// message (the per-socket computation/transmission interleaving).
-		ob.m.sched().After(costSockSubtract, "migd.subtract", func() {
-			if ob.over() {
-				return
-			}
-			ob.attrSer += costSockSubtract
-			// Anything arriving for this connection while it is out of
-			// the hash tables is captured locally: reinjected on abort,
-			// discarded on success (the destination's filter has its own
-			// copy via the broadcast).
-			if ob.m.Config.EnableCapture {
-				ob.localFilters = append(ob.localFilters, ob.m.Capture.EnableEpoch(key, ob.epoch))
-			}
-			var sd *sockmig.SockDelta
-			if len(tcp) > 0 {
-				tcp[0].Unhash()
-				sd = sockmig.SingleTCP(fd, tcp[0])
-				ob.metrics.TCPMigrated++
-				tcp = tcp[1:]
-			} else {
-				udp[0].Unhash()
-				sd = sockmig.SingleUDP(fd, udp[0])
-				ob.metrics.UDPMigrated++
-				udp = udp[1:]
-			}
-			ob.sockEncBuf = sd.EncodeInto(ob.sockEncBuf)
-			ob.metrics.FreezeSockBytes += uint64(len(ob.sockEncBuf))
-			ob.send(MsgSockDelta, ob.sockEncBuf)
-			ob.iterativeStep(tcp, udp)
-		})
+	ob.captureSync((*outbound).iterativeSubtract, ob.iterKey)
+}
+
+// iterativeSubtract charges the subtraction of the socket in hand.
+func (ob *outbound) iterativeSubtract() {
+	ob.m.sched().AfterCall(costSockSubtract, "migd.subtract", iterativeSubtractCall, ob, nil)
+}
+
+// iterativeSubtractCall subtracts the socket in hand and ships it in its
+// own message (the per-socket computation/transmission interleaving).
+func iterativeSubtractCall(a0, _ any) {
+	ob := a0.(*outbound)
+	if ob.over() {
+		return
 	}
-	ob.captureSync(transfer, key)
+	ob.attrSer += costSockSubtract
+	// Anything arriving for this connection while it is out of the hash
+	// tables is captured locally: reinjected on abort, discarded on
+	// success (the destination's filter has its own copy via the
+	// broadcast).
+	if ob.m.Config.EnableCapture {
+		ob.localFilters = append(ob.localFilters, ob.m.Capture.EnableEpoch(ob.iterKey, ob.epoch))
+	}
+	var sd *sockmig.SockDelta
+	if len(ob.iterTCP) > 0 {
+		ob.iterTCP[0].Unhash()
+		sd = sockmig.SingleTCP(ob.iterFD, ob.iterTCP[0])
+		ob.metrics.TCPMigrated++
+		ob.iterTCP = ob.iterTCP[1:]
+	} else {
+		ob.iterUDP[0].Unhash()
+		sd = sockmig.SingleUDP(ob.iterFD, ob.iterUDP[0])
+		ob.metrics.UDPMigrated++
+		ob.iterUDP = ob.iterUDP[1:]
+	}
+	ob.sockEncBuf = sd.EncodeInto(ob.sockEncBuf)
+	ob.metrics.FreezeSockBytes += uint64(len(ob.sockEncBuf))
+	ob.send(MsgSockDelta, ob.sockEncBuf)
+	ob.iterativeStep()
 }
 
 // captureSync has the destination enable capture filters for keys — all
 // of a collective migration's connections in one message, one of an
 // iterative's — and runs then on its single acknowledgement (at once
 // when capture is ablated). The wait is coordination time.
-func (ob *outbound) captureSync(then func(), keys ...netsim.FlowKey) {
+func (ob *outbound) captureSync(then func(*outbound), keys ...netsim.FlowKey) {
 	if !ob.m.Config.EnableCapture {
-		then()
+		then(ob)
 		return
 	}
-	capStart := ob.m.sched().Now()
-	ob.onCaptureAck = func() {
-		ob.attrCoord += ob.m.sched().Now() - capStart
-		then()
-	}
+	ob.capStart = ob.m.sched().Now()
+	ob.onCaptureAck = then
 	ob.send(MsgCaptureReq, encodeCaptureReq(keys))
 }
 
@@ -100,34 +102,38 @@ func (ob *outbound) collectivePhase2() {
 	}
 	tcp, udp := ob.p.Sockets()
 	n := len(tcp) + len(udp)
-	var cost simtime.Duration
 	if ob.m.Config.Strategy == sockmig.IncrementalCollective {
-		cost = simtime.Duration(n) * costSockTrack
+		ob.subtractCost = simtime.Duration(n) * costSockTrack
 	} else {
-		cost = simtime.Duration(n) * costSockSubtract
+		ob.subtractCost = simtime.Duration(n) * costSockSubtract
 	}
-	ob.m.sched().After(cost, "migd.subtract", func() {
-		if ob.over() {
-			return
+	ob.m.sched().AfterCall(ob.subtractCost, "migd.subtract", collectiveSubtractCall, ob, nil)
+}
+
+// collectiveSubtractCall disables every socket and ships the final image
+// once the subtraction cost is paid.
+func collectiveSubtractCall(a0, _ any) {
+	ob := a0.(*outbound)
+	if ob.over() {
+		return
+	}
+	ob.attrSer += ob.subtractCost
+	// Mirror the destination's capture filters locally so an abort can
+	// replay what arrived while the sockets were out of the hash tables
+	// (reinjected on rollback, discarded on success).
+	if ob.m.Config.EnableCapture {
+		for _, k := range sockmig.CaptureKeys(ob.p) {
+			ob.localFilters = append(ob.localFilters, ob.m.Capture.EnableEpoch(k, ob.epoch))
 		}
-		ob.attrSer += cost
-		// Mirror the destination's capture filters locally so an abort
-		// can replay what arrived while the sockets were out of the
-		// hash tables (reinjected on rollback, discarded on success).
-		if ob.m.Config.EnableCapture {
-			for _, k := range sockmig.CaptureKeys(ob.p) {
-				ob.localFilters = append(ob.localFilters, ob.m.Capture.EnableEpoch(k, ob.epoch))
-			}
-		}
-		ob.metrics.TCPMigrated, ob.metrics.UDPMigrated = sockmig.DisableAll(ob.p)
-		var sd *sockmig.SockDelta
-		if ob.m.Config.Strategy == sockmig.IncrementalCollective {
-			sd = ob.sockTracker.Delta(ob.p, true)
-		} else {
-			sd = sockmig.FullDelta(ob.p)
-		}
-		ob.sendFinal(sd)
-	})
+	}
+	ob.metrics.TCPMigrated, ob.metrics.UDPMigrated = sockmig.DisableAll(ob.p)
+	var sd *sockmig.SockDelta
+	if ob.m.Config.Strategy == sockmig.IncrementalCollective {
+		sd = ob.sockTracker.Delta(ob.p, true)
+	} else {
+		sd = sockmig.FullDelta(ob.p)
+	}
+	ob.sendFinal(sd)
 }
 
 // sendFinal ships the final image: the minimal checkpoint image (phase

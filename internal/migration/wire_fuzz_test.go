@@ -62,19 +62,19 @@ var idleStack = netstack.NewStack(simtime.NewScheduler(), "idle", 0)
 // idleConn is a Conn over a never-connected socket: feed drives the
 // parser, Close and EOF work, nothing touches a network.
 func idleConn(bufs *bufList) *Conn {
-	c := NewConn(netstack.NewTCPSocket(idleStack))
+	c := newConn(netstack.NewTCPSocket(idleStack), nil, nil)
 	c.bufs = bufs
 	return c
 }
 
 // dispatched feeds stream to a fresh Conn in the given pieces and
-// returns what OnMsg saw. The handler of frame closeAt (none if < 0)
+// returns what its owner saw. The handler of frame closeAt (none if < 0)
 // calls Close mid-dispatch.
 func dispatched(t *testing.T, pieces [][]byte, closeAt int) []frame {
 	t.Helper()
 	var got []frame
 	c := idleConn(&bufList{})
-	c.OnMsg = func(mt MsgType, payload []byte) {
+	c.funcs().onMsg = func(mt MsgType, payload []byte) {
 		if cap(payload) != len(payload) {
 			t.Fatalf("frame %d: lent payload has spare capacity %d over length %d",
 				len(got), cap(payload), len(payload))

@@ -747,11 +747,15 @@ func (sk *TCPSocket) processFIN(finSeq uint32) {
 func (sk *TCPSocket) enterTimeWait() {
 	sk.State = TCPTimeWait
 	sk.stopRetransTimer()
-	sk.stack.sched.After(TimeWaitDelay, "tcp.timewait", func() {
-		if sk.State == TCPTimeWait {
-			sk.becomeClosed()
-		}
-	})
+	sk.stack.sched.AfterCall(TimeWaitDelay, "tcp.timewait", timeWaitCall, sk, nil)
+}
+
+// timeWaitCall ends TIME_WAIT (closure-free: every orderly close of a
+// connection passes through it).
+func timeWaitCall(a0, _ any) {
+	if sk := a0.(*TCPSocket); sk.State == TCPTimeWait {
+		sk.becomeClosed()
+	}
 }
 
 func (sk *TCPSocket) becomeClosed() {

@@ -119,6 +119,32 @@ func (n *Node) Spawn(name string, threads int) *Process {
 	return p
 }
 
+// Arrive builds a restored process around its address space and enters
+// it into the table once, under pid when free (BLCR restores the
+// original PID) and the next PID otherwise. It numbers as a Spawn of the
+// bootstrap process followed by Adopt would: one PID is consumed as
+// Spawn's, and the threads — zeroed, their TIDs and registers the
+// caller's to fill — leave nextTID one past their count.
+func (n *Node) Arrive(name string, pid int, as *AddressSpace, threads int) *Process {
+	n.nextPID++
+	p := &Process{
+		PID:         pid,
+		Name:        name,
+		State:       ProcRunning,
+		Threads:     make([]*Thread, threads),
+		AS:          as,
+		FDs:         NewFDTable(),
+		SigHandlers: make(map[Signal]func(*Process, *Thread)),
+		nextTID:     threads + 1,
+	}
+	ths := make([]Thread, threads)
+	for i := range ths {
+		p.Threads[i] = &ths[i]
+	}
+	n.Adopt(p)
+	return p
+}
+
 // Adopt re-homes a migrated process onto this node, preserving its PID
 // when free (BLCR restores the original PID).
 func (n *Node) Adopt(p *Process) {

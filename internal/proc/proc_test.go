@@ -613,6 +613,71 @@ func TestAdoptPreservesOrRemapsPID(t *testing.T) {
 	}
 }
 
+// TestArriveMatchesSpawnDetachAdopt: Arrive builds a restored process
+// with one table insertion, and numbers it exactly as the sequence the
+// destination ran before it — Spawn a bootstrap process, Detach it, set
+// the requested PID, Adopt, replace the bootstrap thread with fresh
+// ones. Two nodes with the same history run one each, for requested PIDs
+// that are free and taken, and agree on the PID, nextPID, nextTID, the
+// table's order and the PID the next Spawn receives.
+func TestArriveMatchesSpawnDetachAdopt(t *testing.T) {
+	spawnDetachAdopt := func(n *Node, pid, threads int) *Process {
+		p := n.Spawn("guest", 0)
+		n.Detach(p)
+		p.PID = pid
+		n.Adopt(p)
+		p.Threads = p.Threads[:0]
+		for i := 0; i < threads; i++ {
+			p.NewThread()
+		}
+		return p
+	}
+	node := func() *Node {
+		n := NewCluster(simtime.NewScheduler(), 1).Nodes[0]
+		for i := 0; i < 3; i++ {
+			n.Spawn("resident", 1) // PIDs 101, 102, 103
+		}
+		return n
+	}
+	pids := func(n *Node) []int {
+		var out []int
+		for _, p := range n.Processes() {
+			out = append(out, p.PID)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name         string
+		pid, threads int
+	}{
+		{"free below", 7, 2},
+		{"free above", 500, 1},
+		{"taken", 102, 3},
+		{"taken, no threads", 101, 0},
+	} {
+		old, cur := node(), node()
+		want := spawnDetachAdopt(old, tc.pid, tc.threads)
+		as := NewAddressSpace()
+		got := cur.Arrive("guest", tc.pid, as, tc.threads)
+		if got.PID != want.PID || cur.nextPID != old.nextPID {
+			t.Errorf("%s: PID %d, nextPID %d; the old sequence gave %d, %d", tc.name, got.PID, cur.nextPID, want.PID, old.nextPID)
+		}
+		if got.nextTID != want.nextTID || len(got.Threads) != len(want.Threads) {
+			t.Errorf("%s: nextTID %d over %d threads; the old sequence gave %d over %d",
+				tc.name, got.nextTID, len(got.Threads), want.nextTID, len(want.Threads))
+		}
+		if !slices.Equal(pids(cur), pids(old)) {
+			t.Errorf("%s: table %v; the old sequence gave %v", tc.name, pids(cur), pids(old))
+		}
+		if g, w := cur.Spawn("next", 1).PID, old.Spawn("next", 1).PID; g != w {
+			t.Errorf("%s: the next Spawn got PID %d; after the old sequence %d", tc.name, g, w)
+		}
+		if got.AS != as || got.Node != cur || got.State != ProcRunning || got.FDs == nil || got.SigHandlers == nil {
+			t.Errorf("%s: the arrived process is not built around its space on its node: %+v", tc.name, got)
+		}
+	}
+}
+
 func TestClusterConnectivityLocalAndPublic(t *testing.T) {
 	sched := simtime.NewScheduler()
 	c := NewCluster(sched, 3)

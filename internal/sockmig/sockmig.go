@@ -235,9 +235,12 @@ func hashBytes(b []byte) uint64 {
 // and Sections reuse their backing arrays round to round. A caller
 // encodes it, or copies what it keeps, before asking for the next.
 type Tracker struct {
-	// prevTCP and prevUDP hold the hashes shipped last, fd -> section
-	// hashes and fd -> snapshot hash. A tracker without them (FullDelta,
-	// SingleTCP, SingleUDP) ships every section of every socket.
+	// history is set for a tracker that ships only what changed:
+	// prevTCP and prevUDP then hold the hashes shipped last, fd ->
+	// section hashes and fd -> snapshot hash, made on the first socket
+	// they record. A tracker without history (FullDelta, SingleTCP,
+	// SingleUDP) ships every section of every socket.
+	history bool
 	prevTCP map[int]*[numSections]uint64
 	prevUDP map[int]uint64
 	// SkippedLocked counts sockets left for a later round because they
@@ -260,10 +263,8 @@ type Tracker struct {
 // numSections is the number of TCP snapshot sections a delta can carry.
 const numSections = int(netstack.SecOOOQueue) + 1
 
-// NewTracker creates an empty tracker.
-func NewTracker() *Tracker {
-	return &Tracker{prevTCP: make(map[int]*[numSections]uint64), prevUDP: make(map[int]uint64)}
-}
+// NewTracker creates an empty tracker with history.
+func NewTracker() *Tracker { return &Tracker{history: true} }
 
 // poisonLent is the lending contract's tripwire: while set, a tracker
 // overwrites the bytes of the delta it lent last with 0xDB before it
@@ -384,8 +385,11 @@ func (t *Tracker) reserve(p *proc.Process, fds []int) {
 func (t *Tracker) addTCP(fd int, sk *netstack.TCPSocket) {
 	netstack.SnapshotTCPInto(&t.snap, sk)
 	var prev *[numSections]uint64
-	if t.prevTCP != nil {
+	if t.history {
 		if prev = t.prevTCP[fd]; prev == nil {
+			if t.prevTCP == nil {
+				t.prevTCP = make(map[int]*[numSections]uint64)
+			}
 			prev = new([numSections]uint64)
 			t.prevTCP[fd] = prev
 		}
@@ -412,11 +416,14 @@ func (t *Tracker) addTCP(fd int, sk *netstack.TCPSocket) {
 // addUDP appends us's snapshot to the round if it changed.
 func (t *Tracker) addUDP(fd int, us *netstack.UDPSocket) {
 	snap := netstack.SnapshotUDP(us)
-	if t.prevUDP != nil {
+	if t.history {
 		t.scratch = snap.AppendHashBytes(t.scratch[:0])
 		h := hashBytes(t.scratch)
 		if h == t.prevUDP[fd] {
 			return
+		}
+		if t.prevUDP == nil {
+			t.prevUDP = make(map[int]uint64)
 		}
 		t.prevUDP[fd] = h
 	}
@@ -487,7 +494,9 @@ func sortInts(a []int) {
 }
 
 // Store accumulates socket updates on the destination node across precopy
-// rounds; at freeze time it materializes the sockets.
+// rounds; at freeze time it materializes the sockets. Its maps are made
+// on the first socket they hold, so a process without sockets costs the
+// store nothing.
 type Store struct {
 	tcp map[int]*netstack.TCPSnapshot
 	udp map[int]*netstack.UDPSnapshot
@@ -499,9 +508,7 @@ type Store struct {
 }
 
 // NewStore creates an empty accumulator.
-func NewStore() *Store {
-	return &Store{tcp: make(map[int]*netstack.TCPSnapshot), udp: make(map[int]*netstack.UDPSnapshot)}
-}
+func NewStore() *Store { return &Store{} }
 
 // ApplyEncoded decodes one encoded delta and folds it in (see Apply).
 // Nothing of b is read after it returns.
@@ -535,12 +542,18 @@ func (s *Store) Apply(d *SockDelta) error {
 	// Checked: nothing below can fail.
 	for _, su := range d.Socks {
 		if su.Kind == 'U' {
+			if s.udp == nil {
+				s.udp = make(map[int]*netstack.UDPSnapshot)
+			}
 			s.udp[su.FD], _ = netstack.DecodeUDPSnapshot(su.UDPData)
 			s.BytesApplied += uint64(len(su.UDPData))
 			continue
 		}
 		snap := s.tcp[su.FD]
 		if snap == nil {
+			if s.tcp == nil {
+				s.tcp = make(map[int]*netstack.TCPSnapshot)
+			}
 			snap = &netstack.TCPSnapshot{}
 			s.tcp[su.FD] = snap
 		}
@@ -580,11 +593,17 @@ func (o RestoreOptions) InCluster(addr netsim.Addr) bool {
 
 // RestoreAll materializes every accumulated socket on the destination
 // stack and installs them into the process's FD table at their original
-// descriptors. It returns the restored TCP sockets by fd for reinjection
-// bookkeeping.
+// descriptors. It returns the restored sockets by fd for reinjection
+// bookkeeping; a map is nil when there is no socket of its kind.
 func (s *Store) RestoreAll(st *netstack.Stack, p *proc.Process, opt RestoreOptions) (map[int]*netstack.TCPSocket, map[int]*netstack.UDPSocket, error) {
-	tcpOut := make(map[int]*netstack.TCPSocket, len(s.tcp))
-	udpOut := make(map[int]*netstack.UDPSocket, len(s.udp))
+	var tcpOut map[int]*netstack.TCPSocket
+	var udpOut map[int]*netstack.UDPSocket
+	if len(s.tcp) > 0 {
+		tcpOut = make(map[int]*netstack.TCPSocket, len(s.tcp))
+	}
+	if len(s.udp) > 0 {
+		udpOut = make(map[int]*netstack.UDPSocket, len(s.udp))
+	}
 	for _, fd := range sortedSnapKeysT(s.tcp) {
 		snap := s.tcp[fd]
 		if opt.InCluster(snap.RemoteIP) && opt.NewLocalIP != 0 && !snap.Listening {
