@@ -180,6 +180,41 @@ func TestSoakSLOResultsRecorded(t *testing.T) {
 	}
 }
 
+// TestLossySoakMeetsDowntimeSLO pins the downtime objective on the lossy
+// cells of the artifact soak (80 requests, seeds 1 and 2). Their tail is
+// migd segments lost inside the freeze window or during a demand pull:
+// with the migd connections' own retransmission floor each loss costs
+// two jiffies, where TCP_RTO_MIN put the p99 at 690–790 ms.
+func TestLossySoakMeetsDowntimeSLO(t *testing.T) {
+	cfg := DefaultSoakConfig()
+	cfg.Scenarios = DefaultSoakScenarios()[1:2]
+	cfg.Seeds = []uint64{1, 2}
+	cfg.Requests = 80
+	cfg.Observe = true
+	if cfg.Scenarios[0].Name != "lossy" {
+		t.Fatalf("scenario list reordered: picked %s", cfg.Scenarios[0].Name)
+	}
+	rep, err := RunSoak(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range rep.Results {
+		var dt *obs.SLOResult
+		for _, s := range res.SLO {
+			if s.Name == "downtime-p99" {
+				dt = s
+			}
+		}
+		if dt == nil || dt.Samples == 0 {
+			t.Fatalf("lossy/seed%d: no downtime-p99 verdict over sampled windows", res.Seed)
+		}
+		if !dt.Met {
+			t.Errorf("lossy/seed%d: downtime p99 %.1f ms misses the %.0f ms objective",
+				res.Seed, dt.Overall/1e3, dt.Objective.Max/1e3)
+		}
+	}
+}
+
 // TestSoakMergedSeriesRagged merges two cells whose runs are different
 // lengths: the merged series must be as long as the longest
 // contributor, with the shorter cell contributing zero past its end.

@@ -42,6 +42,15 @@ const (
 	// loop timeout, and the freeze phase starts when it drops below this
 	// (20 ms in the paper, §III-A).
 	freezeThreshold simtime.Duration = 20 * 1e6
+
+	// migdRTOMin is the retransmission-timeout floor of both ends of every
+	// migd connection (Linux's per-route rto_min): RFC 6298's clock
+	// granularity G, one jiffy, plus one jiffy of margin. In-cluster RTT
+	// samples read zero jiffies, so at the default TCP_RTO_MIN a segment
+	// lost inside the freeze window would stall the frozen process for
+	// 200 ms with no duplicate ACKs to recover it sooner. Application
+	// sockets keep the default: migration must stay transparent to them.
+	migdRTOMin = 2 * simtime.JiffyPeriod
 )
 
 // Config controls a migrator.
@@ -301,6 +310,7 @@ func NewMigrator(n *proc.Node, cfg Config) (*Migrator, error) {
 		return nil, err
 	}
 	m.listener.OnAccept = func(ch *netstack.TCPSocket) {
+		ch.RTOMin = migdRTOMin
 		ib := &inbound{m: m}
 		ib.conn = newConn(ch, ib, &m.recvBufs)
 	}

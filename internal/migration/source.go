@@ -141,6 +141,7 @@ func (ob *outbound) dial() {
 	// The outbound leg carries checkpoint transfer until (under a row
 	// that pulls) handover restamps it to the pull class.
 	sk.Class = netsim.ClassCheckpoint
+	sk.RTOMin = migdRTOMin
 	ob.conn = newConn(sk, ob, &ob.m.recvBufs)
 	ob.conn.gen = ob.dialGen
 	if err := sk.Connect(ob.dest, MigdPort); err != nil {

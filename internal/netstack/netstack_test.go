@@ -491,6 +491,75 @@ func TestRTTMeasurementReasonable(t *testing.T) {
 	}
 }
 
+// TestRTOMinFloorsTheTimer: a socket's RTOMin replaces MinRTO as its
+// retransmission floor, and a zero RTOMin keeps MinRTO. Each socket loses
+// the original and the first resend of one segment: the resends leave one
+// floor and then two floors after the copy before them (backoff doubles
+// from the floor), the next RTT sample brings RTOms back to the floor,
+// and a snapshot does not carry the field.
+func TestRTOMinFloorsTheTimer(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		rtoMin, floor simtime.Duration
+	}{
+		{"zero", 0, MinRTO},
+		{"two-jiffies", 2 * simtime.JiffyPeriod, 2 * simtime.JiffyPeriod},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPair(t)
+			cli, srv := p.connect(t, 4030)
+			cli.RTOMin = tc.rtoMin
+			srv.OnReadable = func() { srv.Recv() }
+			floorMs := int(tc.floor / 1e6)
+			// One exchange for an RTT sample: on the LAN it reads zero
+			// jiffies, so the RTO is the floor.
+			cli.Send([]byte("warm"))
+			p.sched.RunFor(50 * time.Millisecond)
+			if cli.RTOms != floorMs {
+				t.Fatalf("RTO after a zero-jiffy sample = %dms, want the %dms floor", cli.RTOms, floorMs)
+			}
+
+			var arrivals []simtime.Time
+			p.b.RegisterHook(HookLocalIn, 0, func(pk *netsim.Packet) Verdict {
+				if len(pk.Payload) == 0 {
+					return VerdictAccept
+				}
+				arrivals = append(arrivals, p.sched.Now())
+				if len(arrivals) <= 2 {
+					return VerdictDrop
+				}
+				return VerdictAccept
+			})
+			cli.Send([]byte("lost twice"))
+			p.sched.RunFor(time.Second)
+			if len(arrivals) != 3 || cli.Retransmits != 2 {
+				t.Fatalf("%d copies arrived, %d retransmits; want 3 and 2", len(arrivals), cli.Retransmits)
+			}
+			const slack = simtime.Duration(time.Millisecond)
+			for i, want := range []simtime.Duration{tc.floor, 2 * tc.floor} {
+				if gap := simtime.Duration(arrivals[i+1] - arrivals[i]); gap < want || gap > want+slack {
+					t.Errorf("resend %d left %v after the copy before it, want %v", i+1, gap, want)
+				}
+			}
+			if cli.SndUna != cli.SndNxt {
+				t.Fatal("the resent segment was never acknowledged")
+			}
+			if cli.RTOms != floorMs {
+				t.Errorf("RTO after the resend's sample = %dms, want the %dms floor", cli.RTOms, floorMs)
+			}
+
+			cli.Unhash()
+			restored, err := RestoreTCP(p.b, SnapshotTCP(cli))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored.RTOMin != 0 {
+				t.Errorf("restored socket carries RTOMin %v; it is not serialized", restored.RTOMin)
+			}
+		})
+	}
+}
+
 func TestCwndLimitsInflight(t *testing.T) {
 	p := newPair(t)
 	cli, _ := p.connect(t, 4010)

@@ -43,7 +43,8 @@ const (
 	// MTU 1500 minus IP/TCP headers with timestamps.
 	DefaultMSS = 1448
 	// MinRTO / MaxRTO bound the retransmission timeout like Linux
-	// (TCP_RTO_MIN is 200 ms on 2.6 kernels).
+	// (TCP_RTO_MIN is 200 ms on 2.6 kernels). MinRTO is the default
+	// floor; a socket's RTOMin replaces it.
 	MinRTO = 200 * simtime.Duration(1e6)
 	MaxRTO = 120 * simtime.Duration(1e9)
 	// InitialCwnd / DefaultSsthresh, in segments.
@@ -60,8 +61,8 @@ const (
 	PersistInterval = 500 * simtime.Duration(1e6)
 	// MaxConsecRetrans bounds consecutive RTO expirations without forward
 	// progress before the connection is aborted, mirroring Linux's
-	// tcp_retries2 default of 15. With exponential backoff from MinRTO
-	// the budget spans many simulated minutes, so ordinary experiments
+	// tcp_retries2 default of 15. With exponential backoff from the RTO
+	// floor the budget spans many simulated minutes, so ordinary experiments
 	// never hit it — only connections whose peer is gone for good, which
 	// would otherwise re-arm their timer forever and keep the event queue
 	// from draining.
@@ -144,6 +145,13 @@ type TCPSocket struct {
 	// demand-pull phase begins so NIC accounting can separate pull
 	// traffic from the application's. Like Trace, not serialized.
 	Class byte
+
+	// RTOMin is this socket's retransmission-timeout floor, modelled on
+	// Linux's per-route rto_min metric (RTAX_RTO_MIN). Zero means MinRTO.
+	// The migration engine lowers it on its own control connections,
+	// whose in-cluster RTT reads as zero jiffies; application sockets keep
+	// the default. Like Trace, not serialized.
+	RTOMin simtime.Duration
 
 	// The five queues of §V-C1. writeQueue holds sent-but-unacked
 	// segments (retransmission source); sndBuf is app data not yet
@@ -910,9 +918,18 @@ func (sk *TCPSocket) updateRTT(sampleMs int) {
 		sk.SRTTms = (7*sk.SRTTms + sampleMs) / 8
 	}
 	sk.RTOms = sk.SRTTms + 4*sk.RTTVarms
-	if min := int(MinRTO / 1e6); sk.RTOms < min {
+	if min := int(sk.rtoFloor() / 1e6); sk.RTOms < min {
 		sk.RTOms = min
 	}
+}
+
+// rtoFloor is the lowest retransmission timeout the socket arms: RTOMin
+// when set, MinRTO otherwise.
+func (sk *TCPSocket) rtoFloor() simtime.Duration {
+	if sk.RTOMin > 0 {
+		return sk.RTOMin
+	}
+	return MinRTO
 }
 
 // armRetransTimer (re)starts the retransmission timer for the head of the
@@ -921,8 +938,8 @@ func (sk *TCPSocket) updateRTT(sampleMs int) {
 func (sk *TCPSocket) armRetransTimer() {
 	sk.stopRetransTimer()
 	rto := simtime.Duration(sk.RTOms) * 1e6
-	if rto < MinRTO {
-		rto = MinRTO
+	if floor := sk.rtoFloor(); rto < floor {
+		rto = floor
 	}
 	if rto > MaxRTO {
 		rto = MaxRTO
