@@ -1,9 +1,9 @@
 // Package capture implements the incoming-packet-loss prevention
 // mechanism of §III-B / §V-B (the cap_trans_mod kernel module): while a
 // socket is being migrated, the destination node captures packets that
-// match the migrating connection on the NF_INET_LOCAL_IN hook, dedups
-// TCP segments by sequence number, and reinjects the queue through the
-// okfn (ip_rcv_finish) once the socket is restored.
+// match the migrating connection in the stack's NF_INET_LOCAL_IN capture
+// slot, dedups TCP segments by sequence number, and reinjects the queue
+// through the okfn (ip_rcv_finish) once the socket is restored.
 //
 // The single-IP broadcast router makes this possible with no router
 // changes: the destination node already sees every client packet.
@@ -60,8 +60,6 @@ func (f *Filter) QueueLen() int { return len(f.queue) }
 // Service owns the capture filters of one node.
 type Service struct {
 	stack   *netstack.Stack
-	hook    netstack.HookID
-	hooked  bool
 	filters []*Filter
 
 	// fences maps a local port to the minimum acceptable filter epoch.
@@ -75,8 +73,8 @@ type Service struct {
 	Fenced        uint64
 }
 
-// NewService creates the capture service for a node's stack. The hook is
-// installed lazily when the first filter is enabled.
+// NewService creates the capture service for a node's stack. It fills
+// the stack's capture slot while at least one filter is enabled.
 func NewService(st *netstack.Stack) *Service {
 	return &Service{stack: st, fences: make(map[uint16]uint64)}
 }
@@ -98,13 +96,10 @@ func (s *Service) EnableEpoch(key netsim.FlowKey, ep uint64) *Filter {
 		s.Fenced++
 		return f // inert: below the fence, never installed
 	}
-	s.filters = append(s.filters, f)
-	if !s.hooked {
-		// Negative priority: run before translation and anything else on
-		// LOCAL_IN, so the capture window is airtight.
-		s.hook = s.stack.RegisterHook(netstack.HookLocalIn, -100, s.hookFn)
-		s.hooked = true
+	if len(s.filters) == 0 {
+		s.stack.SetCapturer(s)
 	}
+	s.filters = append(s.filters, f)
 	return f
 }
 
@@ -133,17 +128,24 @@ func (s *Service) FencePort(port uint16, ep uint64) int {
 		kept = append(kept, f)
 	}
 	s.filters = kept
-	if len(s.filters) == 0 && s.hooked {
-		s.stack.UnregisterHook(s.hook)
-		s.hooked = false
-	}
+	s.emptySlot()
 	return dropped
 }
 
 // PortFence returns the current fence epoch for a port (0 = unfenced).
 func (s *Service) PortFence(port uint16) uint64 { return s.fences[port] }
 
-func (s *Service) hookFn(p *netsim.Packet) netstack.Verdict {
+// emptySlot leaves the stack's capture slot once the last filter is gone.
+func (s *Service) emptySlot() {
+	if len(s.filters) == 0 {
+		s.stack.SetCapturer(nil)
+	}
+}
+
+// Capture fills the stack's capture slot: it takes a packet that matches
+// an enabled filter into the filter's queue, or consumes it as a
+// duplicate.
+func (s *Service) Capture(p *netsim.Packet) bool {
 	for _, f := range s.filters {
 		if !f.matches(p) {
 			continue
@@ -154,7 +156,7 @@ func (s *Service) hookFn(p *netsim.Packet) netstack.Verdict {
 			if f.seqSeen[p.Seq] {
 				f.Deduped++
 				p.Release() // duplicate consumed, not requeued
-				return netstack.VerdictStolen
+				return true
 			}
 			if f.seqSeen == nil {
 				f.seqSeen = make(map[uint32]bool)
@@ -164,9 +166,9 @@ func (s *Service) hookFn(p *netsim.Packet) netstack.Verdict {
 		f.queue = append(f.queue, p)
 		f.Captured++
 		s.TotalCaptured++
-		return netstack.VerdictStolen
+		return true
 	}
-	return netstack.VerdictAccept
+	return false
 }
 
 // ReinjectAndDisable removes the filter and submits each captured packet
@@ -195,10 +197,7 @@ func (s *Service) ReinjectAndDisable(f *Filter) (int, error) {
 		return 0, fmt.Errorf("capture: filter %v not enabled", f.Key)
 	}
 	s.filters = append(s.filters[:idx], s.filters[idx+1:]...)
-	if len(s.filters) == 0 && s.hooked {
-		s.stack.UnregisterHook(s.hook)
-		s.hooked = false
-	}
+	s.emptySlot()
 	n := 0
 	for _, p := range f.queue {
 		s.stack.Reinject(p)
@@ -216,10 +215,7 @@ func (s *Service) Drop(f *Filter) {
 			break
 		}
 	}
-	if len(s.filters) == 0 && s.hooked {
-		s.stack.UnregisterHook(s.hook)
-		s.hooked = false
-	}
+	s.emptySlot()
 	for _, p := range f.queue {
 		p.Release()
 	}

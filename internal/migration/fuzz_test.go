@@ -175,116 +175,164 @@ func TestConcurrentOppositeMigrations(t *testing.T) {
 	}
 }
 
-// TestBothEndsMigration exercises the paper's named future work: a
-// connection between two zone-server-like processes where BOTH endpoints
-// migrate, one after the other. The translation rules must follow each
-// move (peer resolution through the local table, rule replication onto
-// the destination, stale-rule cleanup).
-func TestBothEndsMigration(t *testing.T) {
-	cfg := DefaultConfig()
-	c := proc.NewCluster(simtime.NewScheduler(), 4)
-	var migs []*Migrator
+// bothEnds is a connection between two zone-server-like processes:
+// zoneA on node1 connected to zoneB on node2, each sending a byte per
+// 50 ms tick, on a four-node cluster where every node runs a migrator.
+type bothEnds struct {
+	c          *proc.Cluster
+	migs       []*Migrator
+	pa, pb     *proc.Process
+	aGot, bGot []byte
+}
+
+func newBothEnds(t *testing.T) *bothEnds {
+	t.Helper()
+	w := &bothEnds{c: proc.NewCluster(simtime.NewScheduler(), 4)}
+	c := w.c
 	for _, n := range c.Nodes {
-		m, err := NewMigrator(n, cfg)
+		m, err := NewMigrator(n, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		migs = append(migs, m)
+		w.migs = append(w.migs, m)
 	}
-	// A on node1 connects to B on node2.
-	pa := c.Nodes[0].Spawn("zoneA", 1)
-	pb := c.Nodes[1].Spawn("zoneB", 1)
+	w.pa = c.Nodes[0].Spawn("zoneA", 1)
+	w.pb = c.Nodes[1].Spawn("zoneB", 1)
 	lst := netstack.NewTCPSocket(c.Nodes[1].Stack)
 	if err := lst.Listen(c.Nodes[1].LocalIP, 21000); err != nil {
 		t.Fatal(err)
 	}
 	var bSide *netstack.TCPSocket
 	lst.OnAccept = func(ch *netstack.TCPSocket) { bSide = ch }
-	pb.FDs.Install(&proc.TCPFile{Sock: lst})
+	w.pb.FDs.Install(&proc.TCPFile{Sock: lst})
 	aSide := netstack.NewTCPSocket(c.Nodes[0].Stack)
 	if err := aSide.Connect(c.Nodes[1].LocalIP, 21000); err != nil {
 		t.Fatal(err)
 	}
-	pa.FDs.Install(&proc.TCPFile{Sock: aSide})
+	w.pa.FDs.Install(&proc.TCPFile{Sock: aSide})
 	c.Sched.RunFor(time.Second)
 	if bSide == nil {
 		t.Fatal("setup: no connection")
 	}
-	pb.FDs.Install(&proc.TCPFile{Sock: bSide})
-	// Both apps: poll, echo counters to each other.
-	var aGot, bGot []byte
-	pa.Tick = func(self *proc.Process) {
-		tcp, _ := self.Sockets()
-		for _, sk := range tcp {
-			aGot = append(aGot, sk.Recv()...)
-			if sk.State == netstack.TCPEstablished {
-				_ = sk.Send([]byte("a"))
+	w.pb.FDs.Install(&proc.TCPFile{Sock: bSide})
+	tick := func(got *[]byte, msg string) func(*proc.Process) {
+		return func(self *proc.Process) {
+			tcp, _ := self.Sockets()
+			for _, sk := range tcp {
+				*got = append(*got, sk.Recv()...)
+				if sk.State == netstack.TCPEstablished {
+					_ = sk.Send([]byte(msg))
+				}
 			}
 		}
 	}
-	pb.Tick = func(self *proc.Process) {
-		tcp, _ := self.Sockets()
-		for _, sk := range tcp {
-			bGot = append(bGot, sk.Recv()...)
-			if sk.State == netstack.TCPEstablished {
-				_ = sk.Send([]byte("b"))
-			}
-		}
-	}
-	c.Nodes[0].StartLoop(pa, 50*time.Millisecond)
-	c.Nodes[1].StartLoop(pb, 50*time.Millisecond)
+	w.pa.Tick = tick(&w.aGot, "a")
+	w.pb.Tick = tick(&w.bGot, "b")
+	c.Nodes[0].StartLoop(w.pa, 50*time.Millisecond)
+	c.Nodes[1].StartLoop(w.pb, 50*time.Millisecond)
 	c.Sched.RunFor(500 * time.Millisecond)
+	return w
+}
 
-	migrateAndWait := func(mi int, p *proc.Process, to int) {
-		t.Helper()
-		done := false
-		var mErr error
-		migs[mi].Migrate(p, c.Nodes[to].LocalIP, func(m *Metrics, err error) { done, mErr = true, err })
-		c.Sched.RunFor(5 * time.Second)
-		if !done || mErr != nil {
-			t.Fatalf("migration failed: done=%v err=%v", done, mErr)
-		}
+// migrate moves p from node mi to node to and returns it there with the
+// migration's metrics.
+func (w *bothEnds) migrate(t *testing.T, mi int, p *proc.Process, to int) (*proc.Process, *Metrics) {
+	t.Helper()
+	var done *Metrics
+	var mErr error
+	w.migs[mi].Migrate(p, w.c.Nodes[to].LocalIP, func(m *Metrics, err error) { done, mErr = m, err })
+	w.c.Sched.RunFor(5 * time.Second)
+	if done == nil || mErr != nil {
+		t.Fatalf("migration failed: done=%v err=%v", done != nil, mErr)
 	}
+	moved := findProcess(w.c.Nodes[to], p.Name)
+	if moved == nil {
+		t.Fatalf("%s not on node%d", p.Name, to+1)
+	}
+	return moved, done
+}
 
+// TestBothEndsMigration exercises the paper's named future work: a
+// connection between two zone-server-like processes where BOTH endpoints
+// migrate, one after the other. The translation rules must follow each
+// move (peer resolution through the local table, rule replication onto
+// the destination, stale-rule cleanup).
+func TestBothEndsMigration(t *testing.T) {
+	w := newBothEnds(t)
 	// Hop 1: A moves node1 → node3.
-	migrateAndWait(0, pa, 2)
-	pa = findProcess(c.Nodes[2], "zoneA")
-	if pa == nil {
-		t.Fatal("A not on node3")
-	}
-	beforeA, beforeB := len(aGot), len(bGot)
-	c.Sched.RunFor(time.Second)
-	if len(aGot) <= beforeA || len(bGot) <= beforeB {
+	w.pa, _ = w.migrate(t, 0, w.pa, 2)
+	beforeA, beforeB := len(w.aGot), len(w.bGot)
+	w.c.Sched.RunFor(time.Second)
+	if len(w.aGot) <= beforeA || len(w.bGot) <= beforeB {
 		t.Fatal("traffic stalled after A's move")
 	}
 
 	// Hop 2: B moves node2 → node4 — the peer (A) already migrated, so
 	// the source must resolve A's current home through its own
 	// translation table and replicate its rule to node4.
-	migrateAndWait(1, pb, 3)
-	pb = findProcess(c.Nodes[3], "zoneB")
-	if pb == nil {
-		t.Fatal("B not on node4")
+	w.pb, _ = w.migrate(t, 1, w.pb, 3)
+	beforeA, beforeB = len(w.aGot), len(w.bGot)
+	w.c.Sched.RunFor(2 * time.Second)
+	if len(w.aGot) <= beforeA {
+		t.Fatalf("A receives nothing after B's move (%d)", len(w.aGot)-beforeA)
 	}
-	beforeA, beforeB = len(aGot), len(bGot)
-	c.Sched.RunFor(2 * time.Second)
-	if len(aGot) <= beforeA {
-		t.Fatalf("A receives nothing after B's move (%d)", len(aGot)-beforeA)
-	}
-	if len(bGot) <= beforeB {
-		t.Fatalf("B receives nothing after B's move (%d)", len(bGot)-beforeB)
+	if len(w.bGot) <= beforeB {
+		t.Fatalf("B receives nothing after B's move (%d)", len(w.bGot)-beforeB)
 	}
 	// Stale rules cleaned up: node2 (B's old host) holds none.
-	if n := len(migs[1].Transd.Translator().Rules()); n != 0 {
+	if n := len(w.migs[1].Transd.Translator().Rules()); n != 0 {
 		t.Fatalf("stale rules on node2: %d", n)
 	}
 	// Node3 (A's host) translates toward node4; node4 (B's host)
 	// translates toward node3.
-	if n := len(migs[2].Transd.Translator().Rules()); n != 1 {
+	if n := len(w.migs[2].Transd.Translator().Rules()); n != 1 {
 		t.Fatalf("rules on node3 = %d, want 1", n)
 	}
-	if n := len(migs[3].Transd.Translator().Rules()); n != 1 {
+	if n := len(w.migs[3].Transd.Translator().Rules()); n != 1 {
 		t.Fatalf("rules on node4 = %d, want 1", n)
+	}
+}
+
+// TestBothEndsFreezeCapturesPeerSegments: while B moves node2 → node4, a
+// segment A sends from node3 is redirected to node4 by node3's rule and
+// arrives from A's current address, while B's socket — and so node4's
+// capture filter — names A by its original one. Node4 must translate
+// before it captures, or the segment misses the filter, dies for want of
+// a socket and A waits out a retransmission timeout. A sends once the
+// socket transfer starts: earlier in the freeze, node3 still routes to
+// node2, where B's socket is still hashed.
+func TestBothEndsFreezeCapturesPeerSegments(t *testing.T) {
+	w := newBothEnds(t)
+	w.pa, _ = w.migrate(t, 0, w.pa, 2)
+	w.c.Sched.RunFor(time.Second)
+
+	node3 := w.c.Nodes[2].Stack
+	var retransmits uint64
+	sent := false
+	w.migs[1].OnPhase = func(ev PhaseEvent) {
+		if ev.Phase != PhaseTransfer || sent {
+			return
+		}
+		sent = true
+		retransmits = node3.Stats.Retransmits
+		tcp, _ := w.pa.Sockets()
+		if err := tcp[0].Send([]byte("in the freeze")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var m *Metrics
+	w.pb, m = w.migrate(t, 1, w.pb, 3)
+	if !sent {
+		t.Fatal("B's migration never reached the socket transfer")
+	}
+	if m.Captured == 0 || m.Reinjected == 0 {
+		t.Fatalf("node4 captured %d and reinjected %d packets, want A's segment among them", m.Captured, m.Reinjected)
+	}
+	if got := node3.Stats.Retransmits - retransmits; got != 0 {
+		t.Fatalf("node3 retransmitted %d times: A's segment was lost in B's freeze", got)
+	}
+	if !bytes.Contains(w.bGot, []byte("in the freeze")) {
+		t.Fatal("B never read A's segment")
 	}
 }
 
@@ -408,16 +456,15 @@ func TestOOOQueueMigrates(t *testing.T) {
 	cfg.InitialTimeout = 100 * 1e6 // fast precopy
 	e := newEnv(t, 2, 1, cfg)
 	cli := e.clients[0]
-	// Hold the first data segment at node1 so followers go out of order.
-	var held bool
-	hookID := e.c.Nodes[0].Stack.RegisterHook(netstack.HookLocalIn, -200,
-		func(pk *netsim.Packet) netstack.Verdict {
-			if !held && pk.Proto == netsim.ProtoTCP && len(pk.Payload) > 0 && pk.DstPort == 7777 {
-				held = true
-				return netstack.VerdictDrop // client's RTO will resupply it later
-			}
-			return netstack.VerdictAccept
-		})
+	// Lose the first data segment on its way into node1 so followers go
+	// out of order; the client's RTO will resupply it later.
+	var lost bool
+	pub := e.c.Nodes[0].PublicNIC
+	pub.SetFault(rxLoss(func(pk *netsim.Packet) bool {
+		lose := !lost && pk.Proto == netsim.ProtoTCP && len(pk.Payload) > 0 && pk.DstPort == 7777
+		lost = lost || lose
+		return lose
+	}))
 	cli.Send(bytes.Repeat([]byte("A"), netstack.DefaultMSS)) // dropped
 	cli.Send(bytes.Repeat([]byte("B"), 100))                 // lands in OOO
 	e.c.Sched.RunFor(20 * time.Millisecond)
@@ -432,7 +479,7 @@ func TestOOOQueueMigrates(t *testing.T) {
 	if !oooFound {
 		t.Fatal("setup: no out-of-order state")
 	}
-	e.c.Nodes[0].Stack.UnregisterHook(hookID)
+	pub.SetFault(nil)
 	m := e.migrate(t, 1) // RTO (200ms+) fires after freeze; hole fills at node2
 	_ = m
 	e.c.Sched.RunFor(5 * time.Second)
@@ -440,6 +487,14 @@ func TestOOOQueueMigrates(t *testing.T) {
 	if !bytes.Contains(e.received.Bytes(), want) {
 		t.Fatal("ooo-held data did not complete after migration")
 	}
+}
+
+// rxLoss is a test fault program: the link drops the ingress packets it
+// picks.
+type rxLoss func(p *netsim.Packet) bool
+
+func (f rxLoss) Apply(_ simtime.Time, dir string, p *netsim.Packet) netsim.FaultAction {
+	return netsim.FaultAction{Drop: dir == "rx" && f(p)}
 }
 
 // TestConcurrentInboundMigrations sends two processes from two sources to

@@ -410,9 +410,10 @@ func (ob *outbound) setupTranslation() {
 		// its current home — send the request there (both-ends
 		// migration support).
 		peer := sk.RemoteIP
-		if cur, ok := ob.m.Transd.Translator().LookupPeer(netsim.ProtoTCP,
-			sk.RemoteIP, sk.LocalPort, sk.RemotePort); ok {
-			peer = cur
+		local, translated := ob.m.Transd.Translator().FlowRule(netsim.ProtoTCP,
+			sk.RemoteIP, sk.LocalPort, sk.RemotePort)
+		if translated {
+			peer = local.NewAddr
 		}
 		rules = append(rules, xlatOp{
 			peer: peer, add: true,
@@ -432,8 +433,7 @@ func (ob *outbound) setupTranslation() {
 		// If this node is translating the socket's own outgoing traffic
 		// (its peer migrated before), the rule must move with the socket:
 		// replicate it onto the destination node.
-		if local, ok := ob.m.Transd.Translator().FlowRule(netsim.ProtoTCP,
-			sk.RemoteIP, sk.LocalPort, sk.RemotePort); ok {
+		if translated {
 			rules = append(rules, xlatOp{peer: ob.dest, add: true, rule: local})
 			ob.rollback = append(ob.rollback, xlatOp{peer: ob.dest, add: false, rule: local})
 		}

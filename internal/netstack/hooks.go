@@ -1,120 +1,32 @@
 // Package netstack implements the per-node network stack of the simulated
-// cluster: a netfilter-style hook framework, an IPv4 layer with routing
-// and a destination cache, and TCP/UDP transport with the exact kernel
-// structures the paper's socket migration manipulates — the ehash and
-// bhash lookup tables, the write / receive / out-of-order / backlog /
-// prequeue socket buffer queues, jiffies-based TCP timestamps and the
-// retransmission timer.
+// cluster: an IPv4 layer with routing and a destination cache, the two
+// netfilter slots the paper's kernel module occupies (capture and address
+// translation), and TCP/UDP transport with the exact kernel structures the
+// paper's socket migration manipulates — the ehash and bhash lookup
+// tables, the write / receive / out-of-order / backlog / prequeue socket
+// buffer queues, jiffies-based TCP timestamps and the retransmission
+// timer.
 package netstack
 
-import (
-	"sort"
+import "dvemig/internal/netsim"
 
-	"dvemig/internal/netsim"
-)
-
-// HookPoint identifies where in the stack traversal a hook runs, mirroring
-// the Linux netfilter hook points used by the paper: NF_INET_LOCAL_IN for
-// packet capture and incoming translation, NF_INET_LOCAL_OUT for outgoing
-// translation.
-type HookPoint int
-
-// Hook points in traversal order.
-const (
-	HookPreRouting HookPoint = iota
-	HookLocalIn
-	HookLocalOut
-	HookPostRouting
-	numHookPoints
-)
-
-// String names the hook point like the kernel constant.
-func (h HookPoint) String() string {
-	switch h {
-	case HookPreRouting:
-		return "NF_INET_PRE_ROUTING"
-	case HookLocalIn:
-		return "NF_INET_LOCAL_IN"
-	case HookLocalOut:
-		return "NF_INET_LOCAL_OUT"
-	case HookPostRouting:
-		return "NF_INET_POST_ROUTING"
-	}
-	return "NF_INET_UNKNOWN"
+// Capturer fills the capture slot on NF_INET_LOCAL_IN (§III-B, §V-B). A
+// packet it takes is its own from then on: it hands the packet back
+// through Reinject or releases it.
+type Capturer interface {
+	Capture(p *netsim.Packet) (taken bool)
 }
 
-// Verdict is a netfilter verdict.
-type Verdict int
-
-// Verdicts: Accept continues traversal, Drop discards the packet, Stolen
-// means the hook took ownership (the capture module queues the packet and
-// later reinjects it through the okfn, ip_rcv_finish in IPv4).
-const (
-	VerdictAccept Verdict = iota
-	VerdictDrop
-	VerdictStolen
-)
-
-// HookFunc inspects and may mutate the packet, returning a verdict.
-type HookFunc func(p *netsim.Packet) Verdict
-
-// HookID identifies a registered hook for unregistration.
-type HookID struct {
-	point HookPoint
-	id    int
+// Rewriter fills the address-translation slot (§III-C, §V-D): In runs on
+// NF_INET_LOCAL_IN, Out on NF_INET_LOCAL_OUT. It may rewrite header
+// fields of its node's copy of a packet; it never keeps or drops one.
+type Rewriter interface {
+	In(p *netsim.Packet)
+	Out(p *netsim.Packet)
 }
 
-type hookEntry struct {
-	id   int
-	prio int
-	seq  int
-	fn   HookFunc
-}
+// SetCapturer fills the capture slot, or empties it with nil.
+func (s *Stack) SetCapturer(c Capturer) { s.capturer = c }
 
-type hookTable struct {
-	nextID  int
-	entries [numHookPoints][]hookEntry
-}
-
-// RegisterHook attaches fn at the given point. Lower priority runs first;
-// ties run in registration order.
-func (s *Stack) RegisterHook(point HookPoint, prio int, fn HookFunc) HookID {
-	t := &s.hooks
-	t.nextID++
-	e := hookEntry{id: t.nextID, prio: prio, seq: t.nextID, fn: fn}
-	list := append(t.entries[point], e)
-	sort.SliceStable(list, func(i, j int) bool {
-		if list[i].prio != list[j].prio {
-			return list[i].prio < list[j].prio
-		}
-		return list[i].seq < list[j].seq
-	})
-	t.entries[point] = list
-	return HookID{point: point, id: t.nextID}
-}
-
-// UnregisterHook removes a previously registered hook. Unknown IDs are
-// ignored so teardown paths can be idempotent.
-func (s *Stack) UnregisterHook(id HookID) {
-	list := s.hooks.entries[id.point]
-	for i, e := range list {
-		if e.id == id.id {
-			s.hooks.entries[id.point] = append(list[:i:i], list[i+1:]...)
-			return
-		}
-	}
-}
-
-// runHooks traverses the chain at point. It returns the final verdict.
-func (s *Stack) runHooks(point HookPoint, p *netsim.Packet) Verdict {
-	for _, e := range s.hooks.entries[point] {
-		switch e.fn(p) {
-		case VerdictDrop:
-			s.Stats.HookDrops++
-			return VerdictDrop
-		case VerdictStolen:
-			return VerdictStolen
-		}
-	}
-	return VerdictAccept
-}
+// SetRewriter fills the translation slot, or empties it with nil.
+func (s *Stack) SetRewriter(r Rewriter) { s.rewriter = r }

@@ -17,9 +17,10 @@ var (
 
 // pair wires two stacks together over an in-cluster switch.
 type pair struct {
-	sched *simtime.Scheduler
-	sw    *netsim.Switch
-	a, b  *Stack
+	sched  *simtime.Scheduler
+	sw     *netsim.Switch
+	a, b   *Stack
+	na, nb *netsim.NIC
 }
 
 func newPair(t *testing.T) *pair {
@@ -34,8 +35,33 @@ func newPair(t *testing.T) *pair {
 	b.AttachNIC(nb, addrB)
 	a.AddRoute(lan, 24, na, addrA)
 	b.AddRoute(lan, 24, nb, addrB)
-	return &pair{sched: sched, sw: sw, a: a, b: b}
+	return &pair{sched: sched, sw: sw, a: a, b: b, na: na, nb: nb}
 }
+
+// rxLoss is a test fault program: the link drops the ingress packets it
+// picks, at the instant they would reach the stack.
+type rxLoss func(now simtime.Time, p *netsim.Packet) bool
+
+func (f rxLoss) Apply(now simtime.Time, dir string, p *netsim.Packet) netsim.FaultAction {
+	return netsim.FaultAction{Drop: dir == "rx" && f(now, p)}
+}
+
+// loseFirstData drops the first data segment the link delivers.
+func loseFirstData() rxLoss {
+	lost := false
+	return func(_ simtime.Time, pk *netsim.Packet) bool {
+		if lost || len(pk.Payload) == 0 {
+			return false
+		}
+		lost = true
+		return true
+	}
+}
+
+// captureFunc fills a stack's capture slot in tests.
+type captureFunc func(p *netsim.Packet) bool
+
+func (f captureFunc) Capture(p *netsim.Packet) bool { return f(p) }
 
 // connect establishes a client (on a) to a server listener (on b) and
 // returns client socket and the accepted server-side socket.
@@ -127,18 +153,9 @@ func TestRetransmissionOnLoss(t *testing.T) {
 	cli, srv := p.connect(t, 4002)
 	var got []byte
 	srv.OnReadable = func() { got = append(got, srv.Recv()...) }
-	// Drop the first data segment seen at b.
-	dropped := false
-	id := p.b.RegisterHook(HookLocalIn, 0, func(pk *netsim.Packet) Verdict {
-		if !dropped && len(pk.Payload) > 0 {
-			dropped = true
-			return VerdictDrop
-		}
-		return VerdictAccept
-	})
+	p.nb.SetFault(loseFirstData())
 	cli.Send([]byte("hello"))
 	p.sched.RunFor(5 * time.Second)
-	p.b.UnregisterHook(id)
 	if string(got) != "hello" {
 		t.Fatalf("got %q after loss", got)
 	}
@@ -155,20 +172,20 @@ func TestOutOfOrderReassembly(t *testing.T) {
 	// Delay (steal and reinject later) the first data segment so the
 	// second arrives first.
 	var held *netsim.Packet
-	id := p.b.RegisterHook(HookLocalIn, 0, func(pk *netsim.Packet) Verdict {
+	p.b.SetCapturer(captureFunc(func(pk *netsim.Packet) bool {
 		if held == nil && len(pk.Payload) > 0 {
 			held = pk
-			return VerdictStolen
+			return true
 		}
-		return VerdictAccept
-	})
+		return false
+	}))
 	cli.Send(bytes.Repeat([]byte("A"), DefaultMSS)) // segment 1
 	cli.Send(bytes.Repeat([]byte("B"), 10))         // segment 2
 	p.sched.RunFor(50 * time.Millisecond)
 	if len(srv.OOOQueue()) != 1 {
 		t.Fatalf("ooo queue = %d, want 1", len(srv.OOOQueue()))
 	}
-	p.b.UnregisterHook(id)
+	p.b.SetCapturer(nil)
 	p.b.Reinject(held)
 	p.sched.RunFor(time.Second)
 	want := append(bytes.Repeat([]byte("A"), DefaultMSS), bytes.Repeat([]byte("B"), 10)...)
@@ -207,9 +224,8 @@ func TestPrequeueFastPath(t *testing.T) {
 	cli, srv := p.connect(t, 4005)
 	srv.StartRecvWait()
 	cli.Send([]byte("fast"))
-	// Observe the prequeue at the instant of delivery: register a
-	// LOCAL_IN hook that checks after demux... instead run until idle and
-	// verify the data was processed via the process-context drain.
+	// Run until idle and verify the data was processed via the
+	// process-context drain.
 	p.sched.RunFor(time.Second)
 	if string(srv.Recv()) != "fast" {
 		t.Fatal("prequeue path lost data")
@@ -273,59 +289,16 @@ func TestDuplicateListenRejected(t *testing.T) {
 	}
 }
 
-func TestHookOrderAndDrop(t *testing.T) {
-	p := newPair(t)
-	var order []int
-	p.a.RegisterHook(HookLocalOut, 10, func(pk *netsim.Packet) Verdict {
-		order = append(order, 10)
-		return VerdictAccept
-	})
-	p.a.RegisterHook(HookLocalOut, -5, func(pk *netsim.Packet) Verdict {
-		order = append(order, -5)
-		return VerdictAccept
-	})
-	us := NewUDPSocket(p.a)
-	us.BindEphemeral(addrA)
-	us.SendTo(addrB, 9999, []byte("x"))
-	if len(order) != 2 || order[0] != -5 || order[1] != 10 {
-		t.Fatalf("hook order = %v", order)
-	}
-}
-
-func TestHookDropStopsTraversal(t *testing.T) {
-	p := newPair(t)
-	ran := false
-	p.b.RegisterHook(HookLocalIn, 0, func(pk *netsim.Packet) Verdict { return VerdictDrop })
-	p.b.RegisterHook(HookLocalIn, 1, func(pk *netsim.Packet) Verdict { ran = true; return VerdictAccept })
-	us := NewUDPSocket(p.b)
-	if err := us.Bind(addrB, 7000); err != nil {
-		t.Fatal(err)
-	}
-	ua := NewUDPSocket(p.a)
-	ua.BindEphemeral(addrA)
-	ua.SendTo(addrB, 7000, []byte("x"))
-	p.sched.Run()
-	if ran {
-		t.Fatal("hook after DROP still ran")
-	}
-	if us.QueueLen() != 0 {
-		t.Fatal("dropped packet delivered")
-	}
-	if p.b.Stats.HookDrops != 1 {
-		t.Fatalf("HookDrops = %d", p.b.Stats.HookDrops)
-	}
-}
-
+// TestStolenAndReinject pins the capture slot's contract: a packet the
+// capturer takes stays alive in its hands, and Reinject hands it to the
+// socket without passing the capture slot again, and counts it.
 func TestStolenAndReinject(t *testing.T) {
 	p := newPair(t)
-	var stolen *netsim.Packet
-	id := p.b.RegisterHook(HookLocalIn, 0, func(pk *netsim.Packet) Verdict {
-		if stolen == nil && pk.Proto == netsim.ProtoUDP {
-			stolen = pk
-			return VerdictStolen
-		}
-		return VerdictAccept
-	})
+	var stolen []*netsim.Packet
+	p.b.SetCapturer(captureFunc(func(pk *netsim.Packet) bool {
+		stolen = append(stolen, pk)
+		return true
+	}))
 	us := NewUDPSocket(p.b)
 	if err := us.Bind(addrB, 7001); err != nil {
 		t.Fatal(err)
@@ -334,14 +307,16 @@ func TestStolenAndReinject(t *testing.T) {
 	ua.BindEphemeral(addrA)
 	ua.SendTo(addrB, 7001, []byte("steal me"))
 	p.sched.Run()
-	if us.QueueLen() != 0 || stolen == nil {
+	if us.QueueLen() != 0 || len(stolen) != 1 {
 		t.Fatal("packet was not stolen")
 	}
-	p.b.UnregisterHook(id)
-	p.b.Reinject(stolen)
+	p.b.Reinject(stolen[0]) // the capturer is still in its slot
 	d, ok := us.Recv()
 	if !ok || string(d.Payload) != "steal me" {
 		t.Fatal("reinjection failed")
+	}
+	if len(stolen) != 1 {
+		t.Fatal("the reinjected packet passed the capture slot again")
 	}
 	if p.b.Stats.Reinjected != 1 {
 		t.Fatal("reinjection not counted")
@@ -520,16 +495,13 @@ func TestRTOMinFloorsTheTimer(t *testing.T) {
 			}
 
 			var arrivals []simtime.Time
-			p.b.RegisterHook(HookLocalIn, 0, func(pk *netsim.Packet) Verdict {
+			p.nb.SetFault(rxLoss(func(now simtime.Time, pk *netsim.Packet) bool {
 				if len(pk.Payload) == 0 {
-					return VerdictAccept
+					return false
 				}
-				arrivals = append(arrivals, p.sched.Now())
-				if len(arrivals) <= 2 {
-					return VerdictDrop
-				}
-				return VerdictAccept
-			})
+				arrivals = append(arrivals, now)
+				return len(arrivals) <= 2
+			}))
 			cli.Send([]byte("lost twice"))
 			p.sched.RunFor(time.Second)
 			if len(arrivals) != 3 || cli.Retransmits != 2 {
@@ -633,14 +605,7 @@ func TestFastRetransmitOnTripleDupAck(t *testing.T) {
 	srv.OnReadable = func() { got = append(got, srv.Recv()...) }
 	// Drop exactly the first data segment at b; later segments produce
 	// dup ACKs that trigger fast retransmit well before the 200ms RTO.
-	dropped := false
-	p.b.RegisterHook(HookLocalIn, 0, func(pk *netsim.Packet) Verdict {
-		if !dropped && len(pk.Payload) > 0 {
-			dropped = true
-			return VerdictDrop
-		}
-		return VerdictAccept
-	})
+	p.nb.SetFault(loseFirstData())
 	// Send several segments back to back.
 	cli.Send(make([]byte, 5*DefaultMSS))
 	p.sched.RunFor(100 * time.Millisecond) // less than MinRTO
@@ -764,12 +729,9 @@ func TestZeroWindowProbeSurvivesLostUpdate(t *testing.T) {
 	// Drop every pure-ACK from the server for a while: the window-update
 	// that Recv() sends is lost; only the persist probe can recover.
 	dropping := true
-	p.a.RegisterHook(HookLocalIn, 0, func(pk *netsim.Packet) Verdict {
-		if dropping && len(pk.Payload) == 0 {
-			return VerdictDrop
-		}
-		return VerdictAccept
-	})
+	p.na.SetFault(rxLoss(func(_ simtime.Time, pk *netsim.Packet) bool {
+		return dropping && len(pk.Payload) == 0
+	}))
 	srv.Recv() // frees the whole buffer; its window update is dropped
 	p.sched.RunFor(300 * time.Millisecond)
 	dropping = false

@@ -10,7 +10,7 @@ import (
 )
 
 // TestBroadcastCloneIndependence pins the two halves of the ownership
-// rule on the broadcast path: a hook that rewrites its node's copy of a
+// rule on the broadcast path: a slot that rewrites its node's copy of a
 // client segment (and fixes the checksum) changes nothing its sibling
 // nodes or the sender's write queue can see, while all of them read the
 // payload from one shared buffer.
@@ -48,17 +48,17 @@ func TestBroadcastCloneIndependence(t *testing.T) {
 	rewritten := netsim.MakeAddr(192, 168, 1, 2)
 	got := make([]*netsim.Packet, len(stacks))
 	for i, st := range stacks {
-		st.RegisterHook(HookPreRouting, 0, func(p *netsim.Packet) Verdict {
+		st.SetCapturer(captureFunc(func(p *netsim.Packet) bool {
 			if len(p.Payload) == 0 || got[i] != nil {
-				return VerdictAccept
+				return false
 			}
 			if i == 0 {
 				p.DstIP, p.DstPort = rewritten, 7000
 				p.FixChecksum()
 			}
 			got[i] = p
-			return VerdictStolen
-		})
+			return true
+		}))
 	}
 	msg := bytes.Repeat([]byte("zone-update "), 20)
 	if err := cli.Send(msg); err != nil {
@@ -112,12 +112,7 @@ func TestRestoredWriteQueueSurvivesCloneRelease(t *testing.T) {
 	cli, srv := p.connect(t, 4102)
 	var rcvd []byte
 	srv.OnReadable = func() { rcvd = srv.RecvAppend(rcvd) }
-	drop := p.b.RegisterHook(HookLocalIn, 0, func(pk *netsim.Packet) Verdict {
-		if len(pk.Payload) > 0 {
-			return VerdictDrop
-		}
-		return VerdictAccept
-	})
+	p.nb.SetFault(rxLoss(func(_ simtime.Time, pk *netsim.Packet) bool { return len(pk.Payload) > 0 }))
 	data := make([]byte, 3*DefaultMSS)
 	for i := range data {
 		data[i] = byte(i*31 + i>>8)
@@ -131,7 +126,7 @@ func TestRestoredWriteQueueSurvivesCloneRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.b.UnregisterHook(drop)
+	p.nb.SetFault(nil)
 
 	// Restore onto a third stack that takes over addrA.
 	c := NewStack(p.sched, "c", 999999)
@@ -139,16 +134,16 @@ func TestRestoredWriteQueueSurvivesCloneRelease(t *testing.T) {
 	nc := p.sw.Attach("c.eth0", addrA, netsim.GigabitEthernet)
 	c.AttachNIC(nc, addrA)
 	c.AddRoute(lan, 24, nc, addrA)
-	// The path out of c loses the first two retransmissions; the test
-	// keeps the lost clones to release them itself.
+	// The peer never sees the first two retransmissions: b's capture
+	// slot keeps those clones for the test to release itself.
 	var lost []*netsim.Packet
-	c.RegisterHook(HookPostRouting, 0, func(pk *netsim.Packet) Verdict {
+	p.b.SetCapturer(captureFunc(func(pk *netsim.Packet) bool {
 		if len(pk.Payload) > 0 && len(lost) < 2 {
 			lost = append(lost, pk)
-			return VerdictStolen
+			return true
 		}
-		return VerdictAccept
-	})
+		return false
+	}))
 	srcBefore := p.a.PoolStats()
 	restored, err := RestoreTCP(c, snap)
 	if err != nil {

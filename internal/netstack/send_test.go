@@ -11,15 +11,15 @@ import (
 	"time"
 
 	"dvemig/internal/netsim"
+	"dvemig/internal/simtime"
 )
 
 // The send path is pinned by a script: a program of Sends, pauses, reader
 // stalls, lost segments and sender snapshots runs over one connection, and
-// every segment that crosses the sender's stack, either way, is folded
-// into a hash. Where segment boundaries fall, when each leaves and what
+// every segment that crosses the sender's NIC, either way, is folded into
+// a hash. Where segment boundaries fall, when each leaves and what
 // each carries is what checkpoints, taps and trace hashes are made of, so
-// the hash is recorded once, at the commit before Send stopped copying
-// every byte through the send buffer, and asserted from then on.
+// the hash is recorded once and asserted from then on.
 
 // The op alphabet. Every step is two program bytes: the op and an operand.
 const (
@@ -50,7 +50,7 @@ type sendScript struct {
 	lose     bool
 	closed   bool
 	stamp    byte
-	trace    hash.Hash64 // every segment through a's stack, either way
+	trace    hash.Hash64 // every segment through a's NIC, either way
 	segs     int
 	probes   int // one-byte segments sent against a closed window
 	stalls   int // Sends that left bytes in the send buffer
@@ -64,19 +64,31 @@ func newSendScript(t *testing.T) *sendScript {
 			s.got = s.srv.RecvAppend(s.got)
 		}
 	}
-	s.p.a.RegisterHook(HookPostRouting, 0, func(pk *netsim.Packet) Verdict {
-		if s.lose && len(pk.Payload) > 0 {
-			s.lose = false
-			return VerdictDrop
-		}
-		s.fold('>', pk)
-		return VerdictAccept
-	})
-	s.p.a.RegisterHook(HookLocalIn, 0, func(pk *netsim.Packet) Verdict {
-		s.fold('<', pk)
-		return VerdictAccept
-	})
+	nic := s.p.a.nicByName("a.eth0")
+	nic.AttachTap(s)
+	nic.SetFault(s)
 	return s
+}
+
+// PacketEvent folds every segment a's NIC sends or delivers, the lost
+// ones included: they left the stack and took their place on the wire.
+func (s *sendScript) PacketEvent(_ simtime.Time, ev netsim.TapEvent, pk *netsim.Packet) {
+	switch ev {
+	case netsim.TapTx:
+		s.fold('>', pk)
+	case netsim.TapRx:
+		s.fold('<', pk)
+	}
+}
+
+// Apply is a's link fault program: it loses the data segment sopLose
+// asked for.
+func (s *sendScript) Apply(_ simtime.Time, dir string, pk *netsim.Packet) netsim.FaultAction {
+	lose := dir == "tx" && s.lose && len(pk.Payload) > 0
+	if lose {
+		s.lose = false
+	}
+	return netsim.FaultAction{Drop: lose}
 }
 
 func (s *sendScript) fold(dir byte, pk *netsim.Packet) {
@@ -207,9 +219,11 @@ func sendProgram(seed int64) []byte {
 }
 
 func TestSendSegmentationMatchesParent(t *testing.T) {
-	// Recorded at a794a7e, where Send appended every byte to the send
-	// buffer and pushNew segmented out of it.
-	const want = "e2914f6351556e87/3174"
+	// Recorded with this script at 31f4ef4, whose send path matched the
+	// hash recorded at a794a7e (where Send appended every byte to the
+	// send buffer and pushNew segmented out of it). Loss sits on the link
+	// now, so each lost segment is folded and occupies the wire.
+	const want = "ee76a557abd752bb/3193"
 	s := newSendScript(t)
 	if err := s.run(sendProgram(24)); err != nil {
 		t.Fatal(err)

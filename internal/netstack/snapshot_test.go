@@ -236,19 +236,14 @@ func TestRestoreTCPRestartsRetransTimer(t *testing.T) {
 	cli, srv := p.connect(t, 4101)
 	var got []byte
 	srv.OnReadable = func() { got = append(got, srv.Recv()...) }
-	// Steal the data packet at b so it is never delivered; the socket
-	// will have to retransmit from its new home.
-	id := p.b.RegisterHook(HookLocalIn, 0, func(pk *netsim.Packet) Verdict {
-		if len(pk.Payload) > 0 {
-			return VerdictDrop
-		}
-		return VerdictAccept
-	})
+	// Lose the data packet on its way into b; the socket will have to
+	// retransmit from its new home.
+	p.nb.SetFault(rxLoss(func(_ simtime.Time, pk *netsim.Packet) bool { return len(pk.Payload) > 0 }))
 	cli.Send([]byte("must-arrive"))
 	p.sched.RunFor(20 * time.Millisecond)
 	cli.Unhash()
 	snap := SnapshotTCP(cli)
-	p.b.UnregisterHook(id)
+	p.nb.SetFault(nil)
 
 	// Restore the client socket onto a third stack c on the same LAN.
 	addrC := netsim.MakeAddr(192, 168, 0, 3)
@@ -427,12 +422,6 @@ func TestSectionString(t *testing.T) {
 	}
 }
 
-func TestHookPointString(t *testing.T) {
-	if HookLocalIn.String() != "NF_INET_LOCAL_IN" || HookLocalOut.String() != "NF_INET_LOCAL_OUT" {
-		t.Fatal("hook point names wrong")
-	}
-}
-
 func TestTCPStateString(t *testing.T) {
 	if TCPEstablished.String() != "ESTABLISHED" || TCPListen.String() != "LISTEN" {
 		t.Fatal("state names wrong")
@@ -469,16 +458,17 @@ func TestSnapshotLenMatchesEncoding(t *testing.T) {
 	}
 	check("idle")
 	var held *netsim.Packet
-	id := p.b.RegisterHook(HookLocalIn, 0, func(pk *netsim.Packet) Verdict {
+	p.b.SetCapturer(captureFunc(func(pk *netsim.Packet) bool {
 		switch {
 		case held == nil && len(pk.Payload) > 0:
 			held = pk
-			return VerdictStolen
+			return true
 		case held != nil && pk.Seq == held.Seq:
-			return VerdictDrop // the retransmissions too: the hole stays open
+			pk.Release() // the retransmissions too: the hole stays open
+			return true
 		}
-		return VerdictAccept
-	})
+		return false
+	}))
 	cli.Send(bytes.Repeat([]byte("A"), 60*DefaultMSS)) // more than the window takes
 	p.sched.RunFor(30 * time.Microsecond)
 	if len(cli.WriteQueue()) == 0 || cli.SendBufLen() == 0 {
@@ -490,7 +480,7 @@ func TestSnapshotLenMatchesEncoding(t *testing.T) {
 		t.Fatal("no out-of-order segment")
 	}
 	check("out of order")
-	p.b.UnregisterHook(id)
+	p.b.SetCapturer(nil)
 	p.b.Reinject(held)
 	p.sched.RunFor(time.Second)
 	if len(srv.ReceiveQueue()) == 0 {

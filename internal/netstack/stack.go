@@ -20,7 +20,6 @@ type FourTuple struct {
 type Stats struct {
 	Delivered      uint64 // packets demuxed to a socket
 	NoSocketDrops  uint64 // broadcast copies for connections owned elsewhere
-	HookDrops      uint64
 	Reinjected     uint64 // packets resubmitted through the okfn
 	ChecksumErrors uint64
 
@@ -48,8 +47,11 @@ type Stack struct {
 	routes     []route
 	localAddrs []netsim.Addr // one per NIC: two on a server node
 
-	hooks    hookTable
 	dstCache map[netsim.Addr]*netsim.DstEntry
+
+	// The two netfilter slots (hooks.go); nil when empty.
+	capturer Capturer
+	rewriter Rewriter
 
 	// The kernel lookup tables the paper names: ehash for established
 	// connections, bhash for bound/listening ports, and the UDP hash
@@ -73,9 +75,8 @@ type Stack struct {
 
 	Stats Stats
 
-	// FR, when attached, records stack-level packet verdicts (netfilter
-	// drops/steals, no-socket drops) into the flight recorder. Nil by
-	// default.
+	// FR, when attached, records the packets the capture slot takes into
+	// the flight recorder. Nil by default.
 	FR *flight.Recorder
 }
 
@@ -206,18 +207,13 @@ func (s *Stack) MakeDst(addr netsim.Addr) (*netsim.DstEntry, error) {
 }
 
 // DeliverPacket is the ip_rcv path — the stack is its NICs' ingress
-// handler: PRE_ROUTING hooks, local-address check, LOCAL_IN hooks, then
-// transport demux.
+// handler: local-address check, then NF_INET_LOCAL_IN — the translation
+// slot rewrites the packet, the capture slot may take it — then transport
+// demux. Translation comes first because Reinject skips both slots: a
+// captured packet must already name its peer the way the socket does.
 func (s *Stack) DeliverPacket(p *netsim.Packet) {
 	if s.down {
 		p.Release()
-		return
-	}
-	if v := s.runHooks(HookPreRouting, p); v != VerdictAccept {
-		s.frVerdict(v, "prerouting", p)
-		if v == VerdictDrop {
-			p.Release() // stolen packets stay alive in the hook's queue
-		}
 		return
 	}
 	if !s.isLocal(p.DstIP) {
@@ -227,34 +223,22 @@ func (s *Stack) DeliverPacket(p *netsim.Packet) {
 		p.Release()
 		return
 	}
-	if v := s.runHooks(HookLocalIn, p); v != VerdictAccept {
-		s.frVerdict(v, "local-in", p)
-		if v == VerdictDrop {
-			p.Release()
+	if s.rewriter != nil {
+		s.rewriter.In(p)
+	}
+	if s.capturer != nil && s.capturer.Capture(p) {
+		if s.FR != nil {
+			s.FR.Record(int64(s.sched.Now()), "hook-steal", "local-in",
+				int64(uint64(p.SrcIP)<<32|uint64(p.SrcPort)),
+				int64(uint64(p.DstIP)<<32|uint64(p.DstPort)), int64(p.Seq))
 		}
-		return
+		return // the capturer's now: it reinjects or releases
 	}
 	s.demux(p)
 }
 
-// frVerdict records a non-accept netfilter verdict into the flight
-// recorder: hook-drop for discarded packets, hook-steal for packets a
-// capture filter took over. One pointer check when detached.
-func (s *Stack) frVerdict(v Verdict, hook string, p *netsim.Packet) {
-	if s.FR == nil {
-		return
-	}
-	kind := "hook-drop"
-	if v == VerdictStolen {
-		kind = "hook-steal"
-	}
-	s.FR.Record(int64(s.sched.Now()), kind, hook,
-		int64(uint64(p.SrcIP)<<32|uint64(p.SrcPort)),
-		int64(uint64(p.DstIP)<<32|uint64(p.DstPort)), int64(p.Seq))
-}
-
 // Reinject is the okfn (ip_rcv_finish): it resubmits a stolen packet to
-// local delivery, bypassing the LOCAL_IN chain so a capture filter does
+// local delivery, bypassing both LOCAL_IN slots so a capture filter does
 // not steal its own reinjection.
 func (s *Stack) Reinject(p *netsim.Packet) {
 	s.Stats.Reinjected++
@@ -293,12 +277,12 @@ func (s *Stack) demux(p *netsim.Packet) {
 }
 
 // TransmitRaw pushes a fully formed packet through the output path (raw
-// socket equivalent): LOCAL_OUT and POST_ROUTING hooks run, then the
-// packet leaves through the interface chosen by its destination entry.
+// socket equivalent): the translation slot rewrites it, then the packet
+// leaves through the interface chosen by its destination entry.
 func (s *Stack) TransmitRaw(p *netsim.Packet) { s.transmit(p) }
 
-// transmit runs LOCAL_OUT hooks and sends the packet out the interface
-// selected by its destination cache entry.
+// transmit runs the LOCAL_OUT translation slot and sends the packet out
+// the interface selected by its destination cache entry.
 func (s *Stack) transmit(p *netsim.Packet) {
 	if s.down {
 		p.Release()
@@ -312,19 +296,8 @@ func (s *Stack) transmit(p *netsim.Packet) {
 		}
 		p.Dst = e
 	}
-	if v := s.runHooks(HookLocalOut, p); v != VerdictAccept {
-		s.frVerdict(v, "local-out", p)
-		if v == VerdictDrop {
-			p.Release()
-		}
-		return
-	}
-	if v := s.runHooks(HookPostRouting, p); v != VerdictAccept {
-		s.frVerdict(v, "postrouting", p)
-		if v == VerdictDrop {
-			p.Release()
-		}
-		return
+	if s.rewriter != nil {
+		s.rewriter.Out(p)
 	}
 	nic := s.nicByName(p.Dst.Iface)
 	if nic == nil {

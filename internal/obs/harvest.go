@@ -52,7 +52,6 @@ func HarvestStack(r *Registry, st *netstack.Stack) {
 	s := &st.Stats
 	r.Counter(p + "delivered").Store(s.Delivered)
 	r.Counter(p + "no_socket_drops").Store(s.NoSocketDrops)
-	r.Counter(p + "hook_drops").Store(s.HookDrops)
 	r.Counter(p + "reinjected").Store(s.Reinjected)
 	r.Counter(p + "checksum_errors").Store(s.ChecksumErrors)
 	r.Counter(p + "tcp_retransmits").Store(s.Retransmits)

@@ -10,6 +10,7 @@ import (
 	"dvemig/internal/netsim"
 	"dvemig/internal/netstack"
 	"dvemig/internal/proc"
+	"dvemig/internal/simtime"
 )
 
 // goldenDeltaRounds are the length and SHA-256 of every round's encoded
@@ -78,13 +79,11 @@ func scriptedDeltaRounds(t testing.TB) [][]byte {
 		t.Fatal(err)
 	}
 	lost := false
-	hole := n1.Stack.RegisterHook(netstack.HookLocalIn, 0, func(p *netsim.Packet) netstack.Verdict {
-		if !lost && len(p.Payload) > 0 && p.SrcPort == env.clients[3].LocalPort {
-			lost = true
-			return netstack.VerdictDrop
-		}
-		return netstack.VerdictAccept
-	})
+	n1.PublicNIC.SetFault(holeFault(func(p *netsim.Packet) bool {
+		lose := !lost && len(p.Payload) > 0 && p.SrcPort == env.clients[3].LocalPort
+		lost = lost || lose
+		return lose
+	}))
 	if err := env.clients[3].Send(bytes.Repeat([]byte("o"), 2*netstack.DefaultMSS)); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +102,7 @@ func scriptedDeltaRounds(t testing.TB) [][]byte {
 
 	// Round 4: the flight landed; the hole is still open, fd 0 still locked.
 	run(5 * time.Millisecond)
-	n1.Stack.UnregisterHook(hole)
+	n1.PublicNIC.SetFault(nil)
 	if len(tcp[3].OOOQueue()) == 0 || len(tcp[2].ReceiveQueue()) == 0 || tcp[0].BacklogLen() == 0 {
 		t.Fatalf("round 4 state: ooo %d, unread %d, backlog %d", len(tcp[3].OOOQueue()), len(tcp[2].ReceiveQueue()), tcp[0].BacklogLen())
 	}
@@ -126,6 +125,13 @@ func scriptedDeltaRounds(t testing.TB) [][]byte {
 	}
 	round(true)
 	return rounds
+}
+
+// holeFault loses the ingress packets it picks on a link.
+type holeFault func(p *netsim.Packet) bool
+
+func (f holeFault) Apply(_ simtime.Time, dir string, p *netsim.Packet) netsim.FaultAction {
+	return netsim.FaultAction{Drop: dir == "rx" && f(p)}
 }
 
 func TestDeltaBytesMatchGolden(t *testing.T) {

@@ -19,7 +19,7 @@ type Record struct {
 	At  simtime.Time
 	Dir netsim.TapEvent // TapTx or TapRx
 	// Summary fields copied out of the packet (the packet itself may be
-	// mutated downstream by netfilter hooks).
+	// rewritten downstream by the stack's translation slot).
 	Proto   byte
 	SrcIP   netsim.Addr
 	DstIP   netsim.Addr

@@ -48,14 +48,12 @@ type activeRule struct {
 	TranslatedOut, TranslatedIn uint64
 }
 
-// Translator owns the translation rules of one node and the two netfilter
-// hooks (NF_INET_LOCAL_OUT and NF_INET_LOCAL_IN) that apply them.
+// Translator owns the translation rules of one node and fills the stack's
+// translation slot (NF_INET_LOCAL_OUT and NF_INET_LOCAL_IN) while it has
+// any.
 type Translator struct {
-	stack   *netstack.Stack
-	rules   []*activeRule
-	inHook  netstack.HookID
-	outHook netstack.HookID
-	hooked  bool
+	stack *netstack.Stack
+	rules []*activeRule
 
 	// fences maps a migrated service's port (Rule.RemotePort) to the
 	// minimum acceptable rule epoch, raised by FenceRemotePort when the
@@ -112,12 +110,10 @@ func (t *Translator) Install(r Rule) error {
 	if err != nil {
 		return fmt.Errorf("xlat: no route to new address: %w", err)
 	}
-	t.rules = append(t.rules, &activeRule{Rule: r, newDst: dst})
-	if !t.hooked {
-		t.outHook = t.stack.RegisterHook(netstack.HookLocalOut, 0, t.outFn)
-		t.inHook = t.stack.RegisterHook(netstack.HookLocalIn, 0, t.inFn)
-		t.hooked = true
+	if len(t.rules) == 0 {
+		t.stack.SetRewriter(t)
 	}
+	t.rules = append(t.rules, &activeRule{Rule: r, newDst: dst})
 	return nil
 }
 
@@ -133,11 +129,10 @@ func sameMatch(a, b Rule) bool {
 func (t *Translator) Remove(r Rule) {
 	for i, ar := range t.rules {
 		if ar.Rule == r {
-			t.rules = append(t.rules[:i], t.rules[i+1:]...)
+			t.drop(i)
 			break
 		}
 	}
-	t.maybeUnhook()
 }
 
 // removeMatch drops a sameMatch rule at or below r's epoch (identity
@@ -151,11 +146,10 @@ func (t *Translator) removeMatch(r Rule) error {
 				return fmt.Errorf("xlat: stale identity install for %v (epoch %d < %d)",
 					r, r.Epoch, ar.Epoch)
 			}
-			t.rules = append(t.rules[:i], t.rules[i+1:]...)
+			t.drop(i)
 			break
 		}
 	}
-	t.maybeUnhook()
 	return nil
 }
 
@@ -178,7 +172,7 @@ func (t *Translator) FenceRemotePort(port uint16, ep uint64) int {
 		kept = append(kept, ar)
 	}
 	t.rules = kept
-	t.maybeUnhook()
+	t.emptySlot()
 	return dropped
 }
 
@@ -186,11 +180,15 @@ func (t *Translator) FenceRemotePort(port uint16, ep uint64) int {
 // unfenced).
 func (t *Translator) PortFence(port uint16) uint64 { return t.fences[port] }
 
-func (t *Translator) maybeUnhook() {
-	if len(t.rules) == 0 && t.hooked {
-		t.stack.UnregisterHook(t.outHook)
-		t.stack.UnregisterHook(t.inHook)
-		t.hooked = false
+// drop removes rule i, and leaves the translation slot with the last rule.
+func (t *Translator) drop(i int) {
+	t.rules = append(t.rules[:i], t.rules[i+1:]...)
+	t.emptySlot()
+}
+
+func (t *Translator) emptySlot() {
+	if len(t.rules) == 0 {
+		t.stack.SetRewriter(nil)
 	}
 }
 
@@ -203,32 +201,15 @@ func (t *Translator) Rules() []Rule {
 	return out
 }
 
-// LookupPeer resolves the *current* location of the remote endpoint of a
-// local connection: if a translation rule is redirecting the flow, the
-// peer really lives at the rule's NewAddr. This is what lets a process
-// migrate even when its in-cluster peer has itself migrated before
-// (both-ends migration, the paper's §VI-C future work): the local
-// translation table remembers where the peer went.
-func (t *Translator) LookupPeer(proto byte, remoteAddr netsim.Addr, localPort, remotePort uint16) (netsim.Addr, bool) {
-	for _, ar := range t.rules {
-		if ar.Proto == proto && ar.OldAddr == remoteAddr &&
-			ar.LocalPort == localPort && ar.RemotePort == remotePort {
-			return ar.NewAddr, true
-		}
-	}
-	return 0, false
-}
-
 // FlowRule returns the full rule redirecting the given local flow, if
-// one is installed. The migration engine replicates it onto the
-// destination node so a migrating socket keeps reaching a peer that
-// itself migrated earlier.
+// one is installed: its NewAddr is where the remote endpoint lives now.
+// The migration engine sends a migrating socket's translation request
+// there, and replicates the rule onto the destination node, so a socket
+// keeps reaching a peer that itself migrated earlier (both-ends
+// migration, the paper's §VI-C future work).
 func (t *Translator) FlowRule(proto byte, remoteAddr netsim.Addr, localPort, remotePort uint16) (Rule, bool) {
-	for _, ar := range t.rules {
-		if ar.Proto == proto && ar.OldAddr == remoteAddr &&
-			ar.LocalPort == localPort && ar.RemotePort == remotePort {
-			return ar.Rule, true
-		}
+	if i := t.flow(proto, remoteAddr, localPort, remotePort); i >= 0 {
+		return t.rules[i].Rule, true
 	}
 	return Rule{}, false
 }
@@ -237,14 +218,20 @@ func (t *Translator) FlowRule(proto byte, remoteAddr netsim.Addr, localPort, rem
 // local socket of a translated connection migrates away: the rule
 // belongs to the departed socket and must not linger).
 func (t *Translator) RemoveFlow(proto byte, remoteAddr netsim.Addr, localPort, remotePort uint16) {
+	if i := t.flow(proto, remoteAddr, localPort, remotePort); i >= 0 {
+		t.drop(i)
+	}
+}
+
+// flow is the index of the rule matching a local flow, or -1.
+func (t *Translator) flow(proto byte, remoteAddr netsim.Addr, localPort, remotePort uint16) int {
 	for i, ar := range t.rules {
 		if ar.Proto == proto && ar.OldAddr == remoteAddr &&
 			ar.LocalPort == localPort && ar.RemotePort == remotePort {
-			t.rules = append(t.rules[:i], t.rules[i+1:]...)
-			break
+			return i
 		}
 	}
-	t.maybeUnhook()
+	return -1
 }
 
 // Stats returns per-rule rewrite counters.
@@ -257,7 +244,9 @@ func (t *Translator) Stats(r Rule) (out, in uint64, ok bool) {
 	return 0, 0, false
 }
 
-func (t *Translator) outFn(p *netsim.Packet) netstack.Verdict {
+// Out fills the stack's LOCAL_OUT translation slot: a packet to a
+// migrated endpoint's old address leaves for its new one.
+func (t *Translator) Out(p *netsim.Packet) {
 	for _, ar := range t.rules {
 		if p.Proto == ar.Proto && p.DstIP == ar.OldAddr &&
 			p.DstPort == ar.RemotePort && p.SrcPort == ar.LocalPort {
@@ -265,21 +254,21 @@ func (t *Translator) outFn(p *netsim.Packet) netstack.Verdict {
 			p.Dst = ar.newDst // replace the inherited destination cache entry
 			p.FixChecksum()   // the rewritten header invalidates the checksum
 			ar.TranslatedOut++
-			break
+			return
 		}
 	}
-	return netstack.VerdictAccept
 }
 
-func (t *Translator) inFn(p *netsim.Packet) netstack.Verdict {
+// In fills the stack's LOCAL_IN translation slot: a packet from a
+// migrated endpoint's new address arrives from its old one.
+func (t *Translator) In(p *netsim.Packet) {
 	for _, ar := range t.rules {
 		if p.Proto == ar.Proto && p.SrcIP == ar.NewAddr &&
 			p.SrcPort == ar.RemotePort && p.DstPort == ar.LocalPort {
 			p.SrcIP = ar.OldAddr
 			p.FixChecksum()
 			ar.TranslatedIn++
-			break
+			return
 		}
 	}
-	return netstack.VerdictAccept
 }

@@ -94,22 +94,20 @@ func TestTranslationChecksumAndDstEntry(t *testing.T) {
 	p := &netsim.Packet{Proto: netsim.ProtoTCP, SrcIP: n3.LocalIP, DstIP: n1.LocalIP,
 		SrcPort: 3306, DstPort: 40000, Payload: []byte("q"), Dst: oldDst}
 	p.FixChecksum()
-	// Run the LOCAL_OUT chain by transmitting through the stack: observe
+	// Run the LOCAL_OUT slot by transmitting through the stack: observe
 	// at node2 that the packet arrives with a valid checksum.
 	var got *netsim.Packet
-	n2.Stack.RegisterHook(netstack.HookPreRouting, 0, func(pk *netsim.Packet) netstack.Verdict {
-		got = pk.Clone()
-		return netstack.VerdictAccept
-	})
-	n3.Stack.RegisterHook(netstack.HookLocalOut, 10, func(pk *netsim.Packet) netstack.Verdict {
-		// After the translator (prio 0) ran: dst entry must be replaced.
-		if pk.Dst == oldDst {
+	n2.LocalNIC.AttachTap(tapFunc(func(ev netsim.TapEvent, pk *netsim.Packet) {
+		if ev == netsim.TapRx {
+			got = pk.Clone()
+		}
+	}))
+	n3.LocalNIC.AttachTap(tapFunc(func(ev netsim.TapEvent, pk *netsim.Packet) {
+		if ev == netsim.TapTx && pk.Dst == oldDst {
 			t.Error("destination cache entry not replaced")
 		}
-		return netstack.VerdictAccept
-	})
-	// Transmit via a raw path: use the translator's stack.
-	sendRaw(n3.Stack, p)
+	}))
+	n3.Stack.TransmitRaw(p)
 	c.Sched.RunFor(time.Second)
 	if got == nil {
 		t.Fatal("packet did not reach the new node — dst entry still pointed at the old one")
@@ -126,43 +124,48 @@ func TestTranslationChecksumAndDstEntry(t *testing.T) {
 	}
 }
 
-// sendRaw pushes a packet through the stack's output path; declared here
-// via a tiny UDP socket trampoline to avoid exporting internals.
-func sendRaw(st *netstack.Stack, p *netsim.Packet) {
-	st.TransmitRaw(p)
-}
+// tapFunc observes a NIC's packet events in tests.
+type tapFunc func(ev netsim.TapEvent, p *netsim.Packet)
+
+func (f tapFunc) PacketEvent(_ simtime.Time, ev netsim.TapEvent, p *netsim.Packet) { f(ev, p) }
 
 func TestIncomingRewrite(t *testing.T) {
 	c := proc.NewCluster(simtime.NewScheduler(), 3)
 	n1, n2, n3 := c.Nodes[0], c.Nodes[1], c.Nodes[2]
 	xl := NewTranslator(n3.Stack)
-	rule := Rule{Proto: netsim.ProtoTCP, OldAddr: n1.LocalIP, NewAddr: n2.LocalIP,
+	rule := Rule{Proto: netsim.ProtoUDP, OldAddr: n1.LocalIP, NewAddr: n2.LocalIP,
 		LocalPort: 3306, RemotePort: 40000}
 	if err := xl.Install(rule); err != nil {
 		t.Fatal(err)
 	}
-	var seen *netsim.Packet
-	n3.Stack.RegisterHook(netstack.HookLocalIn, 10, func(pk *netsim.Packet) netstack.Verdict {
-		seen = pk.Clone()
-		return netstack.VerdictAccept
-	})
-	// Packet from the migrated socket on n2 arrives at n3.
-	p := &netsim.Packet{Proto: netsim.ProtoTCP, SrcIP: n2.LocalIP, DstIP: n3.LocalIP,
-		SrcPort: 40000, DstPort: 3306, Payload: []byte("r")}
-	p.FixChecksum()
-	n2.Stack.TransmitRaw(p)
+	us := netstack.NewUDPSocket(n3.Stack)
+	if err := us.Bind(n3.LocalIP, 3306); err != nil {
+		t.Fatal(err)
+	}
+	// A datagram from the migrated endpoint on n2 reaches the peer's
+	// socket on n3 as if it came from n1.
+	mk := func() *netsim.Packet {
+		p := &netsim.Packet{Proto: netsim.ProtoUDP, SrcIP: n2.LocalIP, DstIP: n3.LocalIP,
+			SrcPort: 40000, DstPort: 3306, Payload: []byte("r")}
+		p.FixChecksum()
+		return p
+	}
+	n2.Stack.TransmitRaw(mk())
 	c.Sched.RunFor(time.Second)
-	if seen == nil {
+	d, ok := us.Recv()
+	if !ok {
 		t.Fatal("packet not delivered")
 	}
-	if seen.SrcIP != n1.LocalIP {
-		t.Fatalf("source not rewritten back: %s", seen.SrcIP)
+	if d.SrcIP != n1.LocalIP {
+		t.Fatalf("source not rewritten back: %s", d.SrcIP)
 	}
-	if !seen.ChecksumOK() {
+	p := mk()
+	xl.In(p)
+	if p.SrcIP != n1.LocalIP || !p.ChecksumOK() {
 		t.Fatal("checksum not fixed on ingress rewrite")
 	}
 	_, in, _ := xl.Stats(rule)
-	if in != 1 {
+	if in != 2 {
 		t.Fatalf("stats in = %d", in)
 	}
 }
