@@ -35,10 +35,11 @@ loc:
 # artifacts writes every deterministic CLI artifact of the current tree
 # into OUT — stdout in <name>.out, stderr (plus a nonzero exit status)
 # in <name>.err, exported traces / metrics / series beside them — so a
-# change that claims "byte-identical" proves it with one command:
+# change that claims "byte-identical" proves it with one command per
+# tree, each run with that tree's own Makefile:
 #
 #     make artifacts OUT=/tmp/change
-#     make -C <parent checkout> -f $(CURDIR)/Makefile artifacts OUT=/tmp/parent
+#     make -C <parent checkout> artifacts OUT=/tmp/parent
 #     diff -r /tmp/parent /tmp/change
 #
 # Everything is a pure function of the flags below. The binaries are
@@ -47,23 +48,23 @@ loc:
 artifacts:
 	@test -n "$(OUT)" || { echo "usage: make artifacts OUT=<dir>" >&2; exit 2; }
 	@set -e; mkdir -p "$(OUT)"; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
-	for c in migbench soak dvesim oabench report lbcluster; do go build -o "$$bin/$$c" ./cmd/$$c; done; \
+	for c in dvesim report; do go build -o "$$bin/$$c" ./cmd/$$c; done; \
 	for d in examples/*/; do go build -o "$$bin/example-$$(basename $$d)" ./$$d; done; \
 	cd "$(OUT)"; \
 	run() { n=$$1; shift; echo "artifacts: $$n"; "$$@" >"$$n.out" 2>"$$n.err" || echo "exit status $$?" >>"$$n.err"; }; \
-	run migbench "$$bin/migbench" -conns 16,64 -repeats 2 -seed 1 -parallel 1 -trace-out migbench.trace.json -metrics-out migbench.metrics; \
-	run migbench-race "$$bin/migbench" -strategy-race -parallel 2; \
+	run migbench "$$bin/dvesim" migbench -conns 16,64 -repeats 2 -seed 1 -workers 1 -trace-out migbench.trace.json -metrics-out migbench.metrics; \
+	run migbench-race "$$bin/dvesim" migbench -strategy-race -workers 2; \
 	for s in postcopy hybrid; do \
-		run migbench-$$s "$$bin/migbench" -strategy $$s -conns 16,128 -seed 3 -parallel 1 -phase-table -attr-table; \
+		run migbench-$$s "$$bin/dvesim" migbench -strategy $$s -conns 16,128 -seed 3 -workers 1 -phase-table -attr-table; \
 	done; \
-	run soak "$$bin/soak" -requests 80 -seeds 1,2 -workers 1 -metrics-out soak.metrics -series-out soak.series.json; \
-	run soak-causes "$$bin/soak" -requests 80 -seeds 1,2 -workers 2 -causes -series-out soak-causes.series.csv; \
+	run soak "$$bin/dvesim" soak -requests 80 -seeds 1,2 -workers 1 -metrics-out soak.metrics -series-out soak.series.json; \
+	run soak-causes "$$bin/dvesim" soak -requests 80 -seeds 1,2 -workers 2 -causes -series-out soak-causes.series.csv; \
 	for s in precopy postcopy hybrid; do \
-		run soak-$$s "$$bin/soak" -requests 80 -seeds 1 -workers 2 -strategy $$s -cancels 0.1; \
+		run soak-$$s "$$bin/dvesim" soak -requests 80 -seeds 1 -workers 2 -strategy $$s -cancels 0.1; \
 	done; \
 	run dvesim-lb "$$bin/dvesim" -lb -fast -duration 120 -trace-out dvesim-lb.trace.json -metrics-out dvesim-lb.metrics -series-out dvesim-lb.series.json; \
 	run dvesim-hybrid "$$bin/dvesim" -lb -fast -duration 120 -strategy hybrid -neighbors; \
-	run oabench "$$bin/oabench"; \
+	run oabench "$$bin/dvesim" oabench; \
 	run report "$$bin/report"; \
-	run lbcluster "$$bin/lbcluster"; \
+	run lbcluster "$$bin/dvesim" lbcluster; \
 	for e in "$$bin"/example-*; do run $$(basename $$e) $$e; done

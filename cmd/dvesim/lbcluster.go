@@ -1,17 +1,8 @@
-// Command lbcluster is an interactive-scale demo of the decentralized
-// middleware: it builds a cluster, spawns unevenly sized worker
-// processes, lets the conductors balance (or consolidate) them, and
-// prints the per-node load every few simulated seconds.
-//
-// Usage:
-//
-//	lbcluster [-nodes 5] [-workers 12] [-mode balance|consolidate] [-duration 120]
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 
 	"dvemig/internal/lb"
 	"dvemig/internal/migration"
@@ -19,12 +10,17 @@ import (
 	"dvemig/internal/simtime"
 )
 
-func main() {
-	nodes := flag.Int("nodes", 5, "cluster size")
-	workers := flag.Int("workers", 12, "worker processes, all spawned on node1")
-	mode := flag.String("mode", "balance", "balance|consolidate")
-	duration := flag.Int("duration", 120, "simulated seconds")
-	flag.Parse()
+// lbcluster is an interactive-scale demo of the decentralized
+// middleware: it builds a cluster, spawns unevenly sized worker
+// processes, lets the conductors balance (or consolidate) them, and
+// prints the per-node load every few simulated seconds.
+func lbcluster(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("lbcluster", stderr)
+	nodes := fs.Int("nodes", 5, "cluster size")
+	procs := fs.Int("procs", 12, "worker processes, all spawned on node1")
+	mode := fs.String("mode", "balance", "balance|consolidate")
+	duration := fs.Int("duration", 120, "simulated seconds")
+	fs.Parse(args)
 
 	sched := simtime.NewScheduler()
 	cluster := proc.NewCluster(sched, *nodes)
@@ -36,21 +32,18 @@ func main() {
 	case "consolidate":
 		cfg.Mode = lb.ModeConsolidate
 	default:
-		fmt.Fprintf(os.Stderr, "lbcluster: unknown mode %q\n", *mode)
-		os.Exit(2)
+		return die(fs, 2, fmt.Errorf("unknown mode %q", *mode))
 	}
 
 	var conductors []*lb.Conductor
 	for _, n := range cluster.Nodes {
 		m, err := migration.NewMigrator(n, migration.DefaultConfig())
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbcluster: %v\n", err)
-			os.Exit(1)
+			return die(fs, 1, err)
 		}
 		cd, err := lb.NewConductor(n, m, cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbcluster: %v\n", err)
-			os.Exit(1)
+			return die(fs, 1, err)
 		}
 		conductors = append(conductors, cd)
 	}
@@ -58,7 +51,7 @@ func main() {
 	// All workers start on node1 with varied demand: the worst case for a
 	// sender-initiated balancer.
 	rnd := simtime.NewRand(7)
-	for i := 0; i < *workers; i++ {
+	for i := 0; i < *procs; i++ {
 		p := cluster.Nodes[0].Spawn(fmt.Sprintf("worker%d", i), 1)
 		v := p.AS.Mmap(64*proc.PageSize, "rw-")
 		p.CPUDemand = 0.1 + 0.05*float64(rnd.Intn(8))
@@ -67,17 +60,17 @@ func main() {
 		cluster.Nodes[0].StartLoop(p, 50*1e6)
 	}
 
-	fmt.Printf("%8s", "t(s)")
+	fmt.Fprintf(stdout, "%8s", "t(s)")
 	for _, n := range cluster.Nodes {
-		fmt.Printf("%18s", n.Name)
+		fmt.Fprintf(stdout, "%18s", n.Name)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	printer := simtime.NewTicker(sched, 5e9, "print", func() {
-		fmt.Printf("%8.0f", sched.Now().Seconds())
+		fmt.Fprintf(stdout, "%8.0f", sched.Now().Seconds())
 		for _, n := range cluster.Nodes {
-			fmt.Printf("  %5.1f%% (%2d procs)", n.Utilization()*100, n.NumProcesses())
+			fmt.Fprintf(stdout, "  %5.1f%% (%2d procs)", n.Utilization()*100, n.NumProcesses())
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	})
 	printer.Start()
 	sched.RunUntil(simtime.Duration(*duration) * 1e9)
@@ -86,12 +79,13 @@ func main() {
 	for _, cd := range conductors {
 		total += cd.Migrations
 	}
-	fmt.Printf("\ncompleted migrations: %d\n", total)
+	fmt.Fprintf(stdout, "\ncompleted migrations: %d\n", total)
 	for _, cd := range conductors {
 		for _, e := range cd.Events {
 			if e.Kind == "migrate-out" {
-				fmt.Printf("  %6.0fs %s pid=%d -> %v\n", e.At.Seconds(), cd.Node.Name, e.PID, e.Peer)
+				fmt.Fprintf(stdout, "  %6.0fs %s pid=%d -> %v\n", e.At.Seconds(), cd.Node.Name, e.PID, e.Peer)
 			}
 		}
 	}
+	return 0
 }

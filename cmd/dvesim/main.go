@@ -1,20 +1,25 @@
-// Command dvesim runs the §VI-C distributed-virtual-environment
-// simulation: 10×10 zones on five server nodes, 10,000 clients drifting
-// toward the corners over ~15 minutes, with or without the load-balancing
-// middleware. It prints the per-node CPU series (Fig 5e / Fig 5f), the
-// zone-server distribution series (Fig 5d) and a summary.
+// Command dvesim runs the paper's simulations. Bare dvesim is the §VI-C
+// distributed-virtual-environment run: 10×10 zones on five server
+// nodes, 10,000 clients drifting toward the corners over ~15 minutes,
+// with or without the load-balancing middleware. It prints the per-node
+// CPU series (Fig 5e / Fig 5f), the zone-server distribution series
+// (Fig 5d) and a summary. `dvesim <verb> -h` lists a verb's flags.
 //
-// Usage:
-//
-//	dvesim [-lb] [-duration 900] [-fast]
-//	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-simprof-out simprof.json]
+//	dvesim [-lb] [-duration 900] [-fast] [-both] [-csv dir] ...     # Fig 5d/5e/5f
+//	dvesim migbench [-conns 16,32,...] [-what freeze|bytes|all] ... # Fig 5b/5c
+//	dvesim soak [-requests 500] [-seeds 1,2] [-scenario lossy] ...  # control-plane soak
+//	dvesim oabench [-clients 24] [-plot]                            # Fig 4
+//	dvesim lbcluster [-nodes 5] [-procs 12] [-mode balance|consolidate]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"dvemig/internal/dve"
@@ -25,53 +30,93 @@ import (
 	"dvemig/internal/simtime"
 )
 
-func main() {
-	lbOn := flag.Bool("lb", false, "enable the load balancing middleware (Fig 5f) instead of plain (Fig 5e)")
-	both := flag.Bool("both", false, "run the LB-off and LB-on simulations concurrently and print both (Fig 5e and 5f)")
-	duration := flag.Int("duration", 900, "simulated seconds")
-	fast := flag.Bool("fast", false, "accelerated movement for quick demos")
-	series := flag.Bool("series", true, "print the full time series tables")
-	neighbors := flag.Bool("neighbors", false, "connect zone servers to their grid neighbors (both-ends migration)")
-	showMap := flag.Bool("fig5a", false, "print the Fig 5a zone map and exit")
-	csvDir := flag.String("csv", "", "write cpu.csv / procs.csv / rate.csv time series into this directory")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON (Perfetto-loadable) of the run to this file")
-	metricsOut := flag.String("metrics-out", "", "write the run's metric snapshot (counters/gauges/histograms) to this file")
-	sample := flag.Duration("sample", time.Second, "sim-time sampling cadence for the observability time series (0 disables)")
-	seriesOut := flag.String("series-out", "", "write the sampled time series to this file (.csv for CSV, else JSON)")
-	strategy := flag.String("strategy", "precopy", "memory-movement strategy for every LB migration: precopy|postcopy|hybrid")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this file at exit")
-	simprofOut := flag.String("simprof-out", "", "self-profile the simulator's hot paths and write the simprof JSON report to this file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run dispatches on the first argument, a verb unless it is a flag, and
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		return simulate(args, stdout, stderr)
+	}
+	verb := map[string]func([]string, io.Writer, io.Writer) int{
+		"lbcluster": lbcluster, "migbench": migbench, "oabench": oabench, "soak": soak,
+	}[args[0]]
+	if verb == nil {
+		fmt.Fprintf(stderr, "dvesim: unknown verb %q; verbs: lbcluster, migbench, oabench, soak (none runs the DVE simulation)\n", args[0])
+		return 2
+	}
+	return verb(args[1:], stdout, stderr)
+}
+
+// newFlagSet is a verb's flag set. It prints on stderr and, like the
+// default command line, its Parse exits 2 on a bad flag and 0 after -h.
+func newFlagSet(verb string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(verb, flag.ExitOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// die is a verb's exit status for err: 0 when err is nil, else code,
+// after printing err as "<verb>: err" on the verb's stderr.
+func die(fs *flag.FlagSet, code int, err error) int {
+	if err == nil {
+		return 0
+	}
+	fmt.Fprintf(fs.Output(), "%s: %v\n", fs.Name(), err)
+	return code
+}
+
+// commaList parses the comma-separated value of flag name, skipping
+// empty entries.
+func commaList[T any](name, value string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, f := range strings.Split(value, ",") {
+		if f = strings.TrimSpace(f); f == "" {
+			continue
+		}
+		v, err := parse(f)
+		if err != nil {
+			return nil, fmt.Errorf("bad -%s entry %q: %w", name, f, err)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// simulate is bare dvesim.
+func simulate(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("dvesim", stderr)
+	cfg := dve.DefaultConfig()
+	fs.BoolVar(&cfg.LB, "lb", false, "enable the load balancing middleware (Fig 5f) instead of plain (Fig 5e)")
+	both := fs.Bool("both", false, "run the LB-off and LB-on simulations concurrently and print both (Fig 5e and 5f)")
+	duration := fs.Int("duration", 900, "simulated seconds")
+	fast := fs.Bool("fast", false, "accelerated movement for quick demos")
+	series := fs.Bool("series", true, "print the full time series tables")
+	fs.BoolVar(&cfg.NeighborLinks, "neighbors", false, "connect zone servers to their grid neighbors (both-ends migration)")
+	showMap := fs.Bool("fig5a", false, "print the Fig 5a zone map and exit")
+	csvDir := fs.String("csv", "", "write cpu.csv / procs.csv / rate.csv time series into this directory (not with -both)")
+	strategy := fs.String("strategy", "precopy", "memory-movement strategy for every LB migration: precopy|postcopy|hybrid")
+	art := obs.NewArtifacts(fs, true)
+	prof := simprof.NewSession(fs)
+	fs.Parse(args)
 
 	if *showMap {
-		fmt.Println(dve.Fig5a())
-		return
+		fmt.Fprintln(stdout, dve.Fig5a())
+		return 0
+	}
+	if *both && *csvDir != "" {
+		return die(fs, 2, errors.New("-csv writes one run's series; it cannot be combined with -both"))
+	}
+	if err := prof.Open(); err != nil {
+		return die(fs, 2, err)
 	}
 
-	sess, err := simprof.OpenSession(*cpuProfile, *memProfile, *simprofOut, 1)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dvesim: %v\n", err)
-		os.Exit(2)
-	}
-	closeSession := func() {
-		if err := sess.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "dvesim: writing profiles: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	observe := *traceOut != "" || *metricsOut != "" || *seriesOut != ""
-	cfg := dve.DefaultConfig()
 	mig, err := migration.StrategyByName(*strategy)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dvesim: %v\n", err)
-		os.Exit(2)
+		return die(fs, 2, err)
 	}
 	cfg.MigConfig.Mig = mig
-	cfg.LB = *lbOn
-	cfg.Observe = observe
-	cfg.NeighborLinks = *neighbors
+	cfg.Observe = art.Observe()
 	cfg.Duration = simtime.Duration(*duration) * 1e9
 	if *fast {
 		cfg.MoveStart = 30 * 1e9
@@ -79,87 +124,75 @@ func main() {
 		cfg.LBConfig.ImbalanceThreshold = 0.08
 		cfg.LBConfig.CalmDown = 8e9
 	}
+	lbs := []bool{cfg.LB}
 	if *both {
 		// The two runs are independent simulations with private
 		// schedulers; the parallel runner overlaps them and returns the
-		// results in canonical (off, on) order.
-		fmt.Fprintf(os.Stderr, "running %ds of simulated time twice (lb off and on, concurrently)...\n", *duration)
-		caps := make([]*obs.Capture, 2)
-		runs, err := eval.RunParallel([]bool{false, true}, 0, func(lb bool) (*dve.Results, error) {
-			c := cfg
-			c.LB = lb
-			sim, err := dve.New(c)
-			if err != nil {
-				return nil, err
-			}
-			sim.Cluster.Sched.Prof = sess.Prof.Loop(fmt.Sprintf("dve/lb=%v", lb))
-			attachSampler(sim, *sample)
-			r := sim.Run()
-			if observe {
-				// Index writes are per-worker-disjoint and canonical
-				// (off=0, on=1), so the exported file is deterministic.
-				idx := 0
-				if lb {
-					idx = 1
-				}
-				caps[idx] = sim.CaptureObs(fmt.Sprintf("dve/lb=%v", lb))
-			}
-			return r, nil
-		})
+		// results in canonical (off, on) order, so the artifacts are
+		// deterministic.
+		lbs = []bool{false, true}
+		fmt.Fprintf(stderr, "running %ds of simulated time twice (lb off and on, concurrently)...\n", *duration)
+	} else {
+		fmt.Fprintf(stderr, "running %ds of simulated time (%d zones, %d clients, lb=%v)...\n",
+			*duration, dve.GridW*dve.GridH, cfg.Clients, cfg.LB)
+	}
+	type result struct {
+		*dve.Results
+		capture *obs.Capture
+	}
+	runs, err := eval.RunParallel(lbs, 0, func(lb bool) (res result, err error) {
+		c := cfg
+		c.LB = lb
+		sim, err := dve.New(c)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvesim: %v\n", err)
-			os.Exit(1)
+			return res, err
 		}
-		writeObs(*traceOut, *metricsOut, *seriesOut, caps...)
-		if *series {
-			fmt.Printf("=== Fig 5e (CPU per node, no LB) ===\n%s\n", runs[0].CPU.Table())
-			fmt.Printf("=== Fig 5f (CPU per node, LB enabled) ===\n%s\n", runs[1].CPU.Table())
-			fmt.Printf("=== Fig 5d (zone servers per node) ===\n%s\n", runs[1].Procs.Table())
-		}
-		fmt.Println(eval.DVESummary(runs[0], false))
-		fmt.Println(eval.DVESummary(runs[1], true))
-		closeSession()
-		return
-	}
-
-	sim, err := dve.New(cfg)
+		label := fmt.Sprintf("dve/lb=%v", lb)
+		sim.Cluster.Sched.Prof = prof.Prof.Loop(label)
+		attachSampler(sim, art.Sample)
+		res.Results = sim.Run()
+		res.capture = sim.CaptureObs(label)
+		return res, nil
+	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dvesim: %v\n", err)
-		os.Exit(1)
+		return die(fs, 1, err)
 	}
-	fmt.Fprintf(os.Stderr, "running %ds of simulated time (%d zones, %d clients, lb=%v)...\n",
-		*duration, dve.GridW*dve.GridH, cfg.Clients, cfg.LB)
-	sim.Cluster.Sched.Prof = sess.Prof.Loop(fmt.Sprintf("dve/lb=%v", cfg.LB))
-	attachSampler(sim, *sample)
-	r := sim.Run()
-	if observe {
-		writeObs(*traceOut, *metricsOut, *seriesOut, sim.CaptureObs(fmt.Sprintf("dve/lb=%v", cfg.LB)))
+	var caps []*obs.Capture
+	for _, r := range runs {
+		caps = append(caps, r.capture)
+	}
+	if err := art.Write(stderr, caps...); err != nil {
+		return die(fs, 1, err)
 	}
 
+	last := runs[len(runs)-1]
 	if *series {
-		fig := "Fig 5e (CPU per node, no LB)"
-		if cfg.LB {
-			fig = "Fig 5f (CPU per node, LB enabled)"
+		for i, r := range runs {
+			fig := "Fig 5e (CPU per node, no LB)"
+			if lbs[i] {
+				fig = "Fig 5f (CPU per node, LB enabled)"
+			}
+			fmt.Fprintf(stdout, "=== %s ===\n%s\n", fig, r.CPU.Table())
 		}
-		fmt.Printf("=== %s ===\n%s\n", fig, r.CPU.Table())
-		if cfg.LB {
-			fmt.Printf("=== Fig 5d (zone servers per node) ===\n%s\n", r.Procs.Table())
+		if lbs[len(lbs)-1] {
+			fmt.Fprintf(stdout, "=== Fig 5d (zone servers per node) ===\n%s\n", last.Procs.Table())
 		}
 	}
 	if *csvDir != "" {
 		for name, set := range map[string]interface{ CSV() string }{
-			"cpu.csv": r.CPU, "procs.csv": r.Procs, "rate.csv": r.UpdateRate,
+			"cpu.csv": last.CPU, "procs.csv": last.Procs, "rate.csv": last.UpdateRate,
 		} {
 			path := filepath.Join(*csvDir, name)
 			if err := os.WriteFile(path, []byte(set.CSV()), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "dvesim: %v\n", err)
-				os.Exit(1)
+				return die(fs, 1, err)
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+			fmt.Fprintf(stderr, "wrote %s\n", path)
 		}
 	}
-	fmt.Println(eval.DVESummary(r, cfg.LB))
-	closeSession()
+	for i, r := range runs {
+		fmt.Fprintln(stdout, eval.DVESummary(r.Results, lbs[i]))
+	}
+	return die(fs, 1, prof.Close())
 }
 
 // attachSampler arms a sim-time sampler on an observed run: every
@@ -174,12 +207,4 @@ func attachSampler(sim *dve.Simulation, period time.Duration) {
 	s.Harvest = func(r *obs.Registry) { obs.HarvestCluster(r, sim.Cluster) }
 	sim.Obs.Sampler = s
 	s.Start()
-}
-
-// writeObs writes the artifacts whose flags were given.
-func writeObs(tracePath, metricsPath, seriesPath string, caps ...*obs.Capture) {
-	if err := obs.WriteArtifacts(os.Stderr, tracePath, metricsPath, seriesPath, caps...); err != nil {
-		fmt.Fprintf(os.Stderr, "dvesim: %v\n", err)
-		os.Exit(1)
-	}
 }

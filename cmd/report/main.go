@@ -1,18 +1,19 @@
 // Command report runs the complete evaluation — Fig 4, the Fig 5b/5c
 // sweep, the Fig 5d/5e/5f simulations and the extension experiments —
-// and prints one consolidated paper-vs-measured report.
+// and prints one consolidated paper-vs-measured report. Its verbs read
+// the observability artifacts the runs export.
 //
-// Usage:
-//
-//	report [-full]           # -full uses the paper-scale parameters (slower)
-//	report [-phase-table]    # adds the observed per-phase latency breakdown
-//	report [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-simprof-out simprof.json]
+//	report [-full] [-workers N] [-phase-table] ...  # -full: paper scale (slower)
+//	report tracecheck [-connected] file [file ...]  # validate artifacts
+//	report obsdiff a b                              # first divergence of two artifacts
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"dvemig/internal/dve"
 	"dvemig/internal/eval"
@@ -22,39 +23,67 @@ import (
 	"dvemig/internal/stream"
 )
 
-func main() {
-	full := flag.Bool("full", false, "paper-scale sweep (1024 connections, 900s simulations)")
-	parallel := flag.Int("parallel", 0, "worker goroutines for the sweeps (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
-	phaseTable := flag.Bool("phase-table", false, "run the Fig 5b/5c sweep observed and print the per-phase latency breakdown")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace of the observed Fig 5b/5c sweep to this file (implies observing the sweep)")
-	metricsOut := flag.String("metrics-out", "", "write the observed sweep's merged metric snapshots to this file")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this file at exit")
-	simprofOut := flag.String("simprof-out", "", "self-profile the simulator's hot paths and write the simprof JSON report to this file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "report: %v\n", err)
-		os.Exit(1)
+// run dispatches on the first argument, a verb unless it is a flag, and
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		return evaluate(args, stdout, stderr)
+	}
+	verb := map[string]func([]string, io.Writer, io.Writer) int{
+		"obsdiff": obsdiff, "tracecheck": tracecheck,
+	}[args[0]]
+	if verb == nil {
+		fmt.Fprintf(stderr, "report: unknown verb %q; verbs: obsdiff, tracecheck (none runs the evaluation)\n", args[0])
+		return 2
+	}
+	return verb(args[1:], stdout, stderr)
+}
+
+// newFlagSet is a verb's flag set. It prints on stderr and, like the
+// default command line, its Parse exits 2 on a bad flag and 0 after -h.
+func newFlagSet(verb string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(verb, flag.ExitOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// die is a verb's exit status for err: 0 when err is nil, else code,
+// after printing err as "<verb>: err" on the verb's stderr.
+func die(fs *flag.FlagSet, code int, err error) int {
+	if err == nil {
+		return 0
+	}
+	fmt.Fprintf(fs.Output(), "%s: %v\n", fs.Name(), err)
+	return code
+}
+
+// evaluate is bare report.
+func evaluate(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("report", stderr)
+	full := fs.Bool("full", false, "paper-scale sweep (1024 connections, 900s simulations)")
+	workers := fs.Int("workers", 0, "worker goroutines for the sweeps (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
+	phaseTable := fs.Bool("phase-table", false, "run the Fig 5b/5c sweep observed and print the per-phase latency breakdown")
+	art := obs.NewArtifacts(fs, false)
+	prof := simprof.NewSession(fs)
+	fs.Parse(args)
+	if err := prof.Open(); err != nil {
+		return die(fs, 2, err)
 	}
 
-	sess, err := simprof.OpenSession(*cpuProfile, *memProfile, *simprofOut, 1)
-	if err != nil {
-		fail(err)
-	}
-
-	fmt.Println("=== dvemig evaluation report (all quantities simulated) ===")
-	fmt.Println()
+	fmt.Fprintln(stdout, "=== dvemig evaluation report (all quantities simulated) ===")
+	fmt.Fprintln(stdout)
 
 	// Fig 4.
 	fig4, err := openarena.RunFig4(openarena.DefaultFig4Config())
 	if err != nil {
-		fail(err)
+		return die(fs, 1, err)
 	}
-	fmt.Println("Fig 4 — OpenArena, 24 clients, live migration mid-game")
-	fmt.Printf("  freeze %.1f ms (paper ~20), packet delay %.1f ms (paper ~25), cadence %.1f ms\n",
+	fmt.Fprintln(stdout, "Fig 4 — OpenArena, 24 clients, live migration mid-game")
+	fmt.Fprintf(stdout, "  freeze %.1f ms (paper ~20), packet delay %.1f ms (paper ~25), cadence %.1f ms\n",
 		float64(fig4.Metrics.FreezeTime)/1e6, float64(fig4.ExtraDelay)/1e6, float64(fig4.BaselineGap)/1e6)
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	// Fig 5b/5c sweep.
 	conns := []int{16, 64, 256}
@@ -64,83 +93,68 @@ func main() {
 		repeats = 3
 	}
 	tmpl := eval.DefaultFreezeConfig(0, 0)
-	tmpl.Repeats, tmpl.Workers = repeats, *parallel
-	tmpl.Observe = *phaseTable || *traceOut != "" || *metricsOut != ""
-	tmpl.Prof = sess.Prof
+	tmpl.Repeats, tmpl.Workers = repeats, *workers
+	tmpl.Observe = *phaseTable || art.Observe()
+	tmpl.Prof = prof.Prof
 	points, err := eval.RunFreezeSweep(conns, eval.SweepStrategies, tmpl)
 	if err != nil {
-		fail(err)
+		return die(fs, 1, err)
 	}
-	fmt.Println("Fig 5b — " + eval.Fig5bTable(points))
-	fmt.Println("Fig 5c — " + eval.Fig5cTable(points))
+	fmt.Fprintln(stdout, "Fig 5b — "+eval.Fig5bTable(points))
+	fmt.Fprintln(stdout, "Fig 5c — "+eval.Fig5cTable(points))
 	if *phaseTable {
-		fmt.Println("Per-phase breakdown — " + eval.PhaseTable(points))
-		fmt.Println("Freeze attribution — " + eval.FreezeAttrTable(points))
+		fmt.Fprintln(stdout, "Per-phase breakdown — "+eval.PhaseTable(points))
+		fmt.Fprintln(stdout, "Freeze attribution — "+eval.FreezeAttrTable(points))
 	}
 	var caps []*obs.Capture
 	for _, pt := range points {
 		caps = append(caps, pt.Caps...)
 	}
-	if err := obs.WriteArtifacts(os.Stderr, *traceOut, *metricsOut, "", caps...); err != nil {
-		fail(err)
+	if err := art.Write(stderr, caps...); err != nil {
+		return die(fs, 1, err)
 	}
 
-	// Fig 5d/e/f: the LB-off and LB-on runs are independent simulations,
-	// so they too fan out over the parallel runner.
-	dcfg := dve.DefaultConfig()
+	// Fig 5d/e/f and the app-layer baseline: the LB-off, LB-on and
+	// app-layer runs are independent simulations, so they too fan out
+	// over the parallel runner.
+	off := dve.DefaultConfig()
 	if !*full {
-		dcfg.Duration = 300e9
-		dcfg.MoveStart = 30e9
-		dcfg.MoveProb = 0.08
+		off.Duration = 300e9
+		off.MoveStart = 30e9
+		off.MoveProb = 0.08
 	}
-	dveRuns, err := eval.RunParallel([]bool{false, true}, *parallel,
-		func(lb bool) (*dve.Results, error) { return runDVE(dcfg, lb) })
+	on, app := off, off
+	on.LB, app.AppLayerLB = true, true
+	dveRuns, err := eval.RunParallel([]dve.Config{off, on, app}, *workers, func(c dve.Config) (*dve.Results, error) {
+		sim, err := dve.New(c)
+		if err != nil {
+			return nil, err
+		}
+		return sim.Run(), nil
+	})
 	if err != nil {
-		fail(err)
+		return die(fs, 1, err)
 	}
-	off, on := dveRuns[0], dveRuns[1]
-	fmt.Println("Fig 5e/5f — DVE load balancing")
-	fmt.Print(eval.DVESummary(off, false))
-	fmt.Print(eval.DVESummary(on, true))
-	fmt.Println()
+	fmt.Fprintln(stdout, "Fig 5e/5f — DVE load balancing")
+	fmt.Fprint(stdout, eval.DVESummary(dveRuns[0], false))
+	fmt.Fprint(stdout, eval.DVESummary(dveRuns[1], true))
+	fmt.Fprintln(stdout)
 
 	// Extensions.
 	st, err := stream.RunExperiment(stream.DefaultExperimentConfig())
 	if err != nil {
-		fail(err)
+		return die(fs, 1, err)
 	}
 	bc, nat, err := eval.RunDispatchComparison(eval.DefaultDispatchConfig())
 	if err != nil {
-		fail(err)
+		return die(fs, 1, err)
 	}
-	fmt.Println("Extensions")
-	fmt.Printf("  streaming: %d viewer stalls across a live migration (freeze %.1f ms)\n",
+	fmt.Fprintln(stdout, "Extensions")
+	fmt.Fprintf(stdout, "  streaming: %d viewer stalls across a live migration (freeze %.1f ms)\n",
 		st.Rebuffers, float64(st.Metrics.FreezeTime)/1e6)
-	fmt.Printf("  dispatch: %s lost %d datagrams; %s lost %d\n",
+	fmt.Fprintf(stdout, "  dispatch: %s lost %d datagrams; %s lost %d\n",
 		bc.Mode, bc.Lost, nat.Mode, nat.Lost)
-	fmt.Printf("  client outage: OS-level %.2f client-seconds vs app-layer baseline %.2f\n",
-		on.OutageClientSeconds, mustAppLayer(dcfg).OutageClientSeconds)
-	if err := sess.Close(); err != nil {
-		fail(err)
-	}
-}
-
-func runDVE(cfg dve.Config, lb bool) (*dve.Results, error) {
-	cfg.LB = lb
-	sim, err := dve.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(), nil
-}
-
-func mustAppLayer(cfg dve.Config) *dve.Results {
-	cfg.LB = false
-	cfg.AppLayerLB = true
-	sim, err := dve.New(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "report: %v\n", err)
-		os.Exit(1)
-	}
-	return sim.Run()
+	fmt.Fprintf(stdout, "  client outage: OS-level %.2f client-seconds vs app-layer baseline %.2f\n",
+		dveRuns[1].OutageClientSeconds, dveRuns[2].OutageClientSeconds)
+	return die(fs, 1, prof.Close())
 }

@@ -176,7 +176,7 @@ func main() {
 	fmt.Printf("final score=%d, scoreboard now on node3\n", lastScore)
 	fmt.Println()
 	fmt.Println("To see where two seeds of the same experiment first part ways, export both and diff them:")
-	fmt.Println("  go run ./cmd/migbench -conns 64 -repeats 1 -seed 1 -trace-out a.json")
-	fmt.Println("  go run ./cmd/migbench -conns 64 -repeats 1 -seed 2 -trace-out b.json")
-	fmt.Println("  go run ./cmd/obsdiff a.json b.json   # first divergent event + its causal ancestry")
+	fmt.Println("  go run ./cmd/dvesim migbench -conns 64 -repeats 1 -seed 1 -trace-out a.json")
+	fmt.Println("  go run ./cmd/dvesim migbench -conns 64 -repeats 1 -seed 2 -trace-out b.json")
+	fmt.Println("  go run ./cmd/report obsdiff a.json b.json   # first divergent event + its causal ancestry")
 }

@@ -12,7 +12,7 @@ import (
 // `dvesim -lb -trace-out` path) must export one connected trace — the
 // conductor's rebalance decision roots the tree, the source migration
 // span links under it, and the destination's inbound restore span links
-// across the node boundary. obs.CheckConnected (the `tracecheck
+// across the node boundary. obs.CheckConnected (the `report tracecheck
 // -connected` mode) asserts every span resolves to its trace root and
 // at least one tree spans both sides of a migration.
 func TestLBTraceConnected(t *testing.T) {

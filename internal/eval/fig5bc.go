@@ -55,8 +55,8 @@ type FreezeConfig struct {
 	// Seed deterministically shifts every repeat's warm-up phase (and so
 	// the traffic alignment the migration lands on). Two runs with the
 	// same seed produce byte-identical artifacts at any worker count;
-	// two seeds produce different ones — the contract obsdiff and the CI
-	// determinism job lean on. Zero is the historical default alignment.
+	// two seeds produce different ones — the contract `report obsdiff`
+	// and the CI determinism job lean on. Zero is the historical default alignment.
 	Seed uint64
 	// Prof, when non-nil, attaches the wall-clock self-profiling plane
 	// to every repeat (event-loop attribution + migration phase skew).
@@ -158,7 +158,7 @@ func RunFreezePoint(fc FreezeConfig) (*FreezePoint, error) {
 // point's repeats run serially inside its cell so parallelism never
 // nests. Exports of two equal-seed sweeps are byte-identical at any
 // worker count, unequal seeds diverge (the CI obs job asserts both with
-// obsdiff), and neither Observe nor Prof moves a measured number: the
+// `report obsdiff`), and neither Observe nor Prof moves a measured number: the
 // planes never schedule events.
 func RunFreezeSweep(conns []int, strategies []sockmig.Strategy, tmpl FreezeConfig) ([]*FreezePoint, error) {
 	cells := make([]FreezeConfig, 0, len(conns)*len(strategies))

@@ -139,9 +139,6 @@ func TestSweepReport(t *testing.T) {
 	if snap, err := bare.MergedSnapshot(); snap != nil || err != nil {
 		t.Fatalf("merged snapshot of no captures = (%v, %v), want (nil, nil)", snap, err)
 	}
-	if st, err := bare.MergedSeries(); st != nil || err != nil {
-		t.Fatalf("merged series of no captures = (%v, %v), want (nil, nil)", st, err)
-	}
 
 	boom := errors.New("boom")
 	_, err := sweep(axes, seeds, 1, nil, func(a string) string { return "fake " + a },

@@ -107,6 +107,9 @@ func TestSoakSamplingDisabledFallsBackToTeardown(t *testing.T) {
 	if res.FlightDump == "" {
 		t.Fatal("no flight dump at teardown")
 	}
+	if tbl := rep.SLOTable(); tbl != "" {
+		t.Fatalf("SLO table with sampling off: %q", tbl)
+	}
 }
 
 // TestSoakSeriesArtifactDeterministic re-runs an observed sweep at
@@ -212,86 +215,5 @@ func TestLossySoakMeetsDowntimeSLO(t *testing.T) {
 			t.Errorf("lossy/seed%d: downtime p99 %.1f ms misses the %.0f ms objective",
 				res.Seed, dt.Overall/1e3, dt.Objective.Max/1e3)
 		}
-	}
-}
-
-// TestSoakMergedSeriesRagged merges two cells whose runs are different
-// lengths: the merged series must be as long as the longest
-// contributor, with the shorter cell contributing zero past its end.
-func TestSoakMergedSeriesRagged(t *testing.T) {
-	cfg := shortSoakConfig()
-	cfg.Scenarios = DefaultSoakScenarios()[:1]
-	cfg.Seeds = []uint64{1, 2}
-	cfg.Requests = 10
-	cfg.Observe = true
-	rep, err := RunSoak(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Captures()) != 2 {
-		t.Fatalf("captures = %d", len(rep.Captures()))
-	}
-	merged, err := rep.MergedSeries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged == nil || merged.Len() == 0 {
-		t.Fatal("merged series empty")
-	}
-	maxLen := 0
-	for _, c := range rep.Captures() {
-		for _, name := range c.Series.Names() {
-			if l := c.Series.Series(name).Len(); l > maxLen {
-				maxLen = l
-			}
-		}
-	}
-	gotMax := 0
-	for _, name := range merged.Names() {
-		if l := merged.Series(name).Len(); l > gotMax {
-			gotMax = l
-		}
-	}
-	if gotMax != maxLen {
-		t.Fatalf("merged max len = %d, want longest contributor %d", gotMax, maxLen)
-	}
-	// Spot-check a counter series: the merged final value must equal the
-	// sum of the two cells' final values (cumulative counters).
-	name := "soak/submitted_total"
-	var want float64
-	for _, c := range rep.Captures() {
-		if ts := c.Series.Series(name); ts != nil {
-			_, v, ok := ts.Last()
-			if !ok {
-				t.Fatalf("%s empty in a cell", name)
-			}
-			want += v
-		}
-	}
-	ts := merged.Series(name)
-	if ts == nil {
-		t.Fatalf("%s missing from merge", name)
-	}
-	_, got, _ := ts.Last()
-	if got != want {
-		t.Fatalf("merged %s final = %v, want %v", name, got, want)
-	}
-	// MergedSnapshot still works alongside (empty-capture tolerance is
-	// covered by MergeSnapshots itself).
-	if _, err := rep.MergedSnapshot(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSoakMergedSeriesNoCaptures pins the empty edge: an unobserved
-// sweep merges to nil without error.
-func TestSoakMergedSeriesNoCaptures(t *testing.T) {
-	rep := &SoakReport{Report[*SoakResult]{Results: []*SoakResult{{Scenario: "x", Seed: 1}}}}
-	st, err := rep.MergedSeries()
-	if err != nil || st != nil {
-		t.Fatalf("want (nil, nil), got (%v, %v)", st, err)
-	}
-	if tbl := rep.SLOTable(); tbl != "" {
-		t.Fatalf("SLO table for slo-less sweep: %q", tbl)
 	}
 }

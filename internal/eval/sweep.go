@@ -77,21 +77,6 @@ func (r *Report[R]) MergedSnapshot() (*obs.Snapshot, error) {
 	return obs.MergeSnapshots(snaps...)
 }
 
-// MergedSeries sums every observed cell's time series element-wise by
-// sample index (nil when no cell sampled).
-func (r *Report[R]) MergedSeries() (*obs.SeriesStore, error) {
-	var stores []*obs.SeriesStore
-	for _, c := range r.Captures() {
-		if c.Series != nil {
-			stores = append(stores, c.Series)
-		}
-	}
-	if len(stores) == 0 {
-		return nil, nil
-	}
-	return obs.MergeSeriesStores(stores...)
-}
-
 // Violations counts cells with a non-empty audit verdict.
 func (r *Report[R]) Violations() int {
 	n := 0

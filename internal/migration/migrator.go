@@ -196,7 +196,8 @@ type Metrics struct {
 	// TraceID identifies the migration's end-to-end trace when the
 	// observability plane is enabled (zero otherwise): every span of
 	// this migration — source phases, destination restore, conductor
-	// decisions — carries it, and obsdiff/tracecheck key on it.
+	// decisions — carries it, and `report obsdiff` and `report
+	// tracecheck` key on it.
 	TraceID uint64
 	// Aborted is set when the migration was rolled back; AbortReason
 	// carries the triggering error and LocalReinjected the packets the

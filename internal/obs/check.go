@@ -161,7 +161,8 @@ func CheckConnected(data []byte) error {
 }
 
 // LooksLikeSeriesJSON reports whether data is a -series-out artifact
-// (top-level kind marker), so tracecheck can route it without a flag.
+// (top-level kind marker), so `report tracecheck` can route it without a
+// flag.
 func LooksLikeSeriesJSON(data []byte) bool {
 	var probe struct {
 		Kind string `json:"kind"`
@@ -236,13 +237,13 @@ func ValidateSeriesJSON(data []byte) error {
 	return nil
 }
 
-// seriesCSVHeader is the first line WriteSeriesCSV emits; tracecheck
-// uses it to auto-detect CSV series artifacts.
+// seriesCSVHeader is the first line WriteSeriesCSV emits; `report
+// tracecheck` uses it to auto-detect CSV series artifacts.
 const seriesCSVHeader = "capture,series,kind,t_ns,value"
 
 // LooksLikeSeriesCSV reports whether data starts with the series CSV
-// header line, so tracecheck can route .csv series artifacts without a
-// flag.
+// header line, so `report tracecheck` can route .csv series artifacts
+// without a flag.
 func LooksLikeSeriesCSV(data []byte) bool {
 	s := string(data)
 	if i := strings.IndexByte(s, '\n'); i >= 0 {

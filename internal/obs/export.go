@@ -3,12 +3,13 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"dvemig/internal/simtime"
 )
@@ -51,8 +52,9 @@ func attrMap(attrs []Attr) map[string]string {
 }
 
 // spanArgs builds the export args for a span: user attributes plus the
-// causal coordinates (span_id/trace_id/parent_id) that tracecheck
-// -connected and obsdiff consume to reconstruct the span tree.
+// causal coordinates (span_id/trace_id/parent_id) that `report
+// tracecheck -connected` and `report obsdiff` consume to reconstruct
+// the span tree.
 func spanArgs(s *Span) map[string]string {
 	m := make(map[string]string, len(s.Attrs)+3)
 	for _, a := range s.Attrs {
@@ -184,77 +186,6 @@ func ValidateChromeTrace(data []byte) error {
 	return nil
 }
 
-// WriteTimeline renders the captures as a plain-text timeline: one line
-// per span begin/end and per instant, in virtual-time order (stable on
-// ties: spans before instants, then record order), indented by span
-// depth. The human-readable sibling of the Chrome export.
-func WriteTimeline(w io.Writer, caps ...*Capture) error {
-	bw := bufio.NewWriter(w)
-	for _, c := range caps {
-		if c == nil || c.Trace == nil {
-			continue
-		}
-		c.Trace.closeOpen()
-		if c.Label != "" {
-			fmt.Fprintf(bw, "=== %s ===\n", c.Label)
-		}
-		type line struct {
-			at    simtime.Time
-			track string
-			kind  int // 0 = span begin, 1 = instant (spans sort first on full ties)
-			id    uint64
-			text  string
-		}
-		var lines []line
-		depthOf := func(s *Span) int {
-			d := 0
-			for p := s.Parent; p != nil; p = p.Parent {
-				d++
-			}
-			return d
-		}
-		for _, s := range c.Trace.Spans {
-			ind := strings.Repeat("  ", depthOf(s))
-			attrs := ""
-			for _, a := range s.Attrs {
-				attrs += fmt.Sprintf(" %s=%s", a.Key, a.Val)
-			}
-			lines = append(lines, line{at: s.Start, track: s.Track, kind: 0, id: s.ID, text: fmt.Sprintf(
-				"%12.3fms %-8s %s%s [%.3fms]%s", usOf(s.Start)/1e3, s.Track, ind, s.Name,
-				usOf(s.End-s.Start)/1e3, attrs)})
-		}
-		for i, in := range c.Trace.Instants {
-			attrs := ""
-			for _, a := range in.Attrs {
-				attrs += fmt.Sprintf(" %s=%s", a.Key, a.Val)
-			}
-			lines = append(lines, line{at: in.At, track: in.Track, kind: 1, id: uint64(i + 1), text: fmt.Sprintf(
-				"%12.3fms %-8s * %s%s", usOf(in.At)/1e3, in.Track, in.Name, attrs)})
-		}
-		// Same-timestamp events order by (node, span ID): ties are broken
-		// first by track name, then spans before instants, then by span
-		// ID (creation order) — never by incidental record interleaving.
-		sort.SliceStable(lines, func(i, j int) bool {
-			a, b := lines[i], lines[j]
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			if a.track != b.track {
-				return a.track < b.track
-			}
-			if a.kind != b.kind {
-				return a.kind < b.kind
-			}
-			return a.id < b.id
-		})
-		for _, l := range lines {
-			bw.WriteString(l.text)
-			bw.WriteByte('\n')
-		}
-	}
-	return bw.Flush()
-}
-
 // WriteMetricsText writes each capture's snapshot (labelled) as plain
 // text — the -metrics-out format.
 func WriteMetricsText(w io.Writer, caps ...*Capture) error {
@@ -272,7 +203,7 @@ func WriteMetricsText(w io.Writer, caps ...*Capture) error {
 }
 
 // SeriesDocKind is the top-level marker of a -series-out JSON artifact;
-// tracecheck auto-detects series files by it.
+// `report tracecheck` and `report obsdiff` detect series files by it.
 const SeriesDocKind = "dvemig-series"
 
 // seriesDoc is the -series-out JSON schema: one document per export,
@@ -380,38 +311,66 @@ func WriteSeriesCSV(w io.Writer, caps ...*Capture) error {
 	return bw.Flush()
 }
 
-// WriteArtifacts is the -trace-out / -metrics-out / -series-out plumbing
-// shared by the commands: it writes the captures' Chrome trace, metric
-// snapshots and sampled series at whichever of the three paths are
-// non-empty (the series as CSV when its path ends in .csv, JSON
-// otherwise) and names each file written on log.
-func WriteArtifacts(log io.Writer, tracePath, metricsPath, seriesPath string, caps ...*Capture) error {
+// Artifacts is the -trace-out / -metrics-out / -series-out / -sample
+// plumbing shared by the commands: NewArtifacts declares the flags, Write
+// writes the captures' Chrome trace, metric snapshots and sampled
+// series at whichever paths were given (the series as CSV when its path
+// ends in .csv, JSON otherwise) and names each file written on log.
+type Artifacts struct {
+	tracePath, metricsPath, seriesPath string
+	// Sample is the -sample sim-time cadence of the sampled series;
+	// ≤ 0 turns sampling off.
+	Sample time.Duration
+}
+
+// NewArtifacts declares -trace-out and -metrics-out on fs, and
+// -series-out and -sample too when the command samples its runs, and
+// returns the Artifacts they fill in.
+func NewArtifacts(fs *flag.FlagSet, sampled bool) *Artifacts {
+	a := &Artifacts{}
+	fs.StringVar(&a.tracePath, "trace-out", "", "observe the run and write a Chrome trace_event JSON (Perfetto-loadable) of it to this file")
+	fs.StringVar(&a.metricsPath, "metrics-out", "", "observe the run and write its merged metric snapshots to this file")
+	if sampled {
+		fs.StringVar(&a.seriesPath, "series-out", "", "observe the run and write its sampled time series to this file (.csv for CSV, else JSON)")
+		fs.DurationVar(&a.Sample, "sample", time.Second, "sim-time sampling cadence for the time series, window audits and SLOs (0 disables)")
+	}
+	return a
+}
+
+// Observe reports whether any artifact was asked for: a run must be
+// observed to have something to write.
+func (a *Artifacts) Observe() bool {
+	return a.tracePath != "" || a.metricsPath != "" || a.seriesPath != ""
+}
+
+// Write writes the artifacts whose paths were given.
+func (a *Artifacts) Write(log io.Writer, caps ...*Capture) error {
 	series := WriteSeriesJSON
-	if strings.HasSuffix(seriesPath, ".csv") {
+	if strings.HasSuffix(a.seriesPath, ".csv") {
 		series = WriteSeriesCSV
 	}
-	for _, a := range []struct {
+	for _, out := range []struct {
 		path, what string
 		write      func(io.Writer, ...*Capture) error
 	}{
-		{tracePath, "trace", WriteChromeTrace},
-		{metricsPath, "metrics", WriteMetricsText},
-		{seriesPath, "series", series},
+		{a.tracePath, "trace", WriteChromeTrace},
+		{a.metricsPath, "metrics", WriteMetricsText},
+		{a.seriesPath, "series", series},
 	} {
-		if a.path == "" {
+		if out.path == "" {
 			continue
 		}
-		f, err := os.Create(a.path)
+		f, err := os.Create(out.path)
 		if err == nil {
-			err = a.write(f, caps...)
+			err = out.write(f, caps...)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
 		}
 		if err != nil {
-			return fmt.Errorf("writing %s: %w", a.what, err)
+			return fmt.Errorf("writing %s: %w", out.what, err)
 		}
-		fmt.Fprintf(log, "wrote %s\n", a.path)
+		fmt.Fprintf(log, "wrote %s\n", out.path)
 	}
 	return nil
 }

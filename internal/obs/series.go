@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"fmt"
-
-	"dvemig/internal/simtime"
-)
+import "dvemig/internal/simtime"
 
 // This file is the streaming half of the observability plane: a
 // sim-time-driven Sampler that periodically snapshots the registry into
@@ -95,15 +91,6 @@ func (ts *TimeSeries) Points() ([]simtime.Time, []float64) {
 	return t, v
 }
 
-// Last returns the most recent point; ok is false when empty.
-func (ts *TimeSeries) Last() (simtime.Time, float64, bool) {
-	if ts == nil || ts.n == 0 {
-		return 0, 0, false
-	}
-	i := int((ts.n - 1) % uint64(ts.max))
-	return ts.times[i], ts.vals[i], true
-}
-
 // SeriesStore owns a run's time series, keyed by name in first-seen
 // order. Because the sampler walks name-sorted snapshots and metric
 // sets are state-driven, the order is deterministic.
@@ -156,86 +143,6 @@ func (st *SeriesStore) Len() int {
 		return 0
 	}
 	return len(st.order)
-}
-
-// MergeSeriesStores sums stores element-wise by (series name, sample
-// index) — the cross-cell aggregation a sweep report wants for
-// counter-backed series. Ragged lengths are fine: the merged series is
-// as long as its longest contributor, with timestamps taken from the
-// longest contributor (ties: first in argument order). Past a shorter
-// contributor's end, cumulative kinds (counter, hist-n) carry their
-// final value forward — a cell that finished early still counts its
-// total, and the merged series stays monotonic — while instantaneous
-// kinds (gauge, hist-p99) contribute zero. Nil stores are skipped; a
-// kind mismatch under one name means the cells were configured
-// differently and is an error.
-func MergeSeriesStores(stores ...*SeriesStore) (*SeriesStore, error) {
-	max := 0
-	for _, st := range stores {
-		if st != nil && st.Max > max {
-			max = st.Max
-		}
-	}
-	out := NewSeriesStore(max)
-	type part struct {
-		times []simtime.Time
-		vals  []float64
-	}
-	type acc struct {
-		kind  SeriesKind
-		parts []part
-		total uint64
-	}
-	accs := map[string]*acc{}
-	for _, st := range stores {
-		if st == nil {
-			continue
-		}
-		for _, name := range st.order {
-			ts := st.byName[name]
-			a := accs[name]
-			if a == nil {
-				a = &acc{kind: ts.Kind}
-				accs[name] = a
-				out.order = append(out.order, name)
-			}
-			if a.kind != ts.Kind {
-				return nil, fmt.Errorf("obs: series %q kind mismatch across stores (%s vs %s)",
-					name, a.kind, ts.Kind)
-			}
-			t, v := ts.Points()
-			a.parts = append(a.parts, part{times: t, vals: v})
-			if ts.n > a.total {
-				a.total = ts.n
-			}
-		}
-	}
-	for _, name := range out.order {
-		a := accs[name]
-		carry := a.kind == SeriesCounter || a.kind == SeriesHistCount
-		var times []simtime.Time
-		for _, p := range a.parts {
-			if len(p.times) > len(times) {
-				times = p.times
-			}
-		}
-		vals := make([]float64, len(times))
-		for _, p := range a.parts {
-			for i := range vals {
-				switch {
-				case i < len(p.vals):
-					vals[i] += p.vals[i]
-				case carry && len(p.vals) > 0:
-					vals[i] += p.vals[len(p.vals)-1]
-				}
-			}
-		}
-		out.byName[name] = &TimeSeries{
-			Name: name, Kind: a.kind, max: out.Max,
-			times: times, vals: vals, n: a.total,
-		}
-	}
-	return out, nil
 }
 
 // SampleWindow is what one sample boundary hands to OnSample hooks: the

@@ -31,10 +31,6 @@ func TestTimeSeriesRingEviction(t *testing.T) {
 			t.Fatalf("Points vals[%d] = %v, want %v", i, vals[i], wantT[i]*wantT[i])
 		}
 	}
-	at, v, ok := ts.Last()
-	if !ok || at != 9 || v != 81 {
-		t.Fatalf("Last = (%v, %v, %v), want (9, 81, true)", at, v, ok)
-	}
 }
 
 func TestTimeSeriesPointsBeforeWrap(t *testing.T) {
@@ -57,59 +53,9 @@ func TestTimeSeriesNilNoOps(t *testing.T) {
 	if tm, v := ts.Points(); tm != nil || v != nil {
 		t.Fatal("nil Points should return nil slices")
 	}
-	if _, _, ok := ts.Last(); ok {
-		t.Fatal("nil Last should report !ok")
-	}
 	var st *SeriesStore
 	if st.Series("x") != nil || st.Names() != nil || st.Len() != 0 {
 		t.Fatal("nil store should be empty")
-	}
-}
-
-func TestMergeSeriesStoresRaggedAndEmpty(t *testing.T) {
-	a := NewSeriesStore(8)
-	a.get("c", SeriesCounter).Append(1, 1)
-	a.get("c", SeriesCounter).Append(2, 2)
-	a.get("c", SeriesCounter).Append(3, 3)
-	a.get("only-a", SeriesGauge).Append(1, 5)
-
-	b := NewSeriesStore(8)
-	b.get("c", SeriesCounter).Append(1, 10)
-	// b's "empty" series exists but holds no points.
-	b.get("empty", SeriesGauge)
-
-	m, err := MergeSeriesStores(a, nil, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := m.Series("c")
-	times, vals := c.Points()
-	if len(times) != 3 {
-		t.Fatalf("merged len = %d, want 3 (longest contributor)", len(times))
-	}
-	// Index 0 sums both stores; past b's end its cumulative final (10)
-	// carries forward, so the merged counter stays monotonic.
-	want := []float64{11, 12, 13}
-	for i := range want {
-		if vals[i] != want[i] {
-			t.Fatalf("merged vals = %v, want %v", vals, want)
-		}
-	}
-	if m.Series("only-a").Len() != 1 {
-		t.Fatal("series present in one store must survive the merge")
-	}
-	if m.Series("empty") == nil || m.Series("empty").Len() != 0 {
-		t.Fatal("empty series must merge to an empty series")
-	}
-}
-
-func TestMergeSeriesStoresKindMismatch(t *testing.T) {
-	a := NewSeriesStore(4)
-	a.get("x", SeriesCounter).Append(1, 1)
-	b := NewSeriesStore(4)
-	b.get("x", SeriesGauge).Append(1, 1)
-	if _, err := MergeSeriesStores(a, b); err == nil {
-		t.Fatal("kind mismatch must error")
 	}
 }
 

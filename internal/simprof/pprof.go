@@ -1,6 +1,8 @@
 package simprof
 
 import (
+	"flag"
+	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -28,43 +30,45 @@ func StartCPUProfile(path string) (stop func() error, err error) {
 	}, nil
 }
 
-// Session bundles the -cpuprofile / -memprofile / -simprof-out plumbing
-// every command shares: Open starts the CPU profile and (when a simprof
-// path is given) creates the Profiler; Close stops the CPU profile,
-// writes the heap profile and the simprof report. All three paths are
-// individually optional.
+// Session is the -cpuprofile / -memprofile / -simprof-out plumbing
+// every command shares: NewSession declares the three flags, Open starts
+// the CPU profile and (when a simprof path is given) creates the Profiler,
+// Close stops the CPU profile and writes the heap profile and the
+// simprof report. All three paths are individually optional.
 type Session struct {
 	// Prof is non-nil only when a -simprof-out path was given; callers
 	// pass it (or its nil) straight into the eval config.
 	Prof *Profiler
 
-	cpuStop     func() error
-	memPath     string
-	simprofPath string
+	cpuPath, memPath, simprofPath string
+	cpuStop                       func() error
 }
 
-// OpenSession starts a profiling session for a command run. stride is
-// the event-loop sampling stride handed to New.
-func OpenSession(cpuPath, memPath, simprofPath string, stride int) (*Session, error) {
-	s := &Session{memPath: memPath, simprofPath: simprofPath}
-	if simprofPath != "" {
-		s.Prof = New(stride)
+// NewSession declares the three profile flags on fs and returns the
+// session they configure, to Open once fs is parsed.
+func NewSession(fs *flag.FlagSet) *Session {
+	s := &Session{}
+	fs.StringVar(&s.cpuPath, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	fs.StringVar(&s.memPath, "memprofile", "", "write a pprof heap profile (post-GC) to this file at exit")
+	fs.StringVar(&s.simprofPath, "simprof-out", "", "self-profile the simulator's hot paths and write the simprof JSON report to this file")
+	return s
+}
+
+// Open starts the session the parsed flags ask for, sampling every
+// event-loop pass.
+func (s *Session) Open() error {
+	if s.simprofPath != "" {
+		s.Prof = New(1)
 	}
-	stop, err := StartCPUProfile(cpuPath)
-	if err != nil {
-		return nil, err
-	}
+	stop, err := StartCPUProfile(s.cpuPath)
 	s.cpuStop = stop
-	return s, nil
+	return err
 }
 
 // Close finishes the session: stops the CPU profile, then writes the
 // heap profile and the simprof report. The first error wins but every
 // step runs.
 func (s *Session) Close() error {
-	if s == nil {
-		return nil
-	}
 	err := s.cpuStop()
 	if e := WriteHeapProfile(s.memPath); err == nil {
 		err = e
@@ -72,7 +76,10 @@ func (s *Session) Close() error {
 	if e := s.Prof.WriteFile(s.simprofPath); err == nil {
 		err = e
 	}
-	return err
+	if err != nil {
+		return fmt.Errorf("writing profiles: %w", err)
+	}
+	return nil
 }
 
 // WriteHeapProfile writes a pprof heap profile to path after a full GC

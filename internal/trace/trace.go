@@ -47,7 +47,7 @@ type PacketTrace struct {
 	// 4's analysis reads them to tell a true freeze (both directions
 	// silent) from a one-sided silence (e.g. a tx-only capture of a
 	// frozen server that is still receiving client traffic). They are a
-	// side channel only — Gaps() is defined over the kept Records, so a
+	// side channel only — MaxGap is defined over the kept Records, so a
 	// filtered packet landing mid-handshake between two kept packets
 	// never splits their gap.
 	DirFiltered     uint64
@@ -73,19 +73,6 @@ func (t *PacketTrace) PacketEvent(at simtime.Time, dir netsim.TapEvent, p *netsi
 		SrcIP: p.SrcIP, DstIP: p.DstIP, SrcPort: p.SrcPort, DstPort: p.DstPort,
 		Seq: p.Seq, Len: len(p.Payload), Flags: p.Flags,
 	})
-}
-
-// Gaps returns the time differences between consecutive records — the
-// quantity Fig 4 plots around the migration.
-func (t *PacketTrace) Gaps() []simtime.Duration {
-	if len(t.Records) < 2 {
-		return nil
-	}
-	out := make([]simtime.Duration, 0, len(t.Records)-1)
-	for i := 1; i < len(t.Records); i++ {
-		out = append(out, t.Records[i].At-t.Records[i-1].At)
-	}
-	return out
 }
 
 // MaxGap returns the largest inter-packet gap and the time at which the
