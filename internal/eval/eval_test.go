@@ -1,10 +1,13 @@
 package eval
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"dvemig/internal/migration"
 	"dvemig/internal/sockmig"
 )
 
@@ -37,6 +40,76 @@ func TestFreezePointOrderingSmall(t *testing.T) {
 	for s, pt := range results {
 		if pt.ClientRetransmits != 0 {
 			t.Fatalf("%v: clients retransmitted %d times with capture on", s, pt.ClientRetransmits)
+		}
+	}
+}
+
+// TestFreezeQuiescenceIsFinal proves drain's stopping rule: a cell
+// driven to quiescence and then run 30 simulated seconds more reports
+// the same migration metrics and the same client retransmissions, in
+// every socket strategy × migration strategy × capture setting.
+func TestFreezeQuiescenceIsFinal(t *testing.T) {
+	var cells []FreezeConfig
+	for _, conns := range []int{2, 16, 64} {
+		for _, s := range SweepStrategies {
+			for _, mig := range []*migration.Strategy{migration.Precopy(), migration.Postcopy(), migration.Hybrid()} {
+				for _, capture := range []bool{true, false} {
+					for _, seed := range []uint64{1, 2} {
+						fc := DefaultFreezeConfig(s, conns)
+						fc.MigCfg.Mig = mig
+						fc.MigCfg.EnableCapture = capture
+						fc.Seed = seed
+						cells = append(cells, fc)
+					}
+				}
+			}
+		}
+	}
+	_, err := RunParallel(cells, 0, func(fc FreezeConfig) (struct{}, error) {
+		name := fmt.Sprintf("conns %d %s %s capture=%v seed %d",
+			fc.Conns, fc.Strategy, fc.MigCfg.Mig.Name(), fc.MigCfg.EnableCapture, fc.Seed)
+		c, err := buildFreezeCell(fc, 0)
+		if err != nil {
+			return struct{}{}, fmt.Errorf("%s: %w", name, err)
+		}
+		c.migrate()
+		if err := c.drain(); err != nil {
+			return struct{}{}, fmt.Errorf("%s: %w", name, err)
+		}
+		m, retrans := c.result()
+		quiesced := *m
+		c.f.sched.RunFor(30e9)
+		m, later := c.result()
+		if !reflect.DeepEqual(&quiesced, m) {
+			return struct{}{}, fmt.Errorf("%s: metrics moved after quiescence:\n%+v\n%+v", name, quiesced, *m)
+		}
+		if later != retrans {
+			return struct{}{}, fmt.Errorf("%s: client retransmits %d at quiescence, %d 30 s later", name, retrans, later)
+		}
+		return struct{}{}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCaptureOffAblationShowsLoss: without capture the segments clients
+// lose in the freeze window come back by retransmission, and the point
+// counts them; with capture nothing is lost.
+func TestCaptureOffAblationShowsLoss(t *testing.T) {
+	for _, capture := range []bool{true, false} {
+		fc := DefaultFreezeConfig(sockmig.IncrementalCollective, 128)
+		fc.Repeats = 4
+		fc.MigCfg.EnableCapture = capture
+		pt, err := RunFreezePoint(fc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if capture && pt.ClientRetransmits != 0 {
+			t.Errorf("capture on: clients retransmitted %d times, want 0", pt.ClientRetransmits)
+		}
+		if !capture && pt.ClientRetransmits == 0 {
+			t.Error("capture off: no client retransmissions counted, want the freeze window's losses")
 		}
 	}
 }

@@ -88,8 +88,9 @@ type FreezePoint struct {
 	// WorstFreeze is the worst-case process freeze time (Fig 5b);
 	// WorstSockBytes the worst-case socket data transferred during the
 	// freeze phase (Fig 5c). ClientRetransmits sums client-side TCP
-	// retransmissions over all runs — zero when capture is on, the
-	// measure of the capture-off ablation.
+	// retransmissions over all runs, timer-driven and fast — zero when
+	// capture is on; with capture off, the segments the freeze window
+	// lost, most of them recovered by fast retransmit.
 	WorstFreeze       simtime.Duration
 	WorstSockBytes    uint64
 	ClientRetransmits uint64
@@ -174,6 +175,49 @@ func RunFreezeSweep(conns []int, strategies []sockmig.Strategy, tmpl FreezeConfi
 }
 
 func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, *obs.Capture, error) {
+	c, err := buildFreezeCell(fc, rep)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	c.migrate()
+	if err := c.drain(); err != nil {
+		return nil, 0, nil, err
+	}
+	m, retrans := c.result()
+	return m, retrans, c.f.capture(c.label), nil
+}
+
+// freezeCell is one repeat of a Fig 5b/5c point: a zone server with its
+// game clients and DB session, warmed up on the source and then
+// migrated. Its stages run in order — buildFreezeCell, migrate, drain,
+// result — and the cell owns its scheduler throughout, so a test can
+// run it on past drain and read result again.
+type freezeCell struct {
+	f       *fixture
+	label   string
+	dst     *proc.Node
+	mig     *migration.Migrator
+	p       *proc.Process
+	clients []*netstack.TCPSocket
+	// period is the server's frame, the step drain advances by.
+	period simtime.Duration
+
+	// Written by the migration's done callback: its outcome, and each
+	// client's SndNxt at that instant.
+	ended bool
+	got   *migration.Metrics
+	err   error
+	marks []uint32
+}
+
+// freezeHorizon bounds drain: a client byte still unacknowledged this
+// long after the migration began is a transparency failure, not slow
+// recovery.
+const freezeHorizon simtime.Duration = 30e9
+
+// buildFreezeCell sets the cell up and warms it to the instant the
+// migration starts.
+func buildFreezeCell(fc FreezeConfig, rep int) (*freezeCell, error) {
 	label := fmt.Sprintf("freeze-c%d-%s-rep%d", fc.Conns, fc.Strategy, rep)
 	f := newFixture(3, fc.Observe, 0, fc.Prof, label) // source, destination, DB
 	sched, cluster := f.sched, f.cluster
@@ -181,16 +225,16 @@ func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, *obs.C
 	for _, n := range cluster.Nodes[:2] {
 		m, err := f.migrator(n, fc.MigCfg)
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, err
 		}
 		migs = append(migs, m)
 	}
 	dbNode := cluster.Nodes[2]
 	if _, err := dve.StartDBServer(dbNode); err != nil {
-		return nil, 0, nil, err
+		return nil, err
 	}
 	if _, err := xlat.StartTransd(dbNode.Stack, dbNode.LocalIP); err != nil {
-		return nil, 0, nil, err
+		return nil, err
 	}
 
 	src := cluster.Nodes[0]
@@ -198,14 +242,14 @@ func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, *obs.C
 	heap := p.AS.Mmap(fc.MemPages*proc.PageSize, "rw-")
 	for i := uint64(0); i < fc.MemPages; i += 4 {
 		if err := p.AS.Write(heap.Start+i*proc.PageSize, []byte{byte(i)}); err != nil {
-			return nil, 0, nil, err
+			return nil, err
 		}
 	}
 
 	// Game clients.
 	lst := netstack.NewTCPSocket(src.Stack)
 	if err := lst.Listen(cluster.ClusterIP, 7000); err != nil {
-		return nil, 0, nil, err
+		return nil, err
 	}
 	var serverSide []*netstack.TCPSocket
 	lst.OnAccept = func(ch *netstack.TCPSocket) { serverSide = append(serverSide, ch) }
@@ -214,14 +258,14 @@ func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, *obs.C
 	for i := 0; i < fc.Conns; i++ {
 		cli := netstack.NewTCPSocket(host)
 		if err := cli.Connect(cluster.ClusterIP, 7000); err != nil {
-			return nil, 0, nil, err
+			return nil, err
 		}
 		cli.OnReadable = func() { cli.Discard() } // consume updates
 		clients = append(clients, cli)
 	}
 	sched.RunFor(2e9)
 	if len(serverSide) != fc.Conns {
-		return nil, 0, nil, fmt.Errorf("eval: only %d/%d connections established", len(serverSide), fc.Conns)
+		return nil, fmt.Errorf("eval: only %d/%d connections established", len(serverSide), fc.Conns)
 	}
 	for _, sk := range serverSide {
 		p.FDs.Install(&proc.TCPFile{Sock: sk})
@@ -230,7 +274,7 @@ func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, *obs.C
 	// MySQL session").
 	dbSock := netstack.NewTCPSocket(src.Stack)
 	if err := dbSock.Connect(dbNode.LocalIP, dve.DBPort); err != nil {
-		return nil, 0, nil, err
+		return nil, err
 	}
 	p.FDs.Install(&proc.TCPFile{Sock: dbSock})
 	sched.RunFor(1e9)
@@ -239,7 +283,7 @@ func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, *obs.C
 	// across the frame — this is what the capture mechanism must protect
 	// during the freeze window.
 	cliBatch := 0
-	cliTicker := simtime.NewTicker(sched,
+	simtime.NewTicker(sched,
 		simtime.Duration(1e9)/simtime.Duration(fc.UpdateHz*fc.Batches), "eval.clients", func() {
 			cliBatch++
 			nb := fc.Batches
@@ -248,9 +292,7 @@ func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, *obs.C
 			for _, cli := range clients[lo:hi] {
 				_ = cli.Send([]byte("ev"))
 			}
-		})
-	cliTicker.Start()
-	defer cliTicker.Stop()
+		}).Start()
 
 	// Real-time loop: UpdateHz updates per client per second, the send
 	// work spread over Batches sub-frames like a real server's send loop.
@@ -283,21 +325,74 @@ func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, *obs.C
 	warm := 500*1e6 + simtime.Duration(rep)*7e6 + simtime.Duration(fc.Seed%64)*3e6
 	sched.RunFor(warm)
 
-	var got *migration.Metrics
-	var gotErr error
-	migs[0].Migrate(p, cluster.Nodes[1].LocalIP, func(m *migration.Metrics, err error) {
-		got, gotErr = m, err
+	return &freezeCell{
+		f: f, label: label, dst: cluster.Nodes[1], mig: migs[0],
+		p: p, clients: clients, period: period,
+	}, nil
+}
+
+// migrate starts the live migration; when it ends, the cell records
+// each client's SndNxt as the mark drain waits for.
+func (c *freezeCell) migrate() {
+	c.mig.Migrate(c.p, c.dst.LocalIP, func(m *migration.Metrics, err error) {
+		c.ended, c.got, c.err = true, m, err
+		c.marks = make([]uint32, len(c.clients))
+		for i, cli := range c.clients {
+			c.marks[i] = cli.SndNxt
+		}
 	})
-	sched.RunFor(30e9)
-	if gotErr != nil {
-		return nil, 0, nil, gotErr
+}
+
+// drain advances the cell one server frame at a time and stops at the
+// first frame boundary where the migration has ended and every client
+// has had acknowledged all it sent before that: from then on nothing the
+// freeze window cost a client can still be retransmitted, so every
+// output of the cell is final. An aborted migration returns its error at
+// once; reaching freezeHorizon first is an error naming what is missing.
+func (c *freezeCell) drain() error {
+	sched := c.f.sched
+	limit := sched.Now() + freezeHorizon
+	for {
+		if c.ended {
+			if c.err != nil {
+				return c.err
+			}
+			if c.unacked() < 0 {
+				return nil
+			}
+		}
+		if sched.Now() >= limit {
+			break
+		}
+		sched.RunUntil(min(sched.Now()+c.period, limit))
 	}
-	if got == nil {
-		return nil, 0, nil, fmt.Errorf("eval: migration did not complete")
+	if !c.ended {
+		return fmt.Errorf("eval: migration did not complete")
 	}
+	i := c.unacked()
+	cli := c.clients[i]
+	return fmt.Errorf("eval: client %d (port %d) has %d bytes sent before the migration ended still unacknowledged %v after it began",
+		i, cli.LocalPort, int32(c.marks[i]-cli.SndUna), freezeHorizon)
+}
+
+// unacked is the first client whose SndUna has not reached its mark, or
+// -1 when none is left.
+func (c *freezeCell) unacked() int {
+	for i, cli := range c.clients {
+		if int32(cli.SndUna-c.marks[i]) < 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// result is the migration's metrics and the clients' retransmissions,
+// timer-driven and fast: capture on, that is zero; capture off, it
+// counts the segments the freeze window lost.
+func (c *freezeCell) result() (*migration.Metrics, uint64) {
 	var retrans uint64
-	for _, cli := range clients {
-		retrans += cli.Retransmits
+	for _, cli := range c.clients {
+		retrans += cli.Retransmits + cli.FastRetransmits
 	}
-	return got, retrans, f.capture(label), nil
+	return c.got, retrans
 }
