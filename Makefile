@@ -45,6 +45,12 @@ loc:
 # Everything is a pure function of the flags below. The binaries are
 # built outside OUT (they differ between trees by construction) and the
 # runs execute inside it, so file names in the output are relative.
+#
+# Each example earns its artifact with a run no verb prints:
+#   quickstart - the smallest whole program against the mechanism, the
+#                one README sends a new reader to;
+#   failover   - the detector-driven crash failover under a bumped epoch,
+#                then a traced planned migration with its phase timeline.
 artifacts:
 	@test -n "$(OUT)" || { echo "usage: make artifacts OUT=<dir>" >&2; exit 2; }
 	@set -e; mkdir -p "$(OUT)"; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \

@@ -10,7 +10,6 @@ import (
 	"dvemig/internal/proc"
 	"dvemig/internal/simtime"
 	"dvemig/internal/sockmig"
-	"dvemig/internal/stream"
 )
 
 // This file is the public API surface: the types a downstream user needs
@@ -140,10 +139,6 @@ type (
 	Fig4Config = openarena.Fig4Config
 	// Fig4Result carries Fig 4's measurements.
 	Fig4Result = openarena.Fig4Result
-	// StreamConfig / StreamResult drive the streaming extension.
-	StreamConfig = stream.ExperimentConfig
-	// StreamResult carries viewer-experience measurements.
-	StreamResult = stream.ExperimentResult
 )
 
 // DefaultDVEConfig mirrors §VI-C: 5 nodes, 10,000 clients, ~15 minutes.
@@ -163,9 +158,3 @@ func DefaultFig4Config() Fig4Config { return openarena.DefaultFig4Config() }
 
 // RunFig4 runs the OpenArena migration experiment.
 func RunFig4(cfg Fig4Config) (*Fig4Result, error) { return openarena.RunFig4(cfg) }
-
-// DefaultStreamConfig mirrors the §VIII streaming scenario.
-func DefaultStreamConfig() StreamConfig { return stream.DefaultExperimentConfig() }
-
-// RunStream runs the migrate-while-streaming experiment.
-func RunStream(cfg StreamConfig) (*StreamResult, error) { return stream.RunExperiment(cfg) }

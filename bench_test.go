@@ -14,13 +14,9 @@ import (
 
 	"dvemig/internal/dve"
 	"dvemig/internal/eval"
-	"dvemig/internal/hla"
 	"dvemig/internal/migration"
 	"dvemig/internal/openarena"
-	"dvemig/internal/proc"
-	"dvemig/internal/simtime"
 	"dvemig/internal/sockmig"
-	"dvemig/internal/stream"
 )
 
 // BenchmarkFig4PacketDelay regenerates Fig 4: the packet-level delay an
@@ -331,8 +327,6 @@ func BenchmarkMigrationEngineObserved(b *testing.B) {
 	}
 }
 
-var _ = migration.DefaultConfig // keep import stable for doc reference
-
 // BenchmarkSimCoreChaosSweep measures the chaos battery (8 scenarios ×
 // 1 seed) at increasing worker counts: the parallel runner's scaling,
 // in wall-clock sims/s — the across-cell number ROADMAP 2(c) decides
@@ -370,98 +364,4 @@ func BenchmarkSoakCell(b *testing.B) {
 		runSoakClean(b, cfg)
 	}
 	b.ReportMetric(float64(cfg.Requests), "requests/op")
-}
-
-// BenchmarkExtensionStreaming measures the streaming future-work case:
-// viewer stalls under live migration vs stop-and-copy.
-func BenchmarkExtensionStreaming(b *testing.B) {
-	for _, precopy := range []bool{true, false} {
-		name := "live"
-		if !precopy {
-			name = "stop-and-copy"
-		}
-		b.Run(name, func(b *testing.B) {
-			var res *stream.ExperimentResult
-			for i := 0; i < b.N; i++ {
-				cfg := stream.DefaultExperimentConfig()
-				if !precopy {
-					cfg.Prebuffer = 120 * 1e6
-					cfg.Server.MemPages = 16384
-					cfg.MigCfg.EnablePrecopy = false
-				}
-				var err error
-				res, err = stream.RunExperiment(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Rebuffers), "viewer-stalls")
-			b.ReportMetric(float64(res.Metrics.FreezeTime)/1e6, "freeze-ms")
-		})
-	}
-}
-
-// BenchmarkBaselineAppLayerLB contrasts the OS-level middleware with the
-// prior-work application-layer zone-handoff baseline (§I): both tame the
-// imbalance, but the baseline's client-visible outage is orders of
-// magnitude larger.
-func BenchmarkBaselineAppLayerLB(b *testing.B) {
-	for _, mode := range []string{"os-level", "app-layer"} {
-		mode := mode
-		b.Run(mode, func(b *testing.B) {
-			var r *dve.Results
-			for i := 0; i < b.N; i++ {
-				cfg := dveBenchConfig(mode == "os-level")
-				if mode == "app-layer" {
-					cfg.AppLayerLB = true
-					cfg.AppLayer.CalmDown = 8e9
-				}
-				sim, err := dve.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r = sim.Run()
-			}
-			b.ReportMetric(r.FinalSpread, "cpu-spread-%")
-			b.ReportMetric(r.OutageClientSeconds, "outage-client-s")
-		})
-	}
-}
-
-// BenchmarkExtensionHLAFederation measures lockstep throughput of an
-// HLA-style federation and the (absence of) disruption a federate's
-// migration causes: steps per simulated second before and after.
-func BenchmarkExtensionHLAFederation(b *testing.B) {
-	var perSecBefore, perSecAfter float64
-	var violations uint64
-	for i := 0; i < b.N; i++ {
-		sched := simtime.NewScheduler()
-		cluster := proc.NewCluster(sched, 3)
-		var migs []*migration.Migrator
-		for _, n := range cluster.Nodes {
-			m, err := migration.NewMigrator(n, migration.DefaultConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			migs = append(migs, m)
-		}
-		fed, err := hla.New(cluster, cluster.Nodes, hla.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sched.RunFor(5e9)
-		s0 := fed.MinStep()
-		perSecBefore = float64(s0) / 5
-		migs[1].Migrate(fed.Federates[1].Proc, cluster.Nodes[2].LocalIP, func(m *migration.Metrics, err error) {
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-		sched.RunFor(5e9)
-		perSecAfter = float64(fed.MinStep()-s0) / 5
-		violations = fed.Violations()
-	}
-	b.ReportMetric(perSecBefore, "steps/s-before")
-	b.ReportMetric(perSecAfter, "steps/s-after")
-	b.ReportMetric(float64(violations), "sync-violations")
 }

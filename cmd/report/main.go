@@ -1,7 +1,7 @@
 // Command report runs the complete evaluation — Fig 4, the Fig 5b/5c
-// sweep, the Fig 5d/5e/5f simulations and the extension experiments —
-// and prints one consolidated paper-vs-measured report. Its verbs read
-// the observability artifacts the runs export.
+// sweep, the Fig 5d/5e/5f simulations and the broadcast-vs-NAT dispatch
+// comparison — and prints one consolidated paper-vs-measured report.
+// Its verbs read the observability artifacts the runs export.
 //
 //	report [-full] [-workers N] [-phase-table] ...  # -full: paper scale (slower)
 //	report tracecheck [-connected] file [file ...]  # validate artifacts
@@ -20,7 +20,6 @@ import (
 	"dvemig/internal/obs"
 	"dvemig/internal/openarena"
 	"dvemig/internal/simprof"
-	"dvemig/internal/stream"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -114,18 +113,17 @@ func evaluate(args []string, stdout, stderr io.Writer) int {
 		return die(fs, 1, err)
 	}
 
-	// Fig 5d/e/f and the app-layer baseline: the LB-off, LB-on and
-	// app-layer runs are independent simulations, so they too fan out
-	// over the parallel runner.
+	// Fig 5d/e/f: the LB-off and LB-on runs are independent
+	// simulations, so they too fan out over the parallel runner.
 	off := dve.DefaultConfig()
 	if !*full {
 		off.Duration = 300e9
 		off.MoveStart = 30e9
 		off.MoveProb = 0.08
 	}
-	on, app := off, off
-	on.LB, app.AppLayerLB = true, true
-	dveRuns, err := eval.RunParallel([]dve.Config{off, on, app}, *workers, func(c dve.Config) (*dve.Results, error) {
+	on := off
+	on.LB = true
+	dveRuns, err := eval.RunParallel([]dve.Config{off, on}, *workers, func(c dve.Config) (*dve.Results, error) {
 		sim, err := dve.New(c)
 		if err != nil {
 			return nil, err
@@ -141,20 +139,12 @@ func evaluate(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintln(stdout)
 
 	// Extensions.
-	st, err := stream.RunExperiment(stream.DefaultExperimentConfig())
-	if err != nil {
-		return die(fs, 1, err)
-	}
 	bc, nat, err := eval.RunDispatchComparison(eval.DefaultDispatchConfig())
 	if err != nil {
 		return die(fs, 1, err)
 	}
 	fmt.Fprintln(stdout, "Extensions")
-	fmt.Fprintf(stdout, "  streaming: %d viewer stalls across a live migration (freeze %.1f ms)\n",
-		st.Rebuffers, float64(st.Metrics.FreezeTime)/1e6)
 	fmt.Fprintf(stdout, "  dispatch: %s lost %d datagrams; %s lost %d\n",
 		bc.Mode, bc.Lost, nat.Mode, nat.Lost)
-	fmt.Fprintf(stdout, "  client outage: OS-level %.2f client-seconds vs app-layer baseline %.2f\n",
-		dveRuns[1].OutageClientSeconds, dveRuns[2].OutageClientSeconds)
 	return die(fs, 1, prof.Close())
 }

@@ -147,3 +147,22 @@ func TestReportUnknownVerb(t *testing.T) {
 		t.Fatalf("exit %d, stderr %q; want 2 and the verb list", code, errOut)
 	}
 }
+
+// TestReportEvaluation runs bare report, the whole evaluation at its
+// default scale, and checks that every section it owes is printed.
+func TestReportEvaluation(t *testing.T) {
+	code, out, errOut := runReport("-workers", "2")
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr:\n%s", code, errOut)
+	}
+	for _, want := range []string{"Fig 4 —", "Fig 5b —", "Fig 5c —", "Fig 5e/5f —", "  dispatch: "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, out)
+		}
+	}
+	for _, gone := range []string{"streaming:", "app-layer"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("stdout still has %q:\n%s", gone, out)
+		}
+	}
+}

@@ -48,8 +48,6 @@ var internalDeps = map[string][]string{
 	"faults":   {"migration", "netsim", "obs", "proc", "simtime"},
 	"ctlplane": {"epoch", "lb", "migration", "netsim", "netstack", "obs", "proc", "simtime"},
 
-	"hla":       {"netstack", "proc", "simtime"},
-	"stream":    {"migration", "netsim", "netstack", "proc", "simtime"},
 	"openarena": {"migration", "netsim", "netstack", "proc", "simtime", "trace"},
 	"dve":       {"flight", "lb", "migration", "netsim", "netstack", "obs", "proc", "simtime", "trace", "xlat"},
 

@@ -329,6 +329,10 @@ func TestSimulationLBEqualizesLoad(t *testing.T) {
 				t.Fatalf("freeze time %v too long for interactive workload", ft)
 			}
 		}
+		// Millisecond freezes cost the clients well under a second in total.
+		if r.OutageClientSeconds > 1.0 {
+			t.Fatalf("OS-level outage implausibly high: %.3f client-seconds", r.OutageClientSeconds)
+		}
 	}
 	if migs == 0 {
 		t.Fatal("LB performed no migrations")
@@ -547,82 +551,6 @@ func TestDrainStormEvacuatesEdgeNodeUnderLoad(t *testing.T) {
 		if pr.sk.BytesIn <= pr.in {
 			t.Fatalf("neighbor socket %d stalled after drain storm", i)
 		}
-	}
-}
-
-func TestAppLayerBaselineBalancesButDisruptsClients(t *testing.T) {
-	// The prior-work baseline also tames the imbalance, but at a client
-	// cost orders of magnitude above the OS-level middleware — the
-	// paper's §I motivation made quantitative.
-	appCfg := shortConfig(false)
-	appCfg.AppLayerLB = true
-	appCfg.AppLayer.CalmDown = 8e9
-	appSim, err := New(appCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app := appSim.Run()
-	if app.Handoffs == 0 {
-		t.Fatal("baseline never acted")
-	}
-	noLB, err := New(shortConfig(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := noLB.Run()
-	if app.FinalSpread >= plain.FinalSpread {
-		t.Fatalf("baseline did not reduce imbalance: %v vs %v", app.FinalSpread, plain.FinalSpread)
-	}
-	osSim, err := New(shortConfig(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	osRes := osSim.Run()
-	if osRes.Migrations == 0 {
-		t.Fatal("os middleware never acted")
-	}
-	// One zone handoff disconnects ~100+ clients for tens of ms of
-	// transfer plus a reconnect storm; the OS freeze is milliseconds.
-	if app.OutageClientSeconds < 20*osRes.OutageClientSeconds {
-		t.Fatalf("baseline outage %.3f client-seconds not ≫ OS-level %.3f",
-			app.OutageClientSeconds, osRes.OutageClientSeconds)
-	}
-	if osRes.OutageClientSeconds > 1.0 {
-		t.Fatalf("OS-level outage implausibly high: %.3f client-seconds", osRes.OutageClientSeconds)
-	}
-}
-
-func TestAppLayerNeighborConstraint(t *testing.T) {
-	// Every handoff must respect the virtual-space adjacency constraint:
-	// the receiver already owned a zone adjacent to the moved one.
-	cfg := shortConfig(false)
-	cfg.AppLayerLB = true
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	if s.AppLB.Handoffs == 0 {
-		t.Skip("no handoffs this run")
-	}
-	// Replay ownership to validate each move.
-	var owner [GridW * GridH]int
-	for z := ZoneID(0); z < GridW*GridH; z++ {
-		owner[z] = z.HomeNode()
-	}
-	for _, o := range s.AppLB.Outages {
-		to := s.AppLB.owner[o.Zone] // final owner unknown per-step; validate adjacency at replay
-		adjacentOK := false
-		for _, w := range adjacentZones(o.Zone) {
-			if owner[w] != owner[o.Zone] {
-				adjacentOK = true
-			}
-		}
-		if !adjacentOK {
-			t.Fatalf("handoff of zone %d violated the adjacency constraint", o.Zone)
-		}
-		_ = to
-		owner[o.Zone] = s.AppLB.owner[o.Zone]
 	}
 }
 

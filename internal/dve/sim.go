@@ -31,12 +31,6 @@ type Config struct {
 	// migration).
 	NeighborLinks bool
 
-	// AppLayerLB replaces the OS-level middleware with the prior-work
-	// application-layer zone-handoff baseline (mutually exclusive with
-	// LB).
-	AppLayerLB bool
-	AppLayer   AppLayerConfig
-
 	// Movement model: MobileFrac of middle-row clients drift toward the
 	// corners, each stepping one zone per second with MoveProb, starting
 	// at MoveStart.
@@ -80,7 +74,6 @@ func DefaultConfig() Config {
 		MoveStart:   120 * 1e9,
 		SampleEvery: 5 * 1e9,
 		Seed:        2010,
-		AppLayer:    DefaultAppLayerConfig(),
 	}
 }
 
@@ -106,13 +99,9 @@ type Results struct {
 	// run — the imbalance measure the paper discusses.
 	FinalSpread float64
 	// OutageClientSeconds is the total client-visible unavailability the
-	// balancing caused: Σ clients × downtime over all moves. For the
-	// OS-level middleware this is freeze time × affected clients (a few
-	// client-seconds at most); for the app-layer baseline it is the zone
-	// handoff outage (orders of magnitude larger).
+	// balancing caused: Σ clients × freeze time over all migrations (a
+	// few client-seconds at most).
 	OutageClientSeconds float64
-	// Handoffs counts app-layer zone reassignments (baseline mode).
-	Handoffs int
 }
 
 // Simulation is the assembled experiment.
@@ -124,7 +113,6 @@ type Simulation struct {
 
 	Migrators  []*migration.Migrator
 	Conductors []*lb.Conductor
-	AppLB      *AppLayerBalancer
 	Movement   *MovementModel
 
 	// Obs is the run's observability plane (nil unless Config.Observe).
@@ -208,9 +196,6 @@ func New(cfg Config) (*Simulation, error) {
 		}
 	}
 
-	if cfg.LB && cfg.AppLayerLB {
-		return nil, fmt.Errorf("dve: LB and AppLayerLB are mutually exclusive")
-	}
 	if cfg.LB {
 		for i, n := range s.Cluster.Nodes[:cfg.Nodes] {
 			cd, err := lb.NewConductor(n, s.Migrators[i], cfg.LBConfig)
@@ -222,9 +207,6 @@ func New(cfg Config) (*Simulation, error) {
 			}
 			s.Conductors = append(s.Conductors, cd)
 		}
-	}
-	if cfg.AppLayerLB {
-		s.AppLB = newAppLayerBalancer(s, cfg.AppLayer)
 	}
 
 	// Movement ticker.
@@ -349,10 +331,6 @@ func (s *Simulation) Run() *Results {
 			}
 			r.OutageClientSeconds += clients * mm.FreezeTime.Seconds()
 		}
-	}
-	if s.AppLB != nil {
-		r.Handoffs = s.AppLB.Handoffs
-		r.OutageClientSeconds += s.AppLB.OutageClientSeconds()
 	}
 	for _, cd := range s.Conductors {
 		r.Events = append(r.Events, cd.Events...)
