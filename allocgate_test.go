@@ -81,7 +81,10 @@ func TestAllocGateTimerChurn(t *testing.T) {
 }
 
 // TestAllocGateTicker pins the periodic-loop re-arm (process ticks,
-// client command loops) at zero allocations per tick.
+// client command loops) at zero allocations per tick: one ticker whose
+// re-arm sifts through a deep queue, and 100 co-phased tickers of one
+// period — the DVE run's zone servers — whose re-arms append to the
+// scheduler's shared lane for that period.
 func TestAllocGateTicker(t *testing.T) {
 	s := simtime.NewScheduler()
 	for i := 0; i < 1024; i++ { // the re-arm sifts through a deep queue
@@ -97,6 +100,23 @@ func TestAllocGateTicker(t *testing.T) {
 	})
 	if per > 0 {
 		t.Fatalf("ticker re-arm allocates %.1f per 10 ticks, want 0", per)
+	}
+
+	for i := 0; i < 100; i++ {
+		zone := simtime.NewTicker(s, simtime.Duration(50*time.Millisecond), "gate.zone", func() { ticks++ })
+		zone.Start()
+		defer zone.Stop()
+	}
+	s.RunFor(simtime.Duration(100 * time.Millisecond)) // warm the free list
+	before := ticks
+	per = testing.AllocsPerRun(10, func() {
+		s.RunFor(simtime.Duration(50 * time.Millisecond))
+	})
+	if per > 0 {
+		t.Fatalf("100 co-phased tickers allocate %.1f per 50 ms round, want 0", per)
+	}
+	if ticks-before < 11*150 {
+		t.Fatalf("%d ticks in 11 rounds, want at least %d", ticks-before, 11*150)
 	}
 }
 

@@ -73,8 +73,14 @@ type NIC struct {
 	sched   *simtime.Scheduler
 
 	busyUntil simtime.Time // egress serialization horizon
-	taps      []Tap
-	fault     FaultModel
+	// deliveries queues Send's delivery events. done never decreases (it
+	// advances busyUntil), so at a fixed Latency they arrive in time
+	// order; whatever breaks the order (a fault's extra delay, a changed
+	// Latency) sends the earlier-arriving packets behind it through the
+	// heap instead (simtime.Lane).
+	deliveries simtime.Lane
+	taps       []Tap
+	fault      FaultModel
 
 	// Counters for diagnostics and tests.
 	TxPackets, RxPackets uint64
@@ -198,7 +204,7 @@ func (n *NIC) Send(p *Packet) {
 		}
 	}
 	arrive := done + n.Params.Latency + extra
-	n.sched.AtCall(arrive, "netsim.deliver", routeCall, n, p)
+	n.sched.AtCallLane(&n.deliveries, arrive, "netsim.deliver", routeCall, n, p)
 }
 
 // routeCall is the closure-free delivery trampoline: the NIC and packet

@@ -6,7 +6,7 @@ import (
 )
 
 // The simtime rung of the per-layer benchmark ladder (ROADMAP 1(a)): the
-// queue under the three access patterns the simulations generate.
+// queue under the access patterns the simulations generate.
 
 // holdFlight is one in-flight packet/ACK-like event that re-arms itself
 // 50–150 µs out.
@@ -21,9 +21,12 @@ func holdFlightFire(a0, _ any) {
 }
 
 // BenchmarkHold is the classic hold model at the paper-scale DVE run's
-// measured mix: 100 zone-server tickers at 50 ms over 200 short-lived
-// in-flight events, so the queue stays a few hundred deep (the run's
-// pending count ranges 150–340) and every step is one pop plus one push.
+// queue depth: 100 zone-server tickers at 50 ms over 200 short-lived
+// in-flight events at random offsets, so the queue stays a few hundred
+// deep (the run's pending count ranges 150–340) and every step is one
+// pop plus one push. Its 499 µs ticker stagger is not the run's phase
+// structure: there the zone servers tick co-phased, and 74 % of events
+// share the instant of the event before them (BenchmarkTickLane).
 func BenchmarkHold(b *testing.B) {
 	s := NewScheduler()
 	for i := 0; i < 100; i++ {
@@ -42,6 +45,53 @@ func BenchmarkHold(b *testing.B) {
 	}
 	if s.Pending() != 300 {
 		b.Fatalf("hold model drifted to %d pending, want 300", s.Pending())
+	}
+}
+
+// tickLaneNet is BenchmarkTickLane's network: five NIC-like lanes whose
+// deliveries are serialised behind each lane's last transmission, as
+// NIC.Send does, so every lane is armed in time order.
+type tickLaneNet struct {
+	s     *Scheduler
+	lanes [5]Lane
+	busy  [5]Time
+}
+
+// send queues one 1500-byte frame's delivery on lane k: 12 µs on a
+// gigabit wire behind the lane's horizon, then 100 µs of latency.
+func (n *tickLaneNet) send(k int) {
+	start := max(n.s.Now(), n.busy[k])
+	n.busy[k] = start + 12*time.Microsecond
+	n.s.AtCallLane(&n.lanes[k], n.busy[k]+100*time.Microsecond, "netsim.deliver", tickLaneDeliver, n, nil)
+}
+
+func tickLaneDeliver(_, _ any) {}
+
+// BenchmarkTickLane is the DVE run's shape: 100 co-phased 50 ms
+// zone-server tickers, which share one instant and one lane, and 80
+// one-shot packet deliveries a round — the first 80 servers send one
+// frame per tick through the five nodes' NIC lanes — so ticks are the
+// larger share of events and most events fire at the instant of the one
+// before them.
+func BenchmarkTickLane(b *testing.B) {
+	s := NewScheduler()
+	net := &tickLaneNet{s: s}
+	for i := 0; i < 100; i++ {
+		fn := func() {}
+		if i < 80 {
+			k := i % len(net.lanes)
+			fn = func() { net.send(k) }
+		}
+		NewTicker(s, 50*time.Millisecond, "zone.loop", fn).Start()
+	}
+	s.RunFor(100 * time.Millisecond) // free list warm
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.step()
+	}
+	if n := s.Pending(); n < 100 || n > 180 {
+		b.Fatalf("tick lane model drifted to %d pending, want 100–180", n)
 	}
 }
 

@@ -50,15 +50,18 @@ const (
 // nil their reference when the callback runs and immediately after calling
 // Cancel.
 type Event struct {
-	when     Time
-	seq      uint64 // tie-breaker for deterministic ordering
-	fn       func()
-	fn2      func(a0, a1 any) // closure-free form (AtCall); fn==nil then
-	arg0     any
-	arg1     any
+	when Time
+	seq  uint64           // tie-breaker for deterministic ordering
+	fn   func(a0, a1 any) // called as fn(arg0, arg1)
+	arg0 any              // At's func() rides here, run by callFunc
+	arg1 any
+	lane *Lane  // the lane this event heads or waits in, nil for a plain heap event
+	next *Event // the event behind it in its lane
+	// index shares next's 16 bytes, so the cache line a sift writes
+	// index on is the one removeAt reads next from.
+	index    int32 // slot in Scheduler.queue while it has one (Cancel's way in), else -1
 	canceled bool
 	state    uint8
-	index    int // slot in Scheduler.queue while pending (Cancel's way in), else -1
 	name     string
 }
 
@@ -68,6 +71,22 @@ func (e *Event) Canceled() bool { return e.canceled }
 // When returns the virtual time at which the event fires (or would have
 // fired if canceled).
 func (e *Event) When() Time { return e.when }
+
+// Lane is a FIFO of events whose (when, seq) never decreases: a
+// producer that arms in time order (a NIC's deliveries, the tickers of
+// one period) queues through it. Only the lane's head holds a heap slot;
+// the events behind it wait on intrusive links, so arming at or after
+// the lane's last instant is O(1) with no sift, and popping the head
+// refills its slot with the next live event, which sifts down from
+// there. An arm earlier than the lane's last instant becomes a plain
+// heap event, so a Lane needs no promise from its producer. Canceling
+// an event that waits behind the head only marks it dead; it is dropped
+// when it reaches the head. The zero Lane is empty and ready; a
+// producer embeds one by value, arms it on one scheduler only, and must
+// not copy it while it holds events.
+type Lane struct {
+	tail *Event // the lane's last event, nil when the lane is empty
+}
 
 // slot is one queue entry. The ordering key is stored inline so sifting
 // compares and moves 24-byte values without dereferencing the event; when
@@ -98,11 +117,11 @@ func (s *Scheduler) siftUp(i int, x slot) {
 			break
 		}
 		q[i] = q[parent]
-		q[i].ev.index = i
+		q[i].ev.index = int32(i)
 		i = parent
 	}
 	q[i] = x
-	x.ev.index = i
+	x.ev.index = int32(i)
 }
 
 // siftDown places x at or below slot i, moving the earlier child up into
@@ -123,28 +142,52 @@ func (s *Scheduler) siftDown(i int, x slot) {
 			break
 		}
 		q[i] = q[child]
-		q[i].ev.index = i
+		q[i].ev.index = int32(i)
 		i = child
 	}
 	q[i] = x
-	x.ev.index = i
+	x.ev.index = int32(i)
 }
 
-// removeAt takes the event in slot i out of the queue: the last slot
-// fills the hole and sifts whichever way restores the heap (up when it
-// came from another subtree and is earlier than the hole's parent).
+// removeAt takes the event in slot i out of the queue. A lane head's
+// slot passes to the first live event behind it (the dead ones before
+// it are recycled), which is no earlier than the head (so no earlier
+// than the head's parent either) and only sifts down. Otherwise the
+// last slot fills the hole and sifts whichever way restores the heap
+// (up when it came from another subtree and is earlier than the hole's
+// parent). A lane event leaves with its links cleared, so a plain
+// event's are nil whenever it is queued or pooled.
 func (s *Scheduler) removeAt(i int) {
+	e := s.queue[i].ev
+	if nx := e.next; nx != nil {
+		e.next = nil
+		for nx != nil && nx.state != statePending {
+			dead := nx
+			nx = nx.next
+			dead.lane, dead.next = nil, nil
+			s.release(dead)
+		}
+		if nx != nil {
+			s.nqueued--
+			e.lane = nil
+			s.siftDown(i, slot{when: uint64(nx.when), seq: nx.seq, ev: nx})
+			return
+		}
+	}
 	last := len(s.queue) - 1
 	x := s.queue[last]
 	s.queue[last] = slot{}
 	s.queue = s.queue[:last]
-	if i == last {
-		return
-	}
-	if i > 0 && before(&x, &s.queue[(i-1)/2]) != 0 {
+	switch {
+	case i == last:
+	case i > 0 && before(&x, &s.queue[(i-1)/2]) != 0:
 		s.siftUp(i, x)
-	} else {
+	default:
 		s.siftDown(i, x)
+	}
+	if l := e.lane; l != nil { // a lone head empties its lane; read after the sift, which needs no event
+		l.tail = nil
+		e.lane = nil
 	}
 }
 
@@ -156,17 +199,21 @@ const maxFreeEvents = 4096
 // ordered by virtual time, with FIFO ordering among events scheduled for
 // the same instant — the strict total order (when, seq), which alone
 // fixes the run (DESIGN.md "Event queue"). The queue is a binary min-heap
-// of value slots; canceling an event removes its slot eagerly (O(log n),
-// found through Event.index) and recycles the struct through a free list,
-// so heavy timer churn (arm/cancel per TCP ACK) neither grows the queue
-// nor allocates per timer.
+// of value slots whose entries are plain events and lane heads (see
+// Lane). Canceling a slotted event removes it eagerly (O(log n), found
+// through Event.index) and recycles the struct through a free list, so
+// heavy timer churn (arm/cancel per TCP ACK) neither grows the queue
+// nor allocates per timer; an event waiting in a lane is marked dead in
+// O(1) and recycled when its lane reaches it.
 type Scheduler struct {
-	now      Time
-	seq      uint64
-	queue    []slot
-	nsteps   uint64
-	ncancels uint64
-	free     []*Event
+	now       Time
+	seq       uint64
+	queue     []slot
+	nqueued   int                // live events waiting in lanes behind their heads
+	tickLanes map[Duration]*Lane // each hosted by its period's first ticker
+	nsteps    uint64
+	ncancels  uint64
+	free      []*Event
 
 	// FR, when attached, records every event fire into the flight
 	// recorder: virtual time, event name, and sequence number. Nil (the
@@ -198,26 +245,35 @@ func (s *Scheduler) Steps() uint64 { return s.nsteps }
 // observability plane harvests it alongside Steps.
 func (s *Scheduler) Cancels() uint64 { return s.ncancels }
 
-// Pending returns the exact number of live events currently queued.
-// Canceled events are removed from the queue eagerly, so after a
-// simulation drains Pending()==0 iff no timer leaked.
-func (s *Scheduler) Pending() int { return len(s.queue) }
+// Pending returns the exact number of live events currently queued,
+// in heap slots and in lanes. Canceled events no longer count (one that
+// waits in a lane stays linked, dead, until the lane reaches it), so
+// after a simulation drains Pending()==0 iff no timer leaked.
+func (s *Scheduler) Pending() int { return len(s.queue) + s.nqueued }
 
 // PendingNames returns the names of every queued event in an
 // unspecified order. It exists for leak diagnostics: when a drained
 // simulation reports Pending() > 0, the names identify the timers that
 // were never fired or canceled.
 func (s *Scheduler) PendingNames() []string {
-	out := make([]string, len(s.queue))
+	out := make([]string, 0, s.Pending())
 	for i := range s.queue {
-		out[i] = s.queue[i].ev.name
+		for e := s.queue[i].ev; e != nil; e = e.next { // a lane head leads its lane
+			if e.state == statePending {
+				out = append(out, e.name)
+			}
+		}
 	}
 	return out
 }
 
 // arm queues a pooled event named name at absolute virtual time t; the
 // caller fills in the callback (a recycled event's is already cleared).
-func (s *Scheduler) arm(t Time, name string) *Event {
+// With a lane the event heads it when the lane is empty, waits behind
+// the lane's last event when t is no earlier, and is otherwise a plain
+// heap event. Its seq exceeds every queued event's, so an appended lane
+// stays sorted in (when, seq).
+func (s *Scheduler) arm(l *Lane, t Time, name string) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("simtime: scheduling %q at %v before now %v", name, t, s.now))
 	}
@@ -233,6 +289,17 @@ func (s *Scheduler) arm(t Time, name string) *Event {
 	e.when, e.seq, e.name = t, s.seq, name
 	e.canceled = false
 	e.state = statePending
+	if l != nil {
+		switch tail := l.tail; {
+		case tail == nil:
+			e.lane, l.tail = l, e
+		case t >= tail.when:
+			e.lane, e.index = l, -1
+			tail.next, l.tail = e, e
+			s.nqueued++
+			return e
+		}
+	}
 	s.queue = append(s.queue, slot{})
 	s.siftUp(len(s.queue)-1, slot{when: uint64(t), seq: s.seq, ev: e})
 	return e
@@ -241,8 +308,8 @@ func (s *Scheduler) arm(t Time, name string) *Event {
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // is a programming error and panics: the event loop cannot rewind.
 func (s *Scheduler) At(t Time, name string, fn func()) *Event {
-	e := s.arm(t, name)
-	e.fn = fn
+	e := s.arm(nil, t, name)
+	e.fn, e.arg0 = callFunc, fn
 	return e
 }
 
@@ -254,14 +321,26 @@ func (s *Scheduler) After(d Duration, name string, fn func()) *Event {
 	return s.At(s.now+d, name, fn)
 }
 
+// callFunc runs At's closure, which rides in arg0.
+func callFunc(a0, _ any) { a0.(func())() }
+
 // AtCall schedules fn(a0, a1) at absolute virtual time t. Unlike At it
 // takes a plain function plus its arguments, stored inline in the pooled
 // Event, so hot paths (per-packet delivery, per-segment retransmission
 // timers) schedule without allocating a closure. Pointer-shaped arguments
 // convert to `any` without boxing, keeping the call alloc-free.
 func (s *Scheduler) AtCall(t Time, name string, fn func(a0, a1 any), a0, a1 any) *Event {
-	e := s.arm(t, name)
-	e.fn2, e.arg0, e.arg1 = fn, a0, a1
+	e := s.arm(nil, t, name)
+	e.fn, e.arg0, e.arg1 = fn, a0, a1
+	return e
+}
+
+// AtCallLane is AtCall through lane l (see Lane): the fire order is
+// the same as AtCall's, and the queue work is O(1) when t is no earlier
+// than the last event l holds.
+func (s *Scheduler) AtCallLane(l *Lane, t Time, name string, fn func(a0, a1 any), a0, a1 any) *Event {
+	e := s.arm(l, t, name)
+	e.fn, e.arg0, e.arg1 = fn, a0, a1
 	return e
 }
 
@@ -274,9 +353,11 @@ func (s *Scheduler) AfterCall(d Duration, name string, fn func(a0, a1 any), a0, 
 }
 
 // Cancel removes the event from the queue immediately (O(log n)) and
-// recycles it. Canceling an already-fired, already-canceled or nil event
-// is a no-op; canceling the currently firing event only marks it canceled
-// (the callback is already running and cannot be recalled).
+// recycles it; an event waiting in a lane is marked dead in O(1) and
+// recycled when its lane reaches it. Canceling an already-fired,
+// already-canceled or nil event is a no-op; canceling the currently
+// firing event only marks it canceled (the callback is already running
+// and cannot be recalled).
 func (s *Scheduler) Cancel(e *Event) {
 	if e == nil || e.state != statePending {
 		if e != nil && e.state == stateFiring {
@@ -286,7 +367,15 @@ func (s *Scheduler) Cancel(e *Event) {
 	}
 	e.canceled = true
 	s.ncancels++
-	s.removeAt(e.index)
+	if e.index < 0 {
+		// Waiting in a lane: it stays linked, dead, until it reaches the
+		// head, where removeAt recycles it.
+		s.nqueued--
+		e.state = stateDead
+		e.fn, e.arg0, e.arg1 = nil, nil, nil
+		return
+	}
+	s.removeAt(int(e.index))
 	s.release(e)
 }
 
@@ -295,8 +384,7 @@ func (s *Scheduler) Cancel(e *Event) {
 // still observe Canceled() until the struct is reused by At.
 func (s *Scheduler) release(e *Event) {
 	e.state = stateDead
-	e.fn = nil
-	e.fn2, e.arg0, e.arg1 = nil, nil, nil
+	e.fn, e.arg0, e.arg1 = nil, nil, nil
 	e.index = -1
 	if len(s.free) < maxFreeEvents {
 		s.free = append(s.free, e)
@@ -323,15 +411,10 @@ func (s *Scheduler) step() bool {
 		t0 = s.Prof.Begin()
 	}
 	e.state = stateFiring
-	if e.fn != nil {
-		fn := e.fn
-		fn()
-	} else {
-		fn2, a0, a1 := e.fn2, e.arg0, e.arg1
-		fn2(a0, a1)
-	}
+	fn, a0, a1 := e.fn, e.arg0, e.arg1
+	fn(a0, a1)
 	if s.Prof != nil {
-		s.Prof.End(t0, e.name, len(s.queue))
+		s.Prof.End(t0, e.name, s.Pending())
 	}
 	s.release(e)
 	return true
@@ -375,11 +458,18 @@ func Jiffies(now Time, bootOffset uint32) uint32 {
 
 // Ticker invokes fn every period until Stop is called. The first tick
 // fires one period after Start.
+//
+// Every tick re-arms at now+period, so the ticks of all tickers of one
+// period arrive in time order: they share one lane of the scheduler.
+// The first ticker started at a period hosts that lane, so a period
+// costs no allocation and a lone ticker's lane shares its cache line.
 type Ticker struct {
 	s       *Scheduler
 	period  Duration
 	fn      func()
 	ev      *Event
+	lane    *Lane
+	host    Lane
 	stop    bool
 	running bool
 	name    string
@@ -400,11 +490,26 @@ func (t *Ticker) Start() {
 	}
 	t.stop = false
 	t.running = true
+	t.lane = t.s.tickLane(t.period, &t.host)
 	t.arm()
 }
 
 func (t *Ticker) arm() {
-	t.ev = t.s.AfterCall(t.period, t.name, tickerCall, t, nil)
+	t.ev = t.s.AtCallLane(t.lane, t.s.now+t.period, t.name, tickerCall, t, nil)
+}
+
+// tickLane returns the lane shared by the tickers of one period; the
+// first to ask hosts it in host.
+func (s *Scheduler) tickLane(period Duration, host *Lane) *Lane {
+	l := s.tickLanes[period]
+	if l == nil {
+		if s.tickLanes == nil {
+			s.tickLanes = make(map[Duration]*Lane)
+		}
+		l = host
+		s.tickLanes[period] = l
+	}
+	return l
 }
 
 // StartAligned arms the ticker so every tick lands on a whole multiple
@@ -420,8 +525,9 @@ func (t *Ticker) StartAligned() {
 	}
 	t.stop = false
 	t.running = true
+	t.lane = t.s.tickLane(t.period, &t.host)
 	next := (t.s.Now()/t.period + 1) * t.period
-	t.ev = t.s.AtCall(next, t.name, tickerCall, t, nil)
+	t.ev = t.s.AtCallLane(t.lane, next, t.name, tickerCall, t, nil)
 }
 
 // tickerCall is the closure-free tick trampoline: a ticker re-arms once

@@ -1,9 +1,13 @@
 package simtime
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"dvemig/internal/simprof"
 )
 
 func TestSchedulerOrdersEventsByTime(t *testing.T) {
@@ -331,5 +335,62 @@ func TestTickerStartAligned(t *testing.T) {
 	tk.Stop()
 	if len(fired) != 1 || fired[0] != 600*time.Millisecond {
 		t.Fatalf("on-grid restart ticks at %v, want [600ms]", fired)
+	}
+}
+
+// TestLanePendingCountsQueuedEvents pins the pending depth to events,
+// not heap slots: three co-phased tickers share one lane (one slot,
+// three events), the profiler's depth sees all three, and stopping the
+// ticker that waits mid-lane, then the rest, leaves nothing pending.
+func TestLanePendingCountsQueuedEvents(t *testing.T) {
+	s := NewScheduler()
+	prof := simprof.New(1)
+	s.Prof = prof.Loop("lanes")
+	var tk [3]*Ticker
+	for i := range tk {
+		tk[i] = NewTicker(s, 10*time.Millisecond, fmt.Sprintf("tick.%d", i), func() {})
+		tk[i].Start()
+	}
+	if s.Pending() != 3 || len(s.queue) != 1 {
+		t.Fatalf("3 co-phased tickers: %d pending in %d slots, want 3 in 1", s.Pending(), len(s.queue))
+	}
+	s.RunFor(25 * time.Millisecond)
+	if got := prof.Report().EventLoopTotal.PendingMax; got != 3 {
+		t.Fatalf("profiled pending depth %d, want 3", got)
+	}
+	if tk[1].ev == nil || tk[1].ev.index != -1 {
+		t.Fatal("the middle ticker's tick is not waiting mid-lane")
+	}
+	tk[1].Stop()
+	if err := s.checkQueue(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Pending() != 2 {
+		t.Fatalf("%d pending after stopping one of three tickers, want 2", s.Pending())
+	}
+	tk[0].Stop()
+	tk[2].Stop()
+	if s.Pending() != 0 || len(s.PendingNames()) != 0 {
+		t.Fatalf("stopped tickers leave %d pending: %v", s.Pending(), s.PendingNames())
+	}
+	if err := s.checkQueue(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLaneLeakListedByName: an event waiting behind its lane's head is
+// still named by the leak diagnostic.
+func TestLaneLeakListedByName(t *testing.T) {
+	s := NewScheduler()
+	var l Lane
+	nop := func(_, _ any) {}
+	s.AtCall(time.Millisecond, "plain", nop, nil, nil)
+	s.AtCallLane(&l, 10*time.Millisecond, "lane.head", nop, nil, nil)
+	s.AtCallLane(&l, 20*time.Millisecond, "lane.leak", nop, nil, nil)
+	s.RunFor(5 * time.Millisecond)
+	names := s.PendingNames()
+	sort.Strings(names)
+	if got := fmt.Sprint(names); got != "[lane.head lane.leak]" || s.Pending() != 2 {
+		t.Fatalf("pending %d named %s, want [lane.head lane.leak]", s.Pending(), got)
 	}
 }
