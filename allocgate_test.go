@@ -244,7 +244,10 @@ func TestAllocGatePacketPath(t *testing.T) {
 // pages are dirty, and neither does a destination round that only
 // rewrites resident pages. Before the delta was lent a source round
 // allocated two objects (the delta and its page list) and a destination
-// round one (the decoded header).
+// round one (the decoded header). A destination's first round into a
+// fresh space allocates the frames, cut to the lines each record
+// reaches (one line per page here), and the leaves: within 25% of
+// checkpointFirstApplyBytes.
 func TestAllocGateCheckpointRound(t *testing.T) {
 	const pages = 4096
 	src := proc.NewAddressSpace()
@@ -262,6 +265,16 @@ func TestAllocGateCheckpointRound(t *testing.T) {
 	dst := proc.NewAddressSpace()
 	if err := ckpt.ApplyEncodedDelta(dst, enc); err != nil {
 		t.Fatal(err)
+	}
+	first := allocatedBytes(func() {
+		if err := ckpt.ApplyEncodedDelta(proc.NewAddressSpace(), enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("first destination round: %d B (recorded %d, ceiling +25%%)", first, checkpointFirstApplyBytes)
+	if ceiling := checkpointFirstApplyBytes * 1.25; float64(first) > ceiling {
+		t.Errorf("a first destination round of %d one-line pages allocates %d bytes, exceeds recorded %d +25%% (%.0f)",
+			pages, first, checkpointFirstApplyBytes, ceiling)
 	}
 	round := func(n uint64) (source, dest float64) {
 		source = testing.AllocsPerRun(5, func() {
@@ -290,14 +303,22 @@ func TestAllocGateCheckpointRound(t *testing.T) {
 	}
 }
 
+// checkpointFirstApplyBytes is what TestAllocGateCheckpointRound's first
+// destination round allocated when a page frame came to hold only the
+// lines its stores reached; with 4 KiB frames it was 16.8 MB.
+const checkpointFirstApplyBytes = 308896
+
 // TestAllocGatePageFaults fences the page table's cost rule (DESIGN.md
-// §10 "Page table and frames"): a resident page costs its frame, one
-// table slot and three bits. So stores to resident pages, clearing the
-// dirty bits and counting them allocate nothing; faulting a large region
-// in costs one allocation per eight frames plus the leaves and the ramp
-// up to 8-frame chunks, and at most 2 % over the frames in bytes; and a
-// small region pays for the pages it touched, not for a full leaf or a
-// full chunk — the shape soak3's 1 500 eight-page service heaps bound.
+// §10 "Page table and frames"): a resident page costs its frame — the
+// lines stores reached, one here — one table slot and three bits. So
+// stores to resident pages, clearing the dirty bits and counting them
+// allocate nothing; faulting a large region in costs one allocation per
+// eight frames plus the leaves and the ramp of chunk sizes, and in bytes
+// at most the one-line frames + 25 % plus the leaves' slots, bitmaps and
+// length bytes (with 4 KiB frames the bound was the frames + 2 %,
+// 16.7 MB); and a small region pays for the pages it touched, not for a
+// full leaf or a full chunk — the shape soak3's 1 500 eight-page service
+// heaps bound.
 func TestAllocGatePageFaults(t *testing.T) {
 	const pages = 4096
 	var as *proc.AddressSpace
@@ -312,12 +333,12 @@ func TestAllocGatePageFaults(t *testing.T) {
 		}
 	}
 	allocs, bytes := testing.AllocsPerRun(3, faultIn), allocatedBytes(faultIn)
-	t.Logf("faulting %d pages in: %.0f allocations, %d bytes (%.4f of the frames)", pages, allocs, bytes, float64(bytes)/(pages*proc.PageSize))
+	t.Logf("faulting %d pages in: %.0f allocations, %d bytes (%.4f of 4 KiB frames)", pages, allocs, bytes, float64(bytes)/(pages*proc.PageSize))
 	if allocs > pages/8+64 {
 		t.Errorf("faulting %d pages in took %.0f allocations, want at most %d (a chunk per 8 frames, the leaves, the ramp)", pages, allocs, pages/8+64)
 	}
-	if limit := uint64(pages * proc.PageSize * 102 / 100); bytes > limit {
-		t.Errorf("faulting %d pages in allocated %d bytes, want at most %d (the frames + 2%%)", pages, bytes, limit)
+	if limit := uint64(pages*proc.LineSize*5/4 + pages/512*(512*8+3*512/8+512)); bytes > limit {
+		t.Errorf("faulting %d pages in allocated %d bytes, want at most %d (one-line frames + 25%% and the leaves)", pages, bytes, limit)
 	}
 
 	one := []byte{1}
@@ -483,10 +504,11 @@ func allocatedBytes(fn func()) uint64 {
 // Send began segmenting out of the caller's slice, 897 and 3224384 when
 // the socket delta came to be lent out of the tracker's arena, 850 and
 // 3215184 with the harness still running 30 simulated seconds past the
-// migration); the gate allows 25% over each.
+// migration, 801 and 2496608 before a page frame came to hold only the
+// lines its stores reached); the gate allows 25% over each.
 const (
-	migrationEngineAllocs = 801
-	migrationEngineBytes  = 2496608
+	migrationEngineAllocs = 790
+	migrationEngineBytes  = 522920
 )
 
 // TestAllocGateMigrationEngine is the bench-smoke regression fence: a

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dvemig/internal/proc"
@@ -59,8 +60,9 @@ func cloneSpace(t testing.TB, as *proc.AddressSpace) *proc.AddressSpace {
 }
 
 // requireSameSpace compares two spaces region by region and page by
-// page — geometry, the resident set, content, dirty and absent bits —
-// and by ResidentBytes.
+// page — geometry, the resident set, logical content (a frame and the
+// zeros past its end), dirty and absent bits — and by ResidentBytes,
+// and checks every frame of got against the frame rule.
 func requireSameSpace(t testing.TB, what string, got, want *proc.AddressSpace) {
 	t.Helper()
 	if got.ResidentBytes() != want.ResidentBytes() {
@@ -84,21 +86,35 @@ func requireSameSpace(t testing.TB, what string, got, want *proc.AddressSpace) {
 			if !ok {
 				t.Fatalf("%s: page %#x+%d not resident", what, w.Start, idx)
 			}
-			if !bytes.Equal(gp.Frame, wp.Frame) || gp.Dirty != wp.Dirty || gp.Absent != wp.Absent {
+			if !bytes.Equal(pageContent(gp), pageContent(wp)) || gp.Dirty != wp.Dirty || gp.Absent != wp.Absent {
 				t.Fatalf("%s: page %#x+%d differs (dirty %v/%v, absent %v/%v)", what, w.Start, idx, gp.Dirty, wp.Dirty, gp.Absent, wp.Absent)
 			}
 			if len(gp.Frame) != cap(gp.Frame) {
 				t.Fatalf("%s: page %#x+%d has spare capacity (%d of %d): an append could reach its neighbour",
 					what, w.Start, idx, len(gp.Frame), cap(gp.Frame))
 			}
+			if n := len(gp.Frame); !gp.Absent && (n == 0 || n > proc.PageSize || n%proc.LineSize != 0) {
+				t.Fatalf("%s: page %#x+%d has a frame of %d bytes, not a whole number of lines up to a page", what, w.Start, idx, n)
+			}
 		})
 	}
+}
+
+// pageContent returns the page an entry holds: its frame, then zeros to
+// the page's end; nil for a placeholder.
+func pageContent(e proc.PTE) []byte {
+	if e.Absent {
+		return nil
+	}
+	return append(bytes.Clone(e.Frame), make([]byte, proc.PageSize-len(e.Frame))...)
 }
 
 // randomPage draws page content of one of the shapes the codec tags
 // differently: zero, sparse, dense (raw), or an odd length.
 func randomPage(rnd *rand.Rand) []byte {
-	switch rnd.Intn(6) {
+	switch rnd.Intn(7) {
+	case 6:
+		return firstLinePage(rnd)
 	case 0:
 		return make([]byte, proc.PageSize)
 	case 1, 2:
@@ -123,17 +139,36 @@ func randomPage(rnd *rand.Rand) []byte {
 	}
 }
 
+// firstLinePage is a sparse page whose content ends inside its first
+// line: its frame on the destination is one line long.
+func firstLinePage(rnd *rand.Rand) []byte {
+	b := make([]byte, proc.PageSize)
+	b[rnd.Intn(proc.LineSize)] = byte(1 + rnd.Intn(255))
+	return b
+}
+
+// grownPage is p with content added at a byte past its first line: a
+// record of it reaches past a one-line frame.
+func grownPage(rnd *rand.Rand, p []byte) []byte {
+	b := bytes.Clone(p)
+	b[proc.LineSize+rnd.Intn(proc.PageSize-proc.LineSize)] = byte(1 + rnd.Intn(255))
+	return b
+}
+
 // TestApplyEncodedMatchesDecodeThenApply drives both paths through
 // randomised rounds: regions appear, resize and vanish; pages arrive
 // fresh, are rewritten (a zero record over a page that held data must
 // read back zero), arrive twice in one delta, and arrive with odd
-// lengths at odd addresses.
+// lengths at odd addresses. Some pages arrive as content inside their
+// first line and, in a later round or later in the same one, grow past
+// it, so a record lands on a destination frame shorter than it reaches.
 func TestApplyEncodedMatchesDecodeThenApply(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
 		got, want := proc.NewAddressSpace(), proc.NewAddressSpace()
 		type region struct{ start, pages uint64 }
 		var regions []region
+		var short []PageImage // pages last sent as first-line content
 		next := uint64(0x10000)
 		for round := 1; round <= 8; round++ {
 			d := &MemDelta{Round: round}
@@ -168,6 +203,21 @@ func TestApplyEncodedMatchesDecodeThenApply(t *testing.T) {
 				if rnd.Intn(4) == 0 { // the same page again, with other content
 					d.Pages = append(d.Pages, PageImage{VMAStart: pg.VMAStart, Index: pg.Index, Data: randomPage(rnd)})
 				}
+				if pg.VMAStart%proc.PageSize == 0 && rnd.Intn(3) == 0 { // a short page, grown later
+					pg.Data = firstLinePage(rnd)
+					d.Pages = append(d.Pages, pg)
+					short = append(short, pg)
+				}
+			}
+			short = slices.DeleteFunc(short, func(pg PageImage) bool { // still inside its region?
+				return !slices.ContainsFunc(regions, func(r region) bool { return r.start == pg.VMAStart && pg.Index < r.pages })
+			})
+			for len(short) > 0 && rnd.Intn(3) != 0 { // a short page grows past its first line
+				i := rnd.Intn(len(short))
+				pg := short[i]
+				short = append(short[:i], short[i+1:]...)
+				pg.Data = grownPage(rnd, pg.Data)
+				d.Pages = append(d.Pages, pg)
 			}
 			payload := d.Encode()
 			errWant := refApply(want, payload)
@@ -544,4 +594,38 @@ func FuzzApplyPageDir(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestApplyDeltaClearsLentPageTail: a tracker's delta lends frames
+// shorter than their pages (PageLen), and ApplyDelta must leave the
+// destination page equal to the whole source page — its frame, then
+// zeros — even where the destination's frame held other bytes past the
+// source frame's end.
+func TestApplyDeltaClearsLentPageTail(t *testing.T) {
+	src, dst := proc.NewAddressSpace(), proc.NewAddressSpace()
+	heap := src.Mmap(2*proc.PageSize, "rw-")
+	if _, err := dst.MmapFixed(heap.Start, heap.End, heap.Perms); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Write(heap.Start, bytes.Repeat([]byte{0xCC}, proc.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Write(heap.Start+5, []byte{7}); err != nil {
+		t.Fatal(err)
+	}
+	d := NewTracker().Delta(src)
+	if len(d.Pages) != 1 || len(d.Pages[0].Data) != proc.LineSize || d.PageLen != proc.PageSize {
+		t.Fatalf("the tracker lent %d pages, the first %d bytes long, PageLen %d", len(d.Pages), len(d.Pages[0].Data), d.PageLen)
+	}
+	if got := d.PageDataBytes(); got != proc.PageSize {
+		t.Fatalf("PageDataBytes counts %d bytes for one page", got)
+	}
+	d.NewVMAs = nil // dst maps the region already
+	if err := ApplyDelta(dst, d); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := src.Read(heap.Start, proc.PageSize)
+	if got, _ := dst.Read(heap.Start, proc.PageSize); !bytes.Equal(got, want) {
+		t.Fatal("the destination page kept bytes past the lent frame's end")
+	}
 }

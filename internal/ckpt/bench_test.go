@@ -9,7 +9,8 @@ import (
 // The ckpt layer's micro-benchmarks: the page encoder by page shape, a
 // source round (dirty scan + lend + encode) and a destination round on
 // both apply paths. Sizes follow the repo benchmark's mem128m workload:
-// 8192 resident pages, one byte each.
+// 8192 resident pages, one byte each (sparse) — or each written end to
+// end (dense), the shape that must not pay for short frames.
 
 const benchPages = 8192
 
@@ -25,6 +26,24 @@ func benchSpace(b *testing.B) (*proc.AddressSpace, *proc.VMA) {
 		}
 	}
 	return as, heap
+}
+
+// benchDenseSpace is benchSpace with every resident page written end to
+// end, no byte of it zero: each encodes raw.
+func benchDenseSpace(b *testing.B) *proc.AddressSpace {
+	b.Helper()
+	as := proc.NewAddressSpace()
+	heap := as.Mmap(4*benchPages*proc.PageSize, "rw-")
+	page := make([]byte, proc.PageSize)
+	for i := uint64(0); i < 4*benchPages; i += 4 {
+		for j := range page {
+			page[j] = byte(i+uint64(j))%255 + 1
+		}
+		if err := as.Write(heap.Start+i*proc.PageSize, page); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return as
 }
 
 func BenchmarkEncodePage(b *testing.B) {
@@ -57,18 +76,17 @@ func BenchmarkEncodePage(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				w.b = w.b[:0]
-				encodePage(&w, page)
+				encodePage(&w, page, len(page))
 			}
 		})
 	}
 }
 
 // BenchmarkDeltaRound times one source round into a warm scratch: the
-// first round (every resident page) and a steady-state round with one
-// page in 64 dirtied since the last.
+// first round (every resident page), sparse and dense, and a
+// steady-state round with one page in 64 dirtied since the last.
 func BenchmarkDeltaRound(b *testing.B) {
-	b.Run("first", func(b *testing.B) {
-		as, _ := benchSpace(b)
+	first := func(b *testing.B, as *proc.AddressSpace) {
 		var enc []byte
 		b.SetBytes(benchPages * proc.PageSize)
 		b.ReportAllocs()
@@ -76,7 +94,12 @@ func BenchmarkDeltaRound(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			enc = NewTracker().Delta(as).EncodeInto(enc)
 		}
+	}
+	b.Run("first", func(b *testing.B) {
+		as, _ := benchSpace(b)
+		first(b, as)
 	})
+	b.Run("dense", func(b *testing.B) { first(b, benchDenseSpace(b)) })
 	b.Run("dirty-1-in-64", func(b *testing.B) {
 		as, heap := benchSpace(b)
 		tr := NewTracker()
@@ -95,10 +118,9 @@ func BenchmarkDeltaRound(b *testing.B) {
 	})
 }
 
-// benchApply times a destination's first round (every page fresh) into
-// a new address space per iteration.
-func benchApply(b *testing.B, apply func(as *proc.AddressSpace, payload []byte) error) {
-	src, _ := benchSpace(b)
+// benchApply times a destination's first round (every page fresh) of
+// src into a new address space per iteration.
+func benchApply(b *testing.B, src *proc.AddressSpace, apply func(as *proc.AddressSpace, payload []byte) error) {
 	payload := NewTracker().Delta(src).Encode()
 	b.SetBytes(benchPages * proc.PageSize)
 	b.ReportAllocs()
@@ -110,9 +132,18 @@ func benchApply(b *testing.B, apply func(as *proc.AddressSpace, payload []byte) 
 	}
 }
 
-func BenchmarkApplyInPlace(b *testing.B) { benchApply(b, ApplyEncodedDelta) }
+func BenchmarkApplyInPlace(b *testing.B) {
+	b.Run("sparse", func(b *testing.B) {
+		src, _ := benchSpace(b)
+		benchApply(b, src, ApplyEncodedDelta)
+	})
+	b.Run("dense", func(b *testing.B) { benchApply(b, benchDenseSpace(b), ApplyEncodedDelta) })
+}
 
-func BenchmarkDecodeThenApply(b *testing.B) { benchApply(b, refApply) }
+func BenchmarkDecodeThenApply(b *testing.B) {
+	src, _ := benchSpace(b)
+	benchApply(b, src, refApply)
+}
 
 // BenchmarkZeroScan times the zero scan where mem128m runs it: over
 // benchPages separately allocated pages with one byte set each, 32 MiB

@@ -36,10 +36,12 @@ func Checkpoint(p *proc.Process) *Image {
 	for _, v := range p.AS.VMAs() {
 		img.VMAs = append(img.VMAs, VMARange{Start: v.Start, End: v.End, Perms: v.Perms})
 		v.Entries(func(e proc.PTE) {
-			img.Pages = append(img.Pages, PageImage{
-				VMAStart: v.Start, Index: e.Index,
-				Data: append([]byte(nil), e.Frame...),
-			})
+			var data []byte // a placeholder's stays nil
+			if e.Frame != nil {
+				data = make([]byte, proc.PageSize) // the frame, then the page's zero tail
+				copy(data, e.Frame)
+			}
+			img.Pages = append(img.Pages, PageImage{VMAStart: v.Start, Index: e.Index, Data: data})
 		})
 	}
 	img.FDs = checkpointFDs(p)

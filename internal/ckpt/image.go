@@ -250,7 +250,7 @@ func (img *Image) AppendEncode(dst []byte) []byte {
 	for _, p := range img.Pages {
 		w.u64(p.VMAStart)
 		w.u64(p.Index)
-		encodePage(&w, p.Data)
+		encodePage(&w, p.Data, len(p.Data))
 	}
 	w.u32(uint32(len(img.FDs)))
 	for _, f := range img.FDs {

@@ -18,8 +18,12 @@ import (
 //	         is strictly smaller than raw, so pathological content
 //	         costs at most one tag byte over the historical format.
 //
-// The decoder always materializes the full raw page, so everything
-// downstream (ApplyDelta, PageDataBytes, restore) is format-agnostic.
+// The encoder reads a page as a frame holds it: its content up to some
+// length, and zeros from there to the page's length, which it is told.
+// DecodeMemDelta and DecodeImage materialize the full raw page, so what
+// is downstream of them (ApplyDelta, restore) is format-agnostic; the
+// in-place apply (ApplyEncodedDelta) expands a record into a frame that
+// ends where the record's last non-zero segment does.
 
 const (
 	pageEncRaw byte = iota
@@ -112,31 +116,36 @@ func nextSparseRun(data []byte, i int) (start, end int) {
 	}
 }
 
-// encodePage appends one page's content in the cheapest representation,
-// reading the page once and allocating nothing: the sparse record is
-// written optimistically (its segment count patched at the end) and the
-// buffer is truncated back to emit zero or raw when that turns out
-// cheaper. Sparse wins only when strictly smaller than raw; a sparse
-// body under maxSparseLen bytes cannot hold 1<<16 segments, so the u16
-// count never overflows.
-func encodePage(w *wbuf, data []byte) {
+// encodePage appends the content of one n-byte page in the cheapest
+// representation: data holds the page up to len(data) <= n, and the
+// bytes past it are zero. It reads data once and allocates nothing: the
+// sparse record is written optimistically (its segment count patched at
+// the end) and the buffer is truncated back to emit zero or raw when
+// that turns out cheaper. The sparse scan stops at data's end (the zero
+// tail adds no run, and a run's merge probe finds zeros past data's end
+// either way); a raw record appends the zero tail. Sparse wins only when
+// strictly smaller than raw; a sparse body under maxSparseLen bytes
+// cannot hold 1<<16 segments, so the u16 count never overflows.
+func encodePage(w *wbuf, data []byte, n int) {
 	mark := len(w.b)
 	raw := func() {
 		w.b = w.b[:mark]
 		w.u8(pageEncRaw)
-		w.bytes(data)
+		w.u32(uint32(n))
+		w.b = append(w.b, data...)
+		w.b = append(w.b, make([]byte, n-len(data))...)
 	}
-	if len(data) >= maxSparseLen {
+	if n >= maxSparseLen {
 		raw()
 		return
 	}
 	w.u8(pageEncSparse)
-	w.u32(uint32(len(data)))
+	w.u32(uint32(n))
 	body := len(w.b) // the sparse size the raw rule compares starts here
 	w.u16(0)
 	nseg := 0
 	for s, e := nextSparseRun(data, 0); s >= 0; s, e = nextSparseRun(data, e) {
-		if len(w.b)-body+segHdrBytes+(e-s) >= len(data) {
+		if len(w.b)-body+segHdrBytes+(e-s) >= n {
 			raw()
 			return
 		}
@@ -148,7 +157,7 @@ func encodePage(w *wbuf, data []byte) {
 	if nseg == 0 {
 		w.b = w.b[:mark]
 		w.u8(pageEncZero)
-		w.u32(uint32(len(data)))
+		w.u32(uint32(n))
 		return
 	}
 	binary.BigEndian.PutUint16(w.b[body:], uint16(nseg))
@@ -164,6 +173,7 @@ const maxDecodedPage = 1 << 20
 type pageRec struct {
 	tag  byte
 	n    int    // length of the page content the record expands to
+	end  int    // one past the last byte a segment writes (n for raw, 0 for zero)
 	body []byte // raw: the n content bytes; sparse: the segment list
 }
 
@@ -185,6 +195,7 @@ func readPageRec(r *rbuf) pageRec {
 			return rec
 		}
 		rec.body = r.b[r.off : r.off+rec.n]
+		rec.end = rec.n
 		r.off += rec.n
 	case pageEncZero:
 		if rec.n > maxDecodedPage {
@@ -207,6 +218,7 @@ func readPageRec(r *rbuf) pageRec {
 				r.fail()
 				return rec
 			}
+			rec.end = max(rec.end, off+l)
 			r.off += l
 		}
 		rec.body = r.b[start:r.off]
@@ -216,8 +228,9 @@ func readPageRec(r *rbuf) pageRec {
 	return rec
 }
 
-// expand writes the record's content into dst, which must be rec.n
-// bytes long. zeroed says dst is known to be all zeros already (a fresh
+// expand writes the record's content into dst, which must be at least
+// rec.end and at most rec.n bytes long: the content past dst's end is
+// zero. zeroed says dst is known to be all zeros already (a fresh
 // allocation); otherwise a zero or sparse record clears it first. The
 // bytes are copied: dst never aliases the payload.
 func (rec pageRec) expand(dst []byte, zeroed bool) {

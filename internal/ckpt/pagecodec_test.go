@@ -3,13 +3,15 @@ package ckpt
 import (
 	"bytes"
 	"testing"
+
+	"dvemig/internal/proc"
 )
 
 // rtPage encodes data and decodes it back, asserting byte identity.
 func rtPage(t *testing.T, data []byte) []byte {
 	t.Helper()
 	var w wbuf
-	encodePage(&w, data)
+	encodePage(&w, data, len(data))
 	r := &rbuf{b: w.b}
 	out := decodePageData(r)
 	if r.err != nil {
@@ -81,7 +83,7 @@ func isAllZero(b []byte) bool {
 func TestPageCodecElision(t *testing.T) {
 	enc := func(data []byte) int {
 		var w wbuf
-		encodePage(&w, data)
+		encodePage(&w, data, len(data))
 		return len(w.b)
 	}
 	zero := make([]byte, 4096)
@@ -144,7 +146,7 @@ func FuzzPageCodec(f *testing.F) {
 		}
 		// Whatever decoded must survive a canonical round trip.
 		var w wbuf
-		encodePage(&w, out)
+		encodePage(&w, out, len(out))
 		r2 := &rbuf{b: w.b}
 		out2 := decodePageData(r2)
 		if r2.err != nil {
@@ -246,11 +248,22 @@ func sameCodec(t *testing.T, what string, data []byte) {
 	var got, want wbuf
 	got.b = append(got.b, "prefix"...) // the encoder appends; it must not disturb what is there
 	want.b = append(want.b, "prefix"...)
-	encodePage(&got, data)
+	encodePage(&got, data, len(data))
 	refEncodePage(&want, data)
 	if !bytes.Equal(got.b, want.b) {
 		t.Fatalf("%s: len %d: encoding differs from the reference (%d bytes, tag %d; reference %d bytes, tag %d)",
 			what, len(data), len(got.b), got.b[6], len(want.b), want.b[6])
+	}
+	// The same page as a frame holds it — up to its last non-zero line,
+	// the zero tail implied by the page length — encodes to the same
+	// bytes.
+	end := len(bytes.TrimRight(data, "\x00"))
+	frame := data[:min(len(data), (end+proc.LineSize-1)/proc.LineSize*proc.LineSize)]
+	got.b = append(got.b[:0], "prefix"...)
+	encodePage(&got, frame, len(data))
+	if !bytes.Equal(got.b, want.b) {
+		t.Fatalf("%s: len %d: its %d-byte frame encodes differently from the reference (%d bytes, tag %d; reference %d bytes, tag %d)",
+			what, len(data), len(frame), len(got.b), got.b[6], len(want.b), want.b[6])
 	}
 }
 
@@ -388,5 +401,8 @@ func TestEncoderMatchesReferenceOnPageMix(t *testing.T) {
 		sameCodec(t, "break-even-split", b)
 	}
 	sameCodec(t, "big-raw", bytes.Repeat([]byte{3}, maxSparseLen))
+	big := make([]byte, maxSparseLen) // raw by size: a short frame's record appends the zero tail
+	big[100] = 3
+	sameCodec(t, "big-raw-zero-tail", big)
 	sameCodec(t, "largest-sparse", append(make([]byte, maxSparseLen-2), 7))
 }

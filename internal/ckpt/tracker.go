@@ -16,7 +16,16 @@ type MemDelta struct {
 	Removed []uint64 // start addresses of unmapped regions
 	Resized []VMARange
 	Pages   []PageImage
+	// PageLen, when non-zero, is the length of every page in Pages: a
+	// page's Data is then its frame, the page up to the last line a
+	// store reached, and the PageLen-len(Data) bytes past it are zero.
+	// A tracker's delta sets it to proc.PageSize; a delta decoded or
+	// built by hand leaves it zero, and each page is exactly its Data.
+	PageLen int
 }
+
+// pageLen returns the length of page p of the delta.
+func (d *MemDelta) pageLen(p PageImage) int { return max(d.PageLen, len(p.Data)) }
 
 // Empty reports whether the delta carries nothing.
 func (d *MemDelta) Empty() bool {
@@ -29,7 +38,7 @@ func (d *MemDelta) Empty() bool {
 func (d *MemDelta) PageDataBytes() uint64 {
 	var n uint64
 	for _, p := range d.Pages {
-		n += uint64(len(p.Data))
+		n += uint64(d.pageLen(p))
 	}
 	return n
 }
@@ -70,7 +79,7 @@ func (d *MemDelta) AppendEncode(dst []byte) []byte {
 	for _, p := range d.Pages {
 		w.u64(p.VMAStart)
 		w.u64(p.Index)
-		encodePage(&w, p.Data)
+		encodePage(&w, p.Data, d.pageLen(p))
 	}
 	return w.b
 }
@@ -159,7 +168,8 @@ func (t *Tracker) Round() int { return t.round }
 // The delta is lent, not built: it is the tracker's own, and its lists
 // reuse their arrays, so it is valid until the tracker's next call. Page
 // content is lent for less: every Pages[i].Data aliases the live page it
-// was read from and is valid until the address space is next written. A
+// was read from and is valid until the address space is next written;
+// it is the page's frame, so it may be shorter than the page (PageLen). A
 // caller must finish with the delta (encode it, apply it, or copy what
 // it keeps) before the process can run again; the migration engine
 // encodes in the same event that computed it.
@@ -172,7 +182,7 @@ func (t *Tracker) Delta(as *proc.AddressSpace) *MemDelta {
 		}
 		d.Pages = nil
 	}
-	d.Round = t.round
+	d.Round, d.PageLen = t.round, proc.PageSize
 	d.NewVMAs, d.Removed, d.Resized = d.NewVMAs[:0], d.Removed[:0], d.Resized[:0]
 	live := as.VMAs()
 
@@ -232,14 +242,24 @@ func (t *Tracker) Delta(as *proc.AddressSpace) *MemDelta {
 }
 
 // ApplyDelta replays one round onto the destination's shadow address
-// space: geometry first, then page content.
+// space: geometry first, then page content. A page shorter than the
+// delta's PageLen is written, and the rest of the frame it lands in is
+// cleared: the page's zero tail, with no frame grown to hold it.
 func ApplyDelta(as *proc.AddressSpace, d *MemDelta) error {
 	if err := applyGeometry(as, d); err != nil {
 		return err
 	}
 	for _, p := range d.Pages {
-		if err := as.Write(p.VMAStart+p.Index*proc.PageSize, p.Data); err != nil {
+		addr := p.VMAStart + p.Index*proc.PageSize
+		if err := as.Write(addr, p.Data); err != nil {
 			return err
+		}
+		if len(p.Data) < d.PageLen {
+			_, _, page, err := as.PageAt(addr, 0)
+			if err != nil {
+				return err
+			}
+			clear(page[min(len(p.Data), len(page)):])
 		}
 	}
 	as.ClearDirty()
@@ -266,12 +286,14 @@ func applyGeometry(as *proc.AddressSpace, d *MemDelta) error {
 }
 
 // ApplyEncodedDelta replays one encoded round onto the destination's
-// address space without materialising it: the result is the one
+// address space without materialising it: the page content is the one
 // ApplyDelta(DecodeMemDelta(payload)) leaves, but each page record is
-// expanded straight into the page that will own it, and the pages the
-// round brings into existence are backed by one allocation sized to
-// exactly their number. Nothing it installs aliases payload, so the
-// caller may reuse the buffer as soon as it returns.
+// expanded straight into the frame that will own it. The pages the round
+// brings into existence are backed by one allocation, each frame cut to
+// the lines its record reaches; a resident page's frame is expanded into
+// in place, regrown only when the record reaches past its end. Nothing
+// it installs aliases payload, so the caller may reuse the buffer as
+// soon as it returns.
 //
 // The whole payload is validated before as is touched: a truncated or
 // malformed payload is an error that leaves as exactly as it was. A
@@ -293,10 +315,11 @@ func ApplyEncodedDelta(as *proc.AddressSpace, payload []byte) error {
 		return err
 	}
 
-	// Count the records that land on a page not yet resident. Records
-	// only add pages from here on, so the count can exceed the need (a
-	// duplicate record, an odd-sized one faulting its neighbour in) but
-	// never fall short of it.
+	// Size the frames of the records that land on a page not yet
+	// resident, each cut to the lines its record reaches. Records only
+	// add pages from here on, so the sum can exceed the need (a duplicate
+	// record, an odd-sized one faulting its neighbour in) but never fall
+	// short of it.
 	fresh := 0
 	r.off = first
 	for i := 0; i < n; i++ {
@@ -304,15 +327,15 @@ func ApplyEncodedDelta(as *proc.AddressSpace, payload []byte) error {
 		if !rec.wholePage(addr) {
 			continue
 		}
-		_, _, page, err := as.PageAt(addr)
+		_, _, page, err := as.PageAt(addr, 0)
 		if err != nil {
 			return err
 		}
 		if page == nil {
-			fresh++
+			fresh += proc.FrameLen(rec.end)
 		}
 	}
-	slab := make([]byte, fresh*proc.PageSize)
+	slab := make([]byte, fresh)
 
 	r.off = first
 	for i := 0; i < n; i++ {
@@ -326,7 +349,7 @@ func ApplyEncodedDelta(as *proc.AddressSpace, payload []byte) error {
 			}
 			continue
 		}
-		v, idx, page, err := as.PageAt(addr)
+		v, idx, page, err := as.PageAt(addr, rec.end)
 		if err != nil {
 			return err
 		}
@@ -334,7 +357,8 @@ func ApplyEncodedDelta(as *proc.AddressSpace, payload []byte) error {
 			rec.expand(page, false)
 			continue
 		}
-		page, slab = slab[:proc.PageSize], slab[proc.PageSize:]
+		fl := proc.FrameLen(rec.end)
+		page, slab = slab[:fl:fl], slab[fl:]
 		rec.expand(page, true)
 		v.Install(idx, page)
 	}

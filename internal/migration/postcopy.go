@@ -125,7 +125,7 @@ func (ob *outbound) shipPages(id uint32, coords []ckpt.PageCoord) {
 		}
 		ob.shipped[c] = true
 		ob.metrics.PagesShipped++
-		ob.metrics.MemPageBytes += uint64(len(data))
+		ob.metrics.MemPageBytes += proc.PageSize
 		if id != 0 {
 			ob.metrics.PagesDemand++
 		} else {
@@ -134,7 +134,7 @@ func (ob *outbound) shipPages(id uint32, coords []ckpt.PageCoord) {
 		if ob.m.OnPageShip != nil {
 			ob.m.OnPageShip(c, id != 0)
 		}
-		resp.Pages = append(resp.Pages, respPage{Coord: c, Data: data})
+		resp.Pages = append(resp.Pages, respPage{Coord: c, Data: data, Len: proc.PageSize})
 	}
 	// The pages are lent by the frozen address space; encodeInto copies
 	// them into the scratch and Send copies the scratch into the socket.

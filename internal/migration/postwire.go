@@ -73,18 +73,26 @@ type pageResp struct {
 	Pages []respPage
 }
 
-// respPage is one page of content keyed by its coordinate.
+// respPage is one page of content keyed by its coordinate. Len, when
+// larger than len(Data), is the page's length: Data is then a lent
+// frame, the page up to the last line a store reached, and the rest of
+// the page is zero. A decoded page leaves it zero.
 type respPage struct {
 	Coord ckpt.PageCoord
 	Data  []byte
+	Len   int
 }
 
+// size returns the page's length on the wire.
+func (p respPage) size() int { return max(p.Len, len(p.Data)) }
+
 // encodeInto serializes into buf (reusing its capacity, overwriting its
-// content). Page data is copied here, so the pages may be lent ones.
+// content). Page data is copied here, a frame's zero tail appended after
+// it, so the pages may be lent ones.
 func (m pageResp) encodeInto(buf []byte) []byte {
 	sz := 8
 	for _, p := range m.Pages {
-		sz += 20 + len(p.Data)
+		sz += 20 + p.size()
 	}
 	b := buf[:0]
 	if cap(b) < sz {
@@ -97,9 +105,10 @@ func (m pageResp) encodeInto(buf []byte) []byte {
 		var e [20]byte
 		binary.BigEndian.PutUint64(e[0:], p.Coord.VMAStart)
 		binary.BigEndian.PutUint64(e[8:], p.Coord.Index)
-		binary.BigEndian.PutUint32(e[16:], uint32(len(p.Data)))
+		binary.BigEndian.PutUint32(e[16:], uint32(p.size()))
 		b = append(b, e[:]...)
 		b = append(b, p.Data...)
+		b = append(b, make([]byte, p.size()-len(p.Data))...)
 	}
 	return b
 }

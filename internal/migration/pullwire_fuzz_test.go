@@ -1,6 +1,7 @@
 package migration
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -283,4 +284,29 @@ func FuzzPullDecoders(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPageRespPadsLentFrame: a shipped page is a lent frame, the page up
+// to the last line a store reached; the reply carries the whole page,
+// its zero tail appended in the reply buffer, and a decoded page of
+// any length re-encodes at its own length.
+func TestPageRespPadsLentFrame(t *testing.T) {
+	frame := make([]byte, proc.LineSize)
+	frame[0], frame[proc.LineSize-1] = 3, 4
+	c := ckpt.PageCoord{VMAStart: 0x4000, Index: 2}
+	buf := pageResp{ID: 1, Pages: []respPage{{Coord: c, Data: frame, Len: proc.PageSize}}}.encodeInto(nil)
+	if len(buf) != 8+20+proc.PageSize || cap(buf) != len(buf) {
+		t.Fatalf("reply is %d bytes (cap %d), want one header and one page", len(buf), cap(buf))
+	}
+	resp, err := decodePageResp(buf)
+	if err != nil || len(resp.Pages) != 1 || resp.Pages[0].Coord != c {
+		t.Fatalf("decoded %+v, %v", resp, err)
+	}
+	want := append(bytes.Clone(frame), make([]byte, proc.PageSize-proc.LineSize)...)
+	if !bytes.Equal(resp.Pages[0].Data, want) {
+		t.Fatal("the shipped page is not the frame followed by zeros")
+	}
+	if again := resp.encodeInto(nil); !bytes.Equal(again, buf) {
+		t.Fatal("a decoded page re-encodes differently")
+	}
 }

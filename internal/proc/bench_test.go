@@ -3,7 +3,8 @@ package proc
 import "testing"
 
 // The proc layer's micro-benchmarks, on the repo benchmark's mem128m
-// shape: a 32 768-page region with every fourth page resident.
+// shape: a 32 768-page region with every fourth page resident — one
+// byte stored in each (sparse), or each written end to end (dense).
 
 const (
 	benchPages    = 32768
@@ -22,14 +23,41 @@ func benchFaultIn(b *testing.B) (*AddressSpace, *VMA) {
 	return as, heap
 }
 
-// BenchmarkFaultIn times the fault path: leaves, frame chunks and the
-// frames' zeroing, 8 192 pages into a fresh space per iteration.
-func BenchmarkFaultIn(b *testing.B) {
-	b.SetBytes(benchResident * PageSize)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchFaultIn(b)
+// benchFaultInDense maps the region and writes every fourth page end to
+// end with content.
+func benchFaultInDense(b *testing.B, content []byte) {
+	as := NewAddressSpace()
+	heap := as.Mmap(benchPages*PageSize, "rw-")
+	for i := uint64(0); i < benchPages; i += 4 {
+		if err := as.Write(heap.Start+i*PageSize, content); err != nil {
+			b.Fatal(err)
+		}
 	}
+}
+
+// BenchmarkFaultIn times the fault path: leaves, frame chunks and the
+// frames' zeroing, 8 192 pages into a fresh space per iteration. A
+// sparse page's frame is one line; a dense page's is the full page,
+// zeroed and then written over.
+func BenchmarkFaultIn(b *testing.B) {
+	b.Run("sparse", func(b *testing.B) {
+		b.SetBytes(benchResident * PageSize)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchFaultIn(b)
+		}
+	})
+	b.Run("dense", func(b *testing.B) {
+		content := make([]byte, PageSize)
+		for i := range content {
+			content[i] = byte(i%255) + 1
+		}
+		b.SetBytes(benchResident * PageSize)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchFaultInDense(b, content)
+		}
+	})
 }
 
 // BenchmarkTouchResident times a store to a page that is already there:

@@ -5,10 +5,12 @@
 package proc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
 	"sort"
+	"unsafe"
 )
 
 // PageSize is the virtual memory page size.
@@ -18,15 +20,21 @@ const PageSize = 4096
 // address space (the reach of one x86-64 page-table page).
 const leafPages = 512
 
-// maxChunkFrames caps the chunk a page fault allocates frames from at
-// eight frames, 32 KiB, so a space never holds more than 28 KiB in frames
-// it has not touched.
+// LineSize is the grain of a frame: a frame holds its page up to the
+// last LineSize-byte line a store reached.
+const LineSize = 64
+
+// maxChunkFrames caps the chunk a page fault cuts frames from at eight
+// full frames, 32 KiB, so a space never holds more than 32 KiB less a
+// line in frames it has not handed out.
 const maxChunkFrames = 8
 
-// frame is one page frame: the 4 KiB that hold a resident page's
-// content. Sliced, it has no capacity past the page, so an append to a
-// lent page can never reach its neighbour in a chunk or slab.
-type frame = [PageSize]byte
+// FrameLen is the length of the frame a store reaching byte end of a
+// page (exclusive) is cut at: the lines it reaches, at least one, at
+// most the page.
+func FrameLen(end int) int {
+	return min(max(end+LineSize-1, LineSize)/LineSize*LineSize, PageSize)
+}
 
 // PTE is one page-table entry as the visitors hand it out. The paper's
 // implementation tracks dirtiness via the PTE dirty bit with the swap
@@ -34,8 +42,9 @@ type frame = [PageSize]byte
 // marks a post-copy placeholder: the page's content still lives on the
 // migration source, Frame is nil (whatever the table holds underneath),
 // and any access faults (ErrPageAbsent) until FillPage delivers the
-// data. Otherwise Frame is the page itself, PageSize long with no spare
-// capacity — lent, not copied.
+// data. Otherwise Frame is the page itself up to the last line a store
+// reached — at least one line, at most PageSize, with no spare capacity;
+// the rest of the page is zero — lent, not copied.
 type PTE struct {
 	Index  uint64
 	Frame  []byte
@@ -43,26 +52,54 @@ type PTE struct {
 	Absent bool
 }
 
-// leaf is one radix leaf of a region's page table: a frame slot and
-// three bits for each page of a leafPages-aligned extent. It is sized to
-// what the region can hold there — a full 512 slots in the middle of a
-// large region, 8 slots and one bitmap word for an 8-page region — and
-// re-sized when Resize moves the region's end through it.
+// leaf is one radix leaf of a region's page table: a frame slot, three
+// bits and a frame length for each page of a leafPages-aligned extent.
+// It is sized to what the region can hold there — a full 512 slots in
+// the middle of a large region, 8 slots and one bitmap word for an
+// 8-page region — and re-sized when Resize moves the region's end
+// through it.
+//
+// A frame holds its page up to the last line a store reached, and every
+// byte of the page past its end is zero. The slot keeps where the frame
+// starts and the length word keeps how many lines it spans; frame
+// rebuilds the []byte from the two. A []byte slot would be 24 bytes
+// where these are 9, and a leaf of 24-byte (or 16-byte) slots made the
+// dense fault path measurably slower.
 type leaf struct {
 	base    uint64   // index of the first page covered, a multiple of leafPages
-	frames  []*frame // nil where no frame is installed
+	frames  []*byte  // the first byte of slot i's frame; nil where no frame is installed
 	present []uint64 // bit i: slot i holds a frame whose content is the page's
 	dirty   []uint64 // bit i: written since the last ClearDirty (a subset of present)
 	absent  []uint64 // bit i: post-copy placeholder (disjoint from present); a frame under it is stale
+	lines   []uint64 // byte i%8 of word i/8: slot i's frame length in lines
 }
 
 // newLeaf allocates a leaf of n slots: the slot array, and one array the
-// three bitmaps share.
+// three bitmaps and the frame lengths share.
 func newLeaf(base uint64, n int) leaf {
 	w := (n + 63) / 64
-	bm := make([]uint64, 3*w)
-	return leaf{base: base, frames: make([]*frame, n),
-		present: bm[:w:w], dirty: bm[w : 2*w : 2*w], absent: bm[2*w:]}
+	bm := make([]uint64, 3*w+(n+7)/8)
+	return leaf{base: base, frames: make([]*byte, n),
+		present: bm[:w:w], dirty: bm[w : 2*w : 2*w], absent: bm[2*w : 3*w : 3*w], lines: bm[3*w:]}
+}
+
+// frame returns slot i's frame, nil when it holds none. Handed out it
+// has len == cap, so an append to a lent page can never reach its
+// neighbour in a chunk or slab.
+func (l *leaf) frame(i uint64) []byte {
+	p := l.frames[i]
+	if p == nil {
+		return nil // a length word may outlive a slot Resize cut off
+	}
+	return unsafe.Slice(p, int(l.lines[i/8]>>(i%8*8)&0xFF)*LineSize)
+}
+
+// setFrame makes f slot i's frame: f is a whole number of lines long, at
+// least one and at most PageSize, with len == cap.
+func (l *leaf) setFrame(i uint64, f []byte) {
+	l.frames[i] = &f[0]
+	sh := i % 8 * 8
+	l.lines[i/8] = l.lines[i/8]&^(0xFF<<sh) | uint64(len(f)/LineSize)<<sh
 }
 
 // resize re-sizes the leaf to n slots. Entries past n are dropped; the
@@ -73,6 +110,7 @@ func (l *leaf) resize(n int) (present, absent int) {
 	copy(nl.present, l.present)
 	copy(nl.dirty, l.dirty)
 	copy(nl.absent, l.absent)
+	copy(nl.lines, l.lines)
 	if tail := uint(n) % 64; tail != 0 {
 		keep, w := uint64(1)<<tail-1, len(nl.present)-1
 		nl.present[w] &= keep
@@ -93,8 +131,8 @@ func bit(i uint64) (w, b uint64) { return i / 64, 1 << (i % 64) }
 func (l *leaf) pte(i uint64) PTE {
 	w, b := bit(i)
 	e := PTE{Index: l.base + i, Dirty: l.dirty[w]&b != 0, Absent: l.absent[w]&b != 0}
-	if f := l.frames[i]; f != nil && !e.Absent {
-		e.Frame = f[:]
+	if !e.Absent {
+		e.Frame = l.frame(i)
 	}
 	return e
 }
@@ -224,23 +262,23 @@ func (v *VMA) Entry(idx uint64) (PTE, bool) {
 // placeholders alike, in index order. fn must not change the address
 // space.
 func (v *VMA) Entries(fn func(PTE)) {
-	v.walk(func(l *leaf, w int) uint64 { return l.present[w] | l.absent[w] }, fn)
+	v.walk(func(l *leaf, w int) uint64 { return l.present[w] | l.absent[w] }, func(l *leaf, i uint64) { fn(l.pte(i)) })
 }
 
 // DirtyEntries calls fn for every entry with the dirty bit set, in index
 // order. fn must not change the address space.
 func (v *VMA) DirtyEntries(fn func(PTE)) {
-	v.walk(func(l *leaf, w int) uint64 { return l.dirty[w] }, fn)
+	v.walk(func(l *leaf, w int) uint64 { return l.dirty[w] }, func(l *leaf, i uint64) { fn(l.pte(i)) })
 }
 
-// walk visits, leaf by leaf and word by word, the entries whose bit is
-// set in the word pick selects.
-func (v *VMA) walk(pick func(l *leaf, w int) uint64, fn func(PTE)) {
+// walk visits, leaf by leaf and word by word, the slots whose bit is set
+// in the word pick selects.
+func (v *VMA) walk(pick func(l *leaf, w int) uint64, fn func(l *leaf, i uint64)) {
 	for i := range v.leaves {
 		l := &v.leaves[i]
 		for w := range l.present {
 			for set := pick(l, w); set != 0; set &= set - 1 {
-				fn(l.pte(uint64(w*64 + bits.TrailingZeros64(set))))
+				fn(l, uint64(w*64+bits.TrailingZeros64(set)))
 			}
 		}
 	}
@@ -249,13 +287,15 @@ func (v *VMA) walk(pick func(l *leaf, w int) uint64, fn func(PTE)) {
 // Install makes page the frame of page idx, clean: the restore path cuts
 // the frames of the pages a round brings into existence from one slab
 // and hands each to the table. idx must lie inside the region and name a
-// page with no entry yet; page must be at least PageSize long, and the
-// table keeps exactly its first PageSize bytes.
+// page with no entry yet. page is a frame: a whole number of lines long,
+// at least one and at most PageSize, the page's content up to there (the
+// rest of the page is zero); the table keeps it, and lends it with no
+// capacity past its end.
 func (v *VMA) Install(idx uint64, page []byte) {
 	l := v.leafFor(idx)
 	i := idx - l.base
 	w, b := bit(i)
-	l.frames[i] = (*frame)(page)
+	l.setFrame(i, page)
 	l.present[w] |= b
 	v.present++
 }
@@ -267,8 +307,10 @@ type AddressSpace struct {
 	nextMap uint64 // bump allocator for anonymous mappings
 
 	// chunk is what is left of the allocation page faults cut their
-	// frames from (newFrame).
+	// frames from (newFrame); cut counts the bytes of frames cut so far,
+	// which sizes the next chunk.
 	chunk []byte
+	cut   int
 
 	// OnMissing observes every access that lands on an absent page (a
 	// post-copy placeholder whose content is still on the migration
@@ -381,22 +423,32 @@ func (as *AddressSpace) region(what string, vmaStart, pageIndex uint64) (*VMA, e
 }
 
 // PageAt resolves addr to its region and page index, and to the frame
-// resident there (nil when the page was never touched). It fails the
-// way an access would: a segmentation fault outside every mapping, the
-// post-copy fault (OnMissing fired) on an absent placeholder. The
-// checkpoint restore path uses it to write arriving page content
-// straight into place.
-func (as *AddressSpace) PageAt(addr uint64) (v *VMA, idx uint64, page []byte, err error) {
+// resident there (nil when the page was never touched) — regrown to a
+// full page first when it ends short of end, the byte of the page the
+// caller is about to write up to (exclusive). It fails the way an access
+// would: a segmentation fault outside every mapping, the post-copy fault
+// (OnMissing fired) on an absent placeholder. The checkpoint restore
+// path uses it to write arriving page content straight into place; it
+// sets no dirty bit.
+func (as *AddressSpace) PageAt(addr uint64, end int) (v *VMA, idx uint64, page []byte, err error) {
 	v = as.findVMA(addr)
 	if v == nil {
 		return nil, 0, nil, fmt.Errorf("proc: segmentation fault writing %#x", addr)
 	}
 	idx = (addr - v.Start) / PageSize
-	e, _ := v.Entry(idx)
-	if e.Absent {
+	l := v.leafAt(idx)
+	if l == nil {
+		return v, idx, nil, nil
+	}
+	i := idx - l.base
+	w, b := bit(i)
+	if l.absent[w]&b != 0 {
 		return v, idx, nil, as.missing(v, idx)
 	}
-	return v, idx, e.Frame, nil
+	if l.present[w]&b == 0 {
+		return v, idx, nil, nil
+	}
+	return v, idx, as.reach(l, i, end), nil
 }
 
 // ErrPageAbsent is the fault an access to a post-copy placeholder page
@@ -421,27 +473,47 @@ var poisonStale bool
 // It is for a test package's init.
 func PoisonStaleFrames() { poisonStale = true }
 
-// newFrame cuts one zeroed frame from the space's chunk. A new chunk is
-// sized from what the space already holds — one frame for every eight
-// resident, at least one and at most maxChunkFrames — so a small space
-// allocates page by page and no space ever holds more than an eighth of
-// its resident set, or 28 KiB, in frames it has not touched.
-func (as *AddressSpace) newFrame() *frame {
-	if len(as.chunk) == 0 {
-		held := 0
-		for _, v := range as.vmas {
-			held += v.present
-		}
-		as.chunk = make([]byte, min(max(held/8, 1), maxChunkFrames)*PageSize)
+// newFrame cuts one zeroed frame of n bytes, a whole number of lines,
+// from the space's chunk. A new chunk is sized in bytes from what the
+// space has cut so far — one byte for every eight, in whole lines, at
+// least n and at most maxChunkFrames pages — so a small space allocates
+// frame by frame and no space ever holds more than an eighth of what it
+// has cut, or 32 KiB less a line, in frames it has not handed out. A
+// chunk too short for the frame asked for is dropped with less than n
+// bytes unused: less than a page, at most once per chunk.
+func (as *AddressSpace) newFrame(n int) []byte {
+	if len(as.chunk) < n {
+		as.chunk = make([]byte, max(min(as.cut/8/LineSize*LineSize, maxChunkFrames*PageSize), n))
 	}
-	f := (*frame)(as.chunk)
-	as.chunk = as.chunk[PageSize:]
+	f := as.chunk[:n:n]
+	as.chunk = as.chunk[n:]
+	as.cut += n
 	return f
 }
 
-// writable resolves page idx of v for a store: its frame, faulted in on
-// first touch, with the dirty bit set. A placeholder faults instead.
-func (as *AddressSpace) writable(v *VMA, idx uint64) (*frame, error) {
+// reach returns the frame of slot i of l, made to hold at least end
+// bytes of its page: a slot with no frame gets one cut to the lines end
+// reaches; a frame that ends short of end is regrown, once and for all,
+// to a full page that carries its content over.
+func (as *AddressSpace) reach(l *leaf, i uint64, end int) []byte {
+	f := l.frame(i)
+	if f != nil && len(f) >= end {
+		return f
+	}
+	n := FrameLen(end)
+	if f != nil {
+		n = PageSize
+	}
+	g := as.newFrame(n)
+	copy(g, f)
+	l.setFrame(i, g)
+	return g
+}
+
+// writable resolves page idx of v for a store reaching byte end of the
+// page: its frame, faulted in on first touch or regrown when the store
+// passes its end, with the dirty bit set. A placeholder faults instead.
+func (as *AddressSpace) writable(v *VMA, idx uint64, end int) ([]byte, error) {
 	l := v.leafFor(idx)
 	i := idx - l.base
 	w, b := bit(i)
@@ -449,12 +521,11 @@ func (as *AddressSpace) writable(v *VMA, idx uint64) (*frame, error) {
 		return nil, as.missing(v, idx)
 	}
 	if l.present[w]&b == 0 {
-		l.frames[i] = as.newFrame()
 		l.present[w] |= b
 		v.present++
 	}
 	l.dirty[w] |= b
-	return l.frames[i], nil
+	return as.reach(l, i, end), nil
 }
 
 // Write stores data at addr, faulting pages in and setting dirty bits.
@@ -466,41 +537,40 @@ func (as *AddressSpace) Write(addr uint64, data []byte) error {
 		if v == nil {
 			return fmt.Errorf("proc: segmentation fault writing %#x", addr)
 		}
-		f, err := as.writable(v, (addr-v.Start)/PageSize)
+		off := int(addr % PageSize)
+		f, err := as.writable(v, (addr-v.Start)/PageSize, min(off+len(data), PageSize))
 		if err != nil {
 			return err
 		}
-		n := copy(f[addr%PageSize:], data)
+		n := copy(f[off:], data)
 		data = data[n:]
 		addr += uint64(n)
 	}
 	return nil
 }
 
-// Read copies length bytes starting at addr. Reads that land on an
-// absent page fault like writes do.
+// Read copies length bytes starting at addr: a page's frame, then the
+// zeros past its end, and zeros for a page never touched. Reads that
+// land on an absent page fault like writes do.
 func (as *AddressSpace) Read(addr uint64, length int) ([]byte, error) {
-	out := make([]byte, 0, length)
-	for length > 0 {
+	out := make([]byte, length)
+	for pos := 0; pos < length; {
 		v := as.findVMA(addr)
 		if v == nil {
 			return nil, fmt.Errorf("proc: segmentation fault reading %#x", addr)
 		}
-		off := addr % PageSize
-		n := PageSize - int(off)
-		if n > length {
-			n = length
-		}
+		off := int(addr % PageSize)
+		n := min(PageSize-off, length-pos)
 		idx := (addr - v.Start) / PageSize
 		if e, ok := v.Entry(idx); ok {
 			if e.Absent {
 				return nil, as.missing(v, idx)
 			}
-			out = append(out, e.Frame[off:int(off)+n]...)
-		} else {
-			out = append(out, make([]byte, n)...) // unfaulted zero page
+			if off < len(e.Frame) {
+				copy(out[pos:pos+n], e.Frame[off:])
+			}
 		}
-		length -= n
+		pos += n
 		addr += uint64(n)
 	}
 	return out, nil
@@ -512,11 +582,12 @@ func (as *AddressSpace) Touch(addr uint64) error {
 	if v == nil {
 		return fmt.Errorf("proc: segmentation fault touching %#x", addr)
 	}
-	f, err := as.writable(v, (addr-v.Start)/PageSize)
+	off := int(addr % PageSize)
+	f, err := as.writable(v, (addr-v.Start)/PageSize, off+1)
 	if err != nil {
 		return err
 	}
-	f[addr%PageSize]++
+	f[off]++
 	return nil
 }
 
@@ -536,8 +607,9 @@ func (as *AddressSpace) MarkAbsent(vmaStart, pageIndex uint64) error {
 	w, b := bit(i)
 	if l.present[w]&b != 0 {
 		if poisonStale {
-			for j := range l.frames[i] {
-				l.frames[i][j] = 0xDB
+			f := l.frame(i)
+			for j := range f {
+				f[j] = 0xDB
 			}
 		}
 		l.present[w] &^= b
@@ -557,12 +629,14 @@ func (as *AddressSpace) MarkAbsent(vmaStart, pageIndex uint64) error {
 var ErrFillSize = fmt.Errorf("proc: fill is not one %d-byte page", PageSize)
 
 // FillPage delivers a pulled (or pushed) page's content, clearing the
-// absent mark. data must be exactly one page; it is written over the
-// stale frame the placeholder kept, when it kept one. The fill does not
-// set the dirty bit: arriving content is clean by definition (it is the
-// source's authoritative copy). Filling a page that is not absent is
-// rejected so the exactly-once shipping property is checkable at the
-// memory layer.
+// absent mark. data must be exactly one page. Its frame holds the page up
+// to its last non-zero line: it is written over the stale frame the
+// placeholder kept when that frame is long enough, into a frame cut to
+// those lines when it kept none, and into the stale frame regrown to a
+// full page otherwise. The fill does not set the dirty bit: arriving
+// content is clean by definition (it is the source's authoritative
+// copy). Filling a page that is not absent is rejected so the
+// exactly-once shipping property is checkable at the memory layer.
 func (as *AddressSpace) FillPage(vmaStart, pageIndex uint64, data []byte) error {
 	v, err := as.region("fill", vmaStart, pageIndex)
 	if err != nil {
@@ -577,15 +651,23 @@ func (as *AddressSpace) FillPage(vmaStart, pageIndex uint64, data []byte) error 
 	if l == nil || l.absent[w]&b == 0 {
 		return fmt.Errorf("proc: duplicate fill of resident page %#x+%d", vmaStart, pageIndex)
 	}
-	if l.frames[i] == nil {
-		l.frames[i] = as.newFrame()
-	}
-	copy(l.frames[i][:], data)
+	copy(as.reach(l, i, contentEnd(data)), data)
 	l.absent[w] &^= b
 	l.present[w] |= b
 	v.absent--
 	v.present++
 	return nil
+}
+
+// contentEnd returns one past the last non-zero byte of data, 0 when
+// data is all zeros.
+func contentEnd(data []byte) int {
+	n := len(data)
+	for ; n >= 8 && binary.LittleEndian.Uint64(data[n-8:]) == 0; n -= 8 {
+	}
+	for ; n > 0 && data[n-1] == 0; n-- {
+	}
+	return n
 }
 
 // AbsentPages lists the remaining placeholders in canonical (VMA,
@@ -599,7 +681,7 @@ func (as *AddressSpace) AbsentPages() []DirtyRef {
 func (as *AddressSpace) refs(n int, pick func(l *leaf, w int) uint64) []DirtyRef {
 	out := make([]DirtyRef, 0, n)
 	for _, v := range as.vmas {
-		v.walk(pick, func(e PTE) { out = append(out, DirtyRef{VMA: v, PageIndex: e.Index}) })
+		v.walk(pick, func(l *leaf, i uint64) { out = append(out, DirtyRef{VMA: v, PageIndex: l.base + i}) })
 	}
 	return out
 }

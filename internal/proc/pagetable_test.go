@@ -13,13 +13,29 @@ import (
 // The page table is checked differentially: every program of mappings,
 // resizes, stores, placeholders, fills and dirty-bit clears runs against
 // an AddressSpace and against the structure it replaced — one
-// map[uint64]*refPage per region, kept here — side by side, and after
-// every step the two must agree on everything a caller can observe, and
-// the table on its own invariants.
+// map[uint64]*refPage per region of full 4 KiB pages, kept here — side
+// by side, and after every step the two must agree on everything a
+// caller can observe, and the table on its own invariants. The oracle
+// also models the frame rule: how long the frame under each page must
+// be.
 
 type refPage struct {
 	data          []byte // nil for a placeholder
 	dirty, absent bool
+	// frame is the length the page's frame must have (a placeholder's:
+	// the stale one it keeps, 0 for none): the lines the first store
+	// reached, PageSize once a store passed its end.
+	frame int
+}
+
+// reach is the frame rule for a store (or fill) up to byte end.
+func (p *refPage) reach(end int) {
+	switch {
+	case p.frame == 0:
+		p.frame = FrameLen(end)
+	case end > p.frame:
+		p.frame = PageSize
+	}
 }
 
 type refVMA struct {
@@ -111,8 +127,9 @@ func (r *refSpace) find(addr uint64) *refVMA {
 	return nil
 }
 
-// store resolves addr for a write the way Write and Touch do.
-func (r *refSpace) store(addr uint64) (*refPage, error) {
+// store resolves addr for a write up to byte end of its page the way
+// Write and Touch do.
+func (r *refSpace) store(addr uint64, end int) (*refPage, error) {
 	v := r.find(addr)
 	if v == nil {
 		return nil, errRef
@@ -127,16 +144,18 @@ func (r *refSpace) store(addr uint64) (*refPage, error) {
 		return nil, ErrPageAbsent
 	}
 	p.dirty = true
+	p.reach(end)
 	return p, nil
 }
 
 func (r *refSpace) write(addr uint64, data []byte) error {
 	for len(data) > 0 {
-		p, err := r.store(addr)
+		off := int(addr % PageSize)
+		p, err := r.store(addr, min(off+len(data), PageSize))
 		if err != nil {
 			return err
 		}
-		n := copy(p.data[addr%PageSize:], data)
+		n := copy(p.data[off:], data)
 		data = data[n:]
 		addr += uint64(n)
 	}
@@ -144,7 +163,7 @@ func (r *refSpace) write(addr uint64, data []byte) error {
 }
 
 func (r *refSpace) touch(addr uint64) error {
-	p, err := r.store(addr)
+	p, err := r.store(addr, int(addr%PageSize)+1)
 	if err != nil {
 		return err
 	}
@@ -164,7 +183,11 @@ func (r *refSpace) markAbsent(start, idx uint64) error {
 	if v == nil {
 		return errRef
 	}
-	v.pages[idx] = &refPage{absent: true}
+	stale := 0
+	if p := v.pages[idx]; p != nil {
+		stale = p.frame
+	}
+	v.pages[idx] = &refPage{absent: true, frame: stale}
 	return nil
 }
 
@@ -177,7 +200,9 @@ func (r *refSpace) fillPage(start, idx uint64, data []byte) error {
 	if len(data) != PageSize || p == nil || !p.absent {
 		return errRef
 	}
-	*p = refPage{data: bytes.Clone(data)}
+	end := len(bytes.TrimRight(data, "\x00"))
+	*p = refPage{data: bytes.Clone(data), frame: p.frame}
+	p.reach(end)
 	return nil
 }
 
@@ -233,6 +258,9 @@ const (
 	opMarkAbsent
 	opFillPage
 	opClearDirty
+	opStorePast    // a store one line or more past a resident page's frame: it regrows
+	opFillStale    // a short page turned placeholder, then filled with longer content
+	opResizeRegrow // a region's last page regrown to a full frame, then cut off by Resize
 	nPTOps
 )
 
@@ -336,6 +364,39 @@ func (p *asPair) step(op, r byte, x uint16) error {
 	case opClearDirty:
 		p.as.ClearDirty()
 		p.ref.clearDirty()
+	case opStorePast:
+		idx := pickPage(x, v.npages())
+		off := int(x>>4) % PageSize
+		if gv := p.as.findVMA(v.start); gv != nil {
+			if e, ok := gv.Entry(idx); ok && !e.Absent && len(e.Frame) < PageSize {
+				off = len(e.Frame) + int(x>>4)%(PageSize-len(e.Frame))
+			}
+		}
+		addr, data := v.start+idx*PageSize+uint64(off), p.data(1+int(r)%8)
+		got, want = p.as.Write(addr, data), p.ref.write(addr, data)
+	case opFillStale:
+		idx := pickPage(x, v.npages())
+		addr := v.start + idx*PageSize
+		if got, want = p.as.Touch(addr), p.ref.touch(addr); got != nil || want != nil {
+			break
+		}
+		if got, want = p.as.MarkAbsent(v.start, idx), p.ref.markAbsent(v.start, idx); got != nil || want != nil {
+			break
+		}
+		data := make([]byte, PageSize) // content up to a byte a line or more past the stale frame, zeros after
+		copy(data, p.data(LineSize+int(x>>4)%(PageSize-LineSize)))
+		got, want = p.as.FillPage(v.start, idx, data), p.ref.fillPage(v.start, idx, data)
+	case opResizeRegrow:
+		n := v.npages()
+		last := v.start + (n-1)*PageSize
+		for _, addr := range []uint64{last, last + PageSize - 1} {
+			if got, want = p.as.Touch(addr), p.ref.touch(addr); got != nil || want != nil {
+				break
+			}
+		}
+		if got == nil && want == nil && n > 1 {
+			got, want = p.as.Resize(v.start, (n-1)*PageSize), p.ref.resize(v.start, (n-1)*PageSize)
+		}
 	}
 	if (got == nil) != (want == nil) || errors.Is(got, ErrPageAbsent) != errors.Is(want, ErrPageAbsent) {
 		return fmt.Errorf("op %d on [%#x,%#x) operand %#x: error %v, oracle %v", op%nPTOps, v.start, v.end, x, got, want)
@@ -365,8 +426,8 @@ func (p *asPair) check() error {
 		dirty := 0
 		for idx, wp := range w.pages {
 			e, ok := v.Entry(idx)
-			if !ok || e.Index != idx || e.Dirty != wp.dirty || e.Absent != wp.absent || !bytes.Equal(e.Frame, wp.data) {
-				return fmt.Errorf("page %#x+%d: entry %v dirty %v absent %v, oracle dirty %v absent %v (or content differs)",
+			if !ok || e.Index != idx || e.Dirty != wp.dirty || e.Absent != wp.absent {
+				return fmt.Errorf("page %#x+%d: entry %v dirty %v absent %v, oracle dirty %v absent %v",
 					v.Start, idx, ok, e.Dirty, e.Absent, wp.dirty, wp.absent)
 			}
 			got, err := as.Read(v.Start+idx*PageSize, PageSize)
@@ -384,8 +445,14 @@ func (p *asPair) check() error {
 			if wp.dirty {
 				dirty++
 			}
-			if len(e.Frame) != PageSize || cap(e.Frame) != PageSize {
-				return fmt.Errorf("page %#x+%d: frame len %d cap %d", v.Start, idx, len(e.Frame), cap(e.Frame))
+			// The frame rule: the frame is the page up to a line the
+			// oracle predicts, with no spare capacity, and the page past
+			// its end is zero.
+			if n := len(e.Frame); n != cap(e.Frame) || n > PageSize || n == 0 || n%LineSize != 0 || n != wp.frame {
+				return fmt.Errorf("page %#x+%d: frame len %d cap %d, oracle %d", v.Start, idx, n, cap(e.Frame), wp.frame)
+			}
+			if !bytes.Equal(e.Frame, wp.data[:len(e.Frame)]) {
+				return fmt.Errorf("page %#x+%d: frame differs from the oracle's page", v.Start, idx)
 			}
 			if other, dup := frames[&e.Frame[0]]; dup {
 				return fmt.Errorf("page %#x+%d shares its frame with page at %#x", v.Start, idx, other)
@@ -461,8 +528,8 @@ func checkTable(v *VMA) error {
 		if want := min(leafPages, v.pages()-l.base); uint64(len(l.frames)) != want {
 			return fmt.Errorf("leaf at %d has %d slots, the region holds %d there", l.base, len(l.frames), want)
 		}
-		if words := (len(l.frames) + 63) / 64; len(l.present) != words || len(l.dirty) != words || len(l.absent) != words {
-			return fmt.Errorf("leaf at %d: bitmaps of %d/%d/%d words for %d slots", l.base, len(l.present), len(l.dirty), len(l.absent), len(l.frames))
+		if words := (len(l.frames) + 63) / 64; len(l.present) != words || len(l.dirty) != words || len(l.absent) != words || len(l.lines) != (len(l.frames)+7)/8 {
+			return fmt.Errorf("leaf at %d: bitmaps of %d/%d/%d words and %d length words for %d slots", l.base, len(l.present), len(l.dirty), len(l.absent), len(l.lines), len(l.frames))
 		}
 		for w := range l.present {
 			if l.dirty[w]&^l.present[w] != 0 || l.absent[w]&l.present[w] != 0 {
@@ -505,7 +572,8 @@ func (p *asPair) run(prog []byte) error {
 func ptProgram(seed int64, steps int) []byte {
 	rnd := rand.New(rand.NewSource(seed))
 	mix := []byte{opMmap, opMmapFixed, opMunmap, opResize, opResize, opWrite, opWrite, opWrite, opWrite,
-		opTouch, opTouch, opTouch, opMarkAbsent, opMarkAbsent, opFillPage, opFillPage, opClearDirty}
+		opTouch, opTouch, opTouch, opMarkAbsent, opMarkAbsent, opFillPage, opFillPage, opClearDirty,
+		opStorePast, opFillStale, opResizeRegrow}
 	prog := make([]byte, 0, 4*steps)
 	for i := 0; i < steps; i++ {
 		prog = append(prog, mix[rnd.Intn(len(mix))], byte(rnd.Intn(256)), byte(rnd.Intn(256)), byte(rnd.Intn(256)))
@@ -571,9 +639,10 @@ func TestPageTableResizeShapes(t *testing.T) {
 }
 
 // TestHostileGeometryCostsWhatItTouches: a region of 2^46 bytes with one
-// page written at its far end costs a leaf and a frame — the directory
-// is charged by touched extents, never by mapped length or by the
-// highest index. Asserted on allocated bytes and objects, not on time.
+// byte written at its far end costs a leaf and a one-line frame — the
+// directory is charged by touched extents, never by mapped length or by
+// the highest index, and the frame by the lines stored to. Asserted on
+// allocated bytes and objects, not on time.
 func TestHostileGeometryCostsWhatItTouches(t *testing.T) {
 	const end = 1 << 46
 	var as *AddressSpace
@@ -590,14 +659,18 @@ func TestHostileGeometryCostsWhatItTouches(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	build()
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 3*PageSize {
-		t.Errorf("one page at the far end of a 64 TiB region allocated %d bytes, want a frame, a leaf and change", got)
+	// A full leaf: 8-byte slots, three bitmaps and a byte of frame
+	// length per slot. The change is the region, the space and the leaf
+	// list.
+	const leafBytes = leafPages*8 + 3*leafPages/8 + leafPages
+	if got := after.TotalAlloc - before.TotalAlloc; got > LineSize+leafBytes+512 {
+		t.Errorf("one byte at the far end of a 64 TiB region allocated %d bytes, want a line, a leaf (%d) and change", got, leafBytes)
 	}
 	if n := testing.AllocsPerRun(10, build); n > 8 {
 		t.Errorf("one page at the far end of a 64 TiB region took %.0f allocations", n)
 	}
 	v := as.VMAs()[0]
-	if e, ok := v.Entry(v.pages() - 1); !ok || e.Frame[0] != 1 || v.Resident() != 1 || len(as.DirtyPages()) != 1 {
+	if e, ok := v.Entry(v.pages() - 1); !ok || len(e.Frame) != LineSize || e.Frame[0] != 1 || v.Resident() != 1 || len(as.DirtyPages()) != 1 {
 		t.Fatalf("the page is not there: %+v %v", e, ok)
 	}
 	if err := as.Resize(0x1000, 1<<20); err != nil || v.Resident() != 0 || len(v.leaves) != 0 {

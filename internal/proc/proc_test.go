@@ -72,11 +72,23 @@ func TestTouchMaterialisesOneAndFaultsOnAbsent(t *testing.T) {
 	if err := as.Touch(v.Start + 2*PageSize + 7); err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := v.Entry(2); v.Resident() != 1 || !ok || !p.Dirty || p.Frame[7] != 1 {
+	// The fault cuts one line: the page up to the byte the store reached.
+	if p, ok := v.Entry(2); v.Resident() != 1 || !ok || !p.Dirty || len(p.Frame) != LineSize || cap(p.Frame) != LineSize || p.Frame[7] != 1 {
 		t.Fatalf("first touch left %d pages, page 2 = %+v", v.Resident(), p)
 	}
 	if p, _ := v.Entry(2); as.Touch(v.Start+2*PageSize+7) != nil || p.Frame[7] != 2 || v.Resident() != 1 {
 		t.Fatalf("second touch: byte %d, %d pages", p.Frame[7], v.Resident())
+	}
+	// A store past the line regrows the frame to the full page, once,
+	// carrying what it held; the page past the frame read zero before.
+	if got, _ := as.Read(v.Start+2*PageSize+3000, 1); got[0] != 0 {
+		t.Fatalf("byte 3000 of a one-line page reads %d", got[0])
+	}
+	if err := as.Touch(v.Start + 2*PageSize + 3000); err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := v.Entry(2); len(p.Frame) != PageSize || cap(p.Frame) != PageSize || p.Frame[7] != 2 || p.Frame[3000] != 1 || v.Resident() != 1 {
+		t.Fatalf("store past the frame: frame of %d bytes, bytes 7 and 3000 = %d, %d", len(p.Frame), p.Frame[7], p.Frame[3000])
 	}
 
 	if err := as.MarkAbsent(v.Start, 5); err != nil {
@@ -284,9 +296,11 @@ func TestFillPageAcceptsExactlyOnePage(t *testing.T) {
 
 // TestFillPageReusesStaleFrame: a resident page turned placeholder
 // (hybrid's first-round copy, dirtied on the source since) keeps its
-// frame, hidden, and the fill writes the arriving page over it — the same
-// frame, no new one cut, nothing allocated. The package runs with stale
-// frames poisoned (export_test.go): the fill must overwrite all of it.
+// frame, hidden, and a fill whose content fits it writes the arriving
+// page over it — the same one-line frame, no new one cut, nothing
+// allocated. A fill whose content reaches past the stale frame regrows
+// it to a full page, once. The package runs with stale frames poisoned
+// (export_test.go): the fill must overwrite all of the frame it keeps.
 func TestFillPageReusesStaleFrame(t *testing.T) {
 	as := NewAddressSpace()
 	v := as.Mmap(64*PageSize, "rw-")
@@ -306,7 +320,7 @@ func TestFillPageReusesStaleFrame(t *testing.T) {
 		if e, ok := v.Entry(2); !ok || !e.Absent || e.Dirty || e.Frame != nil {
 			t.Fatalf("placeholder shows its stale frame: %+v", e)
 		}
-		if _, _, fr, err := as.PageAt(v.Start + 2*PageSize); fr != nil || !errors.Is(err, ErrPageAbsent) {
+		if _, _, fr, err := as.PageAt(v.Start+2*PageSize, 0); fr != nil || !errors.Is(err, ErrPageAbsent) {
 			t.Fatalf("PageAt on the placeholder: frame %v, err %v", fr != nil, err)
 		}
 		if err := as.FillPage(v.Start, 2, page); err != nil {
@@ -315,15 +329,21 @@ func TestFillPageReusesStaleFrame(t *testing.T) {
 	}
 	cycle()
 	e, _ := v.Entry(2)
-	if &e.Frame[0] != frame0 || len(as.chunk) != chunk {
-		t.Fatalf("the fill moved the page to another frame, or cut %d bytes of new ones", chunk-len(as.chunk))
+	if &e.Frame[0] != frame0 || len(e.Frame) != LineSize || len(as.chunk) != chunk {
+		t.Fatalf("the fill moved the page to another frame (%d bytes), or cut %d bytes of new ones", len(e.Frame), chunk-len(as.chunk))
 	}
-	if !bytes.Equal(e.Frame, page) || e.Dirty || e.Absent {
-		t.Fatalf("refilled page: dirty %v absent %v, content differs %v", e.Dirty, e.Absent, !bytes.Equal(e.Frame, page))
+	if got, _ := as.Read(v.Start+2*PageSize, PageSize); !bytes.Equal(got, page) || e.Dirty || e.Absent {
+		t.Fatalf("refilled page: dirty %v absent %v, content differs %v", e.Dirty, e.Absent, !bytes.Equal(got, page))
 	}
 	as.OnMissing = nil
 	if n := testing.AllocsPerRun(100, cycle); n != 0 || len(as.chunk) != chunk {
 		t.Fatalf("MarkAbsent then FillPage of a resident page: %.1f allocations, %d bytes of frames cut", n, chunk-len(as.chunk))
+	}
+
+	page[LineSize] = 9 // one byte past the stale line
+	cycle()
+	if e, _ := v.Entry(2); len(e.Frame) != PageSize || !bytes.Equal(e.Frame, page) {
+		t.Fatalf("a fill past the stale frame left a frame of %d bytes (content differs %v)", len(e.Frame), !bytes.Equal(e.Frame, page))
 	}
 }
 
