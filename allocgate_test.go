@@ -141,12 +141,12 @@ func TestAllocGateZoneTick(t *testing.T) {
 	}
 	a, b := spawn(c.Nodes[0], 0), spawn(c.Nodes[1], 1)
 	lst := netstack.NewTCPSocket(c.Nodes[1].Stack)
-	if err := lst.Listen(c.Nodes[1].LocalIP, cfg.NeighborBase+1); err != nil {
+	if err := lst.Listen(c.Nodes[1].LocalIP, dve.NeighborBase+1); err != nil {
 		t.Fatal(err)
 	}
 	lst.OnAccept = func(ch *netstack.TCPSocket) { b.FDs.Install(&proc.TCPFile{Sock: ch}) }
 	link := netstack.NewTCPSocket(c.Nodes[0].Stack)
-	if err := link.Connect(c.Nodes[1].LocalIP, cfg.NeighborBase+1); err != nil {
+	if err := link.Connect(c.Nodes[1].LocalIP, dve.NeighborBase+1); err != nil {
 		t.Fatal(err)
 	}
 	a.FDs.Install(&proc.TCPFile{Sock: link})

@@ -203,7 +203,7 @@ func attachSampler(sim *dve.Simulation, period time.Duration) {
 	if sim.Obs == nil || period <= 0 {
 		return
 	}
-	s := obs.NewSampler(sim.Cluster.Sched, sim.Obs.Metrics, period, 0)
+	s := obs.NewSampler(sim.Cluster.Sched, sim.Obs.Metrics, period)
 	s.Harvest = func(r *obs.Registry) { obs.HarvestCluster(r, sim.Cluster) }
 	sim.Obs.Sampler = s
 	s.Start()

@@ -41,7 +41,7 @@ func oabench(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout)
 	}
 	fmt.Fprintf(stdout, "clients:                 %d\n", cfg.Clients)
-	fmt.Fprintf(stdout, "server frame period:     %.0f ms (20 updates/s)\n", float64(cfg.Server.FramePeriod)/1e6)
+	fmt.Fprintf(stdout, "server frame period:     %.0f ms (20 updates/s)\n", float64(openarena.FramePeriod)/1e6)
 	fmt.Fprintf(stdout, "process freeze time:     %.1f ms   (paper: ~20 ms)\n", float64(res.Metrics.FreezeTime)/1e6)
 	fmt.Fprintf(stdout, "regular packet cadence:  %.1f ms\n", float64(res.BaselineGap)/1e6)
 	fmt.Fprintf(stdout, "max gap at migration:    %.1f ms\n", float64(res.MaxGap)/1e6)

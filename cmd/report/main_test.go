@@ -18,7 +18,7 @@ import (
 func capture(n uint64) *obs.Capture {
 	sched := simtime.NewScheduler()
 	o := obs.New(sched)
-	s := obs.NewSampler(sched, o.Metrics, simtime.Duration(time.Second), 0)
+	s := obs.NewSampler(sched, o.Metrics, simtime.Duration(time.Second))
 	o.Sampler = s
 	s.Start()
 	root := o.T().Start("node1", "migration")

@@ -196,7 +196,7 @@ func TestZoneServerTicksAndUpdatesDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Sched.RunFor(3 * time.Second)
-	wantDemand := cfg.BaseCPU + cfg.PerClientCPU*150
+	wantDemand := baseCPU + perClientCPU*float64(pop)
 	if p.CPUDemand != wantDemand {
 		t.Fatalf("demand = %v, want %v", p.CPUDemand, wantDemand)
 	}
@@ -206,7 +206,7 @@ func TestZoneServerTicksAndUpdatesDB(t *testing.T) {
 	// Population change propagates.
 	pop = 60
 	c.Sched.RunFor(time.Second)
-	if p.CPUDemand != cfg.BaseCPU+cfg.PerClientCPU*60 {
+	if p.CPUDemand != baseCPU+perClientCPU*float64(pop) {
 		t.Fatal("demand did not track population")
 	}
 	// The loop dirties memory every tick (precopy fuel).

@@ -31,15 +31,13 @@ type Config struct {
 	// migration).
 	NeighborLinks bool
 
-	// Movement model: MobileFrac of middle-row clients drift toward the
+	// Movement model: mobileFrac of middle-row clients drift toward the
 	// corners, each stepping one zone per second with MoveProb, starting
 	// at MoveStart.
-	MobileFrac float64
-	MoveProb   float64
-	MoveStart  simtime.Duration
+	MoveProb  float64
+	MoveStart simtime.Duration
 
-	SampleEvery simtime.Duration
-	Seed        uint64
+	Seed uint64
 
 	// Observe attaches an observability plane (span tracing + metrics)
 	// to the run: migrators and conductors get instrumented, and
@@ -62,20 +60,26 @@ func DefaultConfig() Config {
 	// adjustments).
 	lbCfg.ImbalanceThreshold = 0.08
 	return Config{
-		Nodes:       5,
-		Clients:     10000,
-		Duration:    900 * 1e9,
-		LB:          false,
-		LBConfig:    lbCfg,
-		MigConfig:   migration.DefaultConfig(),
-		Zone:        DefaultZoneConfig(),
-		MobileFrac:  0.20,
-		MoveProb:    0.02,
-		MoveStart:   120 * 1e9,
-		SampleEvery: 5 * 1e9,
-		Seed:        2010,
+		Nodes:     5,
+		Clients:   10000,
+		Duration:  900 * 1e9,
+		LB:        false,
+		LBConfig:  lbCfg,
+		MigConfig: migration.DefaultConfig(),
+		Zone:      DefaultZoneConfig(),
+		MoveProb:  0.02,
+		MoveStart: 120 * 1e9,
+		Seed:      2010,
 	}
 }
+
+// mobileFrac is the share of middle-row clients that drift toward the
+// corners; sampleEvery is the cadence of the CPU / process / update-rate
+// series.
+const (
+	mobileFrac                   = 0.20
+	sampleEvery simtime.Duration = 5 * 1e9
+)
 
 // Results collects the experiment's time series and migration log.
 type Results struct {
@@ -173,7 +177,7 @@ func New(cfg Config) (*Simulation, error) {
 	}
 
 	// Movement model and initial population.
-	s.Movement = NewMovementModel(cfg.Clients, cfg.MobileFrac, cfg.MoveProb, simtime.NewRand(cfg.Seed))
+	s.Movement = NewMovementModel(cfg.Clients, mobileFrac, cfg.MoveProb, simtime.NewRand(cfg.Seed))
 	s.pop = s.Movement.Population()
 
 	// Zone servers on their home nodes (Fig 5a assignment).
@@ -219,14 +223,11 @@ func New(cfg Config) (*Simulation, error) {
 	mv.Start()
 
 	// Sampler.
-	sm := simtime.NewTicker(sched, cfg.SampleEvery, "dve.sample", s.sample)
+	sm := simtime.NewTicker(sched, sampleEvery, "dve.sample", s.sample)
 	sm.Start()
 	return s, nil
 }
 
-// connectNeighbors links every zone server with its right and down grid
-// neighbors over the in-cluster network: each zone accepts on
-// NeighborBase+zone of its home node's local address.
 // CaptureObs harvests the cluster's layer counters into the plane's
 // registry and freezes the run's observability artifacts under label.
 // Nil when the run is unobserved.
@@ -238,12 +239,18 @@ func (s *Simulation) CaptureObs(label string) *obs.Capture {
 	return s.Obs.Capture(label)
 }
 
+// NeighborBase is the first neighbor-link port: zone i accepts
+// neighbor-server connections on NeighborBase+i of its home node's
+// in-cluster address.
+const NeighborBase = 20000
+
+// connectNeighbors links every zone server with its right and down grid
+// neighbors over the in-cluster network.
 func (s *Simulation) connectNeighbors() error {
-	cfg := s.Config.Zone
 	for z := ZoneID(0); z < GridW*GridH; z++ {
 		n := s.Cluster.Nodes[z.HomeNode()]
 		lst := netstack.NewTCPSocket(n.Stack)
-		if err := lst.Listen(n.LocalIP, cfg.NeighborBase+uint16(z)); err != nil {
+		if err := lst.Listen(n.LocalIP, NeighborBase+uint16(z)); err != nil {
 			return err
 		}
 		owner := s.zoneProcs[z]
@@ -265,7 +272,7 @@ func (s *Simulation) connectNeighbors() error {
 		for _, w := range targets {
 			to := s.Cluster.Nodes[w.HomeNode()]
 			sk := netstack.NewTCPSocket(from.Stack)
-			if err := sk.Connect(to.LocalIP, cfg.NeighborBase+uint16(w)); err != nil {
+			if err := sk.Connect(to.LocalIP, NeighborBase+uint16(w)); err != nil {
 				return err
 			}
 			s.zoneProcs[z].FDs.Install(&proc.TCPFile{Sock: sk})
@@ -318,14 +325,13 @@ func countZoneServers(n *proc.Node) int {
 func (s *Simulation) Run() *Results {
 	s.Cluster.Sched.RunUntil(s.Config.Duration)
 	r := &Results{CPU: s.cpuSeries, Procs: s.procSeries, UpdateRate: s.rateSeries}
-	zc := s.Config.Zone
 	for _, m := range s.Migrators {
 		for _, mm := range m.Completed {
 			r.Migrations++
 			r.FreezeTimes = append(r.FreezeTimes, mm.FreezeTime)
 			// Clients affected by the freeze, from the process's demand
 			// at freeze time.
-			clients := (mm.ProcCPUDemand - zc.BaseCPU) / zc.PerClientCPU
+			clients := (mm.ProcCPUDemand - baseCPU) / perClientCPU
 			if clients < 0 {
 				clients = 0
 			}

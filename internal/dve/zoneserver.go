@@ -13,41 +13,38 @@ import (
 
 // ZoneServerConfig shapes the zone server processes.
 type ZoneServerConfig struct {
-	// BaseCPU is the fixed demand of an empty zone; PerClientCPU scales
-	// with population ("CPU consumption of a zone server process grows
-	// proportionally with the number of clients present", §VI-C).
-	BaseCPU      float64
-	PerClientCPU float64
 	// LoopPeriod is the real-time loop rate: 20 updates per second, the
 	// Quake III default.
 	LoopPeriod simtime.Duration
-	// DBEveryTicks: issue one database update every n loop iterations.
-	DBEveryTicks int
 	// MemPages is the server's working-set size.
 	MemPages uint64
-	// BasePort: zone i listens on BasePort+i of the cluster IP.
-	BasePort uint16
-	// NeighborBase: zone i accepts neighbor-server connections on
-	// NeighborBase+i of its node's in-cluster address (0 disables).
-	// SyncEveryTicks: state-sync message rate toward neighbors.
-	NeighborBase   uint16
-	SyncEveryTicks int
 }
 
 // DefaultZoneConfig is calibrated so five nodes × 20 zones × 100 clients
 // sit near 78% CPU, matching the opening of Fig 5e.
 func DefaultZoneConfig() ZoneServerConfig {
 	return ZoneServerConfig{
-		BaseCPU:        0.01,
-		PerClientCPU:   0.00068,
-		LoopPeriod:     50 * 1e6, // 50ms → 20 Hz
-		DBEveryTicks:   10,
-		MemPages:       64,
-		BasePort:       10000,
-		NeighborBase:   20000,
-		SyncEveryTicks: 10,
+		LoopPeriod: 50 * 1e6, // 50ms → 20 Hz
+		MemPages:   64,
 	}
 }
+
+// baseCPU is the fixed demand of an empty zone; perClientCPU scales with
+// population ("CPU consumption of a zone server process grows
+// proportionally with the number of clients present", §VI-C).
+const (
+	baseCPU      = 0.01
+	perClientCPU = 0.00068
+)
+
+// The loop issues one database update every dbEveryTicks iterations and
+// one state-sync message toward its neighbors every syncEveryTicks; zone
+// i listens for clients on basePort+i of the cluster IP.
+const (
+	dbEveryTicks   = 10
+	syncEveryTicks = 10
+	basePort       = 10000
+)
 
 // ErrZoneConfig is the cause of every SpawnZoneServer (and so dve.New)
 // failure that comes from a ZoneServerConfig no zone server can run on.
@@ -84,7 +81,7 @@ func SpawnZoneServer(n *proc.Node, z ZoneID, clusterIP, dbIP netsim.Addr,
 	p.FDs.Install(&proc.RegularFile{Path: fmt.Sprintf("/srv/zones/%d.map", int(z))})
 
 	lst := netstack.NewTCPSocket(n.Stack)
-	if err := lst.Listen(clusterIP, cfg.BasePort+uint16(z)); err != nil {
+	if err := lst.Listen(clusterIP, basePort+uint16(z)); err != nil {
 		return nil, err
 	}
 	p.FDs.Install(&proc.TCPFile{Sock: lst})
@@ -106,7 +103,7 @@ func SpawnZoneServer(n *proc.Node, z ZoneID, clusterIP, dbIP netsim.Addr,
 	p.Tick = func(self *proc.Process) {
 		ticks++
 		pop := population(zone)
-		self.CPUDemand = cfg.BaseCPU + cfg.PerClientCPU*float64(pop)
+		self.CPUDemand = baseCPU + perClientCPU*float64(pop)
 		// The real-time loop touches its working set...
 		_ = self.AS.Touch(heapStart + uint64(ticks%int(cfg.MemPages))*proc.PageSize)
 		// ...drains whatever arrived, sorting sessions by role...
@@ -125,19 +122,19 @@ func SpawnZoneServer(n *proc.Node, z ZoneID, clusterIP, dbIP netsim.Addr,
 			}
 		}
 		// ...repeatedly updates the virtual world in the database...
-		if dbSock != nil && cfg.DBEveryTicks > 0 && ticks%cfg.DBEveryTicks == 0 {
+		if dbSock != nil && ticks%dbEveryTicks == 0 {
 			msg = appendCommand(msg[:0], "SET zone", int(zone), " pop", pop)
 			_ = dbSock.Send(msg)
 		}
 		// ...and exchanges boundary state with neighboring zone servers.
-		if cfg.SyncEveryTicks > 0 && ticks%cfg.SyncEveryTicks == 0 && len(neighbors) > 0 {
+		if ticks%syncEveryTicks == 0 && len(neighbors) > 0 {
 			msg = appendCommand(msg[:0], "SYNC z", int(zone), " t", ticks)
 			for _, nb := range neighbors {
 				_ = nb.Send(msg)
 			}
 		}
 	}
-	p.CPUDemand = cfg.BaseCPU + cfg.PerClientCPU*float64(population(zone))
+	p.CPUDemand = baseCPU + perClientCPU*float64(population(zone))
 	n.StartLoop(p, cfg.LoopPeriod)
 	return p, nil
 }

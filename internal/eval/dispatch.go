@@ -24,25 +24,24 @@ type DispatchResult struct {
 type DispatchConfig struct {
 	// Rate is the client datagram rate (packets per second).
 	Rate int
-	// FreezeWindow is how long the socket is disabled during the move.
-	FreezeWindow simtime.Duration
-	// NATUpdateDelay is the router reconfiguration latency of the
-	// baseline.
-	NATUpdateDelay simtime.Duration
 	// Duration of the whole run; the move happens at the midpoint.
 	Duration simtime.Duration
 }
 
-// DefaultDispatchConfig uses a 2 ms freeze, a 10 ms router update and a
-// 1 kHz client.
+// DefaultDispatchConfig runs a 1 kHz client for 2 s.
 func DefaultDispatchConfig() DispatchConfig {
 	return DispatchConfig{
-		Rate:           1000,
-		FreezeWindow:   2 * 1e6,
-		NATUpdateDelay: 10 * 1e6,
-		Duration:       2 * 1e9,
+		Rate:     1000,
+		Duration: 2 * 1e9,
 	}
 }
+
+// freezeWindow is how long the socket is disabled during the move;
+// natUpdateDelay is the router reconfiguration latency of the baseline.
+const (
+	freezeWindow   simtime.Duration = 2 * 1e6
+	natUpdateDelay simtime.Duration = 10 * 1e6
+)
 
 // RunDispatchComparison executes both variants and returns their results.
 func RunDispatchComparison(cfg DispatchConfig) (broadcast, nat *DispatchResult, err error) {
@@ -68,7 +67,7 @@ func runDispatch(cfg DispatchConfig, useBroadcast bool) (*DispatchResult, error)
 		n2pub = r.AttachServer("n2.pub", netsim.GigabitEthernet)
 		cliNIC = r.AttachExternal("cli", cliAddr, netsim.GigabitEthernet)
 	} else {
-		natR = netsim.NewNATRouter(sched, clusterIP, cfg.NATUpdateDelay)
+		natR = netsim.NewNATRouter(sched, clusterIP, natUpdateDelay)
 		n1pub = natR.AttachServer("n1.pub", netsim.GigabitEthernet)
 		n2pub = natR.AttachServer("n2.pub", netsim.GigabitEthernet)
 		cliNIC = natR.AttachExternal("cli", cliAddr, netsim.GigabitEthernet)
@@ -124,17 +123,13 @@ func runDispatch(cfg DispatchConfig, useBroadcast bool) (*DispatchResult, error)
 			}
 		}
 		if useBroadcast {
-			sched.After(cfg.FreezeWindow, "restore", restore)
+			sched.After(freezeWindow, "restore", restore)
 		} else {
 			// The NAT baseline must additionally wait for the router
 			// update before the new node sees any packets; during the
 			// whole window traffic still lands on the dead socket.
 			natR.UpdateMapping(netsim.ProtoUDP, port, n2pub, nil)
-			wait := cfg.FreezeWindow
-			if cfg.NATUpdateDelay > wait {
-				wait = cfg.NATUpdateDelay
-			}
-			sched.After(wait, "restore", restore)
+			sched.After(max(freezeWindow, natUpdateDelay), "restore", restore)
 		}
 	})
 
@@ -151,7 +146,7 @@ func runDispatch(cfg DispatchConfig, useBroadcast bool) (*DispatchResult, error)
 	if useBroadcast {
 		res.Mode = "broadcast+capture"
 	} else {
-		res.Mode = fmt.Sprintf("nat-dispatch(update=%v)", cfg.NATUpdateDelay)
+		res.Mode = fmt.Sprintf("nat-dispatch(update=%v)", natUpdateDelay)
 	}
 	return res, nil
 }

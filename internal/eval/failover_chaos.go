@@ -61,7 +61,7 @@ func DefaultFailoverScenarios() []FailoverScenario {
 				e.Sched.At(e.FaultAt, "failover.crash", func() {
 					e.Cluster.Nodes[0].Fail(e.Cluster)
 				})
-				// Dead at +PeerTimeout(4s)+tick, claim window 2s, slack.
+				// Dead at +peerTimeout(4s)+tick, claim window 2s, slack.
 				return e.FaultAt + 10*1e9, 0
 			}},
 		{Name: "partition-heal", WantFailover: true,
@@ -77,7 +77,7 @@ func DefaultFailoverScenarios() []FailoverScenario {
 			}},
 		{Name: "flap", WantFailover: false,
 			Arm: func(e *FailoverEnv) (simtime.Time, simtime.Time) {
-				// Down for 3s: past SuspectAfter, short of PeerTimeout.
+				// Down for 3s: past suspectAfter, short of peerTimeout.
 				// Nobody may claim, activate, or suspend; the service rides
 				// through on the owner.
 				e.Inj.DownFor(e.Cluster.Nodes[0].LocalNIC, e.FaultAt, e.FaultAt+3*1e9)

@@ -31,13 +31,6 @@ var SweepStrategies = []sockmig.Strategy{
 type FreezeConfig struct {
 	Conns    int
 	Strategy sockmig.Strategy
-	// UpdateHz is the per-client server update rate (20/s, §VI-C);
-	// Batches spreads one round of updates across the frame the way a
-	// real server's send loop does in time.
-	UpdateHz int
-	Batches  int
-	// MsgBytes is the update payload (256 B, the MMPOG average §VI-C).
-	MsgBytes int
 	// MemPages is the zone server working set.
 	MemPages uint64
 	// Repeats: the experiment reports the worst case over this many runs
@@ -72,14 +65,21 @@ func DefaultFreezeConfig(strategy sockmig.Strategy, conns int) FreezeConfig {
 	return FreezeConfig{
 		Conns:    conns,
 		Strategy: strategy,
-		UpdateHz: 20,
-		Batches:  8,
-		MsgBytes: 256,
 		MemPages: 256,
 		Repeats:  3,
 		MigCfg:   cfg,
 	}
 }
+
+// The zone server's traffic shape. updateHz is the per-client server
+// update rate (20/s, §VI-C); batches spreads one round of updates across
+// the frame the way a real server's send loop does in time; msgBytes is
+// the update payload (256 B, the MMPOG average §VI-C).
+const (
+	updateHz = 20
+	batches  = 8
+	msgBytes = 256
+)
 
 // FreezePoint is one measured point of Fig 5b/5c.
 type FreezePoint struct {
@@ -283,20 +283,19 @@ func buildFreezeCell(fc FreezeConfig, rep int) (*freezeCell, error) {
 	// across the frame — this is what the capture mechanism must protect
 	// during the freeze window.
 	cliBatch := 0
-	simtime.NewTicker(sched,
-		simtime.Duration(1e9)/simtime.Duration(fc.UpdateHz*fc.Batches), "eval.clients", func() {
-			cliBatch++
-			nb := fc.Batches
-			lo := (cliBatch % nb) * len(clients) / nb
-			hi := ((cliBatch % nb) + 1) * len(clients) / nb
-			for _, cli := range clients[lo:hi] {
-				_ = cli.Send([]byte("ev"))
-			}
-		}).Start()
+	period := simtime.Duration(1e9) / (updateHz * batches)
+	simtime.NewTicker(sched, period, "eval.clients", func() {
+		cliBatch++
+		lo := (cliBatch % batches) * len(clients) / batches
+		hi := ((cliBatch % batches) + 1) * len(clients) / batches
+		for _, cli := range clients[lo:hi] {
+			_ = cli.Send([]byte("ev"))
+		}
+	}).Start()
 
-	// Real-time loop: UpdateHz updates per client per second, the send
-	// work spread over Batches sub-frames like a real server's send loop.
-	msg := make([]byte, fc.MsgBytes)
+	// Real-time loop: updateHz updates per client per second, the send
+	// work spread over batches sub-frames like a real server's send loop.
+	msg := make([]byte, msgBytes)
 	batch := 0
 	p.Tick = func(self *proc.Process) {
 		batch++
@@ -304,9 +303,8 @@ func buildFreezeCell(fc FreezeConfig, rep int) (*freezeCell, error) {
 		if len(tcp) == 0 {
 			return
 		}
-		nb := fc.Batches
-		lo := (batch % nb) * len(tcp) / nb
-		hi := ((batch % nb) + 1) * len(tcp) / nb
+		lo := (batch % batches) * len(tcp) / batches
+		hi := ((batch % batches) + 1) * len(tcp) / batches
 		for _, sk := range tcp[lo:hi] {
 			if sk.State == netstack.TCPEstablished {
 				sk.Discard()
@@ -316,7 +314,6 @@ func buildFreezeCell(fc FreezeConfig, rep int) (*freezeCell, error) {
 		_ = self.AS.Touch(heap.Start + uint64(batch%int(fc.MemPages))*proc.PageSize)
 	}
 	p.CPUDemand = 0.4
-	period := simtime.Duration(1e9) / simtime.Duration(fc.UpdateHz*fc.Batches)
 	src.StartLoop(p, period)
 
 	// Warm up with a phase shift per repetition so the worst case over

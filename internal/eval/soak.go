@@ -115,12 +115,6 @@ type SoakConfig struct {
 	// window instead of at teardown. 0 selects the default (1 sim-second);
 	// negative disables sampling and incremental audits entirely.
 	SamplePeriod simtime.Duration
-	// MaxSamples bounds each time series' ring (≤0 → 512).
-	MaxSamples int
-	// SLOs are the objectives the per-cell SLO engine evaluates over the
-	// sampled windows (requires Observe). Nil selects DefaultSoakSLOs;
-	// empty disables the engine.
-	SLOs []obs.Objective
 	// Prof, when non-nil, attaches the wall-clock self-profiling plane
 	// (event-loop attribution, phase skew, sweep occupancy). Read-only
 	// with respect to the simulation: the report, metrics and series
@@ -133,8 +127,9 @@ type SoakConfig struct {
 // (~TakeoverAfter) plus a few reconcile periods of re-drive latency.
 const soakAuditSlack = 5 * time.Second
 
-// DefaultSoakSLOs are the soak battery's per-cell objectives, the
-// thresholds EXPERIMENTS.md tracks PR-over-PR:
+// DefaultSoakSLOs are the soak battery's per-cell objectives, which the
+// SLO engine evaluates over the sampled windows of an observed cell —
+// the thresholds EXPERIMENTS.md tracks PR-over-PR:
 // p99 migration downtime under a quarter simulated second, at most 5%
 // of terminal objects aborted, and a retry budget of two per submitted
 // request.
@@ -305,9 +300,6 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 	if cfg.Inflight <= 0 {
 		cfg.Inflight = 4
 	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 30 * time.Minute
-	}
 	const nWorkers = 3
 	label := fmt.Sprintf("soak/%s/seed%d", sc.Name, seed)
 	f := newFixture(nWorkers+2, cfg.Observe, cfg.FlightDepth, cfg.Prof, label)
@@ -459,7 +451,7 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 	var sampler *obs.Sampler
 	var sloEng *obs.SLOEngine
 	if samplePeriod > 0 {
-		sampler = obs.NewSampler(sched, o.M(), samplePeriod, cfg.MaxSamples)
+		sampler = obs.NewSampler(sched, o.M(), samplePeriod)
 		if o != nil {
 			o.Sampler = sampler
 			// Idempotent scrape: cluster totals plus the soak's own
@@ -485,14 +477,8 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 				r.Counter("soak/retries_total").Store(retries)
 				r.Counter("soak/aborted_total").Store(aborted)
 			}
-			slos := cfg.SLOs
-			if slos == nil {
-				slos = DefaultSoakSLOs()
-			}
-			if len(slos) > 0 {
-				sloEng = obs.NewSLOEngine(slos...)
-				sampler.AttachSLO(sloEng)
-			}
+			sloEng = obs.NewSLOEngine(DefaultSoakSLOs()...)
+			sampler.AttachSLO(sloEng)
 		}
 		sampler.OnSample(func(w obs.SampleWindow) {
 			res.Windows = w.Index + 1

@@ -14,10 +14,7 @@ import (
 // the per-strategy freeze/downtime/degraded-window columns are directly
 // comparable cell by cell.
 type StrategySweepConfig struct {
-	// Strategies lists the migration strategies to race (default: all
-	// three, in migration.StrategyNames order).
-	Strategies []string
-	Chaos      ChaosConfig
+	Chaos ChaosConfig
 }
 
 // DefaultStrategySweepConfig races all three strategies over the
@@ -25,10 +22,7 @@ type StrategySweepConfig struct {
 func DefaultStrategySweepConfig() StrategySweepConfig {
 	chaos := DefaultChaosConfig()
 	chaos.Seeds = []uint64{1, 2}
-	return StrategySweepConfig{
-		Strategies: migration.StrategyNames(),
-		Chaos:      chaos,
-	}
+	return StrategySweepConfig{Chaos: chaos}
 }
 
 // Summary renders the head-to-head comparison: per (scenario, strategy)
@@ -106,21 +100,17 @@ func (r *ChaosReport) Summary() string {
 	return b.String()
 }
 
-// RunStrategySweep races every configured migration strategy through
-// every chaos scenario at every seed: a chaos sweep with the strategy
-// as the outermost axis, so the report is strategy-major,
-// scenario-minor, seed-ordered.
+// RunStrategySweep races every migration strategy, in
+// migration.StrategyNames order, through every chaos scenario at every
+// seed: a chaos sweep with the strategy as the outermost axis, so the
+// report is strategy-major, scenario-minor, seed-ordered.
 func RunStrategySweep(cfg StrategySweepConfig) (*ChaosReport, error) {
-	strategies := cfg.Strategies
-	if len(strategies) == 0 {
-		strategies = migration.StrategyNames()
-	}
 	type raced struct {
 		chaos ChaosConfig // cfg.Chaos with the strategy filled in
 		sc    ChaosScenario
 	}
 	var axes []raced
-	for _, st := range strategies {
+	for _, st := range migration.StrategyNames() {
 		mig, err := migration.StrategyByName(st)
 		if err != nil {
 			return nil, err

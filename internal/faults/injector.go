@@ -75,18 +75,6 @@ func (in *Injector) DownFor(nic *netsim.NIC, from, to simtime.Time) {
 	}
 }
 
-// Isolate partitions a whole node during [from, to): both its public
-// and in-cluster interfaces go dark, which is indistinguishable (to the
-// rest of the cluster) from a crash that heals.
-func (in *Injector) Isolate(n *proc.Node, from, to simtime.Time) {
-	if n.PublicNIC != nil {
-		in.DownFor(n.PublicNIC, from, to)
-	}
-	if n.LocalNIC != nil {
-		in.DownFor(n.LocalNIC, from, to)
-	}
-}
-
 // CrashAt schedules a hard, permanent node crash at virtual time t.
 func (in *Injector) CrashAt(c *proc.Cluster, n *proc.Node, t simtime.Time) {
 	in.Sched.At(t, "faults.crash."+n.Name, func() {

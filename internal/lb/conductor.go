@@ -36,59 +36,45 @@ const (
 type Config struct {
 	// Period between monitoring/broadcast ticks (information policy).
 	Period simtime.Duration
-	// HighThreshold: load above which a node is overloaded outright.
-	HighThreshold float64
 	// ImbalanceThreshold: load-minus-cluster-average above which the node
-	// initiates a migration even below HighThreshold.
+	// initiates a migration even below highThreshold.
 	ImbalanceThreshold float64
 	// CalmDown is the post-migration stabilization period on both ends.
 	CalmDown simtime.Duration
-	// PeerTimeout expires silent peers (missed heartbeats).
-	PeerTimeout simtime.Duration
-	// SuspectAfter marks a peer suspect after this much heartbeat
-	// silence; PeerTimeout then confirms death. Zero defaults to
-	// 2×Period. Suspect peers stop receiving migrations but do not yet
-	// trigger failover — a peer that flaps back within PeerTimeout never
-	// causes an activation.
-	SuspectAfter simtime.Duration
-	// ClaimWait is the failover election window between broadcasting an
-	// ownership claim and activating the standby image (zero defaults to
-	// 2×Period); competing claims arriving within the window are
-	// compared by (epoch, seq, lower address).
-	ClaimWait simtime.Duration
-	// ResumeGrace is how long a healed, formerly isolated owner listens
-	// for a higher-epoch owner before resuming its suspended service
-	// (zero defaults to 3×Period).
-	ResumeGrace simtime.Duration
-	// DeadRetention keeps dead peer entries around — still heartbeated —
-	// so a healed node relearns the cluster quickly and hears the new
-	// owner's advertisements; entries are GC'd after
-	// PeerTimeout+DeadRetention of silence (zero defaults to 60 s).
-	DeadRetention simtime.Duration
-	// ScanMax bounds the discovery scan of the local /24.
-	ScanMax byte
-	// EWMA smoothing factor for the load signal (0..1, weight of the new
-	// sample).
-	EWMA float64
-	Mode Mode
-	// LowThreshold (consolidate mode): a node below it tries to drain.
-	LowThreshold float64
+	Mode     Mode
 }
 
 // DefaultConfig mirrors the evaluation setup.
 func DefaultConfig() Config {
 	return Config{
 		Period:             1e9, // 1s
-		HighThreshold:      0.90,
 		ImbalanceThreshold: 0.12,
 		CalmDown:           15e9, // 15s
-		PeerTimeout:        4e9,
-		ScanMax:            32,
-		EWMA:               0.5,
 		Mode:               ModeBalance,
-		LowThreshold:       0.25,
 	}
 }
+
+// The transfer policy's fixed thresholds and the load signal's smoothing.
+const (
+	// highThreshold: load above which a node is overloaded outright.
+	highThreshold = 0.90
+	// lowThreshold (consolidate mode): a node below it tries to drain.
+	lowThreshold = 0.25
+	// ewma is the weight of the new utilisation sample in the load signal.
+	ewma = 0.5
+	// scanMax bounds the discovery scan of the local /24.
+	scanMax byte = 32
+)
+
+// The failure detector's fixed windows. peerTimeout expires silent peers
+// (missed heartbeats); deadRetention keeps dead peer entries around —
+// still heartbeated — so a healed node relearns the cluster quickly and
+// hears the new owner's advertisements, and GCs them after
+// peerTimeout+deadRetention of silence.
+const (
+	peerTimeout   simtime.Duration = 4e9
+	deadRetention simtime.Duration = 60e9
+)
 
 type condState int
 
@@ -102,8 +88,8 @@ const (
 // is PeerAlive so freshly noted peers start healthy.
 type PeerState int
 
-// Detector states: Alive → Suspect (age > SuspectAfter) → Dead
-// (age > PeerTimeout), with revival on any heartbeat. PeerUnknown is
+// Detector states: Alive → Suspect (age > suspectAfter) → Dead
+// (age > peerTimeout), with revival on any heartbeat. PeerUnknown is
 // returned for addresses the conductor has never seen (or GC'd).
 const (
 	PeerAlive PeerState = iota
@@ -273,18 +259,6 @@ func (c *Conductor) PeerState(addr netsim.Addr) PeerState {
 	return p.state
 }
 
-// AlivePeers lists peers the detector currently trusts, sorted for
-// deterministic iteration.
-func (c *Conductor) AlivePeers() []netsim.Addr {
-	var out []netsim.Addr
-	for _, addr := range c.peerOrder {
-		if c.peers[addr].state == PeerAlive {
-			out = append(out, addr)
-		}
-	}
-	return out
-}
-
 func (c *Conductor) aliveCount() int {
 	n := 0
 	for _, p := range c.peers {
@@ -313,27 +287,18 @@ func (c *Conductor) ClusterAverage() float64 {
 	return sum / n
 }
 
-// Derived detector defaults (zero config values fall back here).
-func (c *Conductor) suspectAfter() simtime.Duration {
-	if c.Config.SuspectAfter > 0 {
-		return c.Config.SuspectAfter
-	}
-	return 2 * c.Config.Period
-}
-
-func (c *Conductor) deadRetention() simtime.Duration {
-	if c.Config.DeadRetention > 0 {
-		return c.Config.DeadRetention
-	}
-	return 60e9
-}
+// suspectAfter marks a peer suspect after two periods of heartbeat
+// silence; peerTimeout then confirms death. Suspect peers stop receiving
+// migrations but do not yet trigger failover — a peer that flaps back
+// within peerTimeout never causes an activation.
+func (c *Conductor) suspectAfter() simtime.Duration { return 2 * c.Config.Period }
 
 func (c *Conductor) now() simtime.Time { return c.Node.Sched.Now() }
 
-// scan probes every address on the local /24 up to ScanMax.
+// scan probes every address on the local /24 up to scanMax.
 func (c *Conductor) scan() {
 	base := proc.LocalNet
-	for i := byte(1); i <= c.Config.ScanMax; i++ {
+	for i := byte(1); i <= scanMax; i++ {
 		addr := base + netsim.Addr(i)
 		if addr == c.Node.LocalIP {
 			continue
@@ -364,7 +329,7 @@ func seqMsg(op byte, seq uint32) []byte {
 func (c *Conductor) tick() {
 	// Monitor (atop role): smooth the instantaneous utilisation.
 	u := c.Node.Utilization()
-	c.load = c.Config.EWMA*u + (1-c.Config.EWMA)*c.load
+	c.load = ewma*u + (1-ewma)*c.load
 
 	// Information policy: periodic broadcast doubling as heartbeat. Dead
 	// entries are heartbeated too — a healed node must hear from us to
@@ -384,10 +349,10 @@ func (c *Conductor) tick() {
 		p := c.peers[addr]
 		age := c.now() - p.lastSeen
 		switch {
-		case age > c.Config.PeerTimeout+c.deadRetention():
+		case age > peerTimeout+deadRetention:
 			delete(c.peers, addr)
 			c.peerOrder = slices.DeleteFunc(slices.Clone(c.peerOrder), func(a netsim.Addr) bool { return a == addr })
-		case age > c.Config.PeerTimeout:
+		case age > peerTimeout:
 			if p.state != PeerDead {
 				p.state = PeerDead
 				c.Events = append(c.Events, Event{At: c.now(), Kind: "peer-dead", Peer: addr})
@@ -425,7 +390,7 @@ func (c *Conductor) tick() {
 // location policy of §IV-A/B.
 func (c *Conductor) considerBalance() {
 	avg := c.ClusterAverage()
-	over := c.load > c.Config.HighThreshold || c.load-avg > c.Config.ImbalanceThreshold
+	over := c.load > highThreshold || c.load-avg > c.Config.ImbalanceThreshold
 	if !over {
 		return
 	}
@@ -457,13 +422,13 @@ func (c *Conductor) considerBalance() {
 // considerConsolidate drains a lightly loaded node onto the busiest peer
 // that still has headroom (power-management mode).
 func (c *Conductor) considerConsolidate() {
-	if c.load >= c.Config.LowThreshold || c.Node.NumProcesses() == 0 {
+	if c.load >= lowThreshold || c.Node.NumProcesses() == 0 {
 		return
 	}
 	var best *peerInfo
 	for _, addr := range c.peerAddrs() {
 		p := c.peers[addr]
-		if p.state != PeerAlive || p.load+c.load > c.Config.HighThreshold {
+		if p.state != PeerAlive || p.load+c.load > highThreshold {
 			continue
 		}
 		if best == nil || p.load > best.load {

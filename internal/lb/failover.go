@@ -30,7 +30,7 @@ import (
 //     partitioned off.
 //   - Self-fencing: an owner that loses sight of every peer suspends
 //     its services (loops stopped, sockets unhashed, state intact); on
-//     heal it waits ResumeGrace for a higher-epoch owner to speak up
+//     heal it waits resumeGrace for a higher-epoch owner to speak up
 //     before resuming. In a two-node world this is what makes the
 //     survivor's lone activation safe.
 
@@ -84,9 +84,6 @@ func (c *Conductor) AnnounceOwnership(name string, g *migration.Guardian) uint64
 	return ep
 }
 
-// OwnedServices lists the services this conductor serves, sorted.
-func (c *Conductor) OwnedServices() []string { return c.ownedNames() }
-
 // OwnershipEpoch reports the epoch a local ownership runs under, and
 // whether the service is currently suspended by self-fencing. Zero
 // epoch means the service is not owned here.
@@ -124,7 +121,7 @@ func (c *Conductor) onPeerDead(addr netsim.Addr) {
 }
 
 // startClaim opens the election window for a service: broadcast our
-// image's freshness, wait ClaimWait for a fresher competing claim or a
+// image's freshness, wait claimWait for a fresher competing claim or a
 // live owner's defence, then activate.
 func (c *Conductor) startClaim(name string) {
 	if c.owned[name] != nil || c.claims[name] != nil {
@@ -279,11 +276,11 @@ func (c *Conductor) cancelClaim(name string) {
 // from everyone else dying, and in the broadcast cluster serving blind
 // risks double ownership the moment a standby on the majority side
 // activates. Mere suspicion does not suspend — a blip shorter than
-// PeerTimeout never interrupts service — and the ordering stays safe
+// peerTimeout never interrupts service — and the ordering stays safe
 // because the owner confirms its peers dead (and goes mute) at
-// PeerTimeout, while any remote claimant activates no earlier than
-// PeerTimeout+ClaimWait. On heal each suspended service resumes after
-// ResumeGrace unless a higher-epoch owner speaks up in the meantime.
+// peerTimeout, while any remote claimant activates no earlier than
+// peerTimeout+claimWait. On heal each suspended service resumes after
+// resumeGrace unless a higher-epoch owner speaks up in the meantime.
 func (c *Conductor) checkIsolation() {
 	if c.PeerCount() == 0 && c.maxPeersSeen >= 1 {
 		if !c.isolated {
@@ -339,20 +336,14 @@ func claimBeats(aEp, aSeq uint64, aAddr netsim.Addr, bEp, bSeq uint64, bAddr net
 	return aAddr < bAddr
 }
 
-// Derived failover defaults (zero config values fall back here).
-func (c *Conductor) claimWait() simtime.Duration {
-	if c.Config.ClaimWait > 0 {
-		return c.Config.ClaimWait
-	}
-	return 2 * c.Config.Period
-}
+// claimWait is the failover election window between broadcasting an
+// ownership claim and activating the standby image; competing claims
+// arriving within it are compared by (epoch, seq, lower address).
+func (c *Conductor) claimWait() simtime.Duration { return 2 * c.Config.Period }
 
-func (c *Conductor) resumeGrace() simtime.Duration {
-	if c.Config.ResumeGrace > 0 {
-		return c.Config.ResumeGrace
-	}
-	return 3 * c.Config.Period
-}
+// resumeGrace is how long a healed, formerly isolated owner listens for
+// a higher-epoch owner before resuming its suspended service.
+func (c *Conductor) resumeGrace() simtime.Duration { return 3 * c.Config.Period }
 
 // broadcast sends a message to every known peer — dead ones included,
 // since a healed node must hear adverts to fence itself — in sorted

@@ -82,9 +82,9 @@ func countEvents(cd *Conductor, kind string) int {
 }
 
 // TestDetectorStateTransitions walks one peer through the detector:
-// silence shorter than SuspectAfter leaves it alive; past SuspectAfter
+// silence shorter than suspectAfter leaves it alive; past suspectAfter
 // it turns suspect (and stops receiving migrations); a heartbeat
-// revives it; silence past PeerTimeout confirms it dead.
+// revives it; silence past peerTimeout confirms it dead.
 func TestDetectorStateTransitions(t *testing.T) {
 	e := newLBEnv(t, 3, DefaultConfig()) // Period 1s → suspect 2s, dead 4s
 	inj := faults.NewInjector(e.c.Sched, 1)
@@ -94,7 +94,7 @@ func TestDetectorStateTransitions(t *testing.T) {
 		t.Fatal("setup: peer not alive")
 	}
 
-	// A flap shorter than SuspectAfter: never even suspected. Windows
+	// A flap shorter than suspectAfter: never even suspected. Windows
 	// start mid-tick (+200ms) so they never race a heartbeat boundary.
 	now := e.c.Sched.Now()
 	inj.DownFor(e.c.Nodes[2].LocalNIC, now+200*1e6, now+1700*1e6)
@@ -103,7 +103,7 @@ func TestDetectorStateTransitions(t *testing.T) {
 		t.Fatalf("short flap raised %d suspicions", got)
 	}
 
-	// Silence past SuspectAfter but healed before PeerTimeout: suspected,
+	// Silence past suspectAfter but healed before peerTimeout: suspected,
 	// revived, never declared dead.
 	now = e.c.Sched.Now()
 	inj.DownFor(e.c.Nodes[2].LocalNIC, now+200*1e6, now+3700*1e6)
@@ -119,7 +119,7 @@ func TestDetectorStateTransitions(t *testing.T) {
 		t.Fatal("flapping peer declared dead")
 	}
 
-	// Real death: silence past PeerTimeout.
+	// Real death: silence past peerTimeout.
 	e.conductors[2].Stop()
 	e.c.RemoveNode(e.c.Nodes[2])
 	e.c.Sched.RunFor(6 * time.Second)
@@ -260,7 +260,7 @@ func TestClaimElectionFreshestImageWins(t *testing.T) {
 }
 
 // TestFlappingOwnerTriggersNoFailover: the owner's link drops for a
-// window past SuspectAfter but short of PeerTimeout. The detector
+// window past suspectAfter but short of peerTimeout. The detector
 // suspects it; nobody claims, nobody activates, and the owner never
 // self-suspends (its own view of the peers is merely suspect too).
 func TestFlappingOwnerTriggersNoFailover(t *testing.T) {
@@ -280,7 +280,7 @@ func TestFlappingOwnerTriggersNoFailover(t *testing.T) {
 		}
 	}
 	if countEvents(e.conductors[0], "suspend") != 0 {
-		t.Fatal("owner self-suspended during a flap shorter than PeerTimeout")
+		t.Fatal("owner self-suspended during a flap shorter than peerTimeout")
 	}
 	if findByName(e.c.Nodes[0], "counter_svc") != p {
 		t.Fatal("service disturbed by the flap")
@@ -320,7 +320,7 @@ func TestIsolatedOwnerSuspendsAndResumes(t *testing.T) {
 		t.Fatal("suspended service's socket still hashed")
 	}
 
-	// Heal; nobody holds an image, so after ResumeGrace the owner
+	// Heal; nobody holds an image, so after resumeGrace the owner
 	// resumes exactly where it left off.
 	e.c.Sched.RunFor(10 * time.Second)
 	if countEvents(e.conductors[0], "resume") != 1 {

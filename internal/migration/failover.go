@@ -19,7 +19,7 @@ import (
 // the image to a Standby on a buddy node; when the home node dies, the
 // standby restarts the process from the most recent image. The lb
 // conductor's failure detector drives the activation (see internal/lb):
-// suspicion after missed heartbeats, confirmation after PeerTimeout,
+// suspicion after missed heartbeats, confirmation after peerTimeout,
 // then a claim election among standbys holding images — the freshest
 // (epoch, seq) wins — and the winner activates under a freshly minted
 // ownership epoch.

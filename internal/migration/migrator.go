@@ -71,8 +71,8 @@ type Config struct {
 	// (simulated) time; the process thaws and keeps running at the
 	// source.
 	Deadline simtime.Duration
-	// ConnTimeout bounds a single migd connection attempt; zero or
-	// negative falls back to the historical 5 s default.
+	// ConnTimeout is the engine's liveness bound for the peer: it bounds
+	// a single migd connection attempt and the commit grace alike.
 	ConnTimeout simtime.Duration
 	// ConnRetries is how many additional connection attempts follow a
 	// timed-out or refused first attempt (0 = give up immediately).
@@ -110,16 +110,6 @@ type Config struct {
 	// demand paging).
 	PrefetchInterval simtime.Duration
 	PrefetchBatch    int
-}
-
-// connTimeout is ConnTimeout with its fallback applied: the engine's
-// liveness bound for the peer, used for a connection attempt and for the
-// commit grace alike.
-func (c *Config) connTimeout() simtime.Duration {
-	if c.ConnTimeout <= 0 {
-		return 5 * 1e9
-	}
-	return c.ConnTimeout
 }
 
 // DefaultConfig returns the paper's configuration with the incremental
@@ -404,7 +394,7 @@ func (ob *outbound) deadline(graced bool) {
 	if ob.st == obCommitted && !graced {
 		// ConnTimeout is the engine's liveness bound for the peer — the
 		// right budget for "will the restore ack ever come".
-		ob.m.sched().AfterCall(ob.m.Config.connTimeout(), "migd.commit-grace", commitGraceCall, ob, nil)
+		ob.m.sched().AfterCall(ob.m.Config.ConnTimeout, "migd.commit-grace", commitGraceCall, ob, nil)
 		return
 	}
 	ob.end(errors.New("migration: deadline exceeded"))

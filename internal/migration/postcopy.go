@@ -92,9 +92,6 @@ func prefetchCall(a0, _ any) {
 
 func (ob *outbound) nextPrefetchBatch() []ckpt.PageCoord {
 	max := ob.m.Config.PrefetchBatch
-	if max <= 0 {
-		max = 8
-	}
 	var batch []ckpt.PageCoord
 	for ob.shipCursor < len(ob.pullDir.Absent) && len(batch) < max {
 		c := ob.pullDir.Absent[ob.shipCursor]

@@ -151,7 +151,7 @@ func (ob *outbound) dial() {
 	// Guard against an unreachable destination. The timeout and the
 	// retry/backoff schedule come from the config (satellite fix: this
 	// used to be a hard-coded 5 s with no retry).
-	ob.m.sched().AfterCall(ob.m.Config.connTimeout(), "migd.conn-timeout", connTimeoutCall, ob, ob.conn)
+	ob.m.sched().AfterCall(ob.m.Config.ConnTimeout, "migd.conn-timeout", connTimeoutCall, ob, ob.conn)
 }
 
 // connTimeoutCall is an attempt's timeout; connFailed ignores it once the

@@ -200,7 +200,7 @@ func (n *NIC) Send(p *Packet) {
 			n.FaultDuplicated++
 			n.emit(now, TapDup, p)
 			dup := p.Clone()
-			n.sched.AtCall(done+n.Params.Latency+extra+act.DupDelay, "netsim.deliver-dup", routeCall, n, dup)
+			n.sched.AtCallLane(nil, done+n.Params.Latency+extra+act.DupDelay, "netsim.deliver-dup", routeCall, n, dup)
 		}
 	}
 	arrive := done + n.Params.Latency + extra

@@ -116,9 +116,6 @@ func (s *Stack) Scheduler() *simtime.Scheduler { return s.sched }
 // ingress and egress is silently discarded.
 func (s *Stack) SetDown(down bool) { s.down = down }
 
-// IsDown reports whether the stack has been marked dead.
-func (s *Stack) IsDown() bool { return s.down }
-
 // Jiffies returns this node's current jiffies counter, the clock TCP
 // timestamps are taken from.
 func (s *Stack) Jiffies() uint32 { return simtime.Jiffies(s.sched.Now(), s.BootJiffies) }
@@ -348,6 +345,3 @@ func (s *Stack) LookupEstablished(t FourTuple) *TCPSocket { return s.ehash.get(t
 
 // LookupBound finds a listening socket in the bhash table.
 func (s *Stack) LookupBound(port uint16) *TCPSocket { return s.bhash.get(port) }
-
-// LookupUDP finds a bound UDP socket.
-func (s *Stack) LookupUDP(port uint16) *UDPSocket { return s.udph.get(port) }

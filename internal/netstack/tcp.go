@@ -200,9 +200,9 @@ type TCPSocket struct {
 
 	dst *netsim.DstEntry
 
-	// Listener state.
-	acceptQueue []*TCPSocket
-	OnAccept    func(child *TCPSocket)
+	// OnAccept (listeners) receives each fully established child; a
+	// listener keeps no reference to its children.
+	OnAccept func(child *TCPSocket)
 
 	// OnReadable fires when data (or EOF) becomes available.
 	OnReadable func()
@@ -397,17 +397,6 @@ func (sk *TCPSocket) Discard() int {
 // EOF reports whether the peer closed its direction.
 func (sk *TCPSocket) EOF() bool { return sk.eof }
 
-// Accept pops a fully established child connection from the listener's
-// accept queue; nil when empty.
-func (sk *TCPSocket) Accept() *TCPSocket {
-	if len(sk.acceptQueue) == 0 {
-		return nil
-	}
-	c := sk.acceptQueue[0]
-	sk.acceptQueue = sk.acceptQueue[1:]
-	return c
-}
-
 // Close starts an orderly shutdown (FIN). A migrated-away (unhashed)
 // socket is disabled: closing it tears down local state without touching
 // the network — the connection now lives on the destination node.
@@ -558,7 +547,6 @@ func (sk *TCPSocket) segArrived(p *netsim.Packet) {
 			sk.State = TCPEstablished
 			sk.stopRetransTimer()
 			if parent := sk.stack.bhash.get(sk.LocalPort); parent != nil && parent.State == TCPListen {
-				parent.acceptQueue = append(parent.acceptQueue, sk)
 				if parent.OnAccept != nil {
 					parent.OnAccept(sk)
 				}

@@ -95,18 +95,15 @@ func (ts *TimeSeries) Points() ([]simtime.Time, []float64) {
 // order. Because the sampler walks name-sorted snapshots and metric
 // sets are state-driven, the order is deterministic.
 type SeriesStore struct {
-	// Max bounds each series' retained points (default 512).
+	// Max bounds each series' retained points.
 	Max    int
 	order  []string
 	byName map[string]*TimeSeries
 }
 
 // NewSeriesStore creates an empty store whose series each retain up to
-// maxSamples points (≤0 selects the default 512).
+// maxSamples points.
 func NewSeriesStore(maxSamples int) *SeriesStore {
-	if maxSamples <= 0 {
-		maxSamples = 512
-	}
 	return &SeriesStore{Max: maxSamples, byName: make(map[string]*TimeSeries)}
 }
 
@@ -180,15 +177,18 @@ type Sampler struct {
 	windows int
 }
 
+// sampleRing bounds each sampled series' ring.
+const sampleRing = 512
+
 // NewSampler creates a stopped sampler on the scheduler's clock. reg
 // may be nil (audit-only sampling: hooks still fire with empty
-// snapshots). maxSamples bounds each series' ring (≤0 → 512). The
-// period must be positive.
-func NewSampler(sched *simtime.Scheduler, reg *Registry, period simtime.Duration, maxSamples int) *Sampler {
+// snapshots). Each series keeps its last sampleRing samples. The period
+// must be positive.
+func NewSampler(sched *simtime.Scheduler, reg *Registry, period simtime.Duration) *Sampler {
 	if period <= 0 {
 		panic("obs: sampler period must be positive")
 	}
-	s := &Sampler{Period: period, sched: sched, reg: reg, store: NewSeriesStore(maxSamples)}
+	s := &Sampler{Period: period, sched: sched, reg: reg, store: NewSeriesStore(sampleRing)}
 	s.ticker = simtime.NewTicker(sched, period, "obs.sample", func() { s.emit(sched.Now()) })
 	return s
 }

@@ -69,7 +69,7 @@ func TestSamplerAlignedWindows(t *testing.T) {
 	var windows []SampleWindow
 
 	sched.RunFor(150 * simtime.Duration(time.Millisecond)) // start off-grid
-	s := NewSampler(sched, reg, 100*simtime.Duration(time.Millisecond), 0)
+	s := NewSampler(sched, reg, 100*simtime.Duration(time.Millisecond))
 	s.OnSample(func(w SampleWindow) { windows = append(windows, w) })
 	s.Harvest = func(r *Registry) { n.Add(1) }
 	s.Start()
@@ -112,7 +112,7 @@ func TestSamplerAlignedWindows(t *testing.T) {
 func TestSamplerFlushClosesPartialWindow(t *testing.T) {
 	sched := simtime.NewScheduler()
 	reg := NewRegistry()
-	s := NewSampler(sched, reg, simtime.Duration(time.Second), 0)
+	s := NewSampler(sched, reg, simtime.Duration(time.Second))
 	var last SampleWindow
 	s.OnSample(func(w SampleWindow) { last = w })
 	s.Start()
@@ -139,7 +139,7 @@ func TestSamplerHistSeries(t *testing.T) {
 	sched := simtime.NewScheduler()
 	reg := NewRegistry()
 	h := reg.Histogram("lat", []float64{10, 100, 1000})
-	s := NewSampler(sched, reg, simtime.Duration(time.Second), 0)
+	s := NewSampler(sched, reg, simtime.Duration(time.Second))
 	s.Start()
 	h.Observe(50)
 	h.Observe(60)
@@ -168,7 +168,7 @@ func TestSeriesJSONRoundTrip(t *testing.T) {
 	sched := simtime.NewScheduler()
 	o := New(sched)
 	c := o.Metrics.Counter("reqs")
-	s := NewSampler(sched, o.Metrics, simtime.Duration(time.Second), 0)
+	s := NewSampler(sched, o.Metrics, simtime.Duration(time.Second))
 	o.Sampler = s
 	s.Start()
 	c.Add(3)

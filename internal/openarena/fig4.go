@@ -77,11 +77,11 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 	// Players join staggered across one frame so their command traffic is
 	// spread in time, as real clients' would be.
 	clients := make([]*Client, 0, cfg.Clients)
-	stagger := cfg.Server.FramePeriod / simtime.Duration(cfg.Clients)
+	stagger := FramePeriod / simtime.Duration(cfg.Clients)
 	for i := 0; i < cfg.Clients; i++ {
 		at := simtime.Duration(i) * stagger
 		sched.At(at, "fig4.join", func() {
-			c, err := NewClient(host, cluster.ClusterIP, cfg.Server.FramePeriod)
+			c, err := NewClient(host, cluster.ClusterIP)
 			if err != nil {
 				panic(err) // cannot happen: host has a default route
 			}

@@ -24,11 +24,12 @@ const (
 	SnapshotBytes = 256
 )
 
+// FramePeriod is the server frame time: 20 updates per second is the
+// engine default (§VI-B).
+const FramePeriod simtime.Duration = 50 * 1e6
+
 // ServerConfig shapes the game server.
 type ServerConfig struct {
-	// FramePeriod is the server frame time: 20 updates per second is the
-	// engine default (§VI-B).
-	FramePeriod simtime.Duration
 	// MemPages is the server's address space; DirtyPerFrame pages are
 	// written each frame (entity state churn), which determines how much
 	// memory the final freeze round must move.
@@ -41,7 +42,6 @@ type ServerConfig struct {
 // working set with ~1.6 MB touched per frame.
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig{
-		FramePeriod:   50 * 1e6,
 		MemPages:      8192,
 		DirtyPerFrame: 400,
 		CPUDemand:     0.6,
@@ -152,7 +152,7 @@ func StartServer(n *proc.Node, cfg ServerConfig) (*Server, error) {
 		}
 	}
 	s.Proc = p
-	n.StartLoop(p, cfg.FramePeriod)
+	n.StartLoop(p, FramePeriod)
 	return s, nil
 }
 
@@ -171,7 +171,7 @@ type Client struct {
 
 // NewClient creates a player on the external stack and starts its
 // command loop toward the cluster address.
-func NewClient(st *netstack.Stack, cluster netsim.Addr, period simtime.Duration) (*Client, error) {
+func NewClient(st *netstack.Stack, cluster netsim.Addr) (*Client, error) {
 	c := &Client{}
 	src, err := st.SourceAddrFor(cluster)
 	if err != nil {
@@ -193,7 +193,7 @@ func NewClient(st *netstack.Stack, cluster netsim.Addr, period simtime.Duration)
 			}
 		}
 	}
-	c.ticker = simtime.NewTicker(st.Scheduler(), period, "oa.client", func() {
+	c.ticker = simtime.NewTicker(st.Scheduler(), FramePeriod, "oa.client", func() {
 		c.Seq++
 		cmd := make([]byte, UsercmdBytes)
 		binary.BigEndian.PutUint32(cmd, c.Seq)
@@ -205,12 +205,3 @@ func NewClient(st *netstack.Stack, cluster netsim.Addr, period simtime.Duration)
 
 // Stop halts the client's command loop.
 func (c *Client) Stop() { c.ticker.Stop() }
-
-// Loss returns how many snapshots the client missed, judged by frame
-// numbering (frames broadcast while the client was connected).
-func (c *Client) Loss(framesSinceJoin uint64) int {
-	if uint64(c.Received) >= framesSinceJoin {
-		return 0
-	}
-	return int(framesSinceJoin - c.Received)
-}

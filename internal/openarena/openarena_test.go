@@ -22,7 +22,7 @@ func TestServerSnapshotCadence(t *testing.T) {
 	host := c.NewExternalHost("players")
 	var clients []*Client
 	for i := 0; i < 4; i++ {
-		cl, err := NewClient(host, c.ClusterIP, cfg.FramePeriod)
+		cl, err := NewClient(host, c.ClusterIP)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,13 +59,13 @@ func TestServerRegistersClientsDynamically(t *testing.T) {
 	}
 	_ = srv
 	host := c.NewExternalHost("players")
-	cl1, _ := NewClient(host, c.ClusterIP, cfg.FramePeriod)
+	cl1, _ := NewClient(host, c.ClusterIP)
 	sched.RunUntil(time.Second)
 	mid := cl1.Received
 	if mid == 0 {
 		t.Fatal("first client got nothing")
 	}
-	cl2, _ := NewClient(host, c.ClusterIP, cfg.FramePeriod)
+	cl2, _ := NewClient(host, c.ClusterIP)
 	sched.RunUntil(2 * time.Second)
 	if cl2.Received == 0 {
 		t.Fatal("late joiner got nothing")

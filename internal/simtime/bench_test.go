@@ -137,7 +137,7 @@ func BenchmarkSameInstantBurst(b *testing.B) {
 		next = 0
 		at := s.Now() + time.Millisecond
 		for j := range ids {
-			s.AtCall(at, "burst", fire, nil, &ids[j])
+			s.AtCallLane(nil, at, "burst", fire, nil, &ids[j])
 		}
 		s.Run()
 		if next != len(ids) {

@@ -68,10 +68,6 @@ type Event struct {
 // Canceled reports whether the event has been canceled.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// When returns the virtual time at which the event fires (or would have
-// fired if canceled).
-func (e *Event) When() Time { return e.when }
-
 // Lane is a FIFO of events whose (when, seq) never decreases: a
 // producer that arms in time order (a NIC's deliveries, the tickers of
 // one period) queues through it. Only the lane's head holds a heap slot;
@@ -324,32 +320,26 @@ func (s *Scheduler) After(d Duration, name string, fn func()) *Event {
 // callFunc runs At's closure, which rides in arg0.
 func callFunc(a0, _ any) { a0.(func())() }
 
-// AtCall schedules fn(a0, a1) at absolute virtual time t. Unlike At it
-// takes a plain function plus its arguments, stored inline in the pooled
-// Event, so hot paths (per-packet delivery, per-segment retransmission
-// timers) schedule without allocating a closure. Pointer-shaped arguments
-// convert to `any` without boxing, keeping the call alloc-free.
-func (s *Scheduler) AtCall(t Time, name string, fn func(a0, a1 any), a0, a1 any) *Event {
-	e := s.arm(nil, t, name)
-	e.fn, e.arg0, e.arg1 = fn, a0, a1
-	return e
-}
-
-// AtCallLane is AtCall through lane l (see Lane): the fire order is
-// the same as AtCall's, and the queue work is O(1) when t is no earlier
-// than the last event l holds.
+// AtCallLane schedules fn(a0, a1) at absolute virtual time t. Unlike At
+// it takes a plain function plus its arguments, stored inline in the
+// pooled Event, so hot paths (per-packet delivery, per-segment
+// retransmission timers) schedule without allocating a closure.
+// Pointer-shaped arguments convert to `any` without boxing, keeping the
+// call alloc-free. A nil lane queues the event on the heap; through a
+// lane l (see Lane) the fire order is the same, and the queue work is
+// O(1) when t is no earlier than the last event l holds.
 func (s *Scheduler) AtCallLane(l *Lane, t Time, name string, fn func(a0, a1 any), a0, a1 any) *Event {
 	e := s.arm(l, t, name)
 	e.fn, e.arg0, e.arg1 = fn, a0, a1
 	return e
 }
 
-// AfterCall schedules fn(a0, a1) to run d from now (see AtCall).
+// AfterCall schedules fn(a0, a1) to run d from now (see AtCallLane).
 func (s *Scheduler) AfterCall(d Duration, name string, fn func(a0, a1 any), a0, a1 any) *Event {
 	if d < 0 {
 		d = 0
 	}
-	return s.AtCall(s.now+d, name, fn, a0, a1)
+	return s.AtCallLane(nil, s.now+d, name, fn, a0, a1)
 }
 
 // Cancel removes the event from the queue immediately (O(log n)) and
@@ -483,19 +473,23 @@ func NewTicker(s *Scheduler, period Duration, name string, fn func()) *Ticker {
 	return &Ticker{s: s, period: period, fn: fn, name: name}
 }
 
-// Start arms the ticker. Starting a running ticker is a no-op.
-func (t *Ticker) Start() {
+// Start arms the ticker one period from now. Starting a running ticker
+// is a no-op.
+func (t *Ticker) Start() { t.start(t.s.now + t.period) }
+
+// start arms a stopped ticker's first tick at first.
+func (t *Ticker) start(first Time) {
 	if t.running {
 		return
 	}
 	t.stop = false
 	t.running = true
 	t.lane = t.s.tickLane(t.period, &t.host)
-	t.arm()
+	t.arm(first)
 }
 
-func (t *Ticker) arm() {
-	t.ev = t.s.AtCallLane(t.lane, t.s.now+t.period, t.name, tickerCall, t, nil)
+func (t *Ticker) arm(at Time) {
+	t.ev = t.s.AtCallLane(t.lane, at, t.name, tickerCall, t, nil)
 }
 
 // tickLane returns the lane shared by the tickers of one period; the
@@ -519,16 +513,7 @@ func (s *Scheduler) tickLane(period Duration, host *Lane) *Lane {
 // on the period — never on construction order — which is what keeps
 // time-series artifacts byte-identical across harness variations.
 // Starting a running ticker is a no-op.
-func (t *Ticker) StartAligned() {
-	if t.running {
-		return
-	}
-	t.stop = false
-	t.running = true
-	t.lane = t.s.tickLane(t.period, &t.host)
-	next := (t.s.Now()/t.period + 1) * t.period
-	t.ev = t.s.AtCallLane(t.lane, next, t.name, tickerCall, t, nil)
-}
+func (t *Ticker) StartAligned() { t.start((t.s.now/t.period + 1) * t.period) }
 
 // tickerCall is the closure-free tick trampoline: a ticker re-arms once
 // per period for the whole simulation, so the per-tick schedule must not
@@ -542,7 +527,7 @@ func tickerCall(a0, _ any) {
 	}
 	t.fn()
 	if !t.stop {
-		t.arm()
+		t.arm(t.s.now + t.period)
 	} else {
 		t.running = false
 	}

@@ -384,7 +384,7 @@ func TestLaneLeakListedByName(t *testing.T) {
 	s := NewScheduler()
 	var l Lane
 	nop := func(_, _ any) {}
-	s.AtCall(time.Millisecond, "plain", nop, nil, nil)
+	s.AtCallLane(nil, time.Millisecond, "plain", nop, nil, nil)
 	s.AtCallLane(&l, 10*time.Millisecond, "lane.head", nop, nil, nil)
 	s.AtCallLane(&l, 20*time.Millisecond, "lane.leak", nop, nil, nil)
 	s.RunFor(5 * time.Millisecond)

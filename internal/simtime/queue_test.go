@@ -182,7 +182,7 @@ type realQueue struct {
 
 func (q *realQueue) at(t Time, name string, call bool, fn func()) any {
 	if call {
-		return q.s.AtCall(t, name, func(a0, _ any) { a0.(func())() }, fn, nil)
+		return q.s.AtCallLane(nil, t, name, func(a0, _ any) { a0.(func())() }, fn, nil)
 	}
 	if t == q.s.Now() {
 		return q.s.After(0, name, fn)
@@ -407,7 +407,7 @@ func runOpsProgram(program []byte, cov *opsCoverage) error {
 		switch op {
 		case 0: // At, a handful of distinct instants so many events tie
 			both(func(sd *opsSide) { sd.schedule(sd.q.now()+near, false, nil) })
-		case 1: // AtCall
+		case 1: // AtCallLane, no lane
 			both(func(sd *opsSide) { sd.schedule(sd.q.now()+near, true, nil) })
 		case 2: // After(0)
 			both(func(sd *opsSide) { sd.schedule(sd.q.now(), false, nil) })

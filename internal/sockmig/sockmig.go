@@ -579,7 +579,6 @@ type RestoreOptions struct {
 	LocalNet     netsim.Addr
 	LocalNetBits int
 	NewLocalIP   netsim.Addr
-	OldLocalIP   netsim.Addr
 }
 
 // InCluster reports whether addr is on the in-cluster network.

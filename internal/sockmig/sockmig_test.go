@@ -256,7 +256,7 @@ func TestIncrementalBeatsFullOnIdleConnections(t *testing.T) {
 
 func TestStoreAccumulatesAndRestores(t *testing.T) {
 	env := newEnv(t, 8)
-	n1, n2 := env.c.Nodes[0], env.c.Nodes[1]
+	n2 := env.c.Nodes[1]
 	// Generate state: client 3 sends data that stays unread in the queue.
 	env.clients[3].Send([]byte("queued-data"))
 	env.c.Sched.RunFor(100 * time.Millisecond)
@@ -289,7 +289,7 @@ func TestStoreAccumulatesAndRestores(t *testing.T) {
 	// Restore on node2 into a fresh process.
 	q := n2.Spawn("zone", 1)
 	opt := RestoreOptions{LocalNet: proc.LocalNet, LocalNetBits: 24,
-		NewLocalIP: n2.LocalIP, OldLocalIP: n1.LocalIP}
+		NewLocalIP: n2.LocalIP}
 	tcpOut, _, err := store.RestoreAll(n2.Stack, q, opt)
 	if err != nil {
 		t.Fatal(err)
