@@ -75,12 +75,6 @@ type (
 	ConductorConfig = lb.Config
 )
 
-// Conductor modes.
-const (
-	ModeBalance     = lb.ModeBalance
-	ModeConsolidate = lb.ModeConsolidate
-)
-
 // NewScheduler creates the virtual clock a simulation runs on.
 func NewScheduler() *Scheduler { return simtime.NewScheduler() }
 

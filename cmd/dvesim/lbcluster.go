@@ -12,13 +12,12 @@ import (
 
 // lbcluster is an interactive-scale demo of the decentralized
 // middleware: it builds a cluster, spawns unevenly sized worker
-// processes, lets the conductors balance (or consolidate) them, and
-// prints the per-node load every few simulated seconds.
+// processes, lets the conductors balance them, and prints the per-node
+// load every few simulated seconds.
 func lbcluster(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("lbcluster", stderr)
 	nodes := fs.Int("nodes", 5, "cluster size")
 	procs := fs.Int("procs", 12, "worker processes, all spawned on node1")
-	mode := fs.String("mode", "balance", "balance|consolidate")
 	duration := fs.Int("duration", 120, "simulated seconds")
 	fs.Parse(args)
 
@@ -26,14 +25,6 @@ func lbcluster(args []string, stdout, stderr io.Writer) int {
 	cluster := proc.NewCluster(sched, *nodes)
 	cfg := lb.DefaultConfig()
 	cfg.CalmDown = 5e9
-	switch *mode {
-	case "balance":
-		cfg.Mode = lb.ModeBalance
-	case "consolidate":
-		cfg.Mode = lb.ModeConsolidate
-	default:
-		return die(fs, 2, fmt.Errorf("unknown mode %q", *mode))
-	}
 
 	var conductors []*lb.Conductor
 	for _, n := range cluster.Nodes {

@@ -9,7 +9,7 @@
 //	dvesim migbench [-conns 16,32,...] [-what freeze|bytes|all] ... # Fig 5b/5c
 //	dvesim soak [-requests 500] [-seeds 1,2] [-scenario lossy] ...  # control-plane soak
 //	dvesim oabench [-clients 24] [-plot]                            # Fig 4
-//	dvesim lbcluster [-nodes 5] [-procs 12] [-mode balance|consolidate]
+//	dvesim lbcluster [-nodes 5] [-procs 12]
 package main
 
 import (

@@ -19,6 +19,9 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"migbench", "-conns", "16", "-repeats", "1", "-what", "freze"}, "-what"},
 		{[]string{"migbench", "-conns", "16,0"}, "-conns"},
 		{[]string{"soak", "-seeds", "1,x"}, "-seeds"},
+		{[]string{"soak", "-scenario", "healthy", "-seeds", "1", "-requests", "0"}, "-requests"},
+		{[]string{"soak", "-scenario", "healthy", "-seeds", "1", "-procs", "-1"}, "-procs"},
+		{[]string{"soak", "-scenario", "healthy", "-seeds", "1", "-inflight", "0"}, "-inflight"},
 	}
 	for _, tc := range cases {
 		var out, errOut bytes.Buffer

@@ -34,6 +34,14 @@ func soak(args []string, stdout, stderr io.Writer) int {
 	art := obs.NewArtifacts(fs, true)
 	prof := simprof.NewSession(fs)
 	fs.Parse(args)
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"requests", cfg.Requests}, {"procs", cfg.Procs}, {"inflight", cfg.Inflight}} {
+		if f.n <= 0 {
+			return die(fs, 2, fmt.Errorf("-%s must be positive, got %d", f.name, f.n))
+		}
+	}
 	if err := prof.Open(); err != nil {
 		return die(fs, 2, err)
 	}

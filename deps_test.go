@@ -20,7 +20,9 @@ import (
 //
 // The layers: simtime ← netsim ← netstack ← proc ← {ckpt, sockmig,
 // capture, xlat} ← migration ← {lb, faults} ← ctlplane ← dve ← eval.
-// flight, simprof and epoch are leaves that import nothing. Two edges
+// flight, simprof and epoch are leaves that import nothing, and so is
+// wire, the one frame reader every layer that decodes bytes off the
+// network (netstack, ckpt, xlat, migration, lb, ctlplane) reads through. Two edges
 // are looser than that sketch, recorded and not fixed: obs reaches up to
 // netsim, netstack and proc (harvest.go scrapes their counters, which
 // is what keeps those layers obs-free), and faults imports migration
@@ -29,24 +31,25 @@ var internalDeps = map[string][]string{
 	"flight":  {},
 	"simprof": {},
 	"epoch":   {},
+	"wire":    {},
 	"simtime": {"flight", "simprof"},
 
 	"netsim":   {"simtime"},
-	"netstack": {"flight", "netsim", "simtime"},
+	"netstack": {"flight", "netsim", "simtime", "wire"},
 	"proc":     {"flight", "netsim", "netstack", "simtime"},
 	"obs":      {"netsim", "netstack", "proc", "simtime"},
 	"trace":    {"netsim", "simtime"},
 
-	"ckpt":    {"netstack", "proc", "simtime"},
-	"sockmig": {"netsim", "netstack", "proc"},
+	"ckpt":    {"netstack", "proc", "simtime", "wire"},
+	"sockmig": {"netsim", "netstack", "proc", "wire"},
 	"capture": {"netsim", "netstack"},
-	"xlat":    {"netsim", "netstack", "simtime"},
+	"xlat":    {"netsim", "netstack", "simtime", "wire"},
 
-	"migration": {"capture", "ckpt", "epoch", "netsim", "netstack", "obs", "proc", "simprof", "simtime", "sockmig", "xlat"},
+	"migration": {"capture", "ckpt", "epoch", "netsim", "netstack", "obs", "proc", "simprof", "simtime", "sockmig", "wire", "xlat"},
 
-	"lb":       {"migration", "netsim", "netstack", "obs", "proc", "simtime"},
+	"lb":       {"migration", "netsim", "netstack", "obs", "proc", "simtime", "wire"},
 	"faults":   {"migration", "netsim", "obs", "proc", "simtime"},
-	"ctlplane": {"epoch", "lb", "migration", "netsim", "netstack", "obs", "proc", "simtime"},
+	"ctlplane": {"epoch", "lb", "migration", "netsim", "netstack", "obs", "proc", "simtime", "wire"},
 
 	"openarena": {"migration", "netsim", "netstack", "proc", "simtime", "trace"},
 	"dve":       {"flight", "lb", "migration", "netsim", "netstack", "obs", "proc", "simtime", "trace", "xlat"},

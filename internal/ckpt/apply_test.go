@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -333,65 +334,41 @@ func TestApplyEncodedRejectsDamagedPayloads(t *testing.T) {
 // promise far more than the payload holds are refused before anything
 // is allocated on their say-so.
 func TestApplyEncodedBoundsHostileClaims(t *testing.T) {
-	var w wbuf
-	hdr := func(npages uint32) {
-		w.b = w.b[:0]
-		w.u32(1) // round
-		w.u32(1) // one new region
-		w.u64(0x10000)
-		w.u64(0x10000 + 4*proc.PageSize)
-		w.str("rw-")
-		w.u32(0)
-		w.u32(0)
-		w.u32(npages)
+	be := binary.BigEndian
+	// hdr is a delta of one new region whose page count is npages, then
+	// the first page entry's address, tag and claimed length.
+	hdr := func(npages uint32, tag byte, n uint32) []byte {
+		b := be.AppendUint32(nil, 1) // round
+		b = be.AppendUint32(b, 1)    // one new region
+		b = be.AppendUint64(b, 0x10000)
+		b = be.AppendUint64(b, 0x10000+4*proc.PageSize)
+		b = append(be.AppendUint32(b, 3), "rw-"...)
+		b = be.AppendUint32(b, 0)
+		b = be.AppendUint32(b, 0)
+		b = be.AppendUint32(b, npages)
+		b = be.AppendUint64(b, 0x10000)
+		b = be.AppendUint64(b, 0)
+		return be.AppendUint32(append(b, tag), n)
 	}
-	cases := map[string]func(){
-		"page count beyond the payload": func() { hdr(1 << 30) },
-		"zero page of 2 GiB":            func() { hdr(1); w.u64(0x10000); w.u64(0); w.u8(pageEncZero); w.u32(1 << 31) },
-		"sparse page of 2 MiB": func() {
-			hdr(1)
-			w.u64(0x10000)
-			w.u64(0)
-			w.u8(pageEncSparse)
-			w.u32(2 << 20)
-			w.u16(0)
-		},
-		"raw length beyond the payload": func() {
-			hdr(1)
-			w.u64(0x10000)
-			w.u64(0)
-			w.u8(pageEncRaw)
-			w.u32(proc.PageSize)
-			w.u8(1)
-		},
-		"segment beyond the page": func() {
-			hdr(1)
-			w.u64(0x10000)
-			w.u64(0)
-			w.u8(pageEncSparse)
-			w.u32(proc.PageSize)
-			w.u16(1)
-			w.u16(proc.PageSize - 1)
-			w.u16(2)
-			w.b = append(w.b, 1, 2)
-		},
-		"segment bytes beyond the payload": func() {
-			hdr(1)
-			w.u64(0x10000)
-			w.u64(0)
-			w.u8(pageEncSparse)
-			w.u32(proc.PageSize)
-			w.u16(1)
-			w.u16(0)
-			w.u16(100)
-			w.b = append(w.b, 1)
-		},
-		"unknown tag": func() { hdr(1); w.u64(0x10000); w.u64(0); w.u8(9); w.u32(0) },
+	u16s := func(b []byte, vs ...uint16) []byte {
+		for _, v := range vs {
+			b = be.AppendUint16(b, v)
+		}
+		return b
 	}
-	for name, build := range cases {
-		build()
+	cases := map[string][]byte{
+		"page count beyond the payload": hdr(1<<30, pageEncZero, 0)[:43],
+		"zero page of 2 GiB":            hdr(1, pageEncZero, 1<<31),
+		"sparse page of 2 MiB":          u16s(hdr(1, pageEncSparse, 2<<20), 0),
+		"raw length beyond the payload": append(hdr(1, pageEncRaw, proc.PageSize), 1),
+		// one segment: offset, length, bytes
+		"segment beyond the page":          append(u16s(hdr(1, pageEncSparse, proc.PageSize), 1, proc.PageSize-1, 2), 1, 2),
+		"segment bytes beyond the payload": append(u16s(hdr(1, pageEncSparse, proc.PageSize), 1, 0, 100), 1),
+		"unknown tag":                      hdr(1, 9, 0),
+	}
+	for name, payload := range cases {
 		as := proc.NewAddressSpace()
-		if err := ApplyEncodedDelta(as, w.b); err == nil {
+		if err := ApplyEncodedDelta(as, payload); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 		if len(as.VMAs()) != 0 {
@@ -529,12 +506,10 @@ func TestPageDirRejectsIndexPastRegion(t *testing.T) {
 	}
 	// A count that promises more coordinates than the payload could hold
 	// is refused without allocating on its say-so.
-	var w wbuf
-	w.u32(0)
-	w.u32(1 << 24)
+	payload := binary.BigEndian.AppendUint32(make([]byte, 4), 1<<24)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := DecodePageDir(w.b); err == nil {
+	if _, err := DecodePageDir(payload); err == nil {
 		t.Fatal("a directory of 2^24 coordinates in 8 bytes decoded")
 	}
 	runtime.ReadMemStats(&after)

@@ -70,13 +70,12 @@ func BenchmarkEncodePage(b *testing.B) {
 		b.Run(s.name, func(b *testing.B) {
 			page := make([]byte, proc.PageSize)
 			s.fill(page)
-			w := wbuf{b: make([]byte, 0, 2*proc.PageSize)}
+			buf := make([]byte, 0, 2*proc.PageSize)
 			b.SetBytes(proc.PageSize)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w.b = w.b[:0]
-				encodePage(&w, page, len(page))
+				buf = encodePage(buf[:0], page, len(page))
 			}
 		})
 	}

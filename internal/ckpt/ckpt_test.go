@@ -376,61 +376,3 @@ func TestDecodeMemDeltaCorrupt(t *testing.T) {
 		t.Fatal("corrupt delta accepted")
 	}
 }
-
-func TestContextFileRoundTrip(t *testing.T) {
-	c := newTestCluster(2)
-	p := buildProcess(c)
-	img := Checkpoint(p)
-	var buf bytes.Buffer
-	if err := WriteImage(&buf, img); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadImage(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	img.Behavior = nil
-	if !reflect.DeepEqual(img, got) {
-		t.Fatal("context file roundtrip mismatch")
-	}
-	// And the restored image actually restarts.
-	if _, err := Restore(c.Nodes[1], got); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestContextFileCorruptionDetected(t *testing.T) {
-	c := newTestCluster(1)
-	img := Checkpoint(buildProcess(c))
-	var buf bytes.Buffer
-	if err := WriteImage(&buf, img); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	// Flipped body byte → checksum error.
-	bad := append([]byte(nil), data...)
-	bad[40] ^= 0xFF
-	if _, err := ReadImage(bytes.NewReader(bad)); err == nil {
-		t.Fatal("corrupted body accepted")
-	}
-	// Bad magic.
-	bad2 := append([]byte(nil), data...)
-	bad2[0] = 0
-	if _, err := ReadImage(bytes.NewReader(bad2)); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	// Unsupported version.
-	bad3 := append([]byte(nil), data...)
-	bad3[7] = 99
-	if _, err := ReadImage(bytes.NewReader(bad3)); err == nil {
-		t.Fatal("bad version accepted")
-	}
-	// Truncated file.
-	if _, err := ReadImage(bytes.NewReader(data[:len(data)/2])); err == nil {
-		t.Fatal("truncated file accepted")
-	}
-	if _, err := ReadImage(bytes.NewReader(data[:8])); err == nil {
-		t.Fatal("truncated header accepted")
-	}
-}

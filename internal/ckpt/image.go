@@ -20,6 +20,7 @@ import (
 	"dvemig/internal/netstack"
 	"dvemig/internal/proc"
 	"dvemig/internal/simtime"
+	"dvemig/internal/wire"
 )
 
 // ThreadImage is the per-thread execution context transferred in the
@@ -84,139 +85,91 @@ type Behavior struct {
 
 // --- binary encoding (size-faithful wire format) -------------------------
 
-type wbuf struct{ b []byte }
-
-func (w *wbuf) u8(v byte)    { w.b = append(w.b, v) }
-func (w *wbuf) u16(v uint16) { w.b = binary.BigEndian.AppendUint16(w.b, v) }
-func (w *wbuf) u32(v uint32) { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *wbuf) u64(v uint64) { w.b = binary.BigEndian.AppendUint64(w.b, v) }
-func (w *wbuf) str(s string) { w.bytes([]byte(s)) }
-func (w *wbuf) bytes(v []byte) {
-	w.u32(uint32(len(v)))
-	w.b = append(w.b, v...)
+// appendSpan appends v behind its u32 length, and appendStr s.
+func appendSpan(b, v []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(v)))
+	return append(b, v...)
 }
 
-type rbuf struct {
-	b   []byte
-	off int
-	err error
+func appendStr(b []byte, s string) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
 }
 
-func (r *rbuf) fail() {
-	if r.err == nil {
-		r.err = errors.New("ckpt: truncated image")
-	}
+func appendVMA(b []byte, v VMARange) []byte {
+	b = binary.BigEndian.AppendUint64(b, v.Start)
+	b = binary.BigEndian.AppendUint64(b, v.End)
+	return appendStr(b, v.Perms)
 }
-func (r *rbuf) u8() byte {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-func (r *rbuf) u16() uint16 {
-	if r.err != nil || r.off+2 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v
-}
-func (r *rbuf) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-func (r *rbuf) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-func (r *rbuf) bytes() []byte {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	v := append([]byte(nil), r.b[r.off:r.off+n]...)
-	r.off += n
-	return v
-}
-func (r *rbuf) str() string { return string(r.bytes()) }
 
-func encodeThread(w *wbuf, t ThreadImage) {
-	w.u32(uint32(t.TID))
-	w.u64(t.Regs.PC)
-	w.u64(t.Regs.SP)
+func readVMA(r *wire.Reader) VMARange {
+	return VMARange{Start: r.U64(), End: r.U64(), Perms: string(r.Span())}
+}
+
+func appendThread(b []byte, t ThreadImage) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(t.TID))
+	b = binary.BigEndian.AppendUint64(b, t.Regs.PC)
+	b = binary.BigEndian.AppendUint64(b, t.Regs.SP)
 	for _, g := range t.Regs.GPR {
-		w.u64(g)
+		b = binary.BigEndian.AppendUint64(b, g)
 	}
+	return b
 }
 
-func decodeThread(r *rbuf) ThreadImage {
+func readThread(r *wire.Reader) ThreadImage {
 	var t ThreadImage
-	t.TID = int(r.u32())
-	t.Regs.PC = r.u64()
-	t.Regs.SP = r.u64()
+	t.TID = int(r.U32())
+	t.Regs.PC = r.U64()
+	t.Regs.SP = r.U64()
 	for i := range t.Regs.GPR {
-		t.Regs.GPR[i] = r.u64()
+		t.Regs.GPR[i] = r.U64()
 	}
 	return t
 }
 
-func encodeFD(w *wbuf, f FDImage) {
-	w.u32(uint32(f.FD))
-	w.str(f.Kind)
+func appendFD(b []byte, f FDImage) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(f.FD))
+	b = appendStr(b, f.Kind)
 	switch f.Kind {
 	case "file":
-		w.str(f.Path)
-		w.u64(uint64(f.Offset))
-		w.u32(uint32(f.Flags))
+		b = appendStr(b, f.Path)
+		b = binary.BigEndian.AppendUint64(b, uint64(f.Offset))
+		b = binary.BigEndian.AppendUint32(b, uint32(f.Flags))
 	case "tcp":
-		w.bytes(f.TCP.Encode())
+		b = appendSpan(b, f.TCP.Encode())
 	case "udp":
-		w.bytes(f.UDP.Encode())
+		b = appendSpan(b, f.UDP.Encode())
 	}
+	return b
 }
 
-func decodeFD(r *rbuf) (FDImage, error) {
+func readFD(r *wire.Reader) (FDImage, error) {
 	var f FDImage
-	f.FD = int(r.u32())
-	f.Kind = r.str()
+	f.FD = int(r.U32())
+	f.Kind = string(r.Span())
 	switch f.Kind {
 	case "file":
-		f.Path = r.str()
-		f.Offset = int64(r.u64())
-		f.Flags = int(r.u32())
+		f.Path = string(r.Span())
+		f.Offset = int64(r.U64())
+		f.Flags = int(r.U32())
 	case "tcp":
-		snap, err := netstack.DecodeTCPSnapshot(r.bytes())
+		snap, err := netstack.DecodeTCPSnapshot(r.Span())
 		if err != nil {
 			return f, err
 		}
 		f.TCP = snap
 	case "udp":
-		snap, err := netstack.DecodeUDPSnapshot(r.bytes())
+		snap, err := netstack.DecodeUDPSnapshot(r.Span())
 		if err != nil {
 			return f, err
 		}
 		f.UDP = snap
 	default:
-		if r.err == nil {
+		if r.Err() == nil {
 			return f, fmt.Errorf("ckpt: unknown fd kind %q", f.Kind)
 		}
 	}
-	return f, r.err
+	return f, r.Err()
 }
 
 // Encode serializes the image's transferable state.
@@ -227,88 +180,85 @@ func (img *Image) Encode() []byte { return img.AppendEncode(nil) }
 // encode scratch, and the guardian checkpoint stream passes its own
 // scratch, emptied, so neither grows a buffer from nothing per image.
 func (img *Image) AppendEncode(dst []byte) []byte {
-	w := wbuf{b: dst}
-	w.u32(uint32(img.PID))
-	w.str(img.Name)
-	w.u64(uint64(img.CPUDemand * 1e6))
-	w.u64(uint64(img.LoopPeriod))
-	w.u32(uint32(len(img.HandledSignals)))
+	b := binary.BigEndian.AppendUint32(dst, uint32(img.PID))
+	b = appendStr(b, img.Name)
+	b = binary.BigEndian.AppendUint64(b, uint64(img.CPUDemand*1e6))
+	b = binary.BigEndian.AppendUint64(b, uint64(img.LoopPeriod))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(img.HandledSignals)))
 	for _, s := range img.HandledSignals {
-		w.u32(uint32(s))
+		b = binary.BigEndian.AppendUint32(b, uint32(s))
 	}
-	w.u32(uint32(len(img.Threads)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(img.Threads)))
 	for _, t := range img.Threads {
-		encodeThread(&w, t)
+		b = appendThread(b, t)
 	}
-	w.u32(uint32(len(img.VMAs)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(img.VMAs)))
 	for _, v := range img.VMAs {
-		w.u64(v.Start)
-		w.u64(v.End)
-		w.str(v.Perms)
+		b = appendVMA(b, v)
 	}
-	w.u32(uint32(len(img.Pages)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(img.Pages)))
 	for _, p := range img.Pages {
-		w.u64(p.VMAStart)
-		w.u64(p.Index)
-		encodePage(&w, p.Data, len(p.Data))
+		b = binary.BigEndian.AppendUint64(b, p.VMAStart)
+		b = binary.BigEndian.AppendUint64(b, p.Index)
+		b = encodePage(b, p.Data, len(p.Data))
 	}
-	w.u32(uint32(len(img.FDs)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(img.FDs)))
 	for _, f := range img.FDs {
-		encodeFD(&w, f)
+		b = appendFD(b, f)
 	}
-	return w.b
+	return b
 }
 
 // DecodeImage parses an encoded image. Behavior is nil in the result;
 // the caller re-attaches it (it travels by reference in the simulation).
 func DecodeImage(data []byte) (*Image, error) {
-	r := &rbuf{b: data}
+	r := wire.NewReader(data)
 	img := &Image{}
-	img.PID = int(r.u32())
-	img.Name = r.str()
-	img.CPUDemand = float64(r.u64()) / 1e6
-	img.LoopPeriod = simtime.Duration(r.u64())
-	nh := int(r.u32())
-	if r.err != nil || nh > 1<<16 {
+	img.PID = int(r.U32())
+	img.Name = string(r.Span())
+	img.CPUDemand = float64(r.U64()) / 1e6
+	img.LoopPeriod = simtime.Duration(r.U64())
+	nh := int(r.U32())
+	if r.Err() != nil || nh > 1<<16 {
 		return nil, errors.New("ckpt: corrupt image header")
 	}
 	for i := 0; i < nh; i++ {
-		img.HandledSignals = append(img.HandledSignals, proc.Signal(r.u32()))
+		img.HandledSignals = append(img.HandledSignals, proc.Signal(r.U32()))
 	}
-	nt := int(r.u32())
-	if r.err != nil || nt > 1<<16 {
+	nt := int(r.U32())
+	if r.Err() != nil || nt > 1<<16 {
 		return nil, errors.New("ckpt: corrupt thread count")
 	}
 	for i := 0; i < nt; i++ {
-		img.Threads = append(img.Threads, decodeThread(r))
+		img.Threads = append(img.Threads, readThread(&r))
 	}
-	nv := int(r.u32())
-	if r.err != nil || nv > 1<<20 {
+	nv := int(r.U32())
+	if r.Err() != nil || nv > 1<<20 {
 		return nil, errors.New("ckpt: corrupt vma count")
 	}
 	for i := 0; i < nv; i++ {
-		img.VMAs = append(img.VMAs, VMARange{Start: r.u64(), End: r.u64(), Perms: r.str()})
+		img.VMAs = append(img.VMAs, readVMA(&r))
 	}
-	np := int(r.u32())
-	if r.err != nil || np > 1<<24 {
+	np := int(r.U32())
+	if r.Err() != nil || np > 1<<24 {
 		return nil, errors.New("ckpt: corrupt page count")
 	}
 	for i := 0; i < np; i++ {
-		img.Pages = append(img.Pages, PageImage{VMAStart: r.u64(), Index: r.u64(), Data: decodePageData(r)})
+		img.Pages = append(img.Pages, PageImage{VMAStart: r.U64(), Index: r.U64(), Data: decodePageData(&r)})
 	}
-	nf := int(r.u32())
-	if r.err != nil || nf > 1<<20 {
+	nf := int(r.U32())
+	if r.Err() != nil || nf > 1<<20 {
 		return nil, errors.New("ckpt: corrupt fd count")
 	}
 	for i := 0; i < nf; i++ {
-		f, err := decodeFD(r)
+		f, err := readFD(&r)
 		if err != nil {
 			return nil, err
 		}
 		img.FDs = append(img.FDs, f)
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return img, nil
 }

@@ -1,9 +1,11 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"dvemig/internal/proc"
+	"dvemig/internal/wire"
 )
 
 // PageCoord names one page of an address space: the owning region's
@@ -55,42 +57,39 @@ func (d *PageDir) Encode() []byte { return d.AppendEncode(nil) }
 // AppendEncode appends the directory's encoding to dst (see
 // Image.AppendEncode).
 func (d *PageDir) AppendEncode(dst []byte) []byte {
-	w := wbuf{b: dst}
-	w.u32(uint32(len(d.VMAs)))
+	b := binary.BigEndian.AppendUint32(dst, uint32(len(d.VMAs)))
 	for _, v := range d.VMAs {
-		w.u64(v.Start)
-		w.u64(v.End)
-		w.str(v.Perms)
+		b = appendVMA(b, v)
 	}
 	for _, set := range [][]PageCoord{d.Present, d.Absent} {
-		w.u32(uint32(len(set)))
+		b = binary.BigEndian.AppendUint32(b, uint32(len(set)))
 		for _, c := range set {
-			w.u64(c.VMAStart)
-			w.u64(c.Index)
+			b = binary.BigEndian.AppendUint64(b, c.VMAStart)
+			b = binary.BigEndian.AppendUint64(b, c.Index)
 		}
 	}
-	return w.b
+	return b
 }
 
 // DecodePageDir parses an encoded directory.
 func DecodePageDir(data []byte) (*PageDir, error) {
-	r := &rbuf{b: data}
+	r := wire.NewReader(data)
 	d := &PageDir{}
-	nv := int(r.u32())
-	if r.err != nil || nv > 1<<20 {
+	nv := int(r.U32())
+	if r.Err() != nil || nv > 1<<20 {
 		return nil, fmt.Errorf("ckpt: corrupt page-dir vma count")
 	}
-	for i := 0; i < nv && r.err == nil; i++ {
-		d.VMAs = append(d.VMAs, VMARange{Start: r.u64(), End: r.u64(), Perms: r.str()})
+	for i := 0; i < nv && r.Err() == nil; i++ {
+		d.VMAs = append(d.VMAs, readVMA(&r))
 	}
 	for set := 0; set < 2; set++ {
-		n := int(r.u32())
-		if r.err != nil || n > 1<<24 {
+		n := int(r.U32())
+		if r.Err() != nil || n > 1<<24 {
 			return nil, fmt.Errorf("ckpt: corrupt page-dir coord count")
 		}
-		coords := make([]PageCoord, 0, min(n, (len(data)-r.off)/16)) // no more than the payload can hold
-		for i := 0; i < n && r.err == nil; i++ {
-			coords = append(coords, PageCoord{VMAStart: r.u64(), Index: r.u64()})
+		coords := make([]PageCoord, 0, min(n, len(r.Rest())/16)) // no more than the payload can hold
+		for i := 0; i < n && r.Err() == nil; i++ {
+			coords = append(coords, PageCoord{VMAStart: r.U64(), Index: r.U64()})
 		}
 		if set == 0 {
 			d.Present = coords
@@ -98,8 +97,8 @@ func DecodePageDir(data []byte) (*PageDir, error) {
 			d.Absent = coords
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return d, nil
 }

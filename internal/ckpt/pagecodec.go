@@ -2,7 +2,10 @@ package ckpt
 
 import (
 	"encoding/binary"
+	"errors"
 	"math/bits"
+
+	"dvemig/internal/wire"
 )
 
 // Page-content codec: the per-page encoding the checkpoint pipeline
@@ -116,51 +119,48 @@ func nextSparseRun(data []byte, i int) (start, end int) {
 	}
 }
 
-// encodePage appends the content of one n-byte page in the cheapest
-// representation: data holds the page up to len(data) <= n, and the
-// bytes past it are zero. It reads data once and allocates nothing: the
-// sparse record is written optimistically (its segment count patched at
-// the end) and the buffer is truncated back to emit zero or raw when
-// that turns out cheaper. The sparse scan stops at data's end (the zero
-// tail adds no run, and a run's merge probe finds zeros past data's end
-// either way); a raw record appends the zero tail. Sparse wins only when
-// strictly smaller than raw; a sparse body under maxSparseLen bytes
-// cannot hold 1<<16 segments, so the u16 count never overflows.
-func encodePage(w *wbuf, data []byte, n int) {
-	mark := len(w.b)
-	raw := func() {
-		w.b = w.b[:mark]
-		w.u8(pageEncRaw)
-		w.u32(uint32(n))
-		w.b = append(w.b, data...)
-		w.b = append(w.b, make([]byte, n-len(data))...)
+// encodePage appends the content of one n-byte page to b in the
+// cheapest representation: data holds the page up to len(data) <= n, and
+// the bytes past it are zero. It reads data once and allocates nothing
+// beyond b's growth: the sparse record is written optimistically (its
+// segment count patched at the end) and b is truncated back to emit zero
+// or raw when that turns out cheaper. The sparse scan stops at data's
+// end (the zero tail adds no run, and a run's merge probe finds zeros
+// past data's end either way); a raw record appends the zero tail.
+// Sparse wins only when strictly smaller than raw; a sparse body under
+// maxSparseLen bytes cannot hold 1<<16 segments, so the u16 count never
+// overflows.
+func encodePage(b, data []byte, n int) []byte {
+	mark := len(b)
+	raw := func() []byte {
+		b = append(b[:mark], pageEncRaw)
+		b = binary.BigEndian.AppendUint32(b, uint32(n))
+		b = append(b, data...)
+		return append(b, make([]byte, n-len(data))...)
 	}
 	if n >= maxSparseLen {
-		raw()
-		return
+		return raw()
 	}
-	w.u8(pageEncSparse)
-	w.u32(uint32(n))
-	body := len(w.b) // the sparse size the raw rule compares starts here
-	w.u16(0)
+	b = append(b, pageEncSparse)
+	b = binary.BigEndian.AppendUint32(b, uint32(n))
+	body := len(b) // the sparse size the raw rule compares starts here
+	b = append(b, 0, 0)
 	nseg := 0
 	for s, e := nextSparseRun(data, 0); s >= 0; s, e = nextSparseRun(data, e) {
-		if len(w.b)-body+segHdrBytes+(e-s) >= n {
-			raw()
-			return
+		if len(b)-body+segHdrBytes+(e-s) >= n {
+			return raw()
 		}
 		nseg++
-		w.u16(uint16(s))
-		w.u16(uint16(e - s))
-		w.b = append(w.b, data[s:e]...)
+		b = binary.BigEndian.AppendUint16(b, uint16(s))
+		b = binary.BigEndian.AppendUint16(b, uint16(e-s))
+		b = append(b, data[s:e]...)
 	}
 	if nseg == 0 {
-		w.b = w.b[:mark]
-		w.u8(pageEncZero)
-		w.u32(uint32(n))
-		return
+		b = append(b[:mark], pageEncZero)
+		return binary.BigEndian.AppendUint32(b, uint32(n))
 	}
-	binary.BigEndian.PutUint16(w.b[body:], uint16(nseg))
+	binary.BigEndian.PutUint16(b[body:], uint16(nseg))
+	return b
 }
 
 // maxDecodedPage bounds a decoded page's claimed raw length; real pages
@@ -177,53 +177,45 @@ type pageRec struct {
 	body []byte // raw: the n content bytes; sparse: the segment list
 }
 
+// errCorruptPage is the cause for a page record that is complete but
+// cannot be expanded: an unknown tag, a length past maxDecodedPage, a
+// segment past the page's end.
+var errCorruptPage = errors.New("ckpt: corrupt page record")
+
 // readPageRec parses one encodePage record and checks every bound the
 // expansion relies on — claimed length, segment extents, body within
 // the payload — so expand cannot fail and a caller can validate a whole
 // payload before writing anything.
-func readPageRec(r *rbuf) pageRec {
-	rec := pageRec{tag: r.u8()}
-	rec.n = int(r.u32())
-	if r.err != nil || rec.n < 0 {
-		r.fail()
-		return rec
-	}
+func readPageRec(r *wire.Reader) pageRec {
+	rec := pageRec{tag: r.U8()}
+	rec.n = int(r.U32())
 	switch rec.tag {
 	case pageEncRaw:
-		if r.off+rec.n > len(r.b) {
-			r.fail()
-			return rec
-		}
-		rec.body = r.b[r.off : r.off+rec.n]
+		rec.body = r.Bytes(rec.n)
 		rec.end = rec.n
-		r.off += rec.n
 	case pageEncZero:
 		if rec.n > maxDecodedPage {
-			r.fail()
+			r.Fail(errCorruptPage)
 		}
 	case pageEncSparse:
-		nseg := int(r.u16())
-		if r.err != nil || rec.n > maxDecodedPage {
-			r.fail()
-			return rec
+		nseg := int(r.U16())
+		if rec.n > maxDecodedPage {
+			r.Fail(errCorruptPage)
 		}
-		start := r.off
-		for i := 0; i < nseg; i++ {
-			off := int(r.u16())
-			l := int(r.u16())
-			if r.err != nil {
-				return rec
+		segs, start := r.Rest(), r.Off()
+		for i := 0; i < nseg && r.Err() == nil; i++ {
+			off, l := int(r.U16()), int(r.U16())
+			if off+l > rec.n {
+				r.Fail(errCorruptPage)
 			}
-			if off+l > rec.n || r.off+l > len(r.b) {
-				r.fail()
-				return rec
-			}
+			r.Skip(l)
 			rec.end = max(rec.end, off+l)
-			r.off += l
 		}
-		rec.body = r.b[start:r.off]
+		if r.Err() == nil {
+			rec.body = segs[:r.Off()-start]
+		}
 	default:
-		r.fail()
+		r.Fail(errCorruptPage)
 	}
 	return rec
 }
@@ -251,9 +243,9 @@ func (rec pageRec) expand(dst []byte, zeroed bool) {
 
 // decodePageData parses one encodePage record, returning the full raw
 // page content (freshly allocated — it never aliases the input).
-func decodePageData(r *rbuf) []byte {
+func decodePageData(r *wire.Reader) []byte {
 	rec := readPageRec(r)
-	if r.err != nil {
+	if r.Err() != nil {
 		return nil
 	}
 	out := make([]byte, rec.n)

@@ -2,28 +2,29 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"dvemig/internal/proc"
+	"dvemig/internal/wire"
 )
 
 // rtPage encodes data and decodes it back, asserting byte identity.
 func rtPage(t *testing.T, data []byte) []byte {
 	t.Helper()
-	var w wbuf
-	encodePage(&w, data, len(data))
-	r := &rbuf{b: w.b}
-	out := decodePageData(r)
-	if r.err != nil {
-		t.Fatalf("decode failed: %v (input len %d)", r.err, len(data))
+	enc := encodePage(nil, data, len(data))
+	r := wire.NewReader(enc)
+	out := decodePageData(&r)
+	if r.Err() != nil {
+		t.Fatalf("decode failed: %v (input len %d)", r.Err(), len(data))
 	}
-	if r.off != len(w.b) {
-		t.Fatalf("decoder consumed %d of %d bytes", r.off, len(w.b))
+	if r.Off() != len(enc) {
+		t.Fatalf("decoder consumed %d of %d bytes", r.Off(), len(enc))
 	}
 	if !bytes.Equal(out, data) {
 		t.Fatalf("round trip mismatch: %d bytes in, %d out", len(data), len(out))
 	}
-	return w.b
+	return enc
 }
 
 func TestPageCodecRoundTrip(t *testing.T) {
@@ -81,11 +82,7 @@ func isAllZero(b []byte) bool {
 // pages vanish, near-zero pages shrink two orders of magnitude, and
 // dense pages pay at most the one-byte tag over the raw format.
 func TestPageCodecElision(t *testing.T) {
-	enc := func(data []byte) int {
-		var w wbuf
-		encodePage(&w, data, len(data))
-		return len(w.b)
-	}
+	enc := func(data []byte) int { return len(encodePage(nil, data, len(data))) }
 	zero := make([]byte, 4096)
 	if n := enc(zero); n > 8 {
 		t.Fatalf("zero page: %d bytes, want <=8", n)
@@ -139,18 +136,16 @@ func FuzzPageCodec(f *testing.F) {
 	f.Add([]byte{pageEncSparse, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		sameCodec(t, "fuzz", b)
-		r := &rbuf{b: b}
-		out := decodePageData(r)
-		if r.err != nil {
+		r := wire.NewReader(b)
+		out := decodePageData(&r)
+		if r.Err() != nil {
 			return
 		}
 		// Whatever decoded must survive a canonical round trip.
-		var w wbuf
-		encodePage(&w, out, len(out))
-		r2 := &rbuf{b: w.b}
-		out2 := decodePageData(r2)
-		if r2.err != nil {
-			t.Fatalf("re-decode failed: %v", r2.err)
+		r2 := wire.NewReader(encodePage(nil, out, len(out)))
+		out2 := decodePageData(&r2)
+		if r2.Err() != nil {
+			t.Fatalf("re-decode failed: %v", r2.Err())
 		}
 		if !bytes.Equal(out, out2) {
 			t.Fatal("canonical round trip changed content")
@@ -193,11 +188,14 @@ func refNextSparseRun(data []byte, i int) (start, end int) {
 	return start, end
 }
 
-func refEncodePage(w *wbuf, data []byte) {
+func refEncodePage(b, data []byte) []byte {
+	be := binary.BigEndian
+	raw := func() []byte {
+		b = be.AppendUint32(append(b, pageEncRaw), uint32(len(data)))
+		return append(b, data...)
+	}
 	if len(data) >= maxSparseLen {
-		w.u8(pageEncRaw)
-		w.bytes(data)
-		return
+		return raw()
 	}
 	nseg, sparseSize := 0, 2
 	for s, e := refNextSparseRun(data, 0); s >= 0; s, e = refNextSparseRun(data, e) {
@@ -205,23 +203,19 @@ func refEncodePage(w *wbuf, data []byte) {
 		sparseSize += segHdrBytes + (e - s)
 	}
 	if nseg == 0 {
-		w.u8(pageEncZero)
-		w.u32(uint32(len(data)))
-		return
+		return be.AppendUint32(append(b, pageEncZero), uint32(len(data)))
 	}
 	if nseg >= 1<<16 || sparseSize >= len(data) {
-		w.u8(pageEncRaw)
-		w.bytes(data)
-		return
+		return raw()
 	}
-	w.u8(pageEncSparse)
-	w.u32(uint32(len(data)))
-	w.u16(uint16(nseg))
+	b = be.AppendUint32(append(b, pageEncSparse), uint32(len(data)))
+	b = be.AppendUint16(b, uint16(nseg))
 	for s, e := refNextSparseRun(data, 0); s >= 0; s, e = refNextSparseRun(data, e) {
-		w.u16(uint16(s))
-		w.u16(uint16(e - s))
-		w.b = append(w.b, data[s:e]...)
+		b = be.AppendUint16(b, uint16(s))
+		b = be.AppendUint16(b, uint16(e-s))
+		b = append(b, data[s:e]...)
 	}
+	return b
 }
 
 // sameFirstRun compares the scanner with the reference for one call.
@@ -245,25 +239,22 @@ func sameCodec(t *testing.T, what string, data []byte) {
 	for from := 1; from <= 16 && from <= len(data); from++ {
 		sameFirstRun(t, what, data, from)
 	}
-	var got, want wbuf
-	got.b = append(got.b, "prefix"...) // the encoder appends; it must not disturb what is there
-	want.b = append(want.b, "prefix"...)
-	encodePage(&got, data, len(data))
-	refEncodePage(&want, data)
-	if !bytes.Equal(got.b, want.b) {
+	// The encoder appends; it must not disturb what is there.
+	got := encodePage([]byte("prefix"), data, len(data))
+	want := refEncodePage([]byte("prefix"), data)
+	if !bytes.Equal(got, want) {
 		t.Fatalf("%s: len %d: encoding differs from the reference (%d bytes, tag %d; reference %d bytes, tag %d)",
-			what, len(data), len(got.b), got.b[6], len(want.b), want.b[6])
+			what, len(data), len(got), got[6], len(want), want[6])
 	}
 	// The same page as a frame holds it — up to its last non-zero line,
 	// the zero tail implied by the page length — encodes to the same
 	// bytes.
 	end := len(bytes.TrimRight(data, "\x00"))
 	frame := data[:min(len(data), (end+proc.LineSize-1)/proc.LineSize*proc.LineSize)]
-	got.b = append(got.b[:0], "prefix"...)
-	encodePage(&got, frame, len(data))
-	if !bytes.Equal(got.b, want.b) {
+	got = encodePage(append(got[:0], "prefix"...), frame, len(data))
+	if !bytes.Equal(got, want) {
 		t.Fatalf("%s: len %d: its %d-byte frame encodes differently from the reference (%d bytes, tag %d; reference %d bytes, tag %d)",
-			what, len(data), len(frame), len(got.b), got.b[6], len(want.b), want.b[6])
+			what, len(data), len(frame), len(got), got[6], len(want), want[6])
 	}
 }
 

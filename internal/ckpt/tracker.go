@@ -2,9 +2,11 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
 
 	"dvemig/internal/proc"
+	"dvemig/internal/wire"
 )
 
 // MemDelta is one round of incremental address-space updates: geometry
@@ -57,65 +59,60 @@ func (d *MemDelta) EncodeInto(buf []byte) []byte { return d.AppendEncode(buf[:0]
 // AppendEncode appends the delta's encoding to dst (see
 // Image.AppendEncode).
 func (d *MemDelta) AppendEncode(dst []byte) []byte {
-	w := wbuf{b: dst}
-	w.u32(uint32(d.Round))
-	w.u32(uint32(len(d.NewVMAs)))
+	b := binary.BigEndian.AppendUint32(dst, uint32(d.Round))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(d.NewVMAs)))
 	for _, v := range d.NewVMAs {
-		w.u64(v.Start)
-		w.u64(v.End)
-		w.str(v.Perms)
+		b = appendVMA(b, v)
 	}
-	w.u32(uint32(len(d.Removed)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(d.Removed)))
 	for _, s := range d.Removed {
-		w.u64(s)
+		b = binary.BigEndian.AppendUint64(b, s)
 	}
-	w.u32(uint32(len(d.Resized)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(d.Resized)))
 	for _, v := range d.Resized {
-		w.u64(v.Start)
-		w.u64(v.End)
-		w.str(v.Perms)
+		b = appendVMA(b, v)
 	}
-	w.u32(uint32(len(d.Pages)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(d.Pages)))
 	for _, p := range d.Pages {
-		w.u64(p.VMAStart)
-		w.u64(p.Index)
-		encodePage(&w, p.Data, d.pageLen(p))
+		b = binary.BigEndian.AppendUint64(b, p.VMAStart)
+		b = binary.BigEndian.AppendUint64(b, p.Index)
+		b = encodePage(b, p.Data, d.pageLen(p))
 	}
-	return w.b
+	return b
 }
 
 // decodeDeltaHeader parses everything in an encoded delta ahead of the
 // page records — round, geometry lists, page count — into d, leaving r
 // at the first record. Both the materialising decoder and the in-place
 // apply start here, so the delta grammar is written once.
-func decodeDeltaHeader(r *rbuf, d *MemDelta) (npages int) {
-	d.Round = int(r.u32())
-	n := int(r.u32())
-	for i := 0; i < n && r.err == nil; i++ {
-		d.NewVMAs = append(d.NewVMAs, VMARange{Start: r.u64(), End: r.u64(), Perms: r.str()})
+func decodeDeltaHeader(r *wire.Reader, d *MemDelta) (npages int) {
+	d.Round = int(r.U32())
+	n := int(r.U32())
+	for i := 0; i < n && r.Err() == nil; i++ {
+		d.NewVMAs = append(d.NewVMAs, readVMA(r))
 	}
-	n = int(r.u32())
-	for i := 0; i < n && r.err == nil; i++ {
-		d.Removed = append(d.Removed, r.u64())
+	n = int(r.U32())
+	for i := 0; i < n && r.Err() == nil; i++ {
+		d.Removed = append(d.Removed, r.U64())
 	}
-	n = int(r.u32())
-	for i := 0; i < n && r.err == nil; i++ {
-		d.Resized = append(d.Resized, VMARange{Start: r.u64(), End: r.u64(), Perms: r.str()})
+	n = int(r.U32())
+	for i := 0; i < n && r.Err() == nil; i++ {
+		d.Resized = append(d.Resized, readVMA(r))
 	}
-	return int(r.u32())
+	return int(r.U32())
 }
 
 // DecodeMemDelta parses an encoded delta, materialising every page's
 // full content in freshly allocated buffers.
 func DecodeMemDelta(data []byte) (*MemDelta, error) {
-	r := &rbuf{b: data}
+	r := wire.NewReader(data)
 	d := new(MemDelta)
-	n := decodeDeltaHeader(r, d)
-	for i := 0; i < n && r.err == nil; i++ {
-		d.Pages = append(d.Pages, PageImage{VMAStart: r.u64(), Index: r.u64(), Data: decodePageData(r)})
+	n := decodeDeltaHeader(&r, d)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		d.Pages = append(d.Pages, PageImage{VMAStart: r.U64(), Index: r.U64(), Data: decodePageData(&r)})
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return d, nil
 }
@@ -301,15 +298,15 @@ func applyGeometry(as *proc.AddressSpace, d *MemDelta) error {
 // fails part-way like ApplyDelta does; the migration engine discards
 // the shadow space on any error.
 func ApplyEncodedDelta(as *proc.AddressSpace, payload []byte) error {
-	r := &rbuf{b: payload}
+	r := wire.NewReader(payload)
 	var d MemDelta
-	n := decodeDeltaHeader(r, &d)
-	first := r.off
-	for i := 0; i < n && r.err == nil; i++ {
-		nextPageRec(r)
+	n := decodeDeltaHeader(&r, &d)
+	first := r // the first page record; each pass below starts here
+	for i := 0; i < n && r.Err() == nil; i++ {
+		nextPageRec(&r)
 	}
-	if r.err != nil {
-		return r.err
+	if r.Err() != nil {
+		return r.Err()
 	}
 	if err := applyGeometry(as, &d); err != nil {
 		return err
@@ -321,9 +318,9 @@ func ApplyEncodedDelta(as *proc.AddressSpace, payload []byte) error {
 	// record, an odd-sized one faulting its neighbour in) but never fall
 	// short of it.
 	fresh := 0
-	r.off = first
+	r = first
 	for i := 0; i < n; i++ {
-		addr, rec := nextPageRec(r)
+		addr, rec := nextPageRec(&r)
 		if !rec.wholePage(addr) {
 			continue
 		}
@@ -337,9 +334,9 @@ func ApplyEncodedDelta(as *proc.AddressSpace, payload []byte) error {
 	}
 	slab := make([]byte, fresh)
 
-	r.off = first
+	r = first
 	for i := 0; i < n; i++ {
-		addr, rec := nextPageRec(r)
+		addr, rec := nextPageRec(&r)
 		if !rec.wholePage(addr) {
 			// Not a page image: the general write path, as ApplyDelta.
 			data := make([]byte, rec.n)
@@ -368,9 +365,9 @@ func ApplyEncodedDelta(as *proc.AddressSpace, payload []byte) error {
 
 // nextPageRec parses one page entry of a delta: the address it names
 // and its bounds-checked, unexpanded content record.
-func nextPageRec(r *rbuf) (addr uint64, rec pageRec) {
-	addr = r.u64()
-	addr += r.u64() * proc.PageSize
+func nextPageRec(r *wire.Reader) (addr uint64, rec pageRec) {
+	addr = r.U64()
+	addr += r.U64() * proc.PageSize
 	return addr, readPageRec(r)
 }
 

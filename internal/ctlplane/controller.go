@@ -127,9 +127,6 @@ type Controller struct {
 // initial role. The primary starts at controller epoch 1, the standby
 // at 0 — a takeover always bumps past everything it has seen.
 func NewController(n *proc.Node, peer netsim.Addr, primary bool, cfg Config) (*Controller, error) {
-	if cfg.Period <= 0 {
-		cfg.Period = 100 * time.Millisecond
-	}
 	c := &Controller{
 		Node: n, Config: cfg, Primary: primary, peer: peer,
 		objects:  make(map[uint64]*Object),

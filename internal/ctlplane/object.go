@@ -25,6 +25,7 @@ import (
 
 	"dvemig/internal/netsim"
 	"dvemig/internal/simtime"
+	"dvemig/internal/wire"
 )
 
 // State is a Migration object's lifecycle state.
@@ -213,38 +214,38 @@ func DecodeObject(b []byte) (*Object, error) {
 // the version held under the same ID, o takes the held strings. Nothing
 // held is written — a refused frame leaves the store as it was.
 func decodeObject(o *Object, b []byte, held map[uint64]*Object) error {
-	d := wireReader{b: b}
-	if v := d.u8(); v != objCodecVersion {
+	d := wire.NewReader(b)
+	if v := d.U8(); v != objCodecVersion {
 		return fmt.Errorf("ctlplane: object codec version %d", v)
 	}
 	*o = Object{}
-	o.Spec.ID = d.u64()
+	o.Spec.ID = d.U64()
 	var none Object
 	prev := held[o.Spec.ID]
 	if prev == nil {
 		prev = &none
 	}
-	o.Spec.PID = int(d.u32())
-	o.Spec.Source = netsim.Addr(d.u32())
-	o.Spec.Dest = netsim.Addr(d.u32())
-	o.Spec.Epoch = d.u64()
-	o.Spec.Deadline = simtime.Duration(d.u64())
-	o.Spec.MaxRetries = int(int32(d.u32()))
-	st := State(d.u8())
-	o.Status.Attempt = int(d.u32())
-	o.Status.Retries = int(d.u32())
-	o.Status.CancelRequested = d.u8() == 1
-	o.Status.SubmitAt = simtime.Time(d.u64())
-	o.Status.DoneAt = simtime.Time(d.u64())
-	o.Spec.Strategy = d.str(int(d.u8()), prev.Spec.Strategy)
-	o.Spec.Name = d.str(int(d.u16()), prev.Spec.Name)
-	nCause := int(d.u16())
+	o.Spec.PID = int(d.U32())
+	o.Spec.Source = netsim.Addr(d.U32())
+	o.Spec.Dest = netsim.Addr(d.U32())
+	o.Spec.Epoch = d.U64()
+	o.Spec.Deadline = simtime.Duration(d.U64())
+	o.Spec.MaxRetries = int(int32(d.U32()))
+	st := State(d.U8())
+	o.Status.Attempt = int(d.U32())
+	o.Status.Retries = int(d.U32())
+	o.Status.CancelRequested = d.U8() == 1
+	o.Status.SubmitAt = simtime.Time(d.U64())
+	o.Status.DoneAt = simtime.Time(d.U64())
+	o.Spec.Strategy = str(&d, int(d.U8()), prev.Spec.Strategy)
+	o.Spec.Name = str(&d, int(d.U16()), prev.Spec.Name)
+	nCause := int(d.U16())
 	if nCause > maxWireCause {
 		return fmt.Errorf("ctlplane: %d cause entries (max %d)", nCause, maxWireCause)
 	}
 	have := prev.Status.Cause
 	keep := 0
-	for keep < nCause && keep < len(have) && d.skipStr16(have[keep]) {
+	for keep < nCause && keep < len(have) && skipStr16(&d, have[keep]) {
 		keep++
 	}
 	if nCause > 0 {
@@ -256,13 +257,13 @@ func decodeObject(o *Object, b []byte, held map[uint64]*Object) error {
 		}
 	}
 	for i := keep; i < nCause; i++ {
-		o.Status.Cause = append(o.Status.Cause, d.str(int(d.u16()), ""))
+		o.Status.Cause = append(o.Status.Cause, str(&d, int(d.U16()), ""))
 	}
-	if d.err != nil {
-		return d.err
+	if d.Err() != nil {
+		return d.Err()
 	}
-	if d.off != len(b) {
-		return fmt.Errorf("ctlplane: %d trailing bytes", len(b)-d.off)
+	if n := len(d.Rest()); n != 0 {
+		return fmt.Errorf("ctlplane: %d trailing bytes", n)
 	}
 	if st < Pending || st > Aborted {
 		return fmt.Errorf("ctlplane: invalid state %d", int(st))
@@ -274,75 +275,10 @@ func decodeObject(o *Object, b []byte, held map[uint64]*Object) error {
 	return nil
 }
 
-// wireReader is a bounds-checked big-endian cursor; the first short
-// read poisons it and every later read returns zero.
-type wireReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *wireReader) need(n int) bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off+n > len(d.b) {
-		d.err = fmt.Errorf("ctlplane: truncated frame (want %d bytes at %d, have %d)", n, d.off, len(d.b))
-		return false
-	}
-	return true
-}
-
-func (d *wireReader) u8() byte {
-	if !d.need(1) {
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *wireReader) u16() uint16 {
-	if !d.need(2) {
-		return 0
-	}
-	v := binary.BigEndian.Uint16(d.b[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *wireReader) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *wireReader) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
 // str reads n bytes as a string; when they spell held, the value the
 // caller already has for the field, it returns held and copies nothing.
-func (d *wireReader) str(n int, held string) string {
-	if n < 0 || n > 1<<16 {
-		if d.err == nil {
-			d.err = fmt.Errorf("ctlplane: bad string length %d", n)
-		}
-		return ""
-	}
-	if !d.need(n) {
-		return ""
-	}
-	raw := d.b[d.off : d.off+n]
-	d.off += n
+func str(r *wire.Reader, n int, held string) string {
+	raw := r.Bytes(n)
 	if string(raw) == held {
 		return held
 	}
@@ -351,12 +287,11 @@ func (d *wireReader) str(n int, held string) string {
 
 // skipStr16 steps over a u16-length-prefixed string if it spells s, and
 // reports whether it did.
-func (d *wireReader) skipStr16(s string) bool {
-	end := d.off + 2 + len(s)
-	if d.err != nil || end > len(d.b) || int(binary.BigEndian.Uint16(d.b[d.off:])) != len(s) ||
-		string(d.b[d.off+2:end]) != s {
+func skipStr16(r *wire.Reader, s string) bool {
+	ahead := *r
+	if int(ahead.U16()) != len(s) || string(ahead.Bytes(len(s))) != s || ahead.Err() != nil {
 		return false
 	}
-	d.off = end
+	*r = ahead
 	return true
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"dvemig/internal/netsim"
+	"dvemig/internal/wire"
 )
 
 // CtlPort is the UDP port controllers (primary and standby) listen on;
@@ -91,21 +92,21 @@ func (m runMsg) appendTo(b []byte) []byte {
 
 func decodeRunMsg(b []byte) (runMsg, error) {
 	var m runMsg
-	d := wireReader{b: b}
-	if op := d.u8(); op != opRun {
+	d := wire.NewReader(b)
+	if op := d.U8(); op != opRun {
 		return m, fmt.Errorf("ctlplane: not a run frame (op %d)", op)
 	}
-	m.CtlEpoch = d.u64()
-	m.ObjID = d.u64()
-	m.Attempt = d.u32()
-	m.PID = d.u32()
-	m.Dest = netsim.Addr(d.u32())
-	m.SvcEpoch = d.u64()
-	m.Strategy = d.str(int(d.u8()), "")
-	if d.err != nil {
-		return m, d.err
+	m.CtlEpoch = d.U64()
+	m.ObjID = d.U64()
+	m.Attempt = d.U32()
+	m.PID = d.U32()
+	m.Dest = netsim.Addr(d.U32())
+	m.SvcEpoch = d.U64()
+	m.Strategy = string(d.Bytes(int(d.U8())))
+	if d.Err() != nil {
+		return m, d.Err()
 	}
-	m.Name = string(b[d.off:])
+	m.Name = string(d.Rest())
 	if len(m.Name) > maxWireName {
 		return m, fmt.Errorf("ctlplane: name too long (%d)", len(m.Name))
 	}
@@ -131,17 +132,17 @@ func (m cancelMsg) appendTo(b []byte) []byte {
 
 func decodeCancelMsg(b []byte) (cancelMsg, error) {
 	var m cancelMsg
-	d := wireReader{b: b}
-	if op := d.u8(); op != opCancel {
+	d := wire.NewReader(b)
+	if op := d.U8(); op != opCancel {
 		return m, fmt.Errorf("ctlplane: not a cancel frame (op %d)", op)
 	}
-	m.CtlEpoch = d.u64()
-	m.ObjID = d.u64()
-	m.Attempt = d.u32()
-	if d.err != nil {
-		return m, d.err
+	m.CtlEpoch = d.U64()
+	m.ObjID = d.U64()
+	m.Attempt = d.U32()
+	if d.Err() != nil {
+		return m, d.Err()
 	}
-	m.Reason = string(b[d.off:])
+	m.Reason = string(d.Rest())
 	return m, nil
 }
 
@@ -171,22 +172,22 @@ func (m eventMsg) appendTo(b []byte) []byte {
 
 func decodeEventMsg(b []byte) (eventMsg, error) {
 	var m eventMsg
-	d := wireReader{b: b}
-	if op := d.u8(); op != opEvent {
+	d := wire.NewReader(b)
+	if op := d.U8(); op != opEvent {
 		return m, fmt.Errorf("ctlplane: not an event frame (op %d)", op)
 	}
-	m.CtlEpoch = d.u64()
-	m.ObjID = d.u64()
-	m.Attempt = d.u32()
-	m.Kind = d.u8()
-	m.SvcEpoch = d.u64()
-	if d.err != nil {
-		return m, d.err
+	m.CtlEpoch = d.U64()
+	m.ObjID = d.U64()
+	m.Attempt = d.U32()
+	m.Kind = d.U8()
+	m.SvcEpoch = d.U64()
+	if d.Err() != nil {
+		return m, d.Err()
 	}
 	if m.Kind < evAccepted || m.Kind > evStaleCtl {
 		return m, fmt.Errorf("ctlplane: unknown event kind %d", m.Kind)
 	}
-	m.Detail = string(b[d.off:])
+	m.Detail = string(d.Rest())
 	return m, nil
 }
 
@@ -205,17 +206,17 @@ func (m helloMsg) appendTo(b []byte) []byte {
 
 func decodeHelloMsg(b []byte) (helloMsg, error) {
 	var m helloMsg
-	d := wireReader{b: b}
-	if op := d.u8(); op != opHello {
+	d := wire.NewReader(b)
+	if op := d.U8(); op != opHello {
 		return m, fmt.Errorf("ctlplane: not a hello frame (op %d)", op)
 	}
-	m.CtlEpoch = d.u64()
-	m.Seq = d.u64()
-	if d.err != nil {
-		return m, d.err
+	m.CtlEpoch = d.U64()
+	m.Seq = d.U64()
+	if d.Err() != nil {
+		return m, d.Err()
 	}
-	if d.off != len(b) {
-		return m, fmt.Errorf("ctlplane: %d trailing bytes in hello", len(b)-d.off)
+	if n := len(d.Rest()); n != 0 {
+		return m, fmt.Errorf("ctlplane: %d trailing bytes in hello", n)
 	}
 	return m, nil
 }
@@ -231,13 +232,13 @@ func appendReplicate(b []byte, ctlEpoch uint64, o *Object) []byte {
 // decodeReplicate parses a replicate frame into o against the receiver's
 // store (see decodeObject) and returns the sender's controller epoch.
 func decodeReplicate(o *Object, b []byte, held map[uint64]*Object) (uint64, error) {
-	d := wireReader{b: b}
-	if op := d.u8(); op != opReplicate {
+	d := wire.NewReader(b)
+	if op := d.U8(); op != opReplicate {
 		return 0, fmt.Errorf("ctlplane: not a replicate frame (op %d)", op)
 	}
-	ep := d.u64()
-	if d.err != nil {
-		return 0, d.err
+	ep := d.U64()
+	if d.Err() != nil {
+		return 0, d.Err()
 	}
-	return ep, decodeObject(o, b[d.off:], held)
+	return ep, decodeObject(o, d.Rest(), held)
 }

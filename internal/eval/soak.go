@@ -86,10 +86,10 @@ type SoakConfig struct {
 	Seeds     []uint64
 	// Requests is the number of migration objects pumped per cell.
 	Requests int
-	// Procs is the number of migratable processes (default 9, spread
-	// round-robin across the three workers).
+	// Procs is the number of migratable processes, spread round-robin
+	// across the three workers.
 	Procs int
-	// Inflight caps concurrently non-terminal objects (default 4).
+	// Inflight caps concurrently non-terminal objects.
 	Inflight int
 	// Strategy pins the memory-movement strategy; "mixed" rotates
 	// through all three, "" uses the engine default.
@@ -284,6 +284,10 @@ func (r *SoakReport) Table() string {
 // cell through the declarative control plane under the chaos battery
 // and audits the invariant list mid-run and at quiescence.
 func RunSoak(cfg SoakConfig) (*SoakReport, error) {
+	if cfg.Requests <= 0 || cfg.Procs <= 0 || cfg.Inflight <= 0 {
+		return nil, fmt.Errorf("eval: soak needs positive Requests, Procs and Inflight, got %d, %d, %d",
+			cfg.Requests, cfg.Procs, cfg.Inflight)
+	}
 	rep, err := sweep(cfg.Scenarios, cfg.Seeds, cfg.Workers, cfg.Prof.Sweep("soak-sweep", cfg.Workers),
 		func(sc SoakScenario) string { return "soak " + sc.Name },
 		func(sc SoakScenario, seed uint64) (*SoakResult, error) { return runSoakCell(cfg, sc, seed) })
@@ -291,15 +295,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 }
 
 func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, error) {
-	if cfg.Requests <= 0 {
-		cfg.Requests = 500
-	}
-	if cfg.Procs <= 0 {
-		cfg.Procs = 9
-	}
-	if cfg.Inflight <= 0 {
-		cfg.Inflight = 4
-	}
 	const nWorkers = 3
 	label := fmt.Sprintf("soak/%s/seed%d", sc.Name, seed)
 	f := newFixture(nWorkers+2, cfg.Observe, cfg.FlightDepth, cfg.Prof, label)

@@ -13,6 +13,22 @@ func shortSoakConfig() SoakConfig {
 	return cfg
 }
 
+// TestSoakRejectsNonPositiveCounts: a request, process or in-flight
+// count of zero is a caller's error, reported before any cell runs.
+func TestSoakRejectsNonPositiveCounts(t *testing.T) {
+	for _, zero := range []func(*SoakConfig){
+		func(c *SoakConfig) { c.Requests = 0 },
+		func(c *SoakConfig) { c.Procs = 0 },
+		func(c *SoakConfig) { c.Inflight = -1 },
+	} {
+		cfg := shortSoakConfig()
+		zero(&cfg)
+		if rep, err := RunSoak(cfg); err == nil {
+			t.Errorf("ran %d cells with requests %d, procs %d, inflight %d", len(rep.Results), cfg.Requests, cfg.Procs, cfg.Inflight)
+		}
+	}
+}
+
 // TestSoakShortSweepHoldsAudits runs the full chaos battery at reduced
 // request volume: every cell must finish with every object terminal and
 // zero exactly-once / single-owner violations.

@@ -17,20 +17,11 @@ import (
 	"dvemig/internal/obs"
 	"dvemig/internal/proc"
 	"dvemig/internal/simtime"
+	"dvemig/internal/wire"
 )
 
 // CondPort is the UDP port conductor daemons use.
 const CondPort = 7901
-
-// Mode selects the balancing objective.
-type Mode int
-
-// Modes: Balance equalizes load (the paper); Consolidate packs load onto
-// few nodes to let others idle (the power-management future-work use).
-const (
-	ModeBalance Mode = iota
-	ModeConsolidate
-)
 
 // Config tunes the conductor.
 type Config struct {
@@ -41,7 +32,6 @@ type Config struct {
 	ImbalanceThreshold float64
 	// CalmDown is the post-migration stabilization period on both ends.
 	CalmDown simtime.Duration
-	Mode     Mode
 }
 
 // DefaultConfig mirrors the evaluation setup.
@@ -50,7 +40,6 @@ func DefaultConfig() Config {
 		Period:             1e9, // 1s
 		ImbalanceThreshold: 0.12,
 		CalmDown:           15e9, // 15s
-		Mode:               ModeBalance,
 	}
 }
 
@@ -58,8 +47,6 @@ func DefaultConfig() Config {
 const (
 	// highThreshold: load above which a node is overloaded outright.
 	highThreshold = 0.90
-	// lowThreshold (consolidate mode): a node below it tries to drain.
-	lowThreshold = 0.25
 	// ewma is the weight of the new utilisation sample in the load signal.
 	ewma = 0.5
 	// scanMax bounds the discovery scan of the local /24.
@@ -378,12 +365,7 @@ func (c *Conductor) tick() {
 	if c.state != stateIdle || c.now() < c.calmUntil || len(c.peers) == 0 {
 		return
 	}
-	switch c.Config.Mode {
-	case ModeBalance:
-		c.considerBalance()
-	case ModeConsolidate:
-		c.considerConsolidate()
-	}
+	c.considerBalance()
 }
 
 // considerBalance implements the sender-initiated transfer policy and the
@@ -415,28 +397,6 @@ func (c *Conductor) considerBalance() {
 	}
 	if c.selectProcess(excess) == nil {
 		return // nothing suitable to move
-	}
-	c.propose(best.addr)
-}
-
-// considerConsolidate drains a lightly loaded node onto the busiest peer
-// that still has headroom (power-management mode).
-func (c *Conductor) considerConsolidate() {
-	if c.load >= lowThreshold || c.Node.NumProcesses() == 0 {
-		return
-	}
-	var best *peerInfo
-	for _, addr := range c.peerAddrs() {
-		p := c.peers[addr]
-		if p.state != PeerAlive || p.load+c.load > highThreshold {
-			continue
-		}
-		if best == nil || p.load > best.load {
-			best = p
-		}
-	}
-	if best == nil {
-		return
 	}
 	c.propose(best.addr)
 }
@@ -539,8 +499,9 @@ func (c *Conductor) serve() {
 			c.notePeer(from, -1)
 			c.send(from, loadMsg(opDiscoverReply, c.load))
 		case opDiscoverReply, opHeartbeat:
-			if len(dg.Payload) >= 9 {
-				c.notePeer(from, float64(binary.BigEndian.Uint64(dg.Payload[1:]))/1e6)
+			r := wire.NewReader(dg.Payload[1:])
+			if load := r.U64(); r.Err() == nil {
+				c.notePeer(from, float64(load)/1e6)
 			}
 		case opPropose:
 			c.handlePropose(from, dg.Payload)
@@ -607,20 +568,16 @@ func (c *Conductor) notePeer(addr netsim.Addr, load float64) {
 // most one migration at a time (two-phase commit, §IV-A), reject while
 // calming down or already migrating.
 func (c *Conductor) handlePropose(from netsim.Addr, payload []byte) {
-	if len(payload) < 13 {
+	r := wire.NewReader(payload[1:])
+	seq := r.U32()
+	r.Skip(8) // the sender's load, which the heartbeats already carry
+	ctx := obs.TraceContext{Trace: r.U64(), Span: r.U64()}
+	if r.Err() != nil {
 		return
 	}
-	seq := binary.BigEndian.Uint32(payload[1:])
 	if c.state != stateIdle || c.now() < c.calmUntil {
 		c.send(from, seqMsg(opReject, seq))
 		return
-	}
-	var ctx obs.TraceContext
-	if len(payload) >= 29 {
-		ctx = obs.TraceContext{
-			Trace: binary.BigEndian.Uint64(payload[13:]),
-			Span:  binary.BigEndian.Uint64(payload[21:]),
-		}
 	}
 	c.state = stateReceiving
 	c.reserveAt = c.now()
@@ -629,10 +586,8 @@ func (c *Conductor) handlePropose(from netsim.Addr, payload []byte) {
 }
 
 func (c *Conductor) handleAccept(from netsim.Addr, payload []byte) {
-	if len(payload) < 5 || c.state != stateSending {
-		return
-	}
-	if binary.BigEndian.Uint32(payload[1:]) != c.reserveSeq {
+	r := wire.NewReader(payload[1:])
+	if seq := r.U32(); r.Err() != nil || c.state != stateSending || seq != c.reserveSeq {
 		return
 	}
 	avg := c.ClusterAverage()

@@ -2,13 +2,13 @@ package lb
 
 import (
 	"encoding/binary"
-	"errors"
 	"sort"
 
 	"dvemig/internal/migration"
 	"dvemig/internal/netsim"
 	"dvemig/internal/obs"
 	"dvemig/internal/simtime"
+	"dvemig/internal/wire"
 )
 
 // Detector-driven failover (layered on the failure detector in
@@ -384,8 +384,11 @@ func (c *Conductor) ownerMsg(op byte, name string, ep, seq uint64) []byte {
 }
 
 func decodeOwnerMsg(b []byte) (name string, ep, seq uint64, err error) {
-	if len(b) < 17 {
-		return "", 0, 0, errors.New("cond: short owner message")
+	r := wire.NewReader(b)
+	r.Skip(1) // op
+	ep, seq = r.U64(), r.U64()
+	if r.Err() != nil {
+		return "", 0, 0, r.Err()
 	}
-	return string(b[17:]), binary.BigEndian.Uint64(b[1:]), binary.BigEndian.Uint64(b[9:]), nil
+	return string(r.Rest()), ep, seq, nil
 }

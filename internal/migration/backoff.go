@@ -12,8 +12,7 @@ import (
 // jitter comes from a simtime.Rand the caller seeds, never from wall
 // clock, so every schedule is reproducible at any worker count.
 type BackoffPolicy struct {
-	// Base is the delay before the first retry. Zero or negative falls
-	// back to 100 ms.
+	// Base is the delay before the first retry.
 	Base simtime.Duration
 	// Max caps the exponential growth. Zero or negative means no cap.
 	Max simtime.Duration
@@ -28,9 +27,6 @@ type BackoffPolicy struct {
 // the first retry). rng may be nil when Jitter is zero.
 func (b BackoffPolicy) Delay(attempt int, rng *simtime.Rand) simtime.Duration {
 	d := b.Base
-	if d <= 0 {
-		d = 100 * 1e6
-	}
 	for i := 1; i < attempt; i++ {
 		d *= 2
 		if b.Max > 0 && d >= b.Max {

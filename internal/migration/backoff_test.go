@@ -56,12 +56,6 @@ func TestBackoffScheduleIsPinned(t *testing.T) {
 			t.Fatalf("Schedule[%d] = %d, want %d", i, int64(sched[i]), int64(w))
 		}
 	}
-
-	// Zero-value policy falls back to the historical 100ms base.
-	var zero BackoffPolicy
-	if got := zero.Delay(1, nil); got != 100*time.Millisecond {
-		t.Fatalf("zero-policy Delay(1) = %v", got)
-	}
 }
 
 // TestEngineRetrySchedule pins the engine's wiring of the shared

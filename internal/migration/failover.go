@@ -12,6 +12,7 @@ import (
 	"dvemig/internal/obs"
 	"dvemig/internal/proc"
 	"dvemig/internal/simtime"
+	"dvemig/internal/wire"
 )
 
 // Fault tolerance (paper §VIII names it as future work for the
@@ -358,18 +359,12 @@ func encodeCkptImageInto(buf []byte, name string, token, seq, ep uint64, tctx ob
 }
 
 func decodeCkptImage(b []byte) (name string, token, seq, ep uint64, tctx obs.TraceContext, img []byte, err error) {
-	if len(b) < 44 {
-		return "", 0, 0, 0, obs.TraceContext{}, nil, errors.New("failover: short image message")
+	r := wire.NewReader(b)
+	seq, token, ep = r.U64(), r.U64(), r.U64()
+	tctx = obs.TraceContext{Trace: r.U64(), Span: r.U64()}
+	name = string(r.Span())
+	if r.Err() != nil {
+		return "", 0, 0, 0, obs.TraceContext{}, nil, r.Err()
 	}
-	seq = binary.BigEndian.Uint64(b)
-	token = binary.BigEndian.Uint64(b[8:])
-	ep = binary.BigEndian.Uint64(b[16:])
-	tctx = obs.TraceContext{Trace: binary.BigEndian.Uint64(b[24:]), Span: binary.BigEndian.Uint64(b[32:])}
-	nl := int(binary.BigEndian.Uint32(b[40:]))
-	if nl < 0 || 44+nl > len(b) {
-		return "", 0, 0, 0, obs.TraceContext{}, nil, errors.New("failover: corrupt image message")
-	}
-	name = string(b[44 : 44+nl])
-	img = b[44+nl:]
-	return name, token, seq, ep, tctx, img, nil
+	return name, token, seq, ep, tctx, r.Rest(), nil
 }

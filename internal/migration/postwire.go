@@ -2,10 +2,10 @@ package migration
 
 import (
 	"encoding/binary"
-	"errors"
 
 	"dvemig/internal/ckpt"
 	"dvemig/internal/simtime"
+	"dvemig/internal/wire"
 )
 
 // Migration strategy wire tags (migrateReq.Mode).
@@ -40,25 +40,18 @@ func (m pageReq) encode() []byte {
 }
 
 func decodePageReq(b []byte) (pageReq, error) {
-	if len(b) < 16 {
-		return pageReq{}, errors.New("migration: short PAGE_REQ")
+	r := wire.NewReader(b)
+	m := pageReq{ID: r.U32(), Epoch: r.U64()}
+	n := int(r.U32())
+	if n > len(r.Rest())/16 {
+		r.Fail(wire.ErrTruncated)
 	}
-	m := pageReq{
-		ID:    binary.BigEndian.Uint32(b[0:]),
-		Epoch: binary.BigEndian.Uint64(b[4:]),
+	if r.Err() != nil {
+		return pageReq{}, r.Err()
 	}
-	n := int(binary.BigEndian.Uint32(b[12:]))
-	if n < 0 || n > (len(b)-16)/16 {
-		return pageReq{}, errors.New("migration: truncated PAGE_REQ")
-	}
-	off := 16
 	m.Coords = make([]ckpt.PageCoord, 0, n)
 	for i := 0; i < n; i++ {
-		m.Coords = append(m.Coords, ckpt.PageCoord{
-			VMAStart: binary.BigEndian.Uint64(b[off:]),
-			Index:    binary.BigEndian.Uint64(b[off+8:]),
-		})
-		off += 16
+		m.Coords = append(m.Coords, ckpt.PageCoord{VMAStart: r.U64(), Index: r.U64()})
 	}
 	return m, nil
 }
@@ -114,31 +107,22 @@ func (m pageResp) encodeInto(buf []byte) []byte {
 }
 
 func decodePageResp(b []byte) (pageResp, error) {
-	if len(b) < 8 {
-		return pageResp{}, errors.New("migration: short PAGE_RESP")
+	r := wire.NewReader(b)
+	m := pageResp{ID: r.U32()}
+	n := int(r.U32())
+	if n > len(r.Rest())/20 {
+		r.Fail(wire.ErrTruncated)
 	}
-	m := pageResp{ID: binary.BigEndian.Uint32(b[0:])}
-	n := int(binary.BigEndian.Uint32(b[4:]))
-	if n < 0 || n > (len(b)-8)/20 {
-		return pageResp{}, errors.New("migration: truncated PAGE_RESP")
+	if r.Err() != nil {
+		return pageResp{}, r.Err()
 	}
-	off := 8
 	m.Pages = make([]respPage, 0, n)
-	for i := 0; i < n; i++ {
-		if off+20 > len(b) {
-			return pageResp{}, errors.New("migration: truncated PAGE_RESP page")
-		}
-		c := ckpt.PageCoord{
-			VMAStart: binary.BigEndian.Uint64(b[off:]),
-			Index:    binary.BigEndian.Uint64(b[off+8:]),
-		}
-		dl := int(binary.BigEndian.Uint32(b[off+16:]))
-		off += 20
-		if dl < 0 || off+dl > len(b) {
-			return pageResp{}, errors.New("migration: truncated PAGE_RESP data")
-		}
-		m.Pages = append(m.Pages, respPage{Coord: c, Data: b[off : off+dl]})
-		off += dl
+	for i := 0; i < n && r.Err() == nil; i++ {
+		c := ckpt.PageCoord{VMAStart: r.U64(), Index: r.U64()}
+		m.Pages = append(m.Pages, respPage{Coord: c, Data: r.Span()})
+	}
+	if r.Err() != nil {
+		return pageResp{}, r.Err()
 	}
 	return m, nil
 }
@@ -164,13 +148,7 @@ func (m pullsDone) encode() []byte {
 }
 
 func decodePullsDone(b []byte) (pullsDone, error) {
-	if len(b) < 24 {
-		return pullsDone{}, errors.New("migration: short PULLS_DONE")
-	}
-	return pullsDone{
-		LastFillAt: simtime.Time(binary.BigEndian.Uint64(b[0:])),
-		Demand:     binary.BigEndian.Uint32(b[8:]),
-		Prefetched: binary.BigEndian.Uint32(b[12:]),
-		StallNs:    binary.BigEndian.Uint64(b[16:]),
-	}, nil
+	r := wire.NewReader(b)
+	m := pullsDone{LastFillAt: simtime.Time(r.U64()), Demand: r.U32(), Prefetched: r.U32(), StallNs: r.U64()}
+	return m, r.Err()
 }

@@ -9,6 +9,7 @@ import (
 	"dvemig/internal/netsim"
 	"dvemig/internal/simtime"
 	"dvemig/internal/sockmig"
+	"dvemig/internal/wire"
 )
 
 // migrateReq opens a migration. Epoch is the sender's ownership epoch
@@ -46,19 +47,18 @@ func (m migrateReq) encode() []byte {
 }
 
 func decodeMigrateReq(b []byte) (migrateReq, error) {
-	if len(b) < 38 {
-		return migrateReq{}, errors.New("migration: short MIGRATE_REQ")
+	r := wire.NewReader(b)
+	m := migrateReq{
+		PID:      int(r.U32()),
+		Strategy: sockmig.Strategy(r.U8()),
+		Token:    r.U64(),
+		Epoch:    r.U64(),
+		TraceID:  r.U64(),
+		SpanID:   r.U64(),
+		Mode:     r.U8(),
+		Name:     string(r.Rest()),
 	}
-	return migrateReq{
-		PID:      int(binary.BigEndian.Uint32(b[0:])),
-		Strategy: sockmig.Strategy(b[4]),
-		Token:    binary.BigEndian.Uint64(b[5:]),
-		Epoch:    binary.BigEndian.Uint64(b[13:]),
-		TraceID:  binary.BigEndian.Uint64(b[21:]),
-		SpanID:   binary.BigEndian.Uint64(b[29:]),
-		Mode:     b[37],
-		Name:     string(b[38:]),
-	}, nil
+	return m, r.Err()
 }
 
 func encodeCaptureReq(keys []netsim.FlowKey) []byte {
@@ -76,23 +76,22 @@ func encodeCaptureReq(keys []netsim.FlowKey) []byte {
 }
 
 func decodeCaptureReq(b []byte) ([]netsim.FlowKey, error) {
-	if len(b) < 4 {
-		return nil, errors.New("migration: short CAPTURE_REQ")
+	r := wire.NewReader(b)
+	n := int(r.U32())
+	if n > len(r.Rest())/9 {
+		r.Fail(wire.ErrTruncated)
 	}
-	n := int(binary.BigEndian.Uint32(b))
-	if n < 0 || len(b) < 4+9*n {
-		return nil, errors.New("migration: truncated CAPTURE_REQ")
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	keys := make([]netsim.FlowKey, 0, n)
-	off := 4
 	for i := 0; i < n; i++ {
 		keys = append(keys, netsim.FlowKey{
-			RemoteIP:   netsim.Addr(binary.BigEndian.Uint32(b[off:])),
-			RemotePort: binary.BigEndian.Uint16(b[off+4:]),
-			LocalPort:  binary.BigEndian.Uint16(b[off+6:]),
-			Proto:      b[off+8],
+			RemoteIP:   netsim.Addr(r.U32()),
+			RemotePort: r.U16(),
+			LocalPort:  r.U16(),
+			Proto:      r.U8(),
 		})
-		off += 9
 	}
 	return keys, nil
 }
@@ -159,23 +158,14 @@ func appendFinalImage(b []byte, kind byte, freezeStart simtime.Time,
 
 func decodeFinalImage(kind byte, b []byte) (finalImage, error) {
 	var m finalImage
-	if len(b) < 8 {
-		return m, errors.New("migration: short final image")
-	}
-	m.FreezeStart = simtime.Time(binary.BigEndian.Uint64(b))
-	off := 8
+	r := wire.NewReader(b)
+	m.FreezeStart = simtime.Time(r.U64())
 	parts := m.parts(kind)
 	for i := range parts {
-		if off+4 > len(b) {
-			return m, errors.New("migration: truncated final image")
-		}
-		n := int(binary.BigEndian.Uint32(b[off:]))
-		off += 4
-		if n > len(b)-off {
-			return m, errors.New("migration: truncated final image part")
-		}
-		parts[i] = b[off : off+n]
-		off += n
+		parts[i] = r.Span()
+	}
+	if r.Err() != nil {
+		return m, r.Err()
 	}
 	if len(parts) == 4 && len(parts[2]) != 0 {
 		return m, errors.New("migration: post image carries a resident-page delta")
@@ -229,15 +219,9 @@ func (m chunkFrame) encode() []byte {
 }
 
 func decodeChunk(b []byte) (chunkFrame, error) {
-	if len(b) < chunkHdrBytes {
-		return chunkFrame{}, errors.New("migration: short CHUNK")
-	}
-	return chunkFrame{
-		Kind:   b[0],
-		Stream: binary.BigEndian.Uint32(b[1:5]),
-		Seq:    binary.BigEndian.Uint32(b[5:9]),
-		Data:   b[chunkHdrBytes:],
-	}, nil
+	r := wire.NewReader(b)
+	m := chunkFrame{Kind: r.U8(), Stream: r.U32(), Seq: r.U32(), Data: r.Rest()}
+	return m, r.Err()
 }
 
 // chunkEnd is the stream trailer. Chunks and Total let the destination
@@ -259,15 +243,12 @@ func (m chunkEnd) encode() []byte {
 }
 
 func decodeChunkEnd(b []byte) (chunkEnd, error) {
-	if len(b) != chunkEndBytes {
-		return chunkEnd{}, errors.New("migration: malformed CHUNK_END")
+	r := wire.NewReader(b)
+	m := chunkEnd{Kind: r.U8(), Stream: r.U32(), Chunks: r.U32(), Total: r.U64()}
+	if len(r.Rest()) != 0 {
+		r.Fail(errors.New("migration: malformed CHUNK_END"))
 	}
-	return chunkEnd{
-		Kind:   b[0],
-		Stream: binary.BigEndian.Uint32(b[1:5]),
-		Chunks: binary.BigEndian.Uint32(b[5:9]),
-		Total:  binary.BigEndian.Uint64(b[9:17]),
-	}, nil
+	return m, r.Err()
 }
 
 // restoreDone reports completion back to the source.
@@ -286,14 +267,9 @@ func (m restoreDone) encode() []byte {
 }
 
 func decodeRestoreDone(b []byte) (restoreDone, error) {
-	if len(b) < 16 {
-		return restoreDone{}, errors.New("migration: short RESTORE_DONE")
-	}
-	return restoreDone{
-		ResumeAt:   simtime.Time(binary.BigEndian.Uint64(b)),
-		Captured:   binary.BigEndian.Uint32(b[8:]),
-		Reinjected: binary.BigEndian.Uint32(b[12:]),
-	}, nil
+	r := wire.NewReader(b)
+	m := restoreDone{ResumeAt: simtime.Time(r.U64()), Captured: r.U32(), Reinjected: r.U32()}
+	return m, r.Err()
 }
 
 // behaviorRegistry carries process behaviour (Go closures standing in for

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"dvemig/internal/netsim"
+	"dvemig/internal/wire"
 )
 
 // Socket checkpointing: "subtracting state information" in the paper's
@@ -165,17 +166,17 @@ func unmarshalQueue(pool *netsim.Pool, held []byte) ([]*netsim.Packet, error) {
 	if len(held) == 0 {
 		return nil, nil
 	}
-	r := rbuf{b: held}
-	n := int(r.u32())
-	if r.err != nil || n > len(held)/(4+SkbOverheadBytes) {
-		return nil, errTruncated
+	r := wire.NewReader(held)
+	n := int(r.U32())
+	if r.Err() != nil || n > len(held)/(4+SkbOverheadBytes) {
+		return nil, wire.ErrTruncated
 	}
 	out := make([]*netsim.Packet, 0, n)
 	for i := 0; i < n; i++ {
-		b := r.span()
-		r.skip(SkbOverheadBytes)
-		if r.err != nil {
-			return nil, r.err
+		b := r.Span()
+		r.Skip(SkbOverheadBytes)
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		p, err := pool.Unmarshal(b)
 		if err != nil {
@@ -186,104 +187,27 @@ func unmarshalQueue(pool *netsim.Pool, held []byte) ([]*netsim.Packet, error) {
 	return out, nil
 }
 
-// --- binary encoding helpers -------------------------------------------
-
-type wbuf struct{ b []byte }
-
-func (w *wbuf) u8(v byte)    { w.b = append(w.b, v) }
-func (w *wbuf) u16(v uint16) { w.b = binary.BigEndian.AppendUint16(w.b, v) }
-func (w *wbuf) u32(v uint32) { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *wbuf) u64(v uint64) { w.b = binary.BigEndian.AppendUint64(w.b, v) }
-func (w *wbuf) bytes(v []byte) {
-	w.u32(uint32(len(v)))
-	w.b = append(w.b, v...)
-}
-
 // zeros is what pad appends from, as long as the longest padding.
 // Copying out of it, rather than append(b, make([]byte, n)...), does not
 // depend on the compiler eliding the temporary, which it stops doing
 // under the race detector.
 var zeros [KernelSockImageBytes]byte
 
-// pad appends zeros until the buffer is total bytes long.
-func (w *wbuf) pad(total int) {
-	if n := total - len(w.b); n > 0 {
-		w.b = append(w.b, zeros[:n]...)
+// pad appends zeros to b until it is total bytes long.
+func pad(b []byte, total int) []byte {
+	if n := total - len(b); n > 0 {
+		b = append(b, zeros[:n]...)
 	}
+	return b
 }
 
-type rbuf struct {
-	b   []byte
-	off int
-	err error
+// appendSpan appends v behind its u32 length.
+func appendSpan(b, v []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(v)))
+	return append(b, v...)
 }
 
-var (
-	errTruncated  = errors.New("netstack: truncated snapshot")
-	errCorruptUDP = errors.New("netstack: corrupt UDP snapshot")
-)
-
-func (r *rbuf) fail() {
-	if r.err == nil {
-		r.err = errTruncated
-	}
-}
-func (r *rbuf) skip(n int) {
-	if r.err != nil || r.off+n > len(r.b) {
-		r.fail()
-		return
-	}
-	r.off += n
-}
-func (r *rbuf) u8() byte {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-func (r *rbuf) u16() uint16 {
-	if r.err != nil || r.off+2 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v
-}
-func (r *rbuf) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-func (r *rbuf) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-// span reads a length-prefixed byte string. The result aliases the
-// buffer: a caller that keeps it copies it.
-func (r *rbuf) span() []byte {
-	n := int(r.u32())
-	if r.err != nil || r.off+n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	v := r.b[r.off : r.off+n : r.off+n]
-	r.off += n
-	return v
-}
+var errCorruptUDP = errors.New("netstack: corrupt UDP snapshot")
 
 // EncodeSection serializes one section of the snapshot.
 func (s *TCPSnapshot) EncodeSection(id SectionID) []byte { return s.AppendSection(nil, id) }
@@ -291,68 +215,55 @@ func (s *TCPSnapshot) EncodeSection(id SectionID) []byte { return s.AppendSectio
 // AppendSection appends the encoding of one section to dst and returns
 // the extended slice.
 func (s *TCPSnapshot) AppendSection(dst []byte, id SectionID) []byte {
-	w := wbuf{b: dst}
+	b := dst
 	switch id {
 	case SecIdentity:
-		s.appendIdentityFields(&w)
+		b = s.appendIdentityFields(b)
 		// The bulk of the kernel socket structure complex (socket,
 		// inet_sock, protocol options, sk_buff_head headers, timers, ...)
 		// is configuration fixed at connection setup: it rides with the
 		// identity section, which never changes after the first transfer.
-		w.pad(len(dst) + KernelSockImageBytes)
+		b = pad(b, len(dst)+KernelSockImageBytes)
 	case SecCore:
-		w.u32(s.ISS)
-		w.u32(s.SndUna)
-		w.u32(s.SndNxt)
-		w.u32(s.IRS)
-		w.u32(s.RcvNxt)
-		w.u32(s.Cwnd)
-		w.u32(s.Ssthresh)
-		w.u32(s.SndWnd)
-		w.u32(uint32(s.RcvBufMax))
-		w.u32(uint32(s.SRTTms))
-		w.u32(uint32(s.RTTVarms))
-		w.u32(uint32(s.RTOms))
-		w.u32(s.TSRecent)
-		w.u32(s.LastTxJiffies)
-		w.u32(s.SrcJiffies)
-		w.u32(uint32(s.MSS))
-		w.u64(s.BytesIn)
-		w.u64(s.BytesOut)
-		w.bytes(s.SndBuf)
+		for _, v := range [...]uint32{s.ISS, s.SndUna, s.SndNxt, s.IRS, s.RcvNxt, s.Cwnd, s.Ssthresh,
+			s.SndWnd, uint32(s.RcvBufMax), uint32(s.SRTTms), uint32(s.RTTVarms), uint32(s.RTOms),
+			s.TSRecent, s.LastTxJiffies, s.SrcJiffies, uint32(s.MSS)} {
+			b = binary.BigEndian.AppendUint32(b, v)
+		}
+		b = binary.BigEndian.AppendUint64(b, s.BytesIn)
+		b = binary.BigEndian.AppendUint64(b, s.BytesOut)
+		b = appendSpan(b, s.SndBuf)
 	case SecWriteQueue:
-		appendHeldQueue(&w, s.WriteQueue)
+		b = appendHeldQueue(b, s.WriteQueue)
 	case SecReceiveQueue:
-		appendHeldQueue(&w, s.ReceiveQueue)
+		b = appendHeldQueue(b, s.ReceiveQueue)
 	case SecOOOQueue:
-		appendHeldQueue(&w, s.OOOQueue)
+		b = appendHeldQueue(b, s.OOOQueue)
 	}
-	return w.b
+	return b
 }
 
 // identityFieldBytes is the identity section without its padding.
 const identityFieldBytes = 18
 
-func (s *TCPSnapshot) appendIdentityFields(w *wbuf) {
-	w.u32(uint32(s.LocalIP))
-	w.u32(uint32(s.RemoteIP))
-	w.u32(uint32(s.OrigLocalIP))
-	w.u16(s.LocalPort)
-	w.u16(s.RemotePort)
-	w.u8(byte(s.State))
+func (s *TCPSnapshot) appendIdentityFields(b []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(s.LocalIP))
+	b = binary.BigEndian.AppendUint32(b, uint32(s.RemoteIP))
+	b = binary.BigEndian.AppendUint32(b, uint32(s.OrigLocalIP))
+	b = binary.BigEndian.AppendUint16(b, s.LocalPort)
+	b = binary.BigEndian.AppendUint16(b, s.RemotePort)
+	listening := byte(0)
 	if s.Listening {
-		w.u8(1)
-	} else {
-		w.u8(0)
+		listening = 1
 	}
+	return append(b, byte(s.State), listening)
 }
 
-func appendHeldQueue(w *wbuf, held []byte) {
+func appendHeldQueue(b, held []byte) []byte {
 	if len(held) == 0 {
-		w.u32(0)
-		return
+		return binary.BigEndian.AppendUint32(b, 0)
 	}
-	w.b = append(w.b, held...)
+	return append(b, held...)
 }
 
 // AppendSectionHashBytes appends the form of a section a change tracker
@@ -365,9 +276,7 @@ func appendHeldQueue(w *wbuf, held []byte) {
 func (s *TCPSnapshot) AppendSectionHashBytes(dst []byte, id SectionID) []byte {
 	switch id {
 	case SecIdentity:
-		w := wbuf{b: dst}
-		s.appendIdentityFields(&w)
-		return w.b
+		return s.appendIdentityFields(dst)
 	case SecCore:
 		saved := s.SrcJiffies
 		s.SrcJiffies = 0
@@ -389,26 +298,26 @@ const maxQueueLen = 1 << 20
 // allocating nothing, and returns how many leading bytes of data the
 // section occupies (ApplySection ignores what follows).
 func sectionLen(id SectionID, data []byte) (int, error) {
-	r := rbuf{b: data}
+	r := wire.NewReader(data)
 	switch id {
 	case SecIdentity:
-		r.skip(identityFieldBytes)
+		r.Skip(identityFieldBytes)
 	case SecCore:
-		r.skip(coreFieldBytes)
-		r.span()
+		r.Skip(coreFieldBytes)
+		r.Span()
 	case SecWriteQueue, SecReceiveQueue, SecOOOQueue:
-		n := r.u32()
+		n := r.U32()
 		if n > maxQueueLen {
-			r.fail()
+			r.Fail(wire.ErrTruncated)
 		}
-		for i := uint32(0); i < n && r.err == nil; i++ {
-			r.span()
-			r.skip(SkbOverheadBytes)
+		for i := uint32(0); i < n && r.Err() == nil; i++ {
+			r.Span()
+			r.Skip(SkbOverheadBytes)
 		}
 	default:
 		return 0, fmt.Errorf("netstack: unknown section %d", id)
 	}
-	return r.off, r.err
+	return r.Off(), r.Err()
 }
 
 // CheckSection reports the error ApplySection would return for data,
@@ -430,37 +339,37 @@ func (s *TCPSnapshot) ApplySection(id SectionID, data []byte) error {
 	if err != nil {
 		return err
 	}
-	r := &rbuf{b: data[:n]}
+	r := wire.NewReader(data[:n])
 	switch id {
 	case SecIdentity:
 		// The static structure image after the fields is not read.
-		s.LocalIP = netsim.Addr(r.u32())
-		s.RemoteIP = netsim.Addr(r.u32())
-		s.OrigLocalIP = netsim.Addr(r.u32())
-		s.LocalPort = r.u16()
-		s.RemotePort = r.u16()
-		s.State = TCPState(r.u8())
-		s.Listening = r.u8() == 1
+		s.LocalIP = netsim.Addr(r.U32())
+		s.RemoteIP = netsim.Addr(r.U32())
+		s.OrigLocalIP = netsim.Addr(r.U32())
+		s.LocalPort = r.U16()
+		s.RemotePort = r.U16()
+		s.State = TCPState(r.U8())
+		s.Listening = r.U8() == 1
 	case SecCore:
-		s.ISS = r.u32()
-		s.SndUna = r.u32()
-		s.SndNxt = r.u32()
-		s.IRS = r.u32()
-		s.RcvNxt = r.u32()
-		s.Cwnd = r.u32()
-		s.Ssthresh = r.u32()
-		s.SndWnd = r.u32()
-		s.RcvBufMax = int32(r.u32())
-		s.SRTTms = int32(r.u32())
-		s.RTTVarms = int32(r.u32())
-		s.RTOms = int32(r.u32())
-		s.TSRecent = r.u32()
-		s.LastTxJiffies = r.u32()
-		s.SrcJiffies = r.u32()
-		s.MSS = int32(r.u32())
-		s.BytesIn = r.u64()
-		s.BytesOut = r.u64()
-		s.SndBuf = append(s.SndBuf[:0], r.span()...)
+		s.ISS = r.U32()
+		s.SndUna = r.U32()
+		s.SndNxt = r.U32()
+		s.IRS = r.U32()
+		s.RcvNxt = r.U32()
+		s.Cwnd = r.U32()
+		s.Ssthresh = r.U32()
+		s.SndWnd = r.U32()
+		s.RcvBufMax = int32(r.U32())
+		s.SRTTms = int32(r.U32())
+		s.RTTVarms = int32(r.U32())
+		s.RTOms = int32(r.U32())
+		s.TSRecent = r.U32()
+		s.LastTxJiffies = r.U32()
+		s.SrcJiffies = r.U32()
+		s.MSS = int32(r.U32())
+		s.BytesIn = r.U64()
+		s.BytesOut = r.U64()
+		s.SndBuf = append(s.SndBuf[:0], r.Span()...)
 	case SecWriteQueue:
 		s.WriteQueue = holdQueue(s.WriteQueue, data[:n])
 	case SecReceiveQueue:
@@ -479,43 +388,41 @@ func holdQueue(held, sec []byte) []byte {
 		return held[:0]
 	}
 	held = append(held[:0], sec...)
-	r := rbuf{b: held}
-	for n := r.u32(); n > 0; n-- {
-		r.span()
-		clear(held[r.off : r.off+SkbOverheadBytes])
-		r.off += SkbOverheadBytes
+	r := wire.NewReader(held)
+	for n := r.U32(); n > 0; n-- {
+		r.Span()
+		clear(r.Bytes(SkbOverheadBytes))
 	}
 	return held
 }
 
 // Encode serializes the whole snapshot as a sequence of tagged sections.
 func (s *TCPSnapshot) Encode() []byte {
-	var w wbuf
+	var b []byte
 	for id := SectionID(0); id < numSections; id++ {
-		w.u8(byte(id))
-		w.u32(0) // section length, known once it is appended
-		at := len(w.b)
-		w.b = s.AppendSection(w.b, id)
-		binary.BigEndian.PutUint32(w.b[at-4:], uint32(len(w.b)-at))
+		b = append(b, byte(id), 0, 0, 0, 0) // section length, known once it is appended
+		at := len(b)
+		b = s.AppendSection(b, id)
+		binary.BigEndian.PutUint32(b[at-4:], uint32(len(b)-at))
 	}
-	return w.b
+	return b
 }
 
 // DecodeTCPSnapshot parses a snapshot produced by Encode.
 func DecodeTCPSnapshot(data []byte) (*TCPSnapshot, error) {
 	s := &TCPSnapshot{}
-	r := &rbuf{b: data}
-	for r.off < len(r.b) {
-		id := SectionID(r.u8())
-		sec := r.span()
-		if r.err != nil {
-			return nil, r.err
+	r := wire.NewReader(data)
+	for r.Off() < len(data) {
+		id := SectionID(r.U8())
+		sec := r.Span()
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		if err := s.ApplySection(id, sec); err != nil {
 			return nil, err
 		}
 	}
-	return s, r.err
+	return s, nil
 }
 
 // RestoreTCP materializes a socket on st from the snapshot: allocate a
@@ -641,24 +548,22 @@ func (s *UDPSnapshot) Encode() []byte { return s.AppendEncode(nil) }
 // AppendEncode appends the encoding of the UDP snapshot to dst and
 // returns the extended slice.
 func (s *UDPSnapshot) AppendEncode(dst []byte) []byte {
-	w := wbuf{b: dst}
-	w.u32(uint32(s.LocalIP))
-	w.u16(s.LocalPort)
-	w.u32(s.SrcJiffies)
-	w.u64(s.BytesIn)
-	w.u64(s.BytesOut)
-	w.u64(s.PacketsIn)
-	w.u64(s.PacketsOut)
-	w.u32(uint32(len(s.Queue)))
+	b := binary.BigEndian.AppendUint32(dst, uint32(s.LocalIP))
+	b = binary.BigEndian.AppendUint16(b, s.LocalPort)
+	b = binary.BigEndian.AppendUint32(b, s.SrcJiffies)
+	b = binary.BigEndian.AppendUint64(b, s.BytesIn)
+	b = binary.BigEndian.AppendUint64(b, s.BytesOut)
+	b = binary.BigEndian.AppendUint64(b, s.PacketsIn)
+	b = binary.BigEndian.AppendUint64(b, s.PacketsOut)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Queue)))
 	for _, d := range s.Queue {
-		w.u32(uint32(d.SrcIP))
-		w.u16(d.SrcPort)
-		w.u32(d.TSVal)
-		w.bytes(d.Payload)
-		w.b = append(w.b, zeros[:SkbOverheadBytes]...)
+		b = binary.BigEndian.AppendUint32(b, uint32(d.SrcIP))
+		b = binary.BigEndian.AppendUint16(b, d.SrcPort)
+		b = binary.BigEndian.AppendUint32(b, d.TSVal)
+		b = appendSpan(b, d.Payload)
+		b = append(b, zeros[:SkbOverheadBytes]...)
 	}
-	w.pad(len(w.b) + UDPSockImageBytes) // socket structure image
-	return w.b
+	return pad(b, len(b)+UDPSockImageBytes) // socket structure image
 }
 
 // AppendHashBytes appends the encoding with SrcJiffies masked, for change
@@ -681,18 +586,18 @@ const (
 // CheckUDPSnapshot reports the error DecodeUDPSnapshot would return for
 // data, without allocating when it is well formed.
 func CheckUDPSnapshot(data []byte) error {
-	r := rbuf{b: data}
-	r.skip(udpFieldBytes)
-	n := r.u32()
-	if r.err != nil || n > maxQueueLen {
+	r := wire.NewReader(data)
+	r.Skip(udpFieldBytes)
+	n := r.U32()
+	if r.Err() != nil || n > maxQueueLen {
 		return errCorruptUDP
 	}
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		r.skip(udpDatagramFieldBytes)
-		r.span()
-		r.skip(SkbOverheadBytes)
+	for i := uint32(0); i < n && r.Err() == nil; i++ {
+		r.Skip(udpDatagramFieldBytes)
+		r.Span()
+		r.Skip(SkbOverheadBytes)
 	}
-	return r.err
+	return r.Err()
 }
 
 // DecodeUDPSnapshot parses an encoded UDP snapshot. The result shares
@@ -701,23 +606,23 @@ func DecodeUDPSnapshot(data []byte) (*UDPSnapshot, error) {
 	if err := CheckUDPSnapshot(data); err != nil {
 		return nil, err
 	}
-	r := &rbuf{b: data}
+	r := wire.NewReader(data)
 	s := &UDPSnapshot{}
-	s.LocalIP = netsim.Addr(r.u32())
-	s.LocalPort = r.u16()
-	s.SrcJiffies = r.u32()
-	s.BytesIn = r.u64()
-	s.BytesOut = r.u64()
-	s.PacketsIn = r.u64()
-	s.PacketsOut = r.u64()
-	n := int(r.u32())
+	s.LocalIP = netsim.Addr(r.U32())
+	s.LocalPort = r.U16()
+	s.SrcJiffies = r.U32()
+	s.BytesIn = r.U64()
+	s.BytesOut = r.U64()
+	s.PacketsIn = r.U64()
+	s.PacketsOut = r.U64()
+	n := int(r.U32())
 	for i := 0; i < n; i++ {
 		d := Datagram{}
-		d.SrcIP = netsim.Addr(r.u32())
-		d.SrcPort = r.u16()
-		d.TSVal = r.u32()
-		d.Payload = append([]byte(nil), r.span()...)
-		r.skip(SkbOverheadBytes)
+		d.SrcIP = netsim.Addr(r.U32())
+		d.SrcPort = r.U16()
+		d.TSVal = r.U32()
+		d.Payload = append([]byte(nil), r.Span()...)
+		r.Skip(SkbOverheadBytes)
 		s.Queue = append(s.Queue, d)
 	}
 	return s, nil

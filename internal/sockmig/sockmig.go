@@ -25,6 +25,7 @@ import (
 	"dvemig/internal/netsim"
 	"dvemig/internal/netstack"
 	"dvemig/internal/proc"
+	"dvemig/internal/wire"
 )
 
 // Strategy selects the socket migration variant.
@@ -139,49 +140,21 @@ func DecodeSockDelta(b []byte) (*SockDelta, error) {
 // decodeInto parses b into d, reusing d's Socks and their Sections
 // backing arrays; the data fields alias b.
 func decodeInto(d *SockDelta, b []byte) error {
-	off := 0
-	get32 := func() (uint32, error) {
-		if off+4 > len(b) {
-			return 0, fmt.Errorf("sockmig: truncated delta at %d", off)
-		}
-		v := uint32(b[off])<<24 | uint32(b[off+1])<<16 | uint32(b[off+2])<<8 | uint32(b[off+3])
-		off += 4
-		return v, nil
-	}
-	// span returns the next n bytes of b, capacity clipped so an append
-	// by the borrower cannot reach the bytes behind them.
-	span := func(n int) []byte {
-		v := b[off : off+n : off+n]
-		off += n
-		return v
-	}
-	round, err := get32()
-	if err != nil {
-		return err
-	}
-	count, err := get32()
-	if err != nil {
-		return err
+	r := wire.NewReader(b)
+	round, count := r.U32(), r.U32()
+	if r.Err() != nil {
+		return r.Err()
 	}
 	if count > 1<<20 {
 		return fmt.Errorf("sockmig: absurd socket count %d", count)
 	}
 	// A socket takes at least 13 bytes, which bounds what a hostile
 	// count can reserve.
-	d.Round, d.Socks = int(round), slices.Grow(d.Socks[:0], min(int(count), (len(b)-off)/13))
+	d.Round, d.Socks = int(round), slices.Grow(d.Socks[:0], min(int(count), len(r.Rest())/13))
 	for i := uint32(0); i < count; i++ {
-		fd, err := get32()
-		if err != nil {
-			return err
-		}
-		if off >= len(b) {
-			return fmt.Errorf("sockmig: truncated kind")
-		}
-		kind := b[off]
-		off++
-		nsec, err := get32()
-		if err != nil {
-			return err
+		fd, kind, nsec := r.U32(), r.U8(), r.U32()
+		if r.Err() != nil {
+			return r.Err()
 		}
 		if nsec > 16 {
 			return fmt.Errorf("sockmig: absurd section count %d", nsec)
@@ -192,29 +165,14 @@ func decodeInto(d *SockDelta, b []byte) error {
 		su := &d.Socks[len(d.Socks)-1]
 		*su = SockUpdate{FD: int(fd), Kind: kind, Sections: slices.Grow(su.Sections[:0], int(nsec))}
 		for j := uint32(0); j < nsec; j++ {
-			if off >= len(b) {
-				return fmt.Errorf("sockmig: truncated section id")
-			}
-			id := netstack.SectionID(b[off])
-			off++
-			n, err := get32()
-			if err != nil {
-				return err
-			}
-			if off+int(n) > len(b) {
-				return fmt.Errorf("sockmig: truncated section data")
-			}
-			su.Sections = append(su.Sections, SectionUpdate{ID: id, Data: span(int(n))})
+			id := netstack.SectionID(r.U8())
+			su.Sections = append(su.Sections, SectionUpdate{ID: id, Data: r.Span()})
 		}
-		n, err := get32()
-		if err != nil {
-			return err
+		if udp := r.Span(); len(udp) > 0 {
+			su.UDPData = udp
 		}
-		if off+int(n) > len(b) {
-			return fmt.Errorf("sockmig: truncated udp data")
-		}
-		if n > 0 {
-			su.UDPData = span(int(n))
+		if r.Err() != nil {
+			return r.Err()
 		}
 	}
 	return nil

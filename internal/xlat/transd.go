@@ -2,12 +2,12 @@ package xlat
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"dvemig/internal/netsim"
 	"dvemig/internal/netstack"
 	"dvemig/internal/simtime"
+	"dvemig/internal/wire"
 )
 
 // TransdPort is the UDP port the translation daemon listens on, on every
@@ -92,25 +92,21 @@ func encodeRequest(op byte, reqID uint32, r Rule) []byte {
 	return b
 }
 
-func decodeRequest(b []byte) (op byte, reqID uint32, r Rule, err error) {
-	if len(b) < 18 {
-		return 0, 0, r, errors.New("transd: short request")
+func decodeRequest(b []byte) (op byte, reqID uint32, rule Rule, err error) {
+	r := wire.NewReader(b)
+	op, reqID = r.U8(), r.U32()
+	rule = Rule{
+		Proto:      r.U8(),
+		OldAddr:    netsim.Addr(r.U32()),
+		NewAddr:    netsim.Addr(r.U32()),
+		LocalPort:  r.U16(),
+		RemotePort: r.U16(),
+		Epoch:      r.U64(),
 	}
-	op = b[0]
-	reqID = binary.BigEndian.Uint32(b[1:])
-	r = Rule{
-		Proto:      b[5],
-		OldAddr:    netsim.Addr(binary.BigEndian.Uint32(b[6:])),
-		NewAddr:    netsim.Addr(binary.BigEndian.Uint32(b[10:])),
-		LocalPort:  binary.BigEndian.Uint16(b[14:]),
-		RemotePort: binary.BigEndian.Uint16(b[16:]),
+	if r.Err() != nil {
+		return 0, 0, Rule{}, r.Err()
 	}
-	// Pre-epoch senders used 18-byte frames; their rules carry the legacy
-	// unfenced epoch 0.
-	if len(b) >= 26 {
-		r.Epoch = binary.BigEndian.Uint64(b[18:])
-	}
-	return op, reqID, r, nil
+	return op, reqID, rule, nil
 }
 
 // Client issues translation requests to remote transd daemons with
@@ -186,10 +182,11 @@ func (c *Client) handleAcks() {
 		if !ok {
 			return
 		}
-		if len(dg.Payload) < 5 {
+		r := wire.NewReader(dg.Payload)
+		resp, id := r.U8(), r.U32()
+		if r.Err() != nil {
 			continue
 		}
-		id := binary.BigEndian.Uint32(dg.Payload[1:])
 		pr, live := c.pending[id]
 		if !live {
 			continue
@@ -198,7 +195,7 @@ func (c *Client) handleAcks() {
 		c.sched.Cancel(pr.timer)
 		pr.timer = nil
 		var err error
-		if dg.Payload[0] == opNak {
+		if resp == opNak {
 			err = fmt.Errorf("transd: peer %s rejected request", dg.SrcIP)
 		}
 		if pr.done != nil {

@@ -390,11 +390,11 @@ func TestRequestEncodingEpochAndLegacy(t *testing.T) {
 	if err != nil || op != opAdd || id != 9 || got != r {
 		t.Fatalf("epoch roundtrip: %v %v %v %v", op, id, got, err)
 	}
-	// An 18-byte pre-epoch frame decodes with the legacy epoch 0.
+	// An 18-byte frame without the epoch, which no sender writes, is
+	// refused rather than read as an unfenced rule.
 	legacy := encodeRequest(opAdd, 9, r)[:18]
-	_, _, got, err = decodeRequest(legacy)
-	if err != nil || got.Epoch != 0 || got.RemotePort != 20 {
-		t.Fatalf("legacy decode: %v %v", got, err)
+	if _, _, got, err = decodeRequest(legacy); err == nil {
+		t.Fatalf("18-byte frame decoded as %v", got)
 	}
 }
 

@@ -39,7 +39,7 @@ var knobs = []struct {
 	{reflect.TypeFor[eval.FreezeConfig](), []string{"Conns", "Strategy", "MemPages", "Repeats", "MigCfg", "Workers", "Observe", "Seed", "Prof"}},
 	{reflect.TypeFor[eval.SoakConfig](), []string{"Scenarios", "Seeds", "Requests", "Procs", "Inflight", "Strategy", "CancelFraction", "MigCfg", "Workers", "Observe", "FlightDepth", "Horizon", "SamplePeriod", "Prof"}},
 	{reflect.TypeFor[eval.StrategySweepConfig](), []string{"Chaos"}},
-	{reflect.TypeFor[lb.Config](), []string{"Period", "ImbalanceThreshold", "CalmDown", "Mode"}},
+	{reflect.TypeFor[lb.Config](), []string{"Period", "ImbalanceThreshold", "CalmDown"}},
 	{reflect.TypeFor[migration.Config](), []string{"Strategy", "InitialTimeout", "EnablePrecopy", "EnableCapture", "Deadline", "ConnTimeout", "ConnRetries", "RetryBackoff", "RetryBackoffMax", "RetryJitter", "InboundLease", "Mig", "PrefetchInterval", "PrefetchBatch"}},
 	{reflect.TypeFor[openarena.Fig4Config](), []string{"Clients", "Server", "MigCfg", "MigrateAt", "Duration"}},
 	{reflect.TypeFor[openarena.ServerConfig](), []string{"MemPages", "DirtyPerFrame", "CPUDemand"}},
