@@ -29,7 +29,6 @@ func soak(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.Inflight, "inflight", cfg.Inflight, "max concurrently open migration objects")
 	fs.Float64Var(&cfg.CancelFraction, "cancels", cfg.CancelFraction, "fraction of submissions that get a cancel verb")
 	fs.IntVar(&cfg.Workers, "workers", 0, "sweep parallelism (0 = GOMAXPROCS); results are identical at any value")
-	fs.IntVar(&cfg.FlightDepth, "flight", 512, "flight-recorder depth (0 disables; dumped on audit violation)")
 	causes := fs.Bool("causes", false, "print sampled failure cause chains per cell")
 	art := obs.NewArtifacts(fs, true)
 	prof := simprof.NewSession(fs)

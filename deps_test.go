@@ -52,7 +52,7 @@ var internalDeps = map[string][]string{
 	"ctlplane": {"epoch", "lb", "migration", "netsim", "netstack", "obs", "proc", "simtime", "wire"},
 
 	"openarena": {"migration", "netsim", "netstack", "proc", "simtime", "trace"},
-	"dve":       {"flight", "lb", "migration", "netsim", "netstack", "obs", "proc", "simtime", "trace", "xlat"},
+	"dve":       {"lb", "migration", "netsim", "netstack", "obs", "proc", "simtime", "trace", "xlat"},
 
 	"eval": {"capture", "ctlplane", "dve", "faults", "flight", "lb", "migration", "netsim", "netstack", "obs", "proc", "simprof", "simtime", "sockmig", "trace", "xlat"},
 }

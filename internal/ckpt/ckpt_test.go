@@ -2,7 +2,10 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -374,5 +377,25 @@ func TestRestoreRejectsCorruptGeometry(t *testing.T) {
 func TestDecodeMemDeltaCorrupt(t *testing.T) {
 	if _, err := DecodeMemDelta([]byte{0, 1}); err == nil {
 		t.Fatal("corrupt delta accepted")
+	}
+	// 440 bytes: an empty geometry header, then 20 zero-page records that
+	// each claim 1 MiB. Were the claims believed, decoding would allocate
+	// 20 MiB on their say-so.
+	be := binary.BigEndian
+	hostile := be.AppendUint32(make([]byte, 16), 20)
+	for i := range 20 {
+		hostile = be.AppendUint64(hostile, 0x10000)
+		hostile = be.AppendUint64(hostile, uint64(i))
+		hostile = be.AppendUint32(append(hostile, pageEncZero), 1<<20)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeMemDelta(hostile)
+	runtime.ReadMemStats(&after)
+	if len(hostile) != 440 || !errors.Is(err, errCorruptPage) {
+		t.Fatalf("%d-byte delta of 1 MiB zero pages: error %v, want %v", len(hostile), err, errCorruptPage)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("decoding the %d-byte delta allocated %d bytes", len(hostile), n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/bits"
 
+	"dvemig/internal/proc"
 	"dvemig/internal/wire"
 )
 
@@ -163,11 +164,6 @@ func encodePage(b, data []byte, n int) []byte {
 	return b
 }
 
-// maxDecodedPage bounds a decoded page's claimed raw length; real pages
-// are PageSize, but the decoder is a fuzz surface and must not be
-// talked into huge allocations.
-const maxDecodedPage = 1 << 20
-
 // pageRec is one page record parsed and bounds-checked but not yet
 // expanded: a view into the payload it was read from.
 type pageRec struct {
@@ -178,30 +174,30 @@ type pageRec struct {
 }
 
 // errCorruptPage is the cause for a page record that is complete but
-// cannot be expanded: an unknown tag, a length past maxDecodedPage, a
+// cannot be expanded: an unknown tag, a length past proc.PageSize, a
 // segment past the page's end.
 var errCorruptPage = errors.New("ckpt: corrupt page record")
 
 // readPageRec parses one encodePage record and checks every bound the
 // expansion relies on — claimed length, segment extents, body within
 // the payload — so expand cannot fail and a caller can validate a whole
-// payload before writing anything.
+// payload before writing anything. No encoder writes a page longer than
+// proc.PageSize, so no record may claim one: the decoder is a fuzz
+// surface and must not be talked into allocations its input does not
+// pay for.
 func readPageRec(r *wire.Reader) pageRec {
 	rec := pageRec{tag: r.U8()}
 	rec.n = int(r.U32())
+	if rec.n > proc.PageSize {
+		r.Fail(errCorruptPage)
+	}
 	switch rec.tag {
 	case pageEncRaw:
 		rec.body = r.Bytes(rec.n)
 		rec.end = rec.n
 	case pageEncZero:
-		if rec.n > maxDecodedPage {
-			r.Fail(errCorruptPage)
-		}
 	case pageEncSparse:
 		nseg := int(r.U16())
-		if rec.n > maxDecodedPage {
-			r.Fail(errCorruptPage)
-		}
 		segs, start := r.Rest(), r.Off()
 		for i := 0; i < nseg && r.Err() == nil; i++ {
 			off, l := int(r.U16()), int(r.U16())

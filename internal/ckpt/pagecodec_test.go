@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"dvemig/internal/proc"
@@ -61,6 +62,16 @@ func TestPageCodecRoundTrip(t *testing.T) {
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
+			if len(data) > proc.PageSize {
+				// It encodes raw, and no decoder takes a page longer
+				// than any encoder writes.
+				enc := encodePage(nil, data, len(data))
+				r := wire.NewReader(enc)
+				if decodePageData(&r); enc[0] != pageEncRaw || !errors.Is(r.Err(), errCorruptPage) {
+					t.Fatalf("%d-byte page: tag %d, decode error %v; want raw, refused as corrupt", len(data), enc[0], r.Err())
+				}
+				return
+			}
 			enc := rtPage(t, data)
 			if len(data) >= 64 && isAllZero(data) && len(enc) > 16 {
 				t.Fatalf("zero page encoded to %d bytes", len(enc))
@@ -112,7 +123,7 @@ func TestPageCodecRandomized(t *testing.T) {
 		return x
 	}
 	for trial := 0; trial < 200; trial++ {
-		size := int(rnd() % 5000)
+		size := int(rnd() % (proc.PageSize + 1))
 		density := rnd() % 100
 		data := make([]byte, size)
 		for i := range data {

@@ -3,7 +3,6 @@ package dve
 import (
 	"fmt"
 
-	"dvemig/internal/flight"
 	"dvemig/internal/lb"
 	"dvemig/internal/migration"
 	"dvemig/internal/netstack"
@@ -43,12 +42,6 @@ type Config struct {
 	// to the run: migrators and conductors get instrumented, and
 	// Simulation.Obs carries the plane for capture/export afterwards.
 	Observe bool
-
-	// FlightDepth, when positive, attaches a flight recorder retaining
-	// the last FlightDepth events per track: one scheduler track plus
-	// node/stack/NIC tracks per machine. Simulation.Flight carries the
-	// set; dump it on failures for a post-mortem window.
-	FlightDepth int
 }
 
 // DefaultConfig reproduces the paper's setup: 5 nodes, 10,000 clients,
@@ -122,10 +115,6 @@ type Simulation struct {
 	// Obs is the run's observability plane (nil unless Config.Observe).
 	Obs *obs.Obs
 
-	// Flight is the run's flight-recorder set (nil unless
-	// Config.FlightDepth > 0).
-	Flight *flight.Set
-
 	zoneProcs map[ZoneID]*proc.Process
 	pop       Population
 
@@ -160,10 +149,6 @@ func New(cfg Config) (*Simulation, error) {
 
 	if cfg.Observe {
 		s.Obs = obs.New(sched)
-	}
-	if cfg.FlightDepth > 0 {
-		s.Flight = flight.NewSet(cfg.FlightDepth)
-		s.Cluster.AttachFlight(s.Flight) // includes the db node
 	}
 	for _, n := range s.Cluster.Nodes[:cfg.Nodes] {
 		m, err := migration.NewMigrator(n, cfg.MigConfig)

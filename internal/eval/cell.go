@@ -20,22 +20,22 @@ type fixture struct {
 	sched   *simtime.Scheduler
 	cluster *proc.Cluster
 	obs     *obs.Obs    // nil unless observing
-	flight  *flight.Set // nil unless a flight depth was given
+	flight  *flight.Set // nil unless lit
 	skew    *simprof.SkewProf
 }
 
 // newFixture builds a cluster of nodes machines and attaches the planes:
-// obs, then the flight tracks (Cluster.AttachFlight's order is in every
-// flight dump), then the profiler's loop and skew collectors under
-// profLabel.
-func newFixture(nodes int, observe bool, flightDepth int, prof *simprof.Profiler, profLabel string) *fixture {
+// obs, then, when lit, the flight tracks (Cluster.AttachFlight's order
+// is in every flight dump), then the profiler's loop and skew collectors
+// under profLabel.
+func newFixture(nodes int, observe, lit bool, prof *simprof.Profiler, profLabel string) *fixture {
 	sched := simtime.NewScheduler()
 	f := &fixture{sched: sched, cluster: proc.NewCluster(sched, nodes)}
 	if observe {
 		f.obs = obs.New(sched)
 	}
-	if flightDepth > 0 {
-		f.flight = flight.NewSet(flightDepth)
+	if lit {
+		f.flight = flight.NewSet()
 		f.cluster.AttachFlight(f.flight)
 	}
 	if prof != nil {
@@ -86,8 +86,8 @@ func (f *fixture) capture(label string) *obs.Capture {
 	return f.obs.Capture(label)
 }
 
-// flightDump renders the flight recorder's retained window ("" without
-// a recorder).
+// flightDump renders the flight recorder's retained window ("" for a
+// dark cell).
 func (f *fixture) flightDump() string {
 	var b strings.Builder
 	f.flight.Dump(&b)

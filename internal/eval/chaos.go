@@ -60,11 +60,6 @@ type ChaosConfig struct {
 	// trace hashes are unchanged and the captures are bit-identical at
 	// any worker count.
 	Observe bool
-	// FlightDepth, when positive, attaches a per-cell flight recorder
-	// (last FlightDepth events per scheduler/node/stack/NIC track) and,
-	// when a cell's invariant audit fails, captures the retained window
-	// into ChaosResult.FlightDump for post-mortem.
-	FlightDepth int
 	// Prof, when non-nil, attaches the wall-clock self-profiling plane:
 	// per-cell event-loop attribution, per-phase migration skew, and the
 	// sweep's worker-occupancy record. It only reads the host clock —
@@ -174,13 +169,14 @@ type ChaosResult struct {
 	// Obs is the cell's observability capture (nil unless
 	// ChaosConfig.Observe).
 	Obs *obs.Capture
-	// FlightDump is the flight recorder's retained window, captured only
-	// when the cell violated an invariant (and FlightDepth was set).
+	// FlightDump is the flight recorder's retained window (the last
+	// events of every scheduler/node/stack/NIC track), taken from the
+	// replay of a cell that violated an invariant.
 	FlightDump string
 }
 
-func (r *ChaosResult) capture() *obs.Capture { return r.Obs }
-func (r *ChaosResult) violations() []string  { return r.Violations }
+func (r *ChaosResult) capture() *obs.Capture        { return r.Obs }
+func (r *ChaosResult) verdict() (uint64, *[]string) { return r.TraceHash, &r.Violations }
 
 // ChaosReport aggregates a chaos sweep or a strategy race (a chaos
 // sweep with the strategy as one more, outermost, axis).
@@ -244,8 +240,7 @@ func (r *ChaosReport) Table() string {
 // scenario-major, seed-minor order.
 func RunChaosSweep(cfg ChaosConfig) (*ChaosReport, error) {
 	rep, err := sweep(cfg.Scenarios, cfg.Seeds, cfg.Workers, cfg.Prof.Sweep("chaos-sweep", cfg.Workers),
-		func(sc ChaosScenario) string { return "chaos " + sc.Name },
-		func(sc ChaosScenario, seed uint64) (*ChaosResult, error) { return RunChaosScenario(cfg, sc, seed) })
+		func(sc ChaosScenario) string { return "chaos " + sc.Name }, cfg.runCell)
 	return &ChaosReport{rep}, err
 }
 
@@ -293,10 +288,11 @@ func (s *fnvSniffer) PacketEvent(at simtime.Time, ev netsim.TapEvent, p *netsim.
 	s.word(uint64(len(p.Payload)))
 }
 
-// RunChaosScenario runs one (scenario, seed) cell: a zone process with
+// runCell runs one (scenario, seed) cell: a zone process with
 // external clients and a DB session, a migration under the scenario's
-// faults, and an end-to-end byte-stream audit afterwards.
-func RunChaosScenario(cfg ChaosConfig, sc ChaosScenario, seed uint64) (*ChaosResult, error) {
+// faults, and an end-to-end byte-stream audit afterwards. A lit cell
+// carries its flight recorder's window in FlightDump.
+func (cfg ChaosConfig) runCell(sc ChaosScenario, seed uint64, lit bool) (*ChaosResult, error) {
 	nClients := cfg.Clients
 	if nClients <= 0 {
 		nClients = 8
@@ -306,7 +302,7 @@ func RunChaosScenario(cfg ChaosConfig, sc ChaosScenario, seed uint64) (*ChaosRes
 		mig = migration.Precopy()
 	}
 	label := fmt.Sprintf("%s/seed%d", sc.Name, seed) // the capture's; the profile's has a prefix
-	f := newFixture(3, cfg.Observe, cfg.FlightDepth, cfg.Prof, "chaos/"+label)
+	f := newFixture(3, cfg.Observe, lit, cfg.Prof, "chaos/"+label)
 	sched, cluster := f.sched, f.cluster
 	src, dst, dbNode := cluster.Nodes[0], cluster.Nodes[1], cluster.Nodes[2]
 	srcMig, err := f.migrator(src, cfg.MigCfg)
@@ -524,8 +520,6 @@ func RunChaosScenario(cfg ChaosConfig, sc ChaosScenario, seed uint64) (*ChaosRes
 	res.Violations = append(res.Violations, f.drain()...)
 	res.PendingAfterDrain = sched.Pending()
 	res.Obs = f.capture(label)
-	if len(res.Violations) > 0 {
-		res.FlightDump = f.flightDump()
-	}
+	res.FlightDump = f.flightDump()
 	return res, nil
 }

@@ -3,28 +3,46 @@ package eval
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dvemig/internal/simtime"
 )
 
+// counted wraps a scenario's Arm with a call counter a parallel sweep
+// may bump from any worker.
+func counted[E any](arm func(E), n *atomic.Int32) func(E) {
+	return func(e E) {
+		n.Add(1)
+		arm(e)
+	}
+}
+
 // TestChaosSweep runs the full default scenario battery at one seed and
 // checks the headline claims: the process survives every scenario, the
 // byte-stream invariant holds everywhere, healthy-path scenarios
 // complete the migration, and the crash scenario aborts cleanly rather
-// than hanging.
+// than hanging. No cell violates, so none is replayed: every scenario's
+// Arm runs once per cell.
 func TestChaosSweep(t *testing.T) {
 	cfg := DefaultChaosConfig()
 	cfg.Seeds = []uint64{1}
-	// Arm the flight recorder so an invariant violation comes with the
-	// last-events window of every track for post-mortem.
-	cfg.FlightDepth = 128
+	arms := make([]atomic.Int32, len(cfg.Scenarios))
+	for i := range cfg.Scenarios {
+		cfg.Scenarios[i].Arm = counted(cfg.Scenarios[i].Arm, &arms[i])
+	}
 	rep, err := RunChaosSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Results) != len(cfg.Scenarios) {
 		t.Fatalf("got %d results, want %d", len(rep.Results), len(cfg.Scenarios))
+	}
+	for i, sc := range cfg.Scenarios {
+		if n := arms[i].Load(); n != int32(len(cfg.Seeds)) {
+			t.Errorf("%s: Arm ran %d times over %d cells", sc.Name, n, len(cfg.Seeds))
+		}
 	}
 	for _, res := range rep.Results {
 		if !res.Survived {
@@ -71,7 +89,7 @@ func TestChaosScenarioDeterminism(t *testing.T) {
 	if sc.Name == "" {
 		t.Fatal("loss-burst scenario missing")
 	}
-	a, err := RunChaosScenario(cfg, sc, 77)
+	a, err := cfg.runCell(sc, 77, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +100,7 @@ func TestChaosScenarioDeterminism(t *testing.T) {
 			sc = s
 		}
 	}
-	b, err := RunChaosScenario(cfg, sc, 77)
+	b, err := cfg.runCell(sc, 77, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +110,44 @@ func TestChaosScenarioDeterminism(t *testing.T) {
 	if a.Completed != b.Completed || a.Aborted != b.Aborted ||
 		a.ClientRetransmits != b.ClientRetransmits || len(a.Violations) != len(b.Violations) {
 		t.Fatalf("outcome differs across identical runs: %+v vs %+v", a, b)
+	}
+}
+
+// TestChaosSweepReplaysViolatingCell forks the zone server onto the
+// destination before the migration, which the survival audit reports.
+// The violating cell runs again lit: its Arm runs twice, and its
+// FlightDump comes from the replay, the only run with a recorder. An
+// Arm that forks only on its first call reads state outside the cell,
+// so its replay is another run, and the sweep says so.
+func TestChaosSweepReplaysViolatingCell(t *testing.T) {
+	fork := func(e *ChaosEnv) { e.Dest.Spawn("zone_serv", 1) }
+	var forks, onces atomic.Int32
+	cfg := DefaultChaosConfig()
+	cfg.Seeds = []uint64{1}
+	cfg.Scenarios = []ChaosScenario{
+		{Name: "fork", Arm: counted(fork, &forks)},
+		{Name: "fork-once", Arm: func(e *ChaosEnv) {
+			if onces.Add(1) == 1 {
+				fork(e)
+			}
+		}},
+	}
+	rep, err := RunChaosSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if forks.Load() != 2 || onces.Load() != 2 {
+		t.Fatalf("Arm ran %d and %d times, want 2 each: a violating cell replays once", forks.Load(), onces.Load())
+	}
+	fk, once := rep.Results[0], rep.Results[1]
+	if len(fk.Violations) == 0 || strings.Contains(strings.Join(fk.Violations, "\n"), "replay diverged") {
+		t.Fatalf("fork: violations %q, want the audit's and no divergence", fk.Violations)
+	}
+	if !strings.HasPrefix(fk.FlightDump, "flight sched: ") {
+		t.Fatalf("fork: no flight dump from the replay:\n%.200s", fk.FlightDump)
+	}
+	if len(once.Violations) != 1 || !strings.HasPrefix(once.Violations[0], "replay diverged: ") {
+		t.Fatalf("fork-once: violations %q, want one replay divergence", once.Violations)
 	}
 }
 

@@ -109,8 +109,8 @@ type FailoverResult struct {
 	PendingAfterDrain int
 }
 
-func (r *FailoverResult) capture() *obs.Capture { return nil }
-func (r *FailoverResult) violations() []string  { return r.Violations }
+func (r *FailoverResult) capture() *obs.Capture        { return nil }
+func (r *FailoverResult) verdict() (uint64, *[]string) { return r.TraceHash, &r.Violations }
 
 // FailoverReport aggregates a sweep.
 type FailoverReport struct{ Report[*FailoverResult] }
@@ -131,11 +131,15 @@ func (r *FailoverReport) Table() string {
 
 // RunFailoverSweep runs every scenario at every seed, fanning the
 // (scenario, seed) cells over up to workers goroutines (<= 0 selects
-// GOMAXPROCS, 1 is the serial path).
+// GOMAXPROCS, 1 is the serial path). A failover cell records no flight
+// window, so the replay of a violating one only checks that it is the
+// same run.
 func RunFailoverSweep(scenarios []FailoverScenario, seeds []uint64, workers int) (*FailoverReport, error) {
 	rep, err := sweep(scenarios, seeds, workers, nil,
 		func(sc FailoverScenario) string { return "failover " + sc.Name },
-		RunFailoverScenario)
+		func(sc FailoverScenario, seed uint64, _ bool) (*FailoverResult, error) {
+			return RunFailoverScenario(sc, seed)
+		})
 	return &FailoverReport{rep}, err
 }
 
@@ -161,7 +165,7 @@ func (s *serveSniffer) PacketEvent(at simtime.Time, ev netsim.TapEvent, p *netsi
 
 // RunFailoverScenario runs one (scenario, seed) cell.
 func RunFailoverScenario(sc FailoverScenario, seed uint64) (*FailoverResult, error) {
-	f := newFixture(3, false, 0, nil, "")
+	f := newFixture(3, false, false, nil, "")
 	sched, cluster := f.sched, f.cluster
 	inj := faults.NewInjector(sched, seed)
 

@@ -219,7 +219,7 @@ const freezeHorizon simtime.Duration = 30e9
 // migration starts.
 func buildFreezeCell(fc FreezeConfig, rep int) (*freezeCell, error) {
 	label := fmt.Sprintf("freeze-c%d-%s-rep%d", fc.Conns, fc.Strategy, rep)
-	f := newFixture(3, fc.Observe, 0, fc.Prof, label) // source, destination, DB
+	f := newFixture(3, fc.Observe, false, fc.Prof, label) // source, destination, DB
 	sched, cluster := f.sched, f.cluster
 	var migs []*migration.Migrator
 	for _, n := range cluster.Nodes[:2] {

@@ -3,6 +3,7 @@ package eval
 import (
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,7 +78,7 @@ func TestInvariantList(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			if got := row.forge(newFixture(2, false, 0, nil, "")); !reflect.DeepEqual(got, row.want) {
+			if got := row.forge(newFixture(2, false, false, nil, "")); !reflect.DeepEqual(got, row.want) {
 				t.Errorf("got  %q\nwant %q", got, row.want)
 			}
 		})
@@ -87,42 +88,63 @@ func TestInvariantList(t *testing.T) {
 // fakeResult is the smallest thing a Report can aggregate.
 type fakeResult struct {
 	id   int
+	lit  bool
 	cap  *obs.Capture
+	hash uint64
 	viol []string
 }
 
-func (r *fakeResult) capture() *obs.Capture { return r.cap }
-func (r *fakeResult) violations() []string  { return r.viol }
+func (r *fakeResult) capture() *obs.Capture        { return r.cap }
+func (r *fakeResult) verdict() (uint64, *[]string) { return r.hash, &r.viol }
 
 // TestSweepReport runs the grid runner over a fake cell: results come
 // back axis-major, seed-minor at any worker count, a cell's error names
 // the cell, unobserved cells are skipped by Captures, and merging no
-// captures is nil, not an error.
+// captures is nil, not an error. Only the violating cells (axis b) run
+// twice, and the sweep keeps their lit replay; the replay of b/2 hashes
+// differently, which the sweep reports as one more violation.
 func TestSweepReport(t *testing.T) {
 	axes, seeds := []string{"a", "b", "c"}, []uint64{1, 2}
 	caps := map[int]*obs.Capture{
 		11: {Label: "a/1", Snap: obs.NewRegistry().Snapshot()},
 		32: {Label: "c/2", Snap: obs.NewRegistry().Snapshot()},
 	}
-	run := func(axis string, seed uint64) (*fakeResult, error) {
+	var runs atomic.Int32
+	run := func(axis string, seed uint64, lit bool) (*fakeResult, error) {
+		runs.Add(1)
 		id := int(axis[0]-'a'+1)*10 + int(seed)
-		res := &fakeResult{id: id, cap: caps[id]}
+		res := &fakeResult{id: id, lit: lit, cap: caps[id]}
 		if axis == "b" {
 			res.viol = []string{"forged"}
+		}
+		if id == 22 && lit {
+			res.hash = 1
 		}
 		return res, nil
 	}
 	for _, workers := range []int{1, 4} {
+		runs.Store(0)
 		rep, err := sweep(axes, seeds, workers, nil, func(a string) string { return "fake " + a }, run)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var ids []int
+		var lit []bool
 		for _, res := range rep.Results {
 			ids = append(ids, res.id)
+			lit = append(lit, res.lit)
 		}
 		if want := []int{11, 12, 21, 22, 31, 32}; !reflect.DeepEqual(ids, want) {
 			t.Fatalf("workers=%d: grid order %v, want %v", workers, ids, want)
+		}
+		if want := []bool{false, false, true, true, false, false}; runs.Load() != 8 || !reflect.DeepEqual(lit, want) {
+			t.Fatalf("workers=%d: %d runs, kept lit %v; want 8 runs and the replays of b kept", workers, runs.Load(), lit)
+		}
+		if v := rep.Results[2].viol; !reflect.DeepEqual(v, []string{"forged"}) {
+			t.Fatalf("b/1 replayed true, yet violations %q", v)
+		}
+		if v := rep.Results[3].viol; len(v) != 2 || v[1] != "replay diverged: trace hash 0x0 → 0x1, violations 1 → 1" {
+			t.Fatalf("b/2 replay diverged, yet violations %q", v)
 		}
 		if got := rep.Captures(); len(got) != 2 || got[0].Label != "a/1" || got[1].Label != "c/2" {
 			t.Fatalf("workers=%d: captures %v", workers, got)
@@ -142,7 +164,7 @@ func TestSweepReport(t *testing.T) {
 
 	boom := errors.New("boom")
 	_, err := sweep(axes, seeds, 1, nil, func(a string) string { return "fake " + a },
-		func(axis string, seed uint64) (*fakeResult, error) {
+		func(axis string, seed uint64, _ bool) (*fakeResult, error) {
 			if axis == "b" && seed == 2 {
 				return nil, boom
 			}

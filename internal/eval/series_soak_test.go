@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"hash/fnv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,14 +20,16 @@ import (
 // cadence), not at teardown, with the flight dump scoped to that
 // window. This is the detection-latency contract: a soak that only
 // audits at quiescence reports "something broke" hours late; the
-// windowed audit names the second it happened.
+// windowed audit names the second it happened. The cell runs dark, then
+// once more lit: the dump is the replay's.
 func TestSoakIncrementalAuditCanary(t *testing.T) {
 	cfg := shortSoakConfig()
 	cfg.Seeds = []uint64{1}
-	cfg.FlightDepth = 256
+	var arms atomic.Int32
 	canary := SoakScenario{
 		Name: "canary-dup",
 		Arm: func(e *SoakEnv) {
+			arms.Add(1)
 			e.Sched.After(8500*simtime.Duration(time.Millisecond), "canary.dup", func() {
 				// Two duplicates: even if the original is frozen mid-migration
 				// at this instant, two owners are running — the forged state
@@ -46,6 +49,9 @@ func TestSoakIncrementalAuditCanary(t *testing.T) {
 	res := rep.Results[0]
 	if len(res.Violations) == 0 {
 		t.Fatal("canary not detected at all")
+	}
+	if arms.Load() != 2 {
+		t.Fatalf("Arm ran %d times, want 2: the violating cell replays once, lit", arms.Load())
 	}
 	if res.FirstViolationWindow != 8 {
 		t.Fatalf("first violation in window %d, want 8 (injection at 8.5s, 1s cadence)\nviolations: %v",
@@ -72,43 +78,56 @@ func TestSoakIncrementalAuditCanary(t *testing.T) {
 
 // TestSoakSamplingDisabledFallsBackToTeardown is the control for the
 // canary: with sampling off the same violation is still caught, but
-// only by the teardown audit (window -1, unscoped dump).
+// only by the teardown audit (window -1, unscoped dump). A canary that
+// fires only on its first call reads state outside the cell: the
+// replay runs clean, and the sweep reports that the replay diverged.
 func TestSoakSamplingDisabledFallsBackToTeardown(t *testing.T) {
-	cfg := shortSoakConfig()
-	cfg.Seeds = []uint64{1}
-	cfg.Requests = 20
-	cfg.FlightDepth = 64
-	cfg.SamplePeriod = -1
-	cfg.Scenarios = []SoakScenario{{
-		Name: "canary-dup",
-		Arm: func(e *SoakEnv) {
-			e.Sched.After(5*simtime.Duration(time.Second), "canary.dup", func() {
-				for _, n := range []*proc.Node{e.Workers[1], e.Workers[2]} {
-					d := n.Spawn("svc00", 1)
-					d.CPUDemand = 0.05
+	for _, once := range []bool{false, true} {
+		var arms atomic.Int32
+		cfg := shortSoakConfig()
+		cfg.Seeds = []uint64{1}
+		cfg.Requests = 20
+		cfg.SamplePeriod = -1
+		cfg.Scenarios = []SoakScenario{{
+			Name: "canary-dup",
+			Arm: func(e *SoakEnv) {
+				if arms.Add(1) > 1 && once {
+					return
 				}
-			})
-		},
-	}}
-	rep, err := RunSoak(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := rep.Results[0]
-	if res.Windows != 0 || res.FirstViolationWindow != -1 {
-		t.Fatalf("sampling should be off: windows=%d first=%d", res.Windows, res.FirstViolationWindow)
-	}
-	if len(res.Violations) == 0 {
-		t.Fatal("teardown audit missed the canary")
-	}
-	if strings.Contains(res.FlightDump, "sample window") {
-		t.Fatalf("dump should be unscoped with sampling off:\n%.120s", res.FlightDump)
-	}
-	if res.FlightDump == "" {
-		t.Fatal("no flight dump at teardown")
-	}
-	if tbl := rep.SLOTable(); tbl != "" {
-		t.Fatalf("SLO table with sampling off: %q", tbl)
+				e.Sched.After(5*simtime.Duration(time.Second), "canary.dup", func() {
+					for _, n := range []*proc.Node{e.Workers[1], e.Workers[2]} {
+						d := n.Spawn("svc00", 1)
+						d.CPUDemand = 0.05
+					}
+				})
+			},
+		}}
+		rep, err := RunSoak(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := rep.Results[0]
+		if arms.Load() != 2 {
+			t.Fatalf("once=%v: Arm ran %d times, want 2", once, arms.Load())
+		}
+		if res.Windows != 0 || res.FirstViolationWindow != -1 {
+			t.Fatalf("sampling should be off: windows=%d first=%d", res.Windows, res.FirstViolationWindow)
+		}
+		if len(res.Violations) == 0 {
+			t.Fatal("teardown audit missed the canary")
+		}
+		if diverged := strings.HasPrefix(res.Violations[len(res.Violations)-1], "replay diverged: "); diverged != once {
+			t.Fatalf("once=%v: violations %q", once, res.Violations)
+		}
+		if strings.Contains(res.FlightDump, "sample window") {
+			t.Fatalf("dump should be unscoped with sampling off:\n%.120s", res.FlightDump)
+		}
+		if res.FlightDump == "" {
+			t.Fatal("no flight dump at teardown")
+		}
+		if tbl := rep.SLOTable(); tbl != "" {
+			t.Fatalf("SLO table with sampling off: %q", tbl)
+		}
 	}
 }
 

@@ -103,9 +103,6 @@ type SoakConfig struct {
 	Workers int
 	// Observe attaches a per-cell observability plane.
 	Observe bool
-	// FlightDepth, when positive, attaches a flight recorder and dumps
-	// its window into SoakResult.FlightDump on an audit violation.
-	FlightDepth int
 	// Horizon caps a cell's simulated runtime (default 30 sim-minutes);
 	// hitting it with non-terminal objects is an audit violation.
 	Horizon simtime.Duration
@@ -201,7 +198,9 @@ type SoakResult struct {
 	TraceHash         uint64
 	PendingAfterDrain int
 	Obs               *obs.Capture
-	FlightDump        string
+	// FlightDump is the flight recorder's window, taken from the replay
+	// of a cell whose audit found a violation.
+	FlightDump string
 	// Windows counts emitted sample windows; FirstViolationWindow is the
 	// index of the first window whose incremental audit found something
 	// (-1 when the run held or sampling was off) — the FlightDump is then
@@ -212,8 +211,8 @@ type SoakResult struct {
 	SLO []*obs.SLOResult
 }
 
-func (r *SoakResult) capture() *obs.Capture { return r.Obs }
-func (r *SoakResult) violations() []string  { return r.Violations }
+func (r *SoakResult) capture() *obs.Capture        { return r.Obs }
+func (r *SoakResult) verdict() (uint64, *[]string) { return r.TraceHash, &r.Violations }
 
 // SoakReport aggregates a sweep.
 type SoakReport struct{ Report[*SoakResult] }
@@ -289,15 +288,14 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 			cfg.Requests, cfg.Procs, cfg.Inflight)
 	}
 	rep, err := sweep(cfg.Scenarios, cfg.Seeds, cfg.Workers, cfg.Prof.Sweep("soak-sweep", cfg.Workers),
-		func(sc SoakScenario) string { return "soak " + sc.Name },
-		func(sc SoakScenario, seed uint64) (*SoakResult, error) { return runSoakCell(cfg, sc, seed) })
+		func(sc SoakScenario) string { return "soak " + sc.Name }, cfg.runCell)
 	return &SoakReport{rep}, err
 }
 
-func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, error) {
+func (cfg SoakConfig) runCell(sc SoakScenario, seed uint64, lit bool) (*SoakResult, error) {
 	const nWorkers = 3
 	label := fmt.Sprintf("soak/%s/seed%d", sc.Name, seed)
-	f := newFixture(nWorkers+2, cfg.Observe, cfg.FlightDepth, cfg.Prof, label)
+	f := newFixture(nWorkers+2, cfg.Observe, lit, cfg.Prof, label)
 	sched, cluster, o := f.sched, f.cluster, f.obs
 	workers := cluster.Nodes[:nWorkers]
 	ctlNode, sbNode := cluster.Nodes[nWorkers], cluster.Nodes[nWorkers+1]
@@ -487,11 +485,9 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 			}
 			if fresh && res.FirstViolationWindow < 0 {
 				res.FirstViolationWindow = w.Index
-				if f.flight != nil {
-					var b strings.Builder
-					f.flight.DumpWindow(&b, w.Index, int64(w.From), int64(w.To))
-					res.FlightDump = b.String()
-				}
+				var b strings.Builder
+				f.flight.DumpWindow(&b, w.Index, int64(w.From), int64(w.To)) // nothing when dark
+				res.FlightDump = b.String()
 			}
 		})
 		sampler.Start()
@@ -649,7 +645,7 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 		res.SLO = sloEng.Results()
 	}
 	res.Obs = f.capture(label)
-	if len(res.Violations) > 0 && res.FlightDump == "" {
+	if res.FlightDump == "" {
 		// Teardown-only discovery (sampling off, or a violation only
 		// expressible at quiescence): dump without a window anchor.
 		res.FlightDump = f.flightDump()

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -31,16 +32,25 @@ func TestSoakRejectsNonPositiveCounts(t *testing.T) {
 
 // TestSoakShortSweepHoldsAudits runs the full chaos battery at reduced
 // request volume: every cell must finish with every object terminal and
-// zero exactly-once / single-owner violations.
+// zero exactly-once / single-owner violations, so no cell is replayed
+// and every scenario's Arm runs once per cell.
 func TestSoakShortSweepHoldsAudits(t *testing.T) {
 	cfg := shortSoakConfig()
-	cfg.FlightDepth = 256
+	arms := make([]atomic.Int32, len(cfg.Scenarios))
+	for i := range cfg.Scenarios {
+		cfg.Scenarios[i].Arm = counted(cfg.Scenarios[i].Arm, &arms[i])
+	}
 	rep, err := RunSoak(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Results) != len(cfg.Scenarios)*len(cfg.Seeds) {
 		t.Fatalf("got %d cells", len(rep.Results))
+	}
+	for i, sc := range cfg.Scenarios {
+		if n := arms[i].Load(); n != int32(len(cfg.Seeds)) {
+			t.Errorf("%s: Arm ran %d times over %d cells", sc.Name, n, len(cfg.Seeds))
+		}
 	}
 	for _, res := range rep.Results {
 		if len(res.Violations) > 0 {

@@ -123,6 +123,6 @@ func RunStrategySweep(cfg StrategySweepConfig) (*ChaosReport, error) {
 	}
 	rep, err := sweep(axes, cfg.Chaos.Seeds, cfg.Chaos.Workers, cfg.Chaos.Prof.Sweep("strategy-sweep", cfg.Chaos.Workers),
 		func(a raced) string { return fmt.Sprintf("strategy %s chaos %s", a.chaos.MigCfg.Mig.Name(), a.sc.Name) },
-		func(a raced, seed uint64) (*ChaosResult, error) { return RunChaosScenario(a.chaos, a.sc, seed) })
+		func(a raced, seed uint64, lit bool) (*ChaosResult, error) { return a.chaos.runCell(a.sc, seed, lit) })
 	return &ChaosReport{rep}, err
 }

@@ -2,15 +2,18 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 
 	"dvemig/internal/obs"
 	"dvemig/internal/simprof"
 )
 
-// result is what a sweep report needs of one cell's outcome.
+// result is what a sweep needs of one cell's outcome.
 type result interface {
 	capture() *obs.Capture // nil for an unobserved cell
-	violations() []string
+	// verdict is the cell's trace hash and its audit's violation list,
+	// which the sweep extends when a replay diverges.
+	verdict() (uint64, *[]string)
 }
 
 // Report aggregates a sweep: one result per cell, in the canonical grid
@@ -25,8 +28,14 @@ type Report[R result] struct {
 // goroutines and collects the results in grid order; see RunParallel for
 // why that is bit-identical to the serial loop. A cell's error comes
 // back prefixed with what(axis) and its seed.
+//
+// Every cell runs dark: no flight recorder. A cell whose audit found a
+// violation runs once more, lit, on the same goroutine. The simulation
+// is deterministic, so the replay is the same run with its last events
+// on record; the sweep keeps it, and reports a replay that is not the
+// same run (another trace hash or violation list) as one more violation.
 func sweep[A any, R result](axes []A, seeds []uint64, workers int, sp *simprof.SweepProf,
-	what func(A) string, run func(A, uint64) (R, error)) (Report[R], error) {
+	what func(A) string, run func(a A, seed uint64, lit bool) (R, error)) (Report[R], error) {
 	type cell struct {
 		axis A
 		seed uint64
@@ -38,9 +47,20 @@ func sweep[A any, R result](axes []A, seeds []uint64, workers int, sp *simprof.S
 		}
 	}
 	results, err := RunParallelProf(cells, workers, sp, func(c cell) (R, error) {
-		res, err := run(c.axis, c.seed)
+		res, err := run(c.axis, c.seed, false)
 		if err != nil {
 			return res, fmt.Errorf("%s seed %d: %w", what(c.axis), c.seed, err)
+		}
+		if hash, viol := res.verdict(); len(*viol) > 0 {
+			lit, err := run(c.axis, c.seed, true)
+			if err != nil {
+				return res, fmt.Errorf("%s seed %d replay: %w", what(c.axis), c.seed, err)
+			}
+			if litHash, litViol := lit.verdict(); litHash != hash || !slices.Equal(*litViol, *viol) {
+				*litViol = append(*litViol, fmt.Sprintf("replay diverged: trace hash %#x → %#x, violations %d → %d",
+					hash, litHash, len(*viol), len(*litViol)))
+			}
+			res = lit
 		}
 		return res, nil
 	})
@@ -81,7 +101,7 @@ func (r *Report[R]) MergedSnapshot() (*obs.Snapshot, error) {
 func (r *Report[R]) Violations() int {
 	n := 0
 	for _, res := range r.Results {
-		if len(res.violations()) > 0 {
+		if _, v := res.verdict(); len(*v) > 0 {
 			n++
 		}
 	}

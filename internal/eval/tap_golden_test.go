@@ -25,8 +25,7 @@ func TestTraceHashGoldens(t *testing.T) {
 	if csc.Name != "lossy-cluster" || fsc.Name != "partition-heal" || ssc.Name != "lossy" {
 		t.Fatalf("scenario lists reordered: picked %s, %s, %s", csc.Name, fsc.Name, ssc.Name)
 	}
-	ccfg.FlightDepth = 128 // the flight tap rides along and must not show
-	chaos, err := RunChaosScenario(ccfg, csc, 1)
+	chaos, err := ccfg.runCell(csc, 1, true) // lit: the flight tap rides along and must not show
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,15 +65,15 @@ func (r *recTap) PacketEvent(_ simtime.Time, ev netsim.TapEvent, _ *netsim.Packe
 
 // TestTapOrderAndIndependence walks the five emission points — tx,
 // drop-fault and dup in Send, drop-fault and rx in deliver — past four
-// taps on one NIC: the flight adapter, two recorders and the trace
-// hash. Both recorders see every event, the first attached first; the
-// flight track holds the same verdicts; the hash moves on tx and rx
-// only; and a detached flight tap sees nothing while the rest carry on.
+// taps on one NIC: the flight adapter a lit cell attaches, two recorders
+// and the trace hash. Both recorders see every event, the first attached
+// first; the flight track holds the same verdicts; the hash moves on tx
+// and rx only; and a detached flight tap sees nothing while the rest
+// carry on.
 func TestTapOrderAndIndependence(t *testing.T) {
-	c := proc.NewCluster(simtime.NewScheduler(), 2)
+	f := newFixture(2, false, true, nil, "")
+	c, set := f.cluster, f.flight
 	a, b := c.Nodes[0], c.Nodes[1]
-	set := flight.NewSet(64)
-	a.AttachFlight(set)
 	var calls []*recTap
 	first, second, hash := &recTap{calls: &calls}, &recTap{calls: &calls}, newFnvSniffer()
 	for _, tap := range []netsim.Tap{first, second, hash} {

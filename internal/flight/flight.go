@@ -29,20 +29,17 @@ type Event struct {
 	C    int64
 }
 
-// Recorder is a bounded ring of the last N events on one track. The
-// zero-capacity and nil recorder both discard everything, so callers
-// gate recording on a single pointer comparison.
+// Recorder is a bounded ring of the last N events on one track. A nil
+// recorder discards everything, so callers gate recording on a single
+// pointer comparison.
 type Recorder struct {
 	Track string
 	buf   []Event
 	n     uint64 // total events ever recorded
 }
 
-// New returns a recorder retaining the last capacity events.
+// New returns a recorder retaining the last capacity (> 0) events.
 func New(track string, capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = 1
-	}
 	return &Recorder{Track: track, buf: make([]Event, 0, capacity)}
 }
 
@@ -135,24 +132,22 @@ func (r *Recorder) DumpRange(w io.Writer, fromNs, toNs int64) {
 	}
 }
 
+// depth is how many events each track of a Set retains.
+const depth = 256
+
 // Set groups the recorders of one simulation so failure paths can dump
 // every track at once.
 type Set struct {
-	Depth int
-	recs  []*Recorder
+	recs []*Recorder
 }
 
-// NewSet returns a set whose tracks each retain depth events.
-func NewSet(depth int) *Set {
-	if depth <= 0 {
-		depth = 256
-	}
-	return &Set{Depth: depth}
-}
+// NewSet returns an empty set.
+func NewSet() *Set { return &Set{} }
 
-// Track creates (and registers) a recorder for the named track.
+// Track creates (and registers) a recorder for the named track,
+// retaining the last depth events.
 func (s *Set) Track(name string) *Recorder {
-	r := New(name, s.Depth)
+	r := New(name, depth)
 	s.recs = append(s.recs, r)
 	return r
 }

@@ -51,7 +51,7 @@ func TestNilRecorderSafe(t *testing.T) {
 }
 
 func TestDumpFormat(t *testing.T) {
-	s := NewSet(8)
+	s := NewSet()
 	r := s.Track("node1")
 	r.Record(1_500_000, "phase", "freeze", 101, 0, 250_000)
 	r.Record(2_000_000, "pkt", "rx", 7, 9, 42)
@@ -75,7 +75,7 @@ func TestDumpFormat(t *testing.T) {
 // semantics: an event timestamped exactly at From is part of the
 // window, one exactly at To belongs to the next window.
 func TestDumpWindowBoundaries(t *testing.T) {
-	s := NewSet(8)
+	s := NewSet()
 	r := s.Track("node1")
 	from, to := int64(1_000_000_000), int64(2_000_000_000)
 	r.Record(from-1, "pkt", "before", 1, 0, 0)

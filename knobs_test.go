@@ -32,12 +32,12 @@ var knobs = []struct {
 	fields []string
 }{
 	{reflect.TypeFor[ctlplane.Config](), []string{"Period", "Retry", "MaxRetries", "Deadline", "CancelGrace", "ProbeAfter", "HelloPeriod", "TakeoverAfter", "Seed"}},
-	{reflect.TypeFor[dve.Config](), []string{"Nodes", "Clients", "Duration", "LB", "LBConfig", "MigConfig", "Zone", "NeighborLinks", "MoveProb", "MoveStart", "Seed", "Observe", "FlightDepth"}},
+	{reflect.TypeFor[dve.Config](), []string{"Nodes", "Clients", "Duration", "LB", "LBConfig", "MigConfig", "Zone", "NeighborLinks", "MoveProb", "MoveStart", "Seed", "Observe"}},
 	{reflect.TypeFor[dve.ZoneServerConfig](), []string{"LoopPeriod", "MemPages"}},
-	{reflect.TypeFor[eval.ChaosConfig](), []string{"Scenarios", "Seeds", "Clients", "MigCfg", "Workers", "Observe", "FlightDepth", "Prof"}},
+	{reflect.TypeFor[eval.ChaosConfig](), []string{"Scenarios", "Seeds", "Clients", "MigCfg", "Workers", "Observe", "Prof"}},
 	{reflect.TypeFor[eval.DispatchConfig](), []string{"Rate", "Duration"}},
 	{reflect.TypeFor[eval.FreezeConfig](), []string{"Conns", "Strategy", "MemPages", "Repeats", "MigCfg", "Workers", "Observe", "Seed", "Prof"}},
-	{reflect.TypeFor[eval.SoakConfig](), []string{"Scenarios", "Seeds", "Requests", "Procs", "Inflight", "Strategy", "CancelFraction", "MigCfg", "Workers", "Observe", "FlightDepth", "Horizon", "SamplePeriod", "Prof"}},
+	{reflect.TypeFor[eval.SoakConfig](), []string{"Scenarios", "Seeds", "Requests", "Procs", "Inflight", "Strategy", "CancelFraction", "MigCfg", "Workers", "Observe", "Horizon", "SamplePeriod", "Prof"}},
 	{reflect.TypeFor[eval.StrategySweepConfig](), []string{"Chaos"}},
 	{reflect.TypeFor[lb.Config](), []string{"Period", "ImbalanceThreshold", "CalmDown"}},
 	{reflect.TypeFor[migration.Config](), []string{"Strategy", "InitialTimeout", "EnablePrecopy", "EnableCapture", "Deadline", "ConnTimeout", "ConnRetries", "RetryBackoff", "RetryBackoffMax", "RetryJitter", "InboundLease", "Mig", "PrefetchInterval", "PrefetchBatch"}},
