@@ -40,10 +40,6 @@ const (
 // to split around.
 const segHdrBytes = 4
 
-// maxSparseLen bounds pages eligible for zero/sparse encoding: segment
-// offsets are u16, so anything larger goes raw.
-const maxSparseLen = 1 << 16
-
 // Word-at-a-time byte classification over little-endian 64-bit loads
 // (byte k of the slice is bits 8k..8k+7 of the word, so the lowest set
 // marker bit names the first matching byte).
@@ -122,15 +118,15 @@ func nextSparseRun(data []byte, i int) (start, end int) {
 
 // encodePage appends the content of one n-byte page to b in the
 // cheapest representation: data holds the page up to len(data) <= n, and
-// the bytes past it are zero. It reads data once and allocates nothing
-// beyond b's growth: the sparse record is written optimistically (its
-// segment count patched at the end) and b is truncated back to emit zero
-// or raw when that turns out cheaper. The sparse scan stops at data's
-// end (the zero tail adds no run, and a run's merge probe finds zeros
-// past data's end either way); a raw record appends the zero tail.
-// Sparse wins only when strictly smaller than raw; a sparse body under
-// maxSparseLen bytes cannot hold 1<<16 segments, so the u16 count never
-// overflows.
+// the bytes past it are zero. n is at most proc.PageSize — every caller
+// encodes a page of an address space — so the u16 segment offsets,
+// lengths and count cannot overflow. It reads data once and allocates
+// nothing beyond b's growth: the sparse record is written optimistically
+// (its segment count patched at the end) and b is truncated back to emit
+// zero or raw when that turns out cheaper. The sparse scan stops at
+// data's end (the zero tail adds no run, and a run's merge probe finds
+// zeros past data's end either way); a raw record appends the zero tail.
+// Sparse wins only when strictly smaller than raw.
 func encodePage(b, data []byte, n int) []byte {
 	mark := len(b)
 	raw := func() []byte {
@@ -138,9 +134,6 @@ func encodePage(b, data []byte, n int) []byte {
 		b = binary.BigEndian.AppendUint32(b, uint32(n))
 		b = append(b, data...)
 		return append(b, make([]byte, n-len(data))...)
-	}
-	if n >= maxSparseLen {
-		return raw()
 	}
 	b = append(b, pageEncSparse)
 	b = binary.BigEndian.AppendUint32(b, uint32(n))

@@ -5,6 +5,8 @@ import (
 
 	"dvemig/internal/flight"
 	"dvemig/internal/migration"
+	"dvemig/internal/netsim"
+	"dvemig/internal/netstack"
 	"dvemig/internal/obs"
 	"dvemig/internal/proc"
 	"dvemig/internal/simprof"
@@ -22,6 +24,7 @@ type fixture struct {
 	obs     *obs.Obs    // nil unless observing
 	flight  *flight.Set // nil unless lit
 	skew    *simprof.SkewProf
+	digest  *wireDigest // nil unless the battery hashes its wires
 }
 
 // newFixture builds a cluster of nodes machines and attaches the planes:
@@ -94,12 +97,72 @@ func (f *fixture) flightDump() string {
 	return b.String()
 }
 
-// foldHashes folds per-link trace hashes into one cell hash, in the
-// order given.
-func foldHashes(links ...*fnvSniffer) uint64 {
-	h := newFnvSniffer()
-	for _, l := range links {
-		h.word(l.h)
+// hashWires puts every node's public and in-cluster NIC behind the
+// cell's wire digest, in node order; externalHost adds each external
+// host's access link. The freeze point reads no hash and pays for none.
+func (f *fixture) hashWires() {
+	f.digest = &wireDigest{h: fnvOffset}
+	for _, n := range f.cluster.Nodes {
+		f.digest.attach(n.PublicNIC)
+		f.digest.attach(n.LocalNIC)
 	}
-	return h.h
+}
+
+// externalHost adds an external host and returns its stack and access
+// link, behind the wire digest hashWires started.
+func (f *fixture) externalHost(name string) (*netstack.Stack, *netsim.NIC) {
+	st := f.cluster.NewExternalHost(name)
+	nic := f.cluster.LastExternalNIC()
+	f.digest.attach(nic)
+	return st, nic
+}
+
+// wireDigest is a battery cell's TraceHash: one FNV-1a over every packet
+// event (tx, rx, drop-fault, dup) on every NIC it is attached to, in
+// scheduler order. The payload enters as its length and p.Checksum: a
+// one-byte change moves it, a swap of two aligned 16-bit words does not.
+type wireDigest struct{ h, nics uint64 } // nics: the next NIC's ordinal
+
+// digestTap is the digest's tap on one NIC, the NIC's ordinal in hand.
+type digestTap struct {
+	*wireDigest
+	nic uint64
+}
+
+func (d *wireDigest) attach(nic *netsim.NIC) {
+	nic.AttachTap(&digestTap{d, d.nics})
+	d.nics++
+}
+
+const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+
+// fnvPrimePow[k] is fnvPrime^k: the whole FNV-1a step for k zero bytes,
+// since folding a zero byte in is a bare multiply.
+var fnvPrimePow = func() (t [9]uint64) {
+	t[0] = 1
+	for k := 1; k < len(t); k++ {
+		t[k] = t[k-1] * fnvPrime
+	}
+	return t
+}()
+
+// word folds v's eight bytes in, little-endian — byte for byte the
+// FNV-1a of them, but the zero bytes above v's last non-zero one (most
+// of a port, flag or length word) cost one multiply between them.
+func (d *wireDigest) word(v uint64) {
+	h, left := d.h, 8
+	for ; v != 0; v >>= 8 {
+		h = (h ^ (v & 0xff)) * fnvPrime
+		left--
+	}
+	d.h = h * fnvPrimePow[left]
+}
+
+func (t *digestTap) PacketEvent(at simtime.Time, ev netsim.TapEvent, p *netsim.Packet) {
+	t.word(t.nic<<8 | uint64(ev))
+	t.word(uint64(at))
+	t.word(uint64(p.SrcIP)<<32 | uint64(p.DstIP))
+	t.word(uint64(p.SrcPort)<<48 | uint64(p.DstPort)<<32 | uint64(p.Flags)<<16 | uint64(p.Proto))
+	t.word(uint64(p.Seq)<<32 | uint64(p.Ack))
+	t.word(uint64(len(p.Payload))<<16 | uint64(p.Checksum))
 }

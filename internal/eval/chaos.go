@@ -57,8 +57,9 @@ type ChaosConfig struct {
 	// Observe attaches a per-cell observability plane (spans + metrics)
 	// to every run; each ChaosResult then carries its Obs capture. The
 	// plane records only virtual time and never schedules events, so
-	// trace hashes are unchanged and the captures are bit-identical at
-	// any worker count.
+	// packet timing is unchanged and the captures are bit-identical at
+	// any worker count. The trace hash is not: MIGRATE_REQ carries the
+	// trace context as bytes.
 	Observe bool
 	// Prof, when non-nil, attaches the wall-clock self-profiling plane:
 	// per-cell event-loop attribution, per-phase migration skew, and the
@@ -156,8 +157,8 @@ type ChaosResult struct {
 	// ClientRetransmits sums TCP retransmissions over all clients (a
 	// liveness cost indicator, not a violation).
 	ClientRetransmits uint64
-	// TraceHash is an FNV-1a hash over every packet event on the
-	// clients' access link; equal hashes mean bit-identical runs.
+	// TraceHash is the cell's wire digest (every NIC, read after the
+	// drain); equal hashes mean bit-identical runs.
 	TraceHash uint64
 	// PendingAfterDrain is the scheduler's pending-event count after the
 	// harness stops every periodic activity and runs the simulation to
@@ -244,50 +245,6 @@ func RunChaosSweep(cfg ChaosConfig) (*ChaosReport, error) {
 	return &ChaosReport{rep}, err
 }
 
-// fnvSniffer is the trace-hash tap: it folds every packet a link
-// transmits or receives into an FNV-1a hash. What the fault plane drops
-// or duplicates is not folded in — the hash is of the traffic, and a
-// duplicate's second arrival is an rx of its own.
-type fnvSniffer struct{ h uint64 }
-
-func newFnvSniffer() *fnvSniffer { return &fnvSniffer{h: 14695981039346656037} }
-
-const fnvPrime = 1099511628211
-
-// fnvPrimePow[k] is fnvPrime^k: the whole FNV-1a step for k zero bytes,
-// since folding a zero byte in is a bare multiply.
-var fnvPrimePow = func() (t [9]uint64) {
-	t[0] = 1
-	for k := 1; k < len(t); k++ {
-		t[k] = t[k-1] * fnvPrime
-	}
-	return t
-}()
-
-// word folds v's eight bytes in, little-endian — byte for byte the
-// FNV-1a of them, but the zero bytes above v's last non-zero one (most
-// of a port, flag or length word) cost one multiply between them.
-func (s *fnvSniffer) word(v uint64) {
-	h, left := s.h, 8
-	for ; v != 0; v >>= 8 {
-		h = (h ^ (v & 0xff)) * fnvPrime
-		left--
-	}
-	s.h = h * fnvPrimePow[left]
-}
-
-func (s *fnvSniffer) PacketEvent(at simtime.Time, ev netsim.TapEvent, p *netsim.Packet) {
-	if ev != netsim.TapTx && ev != netsim.TapRx {
-		return
-	}
-	s.word(uint64(at))
-	s.word(uint64(ev)) // 1 for tx, 2 for rx
-	s.word(uint64(p.SrcIP)<<32 | uint64(p.DstIP))
-	s.word(uint64(p.SrcPort)<<48 | uint64(p.DstPort)<<32 | uint64(p.Flags)<<16 | uint64(p.Proto))
-	s.word(uint64(p.Seq)<<32 | uint64(p.Ack))
-	s.word(uint64(len(p.Payload)))
-}
-
 // runCell runs one (scenario, seed) cell: a zone process with
 // external clients and a DB session, a migration under the scenario's
 // faults, and an end-to-end byte-stream audit afterwards. A lit cell
@@ -303,6 +260,7 @@ func (cfg ChaosConfig) runCell(sc ChaosScenario, seed uint64, lit bool) (*ChaosR
 	}
 	label := fmt.Sprintf("%s/seed%d", sc.Name, seed) // the capture's; the profile's has a prefix
 	f := newFixture(3, cfg.Observe, lit, cfg.Prof, "chaos/"+label)
+	f.hashWires()
 	sched, cluster := f.sched, f.cluster
 	src, dst, dbNode := cluster.Nodes[0], cluster.Nodes[1], cluster.Nodes[2]
 	srcMig, err := f.migrator(src, cfg.MigCfg)
@@ -339,10 +297,7 @@ func (cfg ChaosConfig) runCell(sc ChaosScenario, seed uint64, lit bool) (*ChaosR
 	lst.OnAccept = func(ch *netstack.TCPSocket) { accepted = append(accepted, ch) }
 	p.FDs.Install(&proc.TCPFile{Sock: lst})
 
-	host := cluster.NewExternalHost("players")
-	clientNIC := cluster.LastExternalNIC()
-	sniff := newFnvSniffer()
-	clientNIC.AttachTap(sniff)
+	host, clientNIC := f.externalHost("players")
 
 	recv := make(map[uint16][]byte) // client local port -> bytes observed
 	clients := make([]*netstack.TCPSocket, 0, nClients)
@@ -502,7 +457,6 @@ func (cfg ChaosConfig) runCell(sc ChaosScenario, seed uint64, lit bool) (*ChaosR
 				fmt.Sprintf("client :%d starved: server never sent", port))
 		}
 	}
-	res.TraceHash = sniff.h
 
 	// Drain to quiescence: with the stream stopped, disarm the surviving
 	// process's loop and close the client sockets; nothing periodic is
@@ -519,6 +473,7 @@ func (cfg ChaosConfig) runCell(sc ChaosScenario, seed uint64, lit bool) (*ChaosR
 	}
 	res.Violations = append(res.Violations, f.drain()...)
 	res.PendingAfterDrain = sched.Pending()
+	res.TraceHash = f.digest.h
 	res.Obs = f.capture(label)
 	res.FlightDump = f.flightDump()
 	return res, nil

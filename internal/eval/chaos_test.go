@@ -76,8 +76,8 @@ func TestChaosSweep(t *testing.T) {
 }
 
 // TestChaosScenarioDeterminism runs one chaotic cell twice with the
-// same seed and demands bit-identical outcomes, including the packet
-// trace hash of the clients' access link.
+// same seed and demands bit-identical outcomes, including the cell's
+// wire digest.
 func TestChaosScenarioDeterminism(t *testing.T) {
 	cfg := DefaultChaosConfig()
 	var sc ChaosScenario
@@ -151,24 +151,24 @@ func TestChaosSweepReplaysViolatingCell(t *testing.T) {
 	}
 }
 
-// TestFnvSnifferWordMatchesHashFnv pins the trace-hash fold to the
+// TestDigestWordMatchesHashFnv pins the wire digest's fold to the
 // standard FNV-1a of the word's eight little-endian bytes: the
 // zero-byte shortcut must not move a single bit of any recorded hash.
-func TestFnvSnifferWordMatchesHashFnv(t *testing.T) {
+func TestDigestWordMatchesHashFnv(t *testing.T) {
 	words := []uint64{0, 1, 2, 1 << 56, ^uint64(0)}
 	rng := simtime.NewRand(0x666e76)
 	for i := 0; i < 10000; i++ {
 		// Random words of every byte length, as the sniffer sees them.
 		words = append(words, rng.Uint64()>>(8*uint(rng.Intn(8))))
 	}
-	s, ref := newFnvSniffer(), fnv.New64a()
+	s, ref := &wireDigest{h: fnvOffset}, fnv.New64a()
 	for _, w := range words {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], w)
 		ref.Write(b[:])
 		s.word(w)
 		if s.h != ref.Sum64() {
-			t.Fatalf("after word %#x: sniffer %#x, hash/fnv %#x", w, s.h, ref.Sum64())
+			t.Fatalf("after word %#x: digest %#x, hash/fnv %#x", w, s.h, ref.Sum64())
 		}
 	}
 }

@@ -2,10 +2,10 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dvemig/internal/dve"
-	"dvemig/internal/simtime"
 )
 
 // Fig5bTable renders the freeze-time sweep like the paper's Fig 5b: one
@@ -83,13 +83,7 @@ func DVESummary(r *dve.Results, lbOn bool) string {
 			name, s.Values[0], tail.Mean(), s.Max())
 	}
 	if len(r.FreezeTimes) > 0 {
-		var worst simtime.Duration
-		for _, f := range r.FreezeTimes {
-			if f > worst {
-				worst = f
-			}
-		}
-		fmt.Fprintf(&b, "  worst migration freeze: %.1fms\n", float64(worst)/1e6)
+		fmt.Fprintf(&b, "  worst migration freeze: %.1fms\n", float64(slices.Max(r.FreezeTimes))/1e6)
 	}
 	return b.String()
 }

@@ -99,9 +99,8 @@ type FailoverResult struct {
 	// Violations lists breaches of the exactly-once / single-owner /
 	// mute-stale-owner audits (empty = the failover contract held).
 	Violations []string
-	// TraceHash folds the packet traces of the client access link and
-	// all three public server links; equal hashes mean bit-identical
-	// runs.
+	// TraceHash is the cell's wire digest (every NIC, read after the
+	// drain); equal hashes mean bit-identical runs.
 	TraceHash uint64
 	// PendingAfterDrain is the scheduler's pending-event count once the
 	// harness has stopped every periodic activity and drained the cell
@@ -143,17 +142,15 @@ func RunFailoverSweep(scenarios []FailoverScenario, seeds []uint64, workers int)
 	return &FailoverReport{rep}, err
 }
 
-// serveSniffer hashes every packet event and records when scoreboard
-// replies (UDP, source port scorePort) leave the node.
+// serveSniffer records when scoreboard replies (UDP, source port
+// scorePort) leave the node.
 type serveSniffer struct {
-	fnv        *fnvSniffer
 	firstServe simtime.Time
 	lastServe  simtime.Time
 	serves     int
 }
 
 func (s *serveSniffer) PacketEvent(at simtime.Time, ev netsim.TapEvent, p *netsim.Packet) {
-	s.fnv.PacketEvent(at, ev, p)
 	if ev == netsim.TapTx && p.Proto == netsim.ProtoUDP && p.SrcPort == scorePort {
 		if s.serves == 0 {
 			s.firstServe = at
@@ -166,6 +163,7 @@ func (s *serveSniffer) PacketEvent(at simtime.Time, ev netsim.TapEvent, p *netsi
 // RunFailoverScenario runs one (scenario, seed) cell.
 func RunFailoverScenario(sc FailoverScenario, seed uint64) (*FailoverResult, error) {
 	f := newFixture(3, false, false, nil, "")
+	f.hashWires()
 	sched, cluster := f.sched, f.cluster
 	inj := faults.NewInjector(sched, seed)
 
@@ -191,16 +189,13 @@ func RunFailoverScenario(sc FailoverScenario, seed uint64) (*FailoverResult, err
 		conds[i].EnableFailover(sb)
 	}
 
-	// Per-node public-link sniffers plus one on the client access link.
+	// Per-node public-link sniffers: which machine every reply left from.
 	nodeSniff := make([]*serveSniffer, 3)
 	for i, n := range cluster.Nodes {
-		nodeSniff[i] = &serveSniffer{fnv: newFnvSniffer()}
+		nodeSniff[i] = &serveSniffer{}
 		n.PublicNIC.AttachTap(nodeSniff[i])
 	}
-	host := cluster.NewExternalHost("players")
-	clientNIC := cluster.LastExternalNIC()
-	clientSniff := newFnvSniffer()
-	clientNIC.AttachTap(clientSniff)
+	host, _ := f.externalHost("players")
 
 	// The scoreboard service on node 1: echoes every ping, keeps a
 	// counter in page 0 so checkpoint images have changing content.
@@ -355,10 +350,6 @@ func RunFailoverScenario(sc FailoverScenario, seed uint64) (*FailoverResult, err
 		res.Violations = append(res.Violations, "node with stale image served")
 	}
 
-	// Fold the four link traces into one order-fixed hash — before the
-	// drain below closes sockets and puts more packets on them.
-	res.TraceHash = foldHashes(clientSniff, nodeSniff[0].fnv, nodeSniff[1].fnv, nodeSniff[2].fnv)
-
 	// Drain: conductors (and with them the failure detectors), the
 	// guardians and the process loops are everything periodic here.
 	for _, cd := range conds {
@@ -373,6 +364,7 @@ func RunFailoverScenario(sc FailoverScenario, seed uint64) (*FailoverResult, err
 	}
 	res.Violations = append(res.Violations, f.drain()...)
 	res.PendingAfterDrain = sched.Pending()
+	res.TraceHash = f.digest.h
 	sort.Strings(res.Violations)
 	return res, nil
 }

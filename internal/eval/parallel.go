@@ -5,15 +5,16 @@
 // cell builds its own private simtime.Scheduler and proc.Cluster.
 // Nothing observable crosses cell boundaries: the only package-level
 // mutable state touched by a simulation is the migration behavior
-// registry, which is mutex-guarded and whose token values are opaque
-// fixed-width map keys that never influence packet lengths, audits or
-// trace hashes. Cells are therefore safe to run on worker goroutines,
+// registry, mutex-guarded and keyed by the cell's scheduler, whose
+// Serial numbers the tokens that go on the wire. Cells are therefore
+// safe to run on worker goroutines,
 // and — because results are merged back in canonical cell order — the
 // parallel sweep is bit-identical to the serial one. The chaos and
 // failover batteries pin that equivalence in a test.
 package eval
 
 import (
+	"cmp"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -55,9 +56,7 @@ func RunParallelProf[C any, R any](cells []C, workers int, sp *simprof.SweepProf
 	if max := runtime.GOMAXPROCS(0); workers <= 0 || workers > max {
 		workers = max
 	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
+	workers = min(workers, len(cells))
 	sp.Begin(len(cells), workers)
 	if workers <= 1 {
 		for i := range cells {
@@ -70,7 +69,6 @@ func RunParallelProf[C any, R any](cells []C, workers int, sp *simprof.SweepProf
 		var wg sync.WaitGroup
 		wg.Add(workers)
 		for w := 0; w < workers; w++ {
-			w := w
 			go func() {
 				defer wg.Done()
 				for {
@@ -87,10 +85,5 @@ func RunParallelProf[C any, R any](cells []C, workers int, sp *simprof.SweepProf
 		wg.Wait()
 	}
 	sp.End()
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
+	return results, cmp.Or(errs...) // the first failure in cell order
 }

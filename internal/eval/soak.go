@@ -193,8 +193,8 @@ type SoakResult struct {
 	// DowntimesUs lists per completed migration FreezeTime+StallTime in
 	// microseconds (p99 via trace.Percentile).
 	DowntimesUs []float64
-	// TraceHash folds every packet event on all five nodes' in-cluster
-	// links; equal hashes mean bit-identical cells.
+	// TraceHash is the cell's wire digest (every NIC, read after the
+	// drain); equal hashes mean bit-identical cells.
 	TraceHash         uint64
 	PendingAfterDrain int
 	Obs               *obs.Capture
@@ -296,16 +296,10 @@ func (cfg SoakConfig) runCell(sc SoakScenario, seed uint64, lit bool) (*SoakResu
 	const nWorkers = 3
 	label := fmt.Sprintf("soak/%s/seed%d", sc.Name, seed)
 	f := newFixture(nWorkers+2, cfg.Observe, lit, cfg.Prof, label)
+	f.hashWires()
 	sched, cluster, o := f.sched, f.cluster, f.obs
 	workers := cluster.Nodes[:nWorkers]
 	ctlNode, sbNode := cluster.Nodes[nWorkers], cluster.Nodes[nWorkers+1]
-
-	// Per-node sniffers fold into one cell hash in node order.
-	sniffs := make([]*fnvSniffer, len(cluster.Nodes))
-	for i, n := range cluster.Nodes {
-		sniffs[i] = newFnvSniffer()
-		n.LocalNIC.AttachTap(sniffs[i])
-	}
 
 	lcfg := lb.DefaultConfig()
 	lcfg.ImbalanceThreshold = 10 // conductors heartbeat but never self-balance
@@ -635,7 +629,7 @@ func (cfg SoakConfig) runCell(sc SoakScenario, seed uint64, lit bool) (*SoakResu
 	res.Takeovers = ctl.Takeovers + standby.Takeovers
 	res.Demotions = ctl.Demotions + standby.Demotions
 
-	res.TraceHash = foldHashes(sniffs...) // node order
+	res.TraceHash = f.digest.h
 
 	// Close the final partial window: the teardown tail gets sampled and
 	// audited like every full window, then the capture folds the series

@@ -4,26 +4,32 @@ import (
 	"reflect"
 	"testing"
 
+	"dvemig/internal/ctlplane"
 	"dvemig/internal/faults"
 	"dvemig/internal/flight"
+	"dvemig/internal/migration"
 	"dvemig/internal/netsim"
 	"dvemig/internal/proc"
 	"dvemig/internal/simtime"
 )
 
-// TestTraceHashGoldens pins one cell of each battery to the trace hash
-// it produced at e5dadc0, before the NIC's sniffer list and flight
-// pointer became one tap list: the taps must see the packets they saw,
-// at the instants they saw them. (The benchmark's sim_digest checks the
-// same thing across PRs; this is the copy that runs in tier-1.) The soak
-// cell was re-pinned once since, when migd connections took their own
-// retransmission floor (migdRTOMin): its lost migd segments now resend
-// 20 ms after they left instead of 200 ms, so the packets move in time.
+// TestTraceHashGoldens pins one cell of each battery, plus the chaos
+// battery's healthy cell, to its wire digest: every packet event — tx,
+// rx, drop-fault, dup — on every node's public and in-cluster NIC and
+// on the external hosts' access links, teardown included, folded in
+// scheduler order. A moved value is a behaviour change somewhere on a
+// wire. The healthy and lossy-cluster rows must differ: the lossy
+// cell's in-cluster drops are on the record. (The benchmark's sim_digest
+// checks soak cells across trees; this is the copy that runs in tier-1.)
 func TestTraceHashGoldens(t *testing.T) {
 	ccfg, scfg := DefaultChaosConfig(), DefaultSoakConfig()
-	csc, fsc, ssc := ccfg.Scenarios[5], DefaultFailoverScenarios()[1], scfg.Scenarios[1]
-	if csc.Name != "lossy-cluster" || fsc.Name != "partition-heal" || ssc.Name != "lossy" {
-		t.Fatalf("scenario lists reordered: picked %s, %s, %s", csc.Name, fsc.Name, ssc.Name)
+	healthy, csc, fsc, ssc := ccfg.Scenarios[0], ccfg.Scenarios[5], DefaultFailoverScenarios()[1], scfg.Scenarios[1]
+	if healthy.Name != "healthy" || csc.Name != "lossy-cluster" || fsc.Name != "partition-heal" || ssc.Name != "lossy" {
+		t.Fatalf("scenario lists reordered: picked %s, %s, %s, %s", healthy.Name, csc.Name, fsc.Name, ssc.Name)
+	}
+	ok, err := ccfg.runCell(healthy, 1, false)
+	if err != nil {
+		t.Fatal(err)
 	}
 	chaos, err := ccfg.runCell(csc, 1, true) // lit: the flight tap rides along and must not show
 	if err != nil {
@@ -42,12 +48,98 @@ func TestTraceHashGoldens(t *testing.T) {
 		cell      string
 		got, want uint64
 	}{
-		{"chaos lossy-cluster/seed1", chaos.TraceHash, 0x81e6c14ae52a4d37},
-		{"failover partition-heal/seed1", fo.TraceHash, 0x2c31328fec9453c6},
-		{"soak lossy/seed1, 80 requests", soak.Results[0].TraceHash, 0xc0c3bd2ee0c4c3bb},
+		{"chaos healthy/seed1", ok.TraceHash, 0xdfe34f3ad5f362d6},
+		{"chaos lossy-cluster/seed1", chaos.TraceHash, 0x6407b3ad8e5aa2ff},
+		{"failover partition-heal/seed1", fo.TraceHash, 0xd3162010137a9475},
+		{"soak lossy/seed1, 80 requests", soak.Results[0].TraceHash, 0x3a23b85ad3b3de77},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: trace hash %#x, want %#x", c.cell, c.got, c.want)
+		}
+	}
+}
+
+// dropOnce is a one-shot fault program: it drops the first packet match
+// accepts, in either direction, and lets everything else through.
+type dropOnce struct {
+	match   func(*netsim.Packet) bool
+	dropped bool
+}
+
+func (d *dropOnce) Apply(_ simtime.Time, _ string, p *netsim.Packet) netsim.FaultAction {
+	if d.dropped || !d.match(p) {
+		return netsim.FaultAction{}
+	}
+	d.dropped = true
+	return netsim.FaultAction{Drop: true}
+}
+
+// TestDigestSeesEveryWire drops one packet on each link class a battery
+// runs over — the clients' access link, a public server link, the
+// in-cluster migd connection, the DB session and a control-plane
+// datagram — and demands that the cell's trace hash moves: a hash that
+// stays put across a lost packet cannot tell two runs apart.
+func TestDigestSeesEveryWire(t *testing.T) {
+	carries := func(p *netsim.Packet) bool { return len(p.Payload) > 0 }
+	port := func(ports ...uint16) func(*netsim.Packet) bool {
+		return func(p *netsim.Packet) bool {
+			for _, pt := range ports {
+				if p.SrcPort == pt || p.DstPort == pt {
+					return true
+				}
+			}
+			return false
+		}
+	}
+	// A lost bare ACK is covered by the next cumulative one: nothing is
+	// resent and no client sees a thing, so only the wire itself shows it.
+	bareAck := func(pt uint16) func(*netsim.Packet) bool {
+		on := port(pt)
+		return func(p *netsim.Packet) bool { return on(p) && p.Flags == netsim.FlagACK && len(p.Payload) == 0 }
+	}
+	ccfg := DefaultChaosConfig()
+	chaos := func(arm func(*ChaosEnv)) uint64 {
+		res, err := ccfg.runCell(ChaosScenario{Name: "healthy", Arm: arm}, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.TraceHash
+	}
+	scfg := DefaultSoakConfig()
+	scfg.Requests, scfg.Seeds = 40, []uint64{1}
+	soak := func(arm func(*SoakEnv)) uint64 {
+		scfg.Scenarios = []SoakScenario{{Name: "healthy", Arm: arm}}
+		rep, err := RunSoak(scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Results[0].TraceHash
+	}
+	chaosBase, soakBase := chaos(nil), soak(nil)
+	for _, row := range []struct {
+		wire     string
+		chaosNIC func(*ChaosEnv) *netsim.NIC // nil: the row runs a soak cell
+		soakNIC  func(*SoakEnv) *netsim.NIC
+		match    func(*netsim.Packet) bool
+	}{
+		{"client access link", func(e *ChaosEnv) *netsim.NIC { return e.ClientNIC }, nil, carries},
+		{"public server link", func(e *ChaosEnv) *netsim.NIC { return e.Source.PublicNIC }, nil, carries},
+		{"in-cluster migd", func(e *ChaosEnv) *netsim.NIC { return e.Source.LocalNIC }, nil, bareAck(migration.MigdPort)},
+		{"DB session", func(e *ChaosEnv) *netsim.NIC { return e.DB.LocalNIC }, nil, port(3306)},
+		{"ctlplane datagram", nil, func(e *SoakEnv) *netsim.NIC { return e.CtlNode.LocalNIC },
+			port(ctlplane.CtlPort, ctlplane.AgentPort)},
+	} {
+		drop := &dropOnce{match: row.match}
+		var got, base uint64
+		if row.chaosNIC != nil {
+			got, base = chaos(func(e *ChaosEnv) { row.chaosNIC(e).SetFault(drop) }), chaosBase
+		} else {
+			got, base = soak(func(e *SoakEnv) { row.soakNIC(e).SetFault(drop) }), soakBase
+		}
+		if !drop.dropped {
+			t.Errorf("%s: no packet matched, nothing dropped", row.wire)
+		} else if got == base {
+			t.Errorf("%s: one dropped packet left the trace hash at %#x", row.wire, base)
 		}
 	}
 }
@@ -66,19 +158,21 @@ func (r *recTap) PacketEvent(_ simtime.Time, ev netsim.TapEvent, _ *netsim.Packe
 // TestTapOrderAndIndependence walks the five emission points — tx,
 // drop-fault and dup in Send, drop-fault and rx in deliver — past four
 // taps on one NIC: the flight adapter a lit cell attaches, two recorders
-// and the trace hash. Both recorders see every event, the first attached
-// first; the flight track holds the same verdicts; the hash moves on tx
-// and rx only; and a detached flight tap sees nothing while the rest
-// carry on.
+// and the wire digest. Both recorders see every event, the first
+// attached first; the flight track holds the same verdicts; the digest
+// moves on every ping, the ingress drop's included; and a detached
+// flight tap sees nothing while the rest carry on.
 func TestTapOrderAndIndependence(t *testing.T) {
 	f := newFixture(2, false, true, nil, "")
 	c, set := f.cluster, f.flight
 	a, b := c.Nodes[0], c.Nodes[1]
 	var calls []*recTap
-	first, second, hash := &recTap{calls: &calls}, &recTap{calls: &calls}, newFnvSniffer()
-	for _, tap := range []netsim.Tap{first, second, hash} {
+	first, second := &recTap{calls: &calls}, &recTap{calls: &calls}
+	for _, tap := range []netsim.Tap{first, second} {
 		a.LocalNIC.AttachTap(tap)
 	}
+	hash := &wireDigest{h: fnvOffset} // on node1's in-cluster NIC only
+	hash.attach(a.LocalNIC)
 	var moved []bool // did the hash move on this ping
 	ping := func(from, to *proc.Node, fault *faults.Program) {
 		a.LocalNIC.SetFault(fault)
@@ -92,7 +186,7 @@ func TestTapOrderAndIndependence(t *testing.T) {
 	ping(a, b, &faults.Program{})             // tx
 	ping(a, b, &faults.Program{BaseLoss: 1})  // tx, then dropped on egress
 	ping(a, b, &faults.Program{DupRate: 1})   // tx, then duplicated
-	ping(b, a, &faults.Program{Down: always}) // dropped on ingress: the hash must not move
+	ping(b, a, &faults.Program{Down: always}) // dropped on ingress
 	ping(b, a, &faults.Program{})             // rx
 
 	const tx, rx, drop, dup = netsim.TapTx, netsim.TapRx, netsim.TapDropFault, netsim.TapDup
@@ -105,8 +199,8 @@ func TestTapOrderAndIndependence(t *testing.T) {
 			t.Fatalf("call %d went to the tap attached later: taps are not called in attach order", i)
 		}
 	}
-	if want := []bool{true, true, true, false, true}; !reflect.DeepEqual(moved, want) {
-		t.Fatalf("the trace hash moved on pings %v, want %v: it folds tx and rx, never a drop or a dup", moved, want)
+	if want := []bool{true, true, true, true, true}; !reflect.DeepEqual(moved, want) {
+		t.Fatalf("the wire digest moved on pings %v, want %v: it folds every event, drops and dups included", moved, want)
 	}
 	var track *flight.Recorder
 	for _, r := range set.Recorders() {

@@ -225,7 +225,7 @@ func (ib *inbound) finishRestore(img *ckpt.Image) {
 		ib.abort(err)
 		return
 	}
-	if b := takeBehavior(ib.req.Token); b != nil {
+	if b := takeBehavior(ib.m.sched(), ib.req.Token); b != nil {
 		p.Tick = b.Tick
 		if b.SigHandlers != nil {
 			p.SigHandlers = b.SigHandlers

@@ -30,7 +30,7 @@ func (ob *outbound) end(err error) {
 	ob.st = obDone
 	if err != nil {
 		phase, ob.st = PhaseAborted, obAborted
-		takeBehavior(ob.token) // on success the destination took it
+		takeBehavior(ob.m.sched(), ob.token) // on success the destination took it
 	}
 	delete(ob.m.active, ob.p.PID)
 	ob.watch.stop(ob.m)

@@ -118,11 +118,11 @@ func (s *Standby) offer(name string, token, seq, ep uint64, tctx obs.TraceContex
 	fresher := cur == nil || ep > cur.epoch || (ep == cur.epoch && seq > cur.seq)
 	if !fresher {
 		s.RejectedStale++
-		takeBehavior(token) // refused image's behavior is unreachable
+		takeBehavior(s.Node.Sched, token) // refused image's behavior is unreachable
 		return
 	}
 	if cur != nil && cur.token != token {
-		takeBehavior(cur.token) // superseded image's behavior
+		takeBehavior(s.Node.Sched, cur.token) // superseded image's behavior
 	}
 	if cur == nil {
 		s.evictFor(name)
@@ -151,7 +151,7 @@ func (s *Standby) evictFor(name string) {
 		if victim == "" {
 			return
 		}
-		takeBehavior(s.images[victim].token)
+		takeBehavior(s.Node.Sched, s.images[victim].token)
 		delete(s.images, victim)
 		s.Evicted++
 	}
@@ -236,7 +236,7 @@ func (s *Standby) Activate(name string) (*proc.Process, error) {
 		}
 	}
 	img.FDs = kept
-	img.Behavior = takeBehavior(si.token)
+	img.Behavior = takeBehavior(s.Node.Sched, si.token)
 	p, err := ckpt.Restore(s.Node, img)
 	if err != nil {
 		return nil, err
@@ -313,7 +313,7 @@ func (g *Guardian) checkpoint() {
 	// freeze does, so socket queues are quiescent for the snapshot.
 	g.Proc.Signal(proc.SIGCKPT)
 	img := ckpt.Checkpoint(g.Proc)
-	token := registerBehavior(img.Behavior)
+	token := registerBehavior(g.Node.Sched, img.Behavior)
 	g.token = token
 	g.seq++
 	g.encBuf = img.AppendEncode(g.encBuf[:0])
@@ -324,7 +324,7 @@ func (g *Guardian) checkpoint() {
 		g.Sent++
 	} else {
 		// The image never left this node; its behavior entry would leak.
-		takeBehavior(token)
+		takeBehavior(g.Node.Sched, token)
 	}
 }
 

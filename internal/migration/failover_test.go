@@ -182,7 +182,7 @@ func TestStandbyRetentionBound(t *testing.T) {
 	sb.MaxImages = 3
 	var tokens []uint64
 	for i := 0; i < 5; i++ {
-		tok := registerBehavior(&ckpt.Behavior{})
+		tok := registerBehavior(c.Sched, &ckpt.Behavior{})
 		tokens = append(tokens, tok)
 		sb.offer(fmt.Sprintf("svc%d", i), tok, 1, 0, obs.TraceContext{}, 0, []byte("img"))
 		c.Sched.RunFor(time.Millisecond) // distinct receive times
@@ -200,11 +200,11 @@ func TestStandbyRetentionBound(t *testing.T) {
 	if !sb.Have("svc2") || !sb.Have("svc3") || !sb.Have("svc4") {
 		t.Fatal("fresh images evicted")
 	}
-	if behaviorRegistry[tokens[0]] != nil || behaviorRegistry[tokens[1]] != nil {
+	if behaviorRegistry[behaviorKey{c.Sched, tokens[0]}] != nil || behaviorRegistry[behaviorKey{c.Sched, tokens[1]}] != nil {
 		t.Fatal("evicted images leaked their behavior tokens")
 	}
 	for _, tok := range tokens[2:] {
-		takeBehavior(tok) // clean up for other tests
+		takeBehavior(c.Sched, tok) // clean up for other tests
 	}
 }
 
@@ -214,18 +214,18 @@ func TestStandbyEpochPrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1 := registerBehavior(&ckpt.Behavior{})
+	t1 := registerBehavior(c.Sched, &ckpt.Behavior{})
 	sb.offer("svc", t1, 9, 1, obs.TraceContext{}, 7, []byte("old-owner"))
 	// A new owner's guardian restarts seq at 1 but carries a higher
 	// epoch: epoch precedence must let it supersede seq 9.
-	t2 := registerBehavior(&ckpt.Behavior{})
+	t2 := registerBehavior(c.Sched, &ckpt.Behavior{})
 	sb.offer("svc", t2, 1, 2, obs.TraceContext{}, 8, []byte("new-owner"))
 	ep, seq, from, ok := sb.ImageInfo("svc")
 	if !ok || ep != 2 || seq != 1 || from != 8 {
 		t.Fatalf("ImageInfo = %d/%d/%v/%v", ep, seq, from, ok)
 	}
 	// A stale-epoch image is refused no matter how high its seq.
-	t3 := registerBehavior(&ckpt.Behavior{})
+	t3 := registerBehavior(c.Sched, &ckpt.Behavior{})
 	sb.offer("svc", t3, 99, 1, obs.TraceContext{}, 7, []byte("stale"))
 	if sb.RejectedStale != 1 {
 		t.Fatalf("RejectedStale = %d, want 1", sb.RejectedStale)
@@ -234,13 +234,13 @@ func TestStandbyEpochPrecedence(t *testing.T) {
 		t.Fatal("stale image replaced the fresh one")
 	}
 	// Superseded and refused tokens released; the live one retained.
-	if behaviorRegistry[t1] != nil || behaviorRegistry[t3] != nil {
+	if behaviorRegistry[behaviorKey{c.Sched, t1}] != nil || behaviorRegistry[behaviorKey{c.Sched, t3}] != nil {
 		t.Fatal("superseded/refused tokens leaked")
 	}
-	if behaviorRegistry[t2] == nil {
+	if behaviorRegistry[behaviorKey{c.Sched, t2}] == nil {
 		t.Fatal("live image's token released prematurely")
 	}
-	takeBehavior(t2)
+	takeBehavior(c.Sched, t2)
 }
 
 func TestActivateUnknownName(t *testing.T) {

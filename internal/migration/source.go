@@ -222,7 +222,7 @@ func connRetryCall(a0, _ any) {
 }
 
 func (ob *outbound) start() {
-	ob.token = registerBehavior(&ckpt.Behavior{Tick: ob.p.Tick, SigHandlers: ob.p.SigHandlers})
+	ob.token = registerBehavior(ob.m.sched(), &ckpt.Behavior{Tick: ob.p.Tick, SigHandlers: ob.p.SigHandlers})
 	ob.epoch = ob.m.Epochs.Current(ob.p.Name)
 	rctx := ob.pt.root.Context()
 	req := migrateReq{PID: ob.p.PID, Strategy: ob.m.Config.Strategy,

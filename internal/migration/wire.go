@@ -278,28 +278,34 @@ func decodeRestoreDone(b []byte) (restoreDone, error) {
 // token in MIGRATE_REQ names the entry.
 //
 // The registry is shared by concurrently running simulations (the eval
-// parallel sweep runner), so access is mutex-guarded. Token *values* are
-// opaque map keys of fixed wire width: they never influence packet
-// lengths, audits or trace hashes, so cross-simulation interleaving of
-// token assignment cannot perturb per-cell determinism.
-var (
-	behaviorMu        sync.Mutex
-	behaviorRegistry  = map[uint64]*ckpt.Behavior{}
-	nextBehaviorToken uint64
-)
-
-func registerBehavior(b *ckpt.Behavior) uint64 {
-	behaviorMu.Lock()
-	defer behaviorMu.Unlock()
-	nextBehaviorToken++
-	behaviorRegistry[nextBehaviorToken] = b
-	return nextBehaviorToken
+// parallel sweep runner), so access is mutex-guarded and an entry is
+// keyed by its simulation's scheduler. The token itself is the
+// scheduler's Serial: it travels on the wire, and the wire digest folds
+// every payload byte, so it must be the same in every run of the
+// simulation whatever else runs beside it.
+type behaviorKey struct {
+	sched *simtime.Scheduler
+	token uint64
 }
 
-func takeBehavior(token uint64) *ckpt.Behavior {
+var (
+	behaviorMu       sync.Mutex
+	behaviorRegistry = map[behaviorKey]*ckpt.Behavior{}
+)
+
+func registerBehavior(s *simtime.Scheduler, b *ckpt.Behavior) uint64 {
+	token := s.Serial()
 	behaviorMu.Lock()
 	defer behaviorMu.Unlock()
-	b := behaviorRegistry[token]
-	delete(behaviorRegistry, token)
+	behaviorRegistry[behaviorKey{s, token}] = b
+	return token
+}
+
+func takeBehavior(s *simtime.Scheduler, token uint64) *ckpt.Behavior {
+	behaviorMu.Lock()
+	defer behaviorMu.Unlock()
+	k := behaviorKey{s, token}
+	b := behaviorRegistry[k]
+	delete(behaviorRegistry, k)
 	return b
 }

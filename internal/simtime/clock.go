@@ -209,6 +209,7 @@ type Scheduler struct {
 	tickLanes map[Duration]*Lane // each hosted by its period's first ticker
 	nsteps    uint64
 	ncancels  uint64
+	serial    uint64
 	free      []*Event
 
 	// FR, when attached, records every event fire into the flight
@@ -240,6 +241,14 @@ func (s *Scheduler) Steps() uint64 { return s.nsteps }
 // far (events already fired or already canceled do not count). The
 // observability plane harvests it alongside Steps.
 func (s *Scheduler) Cancels() uint64 { return s.ncancels }
+
+// Serial returns 1, 2, 3, … in call order: a name unique within this
+// simulation that, unlike a process-wide counter, is the same in every
+// run of it whatever else runs beside it — fit to go on a wire.
+func (s *Scheduler) Serial() uint64 {
+	s.serial++
+	return s.serial
+}
 
 // Pending returns the exact number of live events currently queued,
 // in heap slots and in lanes. Canceled events no longer count (one that
