@@ -140,7 +140,7 @@ func simulate(args []string, stdout, stderr io.Writer) int {
 		*dve.Results
 		capture *obs.Capture
 	}
-	runs, err := eval.RunParallel(lbs, 0, func(lb bool) (res result, err error) {
+	runs, err := eval.RunParallel(lbs, 0, nil, func(lb bool) (res result, err error) {
 		c := cfg
 		c.LB = lb
 		sim, err := dve.New(c)

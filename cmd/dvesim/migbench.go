@@ -44,8 +44,8 @@ func migbench(args []string, stdout, stderr io.Writer) int {
 
 	if *race {
 		cfg := eval.DefaultStrategySweepConfig()
-		cfg.Chaos.Workers = tmpl.Workers
-		cfg.Chaos.Prof = prof.Prof
+		cfg.Workers = tmpl.Workers
+		cfg.Prof = prof.Prof
 		r, err := eval.RunStrategySweep(cfg)
 		if err != nil {
 			return die(fs, 1, err)

@@ -47,10 +47,7 @@ func soak(args []string, stdout, stderr io.Writer) int {
 
 	cfg.Prof = prof.Prof
 	cfg.Observe = art.Observe()
-	cfg.SamplePeriod = art.Sample
-	if art.Sample <= 0 {
-		cfg.SamplePeriod = -1 // sampling, incremental audits and SLOs off
-	}
+	cfg.SamplePeriod = art.Sample // 0: sampling, incremental audits and SLOs off
 	if cfg.Strategy != "mixed" && cfg.Strategy != "" {
 		if _, err := migration.StrategyByName(cfg.Strategy); err != nil {
 			return die(fs, 2, err)

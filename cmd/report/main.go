@@ -123,7 +123,7 @@ func evaluate(args []string, stdout, stderr io.Writer) int {
 	}
 	on := off
 	on.LB = true
-	dveRuns, err := eval.RunParallel([]dve.Config{off, on}, *workers, func(c dve.Config) (*dve.Results, error) {
+	dveRuns, err := eval.RunParallel([]dve.Config{off, on}, *workers, nil, func(c dve.Config) (*dve.Results, error) {
 		sim, err := dve.New(c)
 		if err != nil {
 			return nil, err

@@ -42,13 +42,14 @@ type ChaosScenario struct {
 	Arm  func(env *ChaosEnv)
 }
 
+// chaosClients is the number of external TCP connections a cell streams to.
+const chaosClients = 8
+
 // ChaosConfig parameterizes a sweep.
 type ChaosConfig struct {
 	Scenarios []ChaosScenario
 	Seeds     []uint64
-	// Clients is the number of external TCP connections (default 8).
-	Clients int
-	MigCfg  migration.Config
+	MigCfg    migration.Config
 	// Workers bounds the sweep's parallelism: (scenario, seed) cells fan
 	// out over up to Workers goroutines (<= 0 selects GOMAXPROCS, 1 is
 	// the serial path). The report is bit-identical at every worker
@@ -77,10 +78,10 @@ func DefaultChaosConfig() ChaosConfig {
 	cfg.Deadline = 4 * 1e9
 	cfg.ConnTimeout = 1 * 1e9
 	cfg.ConnRetries = 2
+	cfg.Mig = migration.Precopy()
 	return ChaosConfig{
 		Scenarios: DefaultChaosScenarios(),
 		Seeds:     []uint64{1, 2, 3},
-		Clients:   8,
 		MigCfg:    cfg,
 	}
 }
@@ -241,7 +242,7 @@ func (r *ChaosReport) Table() string {
 // scenario-major, seed-minor order.
 func RunChaosSweep(cfg ChaosConfig) (*ChaosReport, error) {
 	rep, err := sweep(cfg.Scenarios, cfg.Seeds, cfg.Workers, cfg.Prof.Sweep("chaos-sweep", cfg.Workers),
-		func(sc ChaosScenario) string { return "chaos " + sc.Name }, cfg.runCell)
+		func(sc ChaosScenario, seed uint64) string { return chaosKey(sc.Name, seed) }, cfg.runCell)
 	return &ChaosReport{rep}, err
 }
 
@@ -250,14 +251,6 @@ func RunChaosSweep(cfg ChaosConfig) (*ChaosReport, error) {
 // faults, and an end-to-end byte-stream audit afterwards. A lit cell
 // carries its flight recorder's window in FlightDump.
 func (cfg ChaosConfig) runCell(sc ChaosScenario, seed uint64, lit bool) (*ChaosResult, error) {
-	nClients := cfg.Clients
-	if nClients <= 0 {
-		nClients = 8
-	}
-	mig := cfg.MigCfg.Mig
-	if mig == nil {
-		mig = migration.Precopy()
-	}
 	label := fmt.Sprintf("%s/seed%d", sc.Name, seed) // the capture's; the profile's has a prefix
 	f := newFixture(3, cfg.Observe, lit, cfg.Prof, "chaos/"+label)
 	f.hashWires()
@@ -300,8 +293,8 @@ func (cfg ChaosConfig) runCell(sc ChaosScenario, seed uint64, lit bool) (*ChaosR
 	host, clientNIC := f.externalHost("players")
 
 	recv := make(map[uint16][]byte) // client local port -> bytes observed
-	clients := make([]*netstack.TCPSocket, 0, nClients)
-	for i := 0; i < nClients; i++ {
+	clients := make([]*netstack.TCPSocket, 0, chaosClients)
+	for i := 0; i < chaosClients; i++ {
 		cli := netstack.NewTCPSocket(host)
 		if err := cli.Connect(cluster.ClusterIP, 7777); err != nil {
 			return nil, err
@@ -318,7 +311,7 @@ func (cfg ChaosConfig) runCell(sc ChaosScenario, seed uint64, lit bool) (*ChaosR
 		return nil, err
 	}
 	sched.RunFor(2 * 1e9)
-	if len(accepted) != nClients || dbPeer == nil {
+	if len(accepted) != chaosClients || dbPeer == nil {
 		return nil, fmt.Errorf("chaos setup: accepted=%d db=%v", len(accepted), dbPeer != nil)
 	}
 	for _, sk := range accepted {
@@ -381,7 +374,7 @@ func (cfg ChaosConfig) runCell(sc ChaosScenario, seed uint64, lit bool) (*ChaosR
 		sc.Arm(env)
 	}
 
-	res := &ChaosResult{Strategy: mig.Name(), Scenario: sc.Name, Seed: seed}
+	res := &ChaosResult{Strategy: cfg.MigCfg.Mig.Name(), Scenario: sc.Name, Seed: seed}
 	sched.At(env.MigrateAt, "chaos.migrate", func() {
 		srcMig.Migrate(p, dst.LocalIP, func(m *migration.Metrics, err error) {
 			res.Metrics = m

@@ -75,44 +75,6 @@ func TestChaosSweep(t *testing.T) {
 	t.Logf("\n%s", rep.Table())
 }
 
-// TestChaosScenarioDeterminism runs one chaotic cell twice with the
-// same seed and demands bit-identical outcomes, including the cell's
-// wire digest.
-func TestChaosScenarioDeterminism(t *testing.T) {
-	cfg := DefaultChaosConfig()
-	var sc ChaosScenario
-	for _, s := range cfg.Scenarios {
-		if s.Name == "loss-burst" {
-			sc = s
-		}
-	}
-	if sc.Name == "" {
-		t.Fatal("loss-burst scenario missing")
-	}
-	a, err := cfg.runCell(sc, 77, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Re-arm: scenarios carry no state, but build a fresh copy of the
-	// scenario list to be explicit about it.
-	for _, s := range DefaultChaosScenarios() {
-		if s.Name == "loss-burst" {
-			sc = s
-		}
-	}
-	b, err := cfg.runCell(sc, 77, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TraceHash != b.TraceHash {
-		t.Fatalf("trace hash differs across identical runs: %#x vs %#x", a.TraceHash, b.TraceHash)
-	}
-	if a.Completed != b.Completed || a.Aborted != b.Aborted ||
-		a.ClientRetransmits != b.ClientRetransmits || len(a.Violations) != len(b.Violations) {
-		t.Fatalf("outcome differs across identical runs: %+v vs %+v", a, b)
-	}
-}
-
 // TestChaosSweepReplaysViolatingCell forks the zone server onto the
 // destination before the migration, which the survival audit reports.
 // The violating cell runs again lit: its Arm runs twice, and its

@@ -65,7 +65,7 @@ func TestFreezeQuiescenceIsFinal(t *testing.T) {
 			}
 		}
 	}
-	_, err := RunParallel(cells, 0, func(fc FreezeConfig) (struct{}, error) {
+	_, err := RunParallel(cells, 0, nil, func(fc FreezeConfig) (struct{}, error) {
 		name := fmt.Sprintf("conns %d %s %s capture=%v seed %d",
 			fc.Conns, fc.Strategy, fc.MigCfg.Mig.Name(), fc.MigCfg.EnableCapture, fc.Seed)
 		c, err := buildFreezeCell(fc, 0)

@@ -135,7 +135,7 @@ func (r *FailoverReport) Table() string {
 // same run.
 func RunFailoverSweep(scenarios []FailoverScenario, seeds []uint64, workers int) (*FailoverReport, error) {
 	rep, err := sweep(scenarios, seeds, workers, nil,
-		func(sc FailoverScenario) string { return "failover " + sc.Name },
+		func(sc FailoverScenario, seed uint64) string { return failoverKey(sc.Name, seed) },
 		func(sc FailoverScenario, seed uint64, _ bool) (*FailoverResult, error) {
 			return RunFailoverScenario(sc, seed)
 		})

@@ -7,8 +7,8 @@ import (
 
 // TestFailoverChaosBattery sweeps the failover scenarios over two
 // seeds: every cell must pass the exactly-once, single-owner and
-// mute-stale-owner audits, and repeat bit-identically — same packet
-// trace hash — under the same seed.
+// mute-stale-owner audits. (That a cell repeats bit-identically is the
+// fixed point's to check.)
 func TestFailoverChaosBattery(t *testing.T) {
 	seeds := []uint64{1, 2}
 	for _, sc := range DefaultFailoverScenarios() {
@@ -27,17 +27,6 @@ func TestFailoverChaosBattery(t *testing.T) {
 				}
 				if a.RepliesTotal == 0 {
 					t.Fatal("scoreboard never answered a single ping")
-				}
-				b, err := RunFailoverScenario(sc, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if a.TraceHash != b.TraceHash {
-					t.Fatalf("trace hash differs across identical runs: %#x vs %#x",
-						a.TraceHash, b.TraceHash)
-				}
-				if len(b.Violations) != len(a.Violations) {
-					t.Fatalf("violation count differs across identical runs")
 				}
 			})
 		}

@@ -120,7 +120,7 @@ func RunFreezePoint(fc FreezeConfig) (*FreezePoint, error) {
 	for i := range reps {
 		reps[i] = i
 	}
-	runs, err := RunParallel(reps, fc.Workers, func(rep int) (once, error) {
+	runs, err := RunParallel(reps, fc.Workers, nil, func(rep int) (once, error) {
 		m, retrans, cap, err := runFreezeOnce(fc, rep)
 		return once{m: m, retrans: retrans, cap: cap}, err
 	})
@@ -171,7 +171,7 @@ func RunFreezeSweep(conns []int, strategies []sockmig.Strategy, tmpl FreezeConfi
 			cells = append(cells, fc)
 		}
 	}
-	return RunParallelProf(cells, tmpl.Workers, tmpl.Prof.Sweep("freeze-sweep", tmpl.Workers), RunFreezePoint)
+	return RunParallel(cells, tmpl.Workers, tmpl.Prof.Sweep("freeze-sweep", tmpl.Workers), RunFreezePoint)
 }
 
 func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, *obs.Capture, error) {

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -122,9 +123,10 @@ func TestSweepReport(t *testing.T) {
 		}
 		return res, nil
 	}
+	key := func(a string, seed uint64) string { return fmt.Sprintf("fake/%s/seed=%d", a, seed) }
 	for _, workers := range []int{1, 4} {
 		runs.Store(0)
-		rep, err := sweep(axes, seeds, workers, nil, func(a string) string { return "fake " + a }, run)
+		rep, err := sweep(axes, seeds, workers, nil, key, run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,14 +165,14 @@ func TestSweepReport(t *testing.T) {
 	}
 
 	boom := errors.New("boom")
-	_, err := sweep(axes, seeds, 1, nil, func(a string) string { return "fake " + a },
+	_, err := sweep(axes, seeds, 1, nil, key,
 		func(axis string, seed uint64, _ bool) (*fakeResult, error) {
 			if axis == "b" && seed == 2 {
 				return nil, boom
 			}
 			return &fakeResult{}, nil
 		})
-	if !errors.Is(err, boom) || err.Error() != "fake b seed 2: boom" {
+	if !errors.Is(err, boom) || err.Error() != "fake/b/seed=2: boom" {
 		t.Fatalf("cell error = %v", err)
 	}
 }

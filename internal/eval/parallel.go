@@ -2,15 +2,12 @@
 //
 // Every sweep in this package is a grid of independent cells — a
 // (scenario, seed) pair, a (strategy, conns, repeat) triple — and every
-// cell builds its own private simtime.Scheduler and proc.Cluster.
-// Nothing observable crosses cell boundaries: the only package-level
-// mutable state touched by a simulation is the migration behavior
-// registry, mutex-guarded and keyed by the cell's scheduler, whose
-// Serial numbers the tokens that go on the wire. Cells are therefore
-// safe to run on worker goroutines,
-// and — because results are merged back in canonical cell order — the
-// parallel sweep is bit-identical to the serial one. The chaos and
-// failover batteries pin that equivalence in a test.
+// cell builds its own private simtime.Scheduler and proc.Cluster. A
+// simulation touches no package-level mutable state (even the migration
+// engine's behaviour tokens are stashed on the cell's scheduler), so
+// cells are safe to run on worker goroutines, and — because results are
+// merged back in canonical cell order — the parallel sweep is
+// bit-identical to the serial one.
 package eval
 
 import (
@@ -39,18 +36,13 @@ import (
 // All cells are run even if some fail; the returned error is the first
 // failure in canonical cell order, so error reporting is as
 // deterministic as the results themselves.
-func RunParallel[C any, R any](cells []C, workers int, fn func(C) (R, error)) ([]R, error) {
-	return RunParallelProf(cells, workers, nil, fn)
-}
-
-// RunParallelProf is RunParallel with a self-profiling collector: when
-// sp is non-nil, every cell's wall time and memory deltas are recorded
-// against the worker that ran it (worker 0 is the serial path / the
-// calling goroutine), bracketed by the sweep's own wall window so the
-// report can compute per-worker busy/idle occupancy. A nil sp is the
-// plain runner — the collector only reads the host clock and MemStats,
-// never the cells, so results are bit-identical either way.
-func RunParallelProf[C any, R any](cells []C, workers int, sp *simprof.SweepProf, fn func(C) (R, error)) ([]R, error) {
+//
+// A non-nil sp records every cell's wall time and memory deltas against
+// the worker that ran it (worker 0 is the serial path / the calling
+// goroutine), bracketed by the sweep's own wall window so the report can
+// compute per-worker busy/idle occupancy. It only reads the host clock
+// and MemStats, never the cells, so results are bit-identical either way.
+func RunParallel[C any, R any](cells []C, workers int, sp *simprof.SweepProf, fn func(C) (R, error)) ([]R, error) {
 	results := make([]R, len(cells))
 	errs := make([]error, len(cells))
 	if max := runtime.GOMAXPROCS(0); workers <= 0 || workers > max {

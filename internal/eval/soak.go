@@ -109,7 +109,7 @@ type SoakConfig struct {
 	// SamplePeriod is the streaming-observability cadence: every period
 	// the cell's sampler snapshots the registry into time series and runs
 	// the incremental audits, so a violation surfaces in its containing
-	// window instead of at teardown. 0 selects the default (1 sim-second);
+	// window instead of at teardown (default 1 sim-second). Zero or
 	// negative disables sampling and incremental audits entirely.
 	SamplePeriod simtime.Duration
 	// Prof, when non-nil, attaches the wall-clock self-profiling plane
@@ -157,6 +157,7 @@ func DefaultSoakConfig() SoakConfig {
 		CancelFraction: 0.02,
 		MigCfg:         mc,
 		Horizon:        30 * time.Minute,
+		SamplePeriod:   time.Second,
 	}
 }
 
@@ -288,7 +289,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 			cfg.Requests, cfg.Procs, cfg.Inflight)
 	}
 	rep, err := sweep(cfg.Scenarios, cfg.Seeds, cfg.Workers, cfg.Prof.Sweep("soak-sweep", cfg.Workers),
-		func(sc SoakScenario) string { return "soak " + sc.Name }, cfg.runCell)
+		func(sc SoakScenario, seed uint64) string { return cfg.key(sc.Name, seed) }, cfg.runCell)
 	return &SoakReport{rep}, err
 }
 
@@ -431,14 +432,10 @@ func (cfg SoakConfig) runCell(sc SoakScenario, seed uint64, lit bool) (*SoakResu
 	// Streaming observability: a sim-time sampler snapshots the registry
 	// into ring series every period and runs the audit's any-instant form,
 	// so a violation surfaces in the window it happened in.
-	samplePeriod := cfg.SamplePeriod
-	if samplePeriod == 0 {
-		samplePeriod = time.Second
-	}
 	var sampler *obs.Sampler
 	var sloEng *obs.SLOEngine
-	if samplePeriod > 0 {
-		sampler = obs.NewSampler(sched, o.M(), samplePeriod)
+	if cfg.SamplePeriod > 0 {
+		sampler = obs.NewSampler(sched, o.M(), cfg.SamplePeriod)
 		if o != nil {
 			o.Sampler = sampler
 			// Idempotent scrape: cluster totals plus the soak's own

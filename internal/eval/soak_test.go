@@ -71,40 +71,6 @@ func TestSoakShortSweepHoldsAudits(t *testing.T) {
 	t.Logf("\n%s", rep.Table())
 }
 
-// TestSoakDeterministicAcrossWorkerCounts re-runs the same sweep at
-// worker counts 1, 4 and 8: the per-cell trace hashes, outcome counts
-// and retry counts must be byte-identical — cells are fully private and
-// scheduling order inside a cell depends only on sim state.
-func TestSoakDeterministicAcrossWorkerCounts(t *testing.T) {
-	cfg := shortSoakConfig()
-	cfg.Scenarios = DefaultSoakScenarios()[:3] // healthy, lossy, dup-reorder
-	cfg.Seeds = []uint64{7}
-	base, err := RunSoak(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 4, 8} {
-		c2 := cfg
-		c2.Workers = w
-		rep, err := RunSoak(c2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, res := range rep.Results {
-			b := base.Results[i]
-			if res.TraceHash != b.TraceHash {
-				t.Errorf("workers=%d %s/seed%d trace hash %#x != %#x",
-					w, res.Scenario, res.Seed, res.TraceHash, b.TraceHash)
-			}
-			if res.Succeeded != b.Succeeded || res.Failed != b.Failed ||
-				res.Aborted != b.Aborted || res.Retries != b.Retries ||
-				res.Dispatches != b.Dispatches || res.Resends != b.Resends {
-				t.Errorf("workers=%d %s/seed%d outcome drift: %+v vs %+v", w, res.Scenario, res.Seed, res, b)
-			}
-		}
-	}
-}
-
 // TestSoakControllerCrashRecovers pins the ctl-crash scenario: the
 // primary dies 8s in, the standby must take over exactly once and still
 // land every object terminal without violations.

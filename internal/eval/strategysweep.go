@@ -9,20 +9,14 @@ import (
 	"dvemig/internal/obs"
 )
 
-// StrategySweepConfig parameterizes the strategy race: every migration
-// strategy runs the same chaos scenario battery at the same seeds, so
+// DefaultStrategySweepConfig is the strategy race's chaos battery: every
+// migration strategy runs the default scenarios at the same two seeds, so
 // the per-strategy freeze/downtime/degraded-window columns are directly
 // comparable cell by cell.
-type StrategySweepConfig struct {
-	Chaos ChaosConfig
-}
-
-// DefaultStrategySweepConfig races all three strategies over the
-// default chaos battery at two seeds.
-func DefaultStrategySweepConfig() StrategySweepConfig {
-	chaos := DefaultChaosConfig()
-	chaos.Seeds = []uint64{1, 2}
-	return StrategySweepConfig{Chaos: chaos}
+func DefaultStrategySweepConfig() ChaosConfig {
+	cfg := DefaultChaosConfig()
+	cfg.Seeds = []uint64{1, 2}
+	return cfg
 }
 
 // Summary renders the head-to-head comparison: per (scenario, strategy)
@@ -104,9 +98,9 @@ func (r *ChaosReport) Summary() string {
 // migration.StrategyNames order, through every chaos scenario at every
 // seed: a chaos sweep with the strategy as the outermost axis, so the
 // report is strategy-major, scenario-minor, seed-ordered.
-func RunStrategySweep(cfg StrategySweepConfig) (*ChaosReport, error) {
+func RunStrategySweep(cfg ChaosConfig) (*ChaosReport, error) {
 	type raced struct {
-		chaos ChaosConfig // cfg.Chaos with the strategy filled in
+		chaos ChaosConfig // cfg with the strategy filled in
 		sc    ChaosScenario
 	}
 	var axes []raced
@@ -115,14 +109,14 @@ func RunStrategySweep(cfg StrategySweepConfig) (*ChaosReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		chaos := cfg.Chaos
+		chaos := cfg
 		chaos.MigCfg.Mig = mig
 		for _, sc := range chaos.Scenarios {
 			axes = append(axes, raced{chaos, sc})
 		}
 	}
-	rep, err := sweep(axes, cfg.Chaos.Seeds, cfg.Chaos.Workers, cfg.Chaos.Prof.Sweep("strategy-sweep", cfg.Chaos.Workers),
-		func(a raced) string { return fmt.Sprintf("strategy %s chaos %s", a.chaos.MigCfg.Mig.Name(), a.sc.Name) },
+	rep, err := sweep(axes, cfg.Seeds, cfg.Workers, cfg.Prof.Sweep("strategy-sweep", cfg.Workers),
+		func(a raced, seed uint64) string { return raceKey(a.chaos.MigCfg.Mig.Name(), a.sc.Name, seed) },
 		func(a raced, seed uint64, lit bool) (*ChaosResult, error) { return a.chaos.runCell(a.sc, seed, lit) })
 	return &ChaosReport{rep}, err
 }

@@ -9,13 +9,12 @@ import (
 
 // smallStrategySweep keeps the parity matrix cheap: three strategies,
 // two fault scenarios (one benign, one adversarial), two seeds.
-func smallStrategySweep(workers int, observe bool) StrategySweepConfig {
+func smallStrategySweep(workers int, observe bool) ChaosConfig {
 	cfg := DefaultStrategySweepConfig()
 	all := DefaultChaosScenarios()
-	cfg.Chaos.Scenarios = []ChaosScenario{all[0], all[4]} // healthy, lossy-cluster
-	cfg.Chaos.Seeds = []uint64{1, 2}
-	cfg.Chaos.Workers = workers
-	cfg.Chaos.Observe = observe
+	cfg.Scenarios = []ChaosScenario{all[0], all[4]} // healthy, jitter
+	cfg.Workers = workers
+	cfg.Observe = observe
 	return cfg
 }
 

@@ -27,7 +27,7 @@ type Report[R result] struct {
 // sweep runs one cell per (axis value, seed) pair on up to workers
 // goroutines and collects the results in grid order; see RunParallel for
 // why that is bit-identical to the serial loop. A cell's error comes
-// back prefixed with what(axis) and its seed.
+// back prefixed with its key.
 //
 // Every cell runs dark: no flight recorder. A cell whose audit found a
 // violation runs once more, lit, on the same goroutine. The simulation
@@ -35,7 +35,7 @@ type Report[R result] struct {
 // on record; the sweep keeps it, and reports a replay that is not the
 // same run (another trace hash or violation list) as one more violation.
 func sweep[A any, R result](axes []A, seeds []uint64, workers int, sp *simprof.SweepProf,
-	what func(A) string, run func(a A, seed uint64, lit bool) (R, error)) (Report[R], error) {
+	key func(A, uint64) string, run func(a A, seed uint64, lit bool) (R, error)) (Report[R], error) {
 	type cell struct {
 		axis A
 		seed uint64
@@ -46,15 +46,15 @@ func sweep[A any, R result](axes []A, seeds []uint64, workers int, sp *simprof.S
 			cells = append(cells, cell{a, seed})
 		}
 	}
-	results, err := RunParallelProf(cells, workers, sp, func(c cell) (R, error) {
+	results, err := RunParallel(cells, workers, sp, func(c cell) (R, error) {
 		res, err := run(c.axis, c.seed, false)
 		if err != nil {
-			return res, fmt.Errorf("%s seed %d: %w", what(c.axis), c.seed, err)
+			return res, fmt.Errorf("%s: %w", key(c.axis, c.seed), err)
 		}
 		if hash, viol := res.verdict(); len(*viol) > 0 {
 			lit, err := run(c.axis, c.seed, true)
 			if err != nil {
-				return res, fmt.Errorf("%s seed %d replay: %w", what(c.axis), c.seed, err)
+				return res, fmt.Errorf("%s replay: %w", key(c.axis, c.seed), err)
 			}
 			if litHash, litViol := lit.verdict(); litHash != hash || !slices.Equal(*litViol, *viol) {
 				*litViol = append(*litViol, fmt.Sprintf("replay diverged: trace hash %#x → %#x, violations %d → %d",
@@ -65,6 +65,26 @@ func sweep[A any, R result](axes []A, seeds []uint64, workers int, sp *simprof.S
 		return res, nil
 	})
 	return Report[R]{Results: results}, err
+}
+
+// Cell keys, one per battery: how errors and the committed fixed point
+// (testdata/fixedpoint.txt) name a cell. A soak key adds the strategy and
+// cancel fraction when either differs from DefaultSoakConfig's.
+func chaosKey(scenario string, seed uint64) string {
+	return fmt.Sprintf("chaos/%s/seed=%d", scenario, seed)
+}
+func raceKey(strategy, scenario string, seed uint64) string {
+	return fmt.Sprintf("race/%s/%s/seed=%d", strategy, scenario, seed)
+}
+func failoverKey(scenario string, seed uint64) string {
+	return fmt.Sprintf("failover/%s/seed=%d", scenario, seed)
+}
+func (cfg SoakConfig) key(scenario string, seed uint64) string {
+	k := fmt.Sprintf("soak/%s/seed=%d/req=%d", scenario, seed, cfg.Requests)
+	if d := DefaultSoakConfig(); cfg.Strategy != d.Strategy || cfg.CancelFraction != d.CancelFraction {
+		k += fmt.Sprintf("/strategy=%s/cancels=%g", cfg.Strategy, cfg.CancelFraction)
+	}
+	return k
 }
 
 // Captures lists the cells' observability captures in result order,

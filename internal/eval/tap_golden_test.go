@@ -13,52 +13,6 @@ import (
 	"dvemig/internal/simtime"
 )
 
-// TestTraceHashGoldens pins one cell of each battery, plus the chaos
-// battery's healthy cell, to its wire digest: every packet event — tx,
-// rx, drop-fault, dup — on every node's public and in-cluster NIC and
-// on the external hosts' access links, teardown included, folded in
-// scheduler order. A moved value is a behaviour change somewhere on a
-// wire. The healthy and lossy-cluster rows must differ: the lossy
-// cell's in-cluster drops are on the record. (The benchmark's sim_digest
-// checks soak cells across trees; this is the copy that runs in tier-1.)
-func TestTraceHashGoldens(t *testing.T) {
-	ccfg, scfg := DefaultChaosConfig(), DefaultSoakConfig()
-	healthy, csc, fsc, ssc := ccfg.Scenarios[0], ccfg.Scenarios[5], DefaultFailoverScenarios()[1], scfg.Scenarios[1]
-	if healthy.Name != "healthy" || csc.Name != "lossy-cluster" || fsc.Name != "partition-heal" || ssc.Name != "lossy" {
-		t.Fatalf("scenario lists reordered: picked %s, %s, %s, %s", healthy.Name, csc.Name, fsc.Name, ssc.Name)
-	}
-	ok, err := ccfg.runCell(healthy, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chaos, err := ccfg.runCell(csc, 1, true) // lit: the flight tap rides along and must not show
-	if err != nil {
-		t.Fatal(err)
-	}
-	fo, err := RunFailoverScenario(fsc, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scfg.Requests, scfg.Seeds, scfg.Scenarios = 80, []uint64{1}, []SoakScenario{ssc}
-	soak, err := RunSoak(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		cell      string
-		got, want uint64
-	}{
-		{"chaos healthy/seed1", ok.TraceHash, 0xdfe34f3ad5f362d6},
-		{"chaos lossy-cluster/seed1", chaos.TraceHash, 0x6407b3ad8e5aa2ff},
-		{"failover partition-heal/seed1", fo.TraceHash, 0xd3162010137a9475},
-		{"soak lossy/seed1, 80 requests", soak.Results[0].TraceHash, 0x3a23b85ad3b3de77},
-	} {
-		if c.got != c.want {
-			t.Errorf("%s: trace hash %#x, want %#x", c.cell, c.got, c.want)
-		}
-	}
-}
-
 // dropOnce is a one-shot fault program: it drops the first packet match
 // accepts, in either direction, and lets everything else through.
 type dropOnce struct {

@@ -160,12 +160,12 @@ func TestBehaviorRegistryBounded(t *testing.T) {
 	// superseded tokens, so the registry grew without bound.
 	c, _, g, sb := failoverSetup(t)
 	c.Sched.RunFor(2 * time.Second)
-	base := len(behaviorRegistry)
+	base := c.Sched.Stashed()
 	c.Sched.RunFor(20 * time.Second) // ~40 more checkpoints
 	if g.Sent < 20 {
 		t.Fatalf("guardian only sent %d checkpoints", g.Sent)
 	}
-	if grown := len(behaviorRegistry) - base; grown > 1 {
+	if grown := c.Sched.Stashed() - base; grown > 1 {
 		t.Fatalf("behavior registry grew by %d entries across %d checkpoints", grown, g.Sent)
 	}
 	if sb.NumImages() != 1 {
@@ -200,11 +200,13 @@ func TestStandbyRetentionBound(t *testing.T) {
 	if !sb.Have("svc2") || !sb.Have("svc3") || !sb.Have("svc4") {
 		t.Fatal("fresh images evicted")
 	}
-	if behaviorRegistry[behaviorKey{c.Sched, tokens[0]}] != nil || behaviorRegistry[behaviorKey{c.Sched, tokens[1]}] != nil {
-		t.Fatal("evicted images leaked their behavior tokens")
+	if n := c.Sched.Stashed(); n != 3 {
+		t.Fatalf("%d behavior tokens outstanding, want 3: evicted images leaked theirs", n)
 	}
 	for _, tok := range tokens[2:] {
-		takeBehavior(c.Sched, tok) // clean up for other tests
+		if takeBehavior(c.Sched, tok) == nil {
+			t.Fatal("a retained image's token was released")
+		}
 	}
 }
 
@@ -234,13 +236,12 @@ func TestStandbyEpochPrecedence(t *testing.T) {
 		t.Fatal("stale image replaced the fresh one")
 	}
 	// Superseded and refused tokens released; the live one retained.
-	if behaviorRegistry[behaviorKey{c.Sched, t1}] != nil || behaviorRegistry[behaviorKey{c.Sched, t3}] != nil {
-		t.Fatal("superseded/refused tokens leaked")
+	if n := c.Sched.Stashed(); n != 1 {
+		t.Fatalf("%d behavior tokens outstanding, want 1: superseded/refused tokens leaked", n)
 	}
-	if behaviorRegistry[behaviorKey{c.Sched, t2}] == nil {
+	if takeBehavior(c.Sched, t2) == nil {
 		t.Fatal("live image's token released prematurely")
 	}
-	takeBehavior(c.Sched, t2)
 }
 
 func TestActivateUnknownName(t *testing.T) {

@@ -52,8 +52,6 @@ func TestStandbyCopiesLentImage(t *testing.T) {
 	if got := sb.images["svc-b"].data; !bytes.Equal(got, second) {
 		t.Fatalf("second image corrupted: % x ...", got[:8])
 	}
-	takeBehavior(c.Sched, 1)
-	takeBehavior(c.Sched, 2)
 }
 
 // TestConnReturnsBufferOnClose: Close hands the drained receive buffer

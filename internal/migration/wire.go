@@ -3,7 +3,6 @@ package migration
 import (
 	"encoding/binary"
 	"errors"
-	"sync"
 
 	"dvemig/internal/ckpt"
 	"dvemig/internal/netsim"
@@ -272,40 +271,14 @@ func decodeRestoreDone(b []byte) (restoreDone, error) {
 	return m, r.Err()
 }
 
-// behaviorRegistry carries process behaviour (Go closures standing in for
-// program text) between engine instances within one simulation. In a real
-// deployment the executable is present on all nodes (§II-A); here the
-// token in MIGRATE_REQ names the entry.
-//
-// The registry is shared by concurrently running simulations (the eval
-// parallel sweep runner), so access is mutex-guarded and an entry is
-// keyed by its simulation's scheduler. The token itself is the
-// scheduler's Serial: it travels on the wire, and the wire digest folds
-// every payload byte, so it must be the same in every run of the
-// simulation whatever else runs beside it.
-type behaviorKey struct {
-	sched *simtime.Scheduler
-	token uint64
-}
-
-var (
-	behaviorMu       sync.Mutex
-	behaviorRegistry = map[behaviorKey]*ckpt.Behavior{}
-)
-
-func registerBehavior(s *simtime.Scheduler, b *ckpt.Behavior) uint64 {
-	token := s.Serial()
-	behaviorMu.Lock()
-	defer behaviorMu.Unlock()
-	behaviorRegistry[behaviorKey{s, token}] = b
-	return token
-}
+// registerBehavior stashes process behaviour (Go closures standing in
+// for program text) in the simulation; the token in MIGRATE_REQ or in a
+// guardian's image names it, and takeBehavior hands it to the engine
+// instance that restores the process. In a real deployment the
+// executable is present on all nodes (§II-A).
+func registerBehavior(s *simtime.Scheduler, b *ckpt.Behavior) uint64 { return s.Stash(b) }
 
 func takeBehavior(s *simtime.Scheduler, token uint64) *ckpt.Behavior {
-	behaviorMu.Lock()
-	defer behaviorMu.Unlock()
-	k := behaviorKey{s, token}
-	b := behaviorRegistry[k]
-	delete(behaviorRegistry, k)
+	b, _ := s.Take(token).(*ckpt.Behavior)
 	return b
 }

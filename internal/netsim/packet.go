@@ -24,7 +24,7 @@ import (
 // zero value is ready to use; a Pool must not be copied once used.
 //
 // The nil *Pool is the handle-less form behind the package-level
-// NewPacket / GetPayload / Unmarshal / PutPayload: it falls back to two
+// NewPacket / GetPayload / Unmarshal: it falls back to two
 // process-wide sync.Pools, for callers that mint packets with no stack in
 // hand (tests, the layer benchmarks' raw-NIC drivers).
 type Pool struct {
@@ -156,11 +156,6 @@ var poisonReleased bool
 // PoisonReleasedPayloads turns the tripwire on for the rest of the
 // process. It is for a test package's init.
 func PoisonReleasedPayloads() { poisonReleased = true }
-
-// PutPayload drops one holder of a buffer obtained from the handle-less
-// GetPayload that never rode on a packet (Packet.Release does this for
-// one that did).
-func PutPayload(b []byte) { (*Pool)(nil).putPayload(b) }
 
 // NewPacket returns a zeroed Packet homed in pl. Callers that construct
 // literal &Packet{} values remain correct (Release accepts any packet),

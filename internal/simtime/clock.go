@@ -210,6 +210,7 @@ type Scheduler struct {
 	nsteps    uint64
 	ncancels  uint64
 	serial    uint64
+	stash     map[uint64]any // Stash's values not yet taken, by token
 	free      []*Event
 
 	// FR, when attached, records every event fire into the flight
@@ -242,13 +243,30 @@ func (s *Scheduler) Steps() uint64 { return s.nsteps }
 // observability plane harvests it alongside Steps.
 func (s *Scheduler) Cancels() uint64 { return s.ncancels }
 
-// Serial returns 1, 2, 3, … in call order: a name unique within this
-// simulation that, unlike a process-wide counter, is the same in every
-// run of it whatever else runs beside it — fit to go on a wire.
-func (s *Scheduler) Serial() uint64 {
+// Stash keeps v until Take redeems the token it returns. Tokens are 1,
+// 2, 3, … in call order: a name unique within this simulation that,
+// unlike a process-wide counter, is the same in every run of it whatever
+// else runs beside it — fit to go on a wire. The values die with the
+// simulation, and Stashed counts the ones still held.
+func (s *Scheduler) Stash(v any) uint64 {
+	if s.stash == nil {
+		s.stash = make(map[uint64]any)
+	}
 	s.serial++
+	s.stash[s.serial] = v
 	return s.serial
 }
+
+// Take removes and returns the value stashed under token (nil when there
+// is none).
+func (s *Scheduler) Take(token uint64) any {
+	v := s.stash[token]
+	delete(s.stash, token)
+	return v
+}
+
+// Stashed is the number of stashed values not yet taken.
+func (s *Scheduler) Stashed() int { return len(s.stash) }
 
 // Pending returns the exact number of live events currently queued,
 // in heap slots and in lanes. Canceled events no longer count (one that

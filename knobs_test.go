@@ -34,11 +34,10 @@ var knobs = []struct {
 	{reflect.TypeFor[ctlplane.Config](), []string{"Period", "Retry", "MaxRetries", "Deadline", "CancelGrace", "ProbeAfter", "HelloPeriod", "TakeoverAfter", "Seed"}},
 	{reflect.TypeFor[dve.Config](), []string{"Nodes", "Clients", "Duration", "LB", "LBConfig", "MigConfig", "Zone", "NeighborLinks", "MoveProb", "MoveStart", "Seed", "Observe"}},
 	{reflect.TypeFor[dve.ZoneServerConfig](), []string{"LoopPeriod", "MemPages"}},
-	{reflect.TypeFor[eval.ChaosConfig](), []string{"Scenarios", "Seeds", "Clients", "MigCfg", "Workers", "Observe", "Prof"}},
+	{reflect.TypeFor[eval.ChaosConfig](), []string{"Scenarios", "Seeds", "MigCfg", "Workers", "Observe", "Prof"}},
 	{reflect.TypeFor[eval.DispatchConfig](), []string{"Rate", "Duration"}},
 	{reflect.TypeFor[eval.FreezeConfig](), []string{"Conns", "Strategy", "MemPages", "Repeats", "MigCfg", "Workers", "Observe", "Seed", "Prof"}},
 	{reflect.TypeFor[eval.SoakConfig](), []string{"Scenarios", "Seeds", "Requests", "Procs", "Inflight", "Strategy", "CancelFraction", "MigCfg", "Workers", "Observe", "Horizon", "SamplePeriod", "Prof"}},
-	{reflect.TypeFor[eval.StrategySweepConfig](), []string{"Chaos"}},
 	{reflect.TypeFor[lb.Config](), []string{"Period", "ImbalanceThreshold", "CalmDown"}},
 	{reflect.TypeFor[migration.Config](), []string{"Strategy", "InitialTimeout", "EnablePrecopy", "EnableCapture", "Deadline", "ConnTimeout", "ConnRetries", "RetryBackoff", "RetryBackoffMax", "RetryJitter", "InboundLease", "Mig", "PrefetchInterval", "PrefetchBatch"}},
 	{reflect.TypeFor[openarena.Fig4Config](), []string{"Clients", "Server", "MigCfg", "MigrateAt", "Duration"}},
