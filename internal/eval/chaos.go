@@ -2,7 +2,7 @@ package eval
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"dvemig/internal/faults"
@@ -410,14 +410,13 @@ func (cfg ChaosConfig) runCell(sc ChaosScenario, seed uint64, lit bool) (*ChaosR
 	// Byte-stream audit: what each client observed must be exactly what
 	// the server's ledger says was sent to it — same bytes, same order,
 	// nothing duplicated, nothing missing.
-	ports := make([]int, 0, len(clients))
+	ports := make([]uint16, 0, len(clients))
 	for _, cli := range clients {
-		ports = append(ports, int(cli.LocalPort))
+		ports = append(ports, cli.LocalPort)
 		res.ClientRetransmits += cli.Retransmits
 	}
-	sort.Ints(ports)
-	for _, pt := range ports {
-		port := uint16(pt)
+	slices.Sort(ports)
+	for _, port := range ports {
 		got, want := recv[port], sent[port]
 		if string(got) != string(want) {
 			detail := ""

@@ -107,16 +107,12 @@ type FreezePoint struct {
 // point is identical at any worker count.
 func RunFreezePoint(fc FreezeConfig) (*FreezePoint, error) {
 	pt := &FreezePoint{Conns: fc.Conns, Strategy: fc.Strategy}
-	repeats := fc.Repeats
-	if repeats < 1 {
-		repeats = 1
-	}
 	type once struct {
 		m       *migration.Metrics
 		retrans uint64
 		cap     *obs.Capture
 	}
-	reps := make([]int, repeats)
+	reps := make([]int, max(fc.Repeats, 1))
 	for i := range reps {
 		reps[i] = i
 	}

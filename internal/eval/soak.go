@@ -33,6 +33,9 @@ type SoakEnv struct {
 	Standby  *ctlplane.Controller
 	Agents   []*ctlplane.Agent
 	Migrator []*migration.Migrator
+	// OnHalfway, when an Arm sets it, runs the instant the pump has
+	// submitted half of the cell's requests.
+	OnHalfway func()
 }
 
 // SoakScenario is one named fault script, armed after the healthy cell
@@ -65,10 +68,16 @@ func DefaultSoakScenarios() []SoakScenario {
 			allLocal(e, func() *faults.Program { return &faults.Program{JitterMax: 1 * time.Millisecond} })
 		}},
 		{Name: "ctl-crash", Arm: func(e *SoakEnv) {
-			// Kill the primary controller's node mid-soak: the standby must
-			// take over under a bumped epoch and finish every object without
-			// double-driving a single migration.
+			// Kill the primary controller's node mid-soak — 8s in, or once
+			// half the requests are submitted if that comes first: the
+			// standby must take over under a bumped epoch and finish every
+			// object without double-driving a single migration.
 			e.Inj.CrashAt(e.Cluster, e.CtlNode, e.Sched.Now()+8*1e9)
+			e.OnHalfway = func() {
+				if e.CtlNode.Alive {
+					e.Inj.CrashAt(e.Cluster, e.CtlNode, e.Sched.Now())
+				}
+			}
 		}},
 		{Name: "ctl-partition", Arm: func(e *SoakEnv) {
 			// The primary is partitioned (not dead) for 6s: the standby takes
@@ -519,7 +528,9 @@ func (cfg SoakConfig) runCell(sc SoakScenario, seed uint64, lit bool) (*SoakResu
 			if err != nil {
 				return
 			}
-			submitted++
+			if submitted++; submitted == cfg.Requests/2 && env.OnHalfway != nil {
+				env.OnHalfway()
+			}
 			submittedIDs = append(submittedIDs, obj.Spec.ID)
 			inflightName[name] = obj.Spec.ID
 			idName[obj.Spec.ID] = name

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -72,29 +73,36 @@ func TestSoakShortSweepHoldsAudits(t *testing.T) {
 }
 
 // TestSoakControllerCrashRecovers pins the ctl-crash scenario: the
-// primary dies 8s in, the standby must take over exactly once and still
-// land every object terminal without violations.
+// primary dies 8s in or once half the requests are submitted, whichever
+// comes first, and the standby must take over exactly once and still
+// land every object terminal without violations. The post-copy cell's
+// pump is done before 8s, so only the halfway crash lands mid-soak there.
 func TestSoakControllerCrashRecovers(t *testing.T) {
-	cfg := shortSoakConfig()
-	for _, sc := range DefaultSoakScenarios() {
-		if sc.Name == "ctl-crash" {
-			cfg.Scenarios = []SoakScenario{sc}
+	short, postcopy := shortSoakConfig(), DefaultSoakConfig()
+	short.Seeds = []uint64{3}
+	postcopy.Requests, postcopy.Seeds, postcopy.Strategy, postcopy.CancelFraction = 80, []uint64{1}, "postcopy", 0.1
+	for _, cfg := range []SoakConfig{short, postcopy} {
+		cfg.Scenarios = slices.DeleteFunc(DefaultSoakScenarios(), func(sc SoakScenario) bool {
+			return sc.Name != "healthy" && sc.Name != "ctl-crash"
+		})
+		rep, err := RunSoak(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	cfg.Seeds = []uint64{3}
-	rep, err := RunSoak(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := rep.Results[0]
-	if len(res.Violations) > 0 {
-		t.Fatalf("violations: %v", res.Violations)
-	}
-	if res.Takeovers != 1 {
-		t.Fatalf("takeovers = %d, want 1", res.Takeovers)
-	}
-	if res.Succeeded == 0 {
-		t.Fatal("nothing succeeded after takeover")
+		healthy, res := rep.Results[0], rep.Results[1]
+		key := cfg.key(res.Scenario, res.Seed)
+		if len(res.Violations) > 0 {
+			t.Fatalf("%s: violations: %v", key, res.Violations)
+		}
+		if res.Takeovers != 1 {
+			t.Fatalf("%s: takeovers = %d, want 1", key, res.Takeovers)
+		}
+		if res.Succeeded == 0 {
+			t.Fatalf("%s: nothing succeeded after takeover", key)
+		}
+		if res.TraceHash == healthy.TraceHash {
+			t.Fatalf("%s: trace hash %#x is healthy's: the crash landed after the soak", key, res.TraceHash)
+		}
 	}
 }
 

@@ -70,15 +70,11 @@ func sweep[A any, R result](axes []A, seeds []uint64, workers int, sp *simprof.S
 // Cell keys, one per battery: how errors and the committed fixed point
 // (testdata/fixedpoint.txt) name a cell. A soak key adds the strategy and
 // cancel fraction when either differs from DefaultSoakConfig's.
-func chaosKey(scenario string, seed uint64) string {
-	return fmt.Sprintf("chaos/%s/seed=%d", scenario, seed)
+func chaosKey(sc string, seed uint64) string { return fmt.Sprintf("chaos/%s/seed=%d", sc, seed) }
+func raceKey(st, sc string, seed uint64) string {
+	return fmt.Sprintf("race/%s/%s/seed=%d", st, sc, seed)
 }
-func raceKey(strategy, scenario string, seed uint64) string {
-	return fmt.Sprintf("race/%s/%s/seed=%d", strategy, scenario, seed)
-}
-func failoverKey(scenario string, seed uint64) string {
-	return fmt.Sprintf("failover/%s/seed=%d", scenario, seed)
-}
+func failoverKey(sc string, seed uint64) string { return fmt.Sprintf("failover/%s/seed=%d", sc, seed) }
 func (cfg SoakConfig) key(scenario string, seed uint64) string {
 	k := fmt.Sprintf("soak/%s/seed=%d/req=%d", scenario, seed, cfg.Requests)
 	if d := DefaultSoakConfig(); cfg.Strategy != d.Strategy || cfg.CancelFraction != d.CancelFraction {
