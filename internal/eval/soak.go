@@ -528,7 +528,8 @@ func (cfg SoakConfig) runCell(sc SoakScenario, seed uint64, lit bool) (*SoakResu
 			if err != nil {
 				return
 			}
-			if submitted++; submitted == cfg.Requests/2 && env.OnHalfway != nil {
+			submitted++
+			if submitted == cfg.Requests/2 && env.OnHalfway != nil {
 				env.OnHalfway()
 			}
 			submittedIDs = append(submittedIDs, obj.Spec.ID)

@@ -40,6 +40,22 @@ func TestSchedulerSameInstantIsFIFO(t *testing.T) {
 	}
 }
 
+// TestStashTokens: tokens count 1, 2, 3, … per scheduler whatever
+// another scheduler stashed, a value is taken once, and Stashed counts
+// what is left.
+func TestStashTokens(t *testing.T) {
+	a, b := NewScheduler(), NewScheduler()
+	if a.Stash("x") != 1 || b.Stash("y") != 1 || a.Stash("z") != 2 {
+		t.Fatal("tokens are not 1, 2, … per scheduler")
+	}
+	if v := a.Take(1); v != "x" || a.Take(1) != nil || a.Take(9) != nil {
+		t.Fatalf("Take(1) = %v, then a second Take returned a value", v)
+	}
+	if a.Stashed() != 1 || b.Stashed() != 1 {
+		t.Fatalf("Stashed = %d, %d, want 1, 1", a.Stashed(), b.Stashed())
+	}
+}
+
 func TestSchedulerCancel(t *testing.T) {
 	s := NewScheduler()
 	fired := false
