@@ -51,7 +51,8 @@ func TestFixedPoint(t *testing.T) {
 		got := fixedPoint(t, false, workers)
 		for _, k := range sortedKeys(got) {
 			if got[k] != want[k] {
-				t.Fatalf("fixed point moved at %s (workers=%d):\n got %s\nwant %s", k, workers, got[k], want[k])
+				t.Fatalf("fixed point moved at %s (workers=%d):\n got %s\nwant %s\n(a behaviour change: -update rewrites %s)",
+					k, workers, got[k], want[k], fixedPointFile)
 			}
 		}
 		if k := chaosKey(lit.Scenario, lit.Seed); got[k] != chaosLine(lit) {
