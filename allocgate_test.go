@@ -25,6 +25,7 @@ import (
 	"dvemig/internal/simprof"
 	"dvemig/internal/simtime"
 	"dvemig/internal/sockmig"
+	"dvemig/internal/wire/wiretest"
 )
 
 // ringState carries the re-arm parameters behind one pointer: boxing a
@@ -266,7 +267,7 @@ func TestAllocGateCheckpointRound(t *testing.T) {
 	if err := ckpt.ApplyEncodedDelta(dst, enc); err != nil {
 		t.Fatal(err)
 	}
-	first := allocatedBytes(func() {
+	first := wiretest.AllocatedBytes(func() {
 		if err := ckpt.ApplyEncodedDelta(proc.NewAddressSpace(), enc); err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +333,7 @@ func TestAllocGatePageFaults(t *testing.T) {
 			}
 		}
 	}
-	allocs, bytes := testing.AllocsPerRun(3, faultIn), allocatedBytes(faultIn)
+	allocs, bytes := testing.AllocsPerRun(3, faultIn), wiretest.AllocatedBytes(faultIn)
 	t.Logf("faulting %d pages in: %.0f allocations, %d bytes (%.4f of 4 KiB frames)", pages, allocs, bytes, float64(bytes)/(pages*proc.PageSize))
 	if allocs > pages/8+64 {
 		t.Errorf("faulting %d pages in took %.0f allocations, want at most %d (a chunk per 8 frames, the leaves, the ramp)", pages, allocs, pages/8+64)
@@ -360,7 +361,7 @@ func TestAllocGatePageFaults(t *testing.T) {
 	// An 8-page region with two pages touched: the map-backed space of
 	// commit 8a35711 allocated 8 576 bytes for this.
 	const smallRegionBytes = 8576
-	bytes = allocatedBytes(func() {
+	bytes = wiretest.AllocatedBytes(func() {
 		small := proc.NewAddressSpace()
 		v := small.Mmap(8*proc.PageSize, "rw-")
 		if small.Touch(v.Start+proc.PageSize) != nil || small.Touch(v.Start+5*proc.PageSize) != nil {
@@ -488,15 +489,6 @@ func TestAllocGateSockApply(t *testing.T) {
 	}
 }
 
-// allocatedBytes is what one call of fn allocates.
-func allocatedBytes(fn func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
-
 // migrationEngine* are what one full 8-connection live migration
 // allocated when the Fig 5b harness came to stop once every client byte
 // sent before the migration ended was acknowledged (1685 objects and
@@ -505,10 +497,12 @@ func allocatedBytes(fn func()) uint64 {
 // the socket delta came to be lent out of the tracker's arena, 850 and
 // 3215184 with the harness still running 30 simulated seconds past the
 // migration, 801 and 2496608 before a page frame came to hold only the
-// lines its stores reached); the gate allows 25% over each.
+// lines its stores reached, 790 and 522920 before migd frames and memory
+// deltas came to reserve their final size); the gate allows 25% over
+// each.
 const (
-	migrationEngineAllocs = 790
-	migrationEngineBytes  = 522920
+	migrationEngineAllocs = 764
+	migrationEngineBytes  = 402304
 )
 
 // TestAllocGateMigrationEngine is the bench-smoke regression fence: a
@@ -522,7 +516,7 @@ func TestAllocGateMigrationEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	allocs, bytes := testing.AllocsPerRun(3, run), float64(allocatedBytes(run)) // the first warms the pools
+	allocs, bytes := testing.AllocsPerRun(3, run), float64(wiretest.AllocatedBytes(run)) // the first warms the pools
 	t.Logf("migration engine: %.0f allocs, %.0f B per migration (recorded %d, %d; ceilings +25%%)",
 		allocs, bytes, migrationEngineAllocs, migrationEngineBytes)
 	if ceiling := migrationEngineAllocs * 1.25; allocs > ceiling {
@@ -535,23 +529,68 @@ func TestAllocGateMigrationEngine(t *testing.T) {
 	}
 }
 
+// freezePointBytes are what one Fig 5b repeat allocated, warm, when the
+// checkpoint path came to reserve each migd frame and memory delta at
+// its final size: the 64-connection point of the zone64 workload and the
+// 2-connection, 128 MiB point of mem128m. The gate allows 10% over
+// each; before the reservations they read 2680136 and 5231472.
+const (
+	freezePointZoneBytes = 1725512
+	freezePointMemBytes  = 4077872
+)
+
+// TestAllocGateFreezePoint fences the transfer path's buffers: a receive
+// buffer that regrows one segment at a time under a socket delta, or a
+// memory delta's encoding that grows by append instead of reserving its
+// size, costs these points a large share of their bytes.
+func TestAllocGateFreezePoint(t *testing.T) {
+	for _, pt := range []struct {
+		name     string
+		conns    int
+		memPages uint64
+		recorded float64
+	}{
+		{"zone64", 64, 0, freezePointZoneBytes},
+		{"mem128m", 2, 32768, freezePointMemBytes},
+	} {
+		fc := eval.DefaultFreezeConfig(sockmig.IncrementalCollective, pt.conns)
+		fc.Repeats, fc.Workers = 1, 1
+		if pt.memPages != 0 {
+			fc.MemPages = pt.memPages
+		}
+		run := func() {
+			if _, err := eval.RunFreezePoint(fc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the pools
+		bytes := float64(wiretest.AllocatedBytes(run))
+		t.Logf("%s point: %.0f B per migration (recorded %.0f, ceiling +10%%)", pt.name, bytes, pt.recorded)
+		if ceiling := pt.recorded * 1.10; bytes > ceiling {
+			t.Errorf("a %s point allocates %.0f bytes, exceeds recorded %.0f +10%% (%.0f)", pt.name, bytes, pt.recorded, ceiling)
+		}
+	}
+}
+
 // soakCellCeilings bound what one declarative migration request may
 // cost end to end through the control plane — submit, dispatch, the
 // migd connection, the transfer itself, replication, park — measured on
 // a healthy 200-request mixed-strategy cell and set 10% above what it
-// measured when the live-set / lent-frame / recycled-buffer work landed
-// (232 allocs and 24.9 KB per request, from 287 and 42.6 KB; with
-// per-stack packet lists and the scratch socket scan: 226 and 25.3 KB;
+// measured last: 88 allocs and 8.8 KB per request once migd frames and
+// memory deltas came to reserve their final size. Earlier readings: 232
+// and 24.9 KB when the live-set / lent-frame / recycled-buffer work
+// landed, from 287 and 42.6 KB; with per-stack packet lists and the scratch socket scan: 226 and 25.3 KB;
 // with datagrams, frames and the process list lent, not copied: 134 and
 // 19.5 KB; with Send segmenting out of the caller's slice and hybrid's
 // re-shipped pages filling the frames they already hold: 127 and
 // 14.6 KB; with socket deltas lent and idle capture filters one object:
 // 123 and 14.5 KB; with closure-free migration steps, owner dispatch on
 // the migd connection, the arriving process built once and the memory
-// delta lent: 91 and 13.4 KB).
+// delta lent: 91 and 13.4 KB; and 88 and 9.1 KB just before the
+// reservations.
 const (
-	soakCellAllocsPerRequest = 100
-	soakCellBytesPerRequest  = 14750
+	soakCellAllocsPerRequest = 97
+	soakCellBytesPerRequest  = 9720
 )
 
 // healthySoakConfig is the soak battery's fault-free cell alone: one

@@ -18,6 +18,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-both", "-duration", "1", "-csv", t.TempDir()}, "-csv"},
 		{[]string{"migbench", "-conns", "16", "-repeats", "1", "-what", "freze"}, "-what"},
 		{[]string{"migbench", "-conns", "16,0"}, "-conns"},
+		{[]string{"migbench", "-conns", "16", "-repeats", "0"}, "-repeats"},
 		{[]string{"soak", "-seeds", "1,x"}, "-seeds"},
 		{[]string{"soak", "-scenario", "healthy", "-seeds", "1", "-requests", "0"}, "-requests"},
 		{[]string{"soak", "-scenario", "healthy", "-seeds", "1", "-procs", "-1"}, "-procs"},

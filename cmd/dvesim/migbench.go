@@ -34,6 +34,9 @@ func migbench(args []string, stdout, stderr io.Writer) int {
 	art := obs.NewArtifacts(fs, false)
 	prof := simprof.NewSession(fs)
 	fs.Parse(args)
+	if tmpl.Repeats < 1 {
+		return die(fs, 2, fmt.Errorf("-repeats must be positive, got %d", tmpl.Repeats))
+	}
 	showFreeze, showBytes := *what == "freeze" || *what == "all", *what == "bytes" || *what == "all"
 	if !showFreeze && !showBytes {
 		return die(fs, 2, fmt.Errorf("-what %q: want freeze, bytes or all", *what))

@@ -34,6 +34,9 @@ var internalDeps = map[string][]string{
 	"wire":    {},
 	"simtime": {"flight", "simprof"},
 
+	// The decoders' test helpers; only test files import them.
+	"wire/wiretest": {},
+
 	"netsim":   {"simtime"},
 	"netstack": {"flight", "netsim", "simtime", "wire"},
 	"proc":     {"flight", "netsim", "netstack", "simtime"},

@@ -102,6 +102,9 @@ func appendVMA(b []byte, v VMARange) []byte {
 	return appendStr(b, v.Perms)
 }
 
+// vmaSize is the length of appendVMA's record for v.
+func vmaSize(v VMARange) int { return 8 + 8 + 4 + len(v.Perms) }
+
 func readVMA(r *wire.Reader) VMARange {
 	return VMARange{Start: r.U64(), End: r.U64(), Perms: string(r.Span())}
 }

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"dvemig/internal/proc"
 	"dvemig/internal/wire"
@@ -55,9 +56,13 @@ func BuildPageDir(as *proc.AddressSpace, present func(v *proc.VMA, e proc.PTE) b
 func (d *PageDir) Encode() []byte { return d.AppendEncode(nil) }
 
 // AppendEncode appends the directory's encoding to dst (see
-// Image.AppendEncode).
+// Image.AppendEncode), reserving its exact size first.
 func (d *PageDir) AppendEncode(dst []byte) []byte {
-	b := binary.BigEndian.AppendUint32(dst, uint32(len(d.VMAs)))
+	n := 4 + 4 + 4 + 16*(len(d.Present)+len(d.Absent))
+	for _, v := range d.VMAs {
+		n += vmaSize(v)
+	}
+	b := binary.BigEndian.AppendUint32(slices.Grow(dst, n), uint32(len(d.VMAs)))
 	for _, v := range d.VMAs {
 		b = appendVMA(b, v)
 	}

@@ -157,6 +157,25 @@ func encodePage(b, data []byte, n int) []byte {
 	return b
 }
 
+// encodedPageSize is the length of the record encodePage(b, data, n)
+// appends, found by the same scan without writing anything: the sparse
+// body grows run by run until it would reach n (raw), and a page with no
+// run is a zero record.
+func encodedPageSize(data []byte, n int) int {
+	const hdr = 1 + 4 // tag + length
+	body := 2         // the sparse segment count
+	for s, e := nextSparseRun(data, 0); s >= 0; s, e = nextSparseRun(data, e) {
+		if body+segHdrBytes+(e-s) >= n {
+			return hdr + n
+		}
+		body += segHdrBytes + (e - s)
+	}
+	if body == 2 {
+		return hdr
+	}
+	return hdr + body
+}
+
 // pageRec is one page record parsed and bounds-checked but not yet
 // expanded: a view into the payload it was read from.
 type pageRec struct {

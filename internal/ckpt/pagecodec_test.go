@@ -256,6 +256,13 @@ func sameCodec(t *testing.T, what string, data []byte) {
 		t.Fatalf("%s: len %d: its %d-byte frame encodes differently from the reference (%d bytes, tag %d; reference %d bytes, tag %d)",
 			what, len(data), len(frame), len(got), got[6], len(want), want[6])
 	}
+	// The sizing pass agrees with the encoder, on the page and its frame.
+	for _, b := range [][]byte{data, frame} {
+		if n := encodedPageSize(b, len(data)); n != len(want)-len("prefix") {
+			t.Fatalf("%s: len %d: encodedPageSize of %d content bytes is %d, the record is %d",
+				what, len(data), len(b), n, len(want)-len("prefix"))
+		}
+	}
 }
 
 // TestScannerMatchesReference sweeps the inputs where a word-at-a-time

@@ -62,65 +62,78 @@ func TestMemDeltaEncodeDecodeProperty(t *testing.T) {
 // writes, mmaps, munmaps and resizes between rounds, applying every delta
 // to a shadow always reproduces the source exactly.
 func TestPrecopyRandomWorkloadConverges(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		rnd := rand.New(rand.NewSource(seed))
-		as := proc.NewAddressSpace()
-		var regions []uint64
-		// Seed with a few regions.
-		for i := 0; i < 3; i++ {
-			v := as.Mmap(uint64(1+rnd.Intn(8))*proc.PageSize, "rw-")
-			regions = append(regions, v.Start)
-		}
-		tr := NewTracker()
+	for seed := int64(1); seed <= precopySeeds; seed++ {
 		shadow := proc.NewAddressSpace()
-		rounds := 3 + rnd.Intn(5)
-		for r := 0; r < rounds; r++ {
-			if err := ApplyDelta(shadow, tr.Delta(as)); err != nil {
+		as := randomPrecopy(seed, func(r int, d *MemDelta) {
+			if err := ApplyDelta(shadow, d); err != nil {
 				t.Fatalf("seed %d round %d: %v", seed, r, err)
 			}
-			// Random mutations between rounds.
-			for op := 0; op < 5; op++ {
-				switch rnd.Intn(4) {
-				case 0: // write
-					if len(regions) > 0 {
-						start := regions[rnd.Intn(len(regions))]
-						if v := findRegion(as, start); v != nil {
-							off := uint64(rnd.Intn(int(v.Len())))
-							n := 1 + rnd.Intn(200)
-							buf := make([]byte, n)
-							rnd.Read(buf)
-							if off+uint64(n) > v.Len() {
-								off = 0
-							}
-							_ = as.Write(v.Start+off, buf)
+		})
+		assertSpacesEqual(t, seed, as, shadow)
+	}
+}
+
+// precopySeeds is how many seeds of randomPrecopy the property tests run.
+const precopySeeds = 10
+
+// randomPrecopy runs seed's random workload: a few regions mapped, then
+// 3 to 7 precopy rounds with random writes, mmaps, munmaps and shrinks
+// between them, and a final freeze round. round sees each of the
+// tracker's deltas in turn (lent: valid until it returns); the source
+// space is returned.
+func randomPrecopy(seed int64, round func(r int, d *MemDelta)) *proc.AddressSpace {
+	rnd := rand.New(rand.NewSource(seed))
+	as := proc.NewAddressSpace()
+	var regions []uint64
+	// Seed with a few regions.
+	for i := 0; i < 3; i++ {
+		v := as.Mmap(uint64(1+rnd.Intn(8))*proc.PageSize, "rw-")
+		regions = append(regions, v.Start)
+	}
+	tr := NewTracker()
+	rounds := 3 + rnd.Intn(5)
+	for r := 0; r < rounds; r++ {
+		round(r, tr.Delta(as))
+		// Random mutations between rounds.
+		for op := 0; op < 5; op++ {
+			switch rnd.Intn(4) {
+			case 0: // write
+				if len(regions) > 0 {
+					start := regions[rnd.Intn(len(regions))]
+					if v := findRegion(as, start); v != nil {
+						off := uint64(rnd.Intn(int(v.Len())))
+						n := 1 + rnd.Intn(200)
+						buf := make([]byte, n)
+						rnd.Read(buf)
+						if off+uint64(n) > v.Len() {
+							off = 0
 						}
+						_ = as.Write(v.Start+off, buf)
 					}
-				case 1: // mmap
-					v := as.Mmap(uint64(1+rnd.Intn(4))*proc.PageSize, "rw-")
-					regions = append(regions, v.Start)
-				case 2: // munmap
-					if len(regions) > 1 {
-						i := rnd.Intn(len(regions))
-						if as.Munmap(regions[i]) == nil {
-							regions = append(regions[:i], regions[i+1:]...)
-						}
+				}
+			case 1: // mmap
+				v := as.Mmap(uint64(1+rnd.Intn(4))*proc.PageSize, "rw-")
+				regions = append(regions, v.Start)
+			case 2: // munmap
+				if len(regions) > 1 {
+					i := rnd.Intn(len(regions))
+					if as.Munmap(regions[i]) == nil {
+						regions = append(regions[:i], regions[i+1:]...)
 					}
-				case 3: // resize (shrink only: growth may collide)
-					if len(regions) > 0 {
-						start := regions[rnd.Intn(len(regions))]
-						if v := findRegion(as, start); v != nil && v.Len() > proc.PageSize {
-							_ = as.Resize(start, v.Len()-proc.PageSize)
-						}
+				}
+			case 3: // resize (shrink only: growth may collide)
+				if len(regions) > 0 {
+					start := regions[rnd.Intn(len(regions))]
+					if v := findRegion(as, start); v != nil && v.Len() > proc.PageSize {
+						_ = as.Resize(start, v.Len()-proc.PageSize)
 					}
 				}
 			}
 		}
-		// Final freeze round.
-		if err := ApplyDelta(shadow, tr.Delta(as)); err != nil {
-			t.Fatalf("seed %d final: %v", seed, err)
-		}
-		assertSpacesEqual(t, seed, as, shadow)
 	}
+	// Final freeze round.
+	round(rounds, tr.Delta(as))
+	return as
 }
 
 func assertSpacesEqual(t *testing.T, seed int64, a, b *proc.AddressSpace) {

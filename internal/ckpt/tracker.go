@@ -51,15 +51,54 @@ func (d *MemDelta) Encode() []byte { return d.EncodeInto(nil) }
 
 // EncodeInto serializes the delta into buf (reusing its capacity,
 // overwriting its content) and returns the encoded bytes. The migration
-// hot path calls this with a per-connection scratch buffer so precopy
-// rounds stop allocating; the transport copies the bytes into the socket
-// send buffer, so the scratch may be reused immediately after the send.
+// calls this with its encode scratch, a buffer on loan from the
+// Migrator's free list for the migration's lifetime, so precopy rounds
+// stop allocating. The returned bytes are the payload of a chunk stream:
+// they must stay untouched until the chunk pump has queued the stream's
+// last frame (all of it at the round's instant), and the next round may
+// overwrite them only after that.
 func (d *MemDelta) EncodeInto(buf []byte) []byte { return d.AppendEncode(buf[:0]) }
 
+// EncodedSize returns the length of the delta's encoding without
+// writing it: each page is sized by the same zero/sparse/raw rule
+// encodePage applies.
+func (d *MemDelta) EncodedSize() int { return d.headerSize() + d.pagesSize(d.Pages) }
+
+// headerSize is the length of the encoding ahead of the page records.
+func (d *MemDelta) headerSize() int {
+	n := 4 + 4 + 4 + 8*len(d.Removed) + 4 + 4
+	for _, v := range d.NewVMAs {
+		n += vmaSize(v)
+	}
+	for _, v := range d.Resized {
+		n += vmaSize(v)
+	}
+	return n
+}
+
+// pagesSize is the length of the records of pages, a tail of d.Pages.
+func (d *MemDelta) pagesSize(pages []PageImage) int {
+	n := 0
+	for _, p := range pages {
+		n += 16 + encodedPageSize(p.Data, d.pageLen(p))
+	}
+	return n
+}
+
 // AppendEncode appends the delta's encoding to dst (see
-// Image.AppendEncode).
+// Image.AppendEncode), growing dst at most once, to the exact size of
+// what is left to write: a first round's hundreds of kilobytes appended
+// to a small buffer would otherwise be reallocated a dozen times on the
+// way. Sizing costs a second scan of the pages, so it is done only when
+// the next record might not fit in what dst has spare (a record is at
+// most its raw form): a warm scratch that holds the delta is written in
+// one pass.
 func (d *MemDelta) AppendEncode(dst []byte) []byte {
-	b := binary.BigEndian.AppendUint32(dst, uint32(d.Round))
+	b, sized := dst, false
+	if cap(b)-len(b) < d.headerSize() {
+		b, sized = slices.Grow(b, d.EncodedSize()), true
+	}
+	b = binary.BigEndian.AppendUint32(b, uint32(d.Round))
 	b = binary.BigEndian.AppendUint32(b, uint32(len(d.NewVMAs)))
 	for _, v := range d.NewVMAs {
 		b = appendVMA(b, v)
@@ -73,10 +112,14 @@ func (d *MemDelta) AppendEncode(dst []byte) []byte {
 		b = appendVMA(b, v)
 	}
 	b = binary.BigEndian.AppendUint32(b, uint32(len(d.Pages)))
-	for _, p := range d.Pages {
+	for i, p := range d.Pages {
+		n := d.pageLen(p)
+		if !sized && cap(b)-len(b) < 16+1+4+n { // coordinates, tag, length, raw bytes
+			b, sized = slices.Grow(b, d.pagesSize(d.Pages[i:])), true
+		}
 		b = binary.BigEndian.AppendUint64(b, p.VMAStart)
 		b = binary.BigEndian.AppendUint64(b, p.Index)
-		b = encodePage(b, p.Data, d.pageLen(p))
+		b = encodePage(b, p.Data, n)
 	}
 	return b
 }

@@ -131,6 +131,23 @@ func TestFreezeBytesScaleRoughlyLinearly(t *testing.T) {
 	}
 }
 
+// TestFreezePointRejectsNonPositiveRepeats: a point of zero repeats is
+// a caller's error, reported before anything runs, not one silent run.
+func TestFreezePointRejectsNonPositiveRepeats(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		fc := DefaultFreezeConfig(sockmig.IncrementalCollective, 16)
+		fc.Repeats = n
+		if pt, err := RunFreezePoint(fc); err == nil {
+			t.Errorf("Repeats %d ran %d repeats", n, len(pt.Runs))
+		}
+		tmpl := DefaultFreezeConfig(0, 0)
+		tmpl.Repeats = n
+		if pts, err := RunFreezeSweep([]int{16}, SweepStrategies, tmpl); err == nil {
+			t.Errorf("Repeats %d: sweep returned %d points", n, len(pts))
+		}
+	}
+}
+
 func TestTables(t *testing.T) {
 	fc := DefaultFreezeConfig(sockmig.IncrementalCollective, 16)
 	fc.Repeats = 1

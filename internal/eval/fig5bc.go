@@ -34,7 +34,7 @@ type FreezeConfig struct {
 	// MemPages is the zone server working set.
 	MemPages uint64
 	// Repeats: the experiment reports the worst case over this many runs
-	// with different traffic phases.
+	// with different traffic phases (at least one).
 	Repeats int
 	MigCfg  migration.Config
 	// Workers bounds how many repeats run concurrently (<= 0 selects
@@ -104,15 +104,19 @@ type FreezePoint struct {
 
 // RunFreezePoint measures one (strategy, conns) cell. The repeats run
 // on up to fc.Workers goroutines and merge in repeat order, so the
-// point is identical at any worker count.
+// point is identical at any worker count. A point needs at least one
+// repeat.
 func RunFreezePoint(fc FreezeConfig) (*FreezePoint, error) {
+	if fc.Repeats < 1 {
+		return nil, fmt.Errorf("eval: freeze point needs positive Repeats, got %d", fc.Repeats)
+	}
 	pt := &FreezePoint{Conns: fc.Conns, Strategy: fc.Strategy}
 	type once struct {
 		m       *migration.Metrics
 		retrans uint64
 		cap     *obs.Capture
 	}
-	reps := make([]int, max(fc.Repeats, 1))
+	reps := make([]int, fc.Repeats)
 	for i := range reps {
 		reps[i] = i
 	}

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"dvemig/internal/netstack"
 )
@@ -139,7 +140,8 @@ type bufList struct{ free [][]byte }
 
 // maxKeptBuf bounds what put keeps: a buffer that grew to hold a
 // thousand-socket delta or a backlog of queued chunk frames is not
-// worth pinning for the Migrator's lifetime.
+// worth pinning for the Migrator's lifetime. It also bounds what a
+// frame header alone makes Conn.reserve set aside.
 const maxKeptBuf = 1 << 20
 
 func (l *bufList) get() []byte {
@@ -296,7 +298,23 @@ func (c *Conn) drain() {
 	if off > 0 {
 		c.buf = c.buf[:copy(c.buf, c.buf[off:])]
 	}
+	c.reserve()
 	c.recycle()
+}
+
+// reserve grows the buffer once to hold the whole partial frame at its
+// front, as soon as the frame's header is in: a frame arriving one
+// segment at a time then never regrows the buffer. The reservation
+// stops at maxKeptBuf, so a header alone pins at most that much; a
+// larger frame grows by append from there.
+func (c *Conn) reserve() {
+	if len(c.buf) < 5 {
+		return
+	}
+	need := min(5+int(binary.BigEndian.Uint32(c.buf[1:5])), maxKeptBuf)
+	if need > cap(c.buf) {
+		c.buf = slices.Grow(c.buf, need-len(c.buf))
+	}
 }
 
 // recycle hands the receive buffer back once nothing more will be

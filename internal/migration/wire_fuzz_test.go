@@ -110,7 +110,8 @@ func splitEvery(stream []byte, n int) [][]byte {
 // is the same fed whole, byte by byte, in chunk-byte pieces, or cut in
 // two at any offset (every cut inside a later frame compacts the buffer
 // under the partial frame), and the same again when a handler closes
-// the connection mid-dispatch.
+// the connection mid-dispatch. Reassembly allocates in proportion to the
+// stream (checkFramingAllocs).
 func FuzzConnFraming(f *testing.F) {
 	three := append(append(
 		[]byte{byte(MsgSockDelta), 0, 0, 0, 2, 9, 9},
@@ -150,6 +151,7 @@ func FuzzConnFraming(f *testing.F) {
 				}
 			}
 		}
+		checkFramingAllocs(t, stream, chunk)
 		if len(want) > 0 {
 			closeAt %= len(want)
 		}
