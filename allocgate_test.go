@@ -498,11 +498,12 @@ func TestAllocGateSockApply(t *testing.T) {
 // 3215184 with the harness still running 30 simulated seconds past the
 // migration, 801 and 2496608 before a page frame came to hold only the
 // lines its stores reached, 790 and 522920 before migd frames and memory
-// deltas came to reserve their final size); the gate allows 25% over
-// each.
+// deltas came to reserve their final size, 764 and 402304 before the
+// checkpoint burst came to be buffered once on each side of the wire);
+// the gate allows 25% over each.
 const (
-	migrationEngineAllocs = 764
-	migrationEngineBytes  = 402304
+	migrationEngineAllocs = 763
+	migrationEngineBytes  = 369520
 )
 
 // TestAllocGateMigrationEngine is the bench-smoke regression fence: a
@@ -529,20 +530,25 @@ func TestAllocGateMigrationEngine(t *testing.T) {
 	}
 }
 
-// freezePointBytes are what one Fig 5b repeat allocated, warm, when the
-// checkpoint path came to reserve each migd frame and memory delta at
-// its final size: the 64-connection point of the zone64 workload and the
-// 2-connection, 128 MiB point of mem128m. The gate allows 10% over
-// each; before the reservations they read 2680136 and 5231472.
+// freezePointBytes are what one Fig 5b repeat allocated, warm, when each
+// checkpoint burst came to be buffered once on each side of the migd
+// wire — the send buffer sized by the announced burst, the reassembly
+// buffer doubling, the socket delta shipped out of the tracker's arena:
+// the 64-connection point of the zone64 workload and the 2-connection,
+// 128 MiB point of mem128m. The gate allows 10% over each. They read
+// 1725512 and 4077872 before that, and 2680136 and 5231472 before migd
+// frames and memory deltas came to reserve their final size.
 const (
-	freezePointZoneBytes = 1725512
-	freezePointMemBytes  = 4077872
+	freezePointZoneBytes = 1496768
+	freezePointMemBytes  = 3412208
 )
 
 // TestAllocGateFreezePoint fences the transfer path's buffers: a receive
-// buffer that regrows one segment at a time under a socket delta, or a
+// buffer that regrows one segment at a time under a socket delta, a
 // memory delta's encoding that grows by append instead of reserving its
-// size, costs these points a large share of their bytes.
+// size, a send or reassembly buffer regrown frame by frame under a
+// checkpoint burst, or a socket delta copied out of the tracker's arena,
+// costs these points a large share of their bytes.
 func TestAllocGateFreezePoint(t *testing.T) {
 	for _, pt := range []struct {
 		name     string
@@ -576,8 +582,10 @@ func TestAllocGateFreezePoint(t *testing.T) {
 // cost end to end through the control plane — submit, dispatch, the
 // migd connection, the transfer itself, replication, park — measured on
 // a healthy 200-request mixed-strategy cell and set 10% above what it
-// measured last: 88 allocs and 8.8 KB per request once migd frames and
-// memory deltas came to reserve their final size. Earlier readings: 232
+// measured last: 88 allocs and 8812 B per request once checkpoint
+// bursts came to be buffered once on each side of the migd wire. Earlier
+// readings: 88 and 8.8 KB once migd frames and memory deltas came to
+// reserve their final size; 232
 // and 24.9 KB when the live-set / lent-frame / recycled-buffer work
 // landed, from 287 and 42.6 KB; with per-stack packet lists and the scratch socket scan: 226 and 25.3 KB;
 // with datagrams, frames and the process list lent, not copied: 134 and
@@ -590,7 +598,7 @@ func TestAllocGateFreezePoint(t *testing.T) {
 // reservations.
 const (
 	soakCellAllocsPerRequest = 97
-	soakCellBytesPerRequest  = 9720
+	soakCellBytesPerRequest  = 9690
 )
 
 // healthySoakConfig is the soak battery's fault-free cell alone: one

@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
 	"dvemig/internal/proc"
+	"dvemig/internal/wire/wiretest"
 )
 
 // The in-place apply is tested against the materialising pair it
@@ -507,16 +508,24 @@ func TestPageDirRejectsIndexPastRegion(t *testing.T) {
 	// A count that promises more coordinates than the payload could hold
 	// is refused without allocating on its say-so.
 	payload := binary.BigEndian.AppendUint32(make([]byte, 4), 1<<24)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	if _, err := DecodePageDir(payload); err == nil {
 		t.Fatal("a directory of 2^24 coordinates in 8 bytes decoded")
 	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<16 {
-		t.Errorf("refusing it allocated %d bytes", got)
+	wiretest.CheckAllocBound(t, "refusing it", len(payload), pageDirAllocK, pageDirAllocSlack, func() { _, _ = DecodePageDir(payload) })
+	for i, args := range wiretest.Corpus(t, "FuzzApplyPageDir") {
+		b := args[0].([]byte)
+		wiretest.CheckAllocBound(t, fmt.Sprintf("FuzzApplyPageDir entry %d", i), len(b), pageDirAllocK, pageDirAllocSlack, func() { _, _ = DecodePageDir(b) })
 	}
 }
+
+// pageDirAllocK bounds what decoding a page directory allocates per input
+// byte: each region and coordinate decodes to no more than its encoding
+// takes, with append's slack behind it. pageDirAllocSlack covers a short
+// input's fixed cost and the error's text, as memDeltaAllocSlack does.
+const (
+	pageDirAllocK     = 4
+	pageDirAllocSlack = 64 << 10
+)
 
 // FuzzApplyPageDir: whatever decodes is applied onto a small space, and
 // error or not, the space stays sound — regions ordered and non-empty,

@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
 	"dvemig/internal/netstack"
 	"dvemig/internal/proc"
 	"dvemig/internal/simtime"
+	"dvemig/internal/wire/wiretest"
 )
 
 func newTestCluster(n int) *proc.Cluster {
@@ -388,14 +389,23 @@ func TestDecodeMemDeltaCorrupt(t *testing.T) {
 		hostile = be.AppendUint64(hostile, uint64(i))
 		hostile = be.AppendUint32(append(hostile, pageEncZero), 1<<20)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := DecodeMemDelta(hostile)
-	runtime.ReadMemStats(&after)
-	if len(hostile) != 440 || !errors.Is(err, errCorruptPage) {
-		t.Fatalf("%d-byte delta of 1 MiB zero pages: error %v, want %v", len(hostile), err, errCorruptPage)
+	if _, err := DecodeMemDelta(hostile); len(hostile) != 440 || !errors.Is(err, errCorruptPage) {
+		t.Errorf("%d-byte delta of 1 MiB zero pages: error %v, want %v", len(hostile), err, errCorruptPage)
 	}
-	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
-		t.Fatalf("decoding the %d-byte delta allocated %d bytes", len(hostile), n)
+	wiretest.CheckAllocBound(t, "the 440-byte delta", len(hostile), memDeltaAllocK, memDeltaAllocSlack, func() { _, _ = DecodeMemDelta(hostile) })
+	for i, args := range wiretest.Corpus(t, "FuzzApplyEncodedDelta") {
+		b := args[0].([]byte)
+		wiretest.CheckAllocBound(t, fmt.Sprintf("FuzzApplyEncodedDelta entry %d", i), len(b), memDeltaAllocK, memDeltaAllocSlack, func() { _, _ = DecodeMemDelta(b) })
 	}
 }
+
+// memDeltaAllocK bounds what decoding a memory delta allocates per input
+// byte: the densest expansion is a zero or sparse page record, 21 bytes
+// of coordinates, tag and length that decode into one 4 KiB page (195 B
+// per byte), and the record slice around it. memDeltaAllocSlack covers
+// the header's slices, and an error's text — which costs fmt a fresh
+// printer when a collection has just emptied its pool.
+const (
+	memDeltaAllocK     = 256
+	memDeltaAllocSlack = 64 << 10
+)

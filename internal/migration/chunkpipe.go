@@ -18,7 +18,10 @@ import (
 // All frames of one payload are pumped at the same simulated instant
 // (zero-delay continuations between window bursts), so the source-side
 // encode scratch (ob.encBuf) stays valid for the stream's lifetime and
-// event ordering is deterministic regardless of chunk size.
+// event ordering is deterministic regardless of chunk size. The stream
+// is announced to the transport before its first frame (SendAhead), so
+// the send buffer, which ends the instant holding all of the stream the
+// congestion window refused, grows once to that size.
 
 const (
 	// chunkBytes is the most payload one MsgChunk frame carries: 64 KiB,
@@ -27,11 +30,21 @@ const (
 	// frames deep.
 	chunkBytes = 64 << 10
 	// chunkWindow is how many frames each event-loop step queues before
-	// yielding: the window is what lets the transport drain a
-	// multi-megabyte image between bursts instead of holding all of it
-	// in the send buffer at once.
+	// yielding to the events already due at the same instant. It does
+	// not let the transport drain between bursts — no virtual time
+	// passes, so no ACK can arrive — and the send buffer holds whatever
+	// of the stream cwnd refused; it only bounds how long one event runs.
 	chunkWindow = 4
 )
+
+// streamWireBytes is what a payload of n bytes puts on the migd
+// connection as a chunk stream: each frame's header and chunk header
+// around its share of the payload (an empty payload still takes one
+// frame), then the CHUNK_END trailer.
+func streamWireBytes(n int) int {
+	frames := max((n+chunkBytes-1)/chunkBytes, 1)
+	return n + frames*(frameHdrBytes+chunkHdrBytes) + frameHdrBytes + chunkEndBytes
+}
 
 // streamHook, when set (only tests do), sees every checkpoint stream
 // as the source hands it to sendPayload (sent true) and again as the
@@ -48,6 +61,7 @@ func (ob *outbound) sendPayload(kind byte, payload []byte, commit bool) {
 		streamHook(true, kind, payload)
 	}
 	ob.chunkStream++
+	ob.conn.Socket().SendAhead(streamWireBytes(len(payload)))
 	p := chunkPump{ob: ob, kind: kind, stream: ob.chunkStream, payload: payload, commit: commit}
 	if !p.window() {
 		rest := p // only a stream longer than one window outlives this call
@@ -158,7 +172,21 @@ func (ib *inbound) onChunk(payload []byte) {
 		return
 	}
 	ib.chunkNext++
+	if need := len(ib.chunkBuf) + len(ch.Data); need > cap(ib.chunkBuf) {
+		grown := make([]byte, len(ib.chunkBuf), chunkBufCap(cap(ib.chunkBuf), need))
+		ib.chunkBuf = grown[:copy(grown, ib.chunkBuf)]
+	}
 	ib.chunkBuf = append(ib.chunkBuf, ch.Data...)
+}
+
+// chunkBufCap is the capacity the reassembly buffer grows to when a
+// frame needs more than it has: double, or what the frame needs if that
+// is more, never past maxChunkStreamBytes (need is within it, onChunk
+// has checked). The stream's total arrives only with CHUNK_END, so the
+// buffer cannot be sized up front; doubling regrows it a logarithmic
+// number of times, where append's 1.25× would regrow it every frame.
+func chunkBufCap(have, need int) int {
+	return min(max(need, 2*have), maxChunkStreamBytes)
 }
 
 // onChunkEnd verifies the trailer against what was reassembled and

@@ -2,6 +2,7 @@ package migration
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 	"unsafe"
 
@@ -90,5 +91,58 @@ func TestAllocGateHeaderReservationCapped(t *testing.T) {
 	}
 	if got != len(payload) {
 		t.Fatalf("a %d-byte frame dispatched %d bytes", len(payload), got)
+	}
+}
+
+// chunkAllocK bounds what the destination's reassembly buffer allocates
+// per stream byte. The stream's total is unknown until CHUNK_END, so the
+// buffer doubles: its final capacity is under twice the stream (it
+// doubled from less than the stream), and the arrays it outgrew sum to
+// no more than that capacity again — at most 4 B per stream byte, and
+// 2 B when the stream is a power-of-two number of equal frames. On top
+// of that it may take one frame's worth (chunkBytes): small buffers'
+// size-class rounding, and what the runtime allocates for itself when a
+// growth starts a collection.
+const chunkAllocK = 4
+
+// TestAllocGateChunkReassembly: a chunk stream of n frames — the
+// engine's 64 KiB frames one to nine at a time, a stream of 7-byte
+// frames, uneven frames — is reassembled within chunkAllocK bytes per
+// stream byte plus one frame, into a buffer under twice the stream
+// (append's 1.25× growth, regrowing at every 64 KiB frame, takes 4.6 B
+// per byte by the ninth); and the doubling
+// never reaches past maxChunkStreamBytes, however close to it a stream
+// comes.
+func TestAllocGateChunkReassembly(t *testing.T) {
+	for _, shape := range []struct{ frames, size int }{
+		{1, chunkBytes}, {2, chunkBytes}, {3, chunkBytes}, {4, chunkBytes}, {5, chunkBytes}, {9, chunkBytes},
+		{300, 7}, {7, chunkBytes/3 + 1},
+	} {
+		var frames [][]byte
+		for seq := range shape.frames {
+			data := make([]byte, shape.size)
+			data[0] = byte(seq)
+			frames = append(frames, chunkFrame{Kind: chunkKindMemDelta, Stream: 1, Seq: uint32(seq), Data: data}.encode())
+		}
+		total := shape.frames * shape.size
+		ib := &inbound{}
+		what := fmt.Sprintf("%d frames of %d B", shape.frames, shape.size)
+		wiretest.CheckAllocBound(t, what, total, chunkAllocK, chunkBytes, func() {
+			for _, f := range frames {
+				ib.onChunk(f)
+			}
+		})
+		if len(ib.chunkBuf) != total || cap(ib.chunkBuf) >= 2*total {
+			t.Errorf("%s: reassembled %d bytes in a %d-byte buffer; want all %d in under twice that", what, len(ib.chunkBuf), cap(ib.chunkBuf), total)
+		}
+	}
+	for _, c := range []struct{ have, need int }{
+		{maxChunkStreamBytes/2 + 1, maxChunkStreamBytes/2 + 2},
+		{3 * maxChunkStreamBytes / 4, 3*maxChunkStreamBytes/4 + chunkBytes},
+		{maxChunkStreamBytes - 1, maxChunkStreamBytes},
+	} {
+		if got := chunkBufCap(c.have, c.need); got < c.need || got > maxChunkStreamBytes {
+			t.Errorf("chunkBufCap(%d, %d) = %d, want within [%d, maxChunkStreamBytes = %d]", c.have, c.need, got, c.need, maxChunkStreamBytes)
+		}
 	}
 }

@@ -112,8 +112,12 @@ type Conn struct {
 
 	// hdr is the frame-header scratch; the transport copies what Send
 	// hands it synchronously, so one buffer per connection suffices.
-	hdr [5]byte
+	hdr [frameHdrBytes]byte
 }
+
+// frameHdrBytes is what every frame carries ahead of its payload: the
+// type byte and the u32 payload length.
+const frameHdrBytes = 5
 
 // connOwner is the one party a Conn delivers to: every complete frame
 // (payload lent, see Conn), then once the hang-up — the peer closed, the
@@ -196,7 +200,7 @@ func (c *Conn) Send2(t MsgType, head, tail []byte) error {
 	}
 	c.hdr[0] = byte(t)
 	binary.BigEndian.PutUint32(c.hdr[1:], uint32(n))
-	c.BytesSent += uint64(n) + 5
+	c.BytesSent += uint64(n) + frameHdrBytes
 	if err := c.sk.Send(c.hdr[:]); err != nil {
 		return err
 	}

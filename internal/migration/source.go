@@ -49,13 +49,13 @@ type outbound struct {
 	// no return: the destination runs the process.
 	st obState
 
-	// encBuf / sockEncBuf are per-migration scratch buffers for delta
+	// encBuf is the per-migration scratch buffer for memory-delta
 	// serialization: the transport copies payloads into the socket send
 	// buffer, so each precopy round may reuse the previous round's
-	// allocation instead of growing the heap. encBuf, which also carries
-	// the final image, is on loan from Migrator.encBufs.
-	encBuf     []byte
-	sockEncBuf []byte
+	// allocation instead of growing the heap. It also carries the final
+	// image, and is on loan from Migrator.encBufs. (A socket delta needs
+	// no scratch: the tracker's arena is its wire form.)
+	encBuf []byte
 
 	// chunkStream numbers outgoing chunk streams (chunkpipe.go); the id
 	// lets the destination reject frames from an abandoned stream.
@@ -321,19 +321,26 @@ func (ob *outbound) precopyRound() {
 		ob.m.obsm.roundBytes.Observe(float64(n))
 		ob.pt.cur.SetInt("mem_bytes", int64(n))
 	}
-	if n > 0 {
-		ob.sendPayload(chunkKindMemDelta, ob.encBuf, false)
-	}
+	// The socket delta is taken before the memory stream is pumped, so
+	// the round's whole burst can be announced to the transport; it still
+	// travels behind the stream.
 	wait := ob.timeout
+	var sock []byte
 	if ob.m.Config.Strategy == sockmig.IncrementalCollective {
 		sd := ob.sockTracker.Delta(ob.p, false)
 		ntcp, nudp := ob.p.Sockets()
 		wait += simtime.Duration(len(ntcp)+len(nudp)) * costSockTrack
 		if !sd.Empty() {
-			ob.sockEncBuf = sd.EncodeInto(ob.sockEncBuf)
-			ob.metrics.PrecopySockBytes += uint64(len(ob.sockEncBuf))
-			ob.send(MsgSockDelta, ob.sockEncBuf)
+			sock = sd.Wire()
+			ob.conn.Socket().SendAhead(frameHdrBytes + len(sock))
 		}
+	}
+	if n > 0 {
+		ob.sendPayload(chunkKindMemDelta, ob.encBuf, false)
+	}
+	if sock != nil {
+		ob.metrics.PrecopySockBytes += uint64(len(sock))
+		ob.send(MsgSockDelta, sock)
 	}
 	ob.timeout /= 2
 	ob.m.sched().AfterCall(wait, ob.strat.roundLabel, roundWaitCall, ob, nil)

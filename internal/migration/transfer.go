@@ -72,9 +72,9 @@ func iterativeSubtractCall(a0, _ any) {
 		ob.metrics.UDPMigrated++
 		ob.iterUDP = ob.iterUDP[1:]
 	}
-	ob.sockEncBuf = sd.EncodeInto(ob.sockEncBuf)
-	ob.metrics.FreezeSockBytes += uint64(len(ob.sockEncBuf))
-	ob.send(MsgSockDelta, ob.sockEncBuf)
+	sock := sd.Wire()
+	ob.metrics.FreezeSockBytes += uint64(len(sock))
+	ob.send(MsgSockDelta, sock)
 	ob.iterativeStep()
 }
 

@@ -3,6 +3,7 @@ package netstack
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"dvemig/internal/netsim"
 	"dvemig/internal/simtime"
@@ -155,17 +156,23 @@ type TCPSocket struct {
 
 	// The five queues of §V-C1. writeQueue holds sent-but-unacked
 	// segments (retransmission source); sndBuf is app data not yet
-	// segmented because cwnd is full. receiveQueue holds in-order data
-	// the application has not read; oooQueue holds out-of-window-order
-	// segments; backlog holds packets that arrived while the socket was
-	// locked by a system call; prequeue feeds the fast-path receive.
+	// segmented because cwnd or the peer's window refused it.
+	// receiveQueue holds in-order data the application has not read;
+	// oooQueue holds out-of-window-order segments; backlog holds packets
+	// that arrived while the socket was locked by a system call;
+	// prequeue feeds the fast-path receive.
 	// sndBuf holds only what a Send could not segment at once (push);
 	// sndBuf[sndOff:] is the unsegmented part: segmenting advances sndOff
 	// instead of re-slicing, so the buffer keeps its capacity and a
-	// throttled sender appends without allocating.
+	// throttled sender appends without allocating. ahead is what SendAhead
+	// announced and the Sends since have not yet delivered: the first Send
+	// that must buffer grows sndBuf once to hold its remainder and all of
+	// that, so a burst of Sends at one instant never regrows it. Like
+	// RTOMin, ahead is not serialized.
 	writeQueue   []*netsim.Packet
 	sndBuf       []byte
 	sndOff       int
+	ahead        int
 	receiveQueue []*netsim.Packet
 	oooQueue     []*netsim.Packet
 	backlog      []*netsim.Packet
@@ -327,20 +334,43 @@ func (sk *TCPSocket) Send(data []byte) error {
 		return ErrNotConnected
 	}
 	sk.BytesOut += uint64(len(data))
+	sk.ahead = max(sk.ahead-len(data), 0)
 	if len(sk.unsent()) == 0 {
-		sk.sndBuf = append(sk.sndBuf, sk.push(data)...)
+		if rest := sk.push(data); len(rest) > 0 {
+			sk.buffer(rest)
+		}
 		return nil
 	}
 	// Bytes are already waiting: the new ones queue behind them, and
 	// segments are cut from the concatenation.
+	sk.buffer(data)
+	sk.pushUnsent()
+	return nil
+}
+
+// SendAhead announces that n more bytes will be Sent at this instant, in
+// as many calls as the caller likes. It changes no segment: push still
+// cuts each Send as it comes. It only sizes the send buffer, lazily —
+// should a Send have to buffer bytes the window refuses, the buffer grows
+// once to hold them and everything still announced — so a burst the
+// window takes whole costs no buffer at all. An announcement the Sends
+// never deliver is spent by the next Send that buffers, which
+// over-reserves by it once.
+func (sk *TCPSocket) SendAhead(n int) { sk.ahead += n }
+
+// buffer appends data behind the unsent bytes, first reclaiming the
+// segmented prefix and, when data does not fit, growing the buffer once
+// for it and what SendAhead still announces.
+func (sk *TCPSocket) buffer(data []byte) {
 	if sk.sndOff > 0 && len(sk.sndBuf)+len(data) > cap(sk.sndBuf) {
-		// Reclaim the segmented prefix before growing.
 		sk.sndBuf = sk.sndBuf[:copy(sk.sndBuf, sk.sndBuf[sk.sndOff:])]
 		sk.sndOff = 0
 	}
+	if len(sk.sndBuf)+len(data) > cap(sk.sndBuf) {
+		sk.sndBuf = slices.Grow(sk.sndBuf, len(data)+sk.ahead)
+		sk.ahead = 0
+	}
 	sk.sndBuf = append(sk.sndBuf, data...)
-	sk.pushUnsent()
-	return nil
 }
 
 // unsent returns the application bytes not yet segmented.
@@ -1040,7 +1070,7 @@ func (sk *TCPSocket) abortConn() {
 		q.Release()
 	}
 	sk.oooQueue = nil
-	sk.sndBuf, sk.sndOff = nil, 0
+	sk.sndBuf, sk.sndOff, sk.ahead = nil, 0, 0
 	if sk.persistTimer != nil {
 		sk.stack.sched.Cancel(sk.persistTimer)
 		sk.persistTimer = nil

@@ -18,6 +18,7 @@
 package sockmig
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -72,20 +73,36 @@ type SockUpdate struct {
 type SockDelta struct {
 	Round int
 	Socks []SockUpdate
+	// wire is the delta's encoding when a Tracker built it, and the
+	// tracker's arena: the sections above point into these bytes. Empty
+	// for a decoded or hand-built delta, and for a round that met no
+	// socket.
+	wire []byte
 }
 
 // Empty reports whether the delta carries no socket data.
 func (d *SockDelta) Empty() bool { return len(d.Socks) == 0 }
 
-// EncodedSize returns the wire size without materializing the buffer.
-func (d *SockDelta) EncodedSize() int {
-	n := 8
+// Wire returns the delta's encoding. A tracker's delta is its arena,
+// returned as it is and lent like the rest of the delta (read-only: an
+// edit to the fields does not reach it); any other, and a round that met
+// no socket, is encoded into a fresh buffer.
+func (d *SockDelta) Wire() []byte {
+	if n := len(d.wire); n > 0 {
+		return d.wire[:n:n]
+	}
+	return d.AppendEncode(nil)
+}
+
+// encodedSize returns the wire size without materializing the buffer.
+func (d *SockDelta) encodedSize() int {
+	n := deltaHdrBytes
 	for _, su := range d.Socks {
-		n += 4 + 1 + 4
+		n += sockHdrBytes
 		for _, sec := range su.Sections {
-			n += 1 + 4 + len(sec.Data)
+			n += secHdrBytes + len(sec.Data)
 		}
-		n += 4 + len(su.UDPData)
+		n += udpLenBytes + len(su.UDPData)
 	}
 	return n
 }
@@ -96,19 +113,15 @@ func (d *SockDelta) Encode() []byte { return d.EncodeInto(nil) }
 // EncodeInto serializes the delta into buf, reusing its capacity when it
 // fits (content is overwritten). See ckpt.MemDelta.EncodeInto for the
 // ownership contract.
-func (d *SockDelta) EncodeInto(buf []byte) []byte {
-	if need := d.EncodedSize(); cap(buf) < need {
-		buf = make([]byte, 0, need)
-	}
-	return d.AppendEncode(buf[:0])
-}
+func (d *SockDelta) EncodeInto(buf []byte) []byte { return d.AppendEncode(buf[:0]) }
 
-// AppendEncode appends the delta's encoding to w (see
-// ckpt.Image.AppendEncode), reserving its exact size first: a thousand
-// sockets' worth appended to a small buffer would otherwise be
-// reallocated a dozen times on the way.
+// AppendEncode appends the delta's encoding, written field by field, to
+// w (see ckpt.Image.AppendEncode), reserving its exact size first: a
+// thousand sockets' worth appended to a small buffer would otherwise be
+// reallocated a dozen times on the way. For a tracker's delta it writes
+// what Wire returns, as long as the fields are left as lent.
 func (d *SockDelta) AppendEncode(w []byte) []byte {
-	w = slices.Grow(w, d.EncodedSize())
+	w = slices.Grow(w, d.encodedSize())
 	put32 := func(v uint32) { w = append(w, byte(v>>24), byte(v>>16), byte(v>>8), byte(v)) }
 	put32(uint32(d.Round))
 	put32(uint32(len(d.Socks)))
@@ -189,9 +202,10 @@ func hashBytes(b []byte) uint64 {
 // only the changes in each subsequent loop" (§III-C).
 //
 // The delta a Tracker returns is lent until the tracker's next call:
-// every section's bytes live in one arena the tracker owns, and Socks
-// and Sections reuse their backing arrays round to round. A caller
-// encodes it, or copies what it keeps, before asking for the next.
+// every section's bytes live in one arena the tracker owns, laid out as
+// the delta's wire form (Wire), and Socks and Sections reuse their
+// backing arrays round to round. A caller sends it, or copies what it
+// keeps, before asking for the next.
 type Tracker struct {
 	// history is set for a tracker that ships only what changed:
 	// prevTCP and prevUDP then hold the hashes shipped last, fd ->
@@ -208,18 +222,28 @@ type Tracker struct {
 
 	// One snapshot and one hash buffer serve every socket of every
 	// round: a section's hash form is built in scratch, and only a
-	// changed section is written, once, into the arena — so a round over
-	// quiescent sockets allocates nothing, and neither does a busy one
-	// once the arrays have grown.
+	// changed section is written, once, into the arena (d.wire) — so a
+	// round over quiescent sockets allocates nothing, and neither does a
+	// busy one once the arrays have grown.
 	snap    netstack.TCPSnapshot
 	scratch []byte
 	d       SockDelta
 	secs    []SectionUpdate
-	arena   []byte
 }
 
 // numSections is the number of TCP snapshot sections a delta can carry.
 const numSections = int(netstack.SecOOOQueue) + 1
+
+// The framing of an encoded delta around the section bytes: the round
+// number and socket count; each socket's FD, kind and section count; each
+// section's id and length; and the UDP snapshot's length word that ends
+// every socket, TCP ones included.
+const (
+	deltaHdrBytes = 4 + 4
+	sockHdrBytes  = 4 + 1 + 4
+	secHdrBytes   = 1 + 4
+	udpLenBytes   = 4
+)
 
 // NewTracker creates an empty tracker with history.
 func NewTracker() *Tracker { return &Tracker{history: true} }
@@ -274,30 +298,40 @@ func FullDelta(p *proc.Process) *SockDelta { return new(Tracker).scan(p, true) }
 // SingleTCP builds a full-state delta for one TCP socket (the iterative
 // strategy's per-connection transfer unit).
 func SingleTCP(fd int, sk *netstack.TCPSocket) *SockDelta {
-	t := &Tracker{arena: make([]byte, 0, netstack.TCPSnapshotLen(sk))}
+	t := &Tracker{d: SockDelta{wire: make([]byte, 0, deltaHdrBytes+tcpWireLen(sk))}}
 	t.addTCP(fd, sk)
 	return t.lend()
 }
 
 // SingleUDP builds a full-state delta for one UDP socket.
 func SingleUDP(fd int, us *netstack.UDPSocket) *SockDelta {
-	t := &Tracker{arena: make([]byte, 0, netstack.UDPSnapshotLen(us))}
+	t := &Tracker{d: SockDelta{wire: make([]byte, 0, deltaHdrBytes+udpWireLen(us))}}
 	t.addUDP(fd, us)
 	return t.lend()
+}
+
+// tcpWireLen and udpWireLen are what a socket shipped whole takes in the
+// arena, framing included.
+func tcpWireLen(sk *netstack.TCPSocket) int {
+	return sockHdrBytes + numSections*secHdrBytes + netstack.TCPSnapshotLen(sk) + udpLenBytes
+}
+
+func udpWireLen(us *netstack.UDPSocket) int {
+	return sockHdrBytes + udpLenBytes + netstack.UDPSnapshotLen(us)
 }
 
 // scan builds one round over p's sockets: TCP in descriptor order, then
 // UDP.
 func (t *Tracker) scan(p *proc.Process, freeze bool) *SockDelta {
 	if poisonLent {
-		lent := t.arena[:cap(t.arena)]
+		lent := t.d.wire[:cap(t.d.wire)]
 		for i := range lent {
 			lent[i] = 0xDB
 		}
 	}
-	t.arena, t.secs, t.d.Socks = t.arena[:0], t.secs[:0], t.d.Socks[:0]
+	t.d.wire, t.secs, t.d.Socks = t.d.wire[:0], t.secs[:0], t.d.Socks[:0]
 	fds := p.FDs.FDs()
-	if cap(t.arena) == 0 {
+	if cap(t.d.wire) == 0 {
 		t.reserve(p, fds)
 	}
 	for _, fd := range fds {
@@ -323,23 +357,41 @@ func (t *Tracker) scan(p *proc.Process, freeze bool) *SockDelta {
 // every socket — what its first round ships — so the round that fills
 // them most does not grow them by doubling.
 func (t *Tracker) reserve(p *proc.Process, fds []int) {
-	bytes, ntcp := 0, 0
+	bytes, ntcp := deltaHdrBytes, 0
 	for _, fd := range fds {
 		switch f := p.FDs.Get(fd).(type) {
 		case *proc.TCPFile:
-			bytes += netstack.TCPSnapshotLen(f.Sock)
+			bytes += tcpWireLen(f.Sock)
 			ntcp++
 		case *proc.UDPFile:
-			bytes += netstack.UDPSnapshotLen(f.Sock)
+			bytes += udpWireLen(f.Sock)
 		}
 	}
-	t.arena = make([]byte, 0, bytes)
+	if bytes > deltaHdrBytes {
+		t.d.wire = make([]byte, 0, bytes)
+	}
 	t.secs = make([]SectionUpdate, 0, ntcp*numSections)
 	t.d.Socks = make([]SockUpdate, 0, len(fds))
 }
 
+// appendSockHdr appends a socket's FD, kind and a section count to be
+// patched, ahead of the round's header if this is its first socket. The
+// arena is laid out as the wire form itself — the header, then each
+// socket as AppendEncode writes it — so the round ships without a second
+// copy; a round that meets no socket leaves the arena empty, and a
+// process without sockets costs the tracker no arena.
+func (t *Tracker) appendSockHdr(fd int, kind byte) {
+	if len(t.d.wire) == 0 {
+		t.d.wire = binary.BigEndian.AppendUint32(t.d.wire, uint32(t.round))
+		t.d.wire = append(t.d.wire, 0, 0, 0, 0) // the socket count, patched by lend
+	}
+	t.d.wire = binary.BigEndian.AppendUint32(t.d.wire, uint32(fd))
+	t.d.wire = append(t.d.wire, kind, 0, 0, 0, 0)
+}
+
 // addTCP appends sk's changed sections — all of them without history —
-// to the round.
+// to the round; a socket none of whose sections changed is cut back off
+// the arena.
 func (t *Tracker) addTCP(fd int, sk *netstack.TCPSocket) {
 	netstack.SnapshotTCPInto(&t.snap, sk)
 	var prev *[numSections]uint64
@@ -352,7 +404,8 @@ func (t *Tracker) addTCP(fd int, sk *netstack.TCPSocket) {
 			t.prevTCP[fd] = prev
 		}
 	}
-	first := len(t.secs)
+	t.appendSockHdr(fd, 'T')
+	sock, first := len(t.d.wire)-sockHdrBytes, len(t.secs)
 	for id := netstack.SectionID(0); int(id) < numSections; id++ {
 		if prev != nil {
 			t.scratch = t.snap.AppendSectionHashBytes(t.scratch[:0], id)
@@ -362,13 +415,22 @@ func (t *Tracker) addTCP(fd int, sk *netstack.TCPSocket) {
 			}
 			prev[id] = h
 		}
-		at := len(t.arena)
-		t.arena = t.snap.AppendSection(t.arena, id)
-		t.secs = append(t.secs, SectionUpdate{ID: id, Data: t.arena[at:]})
+		t.d.wire = append(t.d.wire, byte(id), 0, 0, 0, 0)
+		at := len(t.d.wire)
+		t.d.wire = t.snap.AppendSection(t.d.wire, id)
+		binary.BigEndian.PutUint32(t.d.wire[at-4:], uint32(len(t.d.wire)-at))
+		t.secs = append(t.secs, SectionUpdate{ID: id, Data: t.d.wire[at:]})
 	}
-	if len(t.secs) > first {
-		t.d.Socks = append(t.d.Socks, SockUpdate{FD: fd, Kind: 'T', Sections: t.secs[first:]})
+	n := len(t.secs) - first
+	if n == 0 {
+		t.d.wire = t.d.wire[:sock]
+		return
 	}
+	// The section count sits behind the FD and kind; a TCP socket ends
+	// with an empty UDP snapshot.
+	binary.BigEndian.PutUint32(t.d.wire[sock+5:], uint32(n))
+	t.d.wire = append(t.d.wire, 0, 0, 0, 0)
+	t.d.Socks = append(t.d.Socks, SockUpdate{FD: fd, Kind: 'T', Sections: t.secs[first:]})
 }
 
 // addUDP appends us's snapshot to the round if it changed.
@@ -385,24 +447,33 @@ func (t *Tracker) addUDP(fd int, us *netstack.UDPSocket) {
 		}
 		t.prevUDP[fd] = h
 	}
-	at := len(t.arena)
-	t.arena = snap.AppendEncode(t.arena)
-	t.d.Socks = append(t.d.Socks, SockUpdate{FD: fd, Kind: 'U', UDPData: t.arena[at:]})
+	t.appendSockHdr(fd, 'U')
+	t.d.wire = append(t.d.wire, 0, 0, 0, 0) // no sections; the snapshot's length
+	at := len(t.d.wire)
+	t.d.wire = snap.AppendEncode(t.d.wire)
+	binary.BigEndian.PutUint32(t.d.wire[at-4:], uint32(len(t.d.wire)-at))
+	t.d.Socks = append(t.d.Socks, SockUpdate{FD: fd, Kind: 'U', UDPData: t.d.wire[at:]})
 }
 
-// lend points every update of the round at the final arena and sections
-// array — an append during the round may have moved either — with
-// capacities clipped, and returns the delta.
+// lend fills in the socket count, points every update of the round at
+// the final arena and sections array — an append during the round may
+// have moved either — with capacities clipped, and returns the delta,
+// its wire form the arena itself.
 func (t *Tracker) lend() *SockDelta {
-	off, next := 0, 0
+	if len(t.d.wire) > 0 {
+		binary.BigEndian.PutUint32(t.d.wire[4:], uint32(len(t.d.Socks)))
+	}
+	off, next := deltaHdrBytes, 0
 	take := func(n int) []byte {
-		v := t.arena[off : off+n : off+n]
+		v := t.d.wire[off : off+n : off+n]
 		off += n
 		return v
 	}
 	for i := range t.d.Socks {
 		su := &t.d.Socks[i]
+		off += sockHdrBytes
 		if su.Kind == 'U' {
+			off += udpLenBytes
 			su.UDPData = take(len(su.UDPData))
 			continue
 		}
@@ -410,8 +481,10 @@ func (t *Tracker) lend() *SockDelta {
 		su.Sections = t.secs[next : next+n : next+n]
 		next += n
 		for j := range su.Sections {
+			off += secHdrBytes
 			su.Sections[j].Data = take(len(su.Sections[j].Data))
 		}
+		off += udpLenBytes
 	}
 	t.d.Round = t.round
 	return &t.d
@@ -462,7 +535,7 @@ type Store struct {
 	BytesApplied uint64
 	// decoded is ApplyEncoded's decode target: its arrays are reused
 	// delta to delta, its bytes are the caller's.
-	decoded SockDelta
+	decoded []SockUpdate
 }
 
 // NewStore creates an empty accumulator.
@@ -471,10 +544,13 @@ func NewStore() *Store { return &Store{} }
 // ApplyEncoded decodes one encoded delta and folds it in (see Apply).
 // Nothing of b is read after it returns.
 func (s *Store) ApplyEncoded(b []byte) error {
-	if err := decodeInto(&s.decoded, b); err != nil {
+	d := SockDelta{Socks: s.decoded}
+	err := decodeInto(&d, b)
+	s.decoded = d.Socks
+	if err != nil {
 		return err
 	}
-	return s.Apply(&s.decoded)
+	return s.Apply(&d)
 }
 
 // Apply folds one delta into the store, or returns an error and folds

@@ -68,8 +68,8 @@ func TestSockDeltaEncodedSizeMatches(t *testing.T) {
 		{FD: 3, Kind: 'T', Sections: []SectionUpdate{{ID: 1, Data: make([]byte, 100)}}},
 		{FD: 4, Kind: 'U', UDPData: make([]byte, 37)},
 	}}
-	if got := len(d.Encode()); got != d.EncodedSize() {
-		t.Fatalf("EncodedSize = %d, actual %d", d.EncodedSize(), got)
+	if got := len(d.Encode()); got != d.encodedSize() {
+		t.Fatalf("encodedSize = %d, actual %d", d.encodedSize(), got)
 	}
 }
 
@@ -246,8 +246,8 @@ func TestIncrementalBeatsFullOnIdleConnections(t *testing.T) {
 	env.c.Sched.RunFor(50 * time.Millisecond)
 	inc := tr.Delta(env.p, true)
 	full := FullDelta(env.p)
-	if inc.EncodedSize() >= full.EncodedSize()/10 {
-		t.Fatalf("incremental freeze bytes %d not ≪ full %d", inc.EncodedSize(), full.EncodedSize())
+	if len(inc.Wire()) >= len(full.Wire())/10 {
+		t.Fatalf("incremental freeze bytes %d not ≪ full %d", len(inc.Wire()), len(full.Wire()))
 	}
 	if len(full.Socks) != 65 {
 		t.Fatalf("full delta socks = %d", len(full.Socks))
@@ -376,7 +376,7 @@ func TestFullDeltaSizeScalesLinearly(t *testing.T) {
 	sizes := map[int]int{}
 	for _, n := range []int{8, 16, 32} {
 		env := newEnv(t, n)
-		sizes[n] = FullDelta(env.p).EncodedSize()
+		sizes[n] = len(FullDelta(env.p).Wire())
 	}
 	perConn8 := float64(sizes[8]) / 9
 	perConn32 := float64(sizes[32]) / 33
