@@ -130,7 +130,7 @@ func TestAllocGateMemDeltaEncode(t *testing.T) {
 	d := NewTracker().Delta(as)
 	var out []byte
 	allocs := testing.AllocsPerRun(10, func() { out = d.AppendEncode(nil) })
-	if allocs != 1 {
+	if allocs != 1 && !wiretest.SkipAllocBound(t, "AppendEncode(nil)") {
 		t.Fatalf("AppendEncode(nil) of %d pages allocates %.0f times, want 1", len(d.Pages), allocs)
 	}
 	if len(out) != d.EncodedSize() {
@@ -143,7 +143,7 @@ func TestAllocGateMemDeltaEncode(t *testing.T) {
 		if room < len(out) {
 			want = 1
 		}
-		if allocs := testing.AllocsPerRun(10, func() { got = d.AppendEncode(scratch) }); allocs != want {
+		if allocs := testing.AllocsPerRun(10, func() { got = d.AppendEncode(scratch) }); allocs != want && !wiretest.SkipAllocBound(t, "AppendEncode into a scratch") {
 			t.Fatalf("AppendEncode into %d spare bytes of %d allocates %.0f times, want %.0f", room, len(out), allocs, want)
 		}
 		if !bytes.Equal(got, out) {
@@ -151,7 +151,7 @@ func TestAllocGateMemDeltaEncode(t *testing.T) {
 		}
 	}
 	dir := BuildPageDir(as, func(_ *proc.VMA, e proc.PTE) bool { return e.Index%2 == 0 })
-	if allocs := testing.AllocsPerRun(10, func() { out = dir.Encode() }); allocs != 1 {
+	if allocs := testing.AllocsPerRun(10, func() { out = dir.Encode() }); allocs != 1 && !wiretest.SkipAllocBound(t, "PageDir.Encode") {
 		t.Fatalf("encoding a page directory of %d pages allocates %.0f times, want 1", len(dir.Present)+len(dir.Absent), allocs)
 	}
 }

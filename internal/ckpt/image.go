@@ -225,28 +225,28 @@ func DecodeImage(data []byte) (*Image, error) {
 	if r.Err() != nil || nh > 1<<16 {
 		return nil, errors.New("ckpt: corrupt image header")
 	}
-	for i := 0; i < nh; i++ {
+	for i := 0; i < nh && r.Err() == nil; i++ {
 		img.HandledSignals = append(img.HandledSignals, proc.Signal(r.U32()))
 	}
 	nt := int(r.U32())
 	if r.Err() != nil || nt > 1<<16 {
 		return nil, errors.New("ckpt: corrupt thread count")
 	}
-	for i := 0; i < nt; i++ {
+	for i := 0; i < nt && r.Err() == nil; i++ {
 		img.Threads = append(img.Threads, readThread(&r))
 	}
 	nv := int(r.U32())
 	if r.Err() != nil || nv > 1<<20 {
 		return nil, errors.New("ckpt: corrupt vma count")
 	}
-	for i := 0; i < nv; i++ {
+	for i := 0; i < nv && r.Err() == nil; i++ {
 		img.VMAs = append(img.VMAs, readVMA(&r))
 	}
 	np := int(r.U32())
 	if r.Err() != nil || np > 1<<24 {
 		return nil, errors.New("ckpt: corrupt page count")
 	}
-	for i := 0; i < np; i++ {
+	for i := 0; i < np && r.Err() == nil; i++ {
 		img.Pages = append(img.Pages, PageImage{VMAStart: r.U64(), Index: r.U64(), Data: decodePageData(&r)})
 	}
 	nf := int(r.U32())

@@ -190,18 +190,33 @@ type pageRec struct {
 // segment past the page's end.
 var errCorruptPage = errors.New("ckpt: corrupt page record")
 
-// readPageRec parses one encodePage record and checks every bound the
-// expansion relies on — claimed length, segment extents, body within
-// the payload — so expand cannot fail and a caller can validate a whole
-// payload before writing anything. No encoder writes a page longer than
-// proc.PageSize, so no record may claim one: the decoder is a fuzz
-// surface and must not be talked into allocations its input does not
-// pay for.
-func readPageRec(r *wire.Reader) pageRec {
-	rec := pageRec{tag: r.U8()}
-	rec.n = int(r.U32())
+// readPageRec parses one encodePage record into rec and checks every
+// bound the expansion relies on — claimed length, segment extents, body
+// within the payload — so expand cannot fail and a caller can validate
+// a whole payload before writing anything. No encoder writes a page
+// longer than proc.PageSize, so no record may claim one: the decoder is
+// a fuzz surface and must not be talked into allocations its input does
+// not pay for.
+//
+// It is the destination's innermost loop (every page record is read
+// three times per applied delta), so it costs one bounds check per fixed
+// header, not one per field: tag and length come in one 5-byte read, a
+// sparse record's segment list is walked on a local slice and stepped
+// over with one Skip, and the record is filled in place. The checks and
+// their order are the field-by-field reader's: a short read is
+// wire.ErrTruncated; a length past proc.PageSize, a segment past the
+// page or an unknown tag is errCorruptPage. Once r has failed, rec's
+// fields are unspecified.
+func readPageRec(r *wire.Reader, rec *pageRec) {
+	*rec = pageRec{}
+	h := r.Bytes(1 + 4) // tag + length
+	if h == nil {
+		return
+	}
+	rec.tag, rec.n = h[0], int(binary.BigEndian.Uint32(h[1:]))
 	if rec.n > proc.PageSize {
 		r.Fail(errCorruptPage)
+		return
 	}
 	switch rec.tag {
 	case pageEncRaw:
@@ -210,22 +225,30 @@ func readPageRec(r *wire.Reader) pageRec {
 	case pageEncZero:
 	case pageEncSparse:
 		nseg := int(r.U16())
-		segs, start := r.Rest(), r.Off()
-		for i := 0; i < nseg && r.Err() == nil; i++ {
-			off, l := int(r.U16()), int(r.U16())
+		segs := r.Rest()
+		p := 0
+		for i := 0; i < nseg; i++ {
+			if len(segs)-p < segHdrBytes {
+				r.Fail(wire.ErrTruncated)
+				return
+			}
+			off := int(binary.BigEndian.Uint16(segs[p:]))
+			l := int(binary.BigEndian.Uint16(segs[p+2:]))
 			if off+l > rec.n {
 				r.Fail(errCorruptPage)
+				return
 			}
-			r.Skip(l)
+			if p += segHdrBytes + l; p > len(segs) {
+				r.Fail(wire.ErrTruncated)
+				return
+			}
 			rec.end = max(rec.end, off+l)
 		}
-		if r.Err() == nil {
-			rec.body = segs[:r.Off()-start]
-		}
+		r.Skip(p)
+		rec.body = segs[:p:p]
 	default:
 		r.Fail(errCorruptPage)
 	}
-	return rec
 }
 
 // expand writes the record's content into dst, which must be at least
@@ -233,7 +256,7 @@ func readPageRec(r *wire.Reader) pageRec {
 // zero. zeroed says dst is known to be all zeros already (a fresh
 // allocation); otherwise a zero or sparse record clears it first. The
 // bytes are copied: dst never aliases the payload.
-func (rec pageRec) expand(dst []byte, zeroed bool) {
+func (rec *pageRec) expand(dst []byte, zeroed bool) {
 	if rec.tag == pageEncRaw {
 		copy(dst, rec.body)
 		return
@@ -252,7 +275,8 @@ func (rec pageRec) expand(dst []byte, zeroed bool) {
 // decodePageData parses one encodePage record, returning the full raw
 // page content (freshly allocated — it never aliases the input).
 func decodePageData(r *wire.Reader) []byte {
-	rec := readPageRec(r)
+	var rec pageRec
+	readPageRec(r, &rec)
 	if r.Err() != nil {
 		return nil
 	}

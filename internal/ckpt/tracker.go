@@ -344,9 +344,10 @@ func ApplyEncodedDelta(as *proc.AddressSpace, payload []byte) error {
 	r := wire.NewReader(payload)
 	var d MemDelta
 	n := decodeDeltaHeader(&r, &d)
-	first := r // the first page record; each pass below starts here
+	first := r      // the first page record; each pass below starts here
+	var rec pageRec // each pass reads every record into this one
 	for i := 0; i < n && r.Err() == nil; i++ {
-		nextPageRec(&r)
+		nextPageRec(&r, &rec)
 	}
 	if r.Err() != nil {
 		return r.Err()
@@ -363,7 +364,7 @@ func ApplyEncodedDelta(as *proc.AddressSpace, payload []byte) error {
 	fresh := 0
 	r = first
 	for i := 0; i < n; i++ {
-		addr, rec := nextPageRec(&r)
+		addr := nextPageRec(&r, &rec)
 		if !rec.wholePage(addr) {
 			continue
 		}
@@ -379,7 +380,7 @@ func ApplyEncodedDelta(as *proc.AddressSpace, payload []byte) error {
 
 	r = first
 	for i := 0; i < n; i++ {
-		addr, rec := nextPageRec(&r)
+		addr := nextPageRec(&r, &rec)
 		if !rec.wholePage(addr) {
 			// Not a page image: the general write path, as ApplyDelta.
 			data := make([]byte, rec.n)
@@ -406,16 +407,20 @@ func ApplyEncodedDelta(as *proc.AddressSpace, payload []byte) error {
 	return nil
 }
 
-// nextPageRec parses one page entry of a delta: the address it names
-// and its bounds-checked, unexpanded content record.
-func nextPageRec(r *wire.Reader) (addr uint64, rec pageRec) {
-	addr = r.U64()
-	addr += r.U64() * proc.PageSize
-	return addr, readPageRec(r)
+// nextPageRec parses one page entry of a delta into rec, its
+// bounds-checked, unexpanded content record, and returns the address it
+// names. The entry's coordinates (region start, page index) are read
+// with one bounds check, as readPageRec reads the record's header.
+func nextPageRec(r *wire.Reader, rec *pageRec) (addr uint64) {
+	if c := r.Bytes(8 + 8); c != nil {
+		addr = binary.BigEndian.Uint64(c) + binary.BigEndian.Uint64(c[8:])*proc.PageSize
+	}
+	readPageRec(r, rec)
+	return addr
 }
 
 // wholePage reports whether the record is the image of exactly the page
 // at addr, which ApplyEncodedDelta can expand in place.
-func (rec pageRec) wholePage(addr uint64) bool {
+func (rec *pageRec) wholePage(addr uint64) bool {
 	return rec.n == proc.PageSize && addr%proc.PageSize == 0
 }

@@ -92,7 +92,7 @@ func TestAllocGateSendAhead(t *testing.T) {
 			t.Fatalf("announced burst: %d regrowths, %d bytes buffered in %d; want 1 growth to the refused %d (+ page rounding)",
 				regrowths, len(cli.sndBuf), cap(cli.sndBuf), refused)
 		}
-		if limit := uint64(refused + pageRounding + runtimeSlack); alloc > limit {
+		if limit := uint64(refused + pageRounding + runtimeSlack); alloc > limit && !wiretest.SkipAllocBound(t, "announced burst") {
 			t.Errorf("announced burst allocated %d bytes, want at most the %d-byte buffer + %d", alloc, refused, pageRounding+runtimeSlack)
 		}
 		if cli.ahead != 0 {

@@ -178,6 +178,20 @@ func newOracleStore() *oracleStore {
 }
 
 func (s *oracleStore) Apply(d *SockDelta) error {
+	// A TCP socket the oracle did not hold before the delta must bring
+	// its identity section, or nothing of the delta is folded.
+	for _, su := range d.Socks {
+		if su.Kind != 'T' || s.tcp[su.FD] != nil {
+			continue
+		}
+		identity := false
+		for _, sec := range su.Sections {
+			identity = identity || sec.ID == netstack.SecIdentity
+		}
+		if !identity {
+			return fmt.Errorf("sockmig: fd %d: %w", su.FD, ErrNoIdentity)
+		}
+	}
 	for _, su := range d.Socks {
 		switch su.Kind {
 		case 'T':

@@ -19,6 +19,7 @@ package sockmig
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -553,13 +554,24 @@ func (s *Store) ApplyEncoded(b []byte) error {
 	return s.Apply(&d)
 }
 
+// ErrNoIdentity is the cause Apply wraps when a delta brings a TCP
+// socket the store does not hold yet without its identity section: the
+// socket would be restored on the zero tuple. A tracker's first delta of
+// a socket carries every section, identity included.
+var ErrNoIdentity = errors.New("sockmig: new socket without an identity section")
+
 // Apply folds one delta into the store, or returns an error and folds
-// nothing: every section is checked before the first is applied. The
-// store copies what it keeps, so d may be lent.
+// nothing: every section is checked before the first is applied, and a
+// TCP socket the store did not hold before the delta must bring its
+// identity (ErrNoIdentity). The store copies what it keeps, so d may be
+// lent.
 func (s *Store) Apply(d *SockDelta) error {
 	for _, su := range d.Socks {
 		switch su.Kind {
 		case 'T':
+			if s.tcp[su.FD] == nil && !slices.ContainsFunc(su.Sections, func(sec SectionUpdate) bool { return sec.ID == netstack.SecIdentity }) {
+				return fmt.Errorf("sockmig: fd %d: %w", su.FD, ErrNoIdentity)
+			}
 			for _, sec := range su.Sections {
 				if err := netstack.CheckSection(sec.ID, sec.Data); err != nil {
 					return fmt.Errorf("sockmig: fd %d section %v: %w", su.FD, sec.ID, err)

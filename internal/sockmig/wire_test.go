@@ -2,8 +2,10 @@ package sockmig
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -101,9 +103,8 @@ func TestTrackerWireOverFuzzCorpus(t *testing.T) {
 			if store.ApplyEncoded(in) != nil {
 				break
 			}
-			// One socket per process: a delta that never carried a
-			// socket's identity section leaves it the zero tuple, which
-			// two such sockets cannot share on one stack.
+			// One socket per process: a hostile delta may give two
+			// sockets one tuple, which they cannot share on one stack.
 			for fd, snap := range store.tcp {
 				restore(fmt.Sprintf("sequence %d, delta %d, tcp fd %d", i, j, fd), &Store{tcp: map[int]*netstack.TCPSnapshot{fd: snap}})
 				restored++
@@ -116,6 +117,74 @@ func TestTrackerWireOverFuzzCorpus(t *testing.T) {
 	}
 	if restored == 0 {
 		t.Fatal("no socket state restored")
+	}
+}
+
+// TestStoreRefusesSocketWithoutIdentity: a delta that brings a TCP
+// socket the store does not hold without its identity section is
+// refused whole, before anything is stored — restored, such a socket
+// sits on the zero tuple, and two of them collide only at restore. The
+// committed FuzzSockDelta entry's first delta is one (its sockets carry
+// no identity); so are a tracker's first round of two sockets with both
+// identities stripped, or only the second's. Once the store holds the
+// sockets, a round without their identities is an ordinary incremental
+// one.
+func TestStoreRefusesSocketWithoutIdentity(t *testing.T) {
+	refused := func(what string, apply func(*Store) error) {
+		t.Helper()
+		store := NewStore()
+		if err := apply(store); !errors.Is(err, ErrNoIdentity) {
+			t.Fatalf("%s: Apply returned %v, want ErrNoIdentity", what, err)
+		}
+		if store.TCPCount() != 0 || store.UDPCount() != 0 || store.BytesApplied != 0 {
+			t.Fatalf("%s: refused, yet the store holds %d tcp / %d udp / %d bytes", what, store.TCPCount(), store.UDPCount(), store.BytesApplied)
+		}
+	}
+	corpus := wiretest.Corpus(t, "FuzzSockDelta")
+	if len(corpus) == 0 {
+		t.Fatal("no committed FuzzSockDelta entry")
+	}
+	for i, args := range corpus {
+		refused(fmt.Sprintf("corpus entry %d", i), func(s *Store) error { return s.ApplyEncoded(args[0].([]byte)) })
+	}
+
+	env := newEnv(t, 2)
+	full := FullDelta(env.p)
+	var two []SockUpdate
+	for _, su := range full.Socks {
+		if su.Kind == 'T' && len(two) < 2 {
+			two = append(two, su)
+		}
+	}
+	if len(two) != 2 {
+		t.Fatalf("%d TCP sockets in the full delta, want at least 2", len(two))
+	}
+	// strip returns the two sockets' update, the identity section taken
+	// out of those picked.
+	strip := func(pick ...bool) *SockDelta {
+		d := &SockDelta{Round: full.Round}
+		for i, su := range two {
+			if pick[i] {
+				su.Sections = slices.DeleteFunc(slices.Clone(su.Sections), func(sec SectionUpdate) bool { return sec.ID == netstack.SecIdentity })
+			}
+			d.Socks = append(d.Socks, su)
+		}
+		return d
+	}
+	refused("two sockets, neither identity", func(s *Store) error { return s.Apply(strip(true, true)) })
+	refused("two sockets, the second's identity stripped", func(s *Store) error { return s.ApplyEncoded(strip(false, true).Encode()) })
+
+	store := NewStore()
+	if err := store.Apply(strip(false, false)); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Apply(strip(true, true)); err != nil {
+		t.Fatalf("a round without the identities of held sockets: %v", err)
+	}
+	q := env.c.Nodes[1].Spawn("restored", 1)
+	tcp, _, err := store.RestoreAll(env.c.Nodes[1].Stack, q, RestoreOptions{})
+	if err != nil || len(tcp) != 2 {
+		t.Fatalf("restoring the two sockets: %d restored, %v", len(tcp), err)
 	}
 }
 
