@@ -8,6 +8,7 @@ package dvemig
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -530,17 +531,19 @@ func TestAllocGateMigrationEngine(t *testing.T) {
 	}
 }
 
-// freezePointBytes are what one Fig 5b repeat allocated, warm, when each
-// checkpoint burst came to be buffered once on each side of the migd
-// wire — the send buffer sized by the announced burst, the reassembly
-// buffer doubling, the socket delta shipped out of the tracker's arena:
-// the 64-connection point of the zone64 workload and the 2-connection,
-// 128 MiB point of mem128m. The gate allows 10% over each. They read
-// 1725512 and 4077872 before that, and 2680136 and 5231472 before migd
-// frames and memory deltas came to reserve their final size.
+// freezePointBytes are what one Fig 5b repeat allocated, warm, when the
+// migd wire's large buffers — send, receive and reassembly buffers and
+// the socket tracker's arena — came from the process-wide wire pool: the
+// 64-connection point of the zone64 workload and the 2-connection,
+// 128 MiB point of mem128m (which reads 2.65 to 2.85 MB, as the pool's
+// first Takes of a class hit or miss). The gate allows 10% over each.
+// They read 1496768 and 3412208 when each checkpoint burst came to be buffered
+// once on each side of the wire, 1725512 and 4077872 before that, and
+// 2680136 and 5231472 before migd frames and memory deltas came to
+// reserve their final size.
 const (
-	freezePointZoneBytes = 1496768
-	freezePointMemBytes  = 3412208
+	freezePointZoneBytes = 816168
+	freezePointMemBytes  = 2846352
 )
 
 // TestAllocGateFreezePoint fences the transfer path's buffers: a receive
@@ -548,8 +551,15 @@ const (
 // memory delta's encoding that grows by append instead of reserving its
 // size, a send or reassembly buffer regrown frame by frame under a
 // checkpoint burst, or a socket delta copied out of the tracker's arena,
-// costs these points a large share of their bytes.
+// costs these points a large share of their bytes. It measures on one P
+// with the collector off: the wire pool keeps a buffer per class in a
+// per-P slot that other Ps cannot reach, and a collection empties it, so
+// otherwise its Takes miss whenever the goroutine changes P or two
+// collections land between the warm run and the measured one, and the
+// points read up to 1.08 and 3.24 MB.
 func TestAllocGateFreezePoint(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, pt := range []struct {
 		name     string
 		conns    int

@@ -64,7 +64,8 @@ func (f *fixture) migrator(n *proc.Node, cfg migration.Config) (*migration.Migra
 }
 
 // drain hops from event to event until the queue is empty and returns
-// the no-leaked-timer invariant's verdict on what is left. The battery
+// the verdicts of the invariants checked on what is left: no leaked
+// timer, nothing stashed. The battery
 // has stopped every periodic activity it started; every other timer is
 // either canceled eagerly (migration leases, translation retries) or
 // self-limiting (TCP retransmission gives up after MaxConsecRetrans —
@@ -79,7 +80,7 @@ func (f *fixture) drain() []string {
 		}
 		f.sched.RunUntil(next)
 	}
-	return noLeakedTimers(f.sched)
+	return append(noLeakedTimers(f.sched), nothingStashed(f.sched)...)
 }
 
 // capture harvests the cluster's layer counters and freezes the cell's

@@ -362,7 +362,7 @@ func RunFailoverScenario(sc FailoverScenario, seed uint64) (*FailoverResult, err
 			n.StopLoop(pr)
 		}
 	}
-	res.Violations = append(res.Violations, f.drain()...)
+	res.Violations = append(res.Violations, expectStashed(failoverKey(sc.Name, seed), f.drain())...)
 	res.PendingAfterDrain = sched.Pending()
 	res.TraceHash = f.digest.h
 	sort.Strings(res.Violations)

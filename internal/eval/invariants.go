@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -32,6 +33,10 @@ import (
 //     known to a controller and terminal.
 //  4. No leaked timer (noLeakedTimers). Quiescence only: after the
 //     drain the scheduler's queue is empty; what is left is named.
+//  5. Nothing left stashed (nothingStashed). Quiescence only: after the
+//     drain the scheduler holds no stashed value, so every behaviour
+//     token a migration or a guardian stashed was taken. Cells known to
+//     break it are named in stashedExpected.
 //
 // Every function returns its breaches as messages (none = it holds).
 // The messages are stable across windows — no ages, no clocks — so a
@@ -111,4 +116,32 @@ func noLeakedTimers(sched *simtime.Scheduler) []string {
 	sort.Strings(names)
 	return []string{fmt.Sprintf("leaked timers: %d events pending after drain: %s",
 		len(names), strings.Join(names, ", "))}
+}
+
+// nothingStashed is invariant 5: a value still stashed after the drain
+// is a process's behaviour that no restore and no abort took.
+func nothingStashed(sched *simtime.Scheduler) []string {
+	if n := sched.Stashed(); n > 0 {
+		return []string{fmt.Sprintf("%s %d after drain", stashedBreach, n)}
+	}
+	return nil
+}
+
+// stashedBreach opens invariant 5's message.
+const stashedBreach = "stashed values left:"
+
+// expectStashed applies invariant 5's expected failures to the drain
+// verdicts of the cell named key: a listed cell's breach is expected and
+// dropped, and a listed cell that left nothing stashed gains a
+// violation asking for its entry to go, so the list only shrinks.
+func expectStashed(key string, found []string) []string {
+	if !stashedExpected[key] {
+		return found
+	}
+	for i, msg := range found {
+		if strings.HasPrefix(msg, stashedBreach) {
+			return slices.Delete(found, i, i+1)
+		}
+	}
+	return append(found, fmt.Sprintf("%s is in stashedExpected but left nothing stashed: delete its entry", key))
 }

@@ -15,6 +15,9 @@ import (
 	"dvemig/internal/simtime"
 )
 
+// stashedListed is a cell on invariant 5's expected-failure list.
+const stashedListed = "failover/flap/seed=1"
+
 // TestInvariantList forges each breach of the invariant list on a bare
 // two-node cell and pins the message; the rows that must hold (a legal
 // freeze window, a ledger still in flight) pin the any-instant forms'
@@ -76,6 +79,22 @@ func TestInvariantList(t *testing.T) {
 			f.sched.After(time.Second, "forged.oneshot", func() {})
 			return f.drain()
 		}, nil},
+		{"a value stashed and never taken", func(f *fixture) []string {
+			f.sched.Take(f.sched.Stash("taken"))
+			f.sched.Stash("kept")
+			return f.drain()
+		}, []string{"stashed values left: 1 after drain"}},
+		{"an expected stash breach is dropped", func(f *fixture) []string {
+			f.sched.Stash("kept")
+			return expectStashed(stashedListed, append(f.drain(), "other"))
+		}, []string{"other"}},
+		{"an expected stash breach that is gone asks to shrink the list", func(f *fixture) []string {
+			return expectStashed(stashedListed, f.drain())
+		}, []string{stashedListed + " is in stashedExpected but left nothing stashed: delete its entry"}},
+		{"an unlisted cell's stash breach stands", func(f *fixture) []string {
+			f.sched.Stash("kept")
+			return expectStashed("soak/healthy/seed=1/req=80", f.drain())
+		}, []string{"stashed values left: 1 after drain"}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -576,7 +576,7 @@ func (cfg SoakConfig) runCell(sc SoakScenario, seed uint64, lit bool) (*SoakResu
 			n.StopLoop(p)
 		}
 	}
-	leak := f.drain()
+	leak := expectStashed(cfg.key(sc.Name, seed), f.drain())
 	res.PendingAfterDrain = sched.Pending()
 
 	// ---- audits ----

@@ -2,6 +2,7 @@ package migration
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"dvemig/internal/netstack"
 	"dvemig/internal/proc"
 	"dvemig/internal/simtime"
+	"dvemig/internal/wire/wiretest"
 )
 
 // fakeSrc impersonates a migration *source* at the wire level: it dials
@@ -258,12 +260,22 @@ func TestChunkStreamViolationsAbort(t *testing.T) {
 	}
 }
 
+// chunkDecoderSeeds are FuzzChunkDecoders' seeds: a chunk frame, a
+// CHUNK_END trailer and nothing.
+func chunkDecoderSeeds() [][]byte {
+	return [][]byte{
+		{1, 0, 0, 0, 1, 0, 0, 0, 0, 0xAB},
+		chunkEnd{Kind: 2, Stream: 7, Chunks: 3, Total: 12345}.encode(),
+		{},
+	}
+}
+
 // FuzzChunkDecoders: the frame codecs round-trip, and arbitrary bytes
 // never panic the decoders.
 func FuzzChunkDecoders(f *testing.F) {
-	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0, 0, 0xAB})
-	f.Add(chunkEnd{Kind: 2, Stream: 7, Chunks: 3, Total: 12345}.encode())
-	f.Add([]byte{})
+	for _, b := range chunkDecoderSeeds() {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if ch, err := decodeChunk(b); err == nil {
 			rt := ch.encode()
@@ -277,6 +289,30 @@ func FuzzChunkDecoders(f *testing.F) {
 			}
 		}
 	})
+}
+
+// The chunk decoders read a fixed header and alias the rest of the
+// frame, so nothing they allocate grows with the input: 0 B per input
+// byte. The one allocation is the error a trailer with bytes past its
+// end makes (errors.New, 16 B), which the slack covers.
+const (
+	chunkDecodeAllocK     = 0
+	chunkDecodeAllocSlack = 32
+)
+
+// TestAllocGateChunkDecoders: no seed or committed corpus entry of
+// FuzzChunkDecoders makes decodeChunk or decodeChunkEnd allocate.
+func TestAllocGateChunkDecoders(t *testing.T) {
+	inputs := chunkDecoderSeeds()
+	for _, args := range wiretest.Corpus(t, "FuzzChunkDecoders") {
+		inputs = append(inputs, args[0].([]byte))
+	}
+	for i, b := range inputs {
+		wiretest.CheckAllocBound(t, fmt.Sprintf("input %d", i), len(b), chunkDecodeAllocK, chunkDecodeAllocSlack, func() {
+			_, _ = decodeChunk(b)
+			_, _ = decodeChunkEnd(b)
+		})
+	}
 }
 
 // FuzzChunkStream drives the real migd destination with a script of

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"dvemig/internal/ckpt"
+	"dvemig/internal/wire"
 )
 
 // Chunked checkpoint pipeline (PR 8). Every checkpoint payload — a
@@ -173,8 +174,9 @@ func (ib *inbound) onChunk(payload []byte) {
 	}
 	ib.chunkNext++
 	if need := len(ib.chunkBuf) + len(ch.Data); need > cap(ib.chunkBuf) {
-		grown := make([]byte, len(ib.chunkBuf), chunkBufCap(cap(ib.chunkBuf), need))
-		ib.chunkBuf = grown[:copy(grown, ib.chunkBuf)]
+		grown := append(wire.Take(chunkBufCap(cap(ib.chunkBuf), need)), ib.chunkBuf...)
+		wire.Give(ib.chunkBuf)
+		ib.chunkBuf = grown
 	}
 	ib.chunkBuf = append(ib.chunkBuf, ch.Data...)
 }

@@ -35,9 +35,11 @@ func (ob *outbound) end(err error) {
 	delete(ob.m.active, ob.p.PID)
 	ob.watch.stop(ob.m)
 	// Nothing encodes or pumps once the migration is over (a stream still
-	// yielding finds over() set before it looks at its payload).
+	// yielding finds over() set before it looks at its payload), and
+	// every socket delta went out by copy.
 	ob.m.encBufs.put(ob.encBuf)
 	ob.encBuf = nil
+	ob.sockTracker.Release()
 	if !gone && ob.p.State == proc.ProcFrozen {
 		ob.thaw()
 	}

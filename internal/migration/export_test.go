@@ -8,6 +8,7 @@ import (
 	"dvemig/internal/netsim"
 	"dvemig/internal/proc"
 	"dvemig/internal/sockmig"
+	"dvemig/internal/wire"
 )
 
 // TestMain runs the whole package with the lend-contract tripwire on:
@@ -19,13 +20,16 @@ import (
 // placeholder keeps (hybrid's re-shipped pages): whoever read one instead
 // of faulting sees 0xDB too. A socket tracker overwrites the delta it lent
 // last with 0xDB before building the next, and a memory tracker the page
-// list it lent last with sentinel entries (index ^0, 0xDB content).
+// list it lent last with sentinel entries (index ^0, 0xDB content). Every
+// buffer given to the wire pool (send, receive and reassembly buffers, a
+// tracker's arena) is overwritten with 0xDB as it goes in.
 func TestMain(m *testing.M) {
 	poisonLent = true
 	netsim.PoisonReleasedPayloads()
 	proc.PoisonStaleFrames()
 	sockmig.PoisonLentDeltas()
 	ckpt.PoisonLentMemDeltas()
+	wire.PoisonGiven()
 	os.Exit(m.Run())
 }
 

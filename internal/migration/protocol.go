@@ -10,9 +10,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 
 	"dvemig/internal/netstack"
+	"dvemig/internal/wire"
 )
 
 // MigdPort is the TCP port migration daemons listen on (in-cluster
@@ -85,9 +85,10 @@ type Conn struct {
 	// the connection holds no buffer (before the first byte, and after
 	// the buffer went back to bufs).
 	buf []byte
-	// bufs is the free list buf is drawn from and returned to (the
-	// Migrator's; nil for a connection outside one, whose buffer is left
-	// to the collector).
+	// bufs is the free list buf is drawn from and, when smaller than the
+	// wire pool's buffers, returned to (the Migrator's; nil for a
+	// connection outside one, whose small buffer is left to the
+	// collector).
 	bufs *bufList
 	// owner receives each complete frame and, once, the hang-up; nil
 	// discards both (a guardian never reads its acks).
@@ -317,18 +318,22 @@ func (c *Conn) reserve() {
 	}
 	need := min(5+int(binary.BigEndian.Uint32(c.buf[1:5])), maxKeptBuf)
 	if need > cap(c.buf) {
-		c.buf = slices.Grow(c.buf, need-len(c.buf))
+		c.buf = wire.Grow(c.buf, need-len(c.buf))
 	}
 }
 
 // recycle hands the receive buffer back once nothing more will be
 // parsed out of it: it is empty, and either this side closed or the
 // peer's EOF arrived. The second case is the common one on the
-// destination, which never calls Close on the success path. Should
+// destination, which never calls Close on the success path. A buffer of
+// a pooled size goes to the wire pool, where the next migration's
+// reserve finds it whichever cell runs it; a smaller one to bufs. Should
 // bytes turn up after all, onReadable simply draws a buffer again.
 func (c *Conn) recycle() {
 	if c.buf != nil && len(c.buf) == 0 && !c.draining && (c.closed || c.sk.EOF()) {
-		c.bufs.put(c.buf)
+		if !wire.Give(c.buf) {
+			c.bufs.put(c.buf)
+		}
 		c.buf = nil
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"dvemig/internal/netsim"
 	"dvemig/internal/simtime"
+	"dvemig/internal/wire"
 	"dvemig/internal/wire/wiretest"
 )
 
@@ -62,6 +63,15 @@ const (
 	runtimeSlack = 64 << 10
 )
 
+// poolCap is the capacity a send buffer grown to hold n bytes has: the
+// wire pool's class for n, which is n rounded up to a power of two
+// between 64 KiB and 1 MiB.
+func poolCap(n int) int {
+	b := wire.Take(n)
+	wire.Give(b)
+	return cap(b)
+}
+
 // TestAllocGateSendAhead: a 230 KB burst announced ahead of its 5 B /
 // 9 B / 64 KiB pieces, into a socket whose congestion window takes the
 // first ten segments (each Send is cut on its own, so the headers take
@@ -88,9 +98,9 @@ func TestAllocGateSendAhead(t *testing.T) {
 			}
 			continue
 		}
-		if regrowths != 1 || len(cli.sndBuf) != refused || cap(cli.sndBuf) >= refused+pageRounding {
-			t.Fatalf("announced burst: %d regrowths, %d bytes buffered in %d; want 1 growth to the refused %d (+ page rounding)",
-				regrowths, len(cli.sndBuf), cap(cli.sndBuf), refused)
+		if regrowths != 1 || len(cli.sndBuf) != refused || cap(cli.sndBuf) != poolCap(refused) {
+			t.Fatalf("announced burst: %d regrowths, %d bytes buffered in %d; want 1 growth to the refused %d (in the pool's %d-byte class)",
+				regrowths, len(cli.sndBuf), cap(cli.sndBuf), refused, poolCap(refused))
 		}
 		if limit := uint64(refused + pageRounding + runtimeSlack); alloc > limit && !wiretest.SkipAllocBound(t, "announced burst") {
 			t.Errorf("announced burst allocated %d bytes, want at most the %d-byte buffer + %d", alloc, refused, pageRounding+runtimeSlack)
@@ -164,9 +174,9 @@ func TestSendAheadKeepsSegments(t *testing.T) {
 }
 
 // TestSendAheadOverAnnouncement: an announcement the Sends never deliver
-// over-reserves once, by at most what it over-announced (and page
-// rounding), and is spent doing so: nothing is left to inflate the next
-// growth.
+// over-reserves once, by at most what it over-announced (rounded up, with
+// the refused rest, to the wire pool's class), and is spent doing so:
+// nothing is left to inflate the next growth.
 func TestSendAheadOverAnnouncement(t *testing.T) {
 	p := newPair(t)
 	cli, _ := p.connect(t, 4412)
@@ -175,7 +185,7 @@ func TestSendAheadOverAnnouncement(t *testing.T) {
 	nxt := cli.SndNxt
 	sendBurst(t, cli, burstBytes(pieces)+extra, pieces)
 	refused := burstBytes(pieces) - int(cli.SndNxt-nxt)
-	if over := cap(cli.sndBuf) - refused; over < 0 || over > extra+pageRounding || cli.ahead != 0 {
+	if over := cap(cli.sndBuf) - refused; over < 0 || cap(cli.sndBuf) > poolCap(refused+extra) || cli.ahead != 0 {
 		t.Fatalf("over-announced by %d: buffer over-reserved by %d, %d still announced", extra, over, cli.ahead)
 	}
 }

@@ -3,10 +3,10 @@ package netstack
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"dvemig/internal/netsim"
 	"dvemig/internal/simtime"
+	"dvemig/internal/wire"
 )
 
 // TCPState is the protocol state of a socket.
@@ -360,14 +360,15 @@ func (sk *TCPSocket) SendAhead(n int) { sk.ahead += n }
 
 // buffer appends data behind the unsent bytes, first reclaiming the
 // segmented prefix and, when data does not fit, growing the buffer once
-// for it and what SendAhead still announces.
+// for it and what SendAhead still announces. A buffer grown to a pooled
+// size comes from the wire pool.
 func (sk *TCPSocket) buffer(data []byte) {
 	if sk.sndOff > 0 && len(sk.sndBuf)+len(data) > cap(sk.sndBuf) {
 		sk.sndBuf = sk.sndBuf[:copy(sk.sndBuf, sk.sndBuf[sk.sndOff:])]
 		sk.sndOff = 0
 	}
 	if len(sk.sndBuf)+len(data) > cap(sk.sndBuf) {
-		sk.sndBuf = slices.Grow(sk.sndBuf, len(data)+sk.ahead)
+		sk.sndBuf = wire.Grow(sk.sndBuf, len(data)+sk.ahead)
 		sk.ahead = 0
 	}
 	sk.sndBuf = append(sk.sndBuf, data...)
@@ -377,10 +378,18 @@ func (sk *TCPSocket) buffer(data []byte) {
 func (sk *TCPSocket) unsent() []byte { return sk.sndBuf[sk.sndOff:] }
 
 // segmented marks the first n unsent bytes as handed to the write queue.
+// A buffer that drains empty is kept for the next Send that must buffer,
+// unless the wire pool takes it: a migd burst's buffer serves the next
+// migration's, in this cell or another.
 func (sk *TCPSocket) segmented(n int) {
 	sk.sndOff += n
 	if sk.sndOff == len(sk.sndBuf) {
-		sk.sndBuf, sk.sndOff = sk.sndBuf[:0], 0
+		sk.sndOff = 0
+		if wire.Give(sk.sndBuf) {
+			sk.sndBuf = nil
+		} else {
+			sk.sndBuf = sk.sndBuf[:0]
+		}
 	}
 }
 

@@ -369,10 +369,18 @@ func (t *Tracker) reserve(p *proc.Process, fds []int) {
 		}
 	}
 	if bytes > deltaHdrBytes {
-		t.d.wire = make([]byte, 0, bytes)
+		t.d.wire = wire.Take(bytes)
 	}
 	t.secs = make([]SectionUpdate, 0, ntcp*numSections)
 	t.d.Socks = make([]SockUpdate, 0, len(fds))
+}
+
+// Release gives the tracker's arena to the wire pool, for the next
+// migration's tracker to reserve: the delta it lent last goes with it. A
+// tracker that scans again reserves a new arena.
+func (t *Tracker) Release() {
+	wire.Give(t.d.wire)
+	t.d.wire = nil
 }
 
 // appendSockHdr appends a socket's FD, kind and a section count to be

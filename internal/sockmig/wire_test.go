@@ -211,6 +211,26 @@ func TestTrackerLendsWire(t *testing.T) {
 	}
 }
 
+// TestTrackerReleaseGivesArena: an arena of the wire pool's sizes goes
+// back to the pool on Release — the package runs with the pool's
+// tripwire on, so a wire form kept past it reads 0xDB — and a tracker
+// that scans again reserves a new one.
+func TestTrackerReleaseGivesArena(t *testing.T) {
+	env := newEnv(t, 24)
+	tr := NewTracker()
+	kept := tr.Delta(env.p, false).Wire()
+	if len(kept) < 64<<10 {
+		t.Fatalf("a %d-byte first round: the fixture no longer reaches the pool's sizes", len(kept))
+	}
+	tr.Release()
+	if bytes.Count(kept, []byte{0xDB}) != len(kept) {
+		t.Fatal("a wire form kept past Release was not poisoned")
+	}
+	if d := tr.Delta(env.p, false); !d.Empty() || cap(tr.d.wire) < len(kept) {
+		t.Fatalf("the round after Release: %d sockets in a %d-byte arena", len(d.Socks), cap(tr.d.wire))
+	}
+}
+
 // sockDeltaAllocK bounds what a store allocates per input byte when it
 // folds a delta in. Section bytes cost about their own size (the
 // scripted rounds read 0.15–1.13 B per byte), but a socket costs the

@@ -7,7 +7,9 @@
 //
 // Spans alias the frame; a caller that keeps one past the frame copies
 // it. Writers have no counterpart here: they append with encoding/binary
-// (binary.BigEndian.AppendUint32 and friends).
+// (binary.BigEndian.AppendUint32 and friends). The buffers of 64 KiB and
+// more that a migd connection sends, receives and reassembles frames in
+// come from this package's process-wide pool (Take, Give, Grow).
 package wire
 
 import (
