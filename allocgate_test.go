@@ -8,7 +8,6 @@ package dvemig
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -500,11 +499,12 @@ func TestAllocGateSockApply(t *testing.T) {
 // migration, 801 and 2496608 before a page frame came to hold only the
 // lines its stores reached, 790 and 522920 before migd frames and memory
 // deltas came to reserve their final size, 764 and 402304 before the
-// checkpoint burst came to be buffered once on each side of the wire);
-// the gate allows 25% over each.
+// checkpoint burst came to be buffered once on each side of the wire,
+// 763 and 369520 before a finished cell came to hand its packets to the
+// next one); the gate allows 25% over each.
 const (
-	migrationEngineAllocs = 763
-	migrationEngineBytes  = 369520
+	migrationEngineAllocs = 667
+	migrationEngineBytes  = 291944
 )
 
 // TestAllocGateMigrationEngine is the bench-smoke regression fence: a
@@ -531,35 +531,33 @@ func TestAllocGateMigrationEngine(t *testing.T) {
 	}
 }
 
-// freezePointBytes are what one Fig 5b repeat allocated, warm, when the
-// migd wire's large buffers — send, receive and reassembly buffers and
-// the socket tracker's arena — came from the process-wide wire pool: the
-// 64-connection point of the zone64 workload and the 2-connection,
-// 128 MiB point of mem128m (which reads 2.65 to 2.85 MB, as the pool's
-// first Takes of a class hit or miss). The gate allows 10% over each.
-// They read 1496768 and 3412208 when each checkpoint burst came to be buffered
-// once on each side of the wire, 1725512 and 4077872 before that, and
-// 2680136 and 5231472 before migd frames and memory deltas came to
-// reserve their final size.
+// freezePointBytes are what one Fig 5b repeat allocated, warm, when a
+// finished cell came to hand its packets to the next one (and the wire
+// pool's classes came to be free lists a collection does not empty):
+// the 64-connection point of the zone64 workload and the 2-connection,
+// 128 MiB point of mem128m. The gate allows 10% over each. They read
+// 816168 and 2846352 when the migd wire's large buffers came from the
+// process-wide wire pool, 1496768 and 3412208 when each checkpoint burst
+// came to be buffered once on each side of the wire, 1725512 and 4077872
+// before that, and 2680136 and 5231472 before migd frames and memory
+// deltas came to reserve their final size.
 const (
-	freezePointZoneBytes = 816168
-	freezePointMemBytes  = 2846352
+	freezePointZoneBytes = 477760
+	freezePointMemBytes  = 2547168
 )
 
 // TestAllocGateFreezePoint fences the transfer path's buffers: a receive
 // buffer that regrows one segment at a time under a socket delta, a
 // memory delta's encoding that grows by append instead of reserving its
 // size, a send or reassembly buffer regrown frame by frame under a
-// checkpoint burst, or a socket delta copied out of the tracker's arena,
-// costs these points a large share of their bytes. It measures on one P
-// with the collector off: the wire pool keeps a buffer per class in a
-// per-P slot that other Ps cannot reach, and a collection empties it, so
-// otherwise its Takes miss whenever the goroutine changes P or two
-// collections land between the warm run and the measured one, and the
-// points read up to 1.08 and 3.24 MB.
+// checkpoint burst, a socket delta copied out of the tracker's arena, or
+// a cell whose packets are not handed to the next one, costs these
+// points a large share of their bytes. It measures at the process's
+// GOMAXPROCS with the collector on: the wire pool's free lists and the
+// packet reserve are one list per class for every P and survive
+// collections, so the warm run's buffers and packets are there for the
+// measured one.
 func TestAllocGateFreezePoint(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, pt := range []struct {
 		name     string
 		conns    int
@@ -592,9 +590,10 @@ func TestAllocGateFreezePoint(t *testing.T) {
 // cost end to end through the control plane — submit, dispatch, the
 // migd connection, the transfer itself, replication, park — measured on
 // a healthy 200-request mixed-strategy cell and set 10% above what it
-// measured last: 88 allocs and 8812 B per request once checkpoint
-// bursts came to be buffered once on each side of the migd wire. Earlier
-// readings: 88 and 8.8 KB once migd frames and memory deltas came to
+// measured last: 87 allocs and 7816 B per request once a finished cell
+// came to hand its packets to the next one. Earlier readings: 88 and
+// 8.8 KB once checkpoint bursts came to be buffered once on each side of
+// the migd wire; 88 and 8.8 KB once migd frames and memory deltas came to
 // reserve their final size; 232
 // and 24.9 KB when the live-set / lent-frame / recycled-buffer work
 // landed, from 287 and 42.6 KB; with per-stack packet lists and the scratch socket scan: 226 and 25.3 KB;
@@ -607,8 +606,8 @@ func TestAllocGateFreezePoint(t *testing.T) {
 // delta lent: 91 and 13.4 KB; and 88 and 9.1 KB just before the
 // reservations.
 const (
-	soakCellAllocsPerRequest = 97
-	soakCellBytesPerRequest  = 9690
+	soakCellAllocsPerRequest = 96
+	soakCellBytesPerRequest  = 8598
 )
 
 // healthySoakConfig is the soak battery's fault-free cell alone: one

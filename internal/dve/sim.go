@@ -306,9 +306,13 @@ func countZoneServers(n *proc.Node) int {
 	return c
 }
 
-// Run executes the simulation and gathers the results.
+// Run executes the simulation and gathers the results. It ends the
+// simulation: the cluster's packets go to the next one
+// (proc.Cluster.Retire), so nothing may step the scheduler after Run;
+// the cluster's state and counters stay readable.
 func (s *Simulation) Run() *Results {
 	s.Cluster.Sched.RunUntil(s.Config.Duration)
+	s.Cluster.Retire()
 	r := &Results{CPU: s.cpuSeries, Procs: s.procSeries, UpdateRate: s.rateSeries}
 	for _, m := range s.Migrators {
 		for _, mm := range m.Completed {

@@ -83,6 +83,14 @@ func (f *fixture) drain() []string {
 	return append(noLeakedTimers(f.sched), nothingStashed(f.sched)...)
 }
 
+// retire ends the cell (proc.Cluster.Retire): every socket releases its
+// queued packets, every pool goes to the process-wide reserve, and what
+// is still out is judged by invariant 6, with the expected failure of
+// the cell named key applied. No event of the cell runs afterwards.
+func (f *fixture) retire(key string) []string {
+	return expectOutstanding(key, nothingOutstanding(f.cluster.Retire()))
+}
+
 // capture harvests the cluster's layer counters and freezes the cell's
 // observability artifacts under label (nil when unobserved).
 func (f *fixture) capture(label string) *obs.Capture {

@@ -67,6 +67,18 @@ type ChaosConfig struct {
 	// sweep's worker-occupancy record. It only reads the host clock —
 	// every sim artifact stays byte-identical with or without it.
 	Prof *simprof.Profiler
+
+	// race marks a strategy-race cell (RunStrategySweep), which the
+	// fixed point and the expected-failure lists name by its race key.
+	race bool
+}
+
+// key names the cell of scenario sc at seed.
+func (cfg ChaosConfig) key(sc string, seed uint64) string {
+	if cfg.race {
+		return raceKey(cfg.MigCfg.Mig.Name(), sc, seed)
+	}
+	return chaosKey(sc, seed)
 }
 
 // DefaultChaosConfig covers the ISSUE's scenario list: loss burst,
@@ -242,7 +254,7 @@ func (r *ChaosReport) Table() string {
 // scenario-major, seed-minor order.
 func RunChaosSweep(cfg ChaosConfig) (*ChaosReport, error) {
 	rep, err := sweep(cfg.Scenarios, cfg.Seeds, cfg.Workers, cfg.Prof.Sweep("chaos-sweep", cfg.Workers),
-		func(sc ChaosScenario, seed uint64) string { return chaosKey(sc.Name, seed) }, cfg.runCell)
+		func(sc ChaosScenario, seed uint64) string { return cfg.key(sc.Name, seed) }, cfg.runCell)
 	return &ChaosReport{rep}, err
 }
 
@@ -465,6 +477,7 @@ func (cfg ChaosConfig) runCell(sc ChaosScenario, seed uint64, lit bool) (*ChaosR
 	}
 	res.Violations = append(res.Violations, f.drain()...)
 	res.PendingAfterDrain = sched.Pending()
+	res.Violations = append(res.Violations, f.retire(cfg.key(sc.Name, seed))...)
 	res.TraceHash = f.digest.h
 	res.Obs = f.capture(label)
 	res.FlightDump = f.flightDump()

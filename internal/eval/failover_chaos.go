@@ -364,6 +364,7 @@ func RunFailoverScenario(sc FailoverScenario, seed uint64) (*FailoverResult, err
 	}
 	res.Violations = append(res.Violations, expectStashed(failoverKey(sc.Name, seed), f.drain())...)
 	res.PendingAfterDrain = sched.Pending()
+	res.Violations = append(res.Violations, f.retire(failoverKey(sc.Name, seed))...)
 	res.TraceHash = f.digest.h
 	sort.Strings(res.Violations)
 	return res, nil

@@ -100,6 +100,12 @@ type FreezePoint struct {
 	// FreezeConfig.Observe.
 	Caps []*obs.Capture
 	Snap *obs.Snapshot
+	// Violations is invariant 6's verdict on the point: the packets and
+	// payloads its repeats still had out after their release phases,
+	// summed, with the point's expected failure (outstandingExpected)
+	// applied. A freeze cell is not drained, so what its last frame put
+	// on the wire is still there.
+	Violations []string
 }
 
 // RunFreezePoint measures one (strategy, conns) cell. The repeats run
@@ -111,24 +117,19 @@ func RunFreezePoint(fc FreezeConfig) (*FreezePoint, error) {
 		return nil, fmt.Errorf("eval: freeze point needs positive Repeats, got %d", fc.Repeats)
 	}
 	pt := &FreezePoint{Conns: fc.Conns, Strategy: fc.Strategy}
-	type once struct {
-		m       *migration.Metrics
-		retrans uint64
-		cap     *obs.Capture
-	}
 	reps := make([]int, fc.Repeats)
 	for i := range reps {
 		reps[i] = i
 	}
-	runs, err := RunParallel(reps, fc.Workers, nil, func(rep int) (once, error) {
-		m, retrans, cap, err := runFreezeOnce(fc, rep)
-		return once{m: m, retrans: retrans, cap: cap}, err
-	})
+	runs, err := RunParallel(reps, fc.Workers, nil, func(rep int) (freezeRun, error) { return runFreezeOnce(fc, rep) })
 	if err != nil {
 		return nil, err
 	}
 	var snaps []*obs.Snapshot
+	var packets, payloads int
 	for _, r := range runs {
+		packets += r.packets
+		payloads += r.payloads
 		pt.Runs = append(pt.Runs, r.m)
 		pt.ClientRetransmits += r.retrans
 		if r.m.FreezeTime > pt.WorstFreeze {
@@ -147,6 +148,7 @@ func RunFreezePoint(fc FreezeConfig) (*FreezePoint, error) {
 			return nil, err
 		}
 	}
+	pt.Violations = expectOutstanding(freezeKey(fc.Conns, fc.Strategy, fc.Seed), nothingOutstanding(packets, payloads))
 	return pt, nil
 }
 
@@ -174,17 +176,29 @@ func RunFreezeSweep(conns []int, strategies []sockmig.Strategy, tmpl FreezeConfi
 	return RunParallel(cells, tmpl.Workers, tmpl.Prof.Sweep("freeze-sweep", tmpl.Workers), RunFreezePoint)
 }
 
-func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, *obs.Capture, error) {
+// freezeRun is one repeat's outcome: the migration's metrics, the
+// clients' retransmissions, the observability capture, and what
+// proc.Cluster.Retire found still out at the end.
+type freezeRun struct {
+	m                 *migration.Metrics
+	retrans           uint64
+	cap               *obs.Capture
+	packets, payloads int
+}
+
+func runFreezeOnce(fc FreezeConfig, rep int) (freezeRun, error) {
 	c, err := buildFreezeCell(fc, rep)
 	if err != nil {
-		return nil, 0, nil, err
+		return freezeRun{}, err
 	}
 	c.migrate()
 	if err := c.drain(); err != nil {
-		return nil, 0, nil, err
+		return freezeRun{}, err
 	}
-	m, retrans := c.result()
-	return m, retrans, c.f.capture(c.label), nil
+	r := freezeRun{cap: c.f.capture(c.label)}
+	r.m, r.retrans = c.result()
+	r.packets, r.payloads = c.f.cluster.Retire()
+	return r, nil
 }
 
 // freezeCell is one repeat of a Fig 5b/5c point: a zone server with its

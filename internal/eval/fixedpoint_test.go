@@ -284,7 +284,11 @@ func freezeLines(t *testing.T, conns []int, workers int) map[string]string {
 	}
 	lines := map[string]string{}
 	for _, pt := range pts {
-		lines[freezeKey(pt.Conns, pt.Strategy, tmpl.Seed)] = freezeLine(pt)
+		k := freezeKey(pt.Conns, pt.Strategy, tmpl.Seed)
+		if len(pt.Violations) > 0 {
+			t.Errorf("%s: %q", k, pt.Violations)
+		}
+		lines[k] = freezeLine(pt)
 	}
 	return lines
 }
@@ -300,10 +304,6 @@ func soakLines(t *testing.T, cfg SoakConfig) map[string]string {
 			r.TraceHash, r.Succeeded, r.Failed, r.Aborted, r.Retries, r.Dispatches, r.Resends, len(r.Violations), r.PendingAfterDrain)
 	}
 	return lines
-}
-
-func freezeKey(conns int, s sockmig.Strategy, seed uint64) string {
-	return fmt.Sprintf("freeze/c%d/%s/seed=%d", conns, strings.ReplaceAll(s.String(), " ", "-"), seed)
 }
 
 // freezeLine folds every repeat's migration.Metrics into an FNV.

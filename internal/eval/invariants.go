@@ -37,6 +37,13 @@ import (
 //     drain the scheduler holds no stashed value, so every behaviour
 //     token a migration or a guardian stashed was taken. Cells known to
 //     break it are named in stashedExpected.
+//  6. Nothing outstanding (nothingOutstanding). Cell end only: once
+//     every socket released its queues (proc.Cluster.Retire), every
+//     packet and payload the cell's stacks minted is back in its home
+//     pool. A packet still out sits in flight, in a capture filter or in
+//     a socket no table reaches. Checked at every draining battery's
+//     cell end and at the freeze point; cells known to break it are
+//     named in outstandingExpected.
 //
 // Every function returns its breaches as messages (none = it holds).
 // The messages are stable across windows — no ages, no clocks — so a
@@ -131,17 +138,43 @@ func nothingStashed(sched *simtime.Scheduler) []string {
 const stashedBreach = "stashed values left:"
 
 // expectStashed applies invariant 5's expected failures to the drain
-// verdicts of the cell named key: a listed cell's breach is expected and
-// dropped, and a listed cell that left nothing stashed gains a
-// violation asking for its entry to go, so the list only shrinks.
+// verdicts of the cell named key.
 func expectStashed(key string, found []string) []string {
-	if !stashedExpected[key] {
+	return expectBreach(stashedExpected, "stashedExpected", stashedBreach, "left nothing stashed", key, found)
+}
+
+// nothingOutstanding is invariant 6 over what proc.Cluster.Retire
+// returned: packets and payloads still out of their home pools after
+// every socket released its queues.
+func nothingOutstanding(packets, payloads int) []string {
+	if packets != 0 || payloads != 0 {
+		return []string{fmt.Sprintf("%s %d packets, %d payloads after release", outstandingBreach, packets, payloads)}
+	}
+	return nil
+}
+
+// outstandingBreach opens invariant 6's message.
+const outstandingBreach = "packets outstanding:"
+
+// expectOutstanding applies invariant 6's expected failures to the cell
+// end verdicts of the cell named key.
+func expectOutstanding(key string, found []string) []string {
+	return expectBreach(outstandingExpected, "outstandingExpected", outstandingBreach, "left nothing outstanding", key, found)
+}
+
+// expectBreach applies one invariant's expected-failure list to the
+// verdicts of the cell named key: a listed cell's breach (the message
+// opening with breach) is expected and dropped, and a listed cell that
+// did not break the invariant (held, in the message) gains a violation
+// asking for its entry to go, so the list only shrinks.
+func expectBreach(list map[string]bool, listName, breach, held, key string, found []string) []string {
+	if !list[key] {
 		return found
 	}
 	for i, msg := range found {
-		if strings.HasPrefix(msg, stashedBreach) {
+		if strings.HasPrefix(msg, breach) {
 			return slices.Delete(found, i, i+1)
 		}
 	}
-	return append(found, fmt.Sprintf("%s is in stashedExpected but left nothing stashed: delete its entry", key))
+	return append(found, fmt.Sprintf("%s is in %s but %s: delete its entry", key, listName, held))
 }

@@ -10,13 +10,18 @@ import (
 
 	"dvemig/internal/ctlplane"
 	"dvemig/internal/migration"
+	"dvemig/internal/netstack"
 	"dvemig/internal/obs"
 	"dvemig/internal/proc"
 	"dvemig/internal/simtime"
 )
 
-// stashedListed is a cell on invariant 5's expected-failure list.
-const stashedListed = "failover/flap/seed=1"
+// stashedListed is a cell on invariant 5's expected-failure list,
+// outstandingListed one on invariant 6's.
+const (
+	stashedListed     = "failover/flap/seed=1"
+	outstandingListed = "failover/steady-crash/seed=1"
+)
 
 // TestInvariantList forges each breach of the invariant list on a bare
 // two-node cell and pins the message; the rows that must hold (a legal
@@ -50,6 +55,32 @@ func TestInvariantList(t *testing.T) {
 		}
 		return objectsTerminal([]uint64{1, 2, 3}, func(id uint64) *ctlplane.Object { return store[id] },
 			map[uint64]string{1: "svc01", 2: "svc02", 3: "svc03"})
+	}
+	// datagram sends one UDP datagram from node 1 to a socket on an
+	// external host, and delivers it when deliver is set: it is then
+	// parked in that socket's queue, homed on node 1's stack, else still
+	// on the wire.
+	datagram := func(f *fixture, deliver bool) {
+		host := f.cluster.NewExternalHost("ext")
+		addr, err := host.SourceAddrFor(f.cluster.ClusterIP)
+		if err != nil {
+			panic(err)
+		}
+		rx := netstack.NewUDPSocket(host)
+		if err := rx.Bind(addr, 9); err != nil {
+			panic(err)
+		}
+		tx := netstack.NewUDPSocket(f.cluster.Nodes[0].Stack)
+		tx.BindEphemeral(f.cluster.ClusterIP)
+		if err := tx.SendTo(addr, 9, []byte("x")); err != nil {
+			panic(err)
+		}
+		if deliver {
+			f.sched.Run()
+			if rx.QueueLen() != 1 {
+				panic("the datagram was not delivered")
+			}
+		}
 	}
 	rows := []struct {
 		name  string
@@ -95,6 +126,22 @@ func TestInvariantList(t *testing.T) {
 			f.sched.Stash("kept")
 			return expectStashed("soak/healthy/seed=1/req=80", f.drain())
 		}, []string{"stashed values left: 1 after drain"}},
+		{"a packet still on the wire at the cell's end", func(f *fixture) []string {
+			datagram(f, false)
+			return f.retire("chaos/healthy/seed=1")
+		}, []string{"packets outstanding: 1 packets, 1 payloads after release"}},
+		{"a packet parked in another stack's socket queue goes home", func(f *fixture) []string {
+			datagram(f, true)
+			return f.retire("chaos/healthy/seed=1")
+		}, nil},
+		{"an expected outstanding breach is dropped", func(f *fixture) []string {
+			datagram(f, false)
+			return append(f.retire(outstandingListed), "other")
+		}, []string{"other"}},
+		{"an expected outstanding breach that is gone asks to shrink the list", func(f *fixture) []string {
+			datagram(f, true)
+			return f.retire(outstandingListed)
+		}, []string{outstandingListed + " is in outstandingExpected but left nothing outstanding: delete its entry"}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -578,6 +578,7 @@ func (cfg SoakConfig) runCell(sc SoakScenario, seed uint64, lit bool) (*SoakResu
 	}
 	leak := expectStashed(cfg.key(sc.Name, seed), f.drain())
 	res.PendingAfterDrain = sched.Pending()
+	leak = append(leak, f.retire(cfg.key(sc.Name, seed))...)
 
 	// ---- audits ----
 	// The surviving primary is authoritative; objects a fenced ex-primary

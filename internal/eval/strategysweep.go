@@ -110,13 +110,13 @@ func RunStrategySweep(cfg ChaosConfig) (*ChaosReport, error) {
 			return nil, err
 		}
 		chaos := cfg
-		chaos.MigCfg.Mig = mig
+		chaos.MigCfg.Mig, chaos.race = mig, true
 		for _, sc := range chaos.Scenarios {
 			axes = append(axes, raced{chaos, sc})
 		}
 	}
 	rep, err := sweep(axes, cfg.Seeds, cfg.Workers, cfg.Prof.Sweep("strategy-sweep", cfg.Workers),
-		func(a raced, seed uint64) string { return raceKey(a.chaos.MigCfg.Mig.Name(), a.sc.Name, seed) },
+		func(a raced, seed uint64) string { return a.chaos.key(a.sc.Name, seed) },
 		func(a raced, seed uint64, lit bool) (*ChaosResult, error) { return a.chaos.runCell(a.sc, seed, lit) })
 	return &ChaosReport{rep}, err
 }

@@ -3,9 +3,11 @@ package eval
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"dvemig/internal/obs"
 	"dvemig/internal/simprof"
+	"dvemig/internal/sockmig"
 )
 
 // result is what a sweep needs of one cell's outcome.
@@ -75,6 +77,9 @@ func raceKey(st, sc string, seed uint64) string {
 	return fmt.Sprintf("race/%s/%s/seed=%d", st, sc, seed)
 }
 func failoverKey(sc string, seed uint64) string { return fmt.Sprintf("failover/%s/seed=%d", sc, seed) }
+func freezeKey(conns int, s sockmig.Strategy, seed uint64) string {
+	return fmt.Sprintf("freeze/c%d/%s/seed=%d", conns, strings.ReplaceAll(s.String(), " ", "-"), seed)
+}
 func (cfg SoakConfig) key(scenario string, seed uint64) string {
 	k := fmt.Sprintf("soak/%s/seed=%d/req=%d", scenario, seed, cfg.Requests)
 	if d := DefaultSoakConfig(); cfg.Strategy != d.Strategy || cfg.CancelFraction != d.CancelFraction {

@@ -49,12 +49,19 @@ func (ob *outbound) end(err error) {
 	ob.dropSafetyNets()
 	if gone {
 		// Dismantle the process here and drop any local translation rules
-		// that protected its (departed) in-cluster connections.
-		tcp, _ := ob.p.Sockets()
+		// that protected its (departed) in-cluster connections. The
+		// original sockets never run again and the image carried their
+		// queues by copy, so their packets go back to their homes now;
+		// a rollback (thaw) keeps them.
+		tcp, udp := ob.p.Sockets()
 		for _, sk := range tcp {
 			if ob.inCluster(sk.RemoteIP) {
 				ob.m.Transd.Translator().RemoveFlow(netsim.ProtoTCP, sk.RemoteIP, sk.LocalPort, sk.RemotePort)
 			}
+			sk.ReleaseQueues()
+		}
+		for _, us := range udp {
+			us.ReleaseQueues()
 		}
 		ob.p.State = proc.ProcExited
 		ob.m.Node.Detach(ob.p)

@@ -455,6 +455,77 @@ func TestUDPSocketMigration(t *testing.T) {
 	}
 }
 
+// TestOriginalsReleaseQueuesOnCommit: a committed migration leaves the
+// migrated-away original sockets holding no packet — the image carried
+// their queues by copy — while a migration that aborts after the freeze
+// thaws the originals with the very packets they were frozen with. The
+// zone process never reads its UDP port, so it always migrates with
+// datagrams queued.
+func TestOriginalsReleaseQueuesOnCommit(t *testing.T) {
+	for _, commit := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.Deadline, cfg.ConnTimeout, cfg.ConnRetries = 4*time.Second, time.Second, 2
+		e := newEnv(t, 2, 2, cfg)
+		us := netstack.NewUDPSocket(e.c.Nodes[0].Stack)
+		if err := us.Bind(e.c.ClusterIP, 27960); err != nil {
+			t.Fatal(err)
+		}
+		e.p.FDs.Install(&proc.UDPFile{Sock: us})
+		ext := e.c.NewExternalHost("udp-player")
+		extAddr, _ := ext.SourceAddrFor(e.c.ClusterIP)
+		uc := netstack.NewUDPSocket(ext)
+		uc.BindEphemeral(extAddr)
+		tk := simtime.NewTicker(e.c.Sched, 10*time.Millisecond, "udp-spam", func() {
+			_ = uc.SendTo(e.c.ClusterIP, 27960, []byte{7})
+		})
+		tk.Start()
+		e.c.Sched.RunFor(100 * time.Millisecond)
+
+		var frozen []*netsim.Packet
+		e.migrators[0].OnPhase = func(ev PhaseEvent) {
+			if ev.Phase != PhaseTransfer {
+				return
+			}
+			frozen = append(frozen, us.ReceiveQueue()...)
+			if !commit {
+				e.c.Nodes[1].Fail(e.c) // the destination dies mid-transfer: the source rolls back
+			}
+		}
+		var err error
+		done := false
+		e.migrators[0].Migrate(e.p, e.c.Nodes[1].LocalIP, func(_ *Metrics, merr error) { err, done = merr, true })
+		e.c.Sched.RunFor(30 * time.Second)
+		tk.Stop()
+		if !done || (err == nil) != commit {
+			t.Fatalf("commit=%v: done=%v err=%v", commit, done, err)
+		}
+		if len(frozen) == 0 {
+			t.Fatalf("commit=%v: the UDP socket froze with an empty queue: the case under test did not occur", commit)
+		}
+		tcp, _ := e.p.Sockets()
+		if commit {
+			for _, sk := range tcp {
+				if n := len(sk.WriteQueue()) + len(sk.ReceiveQueue()) + len(sk.OOOQueue()) + sk.BacklogLen(); n != 0 {
+					t.Errorf("committed: original :%d holds %d packets", sk.LocalPort, n)
+				}
+			}
+			if n := us.QueueLen(); n != 0 {
+				t.Errorf("committed: the UDP original holds %d datagrams", n)
+			}
+			continue
+		}
+		q := us.ReceiveQueue()
+		if len(q) < len(frozen) {
+			t.Fatalf("aborted: the UDP original holds %d datagrams, it froze with %d", len(q), len(frozen))
+		}
+		for i, pk := range frozen {
+			if q[i] != pk || !bytes.Equal(pk.Payload, []byte{7}) {
+				t.Fatalf("aborted: datagram %d is not the one the socket froze with (payload %x)", i, pk.Payload)
+			}
+		}
+	}
+}
+
 func TestMetricsAccounting(t *testing.T) {
 	cfg := DefaultConfig()
 	e := newEnv(t, 2, 16, cfg)

@@ -14,6 +14,26 @@ func AuditPools(f func()) (obtained, released uint64) {
 	return poolAudit.obtained, poolAudit.released
 }
 
+// ReserveLen reports how many packet structs and payload arrays the
+// process-wide reserve holds.
+func ReserveLen() (packets, payloads int) {
+	reserve.Lock()
+	defer reserve.Unlock()
+	return len(reserve.packets), len(reserve.payloads)
+}
+
+// ReservePackets and ReservePayloads are the reserve's cap, in packet
+// structs and payload arrays.
+const ReservePackets, ReservePayloads = reservePackets, reservePayloads
+
+// EmptyReserve drops everything the reserve holds, so a test starts from
+// a known reserve. No simulation may run on another goroutine meanwhile.
+func EmptyReserve() {
+	reserve.Lock()
+	defer reserve.Unlock()
+	reserve.packets, reserve.payloads = nil, nil
+}
+
 // PayloadHolders reports the holder count of a pooled payload buffer, 0
 // for a foreign one.
 func PayloadHolders(b []byte) int {

@@ -2,6 +2,7 @@ package netsim_test
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -25,9 +26,12 @@ import (
 // the load, drains the simulation to quiescence and audits the struct
 // pool: every packet the run obtained was released by a sink, except the
 // ones still parked in a socket queue (a UDP queue holds the packets its
-// datagrams arrived in, and lends each out for one read). After the migration the source node keeps the :7000
-// listener, so every broadcast client segment demuxes to it; a sink that
-// forgets to release (the listener did) shows up as a gap here.
+// datagrams arrived in, and lends each out for one read). The
+// migrated-away originals hold none: the commit released their queues,
+// which the image carried by copy. After the migration the source node
+// keeps the :7000 listener, so every broadcast client segment demuxes to
+// it; a sink that forgets to release (the listener did) shows up as a
+// gap here.
 //
 // The same drained state is then read stack by stack: every packet and
 // payload went back to the free list of the stack that minted it, so each
@@ -130,6 +134,12 @@ func TestPoolBalanceAcrossLiveMigration(t *testing.T) {
 
 		var migErr error
 		done := false
+		queuedAtFreeze := 0
+		migs[0].OnPhase = func(ev migration.PhaseEvent) {
+			if _, udp := p.Sockets(); ev.Phase == migration.PhaseTransfer {
+				queuedAtFreeze = udp[0].QueueLen()
+			}
+		}
 		migs[0].Migrate(p, dst.LocalIP, func(_ *migration.Metrics, err error) { done, migErr = true, err })
 		sched.RunFor(5e9) // the migration, then 200+ broadcast rounds past the stale listener
 		if !done || migErr != nil {
@@ -139,7 +149,7 @@ func TestPoolBalanceAcrossLiveMigration(t *testing.T) {
 		if len(moved) != 1 {
 			t.Fatalf("%d processes on the destination", len(moved))
 		}
-		if _, udp := p.Sockets(); udp[0].QueueLen() == 0 {
+		if queuedAtFreeze == 0 {
 			t.Fatal("the UDP socket migrated with an empty queue: the case under test did not occur")
 		}
 
@@ -150,9 +160,16 @@ func TestPoolBalanceAcrossLiveMigration(t *testing.T) {
 		dst.StopLoop(moved[0])
 		sched.Run()
 
+		oldTCP, oldUDP := p.Sockets()
+		for _, sk := range oldTCP {
+			if n := len(sk.WriteQueue()) + len(sk.ReceiveQueue()) + len(sk.OOOQueue()) + sk.BacklogLen(); n != 0 {
+				t.Errorf("migrated-away original :%d holds %d packets after the commit", sk.LocalPort, n)
+			}
+		}
+		if n := oldUDP[0].QueueLen(); n != 0 {
+			t.Errorf("migrated-away UDP original holds %d datagrams after the commit", n)
+		}
 		socks := append([]*netstack.TCPSocket{lst}, clients...)
-		oldTCP, _ := p.Sockets() // the migrated-away originals keep their queues
-		socks = append(socks, oldTCP...)
 		for _, n := range cluster.Nodes {
 			socks = append(socks, n.Stack.EstablishedSockets()...)
 		}
@@ -181,13 +198,10 @@ func TestPoolBalanceAcrossLiveMigration(t *testing.T) {
 			count(sk.ReceiveQueue())
 			count(sk.OOOQueue())
 		}
-		// Both ends of the UDP socket's move: the original keeps the queue
-		// it was checkpointed with, the restored one holds what arrived
-		// since its last read. Neither has a datagram out on loan — every
-		// read loop ran until Recv failed.
-		_, oldUDP := p.Sockets()
+		// The restored UDP socket holds what arrived since its last read,
+		// and no datagram out on loan — every read loop ran until Recv
+		// failed.
 		_, newUDP := moved[0].Sockets()
-		count(oldUDP[0].ReceiveQueue())
 		count(newUDP[0].ReceiveQueue())
 		if newUDP[0].QueueLen() == 0 || pings == 0 {
 			t.Errorf("status port: %d datagrams read, %d queued at the end: want both", pings, newUDP[0].QueueLen())
@@ -409,15 +423,20 @@ func TestSharedPayloadReturnsOnceToItsHome(t *testing.T) {
 	}
 }
 
-// TestConcurrentCellsShareNoList runs two freeze points on two goroutines.
-// Under -race this is the proof that free lists are per cell: a list two
-// cells could both reach would be a reported race. The results are the
-// seed's, whatever ran beside them.
+// TestConcurrentCellsShareNoList runs freeze points on two goroutines,
+// several in sequence on each. Every cell's end hands its idle packets
+// to the process-wide reserve and the next cell, on either goroutine,
+// draws from it. Under -race this is the proof that a stack's free list
+// is its cell's alone and that the reserve hands packets from one
+// goroutine's cell to another's safely: a list two live cells could both
+// reach, or a packet a retired cell still touched, would be a reported
+// race. The results are the seed's, whatever ran beside or before them.
 func TestConcurrentCellsShareNoList(t *testing.T) {
+	const cells = 3
 	fc := eval.DefaultFreezeConfig(sockmig.IncrementalCollective, 8)
 	fc.Repeats = 1
 	fc.Workers = 1
-	var pts [2]*eval.FreezePoint
+	var pts [2][cells]*eval.FreezePoint
 	var errs [2]error
 	var wg sync.WaitGroup
 	for i := range pts {
@@ -425,15 +444,138 @@ func TestConcurrentCellsShareNoList(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pts[i], errs[i] = eval.RunFreezePoint(fc)
+			for k := range pts[i] {
+				if pts[i][k], errs[i] = eval.RunFreezePoint(fc); errs[i] != nil {
+					return
+				}
+			}
 		}()
 	}
 	wg.Wait()
 	if errs[0] != nil || errs[1] != nil {
 		t.Fatalf("freeze points failed: %v, %v", errs[0], errs[1])
 	}
-	if !reflect.DeepEqual(pts[0].Runs, pts[1].Runs) {
-		t.Fatal("two concurrent runs of one seed differ")
+	for i := range pts {
+		for k := range pts[i] {
+			if !reflect.DeepEqual(pts[i][k].Runs, pts[0][0].Runs) {
+				t.Fatalf("goroutine %d, cell %d: a run of the seed differs from the first", i, k)
+			}
+		}
+	}
+}
+
+// TestRetireHandsListToNextCell: a retired pool's idle structs and
+// payload arrays go to the reserve, and a pool whose own list is empty
+// draws from it one item per miss. A drawn struct is homed in the
+// drawing pool — the retired pool's home is never used again, not even
+// by a stale reference's second Release — so Minted still counts the
+// drawing stack's peak; the reserve never holds more than its cap.
+func TestRetireHandsListToNextCell(t *testing.T) {
+	netsim.EmptyReserve()
+	defer netsim.EmptyReserve()
+	var old netsim.Pool
+	var stale []*netsim.Packet
+	for range 3 {
+		p := old.NewPacket()
+		p.Payload = old.GetPayload(64)
+		stale = append(stale, p)
+	}
+	for _, p := range stale {
+		p.Release()
+	}
+	old.Retire()
+	if got := old.Stats(); got != (netsim.PoolStats{PacketsMinted: 3, PayloadsMinted: 3}) {
+		t.Fatalf("retired pool: %+v, want its Minted kept and nothing idle", got)
+	}
+	if pk, pl := netsim.ReserveLen(); pk != 3 || pl != 3 {
+		t.Fatalf("reserve holds %d packets, %d payloads after the retire, want 3 and 3", pk, pl)
+	}
+	stale[0].Release() // a stale reference: a no-op, the struct stays filed once
+	if pk, _ := netsim.ReserveLen(); pk != 3 {
+		t.Fatalf("a stale Release moved the reserve to %d packets", pk)
+	}
+
+	var next netsim.Pool
+	p := next.NewPacket()
+	p.Payload = next.GetPayload(100)
+	if !slices.Contains(stale, p) {
+		t.Fatal("an empty pool minted a struct while the reserve held three")
+	}
+	q := p.Clone()
+	r, err := next.Unmarshal(p.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pk := range []*netsim.Packet{p, q, r} {
+		if netsim.HomeOf(pk) != &next {
+			t.Fatalf("packet %d drawn from the reserve is homed in %p, want the drawing pool", i, netsim.HomeOf(pk))
+		}
+	}
+	if got, want := next.Stats(), (netsim.PoolStats{PacketsMinted: 3, PayloadsMinted: 2}); got != want {
+		t.Fatalf("drawing pool: %+v, want %+v", got, want)
+	}
+	for _, pk := range []*netsim.Packet{p, q, r} {
+		pk.Release()
+	}
+	for range 3 { // the pool's own list first: its peak does not move
+		next.NewPacket()
+	}
+	if got := next.Stats(); got.PacketsMinted != 3 || got.PacketsIdle != 0 {
+		t.Fatalf("drawing pool after a second round: %+v, want its peak of 3 kept", got)
+	}
+	if pk, pl := netsim.ReserveLen(); pk != 0 || pl != 1 {
+		t.Fatalf("reserve holds %d packets, %d payloads, want 0 and 1", pk, pl)
+	}
+
+	for range 2 {
+		var big netsim.Pool
+		held := make([]*netsim.Packet, netsim.ReservePackets+10)
+		for i := range held {
+			held[i] = big.NewPacket()
+			if i < netsim.ReservePayloads+10 {
+				held[i].Payload = big.GetPayload(8)
+			}
+		}
+		for _, pk := range held {
+			pk.Release()
+		}
+		big.Retire()
+		if pk, pl := netsim.ReserveLen(); pk != netsim.ReservePackets || pl != netsim.ReservePayloads {
+			t.Fatalf("reserve holds %d packets, %d payloads, want its cap %d and %d",
+				pk, pl, netsim.ReservePackets, netsim.ReservePayloads)
+		}
+	}
+}
+
+// TestAllocGateReserveHit: a pool that finds its list empty and the
+// reserve stocked draws a struct and a payload array and allocates
+// nothing; it takes no more than it draws.
+func TestAllocGateReserveHit(t *testing.T) {
+	netsim.EmptyReserve()
+	defer netsim.EmptyReserve()
+	const n = 200
+	var filler netsim.Pool
+	minted := make([]*netsim.Packet, n)
+	for i := range minted {
+		minted[i] = filler.NewPacket()
+		minted[i].Payload = filler.GetPayload(64)
+	}
+	for _, p := range minted {
+		p.Release()
+	}
+	filler.Retire()
+	var pl netsim.Pool
+	held := make([]*netsim.Packet, 0, n)
+	allocs := testing.AllocsPerRun(n/2, func() {
+		p := pl.NewPacket()
+		p.Payload = pl.GetPayload(64)
+		held = append(held, p)
+	})
+	if allocs != 0 {
+		t.Errorf("a reserve hit allocates %.1f objects, want 0", allocs)
+	}
+	if pk, pay := netsim.ReserveLen(); pk != n-len(held) || pay != n-len(held) {
+		t.Errorf("reserve holds %d packets, %d payloads after %d draws of %d, want %d each", pk, pay, len(held), n, n-len(held))
 	}
 }
 

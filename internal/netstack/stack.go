@@ -109,6 +109,27 @@ func NewStack(sched *simtime.Scheduler, name string, bootJiffies uint32) *Stack 
 // and diagnostics.
 func (s *Stack) PoolStats() netsim.PoolStats { return s.pool.Stats() }
 
+// ReleaseQueues ends the hold of every socket in the stack's tables on
+// its queued packets (TCPSocket.ReleaseQueues, UDPSocket.ReleaseQueues),
+// walking the tables in place. It is the first half of ending a cell:
+// each packet goes back to its home, possibly another stack's pool, so
+// every stack of the cell releases before any retires its pool
+// (RetirePool). A socket in no table — migrated away, closed — is not
+// reached.
+func (s *Stack) ReleaseQueues() {
+	for _, sk := range s.ehash.buckets {
+		for ; sk != nil; sk = sk.ehashNext {
+			sk.ReleaseQueues()
+		}
+	}
+	s.bhash.each((*TCPSocket).ReleaseQueues)
+	s.udph.each((*UDPSocket).ReleaseQueues)
+}
+
+// RetirePool hands the stack's idle packets to the process-wide reserve
+// (netsim.Pool.Retire); nothing may run on the stack afterwards.
+func (s *Stack) RetirePool() { s.pool.Retire() }
+
 // Scheduler exposes the virtual clock the stack runs on.
 func (s *Stack) Scheduler() *simtime.Scheduler { return s.sched }
 

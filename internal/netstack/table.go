@@ -172,3 +172,17 @@ func (t *portTable[T]) set(port uint16, v *T) {
 	}
 	pg[port&0xFF] = v
 }
+
+// each calls f on every socket in the table, in port order.
+func (t *portTable[T]) each(f func(*T)) {
+	for _, pg := range t.pages {
+		if pg == nil {
+			continue
+		}
+		for _, v := range pg {
+			if v != nil {
+				f(v)
+			}
+		}
+	}
+}

@@ -433,6 +433,27 @@ func (sk *TCPSocket) Discard() int {
 	return n
 }
 
+// ReleaseQueues ends the socket's hold on every queued packet — write,
+// receive, out-of-order, backlog and prequeue. Nothing reads or sends on
+// the socket afterwards: it is the migrated-away original, whose queues
+// the image carried by copy, or its cell has ended (Stack.ReleaseQueues).
+func (sk *TCPSocket) ReleaseQueues() {
+	sk.writeQueue = releaseAll(sk.writeQueue)
+	sk.receiveQueue = releaseAll(sk.receiveQueue)
+	sk.oooQueue = releaseAll(sk.oooQueue)
+	sk.backlog = releaseAll(sk.backlog)
+	sk.prequeue = releaseAll(sk.prequeue)
+}
+
+// releaseAll releases every packet of q and returns it emptied.
+func releaseAll(q []*netsim.Packet) []*netsim.Packet {
+	for i, p := range q {
+		p.Release()
+		q[i] = nil
+	}
+	return q[:0]
+}
+
 // EOF reports whether the peer closed its direction.
 func (sk *TCPSocket) EOF() bool { return sk.eof }
 

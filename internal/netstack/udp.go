@@ -147,6 +147,15 @@ func (us *UDPSocket) QueueLen() int { return len(us.receiveQueue) - us.rcvHead }
 // packets stay the socket's.
 func (us *UDPSocket) ReceiveQueue() []*netsim.Packet { return us.receiveQueue[us.rcvHead:] }
 
+// ReleaseQueues ends the socket's hold on every packet: the datagram out
+// on loan and the queued ones. Nothing reads the socket afterwards — the
+// migrated-away original whose queue the image carried by copy, or a
+// socket whose cell has ended (Stack.ReleaseQueues).
+func (us *UDPSocket) ReleaseQueues() {
+	us.releaseLent()
+	us.receiveQueue, us.rcvHead = releaseAll(us.receiveQueue[us.rcvHead:]), 0
+}
+
 // Close unbinds the socket. Datagrams still queued stay readable.
 func (us *UDPSocket) Close() {
 	us.releaseLent()

@@ -274,6 +274,7 @@ type Cluster struct {
 	nextExternal    byte
 	nextLocal       byte
 	lastExternalNIC *netsim.NIC
+	externals       []*netstack.Stack // NewExternalHost's, in creation order
 }
 
 // LocalNet is the in-cluster subnet, a /LocalNetBits: the route every
@@ -362,9 +363,40 @@ func (c *Cluster) NewExternalHost(name string) *netstack.Stack {
 	st.AttachNIC(nic, addr)
 	st.AddRoute(0, 0, nic, addr)
 	c.lastExternalNIC = nic
+	c.externals = append(c.externals, st)
 	return st
 }
 
 // LastExternalNIC returns the access-link interface of the most recently
 // created external host, for attaching measurement taps.
 func (c *Cluster) LastExternalNIC() *netsim.NIC { return c.lastExternalNIC }
+
+// Retire ends the cell's packets, in two phases over every node's stack
+// and every external host's. First each stack releases what its sockets
+// still hold (netstack.Stack.ReleaseQueues), which brings a packet homed
+// on one stack but parked on another back home; then each stack's pool
+// goes to the process-wide reserve, where the next cell's pools find it.
+// It returns what is still out after the release phase — Σ Minted − Idle
+// over the stacks: packets in flight, in a capture filter, or in a
+// socket no table reaches. No event may run after Retire.
+func (c *Cluster) Retire() (packets, payloads int) {
+	for _, st := range c.externals {
+		st.ReleaseQueues()
+	}
+	for _, n := range c.Nodes {
+		n.Stack.ReleaseQueues()
+	}
+	retire := func(st *netstack.Stack) {
+		ps := st.PoolStats()
+		packets += ps.PacketsMinted - ps.PacketsIdle
+		payloads += ps.PayloadsMinted - ps.PayloadsIdle
+		st.RetirePool()
+	}
+	for _, st := range c.externals {
+		retire(st)
+	}
+	for _, n := range c.Nodes {
+		retire(n.Stack)
+	}
+	return packets, payloads
+}

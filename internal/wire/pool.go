@@ -16,16 +16,24 @@ import (
 //
 // Buffers come in power-of-two classes from minPooledBuf to maxKeptBuf.
 // Below that nothing is pooled: a small buffer rounded up to a class
-// would cost more bytes than the pool saves. Each class pools the
-// pointer to an exact class-size backing array, not a slice header, so
-// a Take that hits and every Give allocate nothing.
+// would cost more bytes than the pool saves. Each class is a free list
+// under its own lock, of pointers to exact class-size backing arrays,
+// not slice headers, so a Take that hits and every Give allocate
+// nothing. Unlike a sync.Pool a list survives collections and is one
+// list for every goroutine, so a Take misses only when every buffer of
+// its class is out. A list keeps at most classKeptBytes of buffers;
+// Give drops one past that to the collector.
 const (
-	minPooledBuf = 64 << 10
-	maxKeptBuf   = 1 << 20
-	bufClasses   = 5 // 64, 128, 256 and 512 KiB, 1 MiB
+	minPooledBuf   = 64 << 10
+	maxKeptBuf     = 1 << 20
+	bufClasses     = 5 // 64, 128, 256 and 512 KiB, 1 MiB
+	classKeptBytes = 4 << 20
 )
 
-var bufPools [bufClasses]sync.Pool
+var bufPools [bufClasses]struct {
+	sync.Mutex
+	free []*byte
+}
 
 // poisonGiven is the pool's tripwire: when set, Give overwrites the
 // buffer's whole capacity with 0xDB, so a holder that kept a buffer it
@@ -46,10 +54,19 @@ func Take(n int) []byte {
 	}
 	c := bits.Len(uint(n-1)) - bits.Len(minPooledBuf-1)
 	size := minPooledBuf << c
-	if p, ok := bufPools[c].Get().(*byte); ok {
-		return unsafe.Slice(p, size)[:0]
+	pool := &bufPools[c]
+	var p *byte
+	pool.Lock()
+	if last := len(pool.free) - 1; last >= 0 {
+		p = pool.free[last]
+		pool.free[last] = nil
+		pool.free = pool.free[:last]
 	}
-	return make([]byte, 0, size)
+	pool.Unlock()
+	if p == nil {
+		return make([]byte, 0, size)
+	}
+	return unsafe.Slice(p, size)[:0]
 }
 
 // Grow returns b with room for at least n more bytes, as slices.Grow
@@ -68,10 +85,10 @@ func Grow(b []byte, n int) []byte {
 	return nb
 }
 
-// Give files b for a later Take and reports whether it did. A buffer it
-// takes is nobody's from then on: whoever gave it keeps no reference
-// into it. A capacity that is not a class size is refused, and the
-// buffer stays the caller's.
+// Give files b for a later Take and reports whether it took it. A buffer
+// it takes is nobody's from then on: whoever gave it keeps no reference
+// into it (a full class lets it go to the collector). A capacity that is
+// not a class size is refused, and the buffer stays the caller's.
 func Give(b []byte) bool {
 	n := cap(b)
 	if n < minPooledBuf || n > maxKeptBuf || n&(n-1) != 0 {
@@ -84,6 +101,11 @@ func Give(b []byte) bool {
 			copy(b[i:], b[:i])
 		}
 	}
-	bufPools[bits.Len(uint(n))-bits.Len(minPooledBuf)].Put(&b[0])
+	pool := &bufPools[bits.Len(uint(n))-bits.Len(minPooledBuf)]
+	pool.Lock()
+	if len(pool.free) < classKeptBytes/n {
+		pool.free = append(pool.free, &b[0])
+	}
+	pool.Unlock()
 	return true
 }

@@ -1,11 +1,10 @@
 package wire
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"unsafe"
-
-	"dvemig/internal/wire/wiretest"
 )
 
 func init() { PoisonGiven() }
@@ -83,15 +82,39 @@ func TestGrowMovesIntoPool(t *testing.T) {
 
 // TestAllocGatePool: a Take the pool can serve and every Give allocate
 // nothing — the pool holds the backing array's pointer, not a boxed
-// slice header. Under -race sync.Pool drops a share of Puts on purpose,
-// so the bound is only logged there.
+// slice header — under the race detector too, and across a collection:
+// the free lists are plain slices, which neither drops.
 func TestAllocGatePool(t *testing.T) {
 	for _, n := range []int{minPooledBuf, 200 << 10, maxKeptBuf} {
 		Give(Take(n))
+		runtime.GC()
 		allocs := testing.AllocsPerRun(100, func() { Give(Take(n)) })
-		if allocs != 0 && !wiretest.SkipAllocBound(t, "pooled Take+Give") {
+		if allocs != 0 {
 			t.Errorf("Take(%d)+Give: %.1f allocs, want 0", n, allocs)
 		}
+	}
+}
+
+// TestGiveKeepsAClassCapped: a class keeps at most classKeptBytes of
+// buffers; a Give past that still takes the buffer (it is the
+// collector's now) but files nothing more.
+func TestGiveKeepsAClassCapped(t *testing.T) {
+	n := maxKeptBuf
+	held := make([][]byte, classKeptBytes/n+2)
+	for i := range held {
+		held[i] = Take(n)
+	}
+	for _, b := range held {
+		if !Give(b) {
+			t.Fatal("Give refused a class-size buffer")
+		}
+	}
+	pool := &bufPools[bufClasses-1]
+	pool.Lock()
+	kept := len(pool.free)
+	pool.Unlock()
+	if kept != classKeptBytes/n {
+		t.Fatalf("the %d-byte class keeps %d buffers, want its cap %d", n, kept, classKeptBytes/n)
 	}
 }
 
