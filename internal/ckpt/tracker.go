@@ -92,11 +92,13 @@ func (d *MemDelta) pagesSize(pages []PageImage) int {
 // way. Sizing costs a second scan of the pages, so it is done only when
 // the next record might not fit in what dst has spare (a record is at
 // most its raw form): a warm scratch that holds the delta is written in
-// one pass.
+// one pass. It grows through the wire pool (wire.Grow): a buffer it
+// grows to 64 KiB or more is a pooled one, and dst, when it is one, goes
+// back to the pool, so the caller keeps no other reference into dst.
 func (d *MemDelta) AppendEncode(dst []byte) []byte {
 	b, sized := dst, false
 	if cap(b)-len(b) < d.headerSize() {
-		b, sized = slices.Grow(b, d.EncodedSize()), true
+		b, sized = wire.Grow(b, d.EncodedSize()), true
 	}
 	b = binary.BigEndian.AppendUint32(b, uint32(d.Round))
 	b = binary.BigEndian.AppendUint32(b, uint32(len(d.NewVMAs)))
@@ -115,7 +117,7 @@ func (d *MemDelta) AppendEncode(dst []byte) []byte {
 	for i, p := range d.Pages {
 		n := d.pageLen(p)
 		if !sized && cap(b)-len(b) < 16+1+4+n { // coordinates, tag, length, raw bytes
-			b, sized = slices.Grow(b, d.pagesSize(d.Pages[i:])), true
+			b, sized = wire.Grow(b, d.pagesSize(d.Pages[i:])), true
 		}
 		b = binary.BigEndian.AppendUint64(b, p.VMAStart)
 		b = binary.BigEndian.AppendUint64(b, p.Index)
@@ -329,9 +331,11 @@ func applyGeometry(as *proc.AddressSpace, d *MemDelta) error {
 // address space without materialising it: the page content is the one
 // ApplyDelta(DecodeMemDelta(payload)) leaves, but each page record is
 // expanded straight into the frame that will own it. The pages the round
-// brings into existence are backed by one allocation, each frame cut to
-// the lines its record reaches; a resident page's frame is expanded into
-// in place, regrown only when the record reaches past its end. Nothing
+// brings into existence are backed by one slab of the space's
+// (AddressSpace.Slab: the page reserve's when a retired space left one
+// there), each frame cut to the lines its record reaches; a resident
+// page's frame is expanded into in place, regrown only when the record
+// reaches past its end. Nothing
 // it installs aliases payload, so the caller may reuse the buffer as
 // soon as it returns.
 //
@@ -376,7 +380,7 @@ func ApplyEncodedDelta(as *proc.AddressSpace, payload []byte) error {
 			fresh += proc.FrameLen(rec.end)
 		}
 	}
-	slab := make([]byte, fresh)
+	slab := as.Slab(fresh)
 
 	r = first
 	for i := 0; i < n; i++ {

@@ -307,9 +307,10 @@ func countZoneServers(n *proc.Node) int {
 }
 
 // Run executes the simulation and gathers the results. It ends the
-// simulation: the cluster's packets go to the next one
-// (proc.Cluster.Retire), so nothing may step the scheduler after Run;
-// the cluster's state and counters stay readable.
+// simulation: the cluster's packets and its processes' page memory go to
+// the next one (proc.Cluster.Retire), so nothing may step the scheduler
+// after Run, and a process's memory reads as empty; the cluster's other
+// state and its counters stay readable.
 func (s *Simulation) Run() *Results {
 	s.Cluster.Sched.RunUntil(s.Config.Duration)
 	s.Cluster.Retire()

@@ -84,7 +84,8 @@ func (f *fixture) drain() []string {
 }
 
 // retire ends the cell (proc.Cluster.Retire): every socket releases its
-// queued packets, every pool goes to the process-wide reserve, and what
+// queued packets, every pool goes to the process-wide reserve, every
+// process's page memory to the page reserve, and what
 // is still out is judged by invariant 6, with the expected failure of
 // the cell named key applied. No event of the cell runs afterwards.
 func (f *fixture) retire(key string) []string {

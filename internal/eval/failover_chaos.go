@@ -181,12 +181,14 @@ func RunFailoverScenario(sc FailoverScenario, seed uint64) (*FailoverResult, err
 	}
 
 	// Standbys on nodes 2 and 3.
+	var standbys []*migration.Standby
 	for i := 1; i <= 2; i++ {
 		sb, err := migration.NewStandby(cluster.Nodes[i])
 		if err != nil {
 			return nil, err
 		}
 		conds[i].EnableFailover(sb)
+		standbys = append(standbys, sb)
 	}
 
 	// Per-node public-link sniffers: which machine every reply left from.
@@ -351,12 +353,17 @@ func RunFailoverScenario(sc FailoverScenario, seed uint64) (*FailoverResult, err
 	}
 
 	// Drain: conductors (and with them the failure detectors), the
-	// guardians and the process loops are everything periodic here.
+	// guardians and the process loops are everything periodic here. With
+	// them stopped nothing activates an image, so the standbys give up
+	// the behaviour tokens of the images they hold.
 	for _, cd := range conds {
 		cd.Stop()
 	}
 	g1.Stop()
 	g2.Stop()
+	for _, sb := range standbys {
+		sb.Stop()
+	}
 	for _, n := range cluster.Nodes {
 		for _, pr := range n.Processes() {
 			n.StopLoop(pr)

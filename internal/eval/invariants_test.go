@@ -19,7 +19,7 @@ import (
 // stashedListed is a cell on invariant 5's expected-failure list,
 // outstandingListed one on invariant 6's.
 const (
-	stashedListed     = "failover/flap/seed=1"
+	stashedListed     = "soak/ctl-crash/seed=10034444790190551058/req=500"
 	outstandingListed = "failover/steady-crash/seed=1"
 )
 

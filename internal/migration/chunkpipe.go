@@ -228,11 +228,14 @@ func (ib *inbound) onChunkEnd(payload []byte) {
 		}
 		return
 	}
-	// Decoding a final image hands out subslices of the payload (the
-	// image is consumed during restore); sever the scratch so a later
-	// append cannot scribble over it.
+	// The final image is the stream's last: everything restore keeps of
+	// it is copied out while beginFinal runs (the decoded image's strings
+	// and pages, the page directory, the socket store's sections, the
+	// delta expanded into frames), so the buffer goes back to the wire
+	// pool as soon as it returns.
 	ib.chunkBuf = nil
 	ib.beginFinal(kind, buf)
+	wire.Give(buf)
 }
 
 // beginFinal handles the complete final image: past the point of no

@@ -8,6 +8,7 @@ import (
 	"dvemig/internal/obs"
 	"dvemig/internal/proc"
 	"dvemig/internal/simtime"
+	"dvemig/internal/wire"
 )
 
 // --- source side: the one way a migration ends -------------------------------
@@ -36,8 +37,11 @@ func (ob *outbound) end(err error) {
 	ob.watch.stop(ob.m)
 	// Nothing encodes or pumps once the migration is over (a stream still
 	// yielding finds over() set before it looks at its payload), and
-	// every socket delta went out by copy.
-	ob.m.encBufs.put(ob.encBuf)
+	// every socket delta went out by copy. A class-size scratch goes back
+	// to the wire pool, a smaller one to the node's list.
+	if !wire.Give(ob.encBuf) {
+		ob.m.encBufs.put(ob.encBuf)
+	}
 	ob.encBuf = nil
 	ob.sockTracker.Release()
 	if !gone && ob.p.State == proc.ProcFrozen {
@@ -51,8 +55,10 @@ func (ob *outbound) end(err error) {
 		// Dismantle the process here and drop any local translation rules
 		// that protected its (departed) in-cluster connections. The
 		// original sockets never run again and the image carried their
-		// queues by copy, so their packets go back to their homes now;
-		// a rollback (thaw) keeps them.
+		// queues by copy, so their packets go back to their homes now,
+		// and its address space, which nothing reads again, hands its
+		// page table and frames to the page reserve; a rollback (thaw)
+		// keeps both.
 		tcp, udp := ob.p.Sockets()
 		for _, sk := range tcp {
 			if ob.inCluster(sk.RemoteIP) {
@@ -63,6 +69,7 @@ func (ob *outbound) end(err error) {
 		for _, us := range udp {
 			us.ReleaseQueues()
 		}
+		ob.p.AS.Retire()
 		ob.p.State = proc.ProcExited
 		ob.m.Node.Detach(ob.p)
 	} else {

@@ -22,11 +22,14 @@ import (
 // last with 0xDB before building the next, and a memory tracker the page
 // list it lent last with sentinel entries (index ^0, 0xDB content). Every
 // buffer given to the wire pool (send, receive and reassembly buffers, a
-// tracker's arena) is overwritten with 0xDB as it goes in.
+// tracker's arena) is overwritten with 0xDB as it goes in, and so is
+// every chunk a retired address space (a committed source's) hands to
+// the page reserve.
 func TestMain(m *testing.M) {
 	poisonLent = true
 	netsim.PoisonReleasedPayloads()
 	proc.PoisonStaleFrames()
+	proc.PoisonRetired()
 	sockmig.PoisonLentDeltas()
 	ckpt.PoisonLentMemDeltas()
 	wire.PoisonGiven()

@@ -53,6 +53,7 @@ type Standby struct {
 
 	listener *netstack.TCPSocket
 	images   map[string]*standbyImage
+	stopped  bool // Stop ran: images arriving now are dropped
 
 	// Stored counts images accepted; Evicted counts images dropped by
 	// the retention bound; RejectedStale counts images refused for
@@ -114,6 +115,10 @@ func (s *Standby) closed(*Conn) {}
 // behavior tokens immediately — the fix for the unbounded registry
 // growth the old "keep every token forever" behaviour caused.
 func (s *Standby) offer(name string, token, seq, ep uint64, tctx obs.TraceContext, from netsim.Addr, img []byte) {
+	if s.stopped {
+		takeBehavior(s.Node.Sched, token) // nobody activates it now
+		return
+	}
 	cur := s.images[name]
 	fresher := cur == nil || ep > cur.epoch || (ep == cur.epoch && seq > cur.seq)
 	if !fresher {
@@ -154,6 +159,20 @@ func (s *Standby) evictFor(name string) {
 		takeBehavior(s.Node.Sched, s.images[victim].token)
 		delete(s.images, victim)
 		s.Evicted++
+	}
+}
+
+// Stop ends the standby's duty: it forgets every image it holds and
+// takes each one's behaviour token, which no Activate can claim now; an
+// image still in flight is acknowledged as before when it lands, and
+// its token taken at once. A cell calls it once the guardians and
+// conductors that feed and consult the standby have stopped, so its
+// scheduler ends holding nothing for it.
+func (s *Standby) Stop() {
+	s.stopped = true
+	for name, si := range s.images {
+		takeBehavior(s.Node.Sched, si.token)
+		delete(s.images, name)
 	}
 }
 

@@ -526,6 +526,67 @@ func TestOriginalsReleaseQueuesOnCommit(t *testing.T) {
 	}
 }
 
+// TestSourceSpaceRetiredOnCommit: a committed migration retires the
+// source's address space to the page reserve — it holds no region and
+// no resident page once the migration ends, and the restored process
+// holds every page — while a migration that aborts after the freeze
+// thaws a process whose regions, resident pages and contents are the
+// ones it froze with. The package runs with retired chunks poisoned, so
+// a restored page read from a retired frame would read 0xDB.
+func TestSourceSpaceRetiredOnCommit(t *testing.T) {
+	for _, commit := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.Deadline, cfg.ConnTimeout, cfg.ConnRetries = 4*time.Second, time.Second, 2
+		e := newEnv(t, 2, 2, cfg)
+		heap := e.p.AS.VMAs()[0]
+		var frozen []byte
+		var resident int
+		e.migrators[0].OnPhase = func(ev PhaseEvent) {
+			if ev.Phase != PhaseTransfer {
+				return
+			}
+			frozen, _ = e.p.AS.Read(heap.Start, int(heap.Len()))
+			resident = heap.Resident()
+			if !commit {
+				e.c.Nodes[1].Fail(e.c) // the destination dies mid-transfer: the source rolls back
+			}
+		}
+		var err error
+		done := false
+		e.migrators[0].Migrate(e.p, e.c.Nodes[1].LocalIP, func(_ *Metrics, merr error) {
+			err, done = merr, true
+			if commit {
+				if n, rb := len(e.p.AS.VMAs()), e.p.AS.ResidentBytes(); n != 0 || rb != 0 || heap.Resident() != 0 {
+					t.Errorf("committed: the source's space keeps %d regions, %d resident bytes", n, rb)
+				}
+				return
+			}
+			got, rerr := e.p.AS.Read(heap.Start, int(heap.Len()))
+			if rerr != nil || len(e.p.AS.VMAs()) != 1 || heap.Resident() != resident || !bytes.Equal(got, frozen) {
+				t.Errorf("aborted: the thawed space has %d regions, %d resident pages (froze with %d), contents equal %v, err %v",
+					len(e.p.AS.VMAs()), heap.Resident(), resident, bytes.Equal(got, frozen), rerr)
+			}
+		})
+		arrived := false
+		e.migrators[1].OnArrived = func(p *proc.Process, _ *Metrics) {
+			arrived = true
+			v := p.AS.VMAs()[0]
+			got, rerr := p.AS.Read(v.Start, int(v.Len()))
+			if rerr != nil || v.Resident() != resident || !bytes.Equal(got, frozen) {
+				t.Errorf("committed: the restored space has %d resident pages (froze with %d), contents equal %v, err %v",
+					v.Resident(), resident, bytes.Equal(got, frozen), rerr)
+			}
+		}
+		e.c.Sched.RunFor(30 * time.Second)
+		if !done || (err == nil) != commit || arrived != commit {
+			t.Fatalf("commit=%v: done=%v arrived=%v err=%v", commit, done, arrived, err)
+		}
+		if resident == 0 {
+			t.Fatalf("commit=%v: the process froze with no resident page: the case under test did not occur", commit)
+		}
+	}
+}
+
 func TestMetricsAccounting(t *testing.T) {
 	cfg := DefaultConfig()
 	e := newEnv(t, 2, 16, cfg)

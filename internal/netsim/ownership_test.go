@@ -425,17 +425,21 @@ func TestSharedPayloadReturnsOnceToItsHome(t *testing.T) {
 
 // TestConcurrentCellsShareNoList runs freeze points on two goroutines,
 // several in sequence on each. Every cell's end hands its idle packets
-// to the process-wide reserve and the next cell, on either goroutine,
-// draws from it. Under -race this is the proof that a stack's free list
-// is its cell's alone and that the reserve hands packets from one
-// goroutine's cell to another's safely: a list two live cells could both
-// reach, or a packet a retired cell still touched, would be a reported
-// race. The results are the seed's, whatever ran beside or before them.
+// to the process-wide packet reserve, and its processes' page tables and
+// frames to the page reserve (the committed source's at the commit, the
+// migrated process's at the cell's end), and the next cell, on either
+// goroutine, draws from both. Under -race this is the proof that a
+// stack's free list and a space's pages are their cell's alone and that
+// the reserves hand them from one goroutine's cell to another's safely:
+// a list two live cells could both reach, or a packet or a frame a
+// retired cell still touched, would be a reported race. The results are
+// the seed's, whatever ran beside or before them.
 func TestConcurrentCellsShareNoList(t *testing.T) {
 	const cells = 3
 	fc := eval.DefaultFreezeConfig(sockmig.IncrementalCollective, 8)
 	fc.Repeats = 1
 	fc.Workers = 1
+	fc.MemPages = 2048 // four full page-table leaves, 512 resident pages
 	var pts [2][cells]*eval.FreezePoint
 	var errs [2]error
 	var wg sync.WaitGroup

@@ -5,6 +5,7 @@
 package proc
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -26,7 +27,7 @@ const LineSize = 64
 
 // maxChunkFrames caps the chunk a page fault cuts frames from at eight
 // full frames, 32 KiB, so a space never holds more than 32 KiB less a
-// line in frames it has not handed out.
+// line in frames it has not handed out, past a restore slab's tail.
 const maxChunkFrames = 8
 
 // FrameLen is the length of the frame a store reaching byte end of a
@@ -74,9 +75,17 @@ type leaf struct {
 	lines   []uint64 // byte i%8 of word i/8: slot i's frame length in lines
 }
 
-// newLeaf allocates a leaf of n slots: the slot array, and one array the
-// three bitmaps and the frame lengths share.
+// newLeaf returns an empty leaf of n slots. A full-size one comes from
+// the page reserve when a retired space left one there; otherwise it is
+// allocated: the slot array, and one array the three bitmaps and the
+// frame lengths share.
 func newLeaf(base uint64, n int) leaf {
+	if n == leafPages {
+		if l, ok := takeLeaf(); ok {
+			l.base = base
+			return l
+		}
+	}
 	w := (n + 63) / 64
 	bm := make([]uint64, 3*w+(n+7)/8)
 	return leaf{base: base, frames: make([]*byte, n),
@@ -306,11 +315,13 @@ type AddressSpace struct {
 	vmas    []*VMA // sorted by Start
 	nextMap uint64 // bump allocator for anonymous mappings
 
-	// chunk is what is left of the allocation page faults cut their
-	// frames from (newFrame); cut counts the bytes of frames cut so far,
-	// which sizes the next chunk.
-	chunk []byte
-	cut   int
+	// chunks are the allocations the space's frames were cut from, in
+	// the order drawn (Retire hands them to the page reserve); frames are
+	// cut from the last one, whose first off bytes are handed out. cut
+	// counts the bytes of frames cut so far, which sizes the next chunk.
+	chunks [][]byte
+	off    int
+	cut    int
 
 	// OnMissing observes every access that lands on an absent page (a
 	// post-copy placeholder whose content is still on the migration
@@ -339,9 +350,12 @@ func (as *AddressSpace) Mmap(length uint64, perms string) *VMA {
 	v := &VMA{Start: as.nextMap, End: as.nextMap + length, Perms: perms}
 	as.nextMap += length + PageSize // guard page gap
 	as.vmas = append(as.vmas, v)
-	sort.Slice(as.vmas, func(i, j int) bool { return as.vmas[i].Start < as.vmas[j].Start })
+	slices.SortFunc(as.vmas, byStart)
 	return v
 }
+
+// byStart orders regions by address (their starts are distinct).
+func byStart(a, b *VMA) int { return cmp.Compare(a.Start, b.Start) }
 
 // MmapFixed maps a region at a specific address (restart path).
 func (as *AddressSpace) MmapFixed(start, end uint64, perms string) (*VMA, error) {
@@ -355,7 +369,7 @@ func (as *AddressSpace) MmapFixed(start, end uint64, perms string) (*VMA, error)
 	}
 	v := &VMA{Start: start, End: end, Perms: perms}
 	as.vmas = append(as.vmas, v)
-	sort.Slice(as.vmas, func(i, j int) bool { return as.vmas[i].Start < as.vmas[j].Start })
+	slices.SortFunc(as.vmas, byStart)
 	if end+PageSize > as.nextMap {
 		as.nextMap = end + PageSize
 	}
@@ -475,18 +489,41 @@ func PoisonStaleFrames() { poisonStale = true }
 
 // newFrame cuts one zeroed frame of n bytes, a whole number of lines,
 // from the space's chunk. A new chunk is sized in bytes from what the
-// space has cut so far — one byte for every eight, in whole lines, at
-// least n and at most maxChunkFrames pages — so a small space allocates
-// frame by frame and no space ever holds more than an eighth of what it
-// has cut, or 32 KiB less a line, in frames it has not handed out. A
-// chunk too short for the frame asked for is dropped with less than n
-// bytes unused: less than a page, at most once per chunk.
+// space has cut so far — one byte for every eight, at least n and at
+// most maxChunkFrames pages — rounded up to its reserve class, so no
+// space holds more than about a quarter of what it has cut, or 32 KiB
+// less a line, in frames it has not handed out.
 func (as *AddressSpace) newFrame(n int) []byte {
-	if len(as.chunk) < n {
-		as.chunk = make([]byte, max(min(as.cut/8/LineSize*LineSize, maxChunkFrames*PageSize), n))
+	return as.cutChunk(n, max(min(as.cut/8, maxChunkFrames*PageSize), n))
+}
+
+// Slab returns n zeroed bytes the space owns, for the caller to cut
+// into frames and Install: the restore path backs the pages a round
+// brings into existence with one slab. It comes from the space's chunk
+// when that has n bytes left, else from one new chunk of the class that
+// holds n, drawn from the page reserve: a miss allocates one class
+// size, a hit nothing (past the largest class, exactly n bytes the
+// reserve does not keep). The space hands the slab to the reserve when
+// it is retired, with its other chunks.
+func (as *AddressSpace) Slab(n int) []byte {
+	if n == 0 {
+		return nil
 	}
-	f := as.chunk[:n:n]
-	as.chunk = as.chunk[n:]
+	return as.cutChunk(n, n)
+}
+
+// cutChunk cuts n zeroed bytes from the space's chunk, with no capacity
+// past them. A chunk too short for them is left with less than n bytes
+// unused, and a new one that holds at least size bytes (size >= n) is
+// taken from the reserve.
+func (as *AddressSpace) cutChunk(n, size int) []byte {
+	last := len(as.chunks) - 1
+	if last < 0 || len(as.chunks[last])-as.off < n {
+		as.chunks = append(as.chunks, takeChunk(size))
+		last, as.off = last+1, 0
+	}
+	f := as.chunks[last][as.off : as.off+n : as.off+n]
+	as.off += n
 	as.cut += n
 	return f
 }

@@ -371,15 +371,24 @@ func (c *Cluster) NewExternalHost(name string) *netstack.Stack {
 // created external host, for attaching measurement taps.
 func (c *Cluster) LastExternalNIC() *netsim.NIC { return c.lastExternalNIC }
 
-// Retire ends the cell's packets, in two phases over every node's stack
-// and every external host's. First each stack releases what its sockets
-// still hold (netstack.Stack.ReleaseQueues), which brings a packet homed
-// on one stack but parked on another back home; then each stack's pool
-// goes to the process-wide reserve, where the next cell's pools find it.
-// It returns what is still out after the release phase — Σ Minted − Idle
-// over the stacks: packets in flight, in a capture filter, or in a
-// socket no table reaches. No event may run after Retire.
+// Retire ends the cell's packets and page memory. Packets go in two
+// phases over every node's stack and every external host's. First each
+// stack releases what its sockets still hold
+// (netstack.Stack.ReleaseQueues), which brings a packet homed on one
+// stack but parked on another back home; then each stack's pool goes to
+// the process-wide reserve, where the next cell's pools find it. Every
+// process still on a node retires its address space to the page
+// reserve (AddressSpace.Retire): a process's memory reads as empty
+// afterwards. It returns what is still out after the release phase —
+// Σ Minted − Idle over the stacks: packets in flight, in a capture
+// filter, or in a socket no table reaches. No event may run after
+// Retire.
 func (c *Cluster) Retire() (packets, payloads int) {
+	for _, n := range c.Nodes {
+		for _, p := range n.processes {
+			p.AS.Retire()
+		}
+	}
 	for _, st := range c.externals {
 		st.ReleaseQueues()
 	}

@@ -304,13 +304,13 @@ func TestFillPageAcceptsExactlyOnePage(t *testing.T) {
 func TestFillPageReusesStaleFrame(t *testing.T) {
 	as := NewAddressSpace()
 	v := as.Mmap(64*PageSize, "rw-")
-	for i := uint64(0); len(as.chunk) == 0; i++ { // until faults cut frames from a chunk with frames to spare
+	for i := uint64(0); i < 3 || len(as.chunks[len(as.chunks)-1]) == as.off; i++ { // until faults cut frames from a chunk with frames to spare
 		if err := as.Write(v.Start+i*PageSize, []byte{byte(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	first, _ := v.Entry(2)
-	frame0, chunk := &first.Frame[0], len(as.chunk) // any newFrame call shortens the chunk
+	frame0, cut := &first.Frame[0], as.cut // any newFrame call adds to cut
 	page := make([]byte, PageSize)
 	cycle := func() {
 		page[0]++
@@ -329,15 +329,15 @@ func TestFillPageReusesStaleFrame(t *testing.T) {
 	}
 	cycle()
 	e, _ := v.Entry(2)
-	if &e.Frame[0] != frame0 || len(e.Frame) != LineSize || len(as.chunk) != chunk {
-		t.Fatalf("the fill moved the page to another frame (%d bytes), or cut %d bytes of new ones", len(e.Frame), chunk-len(as.chunk))
+	if &e.Frame[0] != frame0 || len(e.Frame) != LineSize || as.cut != cut {
+		t.Fatalf("the fill moved the page to another frame (%d bytes), or cut %d bytes of new ones", len(e.Frame), as.cut-cut)
 	}
 	if got, _ := as.Read(v.Start+2*PageSize, PageSize); !bytes.Equal(got, page) || e.Dirty || e.Absent {
 		t.Fatalf("refilled page: dirty %v absent %v, content differs %v", e.Dirty, e.Absent, !bytes.Equal(got, page))
 	}
 	as.OnMissing = nil
-	if n := testing.AllocsPerRun(100, cycle); n != 0 || len(as.chunk) != chunk {
-		t.Fatalf("MarkAbsent then FillPage of a resident page: %.1f allocations, %d bytes of frames cut", n, chunk-len(as.chunk))
+	if n := testing.AllocsPerRun(100, cycle); n != 0 || as.cut != cut {
+		t.Fatalf("MarkAbsent then FillPage of a resident page: %.1f allocations, %d bytes of frames cut", n, as.cut-cut)
 	}
 
 	page[LineSize] = 9 // one byte past the stale line

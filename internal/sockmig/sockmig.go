@@ -21,7 +21,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"slices"
 
 	"dvemig/internal/netsim"
@@ -192,10 +191,16 @@ func decodeInto(d *SockDelta, b []byte) error {
 	return nil
 }
 
+// hashBytes is 64-bit FNV-1a over b, the values hash/fnv's New64a
+// gives, written out so a section's hash costs no interface call and no
+// hasher. The hashes never leave the tracker.
 func hashBytes(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // Tracker maintains per-socket per-section content hashes across precopy

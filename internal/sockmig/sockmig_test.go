@@ -2,6 +2,7 @@ package sockmig
 
 import (
 	"bytes"
+	"hash/fnv"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -455,5 +456,22 @@ func TestTrackerLendsUntilNextCall(t *testing.T) {
 	got, err := DecodeSockDelta(enc)
 	if err != nil || len(got.Socks) != 3 || bytes.Contains(got.Socks[0].Sections[1].Data, bytes.Repeat([]byte{0xDB}, 8)) {
 		t.Fatalf("the encoded copy did not survive the next round: %v", err)
+	}
+}
+
+// TestHashBytesIsFNV1a: the inlined hash gives hash/fnv's 64-bit FNV-1a
+// value for every length from empty to past a few words, so no tracker
+// sees a section change it did not see before.
+func TestHashBytesIsFNV1a(t *testing.T) {
+	b := make([]byte, 300)
+	for i := range b {
+		b[i] = byte(i*131 + 7)
+	}
+	for n := 0; n <= len(b); n++ {
+		h := fnv.New64a()
+		h.Write(b[:n])
+		if got, want := hashBytes(b[:n]), h.Sum64(); got != want {
+			t.Fatalf("hashBytes of %d bytes = %#x, hash/fnv says %#x", n, got, want)
+		}
 	}
 }
